@@ -3,8 +3,11 @@
 A basis U for the column space of A (or of A @ H) is carried implicitly as
 a change-of-basis matrix: U = (A H)[:, cols] @ R_inv, where R comes from a
 QR factorization of the sketched product Pi (A H).  For p in [1, 2) the
-sketch Pi is p-stable; for p = 2 no sketch is needed and the basis is an
-exact orthonormal factor (beta = 1).
+sketch Pi = S D is a sparse p-stable embedding (one nonzero per column; the
+sparse Cauchy transform of Meng & Mahoney 2013 at p = 1), so Pi (A H) costs
+O(nnz(A H)); for p = 2 no sketch is needed and the basis is an exact
+orthonormal factor (beta = 1).  The certificates alpha and beta are
+computed on first read, since most callers never need them.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.  The weighted
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -72,12 +76,25 @@ class WellConditionedBasis:
 
     change_of_basis: np.ndarray   # (m, m) inverse triangular factor
     cols: np.ndarray              # selected columns of A H after pivoting
-    alpha: float
-    beta: float
     p: float
     n: int
     m: int
     _ah: object                   # n x m0 product A H (dense or sparse)
+    _probes: tuple                # (seed, n_probe, safety) of the beta certificate
+
+    @cached_property
+    def alpha(self) -> float:
+        """Entrywise p-norm of U, computed on first read."""
+        total = sum(float(np.sum(np.abs(block) ** self.p))
+                    for _, _, block in self.iter_row_blocks())
+        return total ** (1.0 / self.p)
+
+    @cached_property
+    def beta(self) -> float:
+        """Dual-norm distortion bound: 1 for the exact p = 2 basis, else sampled on first read."""
+        if self.p == 2.0:
+            return 1.0
+        return _beta_certificate(self, *self._probes)
 
     def u_rows(self, idx=None) -> np.ndarray:
         """Rows of the basis; idx may be a slice, index array, or None (all)."""
@@ -139,9 +156,13 @@ def well_conditioned_basis(
     """Build a well-conditioned basis for the column space of A H.
 
     For p in [1, 2) the triangular factor comes from a QR of Pi (A H) with
-    Pi a p-stable sketch of c_pi * m^2 rows (capped at stable_row_cap); the
-    beta certificate is then estimated from random probes with a safety
-    factor.  For p = 2 the factorization is exact and beta = 1.  Dependent
+    Pi = S D the sparse p-stable embedding of ``PStableSketch``, which hashes
+    the n rows into c_pi * m^2 buckets (capped at stable_row_cap) after
+    scaling each by a p-stable draw; it is the sparse Cauchy transform of
+    Meng & Mahoney (2013) at p = 1.  When the bucket count reaches n the
+    QR is taken of A H itself.  The beta certificate is estimated from
+    n_probe random probes with a safety factor when ``.beta`` is first
+    read; for p = 2 the factorization is exact and beta = 1.  Dependent
     columns are dropped, reducing the reported width m.
     """
     if not (1.0 <= p <= 2.0):
@@ -165,15 +186,7 @@ def well_conditioned_basis(
     if m == 0:
         raise ValueError("operand has numerical rank zero")
     r_inv = sla.solve_triangular(rr, np.eye(m))
-    basis = WellConditionedBasis(r_inv, cols, 0.0, 1.0, float(p), n, m, ah)
-
-    alpha_p = 0.0
-    for _, _, block in basis.iter_row_blocks():
-        alpha_p += float(np.sum(np.abs(block) ** p))
-    basis.alpha = alpha_p ** (1.0 / p)
-    if p < 2.0:
-        basis.beta = _beta_certificate(basis, seed, n_probe, beta_safety)
-    return basis
+    return WellConditionedBasis(r_inv, cols, float(p), n, m, ah, (seed, n_probe, beta_safety))
 
 
 # ---------------------------------------------------------------------------

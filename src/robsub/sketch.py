@@ -6,7 +6,8 @@ Three sketch families, each a pure function of its seed:
   applied on the right in O(s * nnz) work to reduce column count;
 * Gaussian sketches for cheap row-norm estimation, optionally deflating
   a known subspace on the fly;
-* p-stable sketches (Cauchy at p=1) used to condition bases for l_p.
+* sparse p-stable embeddings Pi = S D (the sparse Cauchy transform at
+  p=1), applied in O(nnz) work to condition bases for l_p.
 
 Also provides the orthonormal union of row blocks, the rank-revealing
 subspace builder the samplers feed into.
@@ -22,8 +23,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .core import Subspace, is_sparse, matmul_dense, spawn_rng
-
-_STABLE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -176,11 +175,14 @@ def _stable_draws(rng: np.random.Generator, size, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PStableSketch:
-    """s x n matrix of i.i.d. standard p-stable entries, generated lazily.
+    """Sparse s x n p-stable embedding Pi = S D, a pure function of its seed.
 
-    Entries are standard Cauchy for p=1.  Rows are produced in fixed-size
-    blocks so that the draw stream is deterministic in the seed and the
-    full matrix is never required to fit in memory.
+    D is diagonal with n i.i.d. standard p-stable entries and S hashes each
+    of the n input rows to one of the s output rows, so Pi has a single
+    nonzero per column and Pi @ B costs O(nnz(B)).  At p=1 this is the
+    sparse Cauchy transform of Meng & Mahoney (2013), "Low-distortion
+    subspace embeddings in input-sparsity time and applications to robust
+    linear regression".
     """
 
     s: int
@@ -188,33 +190,22 @@ class PStableSketch:
     p: float
     seed: int
 
+    def _operator(self) -> sp.csc_matrix:
+        """Pi as an (s, n) sparse matrix: column j holds D_jj in row h(j)."""
+        rng = spawn_rng(self.seed, 17)
+        buckets = rng.integers(0, self.s, size=self.n)
+        diag = _stable_draws(rng, self.n, self.p)
+        return sp.csc_matrix((diag, buckets, np.arange(self.n + 1)), shape=(self.s, self.n))
+
     def row_block(self, start: int, stop: int) -> np.ndarray:
-        """Materialize rows [start, stop): used by tests and small inputs."""
-        out = np.empty((stop - start, self.n))
-        b0 = start // _STABLE_BLOCK_ROWS
-        b1 = (stop - 1) // _STABLE_BLOCK_ROWS
-        for blk in range(b0, b1 + 1):
-            lo = blk * _STABLE_BLOCK_ROWS
-            hi = min(lo + _STABLE_BLOCK_ROWS, self.s)
-            rng = spawn_rng(self.seed, 17, blk)
-            rows = _stable_draws(rng, (hi - lo, self.n), self.p)
-            a = max(lo, start)
-            b = min(hi, stop)
-            out[a - start:b - start] = rows[a - lo:b - lo]
-        return out
+        """Materialize rows [start, stop) of Pi densely: used by tests."""
+        return self._operator()[start:stop].toarray()
 
     def apply(self, b) -> np.ndarray:
-        """Compute (Pi @ B) blockwise for a conformable dense/sparse B."""
+        """Compute Pi @ B for a conformable dense/sparse B in O(nnz(B)) work."""
         if b.shape[0] != self.n:
             raise ValueError(f"operand has {b.shape[0]} rows, sketch expects {self.n}")
-        bd = b if not is_sparse(b) else b.tocsr()
-        out = np.empty((self.s, b.shape[1]))
-        for lo in range(0, self.s, _STABLE_BLOCK_ROWS):
-            hi = min(lo + _STABLE_BLOCK_ROWS, self.s)
-            rng = spawn_rng(self.seed, 17, lo // _STABLE_BLOCK_ROWS)
-            rows = _stable_draws(rng, (hi - lo, self.n), self.p)
-            out[lo:hi] = matmul_dense(rows, bd)
-        return out
+        return matmul_dense(self._operator(), b)
 
 
 def make_pstable_sketch(seed: int, s: int, n: int, p: float) -> PStableSketch:

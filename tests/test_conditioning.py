@@ -8,6 +8,7 @@ from robsub import (
     weighted_leverage_scores,
     well_conditioned_basis,
 )
+from robsub import conditioning
 from robsub.core import m_value
 
 
@@ -91,6 +92,31 @@ class TestWellConditionedBasis:
             # restrict to a row block: ||Ux||_1 over all rows only grows
             assert lhs <= basis.beta * np.abs(basis.row_evaluator() @ x).sum() * (1 + 1e-9)
         assert u.shape == (2000, 3)
+
+    def test_stable_sketch_path_large_n_p15(self):
+        # p = 1.5 sends the Chambers-Mallows-Stuck draws through the sketched route
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((20000, 3))
+        basis = well_conditioned_basis(a, p=1.5, seed=6)
+        for _ in range(50):
+            x = rng.standard_normal(3)
+            lhs = np.sum(np.abs(x) ** 3.0) ** (1 / 3.0)
+            rhs = np.sum(np.abs(basis.row_evaluator() @ x) ** 1.5) ** (1 / 1.5)
+            assert lhs <= basis.beta * rhs * (1 + 1e-9)
+
+    def test_beta_certificate_deferred_until_read(self, monkeypatch):
+        # n above the row cap, so the basis comes from the sketched route
+        certificate = conditioning._beta_certificate
+        calls = []
+        monkeypatch.setattr(conditioning, "_beta_certificate",
+                            lambda *args: calls.append(args) or certificate(*args))
+        a = np.random.default_rng(22).standard_normal((9000, 3))
+        basis = well_conditioned_basis(a, p=1.0, seed=7, n_probe=500, beta_safety=2.0)
+        assert calls == []
+        beta = basis.beta
+        assert basis.beta == beta
+        assert len(calls) == 1
+        assert beta == certificate(basis, 7, 500, 2.0)
 
 
 class TestLeverageScores:
