@@ -7,7 +7,6 @@ oracles, and a clique-gadget instance generator for verification.
 """
 
 from .core import (
-    CostReport,
     LossSpec,
     Subspace,
     WeightVector,
@@ -39,12 +38,9 @@ from .conditioning import (
     well_conditioned_basis,
 )
 from .sampling import (
-    LP_SCALE,
-    M2_WEIGHT,
     SampleDraw,
     SamplingPlan,
     draw,
-    gaussian_score_plan,
     make_plan,
     sample_size_subspace,
 )

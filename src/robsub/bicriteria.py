@@ -1,11 +1,12 @@
-"""Constant-factor bicriteria subspaces by sketch-then-sample recursion.
+"""Constant-factor bicriteria subspaces by sketch-then-sample rounds.
 
 The driver sketches the input on the right down to poly(k) columns, then
-recursively samples rows by weighted leverage scores until at most P_M
-rows survive; the orthonormal row space of the survivors is the bicriteria
-subspace.  For |x|^p losses one sampling round typically suffices; general
-p=2 losses shrink rows geometrically over O(log log n) rounds while
-carrying reweights w' = w / q.
+runs rounds of the shared weighted leverage-score sampling loop
+(``sampling.leverage_rounds``) until at most P_M rows survive; the
+orthonormal row space of the survivors is the bicriteria subspace.  For
+|x|^p losses one sampling round typically suffices; general p=2 losses
+shrink rows geometrically over O(log log n) rounds while carrying
+reweights w' = w / q.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .conditioning import weighted_leverage_scores
 from .core import LossSpec, Subspace, is_sparse, spawn_rng
-from .sampling import LP_SCALE, M2_WEIGHT, draw, make_plan
+from .sampling import leverage_rounds
 from .sketch import apply_right, make_sparse_sketch, orthonormal_union
 
 
@@ -60,80 +60,42 @@ def const_approx_recur(
     seed: int,
     p_m: int,
     max_depth: int,
-    depth: int = 0,
     trace: Optional[list] = None,
-    orig_idx: Optional[np.ndarray] = None,
 ):
-    """Recursive leverage-score row sampling; returns the surviving rows of a_hat.
+    """Rounds of leverage-score row sampling; returns the surviving rows of a_hat.
 
     a_proj carries the sketched (narrow) copy used for scoring; a_hat the
-    original-width rows, kept aligned.  For |x|^p losses sampled rows are
-    rescaled by q^(-1/p) and weights reset to one; for general p=2 losses
-    rows keep their values and weights become w / q.
+    original-width rows, kept aligned.  Rounds of ``leverage_rounds`` run
+    until at most p_m rows survive; more than max_depth + 1 rounds is an
+    error.  For |x|^p losses sampled rows are rescaled by q^(-1/p) and
+    weights reset to one; for general p=2 losses rows keep their values
+    and weights become w / q.
     """
-    n_prime = a_proj.shape[0]
-    if a_hat.shape[0] != n_prime:
+    if a_hat.shape[0] != a_proj.shape[0]:
         raise ValueError("projected and original row counts disagree")
-    if orig_idx is None:
-        orig_idx = np.arange(n_prime)
-    if n_prime <= p_m:
-        if trace is not None:
-            trace.append({"depth": depth, "n": n_prime, "base_case": True,
-                          "indices": orig_idx})
-        return a_hat
-    if depth > max_depth:
-        raise RuntimeError(
-            f"row-sampling recursion exceeded depth {max_depth} without "
-            f"shrinking below {p_m} rows (n'={n_prime})")
-
     d_prime = a_proj.shape[1]
-    scores = weighted_leverage_scores(
-        a_proj, w, loss, seed=int(spawn_rng(seed, 53, depth).integers(2**31)),
-        n_probe=cfg.basis_probes)
-    r_formula = cfg.c_sample_rows * d_prime * d_prime * scores.gamma_total
-    if loss.is_m2:
-        r_formula *= cfg.logloglog_c * _logloglog(n_prime)
-    # the formula value exceeds n' at practical sizes, which would stall the
-    # recursion; cap the expected sample so the row count keeps shrinking
-    r_eff = min(r_formula, cfg.shrink * n_prime)
-    plan = make_plan(scores.gamma, r_eff, 1.0)
 
-    mode = LP_SCALE if loss.is_lp else M2_WEIGHT
-    sample = None
-    for attempt in range(2):
-        cand = draw(plan, w, seed=int(spawn_rng(seed, 59, depth, attempt).integers(2**31)),
-                    mode=mode)
-        sample = cand
-        if len(cand) <= max(0.9 * n_prime, p_m):
-            break
-    idx = sample.indices
+    def target(n_prime: int, gamma_total: float) -> float:
+        r_formula = cfg.c_sample_rows * d_prime * d_prime * gamma_total
+        if loss.is_m2:
+            r_formula *= cfg.logloglog_c * _logloglog(n_prime)
+        # the formula value exceeds n' at practical sizes, which would stall
+        # the rounds; cap the expected sample so the row count keeps shrinking
+        return min(r_formula, cfg.shrink * n_prime)
+
+    # min_rows=-1: an empty draw is carried, leaving no survivors
+    (_, surv), _, idx, depth = leverage_rounds(
+        (a_proj, a_hat), w, loss, view=lambda proj, _: proj, target=target,
+        stop_rows=p_m, max_rounds=max_depth + 1, seed=seed, salts=(53, 59),
+        min_rows=-1, trace=trace, n_probe=cfg.basis_probes)
+    if surv.shape[0] > p_m:
+        raise RuntimeError(
+            f"row sampling ran {depth} rounds without shrinking below "
+            f"{p_m} rows (n'={surv.shape[0]})")
     if trace is not None:
-        trace.append({
-            "depth": depth, "n": n_prime, "base_case": False,
-            "expected": plan.expected_size, "realized": len(sample),
-            "w1_next": float(sample.reweights.sum()),
-        })
-    if len(idx) == 0:
-        return a_hat[np.zeros(0, dtype=int)]
-
-    sub_proj = a_proj[idx]
-    sub_hat = a_hat[idx]
-    if loss.is_lp:
-        scale = sample.scale_factors(loss.p)
-        sub_proj = _scale_rows(sub_proj, scale)
-        sub_hat = _scale_rows(sub_hat, scale)
-        w_next = np.ones(len(idx))
-    else:
-        w_next = sample.reweights
-    return const_approx_recur(sub_proj, sub_hat, w_next, loss, cfg, seed,
-                              p_m, max_depth, depth + 1, trace, orig_idx[idx])
-
-
-def _scale_rows(a, scale: np.ndarray):
-    if is_sparse(a):
-        import scipy.sparse as sp
-        return sp.diags(scale) @ a.tocsr()
-    return np.asarray(a) * scale[:, None]
+        trace.append({"depth": depth, "n": surv.shape[0], "base_case": True,
+                      "indices": idx})
+    return surv
 
 
 def const_approx(a, k: int, loss: LossSpec, cfg: Optional[ConstApproxConfig] = None,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -31,7 +30,6 @@ from .hardness import (
     adjacency_excess,
     brute_force_best_coordinate,
     clique_margin_bound,
-    coordinate_subspace_cost,
     gen_gadget,
     read_edge_list,
 )
@@ -52,16 +50,6 @@ BENCH_CSV_HEADER = "nnz,seconds"
 
 class ConfigError(Exception):
     pass
-
-
-def _resolve_threads(args) -> int:
-    env = os.environ.get("ROBSUB_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ROBSUB_THREADS={env!r} is not an integer") from exc
-    return args.threads
 
 
 def _make_loss(args) -> LossSpec:
@@ -100,7 +88,6 @@ def _base_report(args, command: str) -> dict:
         "command": command,
         "seed": getattr(args, "seed", None),
         "config": cfg_echo,
-        "threads": _resolve_threads(args),
     }
 
 
@@ -306,8 +293,6 @@ def cmd_bench(args) -> int:
 
 def _add_common(sub, with_loss=True):
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=0,
-                     help="0 = auto (results never depend on this)")
     sub.add_argument("--report", default=None, help="write the JSON report here")
     if with_loss:
         sub.add_argument("--loss", default="l1",

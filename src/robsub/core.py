@@ -18,7 +18,7 @@ Huber, L1-L2, and Fair; the latter three all have growth exponent 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -104,11 +104,6 @@ class LossSpec:
     @property
     def is_m2(self) -> bool:
         return self.kind != LP
-
-    @property
-    def is_convex(self) -> bool:
-        # every supported kind is convex; redescending losses are excluded
-        return True
 
     def m(self, x):
         return m_value(self, x)
@@ -325,14 +320,6 @@ class Subspace:
     def dim(self) -> int:
         return self.u.shape[1]
 
-    def contains(self, other: "Subspace", tol: float = 1e-8) -> bool:
-        """Whether the other subspace lies inside this one, up to tol."""
-        if other.dim == 0:
-            return True
-        w = other.u
-        resid = w - self.u @ (self.u.T @ w)
-        return float(np.linalg.norm(resid)) <= tol
-
 
 def residual_row_norms(a, x: Subspace) -> np.ndarray:
     """Per-row Euclidean distances ||A_i (I - U U^T)||_2.
@@ -360,41 +347,6 @@ def residual_cost(a, x: Subspace, w=None, loss: LossSpec = None) -> float:
         raise TypeError("loss is required")
     wv = as_weights(w, a.shape[0])
     return float(np.dot(wv, m_value(loss, residual_row_norms(a, x))))
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-@dataclass
-class CostReport:
-    """Cost of a fitted subspace plus context (baselines, timings, seed)."""
-
-    v_cost_p: float
-    p: float
-    seed: Optional[int] = None
-    baselines: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.v_cost_p < 0:
-            raise ValueError("costs are nonnegative")
-
-    @property
-    def v_cost(self) -> float:
-        return self.v_cost_p ** (1.0 / self.p)
-
-    def as_dict(self) -> dict:
-        out = {
-            "v_cost_p": self.v_cost_p,
-            "v_cost": self.v_cost,
-            "p": self.p,
-            "seed": self.seed,
-            "baselines": self.baselines,
-        }
-        out.update(self.extras)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import LossSpec, Subspace, m_value, row_norms, spawn_rng
-from .sampling import M2_WEIGHT, draw, make_plan
+from .sampling import draw, make_plan
 from .sketch import gaussian_row_norm_estimates, make_gaussian_sketch, orthonormal_union
 
 
@@ -27,7 +25,6 @@ class DimReduceConfig:
     k: int
     quality_k: float = 1.0         # K, the quality bound on the input projector
     r1_multiplier: float = 2.0     # leading constant of the sample-size formula
-    t_m_override: Optional[int] = None
     k2: float = 4.0
     rank_tol: float = 1e-8
 
@@ -66,8 +63,6 @@ def dim_reduce(a, k: int, xhat: Subspace, cfg: DimReduceConfig, loss: LossSpec,
     else:
         t_m = int(math.ceil(2.0 * math.log2(n + 2)))
         r = cfg.r1(p)
-    if cfg.t_m_override is not None:
-        t_m = cfg.t_m_override
 
     g = make_gaussian_sketch(int(spawn_rng(seed, 43).integers(2**31)), d, t_m)
     resid = gaussian_row_norm_estimates(a, xhat, g)
@@ -82,7 +77,7 @@ def dim_reduce(a, k: int, xhat: Subspace, cfg: DimReduceConfig, loss: LossSpec,
         return xhat
 
     plan = make_plan(scores, r, cfg.k2)
-    sample = draw(plan, None, seed=int(spawn_rng(seed, 47).integers(2**31)), mode=M2_WEIGHT)
+    sample = draw(plan, None, seed=int(spawn_rng(seed, 47).integers(2**31)))
     if trace is not None:
         trace["expected_size"] = plan.expected_size
         trace["realized_size"] = len(sample)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -4,8 +4,8 @@ The |x|^p pipeline runs: bicriteria subspace -> residual sampling into a
 moderate subspace U -> sparse right sketch S -> leverage-score row sample T
 -> solve min over rank-k projectors W W^T of ||T A U W W^T U^T S^T - T A S^T||
 on the small triple (TAU, U^T S^T, TAS^T) -> return U W.  The p=2 pipeline
-replaces the single T stage with a weight-carrying recursion whose base
-case is the same small solve.
+replaces the single T stage with weight-carrying rounds of the shared
+leverage-sampling loop, ending in the same small solve.
 
 The small solver is heuristic by design: each restart runs a reweighted
 eigenvector alternation followed by projected gradient descent on the
@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .bicriteria import ConstApproxConfig, const_approx
-from .conditioning import weighted_leverage_scores, well_conditioned_basis
+from .conditioning import well_conditioned_basis
 from .core import (
     LossSpec,
     Subspace,
@@ -37,7 +37,7 @@ from .core import (
     to_dense,
 )
 from .dimreduce import DimReduceConfig, dim_reduce
-from .sampling import LP_SCALE, M2_WEIGHT, draw, make_plan
+from .sampling import draw, leverage_rounds, make_plan
 from .sketch import make_sparse_sketch
 
 LOCAL_SEARCH = "local_search"
@@ -97,10 +97,8 @@ class PipelineConfig:
     small_cap: int = 400                # max side of the reduced problem
     restarts: int = 10
     local_iters: int = 300
-    exhaustive_budget: int = 4000
-    recur_base_rows: int = 300          # p=2 recursion switches to the small solve here
-    m2_level_c: float = 1.0             # per-level sample multiplier, p=2 recursion
-    eps_level_c: float = 3.0            # per-level eps split: eps / (c log log n)
+    recur_base_rows: int = 300          # p=2 sampling rounds hand over to the small solve here
+    m2_level_c: float = 1.0             # per-round sample multiplier, p=2 pipeline
     shrink: float = 0.5
 
     def resolved_k(self, k: int) -> float:
@@ -379,7 +377,7 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
     if scores.sum() <= 0:
         scores = np.ones(n)
     plan = make_plan(scores, d_hat ** (p / 2.0) * r1 ** (p + 1.0), 1.0)
-    sample = draw(plan, None, seed=int(spawn_rng(seed, 103).integers(2**31)), mode=LP_SCALE)
+    sample = draw(plan, None, seed=int(spawn_rng(seed, 103).integers(2**31)))
     if len(sample) == 0:
         raise CapExceededError("final sampling stage drew no rows; raise t_rows_target")
     scale = sample.scale_factors(p)
@@ -420,9 +418,10 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
               trace: Optional[dict] = None) -> Subspace:
     """Pipeline for general nice p=2 losses (Huber, L1-L2, Fair).
 
-    After the shared subspace stages, rows are sampled recursively with
-    weight carrying w' = w / q until at most ``recur_base_rows`` remain,
-    then the weighted small problem is solved inside U.
+    After the shared subspace stages, rounds of ``leverage_rounds`` sample
+    rows of A, scored through A [S^T U], with weight carrying w' = w / q
+    until at most ``recur_base_rows`` remain; then the weighted small
+    problem is solved inside U.
     """
     if not loss.is_m2:
         raise ValueError("this pipeline requires a p=2 (non-|x|^p) loss")
@@ -441,38 +440,24 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
         return Subspace(u[:, :k]) if m == k else _pad_to_k(a, u, k)
 
     st = _right_embedding(d, m, eps, cfg, seed)
-    loglog = max(1.0, math.log2(max(math.log2(max(n, 4)), 2.0)))
-    eps_level = eps / (cfg.eps_level_c * loglog)
-
-    dense = to_dense(a)
     h = np.hstack([st, u])
-    w = np.ones(n)
-    depth = 0
-    max_depth = int(2 * loglog + 4)
-    while dense.shape[0] > cfg.recur_base_rows:
-        if depth > max_depth:
-            raise RuntimeError(f"weighted recursion exceeded depth {max_depth}")
-        n_prime = dense.shape[0]
-        scores = weighted_leverage_scores(
-            dense @ h, w, loss,
-            seed=int(spawn_rng(seed, 113, depth).integers(2**31)),
-            gauss_t=int(math.ceil(3.0 / cfg.kappa)))
-        target = min(cfg.shrink * n_prime,
-                     max(cfg.recur_base_rows,
-                         cfg.m2_level_c * n_prime ** (0.5 + cfg.kappa)
-                         * math.log2(n_prime + 2)))
-        plan = make_plan(scores.gamma, target, 1.0)
-        sample = draw(plan, w, seed=int(spawn_rng(seed, 127, depth).integers(2**31)),
-                      mode=M2_WEIGHT)
-        if len(sample) == 0:
-            break
-        dense = dense[sample.indices]
-        w = sample.reweights
-        depth += 1
+    max_depth = int(2 * max(1.0, math.log2(max(math.log2(max(n, 4)), 2.0))) + 4)
+
+    def target(n_prime: int, _gamma_total: float) -> float:
+        return min(cfg.shrink * n_prime,
+                   max(cfg.recur_base_rows,
+                       cfg.m2_level_c * n_prime ** (0.5 + cfg.kappa) * math.log2(n_prime + 2)))
+
+    (dense,), w, _, depth = leverage_rounds(
+        (to_dense(a),), np.ones(n), loss, view=lambda rows: rows @ h, target=target,
+        stop_rows=cfg.recur_base_rows, max_rounds=max_depth + 1, seed=seed,
+        salts=(113, 127), gauss_t=int(math.ceil(3.0 / cfg.kappa)))
+    if depth > max_depth and dense.shape[0] > cfg.recur_base_rows:
+        raise RuntimeError(f"weighted sampling exceeded {max_depth + 1} rounds")
     tr["recursion_depth"] = depth
     tr["base_rows"] = dense.shape[0]
 
-    prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k, eps_level)
+    prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k, eps)
     w_factor = small_approx(prob, loss, LOCAL_SEARCH,
                             seed=int(spawn_rng(seed, 131).integers(2**31)),
                             restarts=cfg.restarts, max_iter=cfg.local_iters,

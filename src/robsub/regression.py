@@ -1,22 +1,22 @@
-"""Robust regression: recursive leverage sampling over an IRLS core.
+"""Robust regression: rounds of leverage sampling over an IRLS core.
 
-``m_regress`` shrinks the rows of [A b] by weighted leverage-score
-sampling (a constant number of levels), then solves the surviving weighted
-problem with iteratively reweighted least squares.  ``irls_solve`` is also
-the full-data baseline the sampled solve is measured against.
+``m_regress`` shrinks the rows of [A b] by a constant number of rounds of
+the shared weighted leverage-score sampling loop (``leverage_rounds``),
+then solves the surviving weighted problem with iteratively reweighted
+least squares.  ``irls_solve`` is also the full-data baseline the sampled
+solve is measured against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .conditioning import weighted_leverage_scores
-from .core import LossSpec, as_weights, m_derivative, m_value, spawn_rng, to_dense
-from .sampling import M2_WEIGHT, draw, make_plan
+from .core import LossSpec, as_weights, m_derivative, m_value, to_dense
+from .sampling import leverage_rounds
 
 _RESID_FLOOR = 1e-12
 
@@ -56,8 +56,6 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     """
     if loss is None:
         raise TypeError("loss is required")
-    if not loss.is_convex:
-        raise ValueError("IRLS requires a convex loss")
     dense = to_dense(a)
     rhs = np.asarray(b, dtype=float).ravel()
     n, d = dense.shape
@@ -96,15 +94,15 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
 def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
               cfg: Optional[RegressConfig] = None, seed: int = 0,
               trace: Optional[dict] = None) -> np.ndarray:
-    """(1+eps)-style regression by recursive leverage sampling of [A b].
+    """(1+eps)-style regression by rounds of leverage sampling of [A b].
 
-    Each level computes weighted leverage scores of the augmented matrix
-    (orthonormal bases with Gaussian row-norm estimates for p=2 losses),
-    samples about level_c * n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2
-    rows with reweighting, and recurses; the base problem goes to IRLS.
+    Each round (level) computes weighted leverage scores of the augmented
+    matrix (orthonormal bases with Gaussian row-norm estimates for p=2
+    losses) and samples about
+    level_c * n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, carrying
+    weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead); the
+    surviving problem goes to IRLS.
     """
-    if not loss.is_convex:
-        raise ValueError("regression requires a convex loss")
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or RegressConfig()
@@ -115,30 +113,17 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
         raise ValueError("right-hand side length mismatch")
     base_cap = cfg.resolved_base_cap(d, eps)
 
-    cur_a, cur_b = dense, rhs
-    w = np.ones(n)
-    levels_run = 0
-    for level in range(cfg.levels):
-        n_prime = cur_a.shape[0]
-        if n_prime <= base_cap or n_prime <= 2 * (d + 1):
-            break
-        aug = np.hstack([cur_a, cur_b[:, None]])
-        gauss_t = int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None
-        scores = weighted_leverage_scores(
-            aug, w, loss, seed=int(spawn_rng(seed, 137, level).integers(2**31)),
-            gauss_t=gauss_t, n_probe=2000)
-        target = (cfg.level_c * n_prime ** (0.5 + cfg.kappa) * (d + 1)
-                  * math.log(1.0 / cfg.delta) / eps**2)
-        target = min(cfg.shrink * n_prime, max(target, 4.0 * (d + 1)))
-        plan = make_plan(scores.gamma, target, 1.0)
-        sample = draw(plan, w, seed=int(spawn_rng(seed, 139, level).integers(2**31)),
-                      mode=M2_WEIGHT)
-        if len(sample) <= d + 1:
-            break
-        cur_a = cur_a[sample.indices]
-        cur_b = cur_b[sample.indices]
-        w = sample.reweights
-        levels_run += 1
+    def target(n_prime: int, _gamma_total: float) -> float:
+        level = (cfg.level_c * n_prime ** (0.5 + cfg.kappa) * (d + 1)
+                 * math.log(1.0 / cfg.delta) / eps**2)
+        return min(cfg.shrink * n_prime, max(level, 4.0 * (d + 1)))
+
+    (aug,), w, _, levels_run = leverage_rounds(
+        (np.hstack([dense, rhs[:, None]]),), np.ones(n), loss, view=lambda rows: rows,
+        target=target, stop_rows=max(base_cap, 2 * (d + 1)), max_rounds=cfg.levels,
+        seed=seed, salts=(137, 139), min_rows=d + 1,
+        gauss_t=int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None, n_probe=2000)
+    cur_a, cur_b = aug[:, :d], aug[:, d]
     if trace is not None:
         trace["levels"] = levels_run
         trace["base_rows"] = cur_a.shape[0]

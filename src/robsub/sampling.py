@@ -1,23 +1,25 @@
-"""Row-sampling plans, realized draws, and sample-size calculators.
+"""Row-sampling plans, realized draws, the shared sampling loop, and size formulas.
 
 A plan turns nonnegative scores q' into independent inclusion
 probabilities q_i = min{1, k2 * r * q'_i / sum(q')}.  A draw realizes the
 plan with one uniform variate per index (in index order, so draws from the
 same seed are coupled across plans) and carries both the reweighting
 w'_i = w_i / q_i and, for |x|^p losses, the row scale factors q_i^(-1/p).
+``leverage_rounds`` repeats score -> plan -> draw -> carry over weighted
+leverage scores; the bicriteria subspace, the p=2 pipeline and robust
+regression all shrink their rows with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import as_weights, spawn_rng
-
-LP_SCALE = "lp_scale"
-M2_WEIGHT = "m2_weight"
+from .conditioning import weighted_leverage_scores
+from .core import LossSpec, as_weights, is_sparse, spawn_rng
 
 _PROB_FLOOR = 1e-12
 
@@ -25,9 +27,6 @@ _PROB_FLOOR = 1e-12
 @dataclass(frozen=True)
 class SamplingPlan:
     q: np.ndarray        # inclusion probabilities in [0, 1]
-    scores: np.ndarray   # the raw scores q'
-    r_target: float
-    oversample_const: float
 
     @property
     def expected_size(self) -> float:
@@ -37,8 +36,7 @@ class SamplingPlan:
         """Push probabilities toward 1; oversampling never hurts success."""
         if factor < 1.0:
             raise ValueError("inflation factor must be >= 1")
-        return SamplingPlan(np.minimum(1.0, self.q * factor), self.scores,
-                            self.r_target * factor, self.oversample_const)
+        return SamplingPlan(np.minimum(1.0, self.q * factor))
 
 
 def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
@@ -55,7 +53,7 @@ def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
         raise ValueError("r and k2 must be positive")
     q = np.minimum(1.0, k2 * r * s / total)
     q[q < _PROB_FLOOR] = 0.0  # avoid astronomically large reweights
-    return SamplingPlan(q, s, float(r), float(k2))
+    return SamplingPlan(q)
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,6 @@ class SampleDraw:
     indices: np.ndarray   # sorted, each at most once
     q_sel: np.ndarray     # inclusion probabilities of the chosen rows
     w_sel: np.ndarray     # original weights of the chosen rows
-    mode: str
 
     @property
     def reweights(self) -> np.ndarray:
@@ -78,20 +75,18 @@ class SampleDraw:
         return self.indices.size
 
 
-def draw(plan: SamplingPlan, w=None, seed: int = 0, mode: str = M2_WEIGHT) -> SampleDraw:
+def draw(plan: SamplingPlan, w=None, seed: int = 0) -> SampleDraw:
     """Independent Bernoulli draw from the plan.
 
     One uniform per index in index order: a re-draw from the same seed with
     inflated probabilities yields a superset of indices.
     """
-    if mode not in (LP_SCALE, M2_WEIGHT):
-        raise ValueError(f"unknown draw mode {mode!r}")
     n = plan.q.size
     wv = as_weights(w, n)
     u = spawn_rng(seed, 37).random(n)
     mask = u < plan.q
     idx = np.flatnonzero(mask)
-    return SampleDraw(idx, plan.q[idx], wv[idx], mode)
+    return SampleDraw(idx, plan.q[idx], wv[idx])
 
 
 def sample_size_subspace(z: int, eps: float, delta: float, gamma_total: float,
@@ -109,41 +104,71 @@ def sample_size_subspace(z: int, eps: float, delta: float, gamma_total: float,
     return c * z * math.log(1.0 / delta) / eps**2 * gamma_total
 
 
-def gaussian_score_plan(
-    u_rows_via,
-    m_power: float = 1.0,
-    r1: float = 1.0,
-    mode: str = "lp",
-    seed: int = 0,
-    k2: float = 4.0,
-    kappa: float = 0.1,
-    t_m: int | None = None,
-) -> SamplingPlan:
-    """Sampling plan from Gaussian-sketched row norms of a basis.
+def _scale_rows(a, scale: np.ndarray):
+    if is_sparse(a):
+        import scipy.sparse as sp
+        return sp.diags(scale) @ a.tocsr()
+    return np.asarray(a) * scale[:, None]
 
-    ``u_rows_via`` is anything with a ``shape`` of (n, d) supporting ``@``
-    with a d x t matrix (an ndarray, or a lazy basis row evaluator).
 
-    lp mode uses a single Gaussian vector g and scores |U_i g|^m, with the
-    plan inflated by d^(m/2) r1^m to compensate the estimator's downward
-    fluctuations; p=2 mode uses a t-column sketch, scores ||U_i G||_2^2,
-    and inflation n^kappa log n.
+def leverage_rounds(
+    mats: tuple,
+    w,
+    loss: LossSpec,
+    view: Callable,
+    target: Callable[[int, float], float],
+    stop_rows: int,
+    max_rounds: int,
+    seed: int,
+    salts: tuple[int, int],
+    min_rows: int = 0,
+    trace: Optional[list] = None,
+    **score_kwargs,
+):
+    """Shrink row-aligned matrices by rounds of weighted leverage-score sampling.
+
+    While more than ``stop_rows`` rows remain, at most ``max_rounds`` times:
+    score ``view(*mats)`` with ``weighted_leverage_scores(**score_kwargs)``,
+    plan ``target(n', gamma_total)`` expected rows, and draw, redrawing once
+    if more than max(0.9 n', stop_rows) rows are kept.  A draw keeping at
+    most ``min_rows`` rows is dropped and ends the rounds.  |x|^p losses
+    rescale kept rows by q^(-1/p) and reset weights to one; other losses
+    keep rows as they are and carry w / q.  Round r seeds its scores with
+    (seed, salts[0], r) and its draws with (seed, salts[1], r, attempt).
+
+    Returns (mats, w, indices, rounds): the kept rows, their weights, their
+    positions in the input, and the number of rounds whose draw was kept.
     """
-    n, d = u_rows_via.shape
-    if r1 < 1.0:
-        raise ValueError("r1 must be >= 1")
-    rng = spawn_rng(seed, 41)
-    if mode == "lp":
-        g = rng.standard_normal((d, 1))
-        prod = np.asarray(u_rows_via @ g).ravel()
-        scores = np.abs(prod) ** m_power
-        r_eff = d ** (m_power / 2.0) * r1 ** (m_power + 1.0)
-    elif mode == "m2":
-        t = int(t_m) if t_m is not None else int(math.ceil(3.0 / kappa))
-        g = rng.standard_normal((d, t)) / math.sqrt(t)
-        prod = np.asarray(u_rows_via @ g)
-        scores = np.sum(prod * prod, axis=1)
-        r_eff = r1 * n**kappa * math.log(max(n, 2))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return make_plan(scores, r_eff, k2)
+    w = as_weights(w, mats[0].shape[0])
+    idx = np.arange(mats[0].shape[0])
+    rounds = 0
+    while mats[0].shape[0] > stop_rows and rounds < max_rounds:
+        n_prime = mats[0].shape[0]
+        scores = weighted_leverage_scores(
+            view(*mats), w, loss,
+            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
+        plan = make_plan(scores.gamma, target(n_prime, scores.gamma_total), 1.0)
+        for attempt in range(2):
+            sample = draw(plan, w,
+                          seed=int(spawn_rng(seed, salts[1], rounds, attempt).integers(2**31)))
+            if len(sample) <= max(0.9 * n_prime, stop_rows):
+                break
+        if trace is not None:
+            trace.append({
+                "depth": rounds, "n": n_prime, "base_case": False,
+                "expected": plan.expected_size, "realized": len(sample),
+                "w1_next": float(sample.reweights.sum()),
+            })
+        if len(sample) <= min_rows:
+            break
+        keep = sample.indices
+        if loss.is_lp:
+            scale = sample.scale_factors(loss.p)
+            mats = tuple(_scale_rows(m[keep], scale) for m in mats)
+            w = np.ones(len(keep))
+        else:
+            mats = tuple(m[keep] for m in mats)
+            w = sample.reweights
+        idx = idx[keep]
+        rounds += 1
+    return mats, w, idx, rounds

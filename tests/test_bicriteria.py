@@ -168,6 +168,13 @@ class TestRecursionMechanics:
             # so its span has no larger residual
             assert residual_cost(a, hi, None, loss) <= residual_cost(a, lo, None, loss) + 1e-8
 
+    def test_depth_exceeded_raises(self):
+        # one round allowed, and it cannot shrink 500 rows to p_m = 1
+        a = np.random.default_rng(10).standard_normal((500, 6))
+        with pytest.raises(RuntimeError):
+            const_approx_recur(a[:, :3], a, np.ones(500), LossSpec.lp(1.0),
+                               ConstApproxConfig(), seed=0, p_m=1, max_depth=0)
+
     def test_output_dimension_capped(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2000, 40))

@@ -130,17 +130,6 @@ class TestApproxCommand:
                    "--loss", "lp"])  # missing --p
         assert rc == EXIT_CONFIG
 
-    def test_threads_env_override(self, matrix_files, tmp_path, monkeypatch):
-        monkeypatch.setenv("ROBSUB_THREADS", "2")
-        report = tmp_path / "r.json"
-        rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2",
-                   "--loss", "l1", "--report", str(report)])
-        assert rc == EXIT_OK
-        assert _load(report)["threads"] == 2
-        monkeypatch.setenv("ROBSUB_THREADS", "zebra")
-        assert main(["approx", "--input", matrix_files["a_csv"], "--k", "2",
-                     "--loss", "l1"]) == EXIT_CONFIG
-
 
 class TestRegressCommand:
     def test_ratio_reported(self, matrix_files, tmp_path):

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from robsub import (
-    CostReport,
     LossSpec,
     Subspace,
     WeightVector,
@@ -279,13 +278,3 @@ class TestSubspace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             residual_cost(np.eye(4), Subspace(np.eye(3)[:, :1]), None, LossSpec.lp(1.0))
-
-
-class TestCostReport:
-    def test_root_relation(self):
-        rep = CostReport(v_cost_p=8.0, p=1.5)
-        assert rep.v_cost == pytest.approx(8.0 ** (1 / 1.5))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            CostReport(v_cost_p=-1.0, p=1.0)

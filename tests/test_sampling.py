@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from robsub import (
-    LP_SCALE,
-    M2_WEIGHT,
     LossSpec,
     draw,
-    gaussian_score_plan,
     make_plan,
     sample_size_subspace,
     v_norm_p,
     weighted_leverage_scores,
 )
 from robsub.core import spawn_rng
+from robsub.sampling import leverage_rounds
 
 
 class TestMakePlan:
@@ -78,12 +76,12 @@ class TestDraw:
         rng = np.random.default_rng(3)
         plan = make_plan(rng.random(40), r=10.0)
         w = 1 + rng.random(40)
-        d = draw(plan, w, seed=4, mode=M2_WEIGHT)
+        d = draw(plan, w, seed=4)
         assert np.all(d.reweights >= d.w_sel - 1e-12)
 
     def test_scale_factors(self):
         plan = make_plan(np.ones(4), r=2.0)
-        d = draw(plan, None, seed=5, mode=LP_SCALE)
+        d = draw(plan, None, seed=5)
         assert np.allclose(d.scale_factors(1.0), 1.0 / d.q_sel)
         assert np.allclose(d.scale_factors(2.0), d.q_sel**-0.5)
 
@@ -132,13 +130,6 @@ class TestSampleSize:
 
 
 class TestGaussianScorePlan:
-    def test_single_nonzero_row(self):
-        u = np.zeros((8, 3))
-        u[5] = [1.0, -2.0, 0.5]
-        plan = gaussian_score_plan(u, m_power=1.0, r1=1.0, mode="lp", seed=0)
-        assert plan.scores[5] > 0
-        assert np.all(plan.scores[np.arange(8) != 5] == 0)
-
     def test_lp_scores_proportional_to_row_norms(self):
         # E|U_i g| = sqrt(2/pi) ||U_i||: Monte Carlo over seeds to 3%
         rng = np.random.default_rng(6)
@@ -153,30 +144,20 @@ class TestGaussianScorePlan:
         assert np.max(np.abs(ratio / expect - 1.0)) < 0.03
 
     def test_m2_norm_floor_with_large_t(self):
-        # with t a generous O(log n) multiple the sketched squared norms
-        # stay above ||U_i||^2 / n^kappa on at least 99% of seeds
+        # with t a generous O(log n) multiple the Gaussian-estimated scores
+        # stay above the exact scores / n^kappa on every row, on at least
+        # 99% of seeds
         rng = np.random.default_rng(7)
         n, d, kappa = 1000, 30, 0.1
         u = rng.standard_normal((n, d))
-        norms2 = np.sum(u * u, axis=1)
-        floor = norms2 / n**kappa
+        loss = LossSpec.huber(1.0)
+        floor = weighted_leverage_scores(u, None, loss).gamma / n**kappa
         t = 14 * int(math.log2(n))  # 140 columns
         fails = 0
         for s in range(100):
-            plan = gaussian_score_plan(u, r1=1.0, mode="m2", seed=s, kappa=kappa, t_m=t)
-            fails += np.any(plan.scores < floor)
+            est = weighted_leverage_scores(u, None, loss, seed=s, gauss_t=t).gamma
+            fails += np.any(est < floor)
         assert fails <= 1
-
-    def test_inflation_composition(self):
-        u = np.abs(np.random.default_rng(8).standard_normal((50, 4))) + 0.1
-        p = 1.0
-        plan = gaussian_score_plan(u, m_power=p, r1=2.0, mode="lp", seed=1, k2=4.0)
-        expected_r = 4 ** (p / 2) * 2.0 ** (p + 1)
-        assert plan.r_target == pytest.approx(expected_r)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            gaussian_score_plan(np.ones((3, 2)), mode="bogus")
 
 
 class TestConcentration:
@@ -198,3 +179,98 @@ class TestConcentration:
                                np.linalg.norm(a[d.indices] @ wmat, axis=1)))
             good += abs(est - truth) <= 0.2 * truth
         assert good >= 170  # 85%
+
+
+def _half(n_prime, _gamma_total):
+    return 0.5 * n_prime
+
+
+class TestLeverageRounds:
+    def _rows(self, n=2000, d=5, seed=10):
+        return np.random.default_rng(seed).standard_normal((n, d))
+
+    def test_stops_at_stop_rows(self):
+        a = self._rows()
+        trace = []
+        (out,), _, _, rounds = leverage_rounds(
+            (a,), None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
+            stop_rows=300, max_rounds=20, seed=1, salts=(1, 2), trace=trace)
+        assert out.shape[0] <= 300
+        assert rounds == len(trace) >= 2
+        assert all(t["n"] > 300 for t in trace)
+
+    def test_stops_at_max_rounds(self):
+        a = self._rows()
+        trace = []
+        (out,), _, _, rounds = leverage_rounds(
+            (a,), None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
+            stop_rows=10, max_rounds=2, seed=1, salts=(1, 2), trace=trace)
+        assert rounds == len(trace) == 2
+        assert out.shape[0] == trace[-1]["realized"] > 10
+
+    def test_small_draw_keeps_previous_rows(self):
+        # round one halves the rows; round two plans ~3 rows, at most
+        # min_rows, so its draw is dropped and round one's rows are returned
+        a = self._rows()
+
+        def target(n_prime, _gamma_total):
+            return 0.5 * n_prime if n_prime == a.shape[0] else 3.0
+
+        trace = []
+        (out,), w, idx, rounds = leverage_rounds(
+            (a,), None, LossSpec.huber(1.0), view=lambda m: m, target=target,
+            stop_rows=10, max_rounds=5, seed=2, salts=(1, 2), min_rows=50, trace=trace)
+        assert rounds == 1 and len(trace) == 2
+        assert trace[1]["realized"] <= 50
+        assert out.shape[0] == trace[0]["realized"] == trace[1]["n"]
+        assert np.array_equal(out, a[idx]) and w.size == out.shape[0]
+
+    def test_no_kept_draw_returns_input(self):
+        a = self._rows()
+        mats, w, idx, rounds = leverage_rounds(
+            (a,), None, LossSpec.huber(1.0), view=lambda m: m,
+            target=lambda n_prime, _: 3.0, stop_rows=10, max_rounds=5, seed=3,
+            salts=(1, 2), min_rows=50)
+        assert rounds == 0 and mats[0] is a
+        assert np.array_equal(idx, np.arange(a.shape[0])) and np.all(w == 1.0)
+
+    def _one_round(self, a, w, loss, seed):
+        """Plan q of round one, rebuilt from the documented seeding."""
+        scores = weighted_leverage_scores(
+            a, w, loss, seed=int(spawn_rng(seed, 1, 0).integers(2**31)))
+        return make_plan(scores.gamma, _half(a.shape[0], scores.gamma_total), 1.0).q
+
+    def test_lp_rescales_rows_with_unit_weights(self):
+        a = self._rows()
+        loss = LossSpec.lp(1.5)
+        (out,), w, idx, rounds = leverage_rounds(
+            (a,), None, loss, view=lambda m: m, target=_half, stop_rows=10,
+            max_rounds=1, seed=4, salts=(1, 2))
+        q = self._one_round(a, None, loss, 4)
+        assert rounds == 1 and np.all(w == 1.0)
+        assert np.allclose(out, a[idx] * q[idx, None] ** (-1.0 / 1.5))
+
+    def test_p2_reweights_rows_unchanged(self):
+        a = self._rows()
+        loss = LossSpec.huber(1.0)
+        w0 = 1.0 + 3.0 * np.random.default_rng(11).random(a.shape[0])
+        (out,), w, idx, rounds = leverage_rounds(
+            (a,), w0, loss, view=lambda m: m, target=_half, stop_rows=10,
+            max_rounds=1, seed=5, salts=(1, 2))
+        q = self._one_round(a, w0, loss, 5)
+        assert rounds == 1
+        assert np.array_equal(out, a[idx])
+        assert np.allclose(w, w0[idx] / q[idx])
+
+    def test_indices_map_kept_rows_to_input(self):
+        # every matrix in the tuple stays aligned with the returned indices,
+        # and only the view is scored
+        a = self._rows()
+        b = np.arange(a.shape[0], dtype=float)[:, None]
+        (out_a, out_b), _, idx, rounds = leverage_rounds(
+            (a, b), None, LossSpec.huber(1.0), view=lambda m, _: m, target=_half,
+            stop_rows=100, max_rounds=10, seed=6, salts=(1, 2))
+        assert rounds >= 3
+        assert np.all(np.diff(idx) > 0)
+        assert np.array_equal(out_a, a[idx])
+        assert np.array_equal(out_b.ravel(), idx)
