@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LossSpec, Subspace, is_sparse, spawn_rng
+from .core import LossSpec, Subspace, check_finite, is_sparse, spawn_rng
 from .sampling import leverage_rounds
 from .sketch import apply_right, make_sparse_sketch, orthonormal_union
 
@@ -109,6 +109,7 @@ def const_approx(a, k: int, loss: LossSpec, cfg: Optional[ConstApproxConfig] = N
     n, d = a.shape
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_finite(a)
     if k > min(n, d):
         warnings.warn(f"k={k} exceeds min(n, d)={min(n, d)}; clamping", RuntimeWarning)
         k = min(n, d)

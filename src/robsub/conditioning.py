@@ -1,13 +1,17 @@
 """Well-conditioned bases and leverage scores.
 
 A basis U for the column space of A (or of A @ H) is carried implicitly as
-a change-of-basis matrix: U = (A H)[:, cols] @ R_inv, where R comes from a
-QR factorization of the sketched product Pi (A H).  For p in [1, 2) the
-sketch Pi = S D is a sparse p-stable embedding (one nonzero per column; the
-sparse Cauchy transform of Meng & Mahoney 2013 at p = 1), so Pi (A H) costs
-O(nnz(A H)); for p = 2 no sketch is needed and the basis is an exact
-orthonormal factor (beta = 1).  The certificates alpha and beta are
-computed on first read, since most callers never need them.
+a change-of-basis matrix: U = (A H) @ F with F = V_r diag(1/sigma_r), where
+sigma_r and V_r are the singular values above the rank tolerance and the
+right singular vectors of the sketched product Pi (A H), computed by an
+R-only QR and the SVD of the small R.  For p in [1, 2) the sketch Pi = S D
+is a sparse p-stable embedding (one nonzero per column; the sparse Cauchy
+transform of Meng & Mahoney 2013 at p = 1), so Pi (A H) costs O(nnz(A H))
+and Pi U is orthonormal; for p = 2 no sketch is needed and U itself is an
+exact orthonormal factor (beta = 1), whose row norms are the leverage
+scores of every orthonormal basis of the column space.  The certificates
+alpha and beta are computed on first read, since most callers never need
+them.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.  The weighted
@@ -23,7 +27,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import (
     LossSpec,
@@ -33,26 +36,13 @@ from .core import (
     matmul_dense,
     row_norms,
     spawn_rng,
+    to_dense,
 )
-from .sketch import make_pstable_sketch
+from .sketch import make_pstable_sketch, rank_revealing_factor
 
 _ROW_BLOCK = 8192
 _DEF_PROBES = 10_000
 _STABLE_ROW_CAP = 8192
-
-
-def _pivoted_qr_rank(t: np.ndarray, rank_tol: float):
-    """Pivoted QR with a sign convention making the factor deterministic."""
-    _, r, piv = sla.qr(t, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= 0.0:
-        return np.zeros((0, 0)), piv[:0]
-    rank = int(np.sum(diag > rank_tol * diag[0]))
-    rr = r[:rank, :rank].copy()
-    signs = np.sign(np.diag(rr))
-    signs[signs == 0] = 1.0
-    rr = signs[:, None] * rr
-    return rr, piv[:rank]
 
 
 class _RowEvaluator:
@@ -65,8 +55,8 @@ class _RowEvaluator:
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         other = np.asarray(other, dtype=float)
         out = np.empty((self.shape[0],) + other.shape[1:])
-        for lo, hi, block in self._basis.iter_row_blocks():
-            out[lo:hi] = block @ other
+        for lo, hi, block in self._basis.iter_row_blocks(right=other):
+            out[lo:hi] = block
         return out
 
 
@@ -74,8 +64,7 @@ class _RowEvaluator:
 class WellConditionedBasis:
     """Conditioning certificate (alpha, beta) plus implicit row access."""
 
-    change_of_basis: np.ndarray   # (m, m) inverse triangular factor
-    cols: np.ndarray              # selected columns of A H after pivoting
+    change_of_basis: np.ndarray   # (m0, m) factor F = V_r diag(1/sigma_r): U = (A H) F
     p: float
     n: int
     m: int
@@ -99,13 +88,14 @@ class WellConditionedBasis:
     def u_rows(self, idx=None) -> np.ndarray:
         """Rows of the basis; idx may be a slice, index array, or None (all)."""
         src = self._ah if idx is None else self._ah[idx]
-        block = src if not is_sparse(src) else np.asarray(src.todense())
-        return np.asarray(block)[:, self.cols] @ self.change_of_basis
+        return matmul_dense(src, self.change_of_basis)
 
-    def iter_row_blocks(self, block_rows: int = _ROW_BLOCK):
+    def iter_row_blocks(self, block_rows: int = _ROW_BLOCK, right=None):
+        """Row blocks of U, or of U @ right taken as (A H) @ (F @ right)."""
+        f = self.change_of_basis if right is None else self.change_of_basis @ right
         for lo in range(0, self.n, block_rows):
             hi = min(lo + block_rows, self.n)
-            yield lo, hi, self.u_rows(slice(lo, hi))
+            yield lo, hi, matmul_dense(self._ah[lo:hi], f)
 
     def row_norms_lp(self, p: Optional[float] = None) -> np.ndarray:
         """||U_i||_p for every row, computed blockwise."""
@@ -155,15 +145,20 @@ def well_conditioned_basis(
 ) -> WellConditionedBasis:
     """Build a well-conditioned basis for the column space of A H.
 
-    For p in [1, 2) the triangular factor comes from a QR of Pi (A H) with
-    Pi = S D the sparse p-stable embedding of ``PStableSketch``, which hashes
-    the n rows into c_pi * m^2 buckets (capped at stable_row_cap) after
-    scaling each by a p-stable draw; it is the sparse Cauchy transform of
-    Meng & Mahoney (2013) at p = 1.  When the bucket count reaches n the
-    QR is taken of A H itself.  The beta certificate is estimated from
-    n_probe random probes with a safety factor when ``.beta`` is first
-    read; for p = 2 the factorization is exact and beta = 1.  Dependent
-    columns are dropped, reducing the reported width m.
+    The change of basis F = V_r diag(1/sigma_r) comes from
+    ``rank_revealing_factor``: an R-only QR of the operand, then the SVD of
+    the small R, keeping singular values above rank_tol * sigma_max.  For
+    p in [1, 2) the operand is Pi (A H) with Pi = S D the sparse p-stable
+    embedding of ``PStableSketch``, which hashes the n rows into
+    c_pi * m^2 buckets (capped at stable_row_cap) after scaling each by a
+    p-stable draw; it is the sparse Cauchy transform of Meng & Mahoney
+    (2013) at p = 1, and Pi (A H) F is orthonormal.  When the bucket count
+    reaches n, or p = 2, the operand is A H itself and (A H) F is
+    orthonormal.  The beta certificate is estimated from n_probe random
+    probes with a safety factor when ``.beta`` is first read; for p = 2 the
+    factorization is exact and beta = 1.  The reported width m is the
+    numerical rank, which drops below the column count of A H when its
+    columns are dependent.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
@@ -176,17 +171,14 @@ def well_conditioned_basis(
     if p == 2.0 or s >= n:
         # no sketch when exact factorization is cheaper; identity is an
         # exact subspace embedding, so the certificates are only sharper
-        t = ah if not is_sparse(ah) else np.asarray(ah.todense())
-        rr, cols = _pivoted_qr_rank(np.asarray(t, dtype=float), rank_tol)
+        sv, v = rank_revealing_factor(to_dense(ah), rank_tol)
     else:
         pi = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p)
-        rr, cols = _pivoted_qr_rank(pi.apply(ah), rank_tol)
+        sv, v = rank_revealing_factor(pi.apply(ah), rank_tol)
 
-    m = rr.shape[0]
-    if m == 0:
+    if sv.size == 0:
         raise ValueError("operand has numerical rank zero")
-    r_inv = sla.solve_triangular(rr, np.eye(m))
-    return WellConditionedBasis(r_inv, cols, float(p), n, m, ah, (seed, n_probe, beta_safety))
+    return WellConditionedBasis(v / sv, float(p), n, sv.size, ah, (seed, n_probe, beta_safety))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +249,7 @@ def weighted_leverage_scores(
     src = a.tocsr() if is_sparse(a) else a
     for j in np.unique(buckets):
         rows = np.flatnonzero(buckets == j)
-        sub = src[rows]
+        sub = src if rows.size == n else src[rows]  # one bucket: no n-row copy
         if row_norms(sub).max() == 0.0:
             continue  # all-zero bucket contributes score 0
         basis = well_conditioned_basis(
@@ -267,10 +259,9 @@ def weighted_leverage_scores(
         if gauss_t is not None and not loss.is_lp:
             g = spawn_rng(seed, 31, int(j)).standard_normal((basis.m, gauss_t))
             g /= math.sqrt(gauss_t)
-            est = np.empty(basis.n)
-            for lo, hi, block in basis.iter_row_blocks():
-                est[lo:hi] = np.linalg.norm(block @ g, axis=1)
-            norms = est
+            norms = np.empty(basis.n)
+            for lo, hi, block in basis.iter_row_blocks(right=g):
+                norms[lo:hi] = np.linalg.norm(block, axis=1)
         else:
             norms = basis.row_norms_lp()
         gamma[rows] = 2.0 * _base_scores(loss, basis.beta, norms)

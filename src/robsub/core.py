@@ -239,6 +239,14 @@ def to_dense(a) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
+def check_finite(*arrays) -> None:
+    """Raise ValueError if a dense array or sparse matrix holds a NaN or infinity."""
+    for x in arrays:
+        vals = x.tocsr().data if is_sparse(x) else np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("input must not contain infs or NaNs")
+
+
 def row_norms(a) -> np.ndarray:
     """Euclidean norm of each row."""
     if is_sparse(a):

@@ -29,6 +29,7 @@ from .core import (
     LossSpec,
     Subspace,
     as_weights,
+    check_finite,
     m_derivative,
     m_value,
     matmul_dense,
@@ -326,6 +327,15 @@ def _right_embedding(d: int, m: int, eps: float, cfg: PipelineConfig, seed: int)
     return np.asarray(sketch.right_operator().todense())
 
 
+def _score_operator(st: np.ndarray, u: np.ndarray) -> Optional[np.ndarray]:
+    """H whose product A H spans the column space of A [S^T U], or None for A itself.
+
+    With S^T = I the stack adds nothing: A U already lies in the column
+    space of A, and leverage scores depend only on that space.
+    """
+    return None if st.shape[1] == st.shape[0] else np.hstack([st, u])
+
+
 def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
     v = u @ w_factor
     # re-orthonormalize defensively; the product is orthonormal up to fp noise
@@ -342,11 +352,13 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
     """(1+eps)-style pipeline for M(x) = |x|^p, p in [1, 2): returns rank-k U W.
 
     Stages: bicriteria subspace, residual sampling, sparse right embedding,
-    Gaussian-estimated leverage sampling of A [S^T U], row rescaling by
-    q^(-1/p), and the small solve on (TAU, U^T S^T, TAS^T).
+    Gaussian-estimated leverage sampling of A [S^T U] (of A alone when
+    S^T = I), row rescaling by q^(-1/p), and the small solve on
+    (TAU, U^T S^T, TAS^T).
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")
+    check_finite(a)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or PipelineConfig()
@@ -363,8 +375,8 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
         return Subspace(u[:, :k]) if m == k else _pad_to_k(a, u, k)
 
     st = _right_embedding(d, m, eps, cfg, seed)
-    h = np.hstack([st, u])
-    d_hat = h.shape[1]
+    h = _score_operator(st, u)
+    d_hat = d if h is None else h.shape[1]
 
     basis = well_conditioned_basis(a, h=h, p=p,
                                    seed=int(spawn_rng(seed, 97).integers(2**31)))
@@ -419,12 +431,13 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
     """Pipeline for general nice p=2 losses (Huber, L1-L2, Fair).
 
     After the shared subspace stages, rounds of ``leverage_rounds`` sample
-    rows of A, scored through A [S^T U], with weight carrying w' = w / q
-    until at most ``recur_base_rows`` remain; then the weighted small
-    problem is solved inside U.
+    rows of A, scored through A [S^T U] (A alone when S^T = I), with
+    weight carrying w' = w / q until at most ``recur_base_rows`` remain;
+    then the weighted small problem is solved inside U.
     """
     if not loss.is_m2:
         raise ValueError("this pipeline requires a p=2 (non-|x|^p) loss")
+    check_finite(a)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or PipelineConfig()
@@ -440,7 +453,7 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
         return Subspace(u[:, :k]) if m == k else _pad_to_k(a, u, k)
 
     st = _right_embedding(d, m, eps, cfg, seed)
-    h = np.hstack([st, u])
+    h = _score_operator(st, u)
     max_depth = int(2 * max(1.0, math.log2(max(math.log2(max(n, 4)), 2.0))) + 4)
 
     def target(n_prime: int, _gamma_total: float) -> float:
@@ -449,7 +462,8 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
                        cfg.m2_level_c * n_prime ** (0.5 + cfg.kappa) * math.log2(n_prime + 2)))
 
     (dense,), w, _, depth = leverage_rounds(
-        (to_dense(a),), np.ones(n), loss, view=lambda rows: rows @ h, target=target,
+        (to_dense(a),), np.ones(n), loss,
+        view=(lambda rows: rows) if h is None else (lambda rows: rows @ h), target=target,
         stop_rows=cfg.recur_base_rows, max_rounds=max_depth + 1, seed=seed,
         salts=(113, 127), gauss_t=int(math.ceil(3.0 / cfg.kappa)))
     if depth > max_depth and dense.shape[0] > cfg.recur_base_rows:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LossSpec, as_weights, m_derivative, m_value, to_dense
+from .core import LossSpec, as_weights, check_finite, m_derivative, m_value, to_dense
 from .sampling import leverage_rounds
 
 _RESID_FLOOR = 1e-12
@@ -106,6 +106,7 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or RegressConfig()
+    check_finite(a, b)
     dense = to_dense(a)
     rhs = np.asarray(b, dtype=float).ravel()
     n, d = dense.shape

@@ -9,8 +9,9 @@ Three sketch families, each a pure function of its seed:
 * sparse p-stable embeddings Pi = S D (the sparse Cauchy transform at
   p=1), applied in O(nnz) work to condition bases for l_p.
 
-Also provides the orthonormal union of row blocks, the rank-revealing
-subspace builder the samplers feed into.
+Also provides the rank-revealing factor (R-only QR, then the SVD of the
+small R) behind every exact basis, and the orthonormal union of row
+blocks built on it, which the samplers feed into.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .core import Subspace, is_sparse, matmul_dense, spawn_rng
@@ -134,11 +134,37 @@ def half_normal_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
+_QR_BLOCK_ROWS = 2048
+
+
+def rank_revealing_factor(t: np.ndarray, rank_tol: float):
+    """Singular values above rank_tol * sigma_max of t, with their right singular vectors.
+
+    Takes the economic R-only QR of t (blocked Householder, Q never formed)
+    and then the SVD of the small R, so t = (Q U) diag(sv) V^T with Q U
+    orthonormal: t V diag(1/sv) is an orthonormal basis of the column space
+    of t, and V one of its row space.  Returns (sv, V) with V of shape
+    (t.shape[1], rank).
+    """
+    n, m = t.shape
+    if n > _QR_BLOCK_ROWS >= 2 * m:
+        # tall and skinny: one level of TSQR.  The R factors of row blocks
+        # small enough to stay in cache, stacked and factored again, give an
+        # R factor of t without a pass of Householder updates over all of t
+        t = np.vstack([np.linalg.qr(t[lo:lo + _QR_BLOCK_ROWS], mode="r")
+                       for lo in range(0, n, _QR_BLOCK_ROWS)])
+    r = np.linalg.qr(t, mode="r")
+    _, sv, vt = np.linalg.svd(r, full_matrices=False)
+    rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
+    return sv[:rank], vt[:rank].T
+
+
 def orthonormal_union(blocks, d: int | None = None, rank_tol: float = 1e-8) -> Subspace:
     """Orthonormal basis for the span of all rows across the given blocks.
 
-    Rank-revealing: directions whose pivot falls below rank_tol times the
-    largest pivot are dropped.  An empty input yields the empty subspace.
+    Rank-revealing: the basis is the right singular vectors of the stacked
+    rows (``rank_revealing_factor``) whose singular value exceeds rank_tol
+    times the largest.  An empty input yields the empty subspace.
     """
     mats = [np.atleast_2d(np.asarray(b if not is_sparse(b) else b.todense(), dtype=float))
             for b in blocks if b is not None and b.shape[0] > 0]
@@ -149,13 +175,8 @@ def orthonormal_union(blocks, d: int | None = None, rank_tol: float = 1e-8) -> S
     width = mats[0].shape[1]
     if any(m.shape[1] != width for m in mats):
         raise ValueError("blocks disagree on column count")
-    stacked = np.vstack(mats)
-    q, r, _ = sla.qr(stacked.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] <= 0.0:
-        return Subspace.empty(width)
-    rank = int(np.sum(diag > rank_tol * diag[0]))
-    return Subspace(q[:, :rank])
+    _, v = rank_revealing_factor(np.vstack(mats), rank_tol)
+    return Subspace(v)
 
 
 # ---------------------------------------------------------------------------

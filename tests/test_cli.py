@@ -130,6 +130,15 @@ class TestApproxCommand:
                    "--loss", "lp"])  # missing --p
         assert rc == EXIT_CONFIG
 
+    def test_non_finite_input_exit_3(self, matrix_files, capsys):
+        a = np.loadtxt(matrix_files["a_csv"], delimiter=",")
+        a[5, 2] = np.nan
+        path = matrix_files["dir"] / "nan.csv"
+        np.savetxt(path, a, delimiter=",")
+        rc = main(["approx", "--input", str(path), "--k", "2", "--loss", "huber"])
+        assert rc == EXIT_CONFIG
+        assert "infs or NaNs" in capsys.readouterr().err
+
 
 class TestRegressCommand:
     def test_ratio_reported(self, matrix_files, tmp_path):

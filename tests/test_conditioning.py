@@ -64,6 +64,32 @@ class TestWellConditionedBasis:
         basis = well_conditioned_basis(a, p=1.0, seed=2)
         assert basis.m == 3
 
+    def test_p2_factor_rank_deficient(self):
+        # duplicated and zero columns, past one QR row block: m is the true
+        # rank, (A H) F is orthonormal and the scores are the SVD-exact ones
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((3000, 4))
+        a = np.hstack([a, a[:, :2], np.zeros((3000, 2))])
+        basis = well_conditioned_basis(a, p=2.0, seed=0)
+        assert basis.m == np.linalg.matrix_rank(a) == 4
+        u = basis.u_rows()
+        assert np.abs(u.T @ u - np.eye(4)).max() <= 1e-10
+        q = np.linalg.svd(a, full_matrices=False)[0][:, :4]
+        scores = leverage_scores(a, basis, LossSpec.lp(2.0))
+        assert np.abs(scores.gamma - np.sum(q**2, axis=1)).max() <= 1e-10
+
+    def test_sketched_factor_orthonormal_p15(self, monkeypatch):
+        # n above the row cap: Pi (A H) F is orthonormal for the sketch Pi used
+        sketches = []
+        make = conditioning.make_pstable_sketch
+        monkeypatch.setattr(conditioning, "make_pstable_sketch",
+                            lambda *args: sketches.append(make(*args)) or sketches[-1])
+        a = np.random.default_rng(24).standard_normal((9000, 5))
+        basis = well_conditioned_basis(a, p=1.5, seed=8)
+        assert len(sketches) == 1 and sketches[0].s < a.shape[0]
+        pu = sketches[0].apply(basis.u_rows())
+        assert np.abs(pu.T @ pu - np.eye(5)).max() <= 1e-10
+
     def test_colspace_preserved(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((50, 6))

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import planted_lowrank
-from robsub import LossSpec, Subspace, residual_cost, v_norm_p
+from robsub import (
+    LossSpec,
+    Subspace,
+    const_approx,
+    residual_cost,
+    v_norm_p,
+    weighted_leverage_scores,
+)
+from robsub import sampling
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
     EXHAUSTIVE_TINY,
@@ -239,6 +248,50 @@ class TestApproxM2:
         s1 = approx_m2(a, 2, 0.3, loss, seed=9)
         s2 = approx_m2(a, 2, 0.3, loss, seed=9)
         assert np.array_equal(s1.u, s2.u)
+
+
+    def test_identity_embedding_scores_a_itself(self, monkeypatch):
+        # at d = 12 the right embedding is the identity, so every round scores
+        # A (width d) rather than the stack A [I U]
+        widths = []
+        score = sampling.weighted_leverage_scores
+        monkeypatch.setattr(sampling, "weighted_leverage_scores",
+                            lambda a, *args, **kw: widths.append(a.shape[1])
+                            or score(a, *args, **kw))
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
+        tr = {}
+        approx_m2(a, 2, 0.3, LossSpec.huber(1.0), seed=3, trace=tr)
+        assert tr["reduced_dim"] > 2 and tr["recursion_depth"] >= 1
+        assert widths and set(widths) == {12}
+
+    def test_stack_with_identity_leaves_scores_unchanged(self):
+        # A U lies in the column space of A, so A and A [I U] score alike
+        a, _ = planted_lowrank(500, 12, 2, seed=18, noise=0.05, outlier_frac=0.01)
+        u = np.linalg.qr(np.random.default_rng(19).standard_normal((12, 4)))[0]
+        loss = LossSpec.huber(1.0)
+        plain = weighted_leverage_scores(a, None, loss, seed=0)
+        stacked = weighted_leverage_scores(a @ np.hstack([np.eye(12), u]), None, loss, seed=0)
+        assert np.abs(plain.gamma - stacked.gamma).max() <= 1e-10
+
+
+class TestNonFiniteInput:
+    @staticmethod
+    def _corrupt(value, sparse):
+        a, _ = planted_lowrank(200, 10, 2, seed=20)
+        a[7, 3] = value
+        return sp.csr_matrix(a) if sparse else a
+
+    def test_dense_nan_approx_lp(self):
+        with pytest.raises(ValueError, match="input must not contain infs or NaNs"):
+            approx_lp(self._corrupt(np.nan, False), 2, 0.3, LossSpec.lp(1.0))
+
+    def test_csr_inf_approx_m2(self):
+        with pytest.raises(ValueError, match="input must not contain infs or NaNs"):
+            approx_m2(self._corrupt(np.inf, True), 2, 0.3, LossSpec.huber(1.0))
+
+    def test_csr_nan_const_approx(self):
+        with pytest.raises(ValueError, match="input must not contain infs or NaNs"):
+            const_approx(self._corrupt(np.nan, True), 2, LossSpec.lp(1.0))
 
 
 class TestBestRankKInSubspace:

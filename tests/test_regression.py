@@ -150,6 +150,14 @@ class TestMRegress:
         assert (regression_objective(a, b, x, None, loss)
                 <= 1.2 * regression_objective(a, b, x_f, None, loss))
 
+    def test_non_finite_rhs_rejected(self):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((300, 4))
+        b = a @ rng.standard_normal(4)
+        b[11] = np.inf
+        with pytest.raises(ValueError, match="input must not contain infs or NaNs"):
+            m_regress(a, b, LossSpec.huber(1.0))
+
     def test_rhs_length_mismatch(self):
         with pytest.raises(ValueError):
             m_regress(np.eye(4), np.ones(5), LossSpec.huber(1.0))

@@ -187,7 +187,28 @@ class TestGaussianSketch:
         assert half_normal_moment(2.0) == pytest.approx(1.0)
 
 
+def _svd_projector(rows, rank_tol=1e-8):
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    v = vt[sv > rank_tol * sv[0]].T
+    return v @ v.T
+
+
 class TestOrthonormalUnion:
+    @pytest.mark.parametrize("rows, width", [(5000, 12), (6, 40)])
+    def test_projector_matches_svd(self, rows, width):
+        # a tall stack (past one QR row block) and a wide one, each of rank 5
+        # with a repeated row
+        rng = np.random.default_rng(rows)
+        block = rng.standard_normal((rows - 1, 5)) @ rng.standard_normal((5, width))
+        blocks = [block, block[:1]]
+        sub = orthonormal_union(blocks, d=width)
+        assert sub.dim == 5
+        assert np.abs(sub.u @ sub.u.T - _svd_projector(np.vstack(blocks))).max() <= 1e-10
+
+    def test_zero_block_empty(self):
+        sub = orthonormal_union([np.zeros((50, 7))], d=7)
+        assert sub.dim == 0 and sub.d == 7
+
     def test_duplicates_collapse(self):
         e1 = np.eye(3)[0:1]
         sub = orthonormal_union([e1, e1], d=3)
