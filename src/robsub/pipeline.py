@@ -29,7 +29,6 @@ from .core import (
     LossSpec,
     Subspace,
     as_weights,
-    check_finite,
     m_derivative,
     m_value,
     matmul_dense,
@@ -358,7 +357,6 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")
-    check_finite(a)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or PipelineConfig()
@@ -437,7 +435,6 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
     """
     if not loss.is_m2:
         raise ValueError("this pipeline requires a p=2 (non-|x|^p) loss")
-    check_finite(a)
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or PipelineConfig()

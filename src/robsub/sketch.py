@@ -134,9 +134,6 @@ def half_normal_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-_QR_BLOCK_ROWS = 2048
-
-
 def rank_revealing_factor(t: np.ndarray, rank_tol: float):
     """Singular values above rank_tol * sigma_max of t, with their right singular vectors.
 
@@ -146,13 +143,6 @@ def rank_revealing_factor(t: np.ndarray, rank_tol: float):
     of t, and V one of its row space.  Returns (sv, V) with V of shape
     (t.shape[1], rank).
     """
-    n, m = t.shape
-    if n > _QR_BLOCK_ROWS >= 2 * m:
-        # tall and skinny: one level of TSQR.  The R factors of row blocks
-        # small enough to stay in cache, stacked and factored again, give an
-        # R factor of t without a pass of Householder updates over all of t
-        t = np.vstack([np.linalg.qr(t[lo:lo + _QR_BLOCK_ROWS], mode="r")
-                       for lo in range(0, n, _QR_BLOCK_ROWS)])
     r = np.linalg.qr(t, mode="r")
     _, sv, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
