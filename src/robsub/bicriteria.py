@@ -75,13 +75,16 @@ def const_approx_recur(
         raise ValueError("projected and original row counts disagree")
     d_prime = a_proj.shape[1]
 
-    def target(n_prime: int, gamma_total: float) -> float:
-        r_formula = cfg.c_sample_rows * d_prime * d_prime * gamma_total
+    def target(n_prime: int, scores) -> float:
+        # the formula c d'^2 gamma_total (times a log log log n' factor at
+        # p = 2) exceeds n' at practical sizes, which would stall the rounds;
+        # the expected sample is capped so the row count keeps shrinking, and
+        # gamma_total is read only as far as the cap needs
+        scale = cfg.c_sample_rows * d_prime * d_prime
         if loss.is_m2:
-            r_formula *= cfg.logloglog_c * _logloglog(n_prime)
-        # the formula value exceeds n' at practical sizes, which would stall
-        # the rounds; cap the expected sample so the row count keeps shrinking
-        return min(r_formula, cfg.shrink * n_prime)
+            scale *= cfg.logloglog_c * _logloglog(n_prime)
+        cap = cfg.shrink * n_prime
+        return scale * scores.capped_total(cap / scale)
 
     # min_rows=-1: an empty draw is carried, leaving no survivors
     (_, surv), _, idx, depth = leverage_rounds(

@@ -373,13 +373,14 @@ def main(argv=None) -> int:
     except rio.InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # numeric errors first: LinAlgError subclasses ValueError
     except (CapExceededError, RuntimeError, np.linalg.LinAlgError,
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ConfigError, ValueError) as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LossSpec, Subspace, m_value, row_norms, spawn_rng
+from .core import LossSpec, Subspace, check_finite, m_value, row_norms, spawn_rng
 from .sampling import draw, make_plan
 from .sketch import gaussian_row_norm_estimates, make_gaussian_sketch, orthonormal_union
 
@@ -66,6 +66,7 @@ def dim_reduce(a, k: int, xhat: Subspace, cfg: DimReduceConfig, loss: LossSpec,
 
     g = make_gaussian_sketch(int(spawn_rng(seed, 43).integers(2**31)), d, t_m)
     resid = gaussian_row_norm_estimates(a, xhat, g)
+    check_finite(resid)  # a NaN or inf in A reaches the estimate of its row
     scores = m_value(loss, resid)
     if trace is not None:
         trace["t_m"] = t_m

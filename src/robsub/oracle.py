@@ -18,6 +18,7 @@ from .core import (
     LossSpec,
     Subspace,
     as_weights,
+    check_finite,
     m_derivative,
     residual_cost,
     residual_row_norms,
@@ -34,6 +35,7 @@ def svd_truncation_cost(a, k: int, w=None, loss: LossSpec = None) -> Tuple[Subsp
     """
     if loss is None:
         raise TypeError("loss is required")
+    check_finite(a)
     n, d = a.shape
     if not (1 <= k <= min(n, d)):
         raise ValueError(f"k={k} outside [1, min(n,d)={min(n, d)}]")

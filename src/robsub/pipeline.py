@@ -453,7 +453,7 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
     h = _score_operator(st, u)
     max_depth = int(2 * max(1.0, math.log2(max(math.log2(max(n, 4)), 2.0))) + 4)
 
-    def target(n_prime: int, _gamma_total: float) -> float:
+    def target(n_prime: int, _scores) -> float:
         return min(cfg.shrink * n_prime,
                    max(cfg.recur_base_rows,
                        cfg.m2_level_c * n_prime ** (0.5 + cfg.kappa) * math.log2(n_prime + 2)))

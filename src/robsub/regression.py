@@ -114,7 +114,7 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
         raise ValueError("right-hand side length mismatch")
     base_cap = cfg.resolved_base_cap(d, eps)
 
-    def target(n_prime: int, _gamma_total: float) -> float:
+    def target(n_prime: int, _scores) -> float:
         level = (cfg.level_c * n_prime ** (0.5 + cfg.kappa) * (d + 1)
                  * math.log(1.0 / cfg.delta) / eps**2)
         return min(cfg.shrink * n_prime, max(level, 4.0 * (d + 1)))

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conditioning import weighted_leverage_scores
+from .conditioning import LeverageScores, weighted_leverage_scores
 from .core import LossSpec, as_weights, is_sparse, spawn_rng
 
 _PROB_FLOOR = 1e-12
@@ -116,7 +116,7 @@ def leverage_rounds(
     w,
     loss: LossSpec,
     view: Callable,
-    target: Callable[[int, float], float],
+    target: Callable[[int, LeverageScores], float],
     stop_rows: int,
     max_rounds: int,
     seed: int,
@@ -129,8 +129,9 @@ def leverage_rounds(
 
     While more than ``stop_rows`` rows remain, at most ``max_rounds`` times:
     score ``view(*mats)`` with ``weighted_leverage_scores(**score_kwargs)``,
-    plan ``target(n', gamma_total)`` expected rows, and draw, redrawing once
-    if more than max(0.9 n', stop_rows) rows are kept.  A draw keeping at
+    plan ``target(n', scores)`` expected rows in proportion to
+    ``scores.relative``, and draw, redrawing once if more than
+    max(0.9 n', stop_rows) rows are kept.  A draw keeping at
     most ``min_rows`` rows is dropped and ends the rounds.  |x|^p losses
     rescale kept rows by q^(-1/p) and reset weights to one; other losses
     keep rows as they are and carry w / q.  Round r seeds its scores with
@@ -147,7 +148,7 @@ def leverage_rounds(
         scores = weighted_leverage_scores(
             view(*mats), w, loss,
             seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
-        plan = make_plan(scores.gamma, target(n_prime, scores.gamma_total), 1.0)
+        plan = make_plan(scores.relative, target(n_prime, scores), 1.0)
         for attempt in range(2):
             sample = draw(plan, w,
                           seed=int(spawn_rng(seed, salts[1], rounds, attempt).integers(2**31)))

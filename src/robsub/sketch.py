@@ -7,7 +7,8 @@ Three sketch families, each a pure function of its seed:
 * Gaussian sketches for cheap row-norm estimation, optionally deflating
   a known subspace on the fly;
 * sparse p-stable embeddings Pi = S D (the sparse Cauchy transform at
-  p=1), applied in O(nnz) work to condition bases for l_p.
+  p=1, CountSketch at p=2), applied in O(nnz) work to condition bases
+  for l_p.
 
 Also provides the rank-revealing factor (R-only QR, then the SVD of the
 small R) behind every exact basis, and the orthonormal union of row
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Subspace, is_sparse, matmul_dense, spawn_rng
+from .core import Subspace, check_finite, is_sparse, matmul_dense, spawn_rng
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,10 @@ def rank_revealing_factor(t: np.ndarray, rank_tol: float):
     and then the SVD of the small R, so t = (Q U) diag(sv) V^T with Q U
     orthonormal: t V diag(1/sv) is an orthonormal basis of the column space
     of t, and V one of its row space.  Returns (sv, V) with V of shape
-    (t.shape[1], rank).
+    (t.shape[1], rank).  Raises ValueError when t holds a NaN or infinity.
     """
     r = np.linalg.qr(t, mode="r")
+    check_finite(r)  # a NaN or inf anywhere in t reaches R
     _, sv, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
     return sv[:rank], vt[:rank].T
@@ -188,12 +190,18 @@ def _stable_draws(rng: np.random.Generator, size, p: float) -> np.ndarray:
 class PStableSketch:
     """Sparse s x n p-stable embedding Pi = S D, a pure function of its seed.
 
-    D is diagonal with n i.i.d. standard p-stable entries and S hashes each
-    of the n input rows to one of the s output rows, so Pi has a single
-    nonzero per column and Pi @ B costs O(nnz(B)).  At p=1 this is the
-    sparse Cauchy transform of Meng & Mahoney (2013), "Low-distortion
-    subspace embeddings in input-sparsity time and applications to robust
-    linear regression".
+    D is diagonal and S hashes each of the n input rows to one of the s
+    output rows, so Pi has a single nonzero per column and Pi @ B costs
+    O(nnz(B)).  For p < 2 the diagonal holds n i.i.d. standard p-stable
+    draws; at p=1 this is the sparse Cauchy transform of Meng & Mahoney
+    (2013), "Low-distortion subspace embeddings in input-sparsity time and
+    applications to robust linear regression".  At p=2 it holds random
+    signs, which makes Pi CountSketch, an l_2 subspace embedding with
+    O(m^2) rows (Clarkson & Woodruff 2013).  Gaussian draws, though
+    2-stable, spread the singular values of the conditioned basis far
+    wider: over 20 seeds of 20 000 x 8 Gaussian rows with 30 rows scaled by
+    100, sketched to 1 280 rows, they lay in [0.46, 2.49] against
+    [0.77, 1.45] with signs.
     """
 
     s: int
@@ -205,7 +213,10 @@ class PStableSketch:
         """Pi as an (s, n) sparse matrix: column j holds D_jj in row h(j)."""
         rng = spawn_rng(self.seed, 17)
         buckets = rng.integers(0, self.s, size=self.n)
-        diag = _stable_draws(rng, self.n, self.p)
+        if self.p == 2.0:
+            diag = rng.integers(0, 2, size=self.n) * 2.0 - 1.0
+        else:
+            diag = _stable_draws(rng, self.n, self.p)
         return sp.csc_matrix((diag, buckets, np.arange(self.n + 1)), shape=(self.s, self.n))
 
     def row_block(self, start: int, stop: int) -> np.ndarray:
@@ -220,8 +231,9 @@ class PStableSketch:
 
 
 def make_pstable_sketch(seed: int, s: int, n: int, p: float) -> PStableSketch:
-    if not (1.0 <= p < 2.0):
-        raise ValueError(f"p={p} outside [1, 2)")
+    """Sparse embedding Pi = S D with s rows for n-row operands, p in [1, 2]."""
+    if not (1.0 <= p <= 2.0):
+        raise ValueError(f"p={p} outside [1, 2]")
     if s < 1 or n < 1:
         raise ValueError("sketch dimensions must be positive")
     return PStableSketch(int(s), int(n), float(p), int(seed))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import planted_lowrank
-from robsub.cli import BENCH_CSV_HEADER, EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
+from robsub import cli
+from robsub.cli import BENCH_CSV_HEADER, EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from robsub.io import InputError, load_matrix, load_vector, save_matrix_market
 
 
@@ -138,6 +139,16 @@ class TestApproxCommand:
         rc = main(["approx", "--input", str(path), "--k", "2", "--loss", "huber"])
         assert rc == EXIT_CONFIG
         assert "infs or NaNs" in capsys.readouterr().err
+
+    def test_lapack_failure_exit_4(self, matrix_files, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "approx_m2", fail)
+        rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2", "--loss", "huber"])
+        assert rc == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestRegressCommand:

@@ -3,12 +3,13 @@ import pytest
 
 from robsub import (
     LossSpec,
+    const_approx,
     leverage_scores,
     make_sparse_sketch,
     weighted_leverage_scores,
     well_conditioned_basis,
 )
-from robsub import conditioning
+from robsub import bicriteria, conditioning
 from robsub.core import m_value
 
 
@@ -143,6 +144,137 @@ class TestWellConditionedBasis:
         assert basis.beta == beta
         assert len(calls) == 1
         assert beta == certificate(basis, 7, 500, 2.0)
+
+
+class TestBetaEarlyStop:
+    def _probe_spy(self, monkeypatch):
+        """Count probe columns evaluated by the beta certificate."""
+        evaluated = []
+        probe = conditioning._probe_ratios
+        monkeypatch.setattr(conditioning, "_probe_ratios",
+                            lambda basis, x, q: evaluated.append(x.shape[1]) or probe(basis, x, q))
+        return evaluated
+
+    def _basis(self, p=1.0):
+        a = np.random.default_rng(30).standard_normal((9000, 5))
+        return well_conditioned_basis(a, p=p, seed=11, n_probe=1500, beta_safety=2.0)
+
+    def test_stop_below_beta_reads_one_probe(self, monkeypatch):
+        full = self._basis().beta
+        evaluated = self._probe_spy(monkeypatch)
+        basis = self._basis()
+        assert basis.beta_reaches(0.01 * full)
+        assert sum(evaluated) == 1
+        assert "beta" not in basis.__dict__  # a partial run is not cached
+        assert basis.beta == full == conditioning._beta_certificate(basis, 11, 1500, 2.0)
+        assert sum(evaluated) == 1 + 2 * 1500
+
+    def test_stop_after_the_chunk_that_reaches_the_bound(self, monkeypatch):
+        # bound = beta: the screened first probe falls short, and the probes
+        # stop after the chunk holding the maximum, before the last chunk
+        full = self._basis().beta
+        evaluated = self._probe_spy(monkeypatch)
+        assert self._basis().beta_reaches(full)
+        assert evaluated[0] == 1 and sum(evaluated) < 1 + 1500
+
+    def test_bound_above_beta_runs_every_probe_once(self, monkeypatch):
+        full = self._basis(p=1.5).beta
+        evaluated = self._probe_spy(monkeypatch)
+        basis = self._basis(p=1.5)
+        assert not basis.beta_reaches(1.01 * full)
+        assert basis.beta == full  # cached from the completed run
+        assert sum(evaluated) == 1 + 1500
+
+    def test_capped_total_is_min_of_total_and_cap(self, monkeypatch):
+        a = np.random.default_rng(31).standard_normal((9000, 5))
+
+        def scores():
+            return weighted_leverage_scores(a, None, LossSpec.lp(1.0), seed=4, n_probe=1000)
+
+        total = scores().gamma_total
+        evaluated = self._probe_spy(monkeypatch)
+        assert scores().capped_total(0.1 * total) == 0.1 * total
+        assert sum(evaluated) == 1
+        assert scores().capped_total(10.0 * total) == pytest.approx(total, rel=1e-12)
+
+    def test_gamma_includes_beta(self, monkeypatch):
+        bases = []
+        make = conditioning.well_conditioned_basis
+        monkeypatch.setattr(conditioning, "well_conditioned_basis",
+                            lambda *args, **kw: bases.append(make(*args, **kw)) or bases[-1])
+        a = np.random.default_rng(32).standard_normal((400, 4))
+        ws = weighted_leverage_scores(a, None, LossSpec.lp(1.5), seed=3, n_probe=500)
+        (basis,) = bases
+        expected = 2.0 * (basis.beta * basis.row_norms_lp()) ** 1.5
+        assert np.allclose(ws.gamma, expected, rtol=1e-12, atol=0.0)
+        assert ws.gamma_total == pytest.approx(expected.sum(), rel=1e-12)
+        assert np.allclose(ws.relative * basis.beta ** 1.5, ws.gamma, rtol=1e-12, atol=0.0)
+
+    def test_const_approx_target_capped(self, monkeypatch):
+        # the recursion's target equals min(c d'^2 gamma_total, shrink n') on
+        # both sides of the cap, and the capped side stops after one probe
+        rounds = []
+        real = bicriteria.leverage_rounds
+        monkeypatch.setattr(bicriteria, "leverage_rounds",
+                            lambda mats, *args, **kw: rounds.append((mats, kw))
+                            or real(mats, *args, **kw))
+        a = np.random.default_rng(33).standard_normal((3000, 10))
+        cfg = bicriteria.ConstApproxConfig()
+        const_approx(a, 1, LossSpec.lp(1.0), cfg, seed=2)
+        (a_proj, _), kw = rounds[0]
+        target, d_prime = kw["target"], a_proj.shape[1]
+
+        def scores():
+            return weighted_leverage_scores(a, None, LossSpec.lp(1.0), seed=5, n_probe=1000)
+
+        formula = cfg.c_sample_rows * d_prime**2 * scores().gamma_total
+        evaluated = self._probe_spy(monkeypatch)
+        assert target(3000, scores()) == pytest.approx(min(formula, cfg.shrink * 3000), rel=1e-12)
+        assert formula > cfg.shrink * 3000 and sum(evaluated) == 1
+        big = 4.0 * formula / cfg.shrink
+        assert target(big, scores()) == pytest.approx(formula, rel=1e-12)
+
+
+class TestSketchedP2:
+    def test_distortion_within_beta(self):
+        # CountSketch route: the singular values of (A H) F lie in
+        # [1/(1+eps), 1/(1-eps)] with beta = 1 + eps, also with 30 rows of
+        # leverage far above the rest
+        for seed in range(5):
+            a = np.random.default_rng(seed).standard_normal((20000, 8))
+            a[:30] *= 100.0
+            basis = well_conditioned_basis(a, p=2.0, seed=seed)
+            assert basis.sketched and basis.beta == 1.5
+            sv = np.linalg.svd(basis.u_rows(), compute_uv=False)
+            assert 1.0 / basis.beta <= sv.min() and sv.max() <= 1.0 / (2.0 - basis.beta)
+
+    @pytest.mark.parametrize("n, m0", [(8820, 21), (8192, 8)])
+    def test_exact_at_size_boundary(self, n, m0):
+        # n = max(ceil(c_pi m0^2), stable_row_cap) stays exact; one more row sketches
+        a = np.random.default_rng(n).standard_normal((n + 1, m0))
+        basis = well_conditioned_basis(a[:n], p=2.0, seed=1)
+        assert not basis.sketched and basis.beta == 1.0
+        q = np.linalg.svd(a[:n], full_matrices=False)[0]
+        scores = leverage_scores(a[:n], basis, LossSpec.lp(2.0))
+        assert np.abs(scores.gamma - np.sum(q**2, axis=1)).max() <= 1e-10
+        assert well_conditioned_basis(a, p=2.0, seed=1).sketched
+
+
+class TestNonFiniteInput:
+    def test_basis_and_scores_reject_nan(self):
+        a = np.random.default_rng(34).standard_normal((100, 5))
+        a[7, 2] = np.nan
+        for p in (1.0, 2.0):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                well_conditioned_basis(a, p=p, seed=0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            weighted_leverage_scores(a, None, LossSpec.huber(1.0), seed=0)
+
+    def test_sketched_route_rejects_inf(self):
+        a = np.random.default_rng(35).standard_normal((9000, 4))
+        a[4000, 1] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            well_conditioned_basis(a, p=1.0, seed=0)
 
 
 class TestLeverageScores:

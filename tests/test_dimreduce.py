@@ -21,6 +21,14 @@ def _cfg(k, eps=0.25, quality=2.0, **kw):
 
 
 class TestDimReduceEdges:
+    def test_non_finite_rejected(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((80, 9))
+        a[10, 3] = np.nan
+        xhat = Subspace(np.linalg.qr(rng.standard_normal((9, 2)))[0])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            dim_reduce(a, 2, xhat, _cfg(2), LossSpec.lp(1.0), seed=1)
+
     def test_contained_rowspace_returns_xhat(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 9))

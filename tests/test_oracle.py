@@ -17,6 +17,12 @@ class TestSvdTruncation:
             q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
             assert residual_cost(a, Subspace(q), None, loss) >= best - 1e-9
 
+    def test_non_finite_rejected(self):
+        a = np.random.default_rng(3).standard_normal((40, 6))
+        a[4, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            svd_truncation_cost(a, 2, None, LossSpec.lp(2.0))
+
     def test_rank_k_input_zero(self):
         a, _ = planted_lowrank(50, 10, 2, seed=1)
         _, cost = svd_truncation_cost(a, 2, None, LossSpec.lp(1.0))

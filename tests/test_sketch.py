@@ -259,9 +259,15 @@ class TestPStable:
         sk = make_pstable_sketch(1, s=37, n=11, p=1.5)
         assert sk.row_block(0, 37).shape == (37, 11)
 
+    def test_p2_is_countsketch(self):
+        # at p=2 the diagonal holds random signs: one +-1 per column
+        rows = make_pstable_sketch(6, s=40, n=3000, p=2.0).row_block(0, 40)
+        nz = rows[rows != 0]
+        assert nz.size == 3000 and set(np.unique(nz)) == {-1.0, 1.0}
+
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
-            make_pstable_sketch(0, s=4, n=4, p=2.0)
+            make_pstable_sketch(0, s=4, n=4, p=2.5)
         with pytest.raises(ValueError):
             make_pstable_sketch(0, s=4, n=4, p=0.9)
 
