@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LossSpec, Subspace, check_finite, is_sparse, spawn_rng
+from .core import LossSpec, Subspace, check_finite, spawn_rng
 from .sampling import leverage_rounds
 from .sketch import apply_right, make_sparse_sketch, orthonormal_union
 
@@ -125,5 +125,4 @@ def const_approx(a, k: int, loss: LossSpec, cfg: Optional[ConstApproxConfig] = N
     max_depth = int(4 * math.log2(max(math.log2(max(n, 4)), 2.0)) + 8)
     surv = const_approx_recur(a_proj, a, np.ones(n), loss, cfg, seed,
                               p_m, max_depth, trace=trace)
-    return orthonormal_union([surv if not is_sparse(surv) else surv.todense()],
-                             d=d, rank_tol=cfg.rank_tol)
+    return orthonormal_union([surv], d=d, rank_tol=cfg.rank_tol)

@@ -218,7 +218,10 @@ def cmd_regress(args) -> int:
 
 
 def cmd_gadget(args) -> int:
-    adjacency = read_edge_list(args.edges)
+    try:
+        adjacency = read_edge_list(args.edges)
+    except (OSError, ValueError) as exc:
+        raise rio.InputError(f"{args.edges}: {exc}") from exc
     inst = gen_gadget(adjacency, args.k, b1=args.b1, b2=int(args.b2))
     report = _base_report(args, "gadget")
     timings = {}
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--kappa", type=float, default=0.1)
     ap.add_argument("--quality-k", type=float, default=None, dest="quality_k")
     ap.add_argument("--t-rows", type=int, default=300, dest="t_rows",
-                    help="expected rows of the final sample")
+                    help="rows handed to the small solve")
     ap.add_argument("--small-cap", type=int, default=400, dest="small_cap")
     ap.add_argument("--restarts", type=int, default=10)
     _add_common(ap)

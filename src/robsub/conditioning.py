@@ -51,21 +51,6 @@ _PROBE_CHUNK = 512
 _P2_SKETCH_BETA = 1.5
 
 
-class _RowEvaluator:
-    """Lazy n x m view of the basis rows supporting @ and row norms."""
-
-    def __init__(self, basis: "WellConditionedBasis"):
-        self._basis = basis
-        self.shape = (basis.n, basis.m)
-
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        other = np.asarray(other, dtype=float)
-        out = np.empty((self.shape[0],) + other.shape[1:])
-        for lo, hi, block in self._basis.iter_row_blocks(right=other):
-            out[lo:hi] = block
-        return out
-
-
 @dataclass
 class WellConditionedBasis:
     """Conditioning certificate (alpha, beta) plus implicit row access."""
@@ -129,9 +114,6 @@ class WellConditionedBasis:
         for lo, hi, block in self.iter_row_blocks():
             out[lo:hi] = np.sum(np.abs(block) ** q, axis=1) ** (1.0 / q)
         return out
-
-    def row_evaluator(self) -> _RowEvaluator:
-        return _RowEvaluator(self)
 
 
 def _probe_ratios(basis: WellConditionedBasis, x: np.ndarray, q: float) -> np.ndarray:
@@ -329,9 +311,10 @@ def weighted_leverage_scores(
 
     Rows are split into buckets 2^(j-1) <= w_i < 2^j; each nonempty bucket
     gets its own basis, and per-row scores are twice the unweighted form.
-    With ``gauss_t`` set, the basis row norms are replaced by Gaussian
-    sketch estimates with that many columns (the fast estimation path for
-    p=2 losses).
+    With ``gauss_t`` set, for any loss, the basis row norms are replaced
+    by the Euclidean norms of U G for a Gaussian G with that many columns
+    scaled by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney & Woodruff
+    2012); one column gives the estimate |U_i g| of the |x|^p pipeline.
     """
     n = a.shape[0]
     wv = as_weights(w, n)
@@ -350,7 +333,7 @@ def weighted_leverage_scores(
             sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)),
             **basis_kwargs,
         )
-        if gauss_t is not None and not loss.is_lp:
+        if gauss_t is not None:
             g = spawn_rng(seed, 31, int(j)).standard_normal((basis.m, gauss_t))
             g /= math.sqrt(gauss_t)
             norms = np.empty(basis.n)

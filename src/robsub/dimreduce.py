@@ -82,8 +82,7 @@ def dim_reduce(a, k: int, xhat: Subspace, cfg: DimReduceConfig, loss: LossSpec,
     if trace is not None:
         trace["expected_size"] = plan.expected_size
         trace["realized_size"] = len(sample)
-    rows = a[sample.indices]
-    blocks = [rows if not hasattr(rows, "todense") else rows.todense()]
+    blocks = [a[sample.indices]]
     if xhat.dim > 0:
         blocks.append(xhat.u.T)
     out = orthonormal_union(blocks, d=d, rank_tol=cfg.rank_tol)

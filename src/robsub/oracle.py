@@ -2,8 +2,9 @@
 
 Nothing here shares code with the sampling pipelines: the SVD baseline is
 a closed-form upper bound on the optimal cost (exact at p=2 with unit
-weights), the tiny-instance search enumerates a dense candidate set, and
-the alternating reference is a self-contained reweighted-PCA loop.
+weights), the tiny-instance searches enumerate dense candidate sets (of
+subspaces, or of factors for a small problem), and the alternating
+reference is a self-contained reweighted-PCA loop.
 """
 
 from __future__ import annotations
@@ -114,6 +115,32 @@ def exhaustive_tiny(a, k: int, loss: LossSpec, budget: int = 10_000, w=None,
         consider(v)
 
     return Subspace(best_v), best_cost
+
+
+def small_problem_grid(prob, loss: LossSpec, seed: int = 0, budget: int = 4000) -> np.ndarray:
+    """Best factor W of a small problem over a dense candidate grid (domain <= 12, k <= 3).
+
+    ``prob`` is a ``pipeline.SmallProblem``, read only through its
+    ``cost``.  Candidates: every coordinate k-factor, then ``budget``
+    random orthonormal factors.
+    """
+    k, m = prob.k, prob.domain_dim
+    if m > 12 or k > 3:
+        raise ValueError("exhaustive grid is limited to domain <= 12, k <= 3")
+    rng = spawn_rng(seed, 73)
+    best_w, best_cost = None, math.inf
+    eye = np.eye(m)
+    for comb in itertools.combinations(range(m), k):
+        w_factor = eye[:, list(comb)]
+        cost = prob.cost(w_factor, loss)
+        if cost < best_cost:
+            best_w, best_cost = w_factor, cost
+    for _ in range(budget):
+        w_factor = _orthonormal(rng.standard_normal((m, k)))
+        cost = prob.cost(w_factor, loss)
+        if cost < best_cost:
+            best_w, best_cost = w_factor, cost
+    return best_w
 
 
 def _complete_columns(v: np.ndarray, k: int, rng) -> np.ndarray:

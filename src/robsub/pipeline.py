@@ -1,25 +1,25 @@
 """End-to-end (1+eps) pipelines and the desk-scale small-problem solver.
 
-The |x|^p pipeline runs: bicriteria subspace -> residual sampling into a
-moderate subspace U -> sparse right sketch S -> leverage-score row sample T
--> solve min over rank-k projectors W W^T of ||T A U W W^T U^T S^T - T A S^T||
-on the small triple (TAU, U^T S^T, TAS^T) -> return U W.  The p=2 pipeline
-replaces the single T stage with weight-carrying rounds of the shared
-leverage-sampling loop, ending in the same small solve.
+Both pipelines run one body: bicriteria subspace -> residual sampling into
+a moderate subspace U -> sparse right sketch S -> rounds of the shared
+leverage-sampling loop on the rows of A, scored through A [S^T U], giving
+the row sample T -> solve min over rank-k projectors W W^T of
+||T A U W W^T U^T S^T - T A S^T|| on the small triple (TAU, U^T S^T, TAS^T)
+-> return U W.  The |x|^p pipeline draws T in one round, rescaling rows by
+q^(-1/p); the p=2 pipeline shrinks over several rounds carrying weights
+w / q.  Only the rows of T are densified.
 
 The small solver is heuristic by design: each restart runs a reweighted
 eigenvector alternation followed by projected gradient descent on the
-orthonormal factor (LocalSearch); very small domains can instead take the
-best member of a dense candidate grid (ExhaustiveTiny).
+orthonormal factor.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,11 +37,8 @@ from .core import (
     to_dense,
 )
 from .dimreduce import DimReduceConfig, dim_reduce
-from .sampling import draw, leverage_rounds, make_plan
+from .sampling import leverage_rounds
 from .sketch import make_sparse_sketch
-
-LOCAL_SEARCH = "local_search"
-EXHAUSTIVE_TINY = "exhaustive_tiny"
 
 
 class CapExceededError(RuntimeError):
@@ -93,11 +90,10 @@ class PipelineConfig:
     r1_multiplier: float = 2.0
     k2: float = 4.0
     kappa: float = 0.1
-    t_rows_target: int = 300            # expected rows of the final sample T
+    t_rows_target: int = 300            # rows handed to the small solve
     small_cap: int = 400                # max side of the reduced problem
     restarts: int = 10
     local_iters: int = 300
-    recur_base_rows: int = 300          # p=2 sampling rounds hand over to the small solve here
     m2_level_c: float = 1.0             # per-round sample multiplier, p=2 pipeline
     shrink: float = 0.5
 
@@ -212,17 +208,15 @@ def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
     return best_w, best_cost, converged
 
 
-def small_approx(prob: SmallProblem, loss: LossSpec, method: str = LOCAL_SEARCH,
-                 seed: int = 0, restarts: int = 10, max_iter: int = 300,
-                 cap: int = 400, exhaustive_budget: int = 4000,
+def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: int = 10,
+                 max_iter: int = 300, cap: int = 400,
                  warm_starts: Sequence[np.ndarray] = ()) -> np.ndarray:
     """Approximately minimize ||A_hat W W^T B - C||_v^p over orthonormal W.
 
-    LocalSearch restarts from a spectral start, a coordinate start, any
-    warm starts, and random factors; each restart runs the reweighted
-    eigenvector alternation and then projected gradient descent with
-    backtracking, and the best candidate wins.  ExhaustiveTiny (domain
-    <= 12, k <= 3) returns the best member of a dense candidate grid.
+    Restarts from a spectral start, a coordinate start, any warm starts,
+    and random factors; each restart runs the reweighted eigenvector
+    alternation and then projected gradient descent with backtracking, and
+    the best candidate wins.
     """
     if prob.max_side() > cap:
         raise CapExceededError(
@@ -232,26 +226,6 @@ def small_approx(prob: SmallProblem, loss: LossSpec, method: str = LOCAL_SEARCH,
     if k == m:
         return np.eye(m)
     rng = spawn_rng(seed, 73)
-
-    if method == EXHAUSTIVE_TINY:
-        if m > 12 or k > 3:
-            raise ValueError("exhaustive grid is limited to domain <= 12, k <= 3")
-        best_w, best_cost = None, math.inf
-        eye = np.eye(m)
-        for comb in itertools.combinations(range(m), k):
-            w_factor = eye[:, list(comb)]
-            cost = prob.cost(w_factor, loss)
-            if cost < best_cost:
-                best_w, best_cost = w_factor, cost
-        for _ in range(exhaustive_budget):
-            w_factor = _orthonormal(rng.standard_normal((m, k)))
-            cost = prob.cost(w_factor, loss)
-            if cost < best_cost:
-                best_w, best_cost = w_factor, cost
-        return best_w
-
-    if method != LOCAL_SEARCH:
-        raise ValueError(f"unknown method {method!r}")
 
     starts = [_spectral_init(prob), _column_energy_init(prob)]
     starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
@@ -286,7 +260,7 @@ def best_rank_k_in_subspace(a, sub: Subspace, k: int, loss: LossSpec, w=None,
     dense_a = to_dense(a)
     prob = SmallProblem(au, sub.u.T, dense_a, as_weights(w, a.shape[0]),
                         min(k, sub.dim), 0.1)
-    w_factor = small_approx(prob, loss, LOCAL_SEARCH, seed=seed,
+    w_factor = small_approx(prob, loss, seed=seed,
                             restarts=cfg.restarts, max_iter=cfg.local_iters,
                             cap=max(cfg.small_cap, max(a.shape)),
                             warm_starts=warm_starts)
@@ -341,8 +315,70 @@ def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
     return Subspace(_orthonormal(v))
 
 
+def _pad_to_k(u: np.ndarray, k: int) -> Subspace:
+    """Grow a too-small subspace to exactly k orthonormal columns."""
+    d = u.shape[0]
+    rng = spawn_rng(0, 109)
+    v = u
+    while v.shape[1] < k:
+        cand = rng.standard_normal((d, 1))
+        cand -= v @ (v.T @ cand)
+        norm = np.linalg.norm(cand)
+        if norm > 1e-12:
+            v = np.hstack([v, cand / norm])
+    return Subspace(v)
+
+
+def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig,
+                      seed: int, trace: Optional[dict], target: Callable[[int, int], float],
+                      rounds: int, gauss_t: int, salts: Tuple[int, int, int],
+                      handover: Callable[[int, int], dict]) -> Subspace:
+    """The body shared by approx_lp and approx_m2.
+
+    After the subspace stages and the right embedding, at most ``rounds``
+    rounds of ``leverage_rounds`` shrink the rows of A (dense or CSR),
+    scored through A [S^T U] (A alone when S^T = I) with ``gauss_t``
+    Gaussian columns, each planning ``target(n', d_hat)`` expected rows
+    with d_hat the scored width, until at most ``cfg.t_rows_target``
+    remain.  ``handover(kept rows, rounds run)`` checks the sample and
+    returns the trace entries to record; only the kept rows are densified
+    for the weighted small solve inside U.  Salts seed the scores, the
+    draws and the small solve.
+    """
+    if not (0.0 < eps < 1.0):
+        raise ValueError("eps must lie in (0, 1)")
+    n, d = a.shape
+    k = min(k, min(n, d))
+    tr = {} if trace is None else trace
+    tr["eps"] = eps
+
+    _, sub = _stage_subspace(a, k, loss, cfg, seed, tr)
+    u = sub.u
+    m = u.shape[1]
+    if m <= k:
+        return Subspace(u[:, :k]) if m == k else _pad_to_k(u, k)
+
+    st = _right_embedding(d, m, eps, cfg, seed)
+    h = _score_operator(st, u)
+    d_hat = d if h is None else h.shape[1]
+    (rows,), w, _, done = leverage_rounds(
+        (a,), np.ones(n), loss,
+        view=(lambda rows: rows) if h is None else (lambda rows: matmul_dense(rows, h)),
+        target=lambda n_prime, _scores: target(n_prime, d_hat),
+        stop_rows=cfg.t_rows_target, max_rounds=rounds, seed=seed,
+        salts=salts[:2], gauss_t=gauss_t)
+    tr.update(handover(rows.shape[0], done))
+
+    dense = to_dense(rows)
+    prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k, eps)
+    w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
+                            restarts=cfg.restarts, max_iter=cfg.local_iters,
+                            cap=max(cfg.small_cap, cfg.t_rows_target + 1))
+    return _final_factor(u, w_factor)
+
+
 # ---------------------------------------------------------------------------
-# |x|^p pipeline
+# the two pipelines
 
 
 def approx_lp(a, k: int, eps: float, loss: LossSpec,
@@ -357,70 +393,21 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or PipelineConfig()
-    n, d = a.shape
-    k = min(k, min(n, d))
-    p = loss.p
-    tr = {"eps": eps} if trace is None else trace
-    tr["eps"] = eps
 
-    _, sub = _stage_subspace(a, k, loss, cfg, seed, tr)
-    u = sub.u
-    m = u.shape[1]
-    if m <= k:
-        return Subspace(u[:, :k]) if m == k else _pad_to_k(a, u, k)
+    # the sampling inflation d_hat^(p/2) r1^(p+1) of the analysis
+    # oversamples everything at practical sizes, so r1 is derived from the
+    # configured sample size: the target is max(t_rows_target, d_hat^(p/2))
+    def target(_n_prime: int, d_hat: int) -> float:
+        return max(cfg.t_rows_target, d_hat ** (loss.p / 2.0))
 
-    st = _right_embedding(d, m, eps, cfg, seed)
-    h = _score_operator(st, u)
-    d_hat = d if h is None else h.shape[1]
+    def handover(kept: int, done: int) -> dict:
+        if done == 0 and kept > cfg.t_rows_target:
+            raise CapExceededError("final sampling stage drew no rows; raise t_rows_target")
+        return {"t_rows": kept}
 
-    basis = well_conditioned_basis(a, h=h, p=p,
-                                   seed=int(spawn_rng(seed, 97).integers(2**31)))
-    # the sampling inflation d_hat^(p/2) r1^(p+1) is kept in formula form;
-    # r1 is derived from the configured expected sample size, since the
-    # analysis constants oversample everything at practical sizes
-    r1 = max(1.0, (cfg.t_rows_target / d_hat ** (p / 2.0)) ** (1.0 / (p + 1.0)))
-    g = spawn_rng(seed, 101).standard_normal((basis.m, 1))
-    scores = np.abs(np.asarray(basis.row_evaluator() @ g)).ravel() ** p
-    if scores.sum() <= 0:
-        scores = np.ones(n)
-    plan = make_plan(scores, d_hat ** (p / 2.0) * r1 ** (p + 1.0), 1.0)
-    sample = draw(plan, None, seed=int(spawn_rng(seed, 103).integers(2**31)))
-    if len(sample) == 0:
-        raise CapExceededError("final sampling stage drew no rows; raise t_rows_target")
-    scale = sample.scale_factors(p)
-    rows = a[sample.indices]
-    ta = to_dense(rows)
-    tau = (ta @ u) * scale[:, None]
-    tas = (ta @ st) * scale[:, None]
-    prob = SmallProblem(tau, u.T @ st, tas, None, k, eps)
-    tr["t_rows"] = len(sample)
-
-    w_factor = small_approx(prob, loss, LOCAL_SEARCH,
-                            seed=int(spawn_rng(seed, 107).integers(2**31)),
-                            restarts=cfg.restarts, max_iter=cfg.local_iters,
-                            cap=cfg.small_cap)
-    return _final_factor(u, w_factor)
-
-
-def _pad_to_k(a, u: np.ndarray, k: int) -> Subspace:
-    """Grow a too-small subspace to exactly k orthonormal columns."""
-    d = u.shape[0]
-    rng = spawn_rng(0, 109)
-    v = u
-    while v.shape[1] < k:
-        cand = rng.standard_normal((d, 1))
-        cand -= v @ (v.T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-12:
-            v = np.hstack([v, cand / norm])
-    return Subspace(v)
-
-
-# ---------------------------------------------------------------------------
-# p=2 (general nice loss) pipeline
+    return _sample_and_solve(a, k, eps, loss, cfg, seed, trace, target, rounds=1,
+                             gauss_t=1, salts=(97, 103, 107), handover=handover)
 
 
 def approx_m2(a, k: int, eps: float, loss: LossSpec,
@@ -430,47 +417,24 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
 
     After the shared subspace stages, rounds of ``leverage_rounds`` sample
     rows of A, scored through A [S^T U] (A alone when S^T = I), with
-    weight carrying w' = w / q until at most ``recur_base_rows`` remain;
+    weight carrying w' = w / q until at most ``t_rows_target`` remain;
     then the weighted small problem is solved inside U.
     """
     if not loss.is_m2:
         raise ValueError("this pipeline requires a p=2 (non-|x|^p) loss")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or PipelineConfig()
-    n, d = a.shape
-    k = min(k, min(n, d))
-    tr = {"eps": eps} if trace is None else trace
-    tr["eps"] = eps
+    max_depth = int(2 * max(1.0, math.log2(max(math.log2(max(a.shape[0], 4)), 2.0))) + 4)
 
-    _, sub = _stage_subspace(a, k, loss, cfg, seed, tr)
-    u = sub.u
-    m = u.shape[1]
-    if m <= k:
-        return Subspace(u[:, :k]) if m == k else _pad_to_k(a, u, k)
-
-    st = _right_embedding(d, m, eps, cfg, seed)
-    h = _score_operator(st, u)
-    max_depth = int(2 * max(1.0, math.log2(max(math.log2(max(n, 4)), 2.0))) + 4)
-
-    def target(n_prime: int, _scores) -> float:
+    def target(n_prime: int, _d_hat: int) -> float:
         return min(cfg.shrink * n_prime,
-                   max(cfg.recur_base_rows,
+                   max(cfg.t_rows_target,
                        cfg.m2_level_c * n_prime ** (0.5 + cfg.kappa) * math.log2(n_prime + 2)))
 
-    (dense,), w, _, depth = leverage_rounds(
-        (to_dense(a),), np.ones(n), loss,
-        view=(lambda rows: rows) if h is None else (lambda rows: rows @ h), target=target,
-        stop_rows=cfg.recur_base_rows, max_rounds=max_depth + 1, seed=seed,
-        salts=(113, 127), gauss_t=int(math.ceil(3.0 / cfg.kappa)))
-    if depth > max_depth and dense.shape[0] > cfg.recur_base_rows:
-        raise RuntimeError(f"weighted sampling exceeded {max_depth + 1} rounds")
-    tr["recursion_depth"] = depth
-    tr["base_rows"] = dense.shape[0]
+    def handover(kept: int, done: int) -> dict:
+        if done > max_depth and kept > cfg.t_rows_target:
+            raise RuntimeError(f"weighted sampling exceeded {max_depth + 1} rounds")
+        return {"recursion_depth": done, "base_rows": kept}
 
-    prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k, eps)
-    w_factor = small_approx(prob, loss, LOCAL_SEARCH,
-                            seed=int(spawn_rng(seed, 131).integers(2**31)),
-                            restarts=cfg.restarts, max_iter=cfg.local_iters,
-                            cap=max(cfg.small_cap, cfg.recur_base_rows + 1))
-    return _final_factor(u, w_factor)
+    return _sample_and_solve(a, k, eps, loss, cfg, seed, trace, target, rounds=max_depth + 1,
+                             gauss_t=int(math.ceil(3.0 / cfg.kappa)), salts=(113, 127, 131),
+                             handover=handover)

@@ -6,8 +6,8 @@ plan with one uniform variate per index (in index order, so draws from the
 same seed are coupled across plans) and carries both the reweighting
 w'_i = w_i / q_i and, for |x|^p losses, the row scale factors q_i^(-1/p).
 ``leverage_rounds`` repeats score -> plan -> draw -> carry over weighted
-leverage scores; the bicriteria subspace, the p=2 pipeline and robust
-regression all shrink their rows with it.
+leverage scores; the bicriteria subspace, both subspace pipelines and
+robust regression all shrink their rows with it.
 """
 
 from __future__ import annotations

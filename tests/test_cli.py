@@ -207,6 +207,16 @@ class TestGadgetCommand:
         rc = main(["gadget", "--edges", str(path), "--k", "1"])
         assert rc == EXIT_CONFIG
 
+    def test_missing_edge_file_exit_2(self, tmp_path):
+        rc = main(["gadget", "--edges", str(tmp_path / "absent.txt"), "--k", "1"])
+        assert rc == EXIT_INPUT
+
+    def test_malformed_edge_line_exit_2(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("x y\n")
+        rc = main(["gadget", "--edges", str(path), "--k", "1"])
+        assert rc == EXIT_INPUT
+
     def test_export(self, k4_edges, tmp_path):
         out = tmp_path / "inst.mtx"
         rc = main(["gadget", "--edges", k4_edges, "--k", "3",

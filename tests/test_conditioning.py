@@ -99,13 +99,6 @@ class TestWellConditionedBasis:
         # u and a span the same column space
         assert np.linalg.matrix_rank(np.hstack([u, a]), tol=1e-8) == 6
 
-    def test_row_evaluator_matches(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((30, 4))
-        basis = well_conditioned_basis(a, p=1.0, seed=9)
-        g = rng.standard_normal((basis.m, 3))
-        assert np.allclose(basis.row_evaluator() @ g, basis.u_rows() @ g)
-
     def test_stable_sketch_path_large_n(self):
         # with n above the sketch size the p-stable route engages; the
         # certificates must still dominate the sampled dual-norm ratios
@@ -117,7 +110,7 @@ class TestWellConditionedBasis:
             x = rng.standard_normal(3)
             lhs = np.abs(x).max()
             # restrict to a row block: ||Ux||_1 over all rows only grows
-            assert lhs <= basis.beta * np.abs(basis.row_evaluator() @ x).sum() * (1 + 1e-9)
+            assert lhs <= basis.beta * np.abs(basis.u_rows() @ x).sum() * (1 + 1e-9)
         assert u.shape == (2000, 3)
 
     def test_stable_sketch_path_large_n_p15(self):
@@ -128,7 +121,7 @@ class TestWellConditionedBasis:
         for _ in range(50):
             x = rng.standard_normal(3)
             lhs = np.sum(np.abs(x) ** 3.0) ** (1 / 3.0)
-            rhs = np.sum(np.abs(basis.row_evaluator() @ x) ** 1.5) ** (1 / 1.5)
+            rhs = np.sum(np.abs(basis.u_rows() @ x) ** 1.5) ** (1 / 1.5)
             assert lhs <= basis.beta * rhs * (1 + 1e-9)
 
     def test_beta_certificate_deferred_until_read(self, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from conftest import planted_lowrank
 from robsub import LossSpec, Subspace, residual_cost
 from robsub.oracle import alternating_reference, exhaustive_tiny, svd_truncation_cost
-from robsub.pipeline import LOCAL_SEARCH, SmallProblem, small_approx
+from robsub.pipeline import SmallProblem, small_approx
 
 
 class TestSvdTruncation:
@@ -84,7 +84,7 @@ class TestExhaustiveTiny:
             sub, cost = exhaustive_tiny(a, 2, loss, budget=200, seed=seed,
                                         polish_steps=25)
             prob = SmallProblem(a, np.eye(6), a, None, 2, 0.1)
-            w = small_approx(prob, loss, LOCAL_SEARCH, seed=seed)
+            w = small_approx(prob, loss, seed=seed)
             assert prob.cost(w, loss) <= 1.05 * cost + 1e-12
 
 

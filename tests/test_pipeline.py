@@ -12,10 +12,8 @@ from robsub import (
     weighted_leverage_scores,
 )
 from robsub import sampling
-from robsub.oracle import svd_truncation_cost
+from robsub.oracle import small_problem_grid, svd_truncation_cost
 from robsub.pipeline import (
-    EXHAUSTIVE_TINY,
-    LOCAL_SEARCH,
     CapExceededError,
     PipelineConfig,
     SmallProblem,
@@ -76,9 +74,8 @@ class TestSmallApprox:
         ok = 0
         for seed in range(20):
             prob = _random_problem(seed, m_prime=8, m=8, m_dprime=8, k=2)
-            wl = small_approx(prob, loss, LOCAL_SEARCH, seed=seed)
-            we = small_approx(prob, loss, EXHAUSTIVE_TINY, seed=seed,
-                              exhaustive_budget=2000)
+            wl = small_approx(prob, loss, seed=seed)
+            we = small_problem_grid(prob, loss, seed=seed, budget=2000)
             ok += prob.cost(wl, loss) <= 1.05 * prob.cost(we, loss)
         assert ok == 20
 
@@ -102,7 +99,7 @@ class TestSmallApprox:
     def test_exhaustive_domain_limit(self):
         prob = _random_problem(9, m=14, m_prime=20, k=2)
         with pytest.raises(ValueError):
-            small_approx(prob, LossSpec.lp(1.0), EXHAUSTIVE_TINY)
+            small_problem_grid(prob, LossSpec.lp(1.0))
 
     def test_warm_start_respected(self):
         # a warm start at the planted optimum pins the result there
@@ -159,6 +156,17 @@ class TestApproxLp:
         s1 = approx_lp(a, 2, 0.3, loss, seed=5)
         s2 = approx_lp(a, 2, 0.3, loss, seed=5)
         assert np.array_equal(s1.u, s2.u)
+
+    def test_empty_final_sample_raises(self, monkeypatch):
+        # n = 200 is at the bicriteria row target (50 k^2), so the only
+        # leverage draw is the final sample, here forced to keep no rows
+        draw, plans = sampling.draw, []
+        monkeypatch.setattr(sampling, "draw", lambda plan, w=None, seed=0: plans.append(plan)
+                            or draw(sampling.SamplingPlan(np.zeros_like(plan.q)), w, seed))
+        a, _ = planted_lowrank(200, 20, 2, seed=12, noise=0.1)
+        with pytest.raises(CapExceededError, match="drew no rows"):
+            approx_lp(a, 2, 0.3, LossSpec.lp(1.0), PipelineConfig(t_rows_target=100), seed=5)
+        assert len(plans) == 1 and plans[0].q.size == 200
 
     def test_p15_pipeline(self):
         # the fractional-exponent path: stable sketches at p=1.5, dual
@@ -220,7 +228,7 @@ class TestApproxM2:
             a = (rng.standard_normal((n, 2)) @ rng.standard_normal((2, 10))
                  + 0.05 * rng.standard_normal((n, 10)))
             tr = {}
-            cfg = PipelineConfig(recur_base_rows=300)
+            cfg = PipelineConfig(t_rows_target=300)
             approx_m2(a, 2, 0.3, loss, cfg, seed=1, trace=tr)
             bound = 2 * np.log2(np.log2(n)) + 2
             assert tr["recursion_depth"] <= bound
@@ -263,6 +271,35 @@ class TestApproxM2:
         approx_m2(a, 2, 0.3, LossSpec.huber(1.0), seed=3, trace=tr)
         assert tr["reduced_dim"] > 2 and tr["recursion_depth"] >= 1
         assert widths and set(widths) == {12}
+
+    def test_sparse_input_scored_without_densifying(self, monkeypatch):
+        # with S^T = I the first round scores the CSR input itself
+        kinds = []
+        score = sampling.weighted_leverage_scores
+        monkeypatch.setattr(sampling, "weighted_leverage_scores",
+                            lambda a, *args, **kw: kinds.append(sp.issparse(a))
+                            or score(a, *args, **kw))
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
+        sub = approx_m2(sp.csr_matrix(a), 2, 0.3, LossSpec.huber(1.0), seed=3)
+        assert kinds and kinds[0]
+        assert sub.dim == 2
+
+    def test_t_rows_target_sets_base_rows(self):
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
+        rows = {}
+        for t_rows in (100, 300):
+            tr = {}
+            approx_m2(a, 2, 0.3, LossSpec.huber(1.0), PipelineConfig(t_rows_target=t_rows),
+                      seed=3, trace=tr)
+            rows[t_rows] = tr["base_rows"]
+        assert rows[100] <= 100 < rows[300] <= 300
+
+    def test_round_limit_raises(self):
+        # a per-round target of nearly every row cannot shrink to t_rows_target
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05)
+        cfg = PipelineConfig(m2_level_c=100.0, shrink=0.999)
+        with pytest.raises(RuntimeError, match="weighted sampling exceeded"):
+            approx_m2(a, 2, 0.3, LossSpec.huber(1.0), cfg, seed=3)
 
     def test_stack_with_identity_leaves_scores_unchanged(self):
         # A U lies in the column space of A, so A and A [I U] score alike
