@@ -117,11 +117,16 @@ def const_approx(a, k: int, loss: LossSpec, cfg: Optional[ConstApproxConfig] = N
         warnings.warn(f"k={k} exceeds min(n, d)={min(n, d)}; clamping", RuntimeWarning)
         k = min(n, d)
 
+    p_m = cfg.p_m(k, n, loss)
+    if n <= p_m:
+        # no sampling round can run, so the right sketch would go unread
+        if trace is not None:
+            trace.append({"depth": 0, "n": n, "base_case": True, "indices": np.arange(n)})
+        return orthonormal_union([a], d=d, rank_tol=cfg.rank_tol)
     m = int(min(max(k + 1, cfg.c_sketch_cols * k * k), d))
     sketch = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
                                 m=m, d=d, s=min(cfg.sparsity(), m))
     a_proj = apply_right(a, sketch)
-    p_m = cfg.p_m(k, n, loss)
     max_depth = int(4 * math.log2(max(math.log2(max(n, 4)), 2.0)) + 8)
     surv = const_approx_recur(a_proj, a, np.ones(n), loss, cfg, seed,
                               p_m, max_depth, trace=trace)

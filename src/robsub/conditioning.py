@@ -4,11 +4,12 @@ A basis U for the column space of A (or of A @ H) is carried implicitly as
 a change-of-basis matrix: U = (A H) @ F with F = V_r diag(1/sigma_r), where
 sigma_r and V_r are the singular values above the rank tolerance and the
 right singular vectors of the sketched product Pi (A H), computed by an
-R-only QR and the SVD of the small R.  The sketch Pi = S D is a sparse
-embedding with one nonzero per column, so Pi (A H) costs O(nnz(A H)) and
-Pi U is orthonormal: for p in [1, 2) a p-stable one (the sparse Cauchy
-transform of Meng & Mahoney 2013 at p = 1), and for p = 2 CountSketch
-(Clarkson & Woodruff 2013), whose distortion bounds beta by a constant.
+R-only QR, which densifies one block of 2048 rows at a time, and the SVD
+of the small R.  The sketch Pi = S D is a sparse embedding with one
+nonzero per column, so Pi (A H) costs O(nnz(A H)) and Pi U is
+orthonormal: for p in [1, 2) a p-stable one (the sparse Cauchy transform
+of Meng & Mahoney 2013 at p = 1), and for p = 2 CountSketch (Clarkson &
+Woodruff 2013), whose distortion bounds beta by a constant.
 Where the sketch would not be smaller than A H, Pi is the identity and U
 at p = 2 is an exact orthonormal factor (beta = 1), whose row norms are
 the leverage scores of every orthonormal basis of the column space.  The
@@ -38,7 +39,6 @@ from .core import (
     is_sparse,
     matmul_dense,
     spawn_rng,
-    to_dense,
 )
 from .sketch import make_pstable_sketch, rank_revealing_factor
 
@@ -170,13 +170,14 @@ def well_conditioned_basis(
     """Build a well-conditioned basis for the column space of A H.
 
     The change of basis F = V_r diag(1/sigma_r) comes from
-    ``rank_revealing_factor``: an R-only QR of the operand, then the SVD of
-    the small R, keeping singular values above rank_tol * sigma_max.  The
-    operand is either Pi (A H), with Pi = S D the sparse embedding of
-    ``PStableSketch`` that hashes the n rows into s buckets after scaling
-    each by a p-stable draw (a random sign at p = 2), so that Pi (A H) F is
-    orthonormal; or A H itself, so that (A H) F is orthonormal.  With m0
-    the column count of A H, the size rule is:
+    ``rank_revealing_factor``: an R-only QR of the operand, taken one dense
+    block of 2048 rows at a time (a sparse A H is never densified whole),
+    then the SVD of the small R, keeping singular values above
+    rank_tol * sigma_max.  The operand is either Pi (A H), with Pi = S D
+    the sparse embedding of ``PStableSketch`` that hashes the n rows into s
+    buckets after scaling each by a p-stable draw (a random sign at p = 2),
+    so that Pi (A H) F is orthonormal; or A H itself, so that (A H) F is
+    orthonormal.  With m0 the column count of A H, the size rule is:
 
     * p in [1, 2): s = c_pi * m0^2, capped at stable_row_cap (and at least
       2 m0); the sketch is taken when s < n.  This is the sparse Cauchy
@@ -216,7 +217,7 @@ def well_conditioned_basis(
     else:
         # no sketch when exact factorization is cheaper; identity is an
         # exact subspace embedding, so the certificates are only sharper
-        sv, v = rank_revealing_factor(to_dense(ah), rank_tol)
+        sv, v = rank_revealing_factor(ah, rank_tol)
 
     if sv.size == 0:
         raise ValueError("operand has numerical rank zero")

@@ -49,13 +49,16 @@ def dim_reduce(a, k: int, xhat: Subspace, cfg: DimReduceConfig, loss: LossSpec,
     Scores are q'_i = M(||A_i (I - W W^T) G||_2) with G Gaussian (a single
     column for |x|^p losses, O(log n) columns otherwise); the plan uses
     r = r1^(p+1) or r1 respectively, with oversampling constant k2.  If
-    every residual is zero the input subspace is returned unchanged.
+    every residual is zero (always so when xhat is the whole space) the
+    input subspace is returned unchanged.
     """
     n, d = a.shape
     if k > d:
         raise ValueError(f"k={k} exceeds column count {d}")
     if xhat.d != d:
         raise ValueError("projector dimension mismatch")
+    if xhat.dim == d:
+        return xhat  # every residual is zero
     p = loss.p
     if loss.is_lp:
         t_m = 1

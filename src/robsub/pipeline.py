@@ -112,9 +112,9 @@ def _orthonormal(mat: np.ndarray) -> np.ndarray:
     return q * signs
 
 
-def _spectral_init(prob: SmallProblem) -> np.ndarray:
+def _spectral_init(prob: SmallProblem, b_pinv: np.ndarray) -> np.ndarray:
     """Top-k eigenvectors of the symmetrized unconstrained minimizer."""
-    x = np.linalg.pinv(prob.a_hat) @ prob.c @ np.linalg.pinv(prob.b)
+    x = np.linalg.pinv(prob.a_hat) @ prob.c @ b_pinv
     sym = (x + x.T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(vals)[::-1][: prob.k]
@@ -141,7 +141,7 @@ def _gradient(prob: SmallProblem, loss: LossSpec, w_factor: np.ndarray):
     return cost, grad
 
 
-def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
+def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, g_mat: np.ndarray,
                 iters: int = 50):
     """Reweighted eigenvector alternation for the projector objective.
 
@@ -151,9 +151,8 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
     for sketch transposes), the quadratic step minimizes
     tr(W^T [A^T P A - 2 sym(A^T P C B^+)] W) over orthonormal W, i.e. a
     bottom-k eigenvector problem.  Candidates are scored by the true
-    objective and the best is kept.
+    objective and the best is kept.  g_mat is C B^+.
     """
-    g_mat = prob.c @ np.linalg.pinv(prob.b)
     w_factor = w0
     best_w, best_cost = w0, prob.cost(w0, loss)
     for _ in range(iters):
@@ -227,14 +226,16 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: in
         return np.eye(m)
     rng = spawn_rng(seed, 73)
 
-    starts = [_spectral_init(prob), _column_energy_init(prob)]
+    b_pinv = np.linalg.pinv(prob.b)
+    g_mat = prob.c @ b_pinv  # C B^+, shared by every restart
+    starts = [_spectral_init(prob, b_pinv), _column_energy_init(prob)]
     starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
     while len(starts) < max(restarts, 2 + len(warm_starts)):
         starts.append(_orthonormal(rng.standard_normal((m, k))))
 
     best_w, best_cost, any_converged = None, math.inf, False
     for w0 in starts:
-        w_mm, _ = _mm_descent(prob, loss, w0)
+        w_mm, _ = _mm_descent(prob, loss, w0, g_mat)
         w_factor, cost, converged = _local_search_from(prob, loss, w_mm, max_iter)
         any_converged = any_converged or converged
         if cost < best_cost:

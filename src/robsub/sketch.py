@@ -10,9 +10,10 @@ Three sketch families, each a pure function of its seed:
   p=1, CountSketch at p=2), applied in O(nnz) work to condition bases
   for l_p.
 
-Also provides the rank-revealing factor (R-only QR, then the SVD of the
-small R) behind every exact basis, and the orthonormal union of row
-blocks built on it, which the samplers feed into.
+Also provides the rank-revealing factor (R-only QR, one dense block of
+2048 rows at a time, then the SVD of the small R) behind every exact
+basis, and the orthonormal union of row blocks built on it, which the
+samplers feed into.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import Subspace, check_finite, is_sparse, matmul_dense, spawn_rng
+
+# rows of the operand densified at a time by rank_revealing_factor
+_FACTOR_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -135,16 +139,29 @@ def half_normal_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
-def rank_revealing_factor(t: np.ndarray, rank_tol: float):
+def rank_revealing_factor(t, rank_tol: float):
     """Singular values above rank_tol * sigma_max of t, with their right singular vectors.
 
-    Takes the economic R-only QR of t (blocked Householder, Q never formed)
-    and then the SVD of the small R, so t = (Q U) diag(sv) V^T with Q U
-    orthonormal: t V diag(1/sv) is an orthonormal basis of the column space
-    of t, and V one of its row space.  Returns (sv, V) with V of shape
-    (t.shape[1], rank).  Raises ValueError when t holds a NaN or infinity.
+    Builds the R of an economic R-only QR of t (blocked Householder, Q never
+    formed) one block of ``_FACTOR_BLOCK`` rows at a time, as a one-level
+    TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each block is densified
+    and reduced to its own R, and the stacked block Rs are reduced once
+    more.  The SVD of the small R then gives t = (Q U) diag(sv) V^T with
+    Q U orthonormal: t V diag(1/sv) is an orthonormal basis of the column
+    space of t, and V one of its row space.  t may be dense or sparse; at
+    most one row block of it is dense at a time, and a t of at most
+    ``_FACTOR_BLOCK`` rows is factored in one QR.  Returns (sv, V) with V
+    of shape (t.shape[1], rank).  Raises ValueError when t holds a NaN or
+    infinity.
     """
-    r = np.linalg.qr(t, mode="r")
+    sparse = is_sparse(t)
+    t = t.tocsr() if sparse else np.asarray(t)
+    rs = []
+    # max(n, 1): a t with no rows is one empty block, whose R is empty
+    for lo in range(0, max(t.shape[0], 1), _FACTOR_BLOCK):
+        block = t[lo:lo + _FACTOR_BLOCK]
+        rs.append(np.linalg.qr(block.toarray() if sparse else block, mode="r"))
+    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
     check_finite(r)  # a NaN or inf anywhere in t reaches R
     _, sv, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
@@ -156,9 +173,11 @@ def orthonormal_union(blocks, d: int | None = None, rank_tol: float = 1e-8) -> S
 
     Rank-revealing: the basis is the right singular vectors of the stacked
     rows (``rank_revealing_factor``) whose singular value exceeds rank_tol
-    times the largest.  An empty input yields the empty subspace.
+    times the largest.  Sparse blocks stay sparse: the stack is CSR when
+    any block is sparse, and a single block is factored as given.  An
+    empty input yields the empty subspace.
     """
-    mats = [np.atleast_2d(np.asarray(b if not is_sparse(b) else b.todense(), dtype=float))
+    mats = [b if is_sparse(b) else np.atleast_2d(np.asarray(b, dtype=float))
             for b in blocks if b is not None and b.shape[0] > 0]
     if not mats:
         if d is None:
@@ -167,7 +186,13 @@ def orthonormal_union(blocks, d: int | None = None, rank_tol: float = 1e-8) -> S
     width = mats[0].shape[1]
     if any(m.shape[1] != width for m in mats):
         raise ValueError("blocks disagree on column count")
-    _, v = rank_revealing_factor(np.vstack(mats), rank_tol)
+    if len(mats) == 1:
+        stack = mats[0]
+    elif any(is_sparse(m) for m in mats):
+        stack = sp.vstack(mats, format="csr")
+    else:
+        stack = np.vstack(mats)
+    _, v = rank_revealing_factor(stack, rank_tol)
     return Subspace(v)
 
 

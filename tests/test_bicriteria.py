@@ -12,6 +12,7 @@ from robsub import (
     residual_cost,
     v_norm_p,
 )
+from robsub import bicriteria
 from robsub.oracle import svd_truncation_cost
 
 
@@ -31,6 +32,19 @@ class TestBaseCase:
         out = const_approx_recur(a_hat[:, :4], a_hat, np.ones(10), LossSpec.lp(1.0),
                                  cfg, seed=0, p_m=50, max_depth=10)
         assert out is a_hat
+
+    def test_base_case_skips_right_sketch(self, monkeypatch):
+        # n <= P_M: no round reads the sketched copy, so none is made
+        monkeypatch.setattr(bicriteria, "apply_right",
+                            lambda *args: pytest.fail("apply_right called"))
+        a = np.random.default_rng(2).standard_normal((40, 9))
+        trace = []
+        sub = const_approx(a, 2, LossSpec.huber(1.0), seed=0, trace=trace)
+        assert sub.dim == 9
+        assert len(trace) == 1
+        entry = trace[0]
+        assert (entry["depth"], entry["n"], entry["base_case"]) == (0, 40, True)
+        assert np.array_equal(entry["indices"], np.arange(40))
 
 
 class TestExactRecovery:

@@ -12,6 +12,7 @@ from robsub import (
     dim_reduce,
     residual_cost,
 )
+from robsub import dimreduce
 from robsub.oracle import alternating_reference
 from robsub.pipeline import best_rank_k_in_subspace
 
@@ -37,6 +38,14 @@ class TestDimReduceEdges:
         out = dim_reduce(a, 2, xhat, _cfg(2), LossSpec.lp(1.0), seed=1)
         assert out.dim == xhat.dim
         assert out.u is xhat.u  # returned unchanged, not merely equal as a span
+
+    def test_full_space_xhat_returned_without_estimates(self, monkeypatch):
+        # with xhat the whole space every residual is zero: nothing is sketched
+        monkeypatch.setattr(dimreduce, "gaussian_row_norm_estimates",
+                            lambda *args: pytest.fail("residuals estimated"))
+        xhat = Subspace(np.eye(9))
+        a = np.random.default_rng(6).standard_normal((80, 9))
+        assert dim_reduce(a, 2, xhat, _cfg(2), LossSpec.huber(1.0), seed=1) is xhat
 
     def test_empty_xhat_identity_input_full_space(self):
         out = dim_reduce(np.eye(7), 2, Subspace.empty(7), _cfg(2), LossSpec.lp(1.0), seed=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -309,6 +311,31 @@ class TestApproxM2:
         plain = weighted_leverage_scores(a, None, loss, seed=0)
         stacked = weighted_leverage_scores(a @ np.hstack([np.eye(12), u]), None, loss, seed=0)
         assert np.abs(plain.gamma - stacked.gamma).max() <= 1e-10
+
+    def test_sparse_peak_below_dense_a(self):
+        # CSR rank 3 on 15 columns, two noise entries a row and 1% outlier
+        # rows: the fit never holds as much memory as dense A would
+        n, d = 12000, 150
+        rng = np.random.default_rng(7)
+        v = np.zeros((4, d))
+        for j, cols in enumerate(rng.choice(d, (4, 5), replace=False)):
+            v[j, cols] = rng.standard_normal(5)
+        noise = sp.csr_matrix((0.1 * rng.standard_normal(2 * n),
+                               (np.repeat(np.arange(n), 2), rng.integers(0, d, 2 * n))),
+                              shape=(n, d))
+        keep = np.ones(n)
+        keep[rng.choice(n, n // 100, replace=False)] = 0.0
+        coef = np.column_stack([10.0 * rng.standard_normal((n, 3)) * keep[:, None],
+                                100.0 * (1.0 - keep)])
+        a = (sp.diags(keep) @ noise + sp.csr_matrix(coef) @ sp.csr_matrix(v)).tocsr()
+        tracemalloc.start()
+        try:
+            sub = approx_m2(a, 3, 0.25, LossSpec.huber(1.0), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.dim == 3
+        assert peak < n * d * 8
 
 
 class TestNonFiniteInput:

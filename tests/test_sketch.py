@@ -12,6 +12,7 @@ from robsub import (
     make_sparse_sketch,
     orthonormal_union,
 )
+from robsub.sketch import rank_revealing_factor
 
 
 class TestSparseSketch:
@@ -193,17 +194,48 @@ def _svd_projector(rows, rank_tol=1e-8):
     return v @ v.T
 
 
+class TestRankRevealingFactor:
+    @staticmethod
+    def _rank_deficient(rows):
+        # rank 6 of 12 columns: two duplicated, four zero
+        a = np.random.default_rng(rows).standard_normal((rows, 6))
+        return np.hstack([a, a[:, :2], np.zeros((rows, 4))])
+
+    def test_blockwise_matches_svd_dense_and_sparse(self):
+        # 9000 rows span several row blocks; each input form gives the same
+        # factor, whose projector is the SVD one
+        a = self._rank_deficient(9000)
+        _, ref_sv, ref_vt = np.linalg.svd(a, full_matrices=False)
+        ref_v = ref_vt[:6].T
+        for t in (a, sp.csr_matrix(a), sp.coo_matrix(a)):
+            sv, v = rank_revealing_factor(t, 1e-8)
+            assert sv.size == v.shape[1] == 6
+            assert np.allclose(sv, ref_sv[:6], rtol=1e-12, atol=0.0)
+            assert np.abs(v @ v.T - ref_v @ ref_v.T).max() <= 1e-10
+
+    def test_one_block_is_one_qr(self):
+        # up to one row block the factor is the R-only QR of t, bit for bit
+        a = self._rank_deficient(2048)
+        _, ref_sv, ref_vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
+        sv, v = rank_revealing_factor(a, 1e-8)
+        assert np.array_equal(sv, ref_sv[:6]) and np.array_equal(v, ref_vt[:6].T)
+
+
 class TestOrthonormalUnion:
-    @pytest.mark.parametrize("rows, width", [(5000, 12), (6, 40)])
-    def test_projector_matches_svd(self, rows, width):
+    @pytest.mark.parametrize("rows, width, sparse", [
+        pytest.param(5000, 12, False, id="5000-12"),
+        pytest.param(6, 40, False, id="6-40"),
+        pytest.param(5000, 12, True, id="5000-12-csr"),
+    ])
+    def test_projector_matches_svd(self, rows, width, sparse):
         # a tall stack (past one QR row block) and a wide one, each of rank 5
-        # with a repeated row
+        # with a repeated row; sparse stacks a CSR block with a dense row
         rng = np.random.default_rng(rows)
         block = rng.standard_normal((rows - 1, 5)) @ rng.standard_normal((5, width))
-        blocks = [block, block[:1]]
+        blocks = [sp.csr_matrix(block) if sparse else block, block[:1]]
         sub = orthonormal_union(blocks, d=width)
         assert sub.dim == 5
-        assert np.abs(sub.u @ sub.u.T - _svd_projector(np.vstack(blocks))).max() <= 1e-10
+        assert np.abs(sub.u @ sub.u.T - _svd_projector(np.vstack([block, block[:1]]))).max() <= 1e-10
 
     def test_zero_block_empty(self):
         sub = orthonormal_union([np.zeros((50, 7))], d=7)
