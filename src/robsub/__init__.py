@@ -24,7 +24,6 @@ from .sketch import (
     SparseSketch,
     apply_right,
     gaussian_row_norm_estimates,
-    half_normal_moment,
     make_gaussian_sketch,
     make_pstable_sketch,
     make_sparse_sketch,

@@ -23,9 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import io as rio
-from .bicriteria import ConstApproxConfig, const_approx
-from .core import LossSpec, Subspace, residual_cost, v_norm_p
-from .dimreduce import DimReduceConfig, dim_reduce
+from .bicriteria import ConstApproxConfig
+from .core import LossSpec, residual_cost, v_norm_p
 from .hardness import (
     adjacency_excess,
     brute_force_best_coordinate,
@@ -34,7 +33,7 @@ from .hardness import (
     read_edge_list,
 )
 from .oracle import svd_truncation_cost
-from .pipeline import CapExceededError, PipelineConfig, approx_lp, approx_m2
+from .pipeline import CapExceededError, PipelineConfig, _stage_subspace, approx_lp, approx_m2
 from .regression import RegressConfig, irls_solve, m_regress, regression_objective
 from .sketch import apply_right, make_sparse_sketch
 
@@ -115,40 +114,38 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def cmd_approx(args) -> int:
     a = rio.load_matrix(args.input)
-    weights = rio.load_vector(args.weights) if args.weights else None
     loss = _make_loss(args)
     cfg = _pipeline_config(args)
     n, d = a.shape
     if args.k < 1:
         raise ConfigError("--k must be >= 1")
+    if not (0.0 < args.eps < 1.0):
+        raise ConfigError("--eps must lie in (0, 1)")
 
     report = _base_report(args, "approx")
     timings = {}
     trace = {}
     t0 = time.perf_counter()
-    if args.stage == "bicriteria":
-        sub = const_approx(a, args.k, loss, cfg.const_cfg, seed=args.seed)
-    elif args.stage == "dimreduce":
-        xhat = const_approx(a, args.k, loss, cfg.const_cfg, seed=args.seed)
-        xhat = Subspace(xhat.u, quality_k=cfg.resolved_k(args.k))
-        dr = DimReduceConfig(eps=args.eps, k=args.k, quality_k=cfg.resolved_k(args.k),
-                             r1_multiplier=args.c1, k2=args.k2)
-        sub = dim_reduce(a, args.k, xhat, dr, loss, seed=args.seed)
+    if args.stage in ("bicriteria", "dimreduce"):
+        # the pipelines' own subspace stages, seeded as they seed them
+        xhat, sub = _stage_subspace(a, args.k, loss, cfg, args.seed, args.eps, trace)
+        if args.stage == "bicriteria":
+            sub = xhat
     elif args.stage == "full":
         if loss.is_lp and loss.p < 2.0:
             sub = approx_lp(a, args.k, args.eps, loss, cfg, seed=args.seed, trace=trace)
         elif loss.is_m2:
             sub = approx_m2(a, args.k, args.eps, loss, cfg, seed=args.seed, trace=trace)
         else:
-            sub, _ = svd_truncation_cost(a, args.k, weights, loss)
+            sub, _ = svd_truncation_cost(a, args.k, None, loss)
     else:
         raise ConfigError(f"unknown stage {args.stage!r}")
     timings["fit_seconds"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cost_p = residual_cost(a, sub, weights, loss)
-    total_p = v_norm_p(a, weights, loss)
-    svd_sub, svd_cost_p = svd_truncation_cost(a, min(args.k, min(n, d)), weights, loss)
+    cost_p = residual_cost(a, sub, None, loss)
+    total_p = v_norm_p(a, None, loss)
+    _, svd_cost_p = svd_truncation_cost(a, min(args.k, min(n, d)), None, loss)
     timings["report_seconds"] = time.perf_counter() - t0
 
     report["results"] = {
@@ -314,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ap = subs.add_parser("approx", help="fit a rank-k subspace")
     ap.add_argument("--input", required=True, help="matrix file (.mtx or .csv)")
-    ap.add_argument("--weights", default=None, help="optional one-column CSV of row weights")
     ap.add_argument("--k", type=int, required=True)
     ap.add_argument("--eps", type=float, default=0.25)
     ap.add_argument("--stage", default="full", choices=["bicriteria", "dimreduce", "full"])

@@ -44,8 +44,12 @@ from .sketch import make_pstable_sketch, rank_revealing_factor
 
 _ROW_BLOCK = 8192
 _DEF_PROBES = 10_000
-_STABLE_ROW_CAP = 8192
 _PROBE_CHUNK = 512
+# size rule of well_conditioned_basis: c_pi m0^2 hash buckets, the p < 2 cap
+# on them and the p = 2 row floor for sketching, and the beta safety factor
+_C_PI = 20.0
+_STABLE_ROW_CAP = 8192
+_BETA_SAFETY = 2.0
 # beta of a CountSketch-conditioned p = 2 basis, 1 + eps at eps = 1/2; see
 # well_conditioned_basis
 _P2_SKETCH_BETA = 1.5
@@ -60,7 +64,7 @@ class WellConditionedBasis:
     n: int
     m: int
     _ah: object                   # n x m0 product A H (dense or sparse)
-    _probes: tuple                # (seed, n_probe, safety) of the beta certificate
+    _probes: tuple                # (seed, n_probe) of the beta certificate
     sketched: bool                # F comes from a sketch Pi (A H), not from A H itself
 
     @cached_property
@@ -129,12 +133,12 @@ def _probe_ratios(basis: WellConditionedBasis, x: np.ndarray, q: float) -> np.nd
     return xq / np.maximum(ux_p ** (1.0 / p), 1e-300)
 
 
-def _beta_certificate(basis: WellConditionedBasis, seed: int, n_probe: int, safety: float,
+def _beta_certificate(basis: WellConditionedBasis, seed: int, n_probe: int,
                       stop: float = math.inf) -> float:
-    """Sampled estimate of the dual-norm distortion bound, times a safety factor.
+    """Sampled estimate of the dual-norm distortion bound, times _BETA_SAFETY.
 
-    The probes are drawn in chunks of 512 from one stream.  Once the running
-    max times safety reaches ``stop`` the rest are skipped: that value is a
+    The probes are drawn in chunks of 512 from one stream.  Once the scaled
+    running max reaches ``stop`` the rest are skipped: that value is a
     lower bound on the full certificate.  The first probe is screened on its
     own before its chunk, since one probe often decides; the chunk is then
     evaluated whole, so a run that completes returns the same value as one
@@ -147,44 +151,35 @@ def _beta_certificate(basis: WellConditionedBasis, seed: int, n_probe: int, safe
         x = rng.standard_normal((basis.m, min(_PROBE_CHUNK, n_probe - lo)))
         x /= np.linalg.norm(x, axis=0, keepdims=True)
         if lo == 0 and stop < math.inf:
-            first = float(_probe_ratios(basis, x[:, :1], q)[0]) * safety
+            first = float(_probe_ratios(basis, x[:, :1], q)[0]) * _BETA_SAFETY
             if first >= stop:
                 return first
         best = max(best, float(_probe_ratios(basis, x, q).max()))
-        if best * safety >= stop:
+        if best * _BETA_SAFETY >= stop:
             break
-    return best * safety
+    return best * _BETA_SAFETY
 
 
-def well_conditioned_basis(
-    a,
-    h=None,
-    p: float = 2.0,
-    seed: int = 0,
-    c_pi: float = 20.0,
-    stable_row_cap: int = _STABLE_ROW_CAP,
-    n_probe: int = _DEF_PROBES,
-    rank_tol: float = 1e-8,
-    beta_safety: float = 2.0,
-) -> WellConditionedBasis:
+def well_conditioned_basis(a, h=None, p: float = 2.0, seed: int = 0,
+                           n_probe: int = _DEF_PROBES) -> WellConditionedBasis:
     """Build a well-conditioned basis for the column space of A H.
 
     The change of basis F = V_r diag(1/sigma_r) comes from
     ``rank_revealing_factor``: an R-only QR of the operand, taken one dense
     block of 2048 rows at a time (a sparse A H is never densified whole),
     then the SVD of the small R, keeping singular values above
-    rank_tol * sigma_max.  The operand is either Pi (A H), with Pi = S D
+    ``sketch.RANK_TOL`` * sigma_max.  The operand is either Pi (A H), with Pi = S D
     the sparse embedding of ``PStableSketch`` that hashes the n rows into s
     buckets after scaling each by a p-stable draw (a random sign at p = 2),
     so that Pi (A H) F is orthonormal; or A H itself, so that (A H) F is
     orthonormal.  With m0 the column count of A H, the size rule is:
 
-    * p in [1, 2): s = c_pi * m0^2, capped at stable_row_cap (and at least
-      2 m0); the sketch is taken when s < n.  This is the sparse Cauchy
-      transform of Meng & Mahoney (2013) at p = 1.  beta is estimated from
-      n_probe random probes times beta_safety when ``.beta`` is first read.
+    * p in [1, 2): s = c_pi * m0^2, capped at 8192 (and at least 2 m0);
+      the sketch is taken when s < n.  This is the sparse Cauchy transform
+      of Meng & Mahoney (2013) at p = 1.  beta is estimated from n_probe
+      random probes times a safety factor of 2 when ``.beta`` is first read.
     * p = 2: s = ceil(c_pi * m0^2), uncapped; the sketch (CountSketch) is
-      taken only when n > max(s, stable_row_cap), and otherwise the exact
+      taken only when n > max(s, 8192), and otherwise the exact
       factor with beta = 1.  A sketched basis has beta = 1.5: when Pi is a
       (1 +- 1/2) subspace embedding of the column space,
       ||x|| = ||Pi U x|| <= 1.5 ||U x||, and the singular values of U lie in
@@ -195,8 +190,10 @@ def well_conditioned_basis(
       rows scaled by 100, the singular values of U lay in [0.93, 1.15]
       over three seeds.
 
-    The reported width m is the numerical rank, which drops below m0 when
-    the columns of A H are dependent.
+    Here c_pi = 20; it and the two constants above are the module
+    constants _C_PI, _STABLE_ROW_CAP and _BETA_SAFETY.  The reported width m
+    is the numerical rank, which drops below m0 when the columns of A H are
+    dependent.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
@@ -206,23 +203,22 @@ def well_conditioned_basis(
         raise ValueError("empty operand")
 
     if p == 2.0:
-        s = math.ceil(c_pi * m0 * m0)
-        sketched = n > max(s, stable_row_cap)
+        s = math.ceil(_C_PI * m0 * m0)
+        sketched = n > max(s, _STABLE_ROW_CAP)
     else:
-        s = int(min(max(2 * m0, math.ceil(c_pi * m0 * m0)), max(stable_row_cap, 2 * m0)))
+        s = int(min(max(2 * m0, math.ceil(_C_PI * m0 * m0)), max(_STABLE_ROW_CAP, 2 * m0)))
         sketched = s < n
     if sketched:
         pi = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p)
-        sv, v = rank_revealing_factor(pi.apply(ah), rank_tol)
+        sv, v = rank_revealing_factor(pi.apply(ah))
     else:
         # no sketch when exact factorization is cheaper; identity is an
         # exact subspace embedding, so the certificates are only sharper
-        sv, v = rank_revealing_factor(ah, rank_tol)
+        sv, v = rank_revealing_factor(ah)
 
     if sv.size == 0:
         raise ValueError("operand has numerical rank zero")
-    return WellConditionedBasis(v / sv, float(p), n, sv.size, ah,
-                                (seed, n_probe, beta_safety), sketched)
+    return WellConditionedBasis(v / sv, float(p), n, sv.size, ah, (seed, n_probe), sketched)
 
 
 # ---------------------------------------------------------------------------

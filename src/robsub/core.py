@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,13 +187,6 @@ class WeightVector:
             raise ValueError("every weight must be >= 1")
         object.__setattr__(self, "w", arr)
 
-    @staticmethod
-    def ones(n: int) -> "WeightVector":
-        return WeightVector(np.ones(n))
-
-    def __len__(self) -> int:
-        return self.w.size
-
     @property
     def n_buckets(self) -> int:
         if self.w.size == 0:
@@ -301,7 +294,6 @@ class Subspace:
     """An orthonormal column factor U; the projector it represents is U U^T."""
 
     u: np.ndarray
-    quality_k: Optional[float] = None
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -312,8 +304,6 @@ class Subspace:
             err = np.abs(gram - np.eye(u.shape[1])).max()
             if err > 1e-10:
                 raise ValueError(f"columns not orthonormal (deviation {err:.2e})")
-        if self.quality_k is not None and self.quality_k < 1.0:
-            raise ValueError("quality bound must be >= 1")
         object.__setattr__(self, "u", u)
 
     @staticmethod

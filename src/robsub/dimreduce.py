@@ -26,7 +26,6 @@ class DimReduceConfig:
     quality_k: float = 1.0         # K, the quality bound on the input projector
     r1_multiplier: float = 2.0     # leading constant of the sample-size formula
     k2: float = 4.0
-    rank_tol: float = 1e-8
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
@@ -88,5 +87,4 @@ def dim_reduce(a, k: int, xhat: Subspace, cfg: DimReduceConfig, loss: LossSpec,
     blocks = [a[sample.indices]]
     if xhat.dim > 0:
         blocks.append(xhat.u.T)
-    out = orthonormal_union(blocks, d=d, rank_tol=cfg.rank_tol)
-    return Subspace(out.u, quality_k=xhat.quality_k)
+    return orthonormal_union(blocks, d=d)

@@ -1,7 +1,8 @@
 """Matrix, weight, and graph file handling for the command-line tools.
 
 Formats: Matrix Market (``.mtx``, sparse or dense) and headerless CSV for
-matrices; one-column CSV for weights; whitespace edge lists for graphs.
+matrices; one-column CSV for right-hand sides; whitespace edge lists for
+graphs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def load_matrix(path):
 
 
 def load_vector(path) -> np.ndarray:
-    """Load a one-column CSV (weights or right-hand sides)."""
+    """Load a one-column CSV, such as a right-hand side."""
     arr = load_matrix(path)
     if sp.issparse(arr):
         arr = np.asarray(arr.todense())

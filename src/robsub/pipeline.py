@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bicriteria import ConstApproxConfig, const_approx
+from .bicriteria import SKETCH_NNZ, ConstApproxConfig, const_approx
 from .conditioning import well_conditioned_basis
 from .core import (
     LossSpec,
@@ -93,7 +93,6 @@ class PipelineConfig:
     t_rows_target: int = 300            # rows handed to the small solve
     small_cap: int = 400                # max side of the reduced problem
     restarts: int = 10
-    local_iters: int = 300
     m2_level_c: float = 1.0             # per-round sample multiplier, p=2 pipeline
     shrink: float = 0.5
 
@@ -261,8 +260,7 @@ def best_rank_k_in_subspace(a, sub: Subspace, k: int, loss: LossSpec, w=None,
     dense_a = to_dense(a)
     prob = SmallProblem(au, sub.u.T, dense_a, as_weights(w, a.shape[0]),
                         min(k, sub.dim), 0.1)
-    w_factor = small_approx(prob, loss, seed=seed,
-                            restarts=cfg.restarts, max_iter=cfg.local_iters,
+    w_factor = small_approx(prob, loss, seed=seed, restarts=cfg.restarts,
                             cap=max(cfg.small_cap, max(a.shape)),
                             warm_starts=warm_starts)
     out = Subspace(_orthonormal(sub.u @ w_factor))
@@ -273,10 +271,10 @@ def best_rank_k_in_subspace(a, sub: Subspace, k: int, loss: LossSpec, w=None,
 # shared pipeline stages
 
 
-def _stage_subspace(a, k, loss, cfg, seed, trace):
+def _stage_subspace(a, k, loss, cfg, seed, eps, trace):
+    """The bicriteria subspace and the residual-sampled subspace containing it."""
     xhat = const_approx(a, k, loss, cfg.const_cfg, seed=int(spawn_rng(seed, 79).integers(2**31)))
-    xhat = Subspace(xhat.u, quality_k=cfg.resolved_k(k))
-    dr_cfg = DimReduceConfig(eps=min(trace["eps"], 0.999), k=k,
+    dr_cfg = DimReduceConfig(eps=min(eps, 0.999), k=k,
                              quality_k=cfg.resolved_k(k),
                              r1_multiplier=cfg.r1_multiplier, k2=cfg.k2)
     sub = dim_reduce(a, k, xhat, dr_cfg, loss, seed=int(spawn_rng(seed, 83).integers(2**31)))
@@ -285,7 +283,7 @@ def _stage_subspace(a, k, loss, cfg, seed, trace):
     return xhat, sub
 
 
-def _right_embedding(d: int, m: int, eps: float, cfg: PipelineConfig, seed: int) -> np.ndarray:
+def _right_embedding(d: int, m: int, eps: float, seed: int) -> np.ndarray:
     """Transposed column-reducing sketch for (U, A^T) pairs, as a d x m_s array.
 
     When the required width reaches d the identity is returned: a square
@@ -295,9 +293,8 @@ def _right_embedding(d: int, m: int, eps: float, cfg: PipelineConfig, seed: int)
     target = int(max(m + 1, math.ceil(m * m / max(eps, 0.05))))
     if target >= d:
         return np.eye(d)
-    s = min(cfg.const_cfg.sparsity(), target)
     sketch = make_sparse_sketch(int(spawn_rng(seed, 89).integers(2**31)),
-                                m=target, d=d, s=s)
+                                m=target, d=d, s=min(SKETCH_NNZ, target))
     return np.asarray(sketch.right_operator().todense())
 
 
@@ -353,17 +350,17 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     tr = {} if trace is None else trace
     tr["eps"] = eps
 
-    _, sub = _stage_subspace(a, k, loss, cfg, seed, tr)
+    _, sub = _stage_subspace(a, k, loss, cfg, seed, eps, tr)
     u = sub.u
     m = u.shape[1]
     if m <= k:
         return Subspace(u[:, :k]) if m == k else _pad_to_k(u, k)
 
-    st = _right_embedding(d, m, eps, cfg, seed)
+    st = _right_embedding(d, m, eps, seed)
     h = _score_operator(st, u)
     d_hat = d if h is None else h.shape[1]
-    (rows,), w, _, done = leverage_rounds(
-        (a,), np.ones(n), loss,
+    rows, w, _, done = leverage_rounds(
+        a, np.ones(n), loss,
         view=(lambda rows: rows) if h is None else (lambda rows: matmul_dense(rows, h)),
         target=lambda n_prime, _scores: target(n_prime, d_hat),
         stop_rows=cfg.t_rows_target, max_rounds=rounds, seed=seed,
@@ -373,8 +370,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     dense = to_dense(rows)
     prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k, eps)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
-                            restarts=cfg.restarts, max_iter=cfg.local_iters,
-                            cap=max(cfg.small_cap, cfg.t_rows_target + 1))
+                            restarts=cfg.restarts, cap=max(cfg.small_cap, cfg.t_rows_target + 1))
     return _final_factor(u, w_factor)
 
 

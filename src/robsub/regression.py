@@ -19,18 +19,16 @@ from .core import LossSpec, as_weights, check_finite, m_derivative, m_value, to_
 from .sampling import leverage_rounds
 
 _RESID_FLOOR = 1e-12
+_LEVELS = 3     # sampling rounds before the IRLS solve
+_DELTA = 0.1    # failure probability in the per-round sample size
+_SHRINK = 0.5   # per-round expected sample is capped at _SHRINK * n'
 
 
 @dataclass(frozen=True)
 class RegressConfig:
-    levels: int = 3
     base_cap: Optional[int] = None   # default ceil(20 d^2 / eps^2)
     level_c: float = 1.0             # multiplier on n^(1/2+kappa) poly(d) log(1/delta)/eps^2
     kappa: float = 0.1
-    delta: float = 0.1
-    shrink: float = 0.5
-    irls_tol: float = 1e-10
-    irls_max_iter: int = 500
 
     def resolved_base_cap(self, d: int, eps: float) -> int:
         if self.base_cap is not None:
@@ -96,10 +94,11 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
               trace: Optional[dict] = None) -> np.ndarray:
     """(1+eps)-style regression by rounds of leverage sampling of [A b].
 
-    Each round (level) computes weighted leverage scores of the augmented
-    matrix (orthonormal bases with Gaussian row-norm estimates for p=2
-    losses) and samples about
-    level_c * n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, carrying
+    Each of at most three rounds (levels) computes weighted leverage scores
+    of the augmented matrix (orthonormal bases with Gaussian row-norm
+    estimates for p=2 losses) and samples about
+    level_c * n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, with
+    delta = 0.1 and at most half the rows, carrying
     weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead); the
     surviving problem goes to IRLS.
     """
@@ -116,17 +115,16 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
 
     def target(n_prime: int, _scores) -> float:
         level = (cfg.level_c * n_prime ** (0.5 + cfg.kappa) * (d + 1)
-                 * math.log(1.0 / cfg.delta) / eps**2)
-        return min(cfg.shrink * n_prime, max(level, 4.0 * (d + 1)))
+                 * math.log(1.0 / _DELTA) / eps**2)
+        return min(_SHRINK * n_prime, max(level, 4.0 * (d + 1)))
 
-    (aug,), w, _, levels_run = leverage_rounds(
-        (np.hstack([dense, rhs[:, None]]),), np.ones(n), loss, view=lambda rows: rows,
-        target=target, stop_rows=max(base_cap, 2 * (d + 1)), max_rounds=cfg.levels,
+    aug, w, _, levels_run = leverage_rounds(
+        np.hstack([dense, rhs[:, None]]), np.ones(n), loss, view=lambda rows: rows,
+        target=target, stop_rows=max(base_cap, 2 * (d + 1)), max_rounds=_LEVELS,
         seed=seed, salts=(137, 139), min_rows=d + 1,
         gauss_t=int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None, n_probe=2000)
     cur_a, cur_b = aug[:, :d], aug[:, d]
     if trace is not None:
         trace["levels"] = levels_run
         trace["base_rows"] = cur_a.shape[0]
-    return irls_solve(cur_a, cur_b, w, loss, tol=cfg.irls_tol,
-                      max_iter=cfg.irls_max_iter)
+    return irls_solve(cur_a, cur_b, w, loss)

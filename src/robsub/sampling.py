@@ -32,12 +32,6 @@ class SamplingPlan:
     def expected_size(self) -> float:
         return float(self.q.sum())
 
-    def inflate(self, factor: float) -> "SamplingPlan":
-        """Push probabilities toward 1; oversampling never hurts success."""
-        if factor < 1.0:
-            raise ValueError("inflation factor must be >= 1")
-        return SamplingPlan(np.minimum(1.0, self.q * factor))
-
 
 def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
     """Build inclusion probabilities min{1, k2 * r * q'_i / sum(q')}."""
@@ -112,7 +106,7 @@ def _scale_rows(a, scale: np.ndarray):
 
 
 def leverage_rounds(
-    mats: tuple,
+    a,
     w,
     loss: LossSpec,
     view: Callable,
@@ -125,10 +119,10 @@ def leverage_rounds(
     trace: Optional[list] = None,
     **score_kwargs,
 ):
-    """Shrink row-aligned matrices by rounds of weighted leverage-score sampling.
+    """Shrink the rows of ``a`` by rounds of weighted leverage-score sampling.
 
     While more than ``stop_rows`` rows remain, at most ``max_rounds`` times:
-    score ``view(*mats)`` with ``weighted_leverage_scores(**score_kwargs)``,
+    score ``view(a)`` with ``weighted_leverage_scores(**score_kwargs)``,
     plan ``target(n', scores)`` expected rows in proportion to
     ``scores.relative``, and draw, redrawing once if more than
     max(0.9 n', stop_rows) rows are kept.  A draw keeping at
@@ -137,16 +131,16 @@ def leverage_rounds(
     keep rows as they are and carry w / q.  Round r seeds its scores with
     (seed, salts[0], r) and its draws with (seed, salts[1], r, attempt).
 
-    Returns (mats, w, indices, rounds): the kept rows, their weights, their
+    Returns (a, w, indices, rounds): the kept rows, their weights, their
     positions in the input, and the number of rounds whose draw was kept.
     """
-    w = as_weights(w, mats[0].shape[0])
-    idx = np.arange(mats[0].shape[0])
+    w = as_weights(w, a.shape[0])
+    idx = np.arange(a.shape[0])
     rounds = 0
-    while mats[0].shape[0] > stop_rows and rounds < max_rounds:
-        n_prime = mats[0].shape[0]
+    while a.shape[0] > stop_rows and rounds < max_rounds:
+        n_prime = a.shape[0]
         scores = weighted_leverage_scores(
-            view(*mats), w, loss,
+            view(a), w, loss,
             seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
         plan = make_plan(scores.relative, target(n_prime, scores), 1.0)
         for attempt in range(2):
@@ -165,11 +159,11 @@ def leverage_rounds(
         keep = sample.indices
         if loss.is_lp:
             scale = sample.scale_factors(loss.p)
-            mats = tuple(_scale_rows(m[keep], scale) for m in mats)
+            a = _scale_rows(a[keep], scale)
             w = np.ones(len(keep))
         else:
-            mats = tuple(m[keep] for m in mats)
+            a = a[keep]
             w = sample.reweights
         idx = idx[keep]
         rounds += 1
-    return mats, w, idx, rounds
+    return a, w, idx, rounds

@@ -28,6 +28,8 @@ from .core import Subspace, check_finite, is_sparse, matmul_dense, spawn_rng
 
 # rows of the operand densified at a time by rank_revealing_factor
 _FACTOR_BLOCK = 2048
+# singular values at or below RANK_TOL * sigma_max count as zero
+RANK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,6 @@ class GaussianSketch:
     seed: int
     g: np.ndarray
 
-    @property
-    def cols(self) -> int:
-        return self.t
-
 
 def make_gaussian_sketch(seed: int, d: int, t: int) -> GaussianSketch:
     if t < 1:
@@ -134,13 +132,8 @@ def gaussian_row_norm_estimates(a, deflate: Subspace | None, g: GaussianSketch) 
     return np.linalg.norm(ag, axis=1)
 
 
-def half_normal_moment(p: float) -> float:
-    """E|g|^p for a standard normal g: 2^(p/2) Gamma((p+1)/2) / sqrt(pi)."""
-    return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
-
-
-def rank_revealing_factor(t, rank_tol: float):
-    """Singular values above rank_tol * sigma_max of t, with their right singular vectors.
+def rank_revealing_factor(t):
+    """Singular values above RANK_TOL * sigma_max of t, with their right singular vectors.
 
     Builds the R of an economic R-only QR of t (blocked Householder, Q never
     formed) one block of ``_FACTOR_BLOCK`` rows at a time, as a one-level
@@ -164,15 +157,15 @@ def rank_revealing_factor(t, rank_tol: float):
     r = rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
     check_finite(r)  # a NaN or inf anywhere in t reaches R
     _, sv, vt = np.linalg.svd(r, full_matrices=False)
-    rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
+    rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
     return sv[:rank], vt[:rank].T
 
 
-def orthonormal_union(blocks, d: int | None = None, rank_tol: float = 1e-8) -> Subspace:
+def orthonormal_union(blocks, d: int | None = None) -> Subspace:
     """Orthonormal basis for the span of all rows across the given blocks.
 
     Rank-revealing: the basis is the right singular vectors of the stacked
-    rows (``rank_revealing_factor``) whose singular value exceeds rank_tol
+    rows (``rank_revealing_factor``) whose singular value exceeds RANK_TOL
     times the largest.  Sparse blocks stay sparse: the stack is CSR when
     any block is sparse, and a single block is factored as given.  An
     empty input yields the empty subspace.
@@ -192,7 +185,7 @@ def orthonormal_union(blocks, d: int | None = None, rank_tol: float = 1e-8) -> S
         stack = sp.vstack(mats, format="csr")
     else:
         stack = np.vstack(mats)
-    _, v = rank_revealing_factor(stack, rank_tol)
+    _, v = rank_revealing_factor(stack)
     return Subspace(v)
 
 

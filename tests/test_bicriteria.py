@@ -25,13 +25,13 @@ class TestBaseCase:
         assert sub.dim == 6
         assert residual_cost(a, sub, None, loss) <= 1e-12 * v_norm_p(a, None, loss)
 
-    def test_recur_base_returns_a_hat(self):
+    def test_recur_base_returns_every_index(self):
         rng = np.random.default_rng(1)
-        a_hat = rng.standard_normal((10, 8))
+        a_proj = rng.standard_normal((10, 4))
         cfg = ConstApproxConfig()
-        out = const_approx_recur(a_hat[:, :4], a_hat, np.ones(10), LossSpec.lp(1.0),
+        idx = const_approx_recur(a_proj, np.ones(10), LossSpec.lp(1.0),
                                  cfg, seed=0, p_m=50, max_depth=10)
-        assert out is a_hat
+        assert np.array_equal(idx, np.arange(10))
 
     def test_base_case_skips_right_sketch(self, monkeypatch):
         # n <= P_M: no round reads the sketched copy, so none is made
@@ -152,21 +152,20 @@ class TestRecursionMechanics:
         assert len(set(idx.tolist())) == len(idx)
         assert idx.min() >= 0 and idx.max() < 800
 
-    def test_lp_survivors_are_scaled_original_rows(self):
+    def test_lp_output_spans_unscaled_rows_at_traced_indices(self):
+        # the rounds rescale the rows they score, but the output is the span
+        # of the input rows themselves; fewer than d rows survive, so the
+        # span is a proper subspace
         loss = LossSpec.lp(1.0)
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((900, 7))
-        cfg = ConstApproxConfig(p_m_override=60)
+        a = np.random.default_rng(8).standard_normal((900, 40))
         trace = []
-        surv = const_approx_recur(a[:, :3], a, np.ones(900), loss, cfg, seed=5,
-                                  p_m=60, max_depth=12, trace=trace)
-        idx = trace[-1]["indices"]
-        surv = np.asarray(surv)
-        for row, i in zip(surv, idx):
-            orig = a[i]
-            scale = row[np.argmax(np.abs(orig))] / orig[np.argmax(np.abs(orig))]
-            assert np.allclose(row, scale * orig, atol=1e-10)
-            assert scale >= 1.0 - 1e-12  # q <= 1 so rescales only grow
+        sub = const_approx(a, 2, loss, ConstApproxConfig(p_m_override=25), seed=5,
+                           trace=trace)
+        assert trace[0]["base_case"] is False and trace[-1]["base_case"]
+        rows = a[trace[-1]["indices"]]
+        assert 0 < rows.shape[0] == sub.dim < 40
+        v = np.linalg.svd(rows, full_matrices=False)[2].T
+        assert np.abs(sub.u @ sub.u.T - v @ v.T).max() <= 1e-10
 
     def test_oversampling_never_hurts(self):
         # larger shrink cap (more rows kept, coupled seeds) cannot raise the
@@ -186,7 +185,7 @@ class TestRecursionMechanics:
         # one round allowed, and it cannot shrink 500 rows to p_m = 1
         a = np.random.default_rng(10).standard_normal((500, 6))
         with pytest.raises(RuntimeError):
-            const_approx_recur(a[:, :3], a, np.ones(500), LossSpec.lp(1.0),
+            const_approx_recur(a[:, :3], np.ones(500), LossSpec.lp(1.0),
                                ConstApproxConfig(), seed=0, p_m=1, max_depth=0)
 
     def test_output_dimension_capped(self):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import planted_lowrank
-from robsub import cli
+from robsub import LossSpec, PipelineConfig, cli
 from robsub.cli import BENCH_CSV_HEADER, EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from robsub.io import InputError, load_matrix, load_vector, save_matrix_market
+from robsub.pipeline import _stage_subspace
 
 
 @pytest.fixture()
@@ -90,6 +91,21 @@ class TestApproxCommand:
         r = _load(report)
         assert r["results"]["subspace_dim"] >= 2
 
+    def test_bicriteria_stage_is_the_pipeline_stage(self, tmp_path):
+        # k = 1 puts the L1 survivor cap (50) below n, so sampling rounds run
+        # and fewer than d rows survive: the span depends on the seeding
+        csv = tmp_path / "wide.csv"
+        np.savetxt(csv, np.random.default_rng(3).standard_normal((400, 60)), delimiter=",")
+        out = tmp_path / "u.mtx"
+        rc = main(["approx", "--input", str(csv), "--k", "1", "--loss", "l1",
+                   "--stage", "bicriteria", "--seed", "4", "--subspace-out", str(out)])
+        assert rc == EXIT_OK
+        u = np.asarray(load_matrix(str(out)).todense())
+        xhat, _ = _stage_subspace(load_matrix(str(csv)), 1, LossSpec.lp(1.0),
+                                  PipelineConfig(), 4, 0.25, {})
+        assert u.shape[1] == xhat.dim < 60
+        assert np.abs(u @ u.T - xhat.u @ xhat.u.T).max() <= 1e-10
+
     def test_seed_determinism_modulo_timings(self, matrix_files, tmp_path):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         argv = ["approx", "--input", matrix_files["a_mtx"], "--k", "3",
@@ -129,6 +145,9 @@ class TestApproxCommand:
         assert rc == EXIT_CONFIG
         rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2",
                    "--loss", "lp"])  # missing --p
+        assert rc == EXIT_CONFIG
+        rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2",
+                   "--stage", "dimreduce", "--eps", "1.5"])
         assert rc == EXIT_CONFIG
 
     def test_non_finite_input_exit_3(self, matrix_files, capsys):

@@ -131,12 +131,12 @@ class TestWellConditionedBasis:
         monkeypatch.setattr(conditioning, "_beta_certificate",
                             lambda *args: calls.append(args) or certificate(*args))
         a = np.random.default_rng(22).standard_normal((9000, 3))
-        basis = well_conditioned_basis(a, p=1.0, seed=7, n_probe=500, beta_safety=2.0)
+        basis = well_conditioned_basis(a, p=1.0, seed=7, n_probe=500)
         assert calls == []
         beta = basis.beta
         assert basis.beta == beta
         assert len(calls) == 1
-        assert beta == certificate(basis, 7, 500, 2.0)
+        assert beta == certificate(basis, 7, 500)
 
 
 class TestBetaEarlyStop:
@@ -150,7 +150,7 @@ class TestBetaEarlyStop:
 
     def _basis(self, p=1.0):
         a = np.random.default_rng(30).standard_normal((9000, 5))
-        return well_conditioned_basis(a, p=p, seed=11, n_probe=1500, beta_safety=2.0)
+        return well_conditioned_basis(a, p=p, seed=11, n_probe=1500)
 
     def test_stop_below_beta_reads_one_probe(self, monkeypatch):
         full = self._basis().beta
@@ -159,7 +159,7 @@ class TestBetaEarlyStop:
         assert basis.beta_reaches(0.01 * full)
         assert sum(evaluated) == 1
         assert "beta" not in basis.__dict__  # a partial run is not cached
-        assert basis.beta == full == conditioning._beta_certificate(basis, 11, 1500, 2.0)
+        assert basis.beta == full == conditioning._beta_certificate(basis, 11, 1500)
         assert sum(evaluated) == 1 + 2 * 1500
 
     def test_stop_after_the_chunk_that_reaches_the_bound(self, monkeypatch):
@@ -209,12 +209,12 @@ class TestBetaEarlyStop:
         rounds = []
         real = bicriteria.leverage_rounds
         monkeypatch.setattr(bicriteria, "leverage_rounds",
-                            lambda mats, *args, **kw: rounds.append((mats, kw))
-                            or real(mats, *args, **kw))
+                            lambda rows, *args, **kw: rounds.append((rows, kw))
+                            or real(rows, *args, **kw))
         a = np.random.default_rng(33).standard_normal((3000, 10))
         cfg = bicriteria.ConstApproxConfig()
         const_approx(a, 1, LossSpec.lp(1.0), cfg, seed=2)
-        (a_proj, _), kw = rounds[0]
+        a_proj, kw = rounds[0]
         target, d_prime = kw["target"], a_proj.shape[1]
 
         def scores():

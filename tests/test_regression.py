@@ -135,7 +135,7 @@ class TestMRegress:
         a = rng.standard_normal((4000, 4))
         b = rng.standard_normal(4000)
         tr = {}
-        cfg = RegressConfig(base_cap=10, level_c=0.001, levels=3)
+        cfg = RegressConfig(base_cap=10, level_c=0.001)
         m_regress(a, b, LossSpec.huber(1.0), eps=0.9, cfg=cfg, seed=1, trace=tr)
         assert tr["levels"] <= 3
 

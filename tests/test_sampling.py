@@ -5,6 +5,7 @@ import pytest
 
 from robsub import (
     LossSpec,
+    SamplingPlan,
     draw,
     make_plan,
     sample_size_subspace,
@@ -104,7 +105,7 @@ class TestDraw:
         # same seed, inflated probabilities: the draw can only grow
         rng = np.random.default_rng(5)
         plan = make_plan(rng.random(200), r=30.0)
-        bigger = plan.inflate(3.0)
+        bigger = SamplingPlan(np.minimum(1.0, 3.0 * plan.q))
         d1 = draw(plan, None, seed=11)
         d2 = draw(bigger, None, seed=11)
         assert set(d1.indices).issubset(set(d2.indices))
@@ -192,8 +193,8 @@ class TestLeverageRounds:
     def test_stops_at_stop_rows(self):
         a = self._rows()
         trace = []
-        (out,), _, _, rounds = leverage_rounds(
-            (a,), None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
+        out, _, _, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
             stop_rows=300, max_rounds=20, seed=1, salts=(1, 2), trace=trace)
         assert out.shape[0] <= 300
         assert rounds == len(trace) >= 2
@@ -202,8 +203,8 @@ class TestLeverageRounds:
     def test_stops_at_max_rounds(self):
         a = self._rows()
         trace = []
-        (out,), _, _, rounds = leverage_rounds(
-            (a,), None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
+        out, _, _, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
             stop_rows=10, max_rounds=2, seed=1, salts=(1, 2), trace=trace)
         assert rounds == len(trace) == 2
         assert out.shape[0] == trace[-1]["realized"] > 10
@@ -217,8 +218,8 @@ class TestLeverageRounds:
             return 0.5 * n_prime if n_prime == a.shape[0] else 3.0
 
         trace = []
-        (out,), w, idx, rounds = leverage_rounds(
-            (a,), None, LossSpec.huber(1.0), view=lambda m: m, target=target,
+        out, w, idx, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), view=lambda m: m, target=target,
             stop_rows=10, max_rounds=5, seed=2, salts=(1, 2), min_rows=50, trace=trace)
         assert rounds == 1 and len(trace) == 2
         assert trace[1]["realized"] <= 50
@@ -227,11 +228,11 @@ class TestLeverageRounds:
 
     def test_no_kept_draw_returns_input(self):
         a = self._rows()
-        mats, w, idx, rounds = leverage_rounds(
-            (a,), None, LossSpec.huber(1.0), view=lambda m: m,
+        out, w, idx, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), view=lambda m: m,
             target=lambda n_prime, _: 3.0, stop_rows=10, max_rounds=5, seed=3,
             salts=(1, 2), min_rows=50)
-        assert rounds == 0 and mats[0] is a
+        assert rounds == 0 and out is a
         assert np.array_equal(idx, np.arange(a.shape[0])) and np.all(w == 1.0)
 
     def _one_round(self, a, w, loss, seed):
@@ -243,8 +244,8 @@ class TestLeverageRounds:
     def test_lp_rescales_rows_with_unit_weights(self):
         a = self._rows()
         loss = LossSpec.lp(1.5)
-        (out,), w, idx, rounds = leverage_rounds(
-            (a,), None, loss, view=lambda m: m, target=_half, stop_rows=10,
+        out, w, idx, rounds = leverage_rounds(
+            a, None, loss, view=lambda m: m, target=_half, stop_rows=10,
             max_rounds=1, seed=4, salts=(1, 2))
         q = self._one_round(a, None, loss, 4)
         assert rounds == 1 and np.all(w == 1.0)
@@ -254,8 +255,8 @@ class TestLeverageRounds:
         a = self._rows()
         loss = LossSpec.huber(1.0)
         w0 = 1.0 + 3.0 * np.random.default_rng(11).random(a.shape[0])
-        (out,), w, idx, rounds = leverage_rounds(
-            (a,), w0, loss, view=lambda m: m, target=_half, stop_rows=10,
+        out, w, idx, rounds = leverage_rounds(
+            a, w0, loss, view=lambda m: m, target=_half, stop_rows=10,
             max_rounds=1, seed=5, salts=(1, 2))
         q = self._one_round(a, w0, loss, 5)
         assert rounds == 1
@@ -263,14 +264,12 @@ class TestLeverageRounds:
         assert np.allclose(w, w0[idx] / q[idx])
 
     def test_indices_map_kept_rows_to_input(self):
-        # every matrix in the tuple stays aligned with the returned indices,
+        # the kept rows stay aligned with the returned indices over rounds,
         # and only the view is scored
         a = self._rows()
-        b = np.arange(a.shape[0], dtype=float)[:, None]
-        (out_a, out_b), _, idx, rounds = leverage_rounds(
-            (a, b), None, LossSpec.huber(1.0), view=lambda m, _: m, target=_half,
+        out, _, idx, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), view=lambda m: m[:, :3], target=_half,
             stop_rows=100, max_rounds=10, seed=6, salts=(1, 2))
         assert rounds >= 3
         assert np.all(np.diff(idx) > 0)
-        assert np.array_equal(out_a, a[idx])
-        assert np.array_equal(out_b.ravel(), idx)
+        assert np.array_equal(out, a[idx])
