@@ -33,7 +33,9 @@ from .hardness import (
     read_edge_list,
 )
 from .oracle import svd_truncation_cost
-from .pipeline import CapExceededError, PipelineConfig, _stage_subspace, approx_lp, approx_m2
+from .dimreduce import DimReduceConfig
+from .pipeline import (CapExceededError, PipelineConfig, _stage_bicriteria, _stage_subspace,
+                       approx_lp, approx_m2)
 from .regression import RegressConfig, irls_solve, m_regress, regression_objective
 from .sketch import apply_right, make_sparse_sketch
 
@@ -95,16 +97,11 @@ def _base_report(args, command: str) -> dict:
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    const_cfg = ConstApproxConfig(
-        c_sketch_cols=args.c_sketch_cols,
-        c_sample_rows=args.c_sample_rows,
-        p_m_multiplier=args.p_m_mult,
-    )
     return PipelineConfig(
-        const_cfg=const_cfg,
-        quality_k=args.quality_k,
-        r1_multiplier=args.c1,
-        k2=args.k2,
+        const_cfg=ConstApproxConfig(c_sketch_cols=args.c_sketch_cols,
+                                    c_sample_rows=args.c_sample_rows,
+                                    p_m_multiplier=args.p_m_mult),
+        dim_cfg=DimReduceConfig(quality_k=args.quality_k, r1_multiplier=args.c1, k2=args.k2),
         kappa=args.kappa,
         t_rows_target=args.t_rows,
         small_cap=args.small_cap,
@@ -126,11 +123,11 @@ def cmd_approx(args) -> int:
     timings = {}
     trace = {}
     t0 = time.perf_counter()
-    if args.stage in ("bicriteria", "dimreduce"):
-        # the pipelines' own subspace stages, seeded as they seed them
-        xhat, sub = _stage_subspace(a, args.k, loss, cfg, args.seed, args.eps, trace)
-        if args.stage == "bicriteria":
-            sub = xhat
+    # the pipelines' own subspace stages, seeded as they seed them
+    if args.stage == "bicriteria":
+        sub = _stage_bicriteria(a, args.k, loss, cfg, args.seed, trace)
+    elif args.stage == "dimreduce":
+        sub = _stage_subspace(a, args.k, args.eps, loss, cfg, args.seed, trace)
     elif args.stage == "full":
         if loss.is_lp and loss.p < 2.0:
             sub = approx_lp(a, args.k, args.eps, loss, cfg, seed=args.seed, trace=trace)

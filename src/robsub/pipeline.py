@@ -54,7 +54,6 @@ class SmallProblem:
     c: np.ndarray
     w: np.ndarray
     k: int
-    eps: float
 
     def __post_init__(self):
         a_hat = np.asarray(self.a_hat, dtype=float)
@@ -86,18 +85,13 @@ class SmallProblem:
 @dataclass(frozen=True)
 class PipelineConfig:
     const_cfg: ConstApproxConfig = field(default_factory=ConstApproxConfig)
-    quality_k: Optional[float] = None   # K fed to residual sampling; default max(2, k)
-    r1_multiplier: float = 2.0
-    k2: float = 4.0
+    dim_cfg: DimReduceConfig = field(default_factory=DimReduceConfig)
     kappa: float = 0.1
     t_rows_target: int = 300            # rows handed to the small solve
     small_cap: int = 400                # max side of the reduced problem
     restarts: int = 10
     m2_level_c: float = 1.0             # per-round sample multiplier, p=2 pipeline
     shrink: float = 0.5
-
-    def resolved_k(self, k: int) -> float:
-        return self.quality_k if self.quality_k is not None else float(max(2, k))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +252,7 @@ def best_rank_k_in_subspace(a, sub: Subspace, k: int, loss: LossSpec, w=None,
         raise ValueError("cannot search inside an empty subspace")
     au = matmul_dense(a, sub.u)
     dense_a = to_dense(a)
-    prob = SmallProblem(au, sub.u.T, dense_a, as_weights(w, a.shape[0]),
-                        min(k, sub.dim), 0.1)
+    prob = SmallProblem(au, sub.u.T, dense_a, as_weights(w, a.shape[0]), min(k, sub.dim))
     w_factor = small_approx(prob, loss, seed=seed, restarts=cfg.restarts,
                             cap=max(cfg.small_cap, max(a.shape)),
                             warm_starts=warm_starts)
@@ -271,16 +264,20 @@ def best_rank_k_in_subspace(a, sub: Subspace, k: int, loss: LossSpec, w=None,
 # shared pipeline stages
 
 
-def _stage_subspace(a, k, loss, cfg, seed, eps, trace):
-    """The bicriteria subspace and the residual-sampled subspace containing it."""
+def _stage_bicriteria(a, k, loss, cfg, seed, trace):
+    """The bicriteria subspace."""
     xhat = const_approx(a, k, loss, cfg.const_cfg, seed=int(spawn_rng(seed, 79).integers(2**31)))
-    dr_cfg = DimReduceConfig(eps=min(eps, 0.999), k=k,
-                             quality_k=cfg.resolved_k(k),
-                             r1_multiplier=cfg.r1_multiplier, k2=cfg.k2)
-    sub = dim_reduce(a, k, xhat, dr_cfg, loss, seed=int(spawn_rng(seed, 83).integers(2**31)))
     trace["bicriteria_dim"] = xhat.dim
+    return xhat
+
+
+def _stage_subspace(a, k, eps, loss, cfg, seed, trace):
+    """The residual-sampled subspace containing the bicriteria subspace."""
+    xhat = _stage_bicriteria(a, k, loss, cfg, seed, trace)
+    sub = dim_reduce(a, k, eps, xhat, cfg.dim_cfg, loss,
+                     seed=int(spawn_rng(seed, 83).integers(2**31)))
     trace["reduced_dim"] = sub.dim
-    return xhat, sub
+    return sub
 
 
 def _right_embedding(d: int, m: int, eps: float, seed: int) -> np.ndarray:
@@ -350,8 +347,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     tr = {} if trace is None else trace
     tr["eps"] = eps
 
-    _, sub = _stage_subspace(a, k, loss, cfg, seed, eps, tr)
-    u = sub.u
+    u = _stage_subspace(a, k, eps, loss, cfg, seed, tr).u
     m = u.shape[1]
     if m <= k:
         return Subspace(u[:, :k]) if m == k else _pad_to_k(u, k)
@@ -368,7 +364,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     tr.update(handover(rows.shape[0], done))
 
     dense = to_dense(rows)
-    prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k, eps)
+    prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
                             restarts=cfg.restarts, cap=max(cfg.small_cap, cfg.t_rows_target + 1))
     return _final_factor(u, w_factor)

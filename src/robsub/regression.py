@@ -122,7 +122,7 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
         np.hstack([dense, rhs[:, None]]), np.ones(n), loss, view=lambda rows: rows,
         target=target, stop_rows=max(base_cap, 2 * (d + 1)), max_rounds=_LEVELS,
         seed=seed, salts=(137, 139), min_rows=d + 1,
-        gauss_t=int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None, n_probe=2000)
+        gauss_t=int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None)
     cur_a, cur_b = aug[:, :d], aug[:, d]
     if trace is not None:
         trace["levels"] = levels_run

@@ -240,8 +240,8 @@ def test_c08_residual_sampling_containment_and_quality():
         a, _ = planted_lowrank(200, 15, 3, seed=2000 + seed, noise=0.05,
                                outlier_frac=0.02, outlier_scale=30.0)
         xhat = const_approx(a, 3, loss, seed=seed)
-        cfg = DimReduceConfig(eps=0.25, k=3, quality_k=3.0)
-        out = dim_reduce(a, 3, xhat, cfg, loss, seed=seed)
+        cfg = DimReduceConfig(quality_k=3.0)
+        out = dim_reduce(a, 3, 0.25, xhat, cfg, loss, seed=seed)
         w = xhat.u
         containment_ok &= float(np.linalg.norm(w - out.u @ (out.u.T @ w))) <= 1e-8
         _, cost = best_rank_k_in_subspace(a, out, 3, loss, seed=seed)
@@ -368,7 +368,7 @@ def test_c12_small_solver_sanity():
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
         prob = SmallProblem(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)),
-                            rng.standard_normal((8, 8)), None, 2, 0.1)
+                            rng.standard_normal((8, 8)), None, 2)
         wl = small_approx(prob, loss, seed=seed)
         we = small_problem_grid(prob, loss, seed=seed)
         ok_ratio += prob.cost(wl, loss) <= 1.05 * prob.cost(we, loss)
@@ -376,7 +376,7 @@ def test_c12_small_solver_sanity():
     a_hat = rng.standard_normal((25, 10))
     bmat = rng.standard_normal((10, 12))
     w0 = np.linalg.qr(rng.standard_normal((10, 3)))[0]
-    planted = SmallProblem(a_hat, bmat, a_hat @ w0 @ w0.T @ bmat, None, 3, 0.1)
+    planted = SmallProblem(a_hat, bmat, a_hat @ w0 @ w0.T @ bmat, None, 3)
     w_rec = small_approx(planted, loss, seed=0)
     recovery = planted.cost(w_rec, loss)
     elapsed = time.perf_counter() - t0

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import planted_lowrank
-from robsub import LossSpec, PipelineConfig, cli
+from robsub import LossSpec, PipelineConfig, cli, pipeline
 from robsub.cli import BENCH_CSV_HEADER, EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from robsub.io import InputError, load_matrix, load_vector, save_matrix_market
-from robsub.pipeline import _stage_subspace
+from robsub.pipeline import _stage_bicriteria
 
 
 @pytest.fixture()
@@ -82,6 +82,19 @@ class TestApproxCommand:
         r = _load(report)
         assert r["results"]["subspace_dim"] <= 50 * 2 * 2
 
+    def test_bicriteria_stage_skips_residual_sampling(self, matrix_files, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("residual sampling ran")
+
+        monkeypatch.setattr(pipeline, "dim_reduce", fail)
+        report = tmp_path / "r.json"
+        rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2",
+                   "--loss", "huber", "--stage", "bicriteria", "--seed", "1",
+                   "--report", str(report)])
+        assert rc == EXIT_OK
+        trace = _load(report)["results"]["trace"]
+        assert trace["bicriteria_dim"] >= 2 and "reduced_dim" not in trace
+
     def test_dimreduce_stage(self, matrix_files, tmp_path):
         report = tmp_path / "r.json"
         rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2",
@@ -101,8 +114,8 @@ class TestApproxCommand:
                    "--stage", "bicriteria", "--seed", "4", "--subspace-out", str(out)])
         assert rc == EXIT_OK
         u = np.asarray(load_matrix(str(out)).todense())
-        xhat, _ = _stage_subspace(load_matrix(str(csv)), 1, LossSpec.lp(1.0),
-                                  PipelineConfig(), 4, 0.25, {})
+        xhat = _stage_bicriteria(load_matrix(str(csv)), 1, LossSpec.lp(1.0),
+                                 PipelineConfig(), 4, {})
         assert u.shape[1] == xhat.dim < 60
         assert np.abs(u @ u.T - xhat.u @ xhat.u.T).max() <= 1e-10
 

@@ -13,7 +13,7 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub import sampling
+from robsub import pipeline, sampling
 from robsub.oracle import small_problem_grid, svd_truncation_cost
 from robsub.pipeline import (
     CapExceededError,
@@ -31,7 +31,7 @@ def _random_problem(seed, m_prime=12, m=8, m_dprime=9, k=2):
     return SmallProblem(rng.standard_normal((m_prime, m)),
                         rng.standard_normal((m, m_dprime)),
                         rng.standard_normal((m_prime, m_dprime)),
-                        None, k, 0.1)
+                        None, k)
 
 
 class TestSmallProblem:
@@ -39,10 +39,10 @@ class TestSmallProblem:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             SmallProblem(rng.standard_normal((4, 3)), rng.standard_normal((2, 5)),
-                         rng.standard_normal((4, 5)), None, 1, 0.1)
+                         rng.standard_normal((4, 5)), None, 1)
         with pytest.raises(ValueError):
             SmallProblem(rng.standard_normal((4, 3)), rng.standard_normal((3, 5)),
-                         rng.standard_normal((4, 4)), None, 1, 0.1)
+                         rng.standard_normal((4, 4)), None, 1)
 
     def test_cost_matches_direct(self):
         prob = _random_problem(1)
@@ -59,7 +59,7 @@ class TestSmallApprox:
         a_hat = rng.standard_normal((20, 8))
         b = rng.standard_normal((8, 9))
         w0, _ = np.linalg.qr(rng.standard_normal((8, 2)))
-        prob = SmallProblem(a_hat, b, a_hat @ w0 @ w0.T @ b, None, 2, 0.1)
+        prob = SmallProblem(a_hat, b, a_hat @ w0 @ w0.T @ b, None, 2)
         w = small_approx(prob, LossSpec.lp(1.0), seed=0)
         assert prob.cost(w, LossSpec.lp(1.0)) <= 1e-8
 
@@ -109,7 +109,7 @@ class TestSmallApprox:
         a_hat = rng.standard_normal((15, 6))
         b = rng.standard_normal((6, 7))
         w0, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-        prob = SmallProblem(a_hat, b, a_hat @ w0 @ w0.T @ b, None, 2, 0.1)
+        prob = SmallProblem(a_hat, b, a_hat @ w0 @ w0.T @ b, None, 2)
         w = small_approx(prob, LossSpec.lp(1.0), seed=0, restarts=2, warm_starts=[w0])
         assert prob.cost(w, LossSpec.lp(1.0)) <= 1e-10
 
@@ -336,6 +336,38 @@ class TestApproxM2:
             tracemalloc.stop()
         assert sub.dim == 3
         assert peak < n * d * 8
+
+
+class TestSketchedRightEmbedding:
+    @staticmethod
+    def _planted(seed):
+        # rank 4 (three strong directions, one weak) in 100 columns, 10 rows
+        # scaled x30: the reduced span has m = 4 and m^2 / eps = 64 < d
+        rng = np.random.default_rng(seed)
+        v = np.linalg.qr(rng.standard_normal((100, 4)))[0]
+        a = rng.standard_normal((1500, 4)) * np.array([10.0, 10.0, 10.0, 1.0]) @ v.T
+        a[rng.choice(1500, 10, replace=False)] *= 30.0
+        return a
+
+    @pytest.mark.parametrize("fit, loss", [(approx_lp, LossSpec.lp(1.0)),
+                                           (approx_m2, LossSpec.huber(1.0))],
+                             ids=["lp", "m2"])
+    def test_sketched_embedding_beats_svd(self, monkeypatch, fit, loss):
+        shapes = []
+        embed = pipeline._right_embedding
+
+        def spy(*args):
+            st = embed(*args)
+            shapes.append(st.shape)
+            return st
+
+        monkeypatch.setattr(pipeline, "_right_embedding", spy)
+        for seed in range(3):
+            a = self._planted(seed)
+            sub = fit(a, 3, 0.25, loss, seed=seed)
+            _, svd_cost = svd_truncation_cost(a, 3, None, loss)
+            assert residual_cost(a, sub, None, loss) < svd_cost
+        assert shapes == [(100, 64)] * 3
 
 
 class TestNonFiniteInput:
