@@ -24,7 +24,8 @@ a[:10] *= 30.0
 
 basis = well_conditioned_basis(a, p=1.0, seed=5)
 scores = leverage_scores(a, basis, loss)
-print(f"well-conditioned basis: alpha={basis.alpha:.3g}, beta={basis.beta:.3g}")
+alpha = np.abs(basis.u_rows()).sum()  # entrywise l1 norm of U
+print(f"well-conditioned basis: alpha={alpha:.3g}, beta={basis.beta:.3g}")
 print(f"total sensitivity gamma = {scores.gamma_total:.2f}")
 heavy = np.argsort(scores.gamma)[::-1][:10]
 print(f"top-10 leverage rows: {sorted(heavy.tolist())}  (the inflated rows are 0..9)")

@@ -13,14 +13,18 @@ Woodruff 2013), whose distortion bounds beta by a constant.
 Where the sketch would not be smaller than A H, Pi is the identity and U
 at p = 2 is an exact orthonormal factor (beta = 1), whose row norms are
 the leverage scores of every orthonormal basis of the column space.  The
-certificates alpha and beta are computed on first read, since most
-callers never need them, and the beta certificate of p < 2 stops early
-when a caller only asks whether beta reaches a bound.
+certificate beta is computed on first read, since most callers never
+need it, and at p < 2 it stops early when a caller only asks whether beta
+reaches a bound.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.  The weighted
 variant partitions rows into dyadic weight buckets, builds one basis per
-bucket, and doubles the per-row scores.
+bucket, and doubles the per-row scores.  A bucket is never copied out of
+its source: its basis holds the source and the bucket's row indices (a
+``core.RowView``), its sketch places the bucket's columns at those rows of
+an operator over every source row, and its QR and row-norm passes gather
+one block of its rows at a time.
 """
 
 from __future__ import annotations
@@ -34,10 +38,12 @@ import numpy as np
 
 from .core import (
     LossSpec,
+    RowView,
     WeightVector,
     as_weights,
     is_sparse,
     matmul_dense,
+    row_view,
     spawn_rng,
 )
 from .sketch import make_pstable_sketch, rank_revealing_factor
@@ -57,22 +63,15 @@ _P2_SKETCH_BETA = 1.5
 
 @dataclass
 class WellConditionedBasis:
-    """Conditioning certificate (alpha, beta) plus implicit row access."""
+    """Conditioning certificate beta plus implicit row access."""
 
     change_of_basis: np.ndarray   # (m0, m) factor F = V_r diag(1/sigma_r): U = (A H) F
     p: float
     n: int
     m: int
-    _ah: object                   # n x m0 product A H (dense or sparse)
+    _ah: RowView                  # n x m0 product A H, read a block of rows at a time
     _probes: tuple                # (seed, n_probe) of the beta certificate
     sketched: bool                # F comes from a sketch Pi (A H), not from A H itself
-
-    @cached_property
-    def alpha(self) -> float:
-        """Entrywise p-norm of U, computed on first read."""
-        total = sum(float(np.sum(np.abs(block) ** self.p))
-                    for _, _, block in self.iter_row_blocks())
-        return total ** (1.0 / self.p)
 
     @cached_property
     def beta(self) -> float:
@@ -101,15 +100,14 @@ class WellConditionedBasis:
 
     def u_rows(self, idx=None) -> np.ndarray:
         """Rows of the basis; idx may be a slice, index array, or None (all)."""
-        src = self._ah if idx is None else self._ah[idx]
-        return matmul_dense(src, self.change_of_basis)
+        return matmul_dense(self._ah.block(slice(None) if idx is None else idx),
+                            self.change_of_basis)
 
     def iter_row_blocks(self, block_rows: int = _ROW_BLOCK, right=None):
         """Row blocks of U, or of U @ right taken as (A H) @ (F @ right)."""
         f = self.change_of_basis if right is None else self.change_of_basis @ right
-        for lo in range(0, self.n, block_rows):
-            hi = min(lo + block_rows, self.n)
-            yield lo, hi, matmul_dense(self._ah[lo:hi], f)
+        for lo, hi, block in self._ah.blocks(block_rows):
+            yield lo, hi, matmul_dense(block, f)
 
     def row_norms_lp(self, p: Optional[float] = None) -> np.ndarray:
         """||U_i||_p for every row, computed blockwise."""
@@ -193,11 +191,11 @@ def well_conditioned_basis(a, h=None, p: float = 2.0, seed: int = 0,
     Here c_pi = 20; it and the two constants above are the module
     constants _C_PI, _STABLE_ROW_CAP and _BETA_SAFETY.  The reported width m
     is the numerical rank, which drops below m0 when the columns of A H are
-    dependent.
+    dependent.  A may be a ``RowView`` when h is None.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
-    ah = matmul_dense(a, h) if h is not None else a
+    ah = row_view(matmul_dense(a, h) if h is not None else a)
     n, m0 = ah.shape
     if n == 0 or m0 == 0:
         raise ValueError("empty operand")
@@ -226,7 +224,7 @@ def well_conditioned_basis(a, h=None, p: float = 2.0, seed: int = 0,
 
 
 class LeverageScores:
-    """Per-row scores gamma, their total, and the number of weight buckets.
+    """Per-row scores gamma, their total, and the number of weight buckets with a basis.
 
     The |x|^p scores of one bucket are beta^p times a beta-free part, with
     beta the certificate of the bucket's basis.  The two are kept apart, so
@@ -306,8 +304,10 @@ def weighted_leverage_scores(
 ) -> LeverageScores:
     """Leverage scores under dyadic weight buckets.
 
-    Rows are split into buckets 2^(j-1) <= w_i < 2^j; each nonempty bucket
-    gets its own basis, and per-row scores are twice the unweighted form.
+    Rows are split into buckets 2^(j-1) <= w_i < 2^j; each bucket that is
+    not all zero gets its own basis over its rows of ``a`` (a matrix or a
+    ``RowView``), read by index, and per-row scores are twice the
+    unweighted form.
     With ``gauss_t`` set, for any loss, the basis row norms are replaced
     by the Euclidean norms of U G for a Gaussian G with that many columns
     scaled by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney & Woodruff
@@ -320,12 +320,14 @@ def weighted_leverage_scores(
     base = np.zeros(n)
     scaled = []
     basis_p = loss.p if loss.is_lp else 2.0
-    src = a.tocsr() if is_sparse(a) else a
+    src = row_view(a)
+    bases = 0
     for j in np.unique(buckets):
         rows = np.flatnonzero(buckets == j)
-        sub = src if rows.size == n else src[rows]  # one bucket: no n-row copy
-        if not np.any(sub.data if is_sparse(sub) else sub):
+        sub = row_view(src, None if rows.size == n else rows)
+        if not any(np.any(b.data if is_sparse(b) else b) for _, _, b in sub.blocks(_ROW_BLOCK)):
             continue  # all-zero bucket contributes score 0
+        bases += 1
         basis = well_conditioned_basis(
             sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)),
             **basis_kwargs,
@@ -343,4 +345,4 @@ def weighted_leverage_scores(
             scaled.append((rows, basis))
         else:
             base[rows] = 2.0 * _m2_scores(loss, basis.beta, norms)
-    return LeverageScores(base, weights.n_buckets, scaled, loss.p)
+    return LeverageScores(base, bases, scaled, loss.p)

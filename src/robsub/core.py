@@ -171,8 +171,7 @@ def m_derivative(loss: LossSpec, x):
 class WeightVector:
     """Per-row weights with every w_i >= 1, carrying dyadic bucket structure.
 
-    Bucket j holds the rows with 2^(j-1) <= w_i < 2^j, for j = 1..N where
-    N = ceil(log2(1 + max w)).
+    Bucket j holds the rows with 2^(j-1) <= w_i < 2^j, for j = 1, 2, ...
     """
 
     w: np.ndarray
@@ -186,12 +185,6 @@ class WeightVector:
         if arr.size and arr.min() < 1.0:
             raise ValueError("every weight must be >= 1")
         object.__setattr__(self, "w", arr)
-
-    @property
-    def n_buckets(self) -> int:
-        if self.w.size == 0:
-            return 0
-        return int(math.ceil(math.log2(1.0 + float(self.w.max()))))
 
     def bucket_indices(self) -> np.ndarray:
         """1-based dyadic bucket index per row: 2^(j-1) <= w_i < 2^j."""
@@ -254,6 +247,62 @@ def matmul_dense(a, b) -> np.ndarray:
     if is_sparse(out):
         out = out.todense()
     return np.asarray(out)
+
+
+class RowView:
+    """Rows ``idx`` (sorted, or None for all) of the column stack of ``parts``.
+
+    The parts are dense arrays or CSR matrices with one row count, and the
+    stack is never formed: ``block`` gathers some of its rows, ``view[rows]``
+    gathers those rows of every part into a new view, and ``left_product``
+    sketches the view without gathering a row.
+    """
+
+    def __init__(self, parts, idx=None):
+        self.parts = tuple(p.tocsr() if is_sparse(p) else np.asarray(p, dtype=float)
+                           for p in parts)
+        self.idx = idx
+        self.shape = (self.parts[0].shape[0] if idx is None else idx.size,
+                      sum(p.shape[1] for p in self.parts))
+
+    def _source(self, rows):
+        return rows if self.idx is None else self.idx[rows]
+
+    def block(self, rows):
+        """Rows ``rows`` (a slice or index array) of the stack: dense, or CSR if a part is."""
+        blocks = [p[self._source(rows)] for p in self.parts]
+        if len(blocks) == 1:
+            return blocks[0]
+        return sp.hstack(blocks, format="csr") if any(map(is_sparse, blocks)) else np.hstack(blocks)
+
+    def blocks(self, size: int):
+        """(lo, hi, rows lo:hi of the stack) in order; no rows give one empty block."""
+        for lo in range(0, max(self.shape[0], 1), size):
+            hi = min(lo + size, self.shape[0])
+            yield lo, hi, self.block(slice(lo, hi))
+
+    def __getitem__(self, rows):
+        return RowView(tuple(p[self._source(rows)] for p in self.parts))
+
+    def left_product(self, op) -> "RowView":
+        """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
+
+        With ``idx`` set, op's columns move to those rows of an operator over
+        every row of the parts, so each entry adds its rows in view order.
+        """
+        if self.idx is not None:
+            op, n = op.tocsc(), self.parts[0].shape[0]
+            counts = np.zeros(n + 1, dtype=op.indptr.dtype)
+            counts[self.idx + 1] = np.diff(op.indptr)
+            op = sp.csc_matrix((op.data, op.indices, np.cumsum(counts)), shape=(op.shape[0], n))
+        return RowView(tuple(op @ p for p in self.parts))
+
+
+def row_view(a, rows=None) -> RowView:
+    """Rows ``rows`` (sorted, or None for all) of a matrix or RowView, as a RowView."""
+    if isinstance(a, RowView):
+        return a if rows is None else RowView(a.parts, a._source(rows))
+    return RowView((a,), rows)
 
 
 # ---------------------------------------------------------------------------

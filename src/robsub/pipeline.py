@@ -24,7 +24,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .bicriteria import SKETCH_NNZ, ConstApproxConfig, const_approx
-from .conditioning import well_conditioned_basis
 from .core import (
     LossSpec,
     Subspace,

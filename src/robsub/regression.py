@@ -3,8 +3,12 @@
 ``m_regress`` shrinks the rows of [A b] by a constant number of rounds of
 the shared weighted leverage-score sampling loop (``leverage_rounds``),
 then solves the surviving weighted problem with iteratively reweighted
-least squares.  ``irls_solve`` is also the full-data baseline the sampled
-solve is measured against.
+least squares.  A may be dense or CSR.  [A b] is never formed: it is
+scored through a ``core.RowView`` whose row blocks are stacked on demand,
+each round gathers its kept rows of A (still CSR for a CSR A) and entries
+of b, and only the final sample is densified, by ``irls_solve``.
+``irls_solve`` is also the full-data baseline the sampled solve is
+measured against.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LossSpec, as_weights, check_finite, m_derivative, m_value, to_dense
+from .core import LossSpec, RowView, as_weights, check_finite, m_derivative, m_value, to_dense
 from .sampling import leverage_rounds
 
 _RESID_FLOOR = 1e-12
@@ -94,21 +98,23 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
               trace: Optional[dict] = None) -> np.ndarray:
     """(1+eps)-style regression by rounds of leverage sampling of [A b].
 
-    Each of at most three rounds (levels) computes weighted leverage scores
-    of the augmented matrix (orthonormal bases with Gaussian row-norm
-    estimates for p=2 losses) and samples about
+    A may be dense or CSR.  Each of at most three rounds (levels) computes
+    weighted leverage scores of the augmented matrix [A b], read one block
+    of rows at a time and never formed (orthonormal bases with Gaussian
+    row-norm estimates for p=2 losses), and samples about
     level_c * n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, with
     delta = 0.1 and at most half the rows, carrying
     weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead); the
-    surviving problem goes to IRLS.
+    surviving rows of A and entries of b, gathered once per round, go to
+    IRLS, which densifies them.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or RegressConfig()
     check_finite(a, b)
-    dense = to_dense(a)
     rhs = np.asarray(b, dtype=float).ravel()
-    n, d = dense.shape
+    stack = RowView((a, rhs[:, None]))
+    n, d = stack.shape[0], stack.shape[1] - 1
     if rhs.size != n:
         raise ValueError("right-hand side length mismatch")
     base_cap = cfg.resolved_base_cap(d, eps)
@@ -118,13 +124,13 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
                  * math.log(1.0 / _DELTA) / eps**2)
         return min(_SHRINK * n_prime, max(level, 4.0 * (d + 1)))
 
-    aug, w, _, levels_run = leverage_rounds(
-        np.hstack([dense, rhs[:, None]]), np.ones(n), loss, view=lambda rows: rows,
+    kept, w, _, levels_run = leverage_rounds(
+        stack, np.ones(n), loss, view=lambda rows: rows,
         target=target, stop_rows=max(base_cap, 2 * (d + 1)), max_rounds=_LEVELS,
         seed=seed, salts=(137, 139), min_rows=d + 1,
         gauss_t=int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None)
-    cur_a, cur_b = aug[:, :d], aug[:, d]
+    cur_a, cur_b = kept.parts
     if trace is not None:
         trace["levels"] = levels_run
         trace["base_rows"] = cur_a.shape[0]
-    return irls_solve(cur_a, cur_b, w, loss)
+    return irls_solve(cur_a, cur_b.ravel(), w, loss)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditioning import LeverageScores, weighted_leverage_scores
-from .core import LossSpec, as_weights, is_sparse, spawn_rng
+from .core import LossSpec, RowView, as_weights, is_sparse, spawn_rng
 
 _PROB_FLOOR = 1e-12
 
@@ -99,6 +99,8 @@ def sample_size_subspace(z: int, eps: float, delta: float, gamma_total: float,
 
 
 def _scale_rows(a, scale: np.ndarray):
+    if isinstance(a, RowView):
+        return RowView(tuple(_scale_rows(p, scale) for p in a.parts))
     if is_sparse(a):
         import scipy.sparse as sp
         return sp.diags(scale) @ a.tocsr()

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Subspace, check_finite, is_sparse, matmul_dense, spawn_rng
+from .core import RowView, Subspace, check_finite, is_sparse, matmul_dense, row_view, spawn_rng
 
-# rows of the operand densified at a time by rank_revealing_factor
+# rows of the operand gathered and densified at a time by rank_revealing_factor
 _FACTOR_BLOCK = 2048
 # singular values at or below RANK_TOL * sigma_max count as zero
 RANK_TOL = 1e-8
@@ -141,19 +141,15 @@ def rank_revealing_factor(t):
     and reduced to its own R, and the stacked block Rs are reduced once
     more.  The SVD of the small R then gives t = (Q U) diag(sv) V^T with
     Q U orthonormal: t V diag(1/sv) is an orthonormal basis of the column
-    space of t, and V one of its row space.  t may be dense or sparse; at
-    most one row block of it is dense at a time, and a t of at most
-    ``_FACTOR_BLOCK`` rows is factored in one QR.  Returns (sv, V) with V
-    of shape (t.shape[1], rank).  Raises ValueError when t holds a NaN or
-    infinity.
+    space of t, and V one of its row space.  t may be dense, sparse or a
+    ``RowView``; at most one row block of it is gathered and dense at a
+    time, and a t of at most ``_FACTOR_BLOCK`` rows is factored in one QR.
+    Returns (sv, V) with V of shape (t.shape[1], rank).  Raises ValueError
+    when t holds a NaN or infinity.
     """
-    sparse = is_sparse(t)
-    t = t.tocsr() if sparse else np.asarray(t)
-    rs = []
-    # max(n, 1): a t with no rows is one empty block, whose R is empty
-    for lo in range(0, max(t.shape[0], 1), _FACTOR_BLOCK):
-        block = t[lo:lo + _FACTOR_BLOCK]
-        rs.append(np.linalg.qr(block.toarray() if sparse else block, mode="r"))
+    # a t with no rows is one empty block, whose R is empty
+    rs = [np.linalg.qr(block.toarray() if is_sparse(block) else block, mode="r")
+          for _, _, block in row_view(t).blocks(_FACTOR_BLOCK)]
     r = rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
     check_finite(r)  # a NaN or inf anywhere in t reaches R
     _, sv, vt = np.linalg.svd(r, full_matrices=False)
@@ -241,11 +237,13 @@ class PStableSketch:
         """Materialize rows [start, stop) of Pi densely: used by tests."""
         return self._operator()[start:stop].toarray()
 
-    def apply(self, b) -> np.ndarray:
-        """Compute Pi @ B for a conformable dense/sparse B in O(nnz(B)) work."""
+    def apply(self, b):
+        """Compute Pi @ B in O(nnz(B)) work: dense for a dense or sparse B, and for
+        a ``RowView`` B the view of Pi times each part, gathering no row."""
         if b.shape[0] != self.n:
             raise ValueError(f"operand has {b.shape[0]} rows, sketch expects {self.n}")
-        return matmul_dense(self._operator(), b)
+        op = self._operator()
+        return b.left_product(op) if isinstance(b, RowView) else matmul_dense(op, b)
 
 
 def make_pstable_sketch(seed: int, s: int, n: int, p: float) -> PStableSketch:

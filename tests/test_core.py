@@ -12,6 +12,7 @@ from robsub import (
     m_value,
     residual_cost,
     v_norm_p,
+    weighted_leverage_scores,
 )
 from robsub.core import as_weights, residual_row_norms
 
@@ -218,8 +219,12 @@ class TestWeights:
         assert np.all((2.0 ** (j - 1) <= w.w) & (w.w < 2.0**j))
 
     def test_bucket_count(self):
-        assert WeightVector(np.ones(5)).n_buckets == 1
-        assert WeightVector(np.array([1.0, 7.0])).n_buckets == 3
+        # the weight buckets that get a basis: empty buckets do not count
+        a = np.random.default_rng(0).standard_normal((40, 3))
+        for w1, count in ((1.0, 1), (1.5, 1), (5.0, 2), (7.0, 2)):
+            w = np.ones(40)
+            w[::4] = w1
+            assert weighted_leverage_scores(a, w, LossSpec.huber(1.0)).bucket_count == count
 
     def test_as_weights_default(self):
         assert np.array_equal(as_weights(None, 3), np.ones(3))

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
 from robsub import LossSpec, conditioning
@@ -19,6 +22,16 @@ def _outlier_problem(n, d, seed, frac=0.05, scale=30.0, noise=0.1):
     b = a @ x_true + noise * rng.standard_normal(n)
     rows = rng.choice(n, max(1, int(frac * n)), replace=False)
     b[rows] += scale * rng.standard_normal(rows.size)
+    return a, b, x_true
+
+
+def _sparse_problem(n, d, seed, noise=0.0):
+    """CSR design with about four nonzeros per row; 1% of responses off by 50."""
+    rng = np.random.default_rng(seed)
+    a = sp.random(n, d, density=4.0 / d, format="csr", random_state=seed)
+    x_true = rng.standard_normal(d)
+    b = a @ x_true + noise * rng.standard_normal(n)
+    b[rng.choice(n, n // 100, replace=False)] += 50.0
     return a, b, x_true
 
 
@@ -173,3 +186,44 @@ class TestMRegress:
     def test_rhs_length_mismatch(self):
         with pytest.raises(ValueError):
             m_regress(np.eye(4), np.ones(5), LossSpec.huber(1.0))
+
+
+class TestSparseInput:
+    def test_zero_rounds_is_irls(self):
+        # n <= stop_rows: the view of [A b] is never sampled
+        a, b, _ = _sparse_problem(300, 5, 12, noise=0.1)
+        loss = LossSpec.huber(1.0)
+        for mat in (a, a.toarray()):
+            tr = {}
+            x = m_regress(mat, b, loss, trace=tr)
+            assert tr["levels"] == 0
+            assert np.array_equal(x, irls_solve(mat, b, None, loss))
+
+    def test_csr_matches_dense_below_dense_size(self):
+        n, d = 50000, 40
+        a, b, _ = _sparse_problem(n, d, 13, noise=0.1)
+        loss = LossSpec.huber(1.0)
+        cfg = RegressConfig(base_cap=2000)
+        tr = {}
+        tracemalloc.start()
+        try:
+            x = m_regress(a, b, loss, cfg=cfg, seed=3, trace=tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr["levels"] >= 1
+        assert peak < n * d * 8
+        assert np.abs(x - m_regress(a.toarray(), b, loss, cfg=cfg, seed=3)).max() <= 1e-10
+
+    def test_lp_scaling_reaches_rhs(self):
+        # |x|^p rounds scale the kept rows of A and entries of b alike by
+        # q^(-1/p), so an L1 fit of a planted solution with 1% outliers stays
+        # exact, from CSR or dense input
+        a, b, x_true = _sparse_problem(50000, 40, 14)
+        loss = LossSpec.lp(1.0)
+        cfg = RegressConfig(base_cap=2000)
+        tr = {}
+        x = m_regress(a, b, loss, cfg=cfg, seed=4, trace=tr)
+        assert tr["levels"] >= 1
+        assert np.abs(x - m_regress(a.toarray(), b, loss, cfg=cfg, seed=4)).max() <= 1e-10
+        assert np.abs(x - x_true).max() <= 1e-8

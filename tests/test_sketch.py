@@ -11,6 +11,7 @@ from robsub import (
     make_sparse_sketch,
     orthonormal_union,
 )
+from robsub.core import RowView
 from robsub.sketch import rank_revealing_factor
 
 
@@ -308,6 +309,20 @@ class TestPStable:
         out = sk.apply(bs)
         assert isinstance(out, np.ndarray)
         assert np.allclose(out, full @ bs.toarray())
+
+    def test_apply_to_rows_by_index(self):
+        # sketching some rows of a column stack by index adds the same terms
+        # in the same order as sketching a copy of those rows of the stack
+        rng = np.random.default_rng(12)
+        a, b = rng.standard_normal((4000, 6)), rng.standard_normal(4000)
+        csr = sp.random(4000, 6, density=0.3, format="csr", random_state=4)
+        rows = np.sort(rng.choice(4000, 1500, replace=False))
+        for p in (1.0, 2.0):
+            sk = make_pstable_sketch(10, s=100, n=1500, p=p)
+            out = sk.apply(RowView((a, b[:, None]), rows)).block(slice(None))
+            assert np.array_equal(out, sk.apply(np.hstack([a, b[:, None]])[rows]))
+            out = sk.apply(RowView((csr,), rows)).block(slice(None))
+            assert sp.issparse(out) and np.array_equal(out.toarray(), sk.apply(csr[rows]))
 
     def test_stable_scaling_law(self):
         # sums of n p-stables scale like n^(1/p): compare the p=1.5 medians of
