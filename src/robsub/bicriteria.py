@@ -65,9 +65,10 @@ def const_approx_recur(
     Rounds of ``leverage_rounds`` run until at most p_m rows survive; more
     than max_depth + 1 rounds is an error.  For |x|^p losses sampled rows
     are rescaled by q^(-1/p) and weights reset to one; for general p=2
-    losses rows keep their values and weights become w / q.  Positive row
-    scales leave the span of the input rows unchanged, so the caller needs
-    only their indices, sorted, into a_proj.
+    losses rows keep their values and weights become w / q.  Each round
+    reads its rows of a_proj by index, and no copy of them is formed:
+    positive row scales leave the span of the input rows unchanged, so
+    the caller needs only their indices, sorted, into a_proj.
     """
     d_prime = a_proj.shape[1]
 
@@ -83,10 +84,9 @@ def const_approx_recur(
         return scale * scores.capped_total(cap / scale)
 
     # min_rows=-1: an empty draw is carried, leaving no survivors
-    _, _, idx, depth = leverage_rounds(
-        a_proj, w, loss, view=lambda proj: proj, target=target,
-        stop_rows=p_m, max_rounds=max_depth + 1, seed=seed, salts=(53, 59),
-        min_rows=-1, trace=trace, n_probe=_BASIS_PROBES)
+    idx, _, _, depth = leverage_rounds(
+        a_proj, w, loss, target=target, stop_rows=p_m, max_rounds=max_depth + 1,
+        seed=seed, salts=(53, 59), min_rows=-1, trace=trace, n_probe=_BASIS_PROBES)
     if idx.size > p_m:
         raise RuntimeError(
             f"row sampling ran {depth} rounds without shrinking below "

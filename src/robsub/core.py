@@ -250,27 +250,42 @@ def matmul_dense(a, b) -> np.ndarray:
 
 
 class RowView:
-    """Rows ``idx`` (sorted, or None for all) of the column stack of ``parts``.
+    """Rows ``idx`` (sorted, or None for all) of the column stack of ``parts``,
+    each times ``scale`` (one factor per row of the view, or None for none).
 
     The parts are dense arrays or CSR matrices with one row count, and the
     stack is never formed: ``block`` gathers some of its rows, ``view[rows]``
     gathers those rows of every part into a new view, and ``left_product``
-    sketches the view without gathering a row.
+    sketches the view without gathering a row.  Gathered rows are multiplied
+    by their scale.
     """
 
-    def __init__(self, parts, idx=None):
+    def __init__(self, parts, idx=None, scale=None):
         self.parts = tuple(p.tocsr() if is_sparse(p) else np.asarray(p, dtype=float)
                            for p in parts)
         self.idx = idx
+        self.scale = scale
         self.shape = (self.parts[0].shape[0] if idx is None else idx.size,
                       sum(p.shape[1] for p in self.parts))
 
     def _source(self, rows):
         return rows if self.idx is None else self.idx[rows]
 
+    def _gather(self, rows):
+        """Rows ``rows`` of each part, times their scale."""
+        src = self._source(rows)
+        blocks = [p[src] if is_sparse(p) or isinstance(src, slice) else p.take(src, axis=0)
+                  for p in self.parts]
+        if self.scale is None:
+            return blocks
+        s = self.scale[rows]
+        return [sp.csr_matrix((b.data * np.repeat(s, np.diff(b.indptr)), b.indices, b.indptr),
+                              shape=b.shape)
+                if is_sparse(b) else b * s[:, None] for b in blocks]
+
     def block(self, rows):
         """Rows ``rows`` (a slice or index array) of the stack: dense, or CSR if a part is."""
-        blocks = [p[self._source(rows)] for p in self.parts]
+        blocks = self._gather(rows)
         if len(blocks) == 1:
             return blocks[0]
         return sp.hstack(blocks, format="csr") if any(map(is_sparse, blocks)) else np.hstack(blocks)
@@ -282,27 +297,39 @@ class RowView:
             yield lo, hi, self.block(slice(lo, hi))
 
     def __getitem__(self, rows):
-        return RowView(tuple(p[self._source(rows)] for p in self.parts))
+        return RowView(self._gather(rows))
 
     def left_product(self, op) -> "RowView":
         """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
 
-        With ``idx`` set, op's columns move to those rows of an operator over
-        every row of the parts, so each entry adds its rows in view order.
+        The scale multiplies op's columns.  With ``idx`` set, op's columns
+        move to those rows of an operator over every row of the parts: op
+        is taken row by row (CSR, columns in order), so each entry adds its
+        rows in view order, and the move costs O(nnz(op)).
         """
+        if self.idx is None and self.scale is None:
+            # op as given: a CSC op reads each part's rows in sequence
+            return RowView(tuple(op @ p for p in self.parts))
+        op = op.tocsr()
+        data, cols = op.data, op.indices
+        if self.scale is not None:
+            data = data * self.scale[cols]
         if self.idx is not None:
-            op, n = op.tocsc(), self.parts[0].shape[0]
-            counts = np.zeros(n + 1, dtype=op.indptr.dtype)
-            counts[self.idx + 1] = np.diff(op.indptr)
-            op = sp.csc_matrix((op.data, op.indices, np.cumsum(counts)), shape=(op.shape[0], n))
+            cols = self.idx[cols]
+        op = sp.csr_matrix((data, cols, op.indptr), shape=(op.shape[0], self.parts[0].shape[0]))
         return RowView(tuple(op @ p for p in self.parts))
 
 
-def row_view(a, rows=None) -> RowView:
-    """Rows ``rows`` (sorted, or None for all) of a matrix or RowView, as a RowView."""
-    if isinstance(a, RowView):
-        return a if rows is None else RowView(a.parts, a._source(rows))
-    return RowView((a,), rows)
+def row_view(a, rows=None, scale=None) -> RowView:
+    """Rows ``rows`` (sorted, or None for all) of a matrix or RowView, each times
+    ``scale`` (one factor per chosen row, or None), as a RowView."""
+    if not isinstance(a, RowView):
+        return RowView((a,), rows, scale)
+    if rows is not None:
+        a = RowView(a.parts, a._source(rows), None if a.scale is None else a.scale[rows])
+    if scale is None:
+        return a
+    return RowView(a.parts, a.idx, scale if a.scale is None else a.scale * scale)
 
 
 # ---------------------------------------------------------------------------

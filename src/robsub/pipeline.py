@@ -32,6 +32,7 @@ from .core import (
     m_value,
     matmul_dense,
     residual_cost,
+    row_view,
     spawn_rng,
     to_dense,
 )
@@ -331,13 +332,15 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
 
     After the subspace stages and the right embedding, at most ``rounds``
     rounds of ``leverage_rounds`` shrink the rows of A (dense or CSR),
-    scored through A [S^T U] (A alone when S^T = I) with ``gauss_t``
-    Gaussian columns, each planning ``target(n', d_hat)`` expected rows
-    with d_hat the scored width, until at most ``cfg.t_rows_target``
-    remain.  ``handover(kept rows, rounds run)`` checks the sample and
-    returns the trace entries to record; only the kept rows are densified
-    for the weighted small solve inside U.  Salts seed the scores, the
-    draws and the small solve.
+    scored through A [S^T U] (A alone when S^T = I, else the product,
+    formed once) with ``gauss_t`` Gaussian columns, each planning
+    ``target(n', d_hat)`` expected rows with d_hat the scored width, until
+    at most ``cfg.t_rows_target`` remain.  The rounds read their rows by
+    index and copy none; ``handover(kept rows, rounds run)`` checks the
+    sample and returns the trace entries to record.  Only the kept rows of
+    A are gathered, once, with their row scale, and densified for the
+    weighted small solve inside U.  Salts seed the scores, the draws and
+    the small solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -354,15 +357,14 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     st = _right_embedding(d, m, eps, seed)
     h = _score_operator(st, u)
     d_hat = d if h is None else h.shape[1]
-    rows, w, _, done = leverage_rounds(
-        a, np.ones(n), loss,
-        view=(lambda rows: rows) if h is None else (lambda rows: matmul_dense(rows, h)),
+    idx, w, scale, done = leverage_rounds(
+        a if h is None else matmul_dense(a, h), np.ones(n), loss,
         target=lambda n_prime, _scores: target(n_prime, d_hat),
         stop_rows=cfg.t_rows_target, max_rounds=rounds, seed=seed,
         salts=salts[:2], gauss_t=gauss_t)
-    tr.update(handover(rows.shape[0], done))
+    tr.update(handover(idx.size, done))
 
-    dense = to_dense(rows)
+    dense = to_dense(row_view(a, idx, scale).block(slice(None)))
     prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
                             restarts=cfg.restarts, cap=max(cfg.small_cap, cfg.t_rows_target + 1))

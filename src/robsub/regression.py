@@ -3,10 +3,11 @@
 ``m_regress`` shrinks the rows of [A b] by a constant number of rounds of
 the shared weighted leverage-score sampling loop (``leverage_rounds``),
 then solves the surviving weighted problem with iteratively reweighted
-least squares.  A may be dense or CSR.  [A b] is never formed: it is
-scored through a ``core.RowView`` whose row blocks are stacked on demand,
-each round gathers its kept rows of A (still CSR for a CSR A) and entries
-of b, and only the final sample is densified, by ``irls_solve``.
+least squares.  A may be dense or CSR.  [A b] is never formed: each round
+scores its kept rows through a ``core.RowView`` of [A b], read by index
+with row blocks stacked on demand, so no round copies its rows.  The kept
+rows of A (still CSR for a CSR A) and entries of b are gathered once,
+after the last round, and densified by ``irls_solve``.
 ``irls_solve`` is also the full-data baseline the sampled solve is
 measured against.
 """
@@ -19,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LossSpec, RowView, as_weights, check_finite, m_derivative, m_value, to_dense
+from .core import (LossSpec, RowView, as_weights, check_finite, m_derivative, m_value, row_view,
+                   to_dense)
 from .sampling import leverage_rounds
 
 _RESID_FLOOR = 1e-12
@@ -104,9 +106,10 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     row-norm estimates for p=2 losses), and samples about
     level_c * n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, with
     delta = 0.1 and at most half the rows, carrying
-    weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead); the
-    surviving rows of A and entries of b, gathered once per round, go to
-    IRLS, which densifies them.
+    weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead).
+    Rounds carry only row positions, weights and scales; the surviving
+    rows of A and entries of b are gathered once, scaled, for IRLS, which
+    densifies them.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -124,13 +127,13 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
                  * math.log(1.0 / _DELTA) / eps**2)
         return min(_SHRINK * n_prime, max(level, 4.0 * (d + 1)))
 
-    kept, w, _, levels_run = leverage_rounds(
-        stack, np.ones(n), loss, view=lambda rows: rows,
-        target=target, stop_rows=max(base_cap, 2 * (d + 1)), max_rounds=_LEVELS,
-        seed=seed, salts=(137, 139), min_rows=d + 1,
+    idx, w, scale, levels_run = leverage_rounds(
+        stack, np.ones(n), loss, target=target, stop_rows=max(base_cap, 2 * (d + 1)),
+        max_rounds=_LEVELS, seed=seed, salts=(137, 139), min_rows=d + 1,
         gauss_t=int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None)
-    cur_a, cur_b = kept.parts
+    if levels_run:
+        a, rhs = row_view(stack, idx, scale)[:].parts
     if trace is not None:
         trace["levels"] = levels_run
-        trace["base_rows"] = cur_a.shape[0]
-    return irls_solve(cur_a, cur_b.ravel(), w, loss)
+        trace["base_rows"] = a.shape[0]
+    return irls_solve(a, rhs.ravel(), w, loss)

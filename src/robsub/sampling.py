@@ -6,7 +6,10 @@ plan with one uniform variate per index (in index order, so draws from the
 same seed are coupled across plans) and carries both the reweighting
 w'_i = w_i / q_i and, for |x|^p losses, the row scale factors q_i^(-1/p).
 ``leverage_rounds`` repeats score -> plan -> draw -> carry over weighted
-leverage scores; the bicriteria subspace, both subspace pipelines and
+leverage scores, carrying only the kept row positions, their weights and
+their cumulative scale between rounds: each round reads its rows by index
+from the caller's matrix, a block at a time, and the caller gathers the
+last sample once.  The bicriteria subspace, both subspace pipelines and
 robust regression all shrink their rows with it.
 """
 
@@ -19,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditioning import LeverageScores, weighted_leverage_scores
-from .core import LossSpec, RowView, as_weights, is_sparse, spawn_rng
+from .core import LossSpec, as_weights, row_view, spawn_rng
 
 _PROB_FLOOR = 1e-12
 
@@ -98,20 +101,10 @@ def sample_size_subspace(z: int, eps: float, delta: float, gamma_total: float,
     return c * z * math.log(1.0 / delta) / eps**2 * gamma_total
 
 
-def _scale_rows(a, scale: np.ndarray):
-    if isinstance(a, RowView):
-        return RowView(tuple(_scale_rows(p, scale) for p in a.parts))
-    if is_sparse(a):
-        import scipy.sparse as sp
-        return sp.diags(scale) @ a.tocsr()
-    return np.asarray(a) * scale[:, None]
-
-
 def leverage_rounds(
     a,
     w,
     loss: LossSpec,
-    view: Callable,
     target: Callable[[int, LeverageScores], float],
     stop_rows: int,
     max_rounds: int,
@@ -124,7 +117,7 @@ def leverage_rounds(
     """Shrink the rows of ``a`` by rounds of weighted leverage-score sampling.
 
     While more than ``stop_rows`` rows remain, at most ``max_rounds`` times:
-    score ``view(a)`` with ``weighted_leverage_scores(**score_kwargs)``,
+    score the kept rows with ``weighted_leverage_scores(**score_kwargs)``,
     plan ``target(n', scores)`` expected rows in proportion to
     ``scores.relative``, and draw, redrawing once if more than
     max(0.9 n', stop_rows) rows are kept.  A draw keeping at
@@ -133,16 +126,26 @@ def leverage_rounds(
     keep rows as they are and carry w / q.  Round r seeds its scores with
     (seed, salts[0], r) and its draws with (seed, salts[1], r, attempt).
 
-    Returns (a, w, indices, rounds): the kept rows, their weights, their
-    positions in the input, and the number of rounds whose draw was kept.
+    ``a`` is a matrix or ``core.RowView``, and no copy of its kept rows is
+    formed: each round scores ``row_view(a, idx, scale)``, read by index a
+    block at a time, and only the kept positions, their weights and their
+    scale live from one round to the next.
+
+    Returns (idx, w, scale, rounds): the kept positions in ``a`` (sorted),
+    their weights, their cumulative row scale (the product of each round's
+    q^(-1/p) for |x|^p losses, None for others or when no round was kept),
+    and the number of rounds whose draw was kept.  The kept rows are
+    ``row_view(a, idx, scale)``.
     """
-    w = as_weights(w, a.shape[0])
-    idx = np.arange(a.shape[0])
+    n = a.shape[0]
+    w = as_weights(w, n)
+    idx, scale = None, None     # every row, unscaled, until a draw is kept
     rounds = 0
-    while a.shape[0] > stop_rows and rounds < max_rounds:
-        n_prime = a.shape[0]
+    while (n if idx is None else idx.size) > stop_rows and rounds < max_rounds:
+        rows = a if idx is None else row_view(a, idx, scale)
+        n_prime = rows.shape[0]
         scores = weighted_leverage_scores(
-            view(a), w, loss,
+            rows, w, loss,
             seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
         plan = make_plan(scores.relative, target(n_prime, scores), 1.0)
         for attempt in range(2):
@@ -159,13 +162,12 @@ def leverage_rounds(
         if len(sample) <= min_rows:
             break
         keep = sample.indices
+        idx = keep if idx is None else idx[keep]
         if loss.is_lp:
-            scale = sample.scale_factors(loss.p)
-            a = _scale_rows(a[keep], scale)
-            w = np.ones(len(keep))
+            scale = sample.scale_factors(loss.p) * (1.0 if scale is None else scale[keep])
+            w = np.ones(keep.size)
         else:
-            a = a[keep]
             w = sample.reweights
-        idx = idx[keep]
+        del rows, scores, plan, sample, keep  # only idx, w and scale live into the next round
         rounds += 1
-    return a, w, idx, rounds
+    return (np.arange(n) if idx is None else idx), w, scale, rounds

@@ -14,7 +14,7 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub.core import as_weights, residual_row_norms
+from robsub.core import RowView, as_weights, residual_row_norms, row_view
 
 
 class TestLossValues:
@@ -283,3 +283,55 @@ class TestSubspace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             residual_cost(np.eye(4), Subspace(np.eye(3)[:, :1]), None, LossSpec.lp(1.0))
+
+
+class TestScaledRowView:
+    """A view's row scale multiplies every gathered row, and every sketched one."""
+
+    def _parts(self):
+        rng = np.random.default_rng(17)
+        dense = rng.standard_normal((500, 4))
+        csr = sp.random(500, 3, density=0.4, format="csr", random_state=5)
+        idx = np.sort(rng.choice(500, 200, replace=False))
+        scale = np.exp(rng.standard_normal(200))
+        return rng, dense, csr, idx, scale
+
+    def _explicit(self, dense, csr, idx, scale):
+        # the scaled gather of rows idx, as [dense | csr] with dense
+        # blocks scaled elementwise and CSR blocks by a diagonal product
+        return np.hstack([dense[idx] * scale[:, None], (sp.diags(scale) @ csr[idx]).toarray()])
+
+    def _views(self):
+        """(view, its explicit scaled gather) on dense, CSR and mixed parts, and a view of a view."""
+        rng, dense, csr, idx, scale = self._parts()
+        full = self._explicit(dense, csr, idx, scale)
+        yield RowView((dense,), idx, scale), full[:, :4]
+        yield RowView((csr,), idx, scale), full[:, 4:]
+        yield row_view(RowView((dense, csr)), idx, scale), full
+        # narrow a scaled view by index and scale it again
+        rows = np.sort(rng.choice(200, 80, replace=False))
+        outer = np.exp(rng.standard_normal(80))
+        inner = row_view(RowView((dense, csr)), idx, scale)
+        yield row_view(inner, rows, outer), self._explicit(dense, csr, idx[rows],
+                                                           scale[rows] * outer)
+
+    def test_block_and_getitem_are_scaled_gathers(self):
+        for view, want in self._views():
+            rows = np.arange(0, view.shape[0], 3)
+            got = view.block(slice(None))
+            assert np.array_equal(got.toarray() if sp.issparse(got) else got, want)
+            got = view.block(rows)
+            assert np.array_equal(got.toarray() if sp.issparse(got) else got, want[rows])
+            parts = view[rows].parts
+            got = np.hstack([p.toarray() if sp.issparse(p) else p for p in parts])
+            assert np.array_equal(got, want[rows])
+            assert view[rows].scale is None and view[rows].idx is None
+
+    def test_left_product_folds_scale_into_operator(self):
+        for view, want in self._views():
+            op = sp.random(30, view.shape[0], density=0.05, format="csc", random_state=6)
+            got = view.left_product(op).block(slice(None))
+            got = got.toarray() if sp.issparse(got) else got
+            expect = op @ want
+            assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+            assert np.linalg.norm(expect) > 0.0

@@ -175,6 +175,22 @@ class TestMRegress:
             m_regress(a, b, loss, eps=0.5, seed=1)
         assert calls == []
 
+    def test_dense_peak_below_input_size(self):
+        # rounds read [A b] by index and gather the kept rows once, after the
+        # last round, so the fit's peak is set by one round's scoring or by
+        # IRLS on the final sample, well below the bytes of A (gathering each
+        # round's kept rows peaked at 1.21 A.nbytes here)
+        a, b, _ = _outlier_problem(100_000, 20, 12, frac=0.01)
+        tr = {}
+        tracemalloc.start()
+        try:
+            m_regress(a, b, LossSpec.huber(1.0), seed=1, trace=tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr["levels"] >= 2
+        assert peak < 0.8 * a.nbytes
+
     def test_non_finite_rhs_rejected(self):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((300, 4))

@@ -12,7 +12,7 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub.core import spawn_rng
+from robsub.core import RowView, row_view, spawn_rng
 from robsub.sampling import leverage_rounds
 
 
@@ -193,21 +193,21 @@ class TestLeverageRounds:
     def test_stops_at_stop_rows(self):
         a = self._rows()
         trace = []
-        out, _, _, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
+        idx, _, _, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), target=_half,
             stop_rows=300, max_rounds=20, seed=1, salts=(1, 2), trace=trace)
-        assert out.shape[0] <= 300
+        assert idx.size <= 300
         assert rounds == len(trace) >= 2
         assert all(t["n"] > 300 for t in trace)
 
     def test_stops_at_max_rounds(self):
         a = self._rows()
         trace = []
-        out, _, _, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), view=lambda m: m, target=_half,
+        idx, _, _, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), target=_half,
             stop_rows=10, max_rounds=2, seed=1, salts=(1, 2), trace=trace)
         assert rounds == len(trace) == 2
-        assert out.shape[0] == trace[-1]["realized"] > 10
+        assert idx.size == trace[-1]["realized"] > 10
 
     def test_small_draw_keeps_previous_rows(self):
         # round one halves the rows; round two plans ~3 rows, at most
@@ -218,21 +218,21 @@ class TestLeverageRounds:
             return 0.5 * n_prime if n_prime == a.shape[0] else 3.0
 
         trace = []
-        out, w, idx, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), view=lambda m: m, target=target,
+        idx, w, scale, rounds = leverage_rounds(
+            a, None, LossSpec.huber(1.0), target=target,
             stop_rows=10, max_rounds=5, seed=2, salts=(1, 2), min_rows=50, trace=trace)
         assert rounds == 1 and len(trace) == 2
         assert trace[1]["realized"] <= 50
-        assert out.shape[0] == trace[0]["realized"] == trace[1]["n"]
-        assert np.array_equal(out, a[idx]) and w.size == out.shape[0]
+        assert idx.size == trace[0]["realized"] == trace[1]["n"]
+        assert scale is None and w.size == idx.size
 
     def test_no_kept_draw_returns_input(self):
         a = self._rows()
-        out, w, idx, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), view=lambda m: m,
+        idx, w, scale, rounds = leverage_rounds(
+            a, None, LossSpec.lp(1.0),
             target=lambda n_prime, _: 3.0, stop_rows=10, max_rounds=5, seed=3,
             salts=(1, 2), min_rows=50)
-        assert rounds == 0 and out is a
+        assert rounds == 0 and scale is None
         assert np.array_equal(idx, np.arange(a.shape[0])) and np.all(w == 1.0)
 
     def _one_round(self, a, w, loss, seed):
@@ -244,32 +244,56 @@ class TestLeverageRounds:
     def test_lp_rescales_rows_with_unit_weights(self):
         a = self._rows()
         loss = LossSpec.lp(1.5)
-        out, w, idx, rounds = leverage_rounds(
-            a, None, loss, view=lambda m: m, target=_half, stop_rows=10,
+        idx, w, scale, rounds = leverage_rounds(
+            a, None, loss, target=_half, stop_rows=10,
             max_rounds=1, seed=4, salts=(1, 2))
         q = self._one_round(a, None, loss, 4)
         assert rounds == 1 and np.all(w == 1.0)
-        assert np.allclose(out, a[idx] * q[idx, None] ** (-1.0 / 1.5))
+        assert np.allclose(scale, q[idx] ** (-1.0 / 1.5))
+
+    def test_lp_scale_compounds_over_rounds(self):
+        # the scale of each kept row is the product of every round's
+        # q^(-1/p); rebuilt here by gathering and scaling each round's rows
+        a = self._rows(n=4000)
+        loss = LossSpec.lp(1.0)
+        trace = []
+        idx, w, scale, rounds = leverage_rounds(
+            a, None, loss, target=_half, stop_rows=200, max_rounds=10, seed=7,
+            salts=(1, 2), trace=trace)
+        assert rounds >= 3 and np.all(w == 1.0)
+        assert np.all(np.diff(idx) > 0)
+        rows, pos = a, np.arange(a.shape[0])
+        for r in range(rounds):
+            scores = weighted_leverage_scores(
+                rows, None, loss, seed=int(spawn_rng(7, 1, r).integers(2**31)))
+            plan = make_plan(scores.relative, _half(rows.shape[0], scores), 1.0)
+            keep = draw(plan, None, seed=int(spawn_rng(7, 2, r, 0).integers(2**31))).indices
+            assert keep.size == trace[r]["realized"]
+            rows, pos = rows[keep] * plan.q[keep, None] ** -1.0, pos[keep]
+        assert np.array_equal(pos, idx)
+        assert np.allclose(row_view(a, idx, scale).block(slice(None)), rows, rtol=1e-12, atol=0.0)
 
     def test_p2_reweights_rows_unchanged(self):
         a = self._rows()
         loss = LossSpec.huber(1.0)
         w0 = 1.0 + 3.0 * np.random.default_rng(11).random(a.shape[0])
-        out, w, idx, rounds = leverage_rounds(
-            a, w0, loss, view=lambda m: m, target=_half, stop_rows=10,
+        idx, w, scale, rounds = leverage_rounds(
+            a, w0, loss, target=_half, stop_rows=10,
             max_rounds=1, seed=5, salts=(1, 2))
         q = self._one_round(a, w0, loss, 5)
-        assert rounds == 1
-        assert np.array_equal(out, a[idx])
+        assert rounds == 1 and scale is None
         assert np.allclose(w, w0[idx] / q[idx])
 
     def test_indices_map_kept_rows_to_input(self):
-        # the kept rows stay aligned with the returned indices over rounds,
-        # and only the view is scored
+        # the returned positions index the input over rounds: rounds over a
+        # RowView of the input's columns, read by index, keep the same rows
+        # with the same weights as rounds over the input itself
         a = self._rows()
-        out, _, idx, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), view=lambda m: m[:, :3], target=_half,
-            stop_rows=100, max_rounds=10, seed=6, salts=(1, 2))
-        assert rounds >= 3
+        loss = LossSpec.huber(1.0)
+        idx, w, _, rounds = leverage_rounds(a, None, loss, target=_half, stop_rows=100,
+                                            max_rounds=10, seed=6, salts=(1, 2))
+        viewed = leverage_rounds(RowView((a[:, :2], a[:, 2:])), None, loss, target=_half,
+                                 stop_rows=100, max_rounds=10, seed=6, salts=(1, 2))
+        assert rounds >= 3 and viewed[3] == rounds
         assert np.all(np.diff(idx) > 0)
-        assert np.array_equal(out, a[idx])
+        assert np.array_equal(viewed[0], idx) and np.array_equal(viewed[1], w)
