@@ -23,7 +23,7 @@ from .sampling import leverage_rounds
 from .sketch import apply_right, make_sparse_sketch, orthonormal_union
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
-SKETCH_NNZ = 4
+_SKETCH_NNZ = 4
 _LOGLOGLOG_C = 3.0      # extra factor on the per-round sample for p=2 losses
 _BASIS_PROBES = 2000    # beta-certificate probes inside the rounds
 
@@ -120,7 +120,7 @@ def const_approx(a, k: int, loss: LossSpec, cfg: Optional[ConstApproxConfig] = N
         return orthonormal_union([a], d=d)
     m = int(min(max(k + 1, cfg.c_sketch_cols * k * k), d))
     sketch = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
-                                m=m, d=d, s=min(SKETCH_NNZ, m))
+                                m=m, d=d, s=min(_SKETCH_NNZ, m))
     max_depth = int(4 * math.log2(max(math.log2(max(n, 4)), 2.0)) + 8)
     idx = const_approx_recur(apply_right(a, sketch), np.ones(n), loss, cfg, seed,
                              p_m, max_depth, trace=trace)

@@ -322,9 +322,11 @@ def weighted_leverage_scores(
     basis_p = loss.p if loss.is_lp else 2.0
     src = row_view(a)
     bases = 0
-    for j in np.unique(buckets):
-        rows = np.flatnonzero(buckets == j)
-        sub = row_view(src, None if rows.size == n else rows)
+    levels = np.unique(buckets)
+    for j in levels:
+        # a lone bucket holds every row: read them all, with no index vector
+        rows = slice(None) if levels.size == 1 else np.flatnonzero(buckets == j)
+        sub = src if levels.size == 1 else row_view(src, rows)
         if not any(np.any(b.data if is_sparse(b) else b) for _, _, b in sub.blocks(_ROW_BLOCK)):
             continue  # all-zero bucket contributes score 0
         bases += 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -395,24 +395,27 @@ class Subspace:
         return self.u.shape[1]
 
 
-def residual_row_norms(a, x: Subspace) -> np.ndarray:
-    """Per-row Euclidean distances ||A_i (I - U U^T)||_2.
+def project_rows(a, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(A U, r) with r_i = ||A_i (I - U U^T)||_2, for an orthonormal U.
 
     Dense inputs subtract the projection directly (accurate near zero
     residual); sparse inputs use the projector identity
     ||A_i (I-P)||^2 = ||A_i||^2 - ||A_i U||^2 to avoid densification.
     """
+    au = matmul_dense(a, u)
+    if is_sparse(a):
+        proj = np.linalg.norm(au, axis=1) ** 2
+        return au, np.sqrt(np.clip(row_norms(a) ** 2 - proj, 0.0, None))
+    return au, np.linalg.norm(np.asarray(a, dtype=float) - au @ u.T, axis=1)
+
+
+def residual_row_norms(a, x: Subspace) -> np.ndarray:
+    """Per-row Euclidean distances ||A_i (I - U U^T)||_2 (see ``project_rows``)."""
     if x.d != a.shape[1]:
         raise ValueError(f"subspace lives in R^{x.d}, matrix has {a.shape[1]} columns")
     if x.dim == 0:
         return row_norms(a)
-    if is_sparse(a):
-        base = row_norms(a) ** 2
-        proj = np.linalg.norm(matmul_dense(a, x.u), axis=1) ** 2
-        return np.sqrt(np.clip(base - proj, 0.0, None))
-    arr = np.asarray(a, dtype=float)
-    resid = arr - (arr @ x.u) @ x.u.T
-    return np.linalg.norm(resid, axis=1)
+    return project_rows(a, x.u)[1]
 
 
 def residual_cost(a, x: Subspace, w=None, loss: LossSpec = None) -> float:

@@ -1,13 +1,15 @@
 """End-to-end (1+eps) pipelines and the desk-scale small-problem solver.
 
 Both pipelines run one body: bicriteria subspace -> residual sampling into
-a moderate subspace U -> sparse right sketch S -> rounds of the shared
-leverage-sampling loop on the rows of A, scored through A [S^T U], giving
-the row sample T -> solve min over rank-k projectors W W^T of
-||T A U W W^T U^T S^T - T A S^T|| on the small triple (TAU, U^T S^T, TAS^T)
--> return U W.  The |x|^p pipeline draws T in one round, rescaling rows by
+a moderate subspace U -> rounds of the shared leverage-sampling loop on the
+rows of [A U, r], r_i = ||A_i (I - U U^T)|| (of A itself when U is square),
+giving the row sample T -> min over rank-k projectors W W^T of the small
+problem (T A U, [I_m 0], T [A U, r]) -> return U W.  Its per-row costs are
+exact, as ||A_i (I - U W W^T U^T)||^2 = ||A_i U (I - W W^T)||^2 + r_i^2 (a
+projection-cost-preserving reduction; Cohen, Elder, Musco, Musco & Persu
+2015).  The |x|^p pipeline draws T in one round, rescaling rows by
 q^(-1/p); the p=2 pipeline shrinks over several rounds carrying weights
-w / q.  Only the rows of T are densified.
+w / q.  No n x d array is formed.
 
 The small solver is heuristic by design: each restart runs a reweighted
 eigenvector alternation followed by projected gradient descent on the
@@ -23,22 +25,21 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bicriteria import SKETCH_NNZ, ConstApproxConfig, const_approx
+from .bicriteria import ConstApproxConfig, const_approx
 from .core import (
     LossSpec,
     Subspace,
     as_weights,
     m_derivative,
     m_value,
-    matmul_dense,
+    project_rows,
     residual_cost,
     row_view,
     spawn_rng,
-    to_dense,
 )
 from .dimreduce import DimReduceConfig, dim_reduce
 from .sampling import leverage_rounds
-from .sketch import make_sparse_sketch
+from .sketch import _FACTOR_BLOCK
 
 
 class CapExceededError(RuntimeError):
@@ -140,8 +141,8 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, g_mat: np.nd
 
     At the current iterate the loss is majorized by a quadratic with
     per-row weights psi_i = w_i M'(r_i) / (2 r_i).  Treating B^+ B as an
-    approximate isometry (exact when B has orthonormal rows, near-exact
-    for sketch transposes), the quadratic step minimizes
+    approximate isometry (exact when B has orthonormal rows, as the
+    pipelines' [I_m 0] does), the quadratic step minimizes
     tr(W^T [A^T P A - 2 sym(A^T P C B^+)] W) over orthonormal W, i.e. a
     bottom-k eigenvector problem.  Candidates are scored by the true
     objective and the best is kept.  g_mat is C B^+.
@@ -244,19 +245,18 @@ def best_rank_k_in_subspace(a, sub: Subspace, k: int, loss: LossSpec, w=None,
                             warm_starts: Sequence[np.ndarray] = ()) -> Tuple[Subspace, float]:
     """Best rank-k subspace inside span(U), solved as a small problem.
 
-    With A_hat = A U, B = U^T, C = A the objective equals the residual cost
-    of the projector (U W)(U W)^T.
+    On the exact columns [A U, r] (see ``_exact_problem``) the objective
+    equals the residual cost of the projector (U W)(U W)^T.
     """
     cfg = cfg or PipelineConfig()
     if sub.dim == 0:
         raise ValueError("cannot search inside an empty subspace")
-    au = matmul_dense(a, sub.u)
-    dense_a = to_dense(a)
-    prob = SmallProblem(au, sub.u.T, dense_a, as_weights(w, a.shape[0]), min(k, sub.dim))
+    prob = _exact_problem(_exact_columns(a, sub.u), as_weights(w, a.shape[0]),
+                          min(k, sub.dim))
     w_factor = small_approx(prob, loss, seed=seed, restarts=cfg.restarts,
-                            cap=max(cfg.small_cap, max(a.shape)),
+                            cap=max(cfg.small_cap, a.shape[0], sub.dim + 1),
                             warm_starts=warm_starts)
-    out = Subspace(_orthonormal(sub.u @ w_factor))
+    out = _final_factor(sub.u, w_factor)
     return out, residual_cost(a, out, w, loss)
 
 
@@ -280,28 +280,22 @@ def _stage_subspace(a, k, eps, loss, cfg, seed, trace):
     return sub
 
 
-def _right_embedding(d: int, m: int, eps: float, seed: int) -> np.ndarray:
-    """Transposed column-reducing sketch for (U, A^T) pairs, as a d x m_s array.
+def _exact_columns(a, u: np.ndarray) -> np.ndarray:
+    """[A U, r] with r_i = ||A_i (I - U U^T)||, built one row block at a time."""
+    out = np.empty((a.shape[0], u.shape[1] + 1))
+    for lo, hi, rows in row_view(a).blocks(_FACTOR_BLOCK):
+        out[lo:hi, :-1], out[lo:hi, -1] = project_rows(rows, u)
+    return out
 
-    When the required width reaches d the identity is returned: a square
-    random sign matrix is no embedding at all, and reduction is the only
-    reason to sketch.
+
+def _exact_problem(c: np.ndarray, w, k: int) -> SmallProblem:
+    """The small problem (X, [I_m 0], [X r]) on exact columns c = [X r].
+
+    Row i costs ||X_i W W^T - X_i||^2 + r_i^2 for orthonormal W, which is
+    the squared residual of its row of A under the projector (U W)(U W)^T.
     """
-    target = int(max(m + 1, math.ceil(m * m / max(eps, 0.05))))
-    if target >= d:
-        return np.eye(d)
-    sketch = make_sparse_sketch(int(spawn_rng(seed, 89).integers(2**31)),
-                                m=target, d=d, s=min(SKETCH_NNZ, target))
-    return np.asarray(sketch.right_operator().todense())
-
-
-def _score_operator(st: np.ndarray, u: np.ndarray) -> Optional[np.ndarray]:
-    """H whose product A H spans the column space of A [S^T U], or None for A itself.
-
-    With S^T = I the stack adds nothing: A U already lies in the column
-    space of A, and leverage scores depend only on that space.
-    """
-    return None if st.shape[1] == st.shape[0] else np.hstack([st, u])
+    m = c.shape[1] - 1
+    return SmallProblem(c[:, :m], np.eye(m, m + 1), c, w, k)
 
 
 def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
@@ -330,16 +324,16 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
                       handover: Callable[[int, int], dict]) -> Subspace:
     """The body shared by approx_lp and approx_m2.
 
-    After the subspace stages and the right embedding, at most ``rounds``
-    rounds of ``leverage_rounds`` shrink the rows of A (dense or CSR),
-    scored through A [S^T U] (A alone when S^T = I, else the product,
-    formed once) with ``gauss_t`` Gaussian columns, each planning
-    ``target(n', d_hat)`` expected rows with d_hat the scored width, until
-    at most ``cfg.t_rows_target`` remain.  The rounds read their rows by
-    index and copy none; ``handover(kept rows, rounds run)`` checks the
-    sample and returns the trace entries to record.  Only the kept rows of
-    A are gathered, once, with their row scale, and densified for the
-    weighted small solve inside U.  Salts seed the scores, the draws and
+    After the subspace stages, at most ``rounds`` rounds of
+    ``leverage_rounds`` shrink the rows of the dense n x (m+1) operand
+    [A U, r], or of A as given (dense or CSR) when U is square, as [A U, 0]
+    then spans the column space of A.  Each round scores with ``gauss_t``
+    Gaussian columns and plans ``target(n', d_hat)`` rows, d_hat the
+    scored width, until at most ``cfg.t_rows_target`` remain; rows are
+    read by index and none is copied.  ``handover(kept rows, rounds run)``
+    checks the sample and returns the trace entries to record.  The kept
+    rows are gathered once, with their row scale, for the weighted small
+    problem on their exact columns.  Salts seed the scores, the draws and
     the small solve.
     """
     if not (0.0 < eps < 1.0):
@@ -354,18 +348,16 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     if m <= k:
         return Subspace(u[:, :k]) if m == k else _pad_to_k(u, k)
 
-    st = _right_embedding(d, m, eps, seed)
-    h = _score_operator(st, u)
-    d_hat = d if h is None else h.shape[1]
+    scored = a if m == d else _exact_columns(a, u)
     idx, w, scale, done = leverage_rounds(
-        a if h is None else matmul_dense(a, h), np.ones(n), loss,
-        target=lambda n_prime, _scores: target(n_prime, d_hat),
+        scored, np.ones(n), loss,
+        target=lambda n_prime, _scores: target(n_prime, scored.shape[1]),
         stop_rows=cfg.t_rows_target, max_rounds=rounds, seed=seed,
         salts=salts[:2], gauss_t=gauss_t)
     tr.update(handover(idx.size, done))
 
-    dense = to_dense(row_view(a, idx, scale).block(slice(None)))
-    prob = SmallProblem(dense @ u, u.T @ st, dense @ st, w, k)
+    kept = row_view(scored, idx, scale).block(slice(None))
+    prob = _exact_problem(_exact_columns(kept, u) if m == d else kept, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
                             restarts=cfg.restarts, cap=max(cfg.small_cap, cfg.t_rows_target + 1))
     return _final_factor(u, w_factor)
@@ -380,10 +372,10 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
               trace: Optional[dict] = None) -> Subspace:
     """(1+eps)-style pipeline for M(x) = |x|^p, p in [1, 2): returns rank-k U W.
 
-    Stages: bicriteria subspace, residual sampling, sparse right embedding,
-    Gaussian-estimated leverage sampling of A [S^T U] (of A alone when
-    S^T = I), row rescaling by q^(-1/p), and the small solve on
-    (TAU, U^T S^T, TAS^T).
+    Stages: bicriteria subspace, residual sampling into U, one round of
+    Gaussian-estimated leverage sampling of the exact operand [A U, r] (of
+    A itself when U is square), row rescaling by q^(-1/p), and the small
+    solve inside U on the sampled rows' exact columns T [A U, r].
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")
@@ -410,9 +402,10 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
     """Pipeline for general nice p=2 losses (Huber, L1-L2, Fair).
 
     After the shared subspace stages, rounds of ``leverage_rounds`` sample
-    rows of A, scored through A [S^T U] (A alone when S^T = I), with
+    rows of the exact operand [A U, r] (of A itself when U is square), with
     weight carrying w' = w / q until at most ``t_rows_target`` remain;
-    then the weighted small problem is solved inside U.
+    then the weighted small problem on the kept rows' exact columns is
+    solved inside U.
     """
     if not loss.is_m2:
         raise ValueError("this pipeline requires a p=2 (non-|x|^p) loss")

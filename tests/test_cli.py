@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import planted_lowrank
 from robsub import LossSpec, PipelineConfig, cli, pipeline
@@ -148,6 +149,23 @@ class TestApproxCommand:
         res = _load(report)["results"]
         # at p=2 the baseline is the optimum, so the fit matches it
         assert res["v_cost_p"] == pytest.approx(res["baseline_svd_v_cost_p"])
+
+    @pytest.mark.parametrize("loss", ["l1", "huber"])
+    def test_full_stage_wider_than_small_cap(self, tmp_path, loss):
+        # CSR 1200 x 450, d above the default small_cap of 400: sparse rank 3
+        # plus 100 sparse outlier rows; the small solve is m + 1 wide
+        rng = np.random.default_rng(0)
+        v = sp.random(3, 450, density=0.05, random_state=0)
+        a = sp.vstack([sp.csr_matrix(rng.standard_normal((1100, 3))) @ v,
+                       30.0 * sp.random(100, 450, density=0.05, random_state=1)])
+        mtx, report = tmp_path / "wide.mtx", tmp_path / "r.json"
+        save_matrix_market(mtx, a)
+        rc = main(["approx", "--input", str(mtx), "--k", "3", "--loss", loss,
+                   "--stage", "full", "--seed", "1", "--report", str(report)])
+        assert rc == EXIT_OK
+        res = _load(report)["results"]
+        assert res["d"] == 450 and res["trace"]["reduced_dim"] < 450
+        assert res["v_cost_p"] < res["baseline_svd_v_cost_p"]
 
     def test_missing_input_exit_2(self, tmp_path):
         rc = main(["approx", "--input", str(tmp_path / "nope.mtx"), "--k", "2"])

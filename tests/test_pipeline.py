@@ -261,8 +261,8 @@ class TestApproxM2:
 
 
     def test_identity_embedding_scores_a_itself(self, monkeypatch):
-        # at d = 12 the right embedding is the identity, so every round scores
-        # A (width d) rather than the stack A [I U]
+        # at d = 12 the reduced span is all of R^12, so every round scores A
+        # itself (width d) rather than the exact operand [A U, r]
         widths = []
         score = sampling.weighted_leverage_scores
         monkeypatch.setattr(sampling, "weighted_leverage_scores",
@@ -275,7 +275,7 @@ class TestApproxM2:
         assert widths and set(widths) == {12}
 
     def test_sparse_input_scored_without_densifying(self, monkeypatch):
-        # with S^T = I the first round scores the CSR input itself
+        # with U square the first round scores the CSR input itself
         kinds = []
         score = sampling.weighted_leverage_scores
         monkeypatch.setattr(sampling, "weighted_leverage_scores",
@@ -303,14 +303,15 @@ class TestApproxM2:
         with pytest.raises(RuntimeError, match="weighted sampling exceeded"):
             approx_m2(a, 2, 0.3, LossSpec.huber(1.0), cfg, seed=3)
 
-    def test_stack_with_identity_leaves_scores_unchanged(self):
-        # A U lies in the column space of A, so A and A [I U] score alike
+    def test_orthogonal_rotation_leaves_scores_unchanged(self):
+        # with U square, [A U, r] is [A Q, 0] for an orthogonal Q, whose
+        # column space is that of A: scoring A itself gives the same scores
         a, _ = planted_lowrank(500, 12, 2, seed=18, noise=0.05, outlier_frac=0.01)
-        u = np.linalg.qr(np.random.default_rng(19).standard_normal((12, 4)))[0]
+        q = np.linalg.qr(np.random.default_rng(19).standard_normal((12, 12)))[0]
         loss = LossSpec.huber(1.0)
         plain = weighted_leverage_scores(a, None, loss, seed=0)
-        stacked = weighted_leverage_scores(a @ np.hstack([np.eye(12), u]), None, loss, seed=0)
-        assert np.abs(plain.gamma - stacked.gamma).max() <= 1e-10
+        rotated = weighted_leverage_scores(a @ q, None, loss, seed=0)
+        assert np.abs(plain.gamma - rotated.gamma).max() <= 1e-10
 
     def test_sparse_peak_below_dense_a(self):
         # CSR rank 3 on 15 columns, two noise entries a row and 1% outlier
@@ -338,36 +339,71 @@ class TestApproxM2:
         assert peak < n * d * 8
 
 
-class TestSketchedRightEmbedding:
+_BOTH_PIPELINES = pytest.mark.parametrize(
+    "fit, loss", [(approx_lp, LossSpec.lp(1.0)), (approx_m2, LossSpec.huber(1.0))],
+    ids=["lp", "m2"])
+
+
+class TestExactColumns:
     @staticmethod
     def _planted(seed):
         # rank 4 (three strong directions, one weak) in 100 columns, 10 rows
-        # scaled x30: the reduced span has m = 4 and m^2 / eps = 64 < d
+        # scaled x30: the reduced span has m = 4 < d
         rng = np.random.default_rng(seed)
         v = np.linalg.qr(rng.standard_normal((100, 4)))[0]
         a = rng.standard_normal((1500, 4)) * np.array([10.0, 10.0, 10.0, 1.0]) @ v.T
         a[rng.choice(1500, 10, replace=False)] *= 30.0
         return a
 
-    @pytest.mark.parametrize("fit, loss", [(approx_lp, LossSpec.lp(1.0)),
-                                           (approx_m2, LossSpec.huber(1.0))],
-                             ids=["lp", "m2"])
-    def test_sketched_embedding_beats_svd(self, monkeypatch, fit, loss):
-        shapes = []
-        embed = pipeline._right_embedding
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_small_problem_costs_are_exact(self, sparse):
+        # for every W the small problem on [A U, r] (three row blocks here)
+        # costs what the projector (U W)(U W)^T costs on A
+        rng = np.random.default_rng(21)
+        a = sp.random(4500, 40, density=0.2, random_state=21, format="csr")
+        u = np.linalg.qr(rng.standard_normal((40, 6)))[0]
+        w = rng.uniform(1.0, 4.0, 4500)
+        loss = LossSpec.huber(1.0)
+        cols = pipeline._exact_columns(a if sparse else a.toarray(), u)
+        prob = pipeline._exact_problem(cols, w, 2)
+        for _ in range(3):
+            w_factor = np.linalg.qr(rng.standard_normal((6, 2)))[0]
+            assert prob.cost(w_factor, loss) == pytest.approx(
+                residual_cost(a, Subspace(u @ w_factor), w, loss), rel=1e-10)
 
-        def spy(*args):
-            st = embed(*args)
-            shapes.append(st.shape)
-            return st
-
-        monkeypatch.setattr(pipeline, "_right_embedding", spy)
+    @_BOTH_PIPELINES
+    def test_exact_columns_beat_svd(self, monkeypatch, fit, loss):
+        # both the scored operand and the small problem's C are [A U, r]
+        scored, solved = [], []
+        rounds, solve = pipeline.leverage_rounds, pipeline.small_approx
+        monkeypatch.setattr(pipeline, "leverage_rounds",
+                            lambda a, *args, **kw: scored.append(a.shape[1])
+                            or rounds(a, *args, **kw))
+        monkeypatch.setattr(pipeline, "small_approx",
+                            lambda prob, *args, **kw: solved.append(prob.c.shape[1])
+                            or solve(prob, *args, **kw))
         for seed in range(3):
             a = self._planted(seed)
-            sub = fit(a, 3, 0.25, loss, seed=seed)
+            tr = {}
+            sub = fit(a, 3, 0.25, loss, seed=seed, trace=tr)
             _, svd_cost = svd_truncation_cost(a, 3, None, loss)
             assert residual_cost(a, sub, None, loss) < svd_cost
-        assert shapes == [(100, 64)] * 3
+            assert tr["reduced_dim"] == 4
+        assert scored == [5] * 3 and solved == [5] * 3
+
+    @_BOTH_PIPELINES
+    def test_width_above_small_cap(self, fit, loss):
+        # 1200 x 450 (d > small_cap = 400): rank 3 with no noise plus 100
+        # Gaussian outlier rows; the small problem is m + 1 wide, not d
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            a = np.vstack([rng.standard_normal((1100, 3)) @ rng.standard_normal((3, 450)),
+                           30.0 * rng.standard_normal((100, 450))])
+            tr = {}
+            sub = fit(a, 3, 0.25, loss, seed=seed, trace=tr)
+            _, svd_cost = svd_truncation_cost(a, 3, None, loss)
+            assert tr["reduced_dim"] < a.shape[1]
+            assert residual_cost(a, sub, None, loss) < svd_cost
 
 
 class TestNonFiniteInput:
