@@ -105,12 +105,6 @@ class LossSpec:
     def is_m2(self) -> bool:
         return self.kind != LP
 
-    def m(self, x):
-        return m_value(self, x)
-
-    def m_prime(self, x):
-        return m_derivative(self, x)
-
     def describe(self) -> str:
         if self.kind == LP:
             return f"lp(p={self.p:g})"

@@ -11,9 +11,9 @@ projection-cost-preserving reduction; Cohen, Elder, Musco, Musco & Persu
 q^(-1/p); the p=2 pipeline shrinks over several rounds carrying weights
 w / q.  No n x d array is formed.
 
-The small solver is heuristic by design: each restart runs a reweighted
-eigenvector alternation followed by projected gradient descent on the
-orthonormal factor.
+The small solver is heuristic by design: a reweighted eigenvector
+alternation runs from every start, and projected gradient descent on the
+orthonormal factor polishes the best of its iterates once.
 """
 
 from __future__ import annotations
@@ -106,15 +106,6 @@ def _orthonormal(mat: np.ndarray) -> np.ndarray:
     return q * signs
 
 
-def _spectral_init(prob: SmallProblem, b_pinv: np.ndarray) -> np.ndarray:
-    """Top-k eigenvectors of the symmetrized unconstrained minimizer."""
-    x = np.linalg.pinv(prob.a_hat) @ prob.c @ b_pinv
-    sym = (x + x.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(vals)[::-1][: prob.k]
-    return _orthonormal(vecs[:, order])
-
-
 def _column_energy_init(prob: SmallProblem) -> np.ndarray:
     """Coordinate factor picking the k highest-energy domain directions."""
     energy = np.linalg.norm(prob.a_hat, axis=0) * np.linalg.norm(prob.b, axis=1)
@@ -169,7 +160,12 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, g_mat: np.nd
 
 
 def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
-                       max_iter: int, tol: float = 1e-10):
+                       max_iter: int = 300, tol: float = 1e-10):
+    """Projected gradient descent with backtracking from w0.
+
+    Returns the best iterate and whether the descent stopped on its own
+    (no improving step, or a relative gain below tol) before max_iter.
+    """
     w_factor = w0
     cost, grad = _gradient(prob, loss, w_factor)
     step = 1.0 / max(np.linalg.norm(grad), 1e-12)
@@ -198,18 +194,17 @@ def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
         if prev - cost <= tol * max(prev, 1.0):
             converged = True
             break
-    return best_w, best_cost, converged
+    return best_w, converged
 
 
 def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: int = 10,
-                 max_iter: int = 300, cap: int = 400,
-                 warm_starts: Sequence[np.ndarray] = ()) -> np.ndarray:
+                 cap: int = 400, warm_starts: Sequence[np.ndarray] = ()) -> np.ndarray:
     """Approximately minimize ||A_hat W W^T B - C||_v^p over orthonormal W.
 
-    Restarts from a spectral start, a coordinate start, any warm starts,
-    and random factors; each restart runs the reweighted eigenvector
-    alternation and then projected gradient descent with backtracking, and
-    the best candidate wins.
+    Runs the reweighted eigenvector alternation from a coordinate start,
+    any warm starts, and random factors up to ``restarts`` starts in all,
+    then polishes the lowest-cost of those iterates once by projected
+    gradient descent with backtracking.
     """
     if prob.max_side() > cap:
         raise CapExceededError(
@@ -220,21 +215,15 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: in
         return np.eye(m)
     rng = spawn_rng(seed, 73)
 
-    b_pinv = np.linalg.pinv(prob.b)
-    g_mat = prob.c @ b_pinv  # C B^+, shared by every restart
-    starts = [_spectral_init(prob, b_pinv), _column_energy_init(prob)]
+    g_mat = prob.c @ np.linalg.pinv(prob.b)  # C B^+, shared by every start
+    starts = [_column_energy_init(prob)]
     starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
-    while len(starts) < max(restarts, 2 + len(warm_starts)):
+    while len(starts) < restarts:
         starts.append(_orthonormal(rng.standard_normal((m, k))))
 
-    best_w, best_cost, any_converged = None, math.inf, False
-    for w0 in starts:
-        w_mm, _ = _mm_descent(prob, loss, w0, g_mat)
-        w_factor, cost, converged = _local_search_from(prob, loss, w_mm, max_iter)
-        any_converged = any_converged or converged
-        if cost < best_cost:
-            best_w, best_cost = w_factor, cost
-    if not any_converged:
+    w_mm, _ = min((_mm_descent(prob, loss, w0, g_mat) for w0 in starts), key=lambda r: r[1])
+    best_w, converged = _local_search_from(prob, loss, w_mm)
+    if not converged:
         warnings.warn("small-problem search hit the iteration cap; returning "
                       "best iterate", RuntimeWarning)
     return best_w

@@ -118,18 +118,18 @@ def make_gaussian_sketch(seed: int, d: int, t: int) -> GaussianSketch:
 def gaussian_row_norm_estimates(a, deflate: Subspace | None, g: GaussianSketch) -> np.ndarray:
     """Row norms ||A_i (I - W W^T) G||_2 without forming A (I - W W^T).
 
-    Computed as (A G) - (A W)(W^T G); with no deflation this is just the
+    Deflates the sketch, not A: computed as A (G - W (W^T G)), in nnz(A) t
+    work with no n x dim(W) product; with no deflation this is just the
     sketched row norm ||A_i G||_2.
     """
     if a.shape[1] != g.d:
         raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {g.d}")
-    ag = matmul_dense(a, g.g)
+    gm = g.g
     if deflate is not None and deflate.dim > 0:
         if deflate.d != a.shape[1]:
             raise ValueError("deflation subspace dimension mismatch")
-        aw = matmul_dense(a, deflate.u)
-        ag = ag - aw @ (deflate.u.T @ g.g)
-    return np.linalg.norm(ag, axis=1)
+        gm = gm - deflate.u @ (deflate.u.T @ gm)
+    return np.linalg.norm(matmul_dense(a, gm), axis=1)
 
 
 def rank_revealing_factor(t):

@@ -113,6 +113,27 @@ class TestSmallApprox:
         w = small_approx(prob, LossSpec.lp(1.0), seed=0, restarts=2, warm_starts=[w0])
         assert prob.cost(w, LossSpec.lp(1.0)) <= 1e-10
 
+    @staticmethod
+    def _spy_calls(monkeypatch):
+        calls = {"_mm_descent": 0, "_local_search_from": 0}
+        for name in calls:
+            def spy(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, spy)
+        return calls
+
+    def test_descends_from_every_start_and_polishes_once(self, monkeypatch):
+        calls = self._spy_calls(monkeypatch)
+        small_approx(_random_problem(11), LossSpec.lp(1.0), seed=0, restarts=10)
+        assert calls == {"_mm_descent": 10, "_local_search_from": 1}
+
+    def test_full_rank_runs_no_search(self, monkeypatch):
+        calls = self._spy_calls(monkeypatch)
+        w = small_approx(_random_problem(12, k=8), LossSpec.lp(1.0), seed=0)
+        assert np.array_equal(w, np.eye(8))
+        assert calls == {"_mm_descent": 0, "_local_search_from": 0}
+
 
 class TestApproxLp:
     def test_exact_rank_k(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -174,7 +176,7 @@ class TestGaussianSketch:
         assert frac >= 0.99
 
     def test_deflation_identity(self):
-        # (A G) - (A W)(W^T G) equals A(I - W W^T) G computed directly
+        # A (G - W (W^T G)) equals A(I - W W^T) G computed directly
         rng = np.random.default_rng(8)
         a = rng.standard_normal((15, 7))
         q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
@@ -182,6 +184,23 @@ class TestGaussianSketch:
         est = gaussian_row_norm_estimates(a, Subspace(q), g)
         direct = np.linalg.norm((a - (a @ q) @ q.T) @ g.g, axis=1)
         assert np.allclose(est, direct)
+
+    def test_deflated_estimate_forms_no_n_by_dim_product(self):
+        # deflating G, not A, keeps a sparse A's n x dim(W) product A W out
+        # of memory: the peak stays below that product's size
+        n, d, dim = 20_000, 500, 200
+        a = sp.random(n, d, density=0.01, format="csr", random_state=9)
+        sub = Subspace(np.linalg.qr(np.random.default_rng(9).standard_normal((d, dim)))[0])
+        g = make_gaussian_sketch(4, d=d, t=1)
+        tracemalloc.start()
+        try:
+            est = gaussian_row_norm_estimates(a, sub, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        direct = np.abs(a @ g.g - (a @ sub.u) @ (sub.u.T @ g.g)).ravel()
+        assert np.allclose(est, direct)
+        assert peak < 8 * n * dim
 
 
 def _svd_projector(rows, rank_tol=1e-8):
