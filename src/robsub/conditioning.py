@@ -3,9 +3,10 @@
 A basis U for the column space of A (or of A @ H) is carried implicitly as
 a change-of-basis matrix: U = (A H) @ F with F = V_r diag(1/sigma_r), where
 sigma_r and V_r are the singular values above the rank tolerance and the
-right singular vectors of the sketched product Pi (A H), computed by an
-R-only QR, which densifies one block of 2048 rows at a time, and the SVD
-of the small R.  The sketch Pi = S D is a sparse embedding with one
+right singular vectors of the sketched product Pi (A H), computed by a
+streaming R-only QR, which folds one densified block of 2048 rows at a
+time into a running R, in memory independent of the row count, and the
+SVD of the small R.  The sketch Pi = S D is a sparse embedding with one
 nonzero per column, so Pi (A H) costs O(nnz(A H)) and Pi U is
 orthonormal: for p in [1, 2) a p-stable one (the sparse Cauchy transform
 of Meng & Mahoney 2013 at p = 1), and for p = 2 CountSketch (Clarkson &
@@ -163,9 +164,10 @@ def well_conditioned_basis(a, h=None, p: float = 2.0, seed: int = 0,
     """Build a well-conditioned basis for the column space of A H.
 
     The change of basis F = V_r diag(1/sigma_r) comes from
-    ``rank_revealing_factor``: an R-only QR of the operand, taken one dense
-    block of 2048 rows at a time (a sparse A H is never densified whole),
-    then the SVD of the small R, keeping singular values above
+    ``rank_revealing_factor``: a streaming R-only QR of the operand, which
+    folds one dense block of 2048 rows at a time into a running R (a
+    sparse A H is never densified whole, and the memory does not grow with
+    n), then the SVD of the small R, keeping singular values above
     ``sketch.RANK_TOL`` * sigma_max.  The operand is either Pi (A H), with Pi = S D
     the sparse embedding of ``PStableSketch`` that hashes the n rows into s
     buckets after scaling each by a p-stable draw (a random sign at p = 2),

@@ -202,6 +202,10 @@ def as_weights(w, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # matrix helpers (dense ndarray or scipy.sparse are both accepted)
 
+# rows of an operand gathered and densified at a time by the blockwise passes:
+# the streamed QR factor, the exact columns [A U, r] and the residual norms
+_FACTOR_BLOCK = 2048
+
 
 def is_sparse(a) -> bool:
     return sp.issparse(a)
@@ -404,12 +408,17 @@ def project_rows(a, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def residual_row_norms(a, x: Subspace) -> np.ndarray:
-    """Per-row Euclidean distances ||A_i (I - U U^T)||_2 (see ``project_rows``)."""
+    """Per-row Euclidean distances ||A_i (I - U U^T)||_2 (see ``project_rows``).
+
+    Taken one block of ``_FACTOR_BLOCK`` rows at a time, so a sparse A is
+    never copied whole and a dense one needs no n x d temporary.
+    """
     if x.d != a.shape[1]:
         raise ValueError(f"subspace lives in R^{x.d}, matrix has {a.shape[1]} columns")
-    if x.dim == 0:
-        return row_norms(a)
-    return project_rows(a, x.u)[1]
+    out = np.empty(a.shape[0])
+    for lo, hi, rows in row_view(a).blocks(_FACTOR_BLOCK):
+        out[lo:hi] = project_rows(rows, x.u)[1]
+    return out
 
 
 def residual_cost(a, x: Subspace, w=None, loss: LossSpec = None) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .bicriteria import ConstApproxConfig, const_approx
 from .core import (
+    _FACTOR_BLOCK,
     LossSpec,
     Subspace,
     as_weights,
@@ -39,7 +40,6 @@ from .core import (
 )
 from .dimreduce import DimReduceConfig, dim_reduce
 from .sampling import leverage_rounds
-from .sketch import _FACTOR_BLOCK
 
 
 class CapExceededError(RuntimeError):
@@ -293,10 +293,10 @@ def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
     return Subspace(_orthonormal(v))
 
 
-def _pad_to_k(u: np.ndarray, k: int) -> Subspace:
-    """Grow a too-small subspace to exactly k orthonormal columns."""
+def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
+    """Grow a too-small subspace to exactly k orthonormal columns, drawn from the fit seed."""
     d = u.shape[0]
-    rng = spawn_rng(0, 109)
+    rng = spawn_rng(seed, 109)
     v = u
     while v.shape[1] < k:
         cand = rng.standard_normal((d, 1))
@@ -335,7 +335,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     u = _stage_subspace(a, k, eps, loss, cfg, seed, tr).u
     m = u.shape[1]
     if m <= k:
-        return Subspace(u[:, :k]) if m == k else _pad_to_k(u, k)
+        return Subspace(u[:, :k]) if m == k else _pad_to_k(u, k, seed)
 
     scored = a if m == d else _exact_columns(a, u)
     idx, w, scale, done = leverage_rounds(

@@ -10,10 +10,11 @@ Three sketch families, each a pure function of its seed:
   p=1, CountSketch at p=2), applied in O(nnz) work to condition bases
   for l_p.
 
-Also provides the rank-revealing factor (R-only QR, one dense block of
-2048 rows at a time, then the SVD of the small R) behind every exact
-basis, and the orthonormal union of row blocks built on it, which the
-samplers feed into.
+Also provides the rank-revealing factor (a streaming R-only QR that folds
+one dense block of 2048 rows at a time into one (width + 2048) x width
+buffer, then the SVD of the small R) behind every exact basis, and the
+orthonormal union of row blocks built on it, which the samplers feed
+into.
 """
 
 from __future__ import annotations
@@ -24,10 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import RowView, Subspace, check_finite, is_sparse, matmul_dense, row_view, spawn_rng
+from .core import (
+    _FACTOR_BLOCK,
+    RowView,
+    Subspace,
+    check_finite,
+    is_sparse,
+    matmul_dense,
+    row_view,
+    spawn_rng,
+)
 
-# rows of the operand gathered and densified at a time by rank_revealing_factor
-_FACTOR_BLOCK = 2048
 # singular values at or below RANK_TOL * sigma_max count as zero
 RANK_TOL = 1e-8
 
@@ -136,25 +144,62 @@ def rank_revealing_factor(t):
     """Singular values above RANK_TOL * sigma_max of t, with their right singular vectors.
 
     Builds the R of an economic R-only QR of t (blocked Householder, Q never
-    formed) one block of ``_FACTOR_BLOCK`` rows at a time, as a one-level
-    TSQR (Demmel, Grigori, Hoemmen & Langou 2012): each block is densified
-    and reduced to its own R, and the stacked block Rs are reduced once
-    more.  The SVD of the small R then gives t = (Q U) diag(sv) V^T with
-    Q U orthonormal: t V diag(1/sv) is an orthonormal basis of the column
-    space of t, and V one of its row space.  t may be dense, sparse or a
-    ``RowView``; at most one row block of it is gathered and dense at a
-    time, and a t of at most ``_FACTOR_BLOCK`` rows is factored in one QR.
-    Returns (sv, V) with V of shape (t.shape[1], rank).  Raises ValueError
-    when t holds a NaN or infinity.
+    formed) as a streaming TSQR (Demmel, Grigori, Hoemmen & Langou 2012):
+    each block of B = ``_FACTOR_BLOCK`` rows is written, dense, below the
+    running R in one Fortran-ordered buffer of min(n, width + B) rows, and
+    the buffer is factored in place, R <- qr([R; block]) (LAPACK dgeqrf
+    with its blocked workspace; zero rows below the block leave R as it
+    is).  Memory is O((width + B) width) whatever the row count n, and a
+    sparse block is scattered into the buffer with no dense copy.  A t of
+    at most ``_FACTOR_BLOCK`` rows is factored in one ``np.linalg.qr``.
+    The SVD of the small R then gives t = (Q U) diag(sv) V^T with Q U
+    orthonormal: t V diag(1/sv) is an orthonormal basis of the column space
+    of t, and V one of its row space.  t may be dense, sparse or a
+    ``RowView``.  Returns (sv, V) with V of shape (t.shape[1], rank).
+    Raises ValueError when t holds a NaN or infinity.
     """
-    # a t with no rows is one empty block, whose R is empty
-    rs = [np.linalg.qr(block.toarray() if is_sparse(block) else block, mode="r")
-          for _, _, block in row_view(t).blocks(_FACTOR_BLOCK)]
-    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")
+    view = row_view(t)
+    if view.shape[0] <= _FACTOR_BLOCK:
+        # a t with no rows is one empty block, whose R is empty
+        block = view.block(slice(None))
+        r = np.linalg.qr(block.toarray() if is_sparse(block) else block, mode="r")
+    else:
+        r = _streamed_r(view)
     check_finite(r)  # a NaN or inf anywhere in t reaches R
     _, sv, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
     return sv[:rank], vt[:rank].T
+
+
+def _streamed_r(view: RowView) -> np.ndarray:
+    """R of a QR of the view, folding one row block at a time into one buffer."""
+    # imported on first use: scipy.linalg adds about 0.13 s to the package's
+    # import, and only operands taller than one row block need it
+    from scipy.linalg import lapack
+
+    n, width = view.shape
+    buf = np.empty((min(n, width + _FACTOR_BLOCK), width), order="F")
+    lwork = int(lapack.dgeqrf_lwork(*buf.shape)[0])
+    top = 0  # rows of the running R at the head of buf
+    for lo, hi, block in view.blocks(_FACTOR_BLOCK):
+        end = top + hi - lo
+        if is_sparse(block):
+            # on the gathered copy, in place: a scatter keeps only one of
+            # repeated entries, and CSR sums them far faster than COO
+            block.sum_duplicates()
+            coo = block.tocoo()
+            buf[top:] = 0.0
+            buf[top + coo.row, coo.col] = coo.data
+        else:
+            buf[top:end] = block
+            buf[end:] = 0.0
+        buf, _, _, info = lapack.dgeqrf(buf, lwork=lwork, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
+        top = min(end, width)
+        for j in range(top - 1):
+            buf[j + 1:top, j] = 0.0  # the Householder vectors under R's diagonal
+    return buf[:top]
 
 
 def orthonormal_union(blocks, d: int | None = None) -> Subspace:

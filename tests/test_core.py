@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,22 @@ class TestSubspace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             residual_cost(np.eye(4), Subspace(np.eye(3)[:, :1]), None, LossSpec.lp(1.0))
+
+    def test_sparse_residual_never_copies_a(self):
+        # ten row blocks of CSR input; a copy of A (A.multiply(A)) alone
+        # needs 12 bytes per stored entry, and the whole-matrix pass peaked
+        # at 32
+        a = sp.random(20000, 200, density=0.05, format="csr", random_state=18)
+        q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((200, 3)))
+        sub, loss = Subspace(q), LossSpec.huber(1.0)
+        tracemalloc.start()
+        try:
+            cost = residual_cost(a, sub, None, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nnz * 8
+        assert cost == pytest.approx(residual_cost(a.toarray(), sub, None, loss), rel=1e-10)
 
 
 class TestScaledRowView:

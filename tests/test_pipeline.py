@@ -324,6 +324,19 @@ class TestApproxM2:
         with pytest.raises(RuntimeError, match="weighted sampling exceeded"):
             approx_m2(a, 2, 0.3, LossSpec.huber(1.0), cfg, seed=3)
 
+    def test_padding_follows_fit_seed(self):
+        # a rank-1 input gives a 1-dim subspace, padded to k = 3 columns:
+        # the padding is drawn from the fit seed, like every other draw
+        rng = np.random.default_rng(20)
+        a = np.outer(rng.standard_normal(300), rng.standard_normal(8))
+        loss = LossSpec.huber(1.0)
+        trace = {}
+        u1 = approx_m2(a, 3, 0.25, loss, seed=1, trace=trace).u
+        assert trace["reduced_dim"] == 1 and u1.shape == (8, 3)
+        assert np.array_equal(u1, approx_m2(a, 3, 0.25, loss, seed=1).u)
+        u2 = approx_m2(a, 3, 0.25, loss, seed=2).u
+        assert np.abs(u1 @ u1.T - u2 @ u2.T).max() > 1e-3
+
     def test_orthogonal_rotation_leaves_scores_unchanged(self):
         # with U square, [A U, r] is [A Q, 0] for an orthogonal Q, whose
         # column space is that of A: scoring A itself gives the same scores

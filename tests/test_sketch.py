@@ -14,6 +14,7 @@ from robsub import (
     orthonormal_union,
 )
 from robsub.core import RowView
+from robsub import sketch
 from robsub.sketch import rank_revealing_factor
 
 
@@ -216,17 +217,34 @@ class TestRankRevealingFactor:
         a = np.random.default_rng(rows).standard_normal((rows, 6))
         return np.hstack([a, a[:, :2], np.zeros((rows, 4))])
 
+    @staticmethod
+    def _assert_matches_svd(t, dense):
+        _, ref_sv, ref_vt = np.linalg.svd(dense, full_matrices=False)
+        rank = int(np.sum(ref_sv > 1e-8 * ref_sv[0]))
+        ref_v = ref_vt[:rank].T
+        sv, v = rank_revealing_factor(t)
+        assert sv.size == v.shape[1] == rank
+        assert np.allclose(sv, ref_sv[:rank], rtol=1e-12, atol=0.0)
+        assert np.abs(v @ v.T - ref_v @ ref_v.T).max() <= 1e-10
+
     def test_blockwise_matches_svd_dense_and_sparse(self):
-        # 9000 rows span several row blocks; each input form gives the same
-        # factor, whose projector is the SVD one
+        # 9000 rows: four full row blocks and a short last one, folded into
+        # the running R.  Each input form gives the factor of its dense
+        # rows, whose projector is the SVD one: the non-canonical CSR stores
+        # every entry as two halves, which add up, and the view gathers
+        # 6500 rows of a dense and a CSR part, each times its own scale
         a = self._rank_deficient(9000)
-        _, ref_sv, ref_vt = np.linalg.svd(a, full_matrices=False)
-        ref_v = ref_vt[:6].T
-        for t in (a, sp.csr_matrix(a), sp.coo_matrix(a)):
-            sv, v = rank_revealing_factor(t)
-            assert sv.size == v.shape[1] == 6
-            assert np.allclose(sv, ref_sv[:6], rtol=1e-12, atol=0.0)
-            assert np.abs(v @ v.T - ref_v @ ref_v.T).max() <= 1e-10
+        c = sp.csr_matrix(a)
+        halves = sp.csr_matrix((np.repeat(c.data / 2.0, 2), np.repeat(c.indices, 2),
+                                2 * c.indptr), shape=c.shape)
+        assert not halves.has_canonical_format
+        rng = np.random.default_rng(31)
+        idx = np.sort(rng.choice(9000, 6500, replace=False))
+        scale = np.exp(rng.standard_normal(6500))
+        view = RowView((a[:, :8], sp.csr_matrix(a[:, 8:])), idx, scale)
+        for t, dense in ((a, a), (c, a), (sp.coo_matrix(a), a), (halves, a),
+                         (view, a[idx] * scale[:, None])):
+            self._assert_matches_svd(t, dense)
 
     def test_one_block_is_one_qr(self):
         # up to one row block the factor is the R-only QR of t, bit for bit
@@ -234,6 +252,40 @@ class TestRankRevealingFactor:
         _, ref_sv, ref_vt = np.linalg.svd(np.linalg.qr(a, mode="r"), full_matrices=False)
         sv, v = rank_revealing_factor(a)
         assert np.array_equal(sv, ref_sv[:6]) and np.array_equal(v, ref_vt[:6].T)
+
+    @pytest.mark.parametrize("rank", [40, 7])
+    def test_fold_wider_than_block(self, monkeypatch, rank):
+        # a 16-row block under a 40-wide R: the running R outgrows one block,
+        # and the buffer holds min(n, width + block) rows
+        monkeypatch.setattr(sketch, "_FACTOR_BLOCK", 16)
+        rng = np.random.default_rng(rank)
+        a = rng.standard_normal((100, rank)) @ rng.standard_normal((rank, 40))
+        for t in (a, sp.csr_matrix(a)):
+            self._assert_matches_svd(t, a)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_nan_in_last_block_raises(self, sparse):
+        a = self._rank_deficient(5000)
+        a[4999, 3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            rank_revealing_factor(sp.csr_matrix(a) if sparse else a)
+
+    @staticmethod
+    def _factor_peak(n, d=200):
+        a = sp.random(n, d, density=0.01, format="csr", random_state=n)
+        tracemalloc.start()
+        try:
+            rank_revealing_factor(a)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_independent_of_row_count(self):
+        # one (width + block) x width buffer, whatever n: a stack of block Rs
+        # peaks at 19.6 MB at 40000 rows, twice its peak at 20000
+        peak = self._factor_peak(40000)
+        assert peak < 2 * (200 + 2048) * 200 * 8
+        assert peak <= 1.1 * self._factor_peak(20000)
 
 
 class TestOrthonormalUnion:
