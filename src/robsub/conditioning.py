@@ -324,7 +324,7 @@ def weighted_leverage_scores(
     basis_p = loss.p if loss.is_lp else 2.0
     src = row_view(a)
     bases = 0
-    levels = np.unique(buckets)
+    levels = np.flatnonzero(np.bincount(buckets))  # the occupied buckets, in order
     for j in levels:
         # a lone bucket holds every row: read them all, with no index vector
         rows = slice(None) if levels.size == 1 else np.flatnonzero(buckets == j)

@@ -203,7 +203,8 @@ def as_weights(w, n: int) -> np.ndarray:
 # matrix helpers (dense ndarray or scipy.sparse are both accepted)
 
 # rows of an operand gathered and densified at a time by the blockwise passes:
-# the streamed QR factor, the exact columns [A U, r] and the residual norms
+# the streamed QR factor (of bases and IRLS steps), the exact columns [A U, r],
+# the residual norms and dim_reduce's largest row norm
 _FACTOR_BLOCK = 2048
 
 

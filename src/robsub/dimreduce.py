@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import LossSpec, Subspace, check_finite, m_value, row_norms, spawn_rng
+from .core import (_FACTOR_BLOCK, LossSpec, Subspace, check_finite, m_value, row_norms, row_view,
+                   spawn_rng)
 from .sampling import draw, make_plan
 from .sketch import gaussian_row_norm_estimates, make_gaussian_sketch, orthonormal_union
 
@@ -79,7 +80,9 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, cfg: DimReduceConfig, loss
         trace["r"] = r
         trace["scores_total"] = float(scores.sum())
     # residuals at the level of rounding noise count as an exact fit
-    zero_floor = n * m_value(loss, 1e-12 * (float(row_norms(a).max()) + 1e-300))
+    largest = max(float(row_norms(rows).max(initial=0.0))
+                  for _, _, rows in row_view(a).blocks(_FACTOR_BLOCK))
+    zero_floor = n * m_value(loss, 1e-12 * (largest + 1e-300))
     if scores.sum() <= zero_floor:
         return xhat
 

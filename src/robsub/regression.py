@@ -7,9 +7,11 @@ least squares.  A may be dense or CSR.  [A b] is never formed: each round
 scores its kept rows through a ``core.RowView`` of [A b], read by index
 with row blocks stacked on demand, so no round copies its rows.  The kept
 rows of A (still CSR for a CSR A) and entries of b are gathered once,
-after the last round, and densified by ``irls_solve``.
-``irls_solve`` is also the full-data baseline the sampled solve is
-measured against.
+after the last round, for ``irls_solve``, which never densifies A either:
+each reweighted least-squares step is solved from the small R of a
+streamed R-only QR of the row-scaled view of [A b] (``sketch.r_factor``),
+so IRLS memory is that of A plus O((d + 2048) d).  ``irls_solve`` is also
+the full-data baseline the sampled solve is measured against.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (LossSpec, RowView, as_weights, check_finite, m_derivative, m_value, row_view,
-                   to_dense)
+from .core import LossSpec, RowView, as_weights, check_finite, m_derivative, m_value, row_view
 from .sampling import leverage_rounds
+from .sketch import r_factor
 
 _RESID_FLOOR = 1e-12
 _LEVELS = 3     # sampling rounds before the IRLS solve
@@ -45,7 +47,10 @@ class RegressConfig:
 def regression_objective(a, b, x, w=None, loss: LossSpec = None) -> float:
     """sum_i w_i M(residual_i) for the candidate solution x."""
     resid = np.asarray(a @ x).ravel() - np.asarray(b, dtype=float).ravel()
-    wv = as_weights(w, resid.size)
+    return _weighted_cost(resid, as_weights(w, resid.size), loss)
+
+
+def _weighted_cost(resid: np.ndarray, wv: np.ndarray, loss: LossSpec) -> float:
     return float(np.dot(wv, m_value(loss, resid)))
 
 
@@ -57,36 +62,51 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     objective is forced non-increasing by halving the step toward the new
     iterate whenever a full step would increase it.  Returns the best
     iterate (and the per-iteration objective history on request).
+
+    A may be dense or CSR, and is never densified or copied whole.  Each
+    step with row weights v solves min ||diag(sqrt v) (A x - b)|| from the
+    R = [[R11, z], [0, rho]] of an R-only QR of diag(sqrt v) [A b], read
+    one block of rows at a time (``sketch.r_factor``): x is the least-norm
+    solution of R11 x = z, with the singular-value cutoff of an n x d
+    least-squares solve.  The residual A x - b is formed once per iterate
+    and serves both the objective and the next weights.
     """
     if loss is None:
         raise TypeError("loss is required")
-    dense = to_dense(a)
     rhs = np.asarray(b, dtype=float).ravel()
-    n, d = dense.shape
+    stack = RowView((a, rhs[:, None]))
+    a = stack.parts[0]  # float, or CSR for any sparse format
+    n, d = a.shape
     if rhs.size != n:
         raise ValueError("right-hand side length mismatch")
     wv = as_weights(w, n)
+    rcond = np.finfo(float).eps * max(n, d)
 
-    x = np.linalg.lstsq(dense * np.sqrt(wv)[:, None], rhs * np.sqrt(wv), rcond=None)[0]
-    obj = regression_objective(dense, rhs, x, wv, loss)
+    def solve(v):
+        r = r_factor(row_view(stack, None, np.sqrt(v)))
+        return np.linalg.lstsq(r[:d, :d], r[:d, d], rcond=rcond)[0]
+
+    def evaluate(x):
+        resid = np.asarray(a @ x).ravel() - rhs
+        return resid, _weighted_cost(resid, wv, loss)
+
+    x = solve(wv)
+    resid, obj = evaluate(x)
     history = [obj]
     for _ in range(max_iter):
-        resid = np.abs(dense @ x - rhs)
-        resid = np.maximum(resid, _RESID_FLOOR)
-        irls_w = wv * m_derivative(loss, resid) / (2.0 * resid)
-        sq = np.sqrt(np.maximum(irls_w, 0.0))
-        x_new = np.linalg.lstsq(dense * sq[:, None], rhs * sq, rcond=None)[0]
-        obj_new = regression_objective(dense, rhs, x_new, wv, loss)
+        ares = np.maximum(np.abs(resid), _RESID_FLOOR)
+        x_new = solve(np.maximum(wv * m_derivative(loss, ares) / (2.0 * ares), 0.0))
+        resid_new, obj_new = evaluate(x_new)
         # divergence guard: fall back toward the current iterate if needed
         halvings = 0
         while obj_new > obj + 1e-12 and halvings < 40:
             x_new = 0.5 * (x_new + x)
-            obj_new = regression_objective(dense, rhs, x_new, wv, loss)
+            resid_new, obj_new = evaluate(x_new)
             halvings += 1
         if obj_new > obj + 1e-12:
             break
         improved = obj - obj_new
-        x, obj = x_new, obj_new
+        x, resid, obj = x_new, resid_new, obj_new
         history.append(obj)
         if improved < tol * max(obj, 1.0):
             break
@@ -108,8 +128,8 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     delta = 0.1 and at most half the rows, carrying
     weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead).
     Rounds carry only row positions, weights and scales; the surviving
-    rows of A and entries of b are gathered once, scaled, for IRLS, which
-    densifies them.
+    rows of A (CSR for a CSR A) and entries of b are gathered once,
+    scaled, for IRLS.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")

@@ -10,11 +10,12 @@ Three sketch families, each a pure function of its seed:
   p=1, CountSketch at p=2), applied in O(nnz) work to condition bases
   for l_p.
 
-Also provides the rank-revealing factor (a streaming R-only QR that folds
-one dense block of 2048 rows at a time into one (width + 2048) x width
-buffer, then the SVD of the small R) behind every exact basis, and the
-orthonormal union of row blocks built on it, which the samplers feed
-into.
+Also provides the R factor of a dense, sparse or row-view operand (a
+streaming R-only QR that folds one dense block of 2048 rows at a time into
+one (width + 2048) x width buffer), which serves every exact basis and
+each reweighted least-squares step of IRLS; the rank-revealing factor
+(the SVD of that small R); and the orthonormal union of row blocks built
+on it, which the samplers feed into.
 """
 
 from __future__ import annotations
@@ -140,23 +141,20 @@ def gaussian_row_norm_estimates(a, deflate: Subspace | None, g: GaussianSketch) 
     return np.linalg.norm(matmul_dense(a, gm), axis=1)
 
 
-def rank_revealing_factor(t):
-    """Singular values above RANK_TOL * sigma_max of t, with their right singular vectors.
+def r_factor(t) -> np.ndarray:
+    """R of an economic R-only QR of t: min(n, width) x width, upper triangular.
 
-    Builds the R of an economic R-only QR of t (blocked Householder, Q never
-    formed) as a streaming TSQR (Demmel, Grigori, Hoemmen & Langou 2012):
-    each block of B = ``_FACTOR_BLOCK`` rows is written, dense, below the
-    running R in one Fortran-ordered buffer of min(n, width + B) rows, and
-    the buffer is factored in place, R <- qr([R; block]) (LAPACK dgeqrf
-    with its blocked workspace; zero rows below the block leave R as it
-    is).  Memory is O((width + B) width) whatever the row count n, and a
-    sparse block is scattered into the buffer with no dense copy.  A t of
-    at most ``_FACTOR_BLOCK`` rows is factored in one ``np.linalg.qr``.
-    The SVD of the small R then gives t = (Q U) diag(sv) V^T with Q U
-    orthonormal: t V diag(1/sv) is an orthonormal basis of the column space
-    of t, and V one of its row space.  t may be dense, sparse or a
-    ``RowView``.  Returns (sv, V) with V of shape (t.shape[1], rank).
-    Raises ValueError when t holds a NaN or infinity.
+    Blocked Householder, with Q never formed.  A t of at most
+    ``_FACTOR_BLOCK`` rows is factored in one ``np.linalg.qr``.  A taller
+    one is factored as a streaming TSQR (Demmel, Grigori, Hoemmen & Langou
+    2012): each block of B = ``_FACTOR_BLOCK`` rows is written, dense,
+    below the running R in one Fortran-ordered buffer of min(n, width + B)
+    rows, and the buffer is factored in place, R <- qr([R; block]) (LAPACK
+    dgeqrf with its blocked workspace; zero rows below the block leave R
+    as it is).  Memory is O((width + B) width) whatever the row count n,
+    and a sparse block is scattered into the buffer with no dense copy.
+    t may be dense, sparse or a ``RowView``.  Raises ValueError when t
+    holds a NaN or infinity.
     """
     view = row_view(t)
     if view.shape[0] <= _FACTOR_BLOCK:
@@ -166,7 +164,19 @@ def rank_revealing_factor(t):
     else:
         r = _streamed_r(view)
     check_finite(r)  # a NaN or inf anywhere in t reaches R
-    _, sv, vt = np.linalg.svd(r, full_matrices=False)
+    return r
+
+
+def rank_revealing_factor(t):
+    """Singular values above RANK_TOL * sigma_max of t, with their right singular vectors.
+
+    The SVD of the small R of ``r_factor(t)`` gives t = (Q U) diag(sv) V^T
+    with Q U orthonormal: t V diag(1/sv) is an orthonormal basis of the
+    column space of t, and V one of its row space.  t may be dense, sparse
+    or a ``RowView``.  Returns (sv, V) with V of shape (t.shape[1], rank).
+    Raises ValueError when t holds a NaN or infinity.
+    """
+    _, sv, vt = np.linalg.svd(r_factor(t), full_matrices=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
     return sv[:rank], vt[:rank].T
 

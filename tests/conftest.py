@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from robsub import LossSpec
 
@@ -22,6 +23,14 @@ def planted_lowrank(n, d, k, seed, noise=0.0, outlier_frac=0.0, outlier_scale=50
         a[rows] = outlier_scale * dirs
         clean[rows] = False
     return a, clean
+
+
+def split_halves(c):
+    """A non-canonical CSR copy of c that stores every entry as two halves, which add up."""
+    halves = sp.csr_matrix((np.repeat(c.data / 2.0, 2), np.repeat(c.indices, 2), 2 * c.indptr),
+                           shape=c.shape)
+    assert not halves.has_canonical_format
+    return halves
 
 
 @pytest.fixture(scope="session")

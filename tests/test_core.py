@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import split_halves
 from robsub import (
     LossSpec,
     Subspace,
@@ -15,7 +16,7 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub.core import RowView, as_weights, residual_row_norms, row_view
+from robsub.core import RowView, as_weights, residual_row_norms, row_norms, row_view
 
 
 class TestLossValues:
@@ -280,6 +281,21 @@ class TestSubspace:
         d1 = residual_row_norms(dense, sub)
         d2 = residual_row_norms(sp.csr_matrix(dense), sub)
         assert np.allclose(d1, d2, atol=1e-8)
+
+    def test_row_norms_sparse_sums_repeated_entries(self):
+        # the non-canonical copy stores every entry as two halves: each norm
+        # squares their sum, and the caller's matrix keeps its layout
+        rng = np.random.default_rng(19)
+        dense = rng.standard_normal((300, 9))
+        dense[rng.random((300, 9)) < 0.5] = 0.0
+        dense[7] = 0.0
+        halves = split_halves(sp.csr_matrix(dense))
+        data = halves.data.copy()
+        ref = np.linalg.norm(dense, axis=1)
+        for mat in (sp.csr_matrix(dense), halves, sp.coo_matrix(dense)):
+            assert np.allclose(row_norms(mat), ref, rtol=1e-14, atol=0.0)
+        assert not halves.has_canonical_format
+        assert np.array_equal(halves.data, data)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

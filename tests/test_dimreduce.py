@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import planted_lowrank
 from robsub import (
@@ -37,6 +39,23 @@ class TestDimReduceEdges:
         out = dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.lp(1.0), seed=1)
         assert out.dim == xhat.dim
         assert out.u is xhat.u  # returned unchanged, not merely equal as a span
+
+    def test_sparse_exact_fit_floor_reads_row_blocks(self):
+        # CSR rows inside span(xhat) return xhat; the zero floor's largest
+        # row norm is read one row block at a time, with no squared copy of
+        # A (the whole-matrix pass peaked at 25 bytes per stored entry)
+        rng = np.random.default_rng(7)
+        basis = sp.random(2, 400, density=0.1, format="csr", random_state=7)
+        a = (sp.csr_matrix(rng.standard_normal((20000, 2))) @ basis).tocsr()
+        xhat = Subspace(np.linalg.qr(basis.toarray().T)[0])
+        tracemalloc.start()
+        try:
+            out = dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.lp(1.0), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out is xhat
+        assert peak < 8 * a.nnz
 
     def test_full_space_xhat_returned_without_estimates(self, monkeypatch):
         # with xhat the whole space every residual is zero: nothing is sketched

@@ -115,6 +115,38 @@ class TestIrls:
         r = np.abs(a @ x - b)
         assert np.mean(r[:5]) < np.mean(r[5:])
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_weighted_rank_deficient_step_is_lstsq(self, sparse):
+        # 5000 rows, past one QR row block, of rank 8 in 12 columns (one
+        # column only 1e-13 off another, below the cutoff of an n x d solve
+        # but above that of a d x d one), with weights in six dyadic
+        # buckets: one step, read from the streamed R of diag(sqrt w) [A b],
+        # is the least-norm weighted solution
+        rng = np.random.default_rng(12)
+        a = sp.random(5000, 8, density=0.5, format="csr", random_state=12).toarray()
+        near = a[:, 4] + 1e-13 * rng.standard_normal(5000)
+        a = np.hstack([a, a[:, :2] - a[:, 2:4], near[:, None], np.zeros((5000, 1))])
+        b = rng.standard_normal(5000)
+        w = np.exp2(rng.integers(0, 6, 5000))
+        ref = np.linalg.lstsq(a * np.sqrt(w)[:, None], b * np.sqrt(w), rcond=None)[0]
+        x = irls_solve(sp.csr_matrix(a) if sparse else a, b, w, LossSpec.lp(2.0), max_iter=0)
+        assert np.abs(x - ref).max() <= 1e-10
+
+    def test_csr_peak_below_quarter_of_dense(self):
+        # every step reads the scaled [A b] one row block at a time into a
+        # (d + 1 + 2048) x (d + 1) buffer, so CSR A is never densified
+        n, d = 40000, 100
+        a, b, _ = _sparse_problem(n, d, 15, noise=0.1)
+        loss = LossSpec.huber(1.0)
+        tracemalloc.start()
+        try:
+            x = irls_solve(a, b, None, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8 / 4
+        assert np.abs(x - irls_solve(a.toarray(), b, None, loss)).max() <= 1e-10
+
 
 class TestMRegress:
     def test_interpolation_near_zero_cost(self):
