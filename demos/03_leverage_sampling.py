@@ -24,8 +24,7 @@ a[:10] *= 30.0
 
 basis = well_conditioned_basis(a, p=1.0, seed=5)
 scores = leverage_scores(a, basis, loss)
-alpha = np.abs(basis.u_rows()).sum()  # entrywise l1 norm of U
-print(f"well-conditioned basis: alpha={alpha:.3g}, beta={basis.beta:.3g}")
+# at p = 1 the total is the entrywise l1 norm of the basis U
 print(f"total sensitivity gamma = {scores.gamma_total:.2f}")
 heavy = np.argsort(scores.gamma)[::-1][:10]
 print(f"top-10 leverage rows: {sorted(heavy.tolist())}  (the inflated rows are 0..9)")

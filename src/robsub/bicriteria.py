@@ -25,7 +25,6 @@ from .sketch import apply_right, make_sparse_sketch, orthonormal_union
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
 _SKETCH_NNZ = 4
 _LOGLOGLOG_C = 3.0      # extra factor on the per-round sample for p=2 losses
-_BASIS_PROBES = 2000    # beta-certificate probes inside the rounds
 
 
 @dataclass(frozen=True)
@@ -75,18 +74,16 @@ def const_approx_recur(
     def target(n_prime: int, scores) -> float:
         # the formula c d'^2 gamma_total (times a log log log n' factor at
         # p = 2) exceeds n' at practical sizes, which would stall the rounds;
-        # the expected sample is capped so the row count keeps shrinking, and
-        # gamma_total is read only as far as the cap needs
+        # the expected sample is capped so the row count keeps shrinking
         scale = cfg.c_sample_rows * d_prime * d_prime
         if loss.is_m2:
             scale *= _LOGLOGLOG_C * _logloglog(n_prime)
-        cap = cfg.shrink * n_prime
-        return scale * scores.capped_total(cap / scale)
+        return min(scale * scores.gamma_total, cfg.shrink * n_prime)
 
     # min_rows=-1: an empty draw is carried, leaving no survivors
     idx, _, _, depth = leverage_rounds(
         a_proj, w, loss, target=target, stop_rows=p_m, max_rounds=max_depth + 1,
-        seed=seed, salts=(53, 59), min_rows=-1, trace=trace, n_probe=_BASIS_PROBES)
+        seed=seed, salts=(53, 59), min_rows=-1, trace=trace)
     if idx.size > p_m:
         raise RuntimeError(
             f"row sampling ran {depth} rounds without shrinking below "

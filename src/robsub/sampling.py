@@ -119,7 +119,7 @@ def leverage_rounds(
     While more than ``stop_rows`` rows remain, at most ``max_rounds`` times:
     score the kept rows with ``weighted_leverage_scores(**score_kwargs)``,
     plan ``target(n', scores)`` expected rows in proportion to
-    ``scores.relative``, and draw, redrawing once if more than
+    ``scores.gamma``, and draw, redrawing once if more than
     max(0.9 n', stop_rows) rows are kept.  A draw keeping at
     most ``min_rows`` rows is dropped and ends the rounds.  |x|^p losses
     rescale kept rows by q^(-1/p) and reset weights to one; other losses
@@ -147,7 +147,7 @@ def leverage_rounds(
         scores = weighted_leverage_scores(
             rows, w, loss,
             seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
-        plan = make_plan(scores.relative, target(n_prime, scores), 1.0)
+        plan = make_plan(scores.gamma, target(n_prime, scores), 1.0)
         for attempt in range(2):
             sample = draw(plan, w,
                           seed=int(spawn_rng(seed, salts[1], rounds, attempt).integers(2**31)))

@@ -56,12 +56,6 @@ class SparseSketch:
     positions: np.ndarray  # (cols, s) row indices, distinct per column
     values: np.ndarray     # (cols, s) signed magnitudes +-1/sqrt(s)
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols))
-        for j in range(self.cols):
-            out[self.positions[j], j] = self.values[j]
-        return out
-
     def right_operator(self) -> sp.csc_matrix:
         """S^T as a (cols, rows) sparse matrix, the factor applied on the right."""
         indptr = np.arange(self.cols + 1) * self.s
@@ -287,10 +281,6 @@ class PStableSketch:
         else:
             diag = _stable_draws(rng, self.n, self.p)
         return sp.csc_matrix((diag, buckets, np.arange(self.n + 1)), shape=(self.s, self.n))
-
-    def row_block(self, start: int, stop: int) -> np.ndarray:
-        """Materialize rows [start, stop) of Pi densely: used by tests."""
-        return self._operator()[start:stop].toarray()
 
     def apply(self, b):
         """Compute Pi @ B in O(nnz(B)) work: dense for a dense or sparse B, and for

@@ -33,6 +33,19 @@ def split_halves(c):
     return halves
 
 
+def sparse_sketch_dense(sk):
+    """The sign sketch S as a dense (rows, cols) array, built from its positions and values."""
+    out = np.zeros((sk.rows, sk.cols))
+    for j in range(sk.cols):
+        out[sk.positions[j], j] = sk.values[j]
+    return out
+
+
+def pstable_dense(sk):
+    """The p-stable embedding Pi as a dense (s, n) array: Pi applied to the sparse identity."""
+    return sk.apply(sp.identity(sk.n, format="csr"))
+
+
 @pytest.fixture(scope="session")
 def all_losses():
     return [

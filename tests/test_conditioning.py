@@ -18,29 +18,32 @@ class TestWellConditionedBasis:
         basis = well_conditioned_basis(np.eye(5), p=2.0, seed=0)
         u = basis.u_rows()
         assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)
-        assert basis.beta == 1.0
+        assert not basis.sketched
 
     def test_dual_norm_condition_p1(self):
-        # sampled-x necessary condition ||x||_inf <= beta ||U x||_1
+        # the unsketched basis is orthonormal, so for sampled x
+        # ||x||_inf <= ||x||_2 = ||U x||_2 <= ||U x||_1
         rng = np.random.default_rng(0)
         a = rng.standard_normal((200, 5))
         basis = well_conditioned_basis(a, p=1.0, seed=3)
+        assert not basis.sketched
         u = basis.u_rows()
         for _ in range(200):
             x = rng.standard_normal(5)
-            assert np.abs(x).max() <= basis.beta * np.abs(u @ x).sum() * (1 + 1e-9)
+            assert np.abs(x).max() <= np.abs(u @ x).sum() * (1 + 1e-9)
 
     def test_dual_norm_condition_p15(self):
-        # at p=1.5 the dual exponent is 3: ||x||_3 <= beta ||U x||_1.5
+        # at p=1.5 the dual exponent is 3: ||x||_3 <= ||U x||_1.5
         rng = np.random.default_rng(20)
         a = rng.standard_normal((150, 4))
         basis = well_conditioned_basis(a, p=1.5, seed=4)
+        assert not basis.sketched
         u = basis.u_rows()
         for _ in range(200):
             x = rng.standard_normal(4)
             lhs = np.sum(np.abs(x) ** 3.0) ** (1 / 3.0)
             rhs = np.sum(np.abs(u @ x) ** 1.5) ** (1 / 1.5)
-            assert lhs <= basis.beta * rhs * (1 + 1e-9)
+            assert lhs <= rhs * (1 + 1e-9)
 
     def test_sketched_h_reduces_to_rank(self):
         rng = np.random.default_rng(2)
@@ -71,17 +74,44 @@ class TestWellConditionedBasis:
         scores = leverage_scores(a, basis, LossSpec.lp(2.0))
         assert np.abs(scores.gamma - np.sum(q**2, axis=1)).max() <= 1e-10
 
-    def test_sketched_factor_orthonormal_p15(self, monkeypatch):
-        # n above the row cap: Pi (A H) F is orthonormal for the sketch Pi used
+    @staticmethod
+    def _sketched_basis(monkeypatch, a, p, seed):
+        """Basis of a with n above the row cap, and the one sketch Pi it used."""
         sketches = []
         make = conditioning.make_pstable_sketch
         monkeypatch.setattr(conditioning, "make_pstable_sketch",
                             lambda *args: sketches.append(make(*args)) or sketches[-1])
+        basis = well_conditioned_basis(a, p=p, seed=seed)
+        assert basis.sketched and len(sketches) == 1 and sketches[0].s < a.shape[0]
+        return basis, sketches[0]
+
+    def test_sketched_factor_orthonormal_p15(self, monkeypatch):
+        # n above the row cap: Pi (A H) F is orthonormal for the sketch Pi used
         a = np.random.default_rng(24).standard_normal((9000, 5))
-        basis = well_conditioned_basis(a, p=1.5, seed=8)
-        assert len(sketches) == 1 and sketches[0].s < a.shape[0]
-        pu = sketches[0].apply(basis.u_rows())
+        basis, pi = self._sketched_basis(monkeypatch, a, 1.5, 8)
+        pu = pi.apply(basis.u_rows())
         assert np.abs(pu.T @ pu - np.eye(5)).max() <= 1e-10
+
+    def _check_large_n(self, monkeypatch, p, data_seed, seed):
+        # n = 20000 sends the p-stable draws through the sketched route: Pi U
+        # is orthonormal, U = A F spans the column space of A, and a row
+        # slice of U is the same slice of the whole
+        a = np.random.default_rng(data_seed).standard_normal((20000, 3))
+        basis, pi = self._sketched_basis(monkeypatch, a, p, seed)
+        u = basis.u_rows()
+        pu = pi.apply(u)
+        assert np.abs(pu.T @ pu - np.eye(3)).max() <= 1e-10
+        assert np.allclose(u, a @ basis.change_of_basis, rtol=0.0, atol=1e-12)
+        assert np.linalg.matrix_rank(np.hstack([u, a]), tol=1e-8) == 3
+        assert np.array_equal(basis.u_rows(slice(0, 2000)), u[:2000])
+
+    def test_stable_sketch_path_large_n(self, monkeypatch):
+        # p = 1: Cauchy draws
+        self._check_large_n(monkeypatch, 1.0, 19, 3)
+
+    def test_stable_sketch_path_large_n_p15(self, monkeypatch):
+        # p = 1.5: Chambers-Mallows-Stuck draws
+        self._check_large_n(monkeypatch, 1.5, 21, 6)
 
     def test_colspace_preserved(self):
         rng = np.random.default_rng(4)
@@ -91,113 +121,11 @@ class TestWellConditionedBasis:
         # u and a span the same column space
         assert np.linalg.matrix_rank(np.hstack([u, a]), tol=1e-8) == 6
 
-    def test_stable_sketch_path_large_n(self):
-        # with n above the sketch size the p-stable route engages; the
-        # certificates must still dominate the sampled dual-norm ratios
-        rng = np.random.default_rng(19)
-        a = rng.standard_normal((20000, 3))
-        basis = well_conditioned_basis(a, p=1.0, seed=3)
-        u = basis.u_rows(slice(0, 2000))
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            lhs = np.abs(x).max()
-            # restrict to a row block: ||Ux||_1 over all rows only grows
-            assert lhs <= basis.beta * np.abs(basis.u_rows() @ x).sum() * (1 + 1e-9)
-        assert u.shape == (2000, 3)
 
-    def test_stable_sketch_path_large_n_p15(self):
-        # p = 1.5 sends the Chambers-Mallows-Stuck draws through the sketched route
-        rng = np.random.default_rng(21)
-        a = rng.standard_normal((20000, 3))
-        basis = well_conditioned_basis(a, p=1.5, seed=6)
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            lhs = np.sum(np.abs(x) ** 3.0) ** (1 / 3.0)
-            rhs = np.sum(np.abs(basis.u_rows() @ x) ** 1.5) ** (1 / 1.5)
-            assert lhs <= basis.beta * rhs * (1 + 1e-9)
-
-    def test_beta_certificate_deferred_until_read(self, monkeypatch):
-        # n above the row cap, so the basis comes from the sketched route
-        certificate = conditioning._beta_certificate
-        calls = []
-        monkeypatch.setattr(conditioning, "_beta_certificate",
-                            lambda *args: calls.append(args) or certificate(*args))
-        a = np.random.default_rng(22).standard_normal((9000, 3))
-        basis = well_conditioned_basis(a, p=1.0, seed=7, n_probe=500)
-        assert calls == []
-        beta = basis.beta
-        assert basis.beta == beta
-        assert len(calls) == 1
-        assert beta == certificate(basis, 7, 500)
-
-
-class TestBetaEarlyStop:
-    def _probe_spy(self, monkeypatch):
-        """Count probe columns evaluated by the beta certificate."""
-        evaluated = []
-        probe = conditioning._probe_ratios
-        monkeypatch.setattr(conditioning, "_probe_ratios",
-                            lambda basis, x, q: evaluated.append(x.shape[1]) or probe(basis, x, q))
-        return evaluated
-
-    def _basis(self, p=1.0):
-        a = np.random.default_rng(30).standard_normal((9000, 5))
-        return well_conditioned_basis(a, p=p, seed=11, n_probe=1500)
-
-    def test_stop_below_beta_reads_one_probe(self, monkeypatch):
-        full = self._basis().beta
-        evaluated = self._probe_spy(monkeypatch)
-        basis = self._basis()
-        assert basis.beta_reaches(0.01 * full)
-        assert sum(evaluated) == 1
-        assert "beta" not in basis.__dict__  # a partial run is not cached
-        assert basis.beta == full == conditioning._beta_certificate(basis, 11, 1500)
-        assert sum(evaluated) == 1 + 2 * 1500
-
-    def test_stop_after_the_chunk_that_reaches_the_bound(self, monkeypatch):
-        # bound = beta: the screened first probe falls short, and the probes
-        # stop after the chunk holding the maximum, before the last chunk
-        full = self._basis().beta
-        evaluated = self._probe_spy(monkeypatch)
-        assert self._basis().beta_reaches(full)
-        assert evaluated[0] == 1 and sum(evaluated) < 1 + 1500
-
-    def test_bound_above_beta_runs_every_probe_once(self, monkeypatch):
-        full = self._basis(p=1.5).beta
-        evaluated = self._probe_spy(monkeypatch)
-        basis = self._basis(p=1.5)
-        assert not basis.beta_reaches(1.01 * full)
-        assert basis.beta == full  # cached from the completed run
-        assert sum(evaluated) == 1 + 1500
-
-    def test_capped_total_is_min_of_total_and_cap(self, monkeypatch):
-        a = np.random.default_rng(31).standard_normal((9000, 5))
-
-        def scores():
-            return weighted_leverage_scores(a, None, LossSpec.lp(1.0), seed=4, n_probe=1000)
-
-        total = scores().gamma_total
-        evaluated = self._probe_spy(monkeypatch)
-        assert scores().capped_total(0.1 * total) == 0.1 * total
-        assert sum(evaluated) == 1
-        assert scores().capped_total(10.0 * total) == pytest.approx(total, rel=1e-12)
-
-    def test_gamma_includes_beta(self, monkeypatch):
-        bases = []
-        make = conditioning.well_conditioned_basis
-        monkeypatch.setattr(conditioning, "well_conditioned_basis",
-                            lambda *args, **kw: bases.append(make(*args, **kw)) or bases[-1])
-        a = np.random.default_rng(32).standard_normal((400, 4))
-        ws = weighted_leverage_scores(a, None, LossSpec.lp(1.5), seed=3, n_probe=500)
-        (basis,) = bases
-        expected = 2.0 * (basis.beta * basis.row_norms_lp()) ** 1.5
-        assert np.allclose(ws.gamma, expected, rtol=1e-12, atol=0.0)
-        assert ws.gamma_total == pytest.approx(expected.sum(), rel=1e-12)
-        assert np.allclose(ws.relative * basis.beta ** 1.5, ws.gamma, rtol=1e-12, atol=0.0)
-
+class TestConstApproxTarget:
     def test_const_approx_target_capped(self, monkeypatch):
         # the recursion's target equals min(c d'^2 gamma_total, shrink n') on
-        # both sides of the cap, and the capped side stops after one probe
+        # both sides of the cap
         rounds = []
         real = bicriteria.leverage_rounds
         monkeypatch.setattr(bicriteria, "leverage_rounds",
@@ -209,15 +137,12 @@ class TestBetaEarlyStop:
         a_proj, kw = rounds[0]
         target, d_prime = kw["target"], a_proj.shape[1]
 
-        def scores():
-            return weighted_leverage_scores(a, None, LossSpec.lp(1.0), seed=5, n_probe=1000)
-
-        formula = cfg.c_sample_rows * d_prime**2 * scores().gamma_total
-        evaluated = self._probe_spy(monkeypatch)
-        assert target(3000, scores()) == pytest.approx(min(formula, cfg.shrink * 3000), rel=1e-12)
-        assert formula > cfg.shrink * 3000 and sum(evaluated) == 1
+        scores = weighted_leverage_scores(a, None, LossSpec.lp(1.0), seed=5)
+        formula = cfg.c_sample_rows * d_prime**2 * scores.gamma_total
+        assert formula > cfg.shrink * 3000
+        assert target(3000, scores) == cfg.shrink * 3000
         big = 4.0 * formula / cfg.shrink
-        assert target(big, scores()) == pytest.approx(formula, rel=1e-12)
+        assert target(big, scores) == pytest.approx(formula, rel=1e-12)
 
 
 class TestSketchedP2:
@@ -225,20 +150,21 @@ class TestSketchedP2:
         # CountSketch route: the singular values of (A H) F lie in
         # [1/(1+eps), 1/(1-eps)] with beta = 1 + eps, also with 30 rows of
         # leverage far above the rest
+        beta = conditioning._P2_SKETCH_BETA
         for seed in range(5):
             a = np.random.default_rng(seed).standard_normal((20000, 8))
             a[:30] *= 100.0
             basis = well_conditioned_basis(a, p=2.0, seed=seed)
-            assert basis.sketched and basis.beta == 1.5
+            assert basis.sketched
             sv = np.linalg.svd(basis.u_rows(), compute_uv=False)
-            assert 1.0 / basis.beta <= sv.min() and sv.max() <= 1.0 / (2.0 - basis.beta)
+            assert 1.0 / beta <= sv.min() and sv.max() <= 1.0 / (2.0 - beta)
 
     @pytest.mark.parametrize("n, m0", [(8820, 21), (8192, 8)])
     def test_exact_at_size_boundary(self, n, m0):
         # n = max(ceil(c_pi m0^2), stable_row_cap) stays exact; one more row sketches
         a = np.random.default_rng(n).standard_normal((n + 1, m0))
         basis = well_conditioned_basis(a[:n], p=2.0, seed=1)
-        assert not basis.sketched and basis.beta == 1.0
+        assert not basis.sketched
         q = np.linalg.svd(a[:n], full_matrices=False)[0]
         scores = leverage_scores(a[:n], basis, LossSpec.lp(2.0))
         assert np.abs(scores.gamma - np.sum(q**2, axis=1)).max() <= 1e-10
@@ -267,7 +193,7 @@ class TestLeverageScores:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((40, 5)))
         basis = well_conditioned_basis(q, p=2.0, seed=0)
-        norms2 = basis.row_norms_lp(2.0)
+        norms2 = basis.row_norms_lp()
         assert np.sum(norms2**2) == pytest.approx(5.0)
 
     def test_identity_scores_equal(self):
@@ -307,16 +233,6 @@ class TestLeverageScores:
             leverage_scores(a, basis, LossSpec.lp(1.5))
         with pytest.raises(ValueError):
             leverage_scores(a, basis, LossSpec.huber(1.0))
-
-    def test_total_bounded_by_alpha_beta(self):
-        rng = np.random.default_rng(10)
-        for p in (1.0, 1.5):
-            a = rng.standard_normal((100, 4))
-            loss = LossSpec.lp(p)
-            basis = well_conditioned_basis(a, p=p, seed=13)
-            scores = leverage_scores(a, basis, loss)
-            alpha = np.sum(np.abs(basis.u_rows()) ** p) ** (1 / p)  # entrywise p-norm of U
-            assert scores.gamma_total <= (alpha * basis.beta) ** p * (1 + 1e-9)
 
     def test_m2_total_scaling(self):
         # orthonormal basis, unit weights: gamma <= c sqrt(d n) / c_m

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
-from robsub import LossSpec, conditioning
+from robsub import LossSpec
 from robsub.core import m_derivative, m_value
 from robsub.regression import (
     RegressConfig,
@@ -194,18 +194,6 @@ class TestMRegress:
         loss = LossSpec.lp(1.0)
         assert (regression_objective(a, b, x, None, loss)
                 <= 1.2 * regression_objective(a, b, x_f, None, loss))
-
-    def test_beta_certificate_never_runs(self, monkeypatch):
-        # one weight bucket per |x|^p round reads only the beta-free scores,
-        # and p = 2 bases have a constant beta
-        calls = []
-        monkeypatch.setattr(conditioning, "_beta_certificate",
-                            lambda *args: calls.append(args) or 1.0)
-        a, b, _ = _outlier_problem(60000, 8, 11, frac=0.01)
-        for loss in (LossSpec.lp(1.0), LossSpec.lp(1.5), LossSpec.huber(1.0),
-                     LossSpec.fair(1.0)):
-            m_regress(a, b, loss, eps=0.5, seed=1)
-        assert calls == []
 
     def test_dense_peak_below_input_size(self):
         # rounds read [A b] by index and gather the kept rows once, after the

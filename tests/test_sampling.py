@@ -169,7 +169,7 @@ class TestConcentration:
         a = rng.standard_normal((2000, 30))
         wmat = rng.standard_normal((30, 3))
         loss = LossSpec.lp(1.0)
-        scores = weighted_leverage_scores(a, None, loss, seed=1, n_probe=2000)
+        scores = weighted_leverage_scores(a, None, loss, seed=1)
         truth = v_norm_p(a @ wmat, None, loss)
         # r chosen for an expected sample of ~400 rows: genuinely sub-saturated
         plan = make_plan(scores.gamma, r=400.0)
@@ -266,7 +266,7 @@ class TestLeverageRounds:
         for r in range(rounds):
             scores = weighted_leverage_scores(
                 rows, None, loss, seed=int(spawn_rng(7, 1, r).integers(2**31)))
-            plan = make_plan(scores.relative, _half(rows.shape[0], scores), 1.0)
+            plan = make_plan(scores.gamma, _half(rows.shape[0], scores.gamma_total), 1.0)
             keep = draw(plan, None, seed=int(spawn_rng(7, 2, r, 0).integers(2**31))).indices
             assert keep.size == trace[r]["realized"]
             rows, pos = rows[keep] * plan.q[keep, None] ** -1.0, pos[keep]

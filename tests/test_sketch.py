@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import split_halves
+from conftest import pstable_dense, sparse_sketch_dense, split_halves
 from robsub import (
     Subspace,
     apply_right,
@@ -14,6 +17,7 @@ from robsub import (
     make_sparse_sketch,
     orthonormal_union,
 )
+import robsub
 from robsub.core import RowView
 from robsub import sketch
 from robsub.sketch import rank_revealing_factor
@@ -22,7 +26,7 @@ from robsub.sketch import rank_revealing_factor
 class TestSparseSketch:
     def test_single_nonzero_per_column(self):
         sk = make_sparse_sketch(1, m=4, d=10, s=1)
-        dense = sk.dense()
+        dense = sparse_sketch_dense(sk)
         assert dense.shape == (4, 10)
         for j in range(10):
             col = dense[:, j]
@@ -31,7 +35,7 @@ class TestSparseSketch:
 
     def test_two_nonzeros_magnitude(self):
         sk = make_sparse_sketch(1, m=8, d=10, s=2)
-        dense = sk.dense()
+        dense = sparse_sketch_dense(sk)
         for j in range(10):
             col = dense[:, j]
             assert np.count_nonzero(col) == 2
@@ -62,7 +66,7 @@ class TestApplyRight:
     def test_identity_matches_dense(self):
         sk = make_sparse_sketch(5, m=7, d=9, s=2)
         out = apply_right(np.eye(9), sk)
-        assert np.allclose(out, sk.dense().T)
+        assert np.allclose(out, sparse_sketch_dense(sk).T)
 
     def test_zero_matrix(self):
         sk = make_sparse_sketch(5, m=7, d=9, s=2)
@@ -211,6 +215,18 @@ def _svd_projector(rows, rank_tol=1e-8):
     return v @ v.T
 
 
+def test_import_leaves_scipy_linalg_unloaded():
+    # the streamed QR imports scipy.linalg on first use, which keeps it out
+    # of the package's import time
+    src = os.path.dirname(os.path.dirname(robsub.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, robsub; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 class TestRankRevealingFactor:
     @staticmethod
     def _rank_deficient(rows):
@@ -339,27 +355,27 @@ class TestOrthonormalUnion:
 
 class TestPStable:
     def test_one_nonzero_per_column(self):
-        rows = make_pstable_sketch(4, s=30, n=500, p=1.0).row_block(0, 30)
+        rows = pstable_dense(make_pstable_sketch(4, s=30, n=500, p=1.0))
         assert np.all(np.count_nonzero(rows, axis=0) == 1)
 
     def test_cauchy_median(self):
         # the nonzeros are the diagonal of D: i.i.d. standard Cauchy at p=1
         sk = make_pstable_sketch(0, s=50, n=20000, p=1.0)
-        entries = sk.row_block(0, 50)
+        entries = pstable_dense(sk)
         assert np.median(np.abs(entries[entries != 0])) == pytest.approx(1.0, rel=0.05)
 
     def test_deterministic(self):
-        a = make_pstable_sketch(5, s=64, n=20, p=1.3).row_block(0, 64)
-        b = make_pstable_sketch(5, s=64, n=20, p=1.3).row_block(0, 64)
+        a = pstable_dense(make_pstable_sketch(5, s=64, n=20, p=1.3))
+        b = pstable_dense(make_pstable_sketch(5, s=64, n=20, p=1.3))
         assert np.array_equal(a, b)
 
     def test_requested_shape(self):
         sk = make_pstable_sketch(1, s=37, n=11, p=1.5)
-        assert sk.row_block(0, 37).shape == (37, 11)
+        assert pstable_dense(sk).shape == (37, 11)
 
     def test_p2_is_countsketch(self):
         # at p=2 the diagonal holds random signs: one +-1 per column
-        rows = make_pstable_sketch(6, s=40, n=3000, p=2.0).row_block(0, 40)
+        rows = pstable_dense(make_pstable_sketch(6, s=40, n=3000, p=2.0))
         nz = rows[rows != 0]
         assert nz.size == 3000 and set(np.unique(nz)) == {-1.0, 1.0}
 
@@ -373,7 +389,7 @@ class TestPStable:
         rng = np.random.default_rng(11)
         b = rng.standard_normal((50, 7))
         sk = make_pstable_sketch(9, s=30, n=50, p=1.0)
-        full = sk.row_block(0, 30)
+        full = pstable_dense(sk)
         assert np.allclose(sk.apply(b), full @ b)
         bs = sp.random(50, 7, density=0.2, format="csr", random_state=3)
         out = sk.apply(bs)
@@ -398,7 +414,7 @@ class TestPStable:
         # sums of n p-stables scale like n^(1/p): compare the p=1.5 medians of
         # the n diagonal draws' sum and of one draw, across independent seeds
         n = 256
-        diags = np.array([make_pstable_sketch(seed, s=8, n=n, p=1.5).row_block(0, 8).sum(axis=0)
+        diags = np.array([pstable_dense(make_pstable_sketch(seed, s=8, n=n, p=1.5)).sum(axis=0)
                           for seed in range(400)])
         ratio = np.median(np.abs(diags.sum(axis=1))) / np.median(np.abs(diags[:, 0]))
         assert ratio == pytest.approx(n ** (1 / 1.5), rel=0.25)
