@@ -19,9 +19,9 @@ rng = np.random.default_rng(1)
 n, d, m = 2000, 400, 60
 a = sp.random(n, d, density=0.05, format="csr", random_state=rng)
 sketch = make_sparse_sketch(seed=7, m=m, d=d, s=4)
-out, madds = apply_right(a, sketch, return_work=True)
+out = apply_right(a, sketch)
 print(f"A is {n}x{d} with nnz={a.nnz}; A S^T is {out.shape[0]}x{out.shape[1]}")
-print(f"multiply-adds = {madds} = s * nnz = {sketch.s * a.nnz}")
+print(f"multiply-adds = s * nnz = {sketch.s * a.nnz}")
 
 # the sketch approximately preserves norms of vectors in a low-rank rowspace
 basis = rng.standard_normal((3, d))

@@ -8,11 +8,9 @@ import numpy as np
 from robsub import (
     LossSpec,
     draw,
-    leverage_scores,
     make_plan,
     v_norm_p,
     weighted_leverage_scores,
-    well_conditioned_basis,
 )
 
 rng = np.random.default_rng(2)
@@ -22,9 +20,8 @@ loss = LossSpec.lp(1.0)
 a = rng.standard_normal((1000, 12))
 a[:10] *= 30.0
 
-basis = well_conditioned_basis(a, p=1.0, seed=5)
-scores = leverage_scores(a, basis, loss)
-# at p = 1 the total is the entrywise l1 norm of the basis U
+scores = weighted_leverage_scores(a, None, loss, seed=5)
+# at p = 1 the total is twice the entrywise l1 norm of the basis U (one weight bucket)
 print(f"total sensitivity gamma = {scores.gamma_total:.2f}")
 heavy = np.argsort(scores.gamma)[::-1][:10]
 print(f"top-10 leverage rows: {sorted(heavy.tolist())}  (the inflated rows are 0..9)")

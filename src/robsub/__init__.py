@@ -19,7 +19,6 @@ from .core import (
     v_norm_p,
 )
 from .sketch import (
-    GaussianSketch,
     PStableSketch,
     SparseSketch,
     apply_right,
@@ -32,7 +31,6 @@ from .sketch import (
 from .conditioning import (
     LeverageScores,
     WellConditionedBasis,
-    leverage_scores,
     weighted_leverage_scores,
     well_conditioned_basis,
 )
@@ -41,7 +39,6 @@ from .sampling import (
     SamplingPlan,
     draw,
     make_plan,
-    sample_size_subspace,
 )
 from .dimreduce import DimReduceConfig, dim_reduce
 from .bicriteria import ConstApproxConfig, const_approx, const_approx_recur
@@ -51,7 +48,6 @@ from .pipeline import (
     SmallProblem,
     approx_lp,
     approx_m2,
-    best_rank_k_in_subspace,
     small_approx,
 )
 from .regression import RegressConfig, irls_solve, m_regress, regression_objective

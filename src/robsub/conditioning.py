@@ -1,28 +1,29 @@
 """Well-conditioned bases and leverage scores.
 
-A basis U for the column space of A (or of A @ H) is carried implicitly as
-a change-of-basis matrix: U = (A H) @ F with F = V_r diag(1/sigma_r), where
+A basis U for the column space of A is carried implicitly as a
+change-of-basis matrix: U = A F with F = V_r diag(1/sigma_r), where
 sigma_r and V_r are the singular values above the rank tolerance and the
-right singular vectors of the sketched product Pi (A H), computed by a
+right singular vectors of the sketched product Pi A, computed by a
 streaming R-only QR, which folds one densified block of 2048 rows at a
 time into a running R, in memory independent of the row count, and the
 SVD of the small R.  The sketch Pi = S D is a sparse embedding with one
-nonzero per column, so Pi (A H) costs O(nnz(A H)) and Pi U is
-orthonormal: for p in [1, 2) a p-stable one (the sparse Cauchy transform
-of Meng & Mahoney 2013 at p = 1), and for p = 2 CountSketch (Clarkson &
-Woodruff 2013), which distorts Euclidean norms by at most a constant
-factor beta.  Where the sketch would not be smaller than A H, Pi is the
-identity and U is an exact orthonormal factor, whose row norms at p = 2
-are the leverage scores of every orthonormal basis of the column space.
+nonzero per column, so Pi A costs O(nnz(A)) and Pi U is orthonormal: for
+p in [1, 2) a p-stable one (the sparse Cauchy transform of Meng & Mahoney
+2013 at p = 1), and for p = 2 CountSketch (Clarkson & Woodruff 2013),
+which distorts Euclidean norms by at most a constant factor beta.  Where
+the sketch would not be smaller than A, Pi is the identity and U is an
+exact orthonormal factor, whose row norms at p = 2 are the leverage
+scores of every orthonormal basis of the column space.
 
 Leverage scores bound the fractional contribution any single row can make
-to the v-measure, and drive all row sampling downstream.  The weighted
-variant partitions rows into dyadic weight buckets, builds one basis per
-bucket, and doubles the per-row scores.  A bucket is never copied out of
-its source: its basis holds the source and the bucket's row indices (a
-``core.RowView``), its sketch places the bucket's columns at those rows of
-an operator over every source row, and its QR and row-norm passes gather
-one block of its rows at a time.
+to the v-measure, and drive all row sampling downstream.
+``weighted_leverage_scores`` is the one entry point: it partitions rows
+into dyadic weight buckets (one bucket when the weights are all one),
+builds one basis per bucket, and doubles the per-row scores.  A bucket is
+never copied out of its source: its basis holds the source and the
+bucket's row indices (a ``core.RowView``), its sketch places the bucket's
+columns at those rows of an operator over every source row, and its QR
+and row-norm passes gather one block of its rows at a time.
 """
 
 from __future__ import annotations
@@ -57,24 +58,19 @@ _P2_SKETCH_BETA = 1.5
 
 @dataclass(frozen=True)
 class WellConditionedBasis:
-    """Implicit row access to a well-conditioned basis U = (A H) F."""
+    """Implicit row access to a well-conditioned basis U = A F."""
 
-    change_of_basis: np.ndarray   # (m0, m) factor F = V_r diag(1/sigma_r): U = (A H) F
+    change_of_basis: np.ndarray   # (m0, m) factor F = V_r diag(1/sigma_r): U = A F
     p: float
     n: int
     m: int
-    _ah: RowView                  # n x m0 product A H, read a block of rows at a time
-    sketched: bool                # F comes from a sketch Pi (A H), not from A H itself
-
-    def u_rows(self, idx=None) -> np.ndarray:
-        """Rows of the basis; idx may be a slice, index array, or None (all)."""
-        return matmul_dense(self._ah.block(slice(None) if idx is None else idx),
-                            self.change_of_basis)
+    _a: RowView                   # n x m0 operand A, read a block of rows at a time
+    sketched: bool                # F comes from a sketch Pi A, not from A itself
 
     def iter_row_blocks(self, block_rows: int = _ROW_BLOCK, right=None):
-        """Row blocks of U, or of U @ right taken as (A H) @ (F @ right)."""
+        """Row blocks of U, or of U @ right taken as A @ (F @ right)."""
         f = self.change_of_basis if right is None else self.change_of_basis @ right
-        for lo, hi, block in self._ah.blocks(block_rows):
+        for lo, hi, block in self._a.blocks(block_rows):
             yield lo, hi, matmul_dense(block, f)
 
     def row_norms_lp(self) -> np.ndarray:
@@ -85,19 +81,19 @@ class WellConditionedBasis:
         return out
 
 
-def well_conditioned_basis(a, h=None, p: float = 2.0, seed: int = 0) -> WellConditionedBasis:
-    """Build a well-conditioned basis for the column space of A H.
+def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedBasis:
+    """Build a well-conditioned basis for the column space of A.
 
     The change of basis F = V_r diag(1/sigma_r) comes from
     ``rank_revealing_factor``: a streaming R-only QR of the operand, which
     folds one dense block of 2048 rows at a time into a running R (a
-    sparse A H is never densified whole, and the memory does not grow with
+    sparse A is never densified whole, and the memory does not grow with
     n), then the SVD of the small R, keeping singular values above
-    ``sketch.RANK_TOL`` * sigma_max.  The operand is either Pi (A H), with Pi = S D
+    ``sketch.RANK_TOL`` * sigma_max.  The operand is either Pi A, with Pi = S D
     the sparse embedding of ``PStableSketch`` that hashes the n rows into s
     buckets after scaling each by a p-stable draw (a random sign at p = 2),
-    so that Pi (A H) F is orthonormal; or A H itself, so that (A H) F is
-    orthonormal.  With m0 the column count of A H, the size rule is:
+    so that Pi A F is orthonormal; or A itself, so that A F is
+    orthonormal.  With m0 the column count of A, the size rule is:
 
     * p in [1, 2): s = c_pi * m0^2, capped at 8192 (and at least 2 m0);
       the sketch is taken when s < n.  This is the sparse Cauchy transform
@@ -116,13 +112,13 @@ def well_conditioned_basis(a, h=None, p: float = 2.0, seed: int = 0) -> WellCond
 
     Here c_pi = 20; it and the cap are the module constants _C_PI and
     _STABLE_ROW_CAP.  The reported width m is the numerical rank, which
-    drops below m0 when the columns of A H are dependent.  A may be a
-    ``RowView`` when h is None.
+    drops below m0 when the columns of A are dependent.  A may be dense,
+    sparse or a ``RowView``.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
-    ah = row_view(matmul_dense(a, h) if h is not None else a)
-    n, m0 = ah.shape
+    view = row_view(a)
+    n, m0 = view.shape
     if n == 0 or m0 == 0:
         raise ValueError("empty operand")
 
@@ -134,15 +130,15 @@ def well_conditioned_basis(a, h=None, p: float = 2.0, seed: int = 0) -> WellCond
         sketched = s < n
     if sketched:
         pi = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p)
-        sv, v = rank_revealing_factor(pi.apply(ah))
+        sv, v = rank_revealing_factor(pi.apply(view))
     else:
         # no sketch when exact factorization is cheaper; identity is an
         # exact subspace embedding
-        sv, v = rank_revealing_factor(ah)
+        sv, v = rank_revealing_factor(view)
 
     if sv.size == 0:
         raise ValueError("operand has numerical rank zero")
-    return WellConditionedBasis(v / sv, float(p), n, sv.size, ah, sketched)
+    return WellConditionedBasis(v / sv, float(p), n, sv.size, view, sketched)
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +168,6 @@ def _row_scores(loss: LossSpec, basis: WellConditionedBasis, norms: np.ndarray) 
     return np.maximum(beta * norms / loss.c_m, (beta * norms) ** 2)
 
 
-def leverage_scores(a, basis: WellConditionedBasis, loss: LossSpec) -> LeverageScores:
-    """Unweighted leverage scores from a prebuilt basis.
-
-    For |x|^p losses the score of row i is ||U_i||_p^p.  It bounds the
-    row's sensitivity when U is the exact orthonormal factor: with q the
-    dual exponent, ||x||_q <= ||x||_2 = ||U x||_2 <= ||U x||_p, so
-    |U_i x|^p <= ||U_i||_p^p ||U x||_p^p.  For a sketched basis the bound
-    holds up to the sketch's distortion, a factor common to every row that
-    would set only how many rows to draw, not which (Dasgupta, Drineas,
-    Harb, Kumar & Mahoney 2009).  General p=2 losses use an orthonormal
-    basis, scaled by the CountSketch beta when sketched, and take the max
-    of the linear and quadratic branches.
-    """
-    if a.shape[0] != basis.n:
-        raise ValueError("basis was built for a different row count")
-    if loss.is_lp:
-        if abs(loss.p - basis.p) > 1e-12:
-            raise ValueError(f"basis p={basis.p} does not match loss p={loss.p}")
-    elif basis.p != 2.0:
-        raise ValueError("general losses need an orthonormal (p=2) basis")
-    return LeverageScores(_row_scores(loss, basis, basis.row_norms_lp()), 1)
-
-
 def weighted_leverage_scores(
     a,
     w,
@@ -204,14 +177,23 @@ def weighted_leverage_scores(
 ) -> LeverageScores:
     """Leverage scores under dyadic weight buckets.
 
-    Rows are split into buckets 2^(j-1) <= w_i < 2^j; each bucket that is
-    not all zero gets its own basis over its rows of ``a`` (a matrix or a
-    ``RowView``), read by index, and per-row scores are twice the
-    unweighted form.
-    With ``gauss_t`` set, for any loss, the basis row norms are replaced
-    by the Euclidean norms of U G for a Gaussian G with that many columns
-    scaled by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney & Woodruff
-    2012); one column gives the estimate |U_i g| of the |x|^p pipeline.
+    Rows are split into buckets 2^(j-1) <= w_i < 2^j (with ``w`` None,
+    one bucket of unit weights); each bucket that is not all zero gets its
+    own basis U over its rows of ``a`` (a matrix or a ``RowView``), read
+    by index, and per-row scores are twice the unweighted form below.
+
+    For |x|^p losses the unweighted score of row i is ||U_i||_p^p.  It
+    bounds the row's sensitivity when U is the exact orthonormal factor:
+    with q the dual exponent, ||x||_q <= ||x||_2 = ||U x||_2 <= ||U x||_p,
+    so |U_i x|^p <= ||U_i||_p^p ||U x||_p^p.  For a sketched basis the
+    bound holds up to the sketch's distortion, a factor common to every
+    row that would set only how many rows to draw, not which (Dasgupta,
+    Drineas, Harb, Kumar & Mahoney 2009).  General p=2 losses use an
+    orthonormal basis, scaled by the CountSketch beta when sketched, and
+    take the max of the linear and quadratic branches of the row norm.
+    With ``gauss_t`` set, the basis row norms are replaced by the
+    Euclidean norms of U G for a Gaussian G with that many columns scaled
+    by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney & Woodruff 2012).
     """
     n = a.shape[0]
     wv = as_weights(w, n)

@@ -34,7 +34,6 @@ from .core import (
     m_derivative,
     m_value,
     project_rows,
-    residual_cost,
     row_view,
     spawn_rng,
 )
@@ -229,26 +228,6 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: in
     return best_w
 
 
-def best_rank_k_in_subspace(a, sub: Subspace, k: int, loss: LossSpec, w=None,
-                            seed: int = 0, cfg: Optional[PipelineConfig] = None,
-                            warm_starts: Sequence[np.ndarray] = ()) -> Tuple[Subspace, float]:
-    """Best rank-k subspace inside span(U), solved as a small problem.
-
-    On the exact columns [A U, r] (see ``_exact_problem``) the objective
-    equals the residual cost of the projector (U W)(U W)^T.
-    """
-    cfg = cfg or PipelineConfig()
-    if sub.dim == 0:
-        raise ValueError("cannot search inside an empty subspace")
-    prob = _exact_problem(_exact_columns(a, sub.u), as_weights(w, a.shape[0]),
-                          min(k, sub.dim))
-    w_factor = small_approx(prob, loss, seed=seed, restarts=cfg.restarts,
-                            cap=max(cfg.small_cap, a.shape[0], sub.dim + 1),
-                            warm_starts=warm_starts)
-    out = _final_factor(sub.u, w_factor)
-    return out, residual_cost(a, out, w, loss)
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline stages
 
@@ -309,33 +288,39 @@ def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
 
 def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig,
                       seed: int, trace: Optional[dict], target: Callable[[int, int], float],
-                      rounds: int, gauss_t: int, salts: Tuple[int, int, int],
+                      rounds: int, gauss_t: Optional[int], salts: Tuple[int, int, int],
                       handover: Callable[[int, int], dict]) -> Subspace:
     """The body shared by approx_lp and approx_m2.
 
-    After the subspace stages, at most ``rounds`` rounds of
+    The stages run at rank min(k, n), as n rows span at most n
+    dimensions, and a subspace U of at most that width is padded to k
+    orthonormal columns.  Otherwise at most ``rounds`` rounds of
     ``leverage_rounds`` shrink the rows of the dense n x (m+1) operand
     [A U, r], or of A as given (dense or CSR) when U is square, as [A U, 0]
-    then spans the column space of A.  Each round scores with ``gauss_t``
-    Gaussian columns and plans ``target(n', d_hat)`` rows, d_hat the
-    scored width, until at most ``cfg.t_rows_target`` remain; rows are
-    read by index and none is copied.  ``handover(kept rows, rounds run)``
-    checks the sample and returns the trace entries to record.  The kept
-    rows are gathered once, with their row scale, for the weighted small
-    problem on their exact columns.  Salts seed the scores, the draws and
-    the small solve.
+    then spans the column space of A.  Each round scores by the exact
+    basis row norms (``gauss_t`` None) or by ``gauss_t`` Gaussian columns,
+    and plans ``target(n', d_hat)`` rows, d_hat the scored width, until at
+    most ``cfg.t_rows_target`` remain; rows are read by index and none is
+    copied.  ``handover(kept rows, rounds run)`` checks the sample and
+    returns the trace entries to record.  The kept rows are gathered once,
+    with their row scale, for the weighted small problem on their exact
+    columns.  Salts seed the scores, the draws and the small solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     n, d = a.shape
-    k = min(k, min(n, d))
+    if n == 0:
+        raise ValueError("input matrix has no rows")
+    if not (1 <= k <= d):
+        raise ValueError(f"k={k} outside [1, {d}]")
     tr = {} if trace is None else trace
     tr["eps"] = eps
 
-    u = _stage_subspace(a, k, eps, loss, cfg, seed, tr).u
+    u = _stage_subspace(a, min(k, n), eps, loss, cfg, seed, tr).u
     m = u.shape[1]
-    if m <= k:
-        return Subspace(u[:, :k]) if m == k else _pad_to_k(u, k, seed)
+    if m <= min(k, n):
+        return _pad_to_k(u, k, seed)
+    # m <= n, as U lies in the row space of A: from here on k < n
 
     scored = a if m == d else _exact_columns(a, u)
     idx, w, scale, done = leverage_rounds(
@@ -361,9 +346,10 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
               trace: Optional[dict] = None) -> Subspace:
     """(1+eps)-style pipeline for M(x) = |x|^p, p in [1, 2): returns rank-k U W.
 
-    Stages: bicriteria subspace, residual sampling into U, one round of
-    Gaussian-estimated leverage sampling of the exact operand [A U, r] (of
-    A itself when U is square), row rescaling by q^(-1/p), and the small
+    Stages: bicriteria subspace, residual sampling into U, one
+    non-adaptive round of leverage sampling of the exact operand [A U, r]
+    (of A itself when U is square) in proportion to the ||U'_i||_p^p of its
+    well-conditioned basis U', row rescaling by q^(-1/p), and the small
     solve inside U on the sampled rows' exact columns T [A U, r].
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
@@ -382,7 +368,7 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
         return {"t_rows": kept}
 
     return _sample_and_solve(a, k, eps, loss, cfg, seed, trace, target, rounds=1,
-                             gauss_t=1, salts=(97, 103, 107), handover=handover)
+                             gauss_t=None, salts=(97, 103, 107), handover=handover)
 
 
 def approx_m2(a, k: int, eps: float, loss: LossSpec,

@@ -1,4 +1,4 @@
-"""Row-sampling plans, realized draws, the shared sampling loop, and size formulas.
+"""Row-sampling plans, realized draws, and the shared sampling loop.
 
 A plan turns nonnegative scores q' into independent inclusion
 probabilities q_i = min{1, k2 * r * q'_i / sum(q')}.  A draw realizes the
@@ -15,7 +15,6 @@ robust regression all shrink their rows with it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -84,21 +83,6 @@ def draw(plan: SamplingPlan, w=None, seed: int = 0) -> SampleDraw:
     mask = u < plan.q
     idx = np.flatnonzero(mask)
     return SampleDraw(idx, plan.q[idx], wv[idx])
-
-
-def sample_size_subspace(z: int, eps: float, delta: float, gamma_total: float,
-                         c: float = 8.0) -> float:
-    """Bernstein-style sample size C z log(1/delta) / eps^2 times gamma_total."""
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    if gamma_total <= 0.0:
-        raise ValueError("gamma_total must be positive")
-    eps = min(eps, 1.0 - 1e-12)
-    return c * z * math.log(1.0 / delta) / eps**2 * gamma_total
 
 
 def leverage_rounds(

@@ -4,8 +4,8 @@ Three sketch families, each a pure function of its seed:
 
 * sparse sign sketches (s nonzeros of magnitude 1/sqrt(s) per column),
   applied on the right in O(s * nnz) work to reduce column count;
-* Gaussian sketches for cheap row-norm estimation, optionally deflating
-  a known subspace on the fly;
+* Gaussian sketches, plain d x t arrays, for the residual row-norm
+  estimates of residual sampling, deflating a known subspace on the fly;
 * sparse p-stable embeddings Pi = S D (the sparse Cauchy transform at
   p=1, CountSketch at p=2), applied in O(nnz) work to condition bases
   for l_p.
@@ -80,59 +80,34 @@ def make_sparse_sketch(seed: int, m: int, d: int, s: int) -> SparseSketch:
     return SparseSketch(m, d, s, int(seed), positions, values)
 
 
-def apply_right(a, r: SparseSketch, return_work: bool = False):
-    """Compute A @ S^T, the column-reducing sketch product.
-
-    The multiply-add count of the scatter is exactly s * nnz(A); pass
-    ``return_work=True`` to get it back alongside the product.
-    """
+def apply_right(a, r: SparseSketch):
+    """Compute A @ S^T, the column-reducing sketch product, in s * nnz(A) multiply-adds."""
     if a.shape[1] != r.cols:
         raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {r.cols}")
-    op = r.right_operator()
-    out = matmul_dense(a, op)
-    if not return_work:
-        return out
-    if is_sparse(a):
-        per_col = np.diff(a.tocsc().indptr)
-    else:
-        per_col = np.count_nonzero(np.asarray(a), axis=0)
-    madds = int(per_col.sum()) * r.s
-    return out, madds
+    return matmul_dense(a, r.right_operator())
 
 
-@dataclass(frozen=True)
-class GaussianSketch:
+def make_gaussian_sketch(seed: int, d: int, t: int) -> np.ndarray:
     """d x t matrix of i.i.d. normals with mean 0 and variance 1/t."""
-
-    d: int
-    t: int
-    seed: int
-    g: np.ndarray
-
-
-def make_gaussian_sketch(seed: int, d: int, t: int) -> GaussianSketch:
     if t < 1:
         raise ValueError("t must be >= 1")
-    rng = spawn_rng(seed, 13)
-    g = rng.standard_normal((d, t)) / math.sqrt(t)
-    return GaussianSketch(d, t, int(seed), g)
+    return spawn_rng(seed, 13).standard_normal((d, t)) / math.sqrt(t)
 
 
-def gaussian_row_norm_estimates(a, deflate: Subspace | None, g: GaussianSketch) -> np.ndarray:
+def gaussian_row_norm_estimates(a, deflate: Subspace | None, g: np.ndarray) -> np.ndarray:
     """Row norms ||A_i (I - W W^T) G||_2 without forming A (I - W W^T).
 
     Deflates the sketch, not A: computed as A (G - W (W^T G)), in nnz(A) t
     work with no n x dim(W) product; with no deflation this is just the
-    sketched row norm ||A_i G||_2.
+    sketched row norm ||A_i G||_2.  G is a d x t ``make_gaussian_sketch``.
     """
-    if a.shape[1] != g.d:
-        raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {g.d}")
-    gm = g.g
+    if a.shape[1] != g.shape[0]:
+        raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {g.shape[0]}")
     if deflate is not None and deflate.dim > 0:
         if deflate.d != a.shape[1]:
             raise ValueError("deflation subspace dimension mismatch")
-        gm = gm - deflate.u @ (deflate.u.T @ gm)
-    return np.linalg.norm(matmul_dense(a, gm), axis=1)
+        g = g - deflate.u @ (deflate.u.T @ g)
+    return np.linalg.norm(matmul_dense(a, g), axis=1)
 
 
 def r_factor(t) -> np.ndarray:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from robsub import LossSpec
+from robsub import LossSpec, residual_cost
+from robsub import conditioning, pipeline
 
 
 def planted_lowrank(n, d, k, seed, noise=0.0, outlier_frac=0.0, outlier_scale=50.0):
@@ -44,6 +47,46 @@ def sparse_sketch_dense(sk):
 def pstable_dense(sk):
     """The p-stable embedding Pi as a dense (s, n) array: Pi applied to the sparse identity."""
     return sk.apply(sp.identity(sk.n, format="csr"))
+
+
+def basis_rows(basis):
+    """Every row of a ``WellConditionedBasis`` U, stacked from its row blocks."""
+    return np.vstack([block for _, _, block in basis.iter_row_blocks()])
+
+
+def basis_scores(basis, loss):
+    """Unweighted leverage scores of a prebuilt basis: half of what one weight bucket scores."""
+    return conditioning.LeverageScores(
+        conditioning._row_scores(loss, basis, basis.row_norms_lp()), 1)
+
+
+def sample_size_subspace(z, eps, delta, gamma_total, c=8.0):
+    """Bernstein-style sample size C z log(1/delta) / eps^2 times gamma_total."""
+    if z < 1:
+        raise ValueError("z must be >= 1")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    if gamma_total <= 0.0:
+        raise ValueError("gamma_total must be positive")
+    eps = min(eps, 1.0 - 1e-12)
+    return c * z * math.log(1.0 / delta) / eps**2 * gamma_total
+
+
+def best_rank_k_in_subspace(a, sub, k, loss, w=None, seed=0, warm_starts=()):
+    """Best rank-k subspace inside span(U) and its residual cost, solved as a small problem.
+
+    On the exact columns [A U, r] of the pipelines the small objective
+    equals the residual cost of the projector (U W)(U W)^T.
+    """
+    prob = pipeline._exact_problem(pipeline._exact_columns(a, sub.u), w, min(k, sub.dim))
+    w_factor = pipeline.small_approx(prob, loss, seed=seed,
+                                     cap=max(pipeline.PipelineConfig().small_cap, a.shape[0],
+                                             sub.dim + 1),
+                                     warm_starts=warm_starts)
+    out = pipeline._final_factor(sub.u, w_factor)
+    return out, residual_cost(a, out, w, loss)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import planted_lowrank
+from conftest import best_rank_k_in_subspace, planted_lowrank, sample_size_subspace
 from robsub import (
     LossSpec,
     Subspace,
@@ -23,7 +23,6 @@ from robsub import (
     make_plan,
     make_sparse_sketch,
     residual_cost,
-    sample_size_subspace,
     v_norm_p,
     weighted_leverage_scores,
 )
@@ -44,7 +43,6 @@ from robsub.pipeline import (
     SmallProblem,
     approx_lp,
     approx_m2,
-    best_rank_k_in_subspace,
     small_approx,
 )
 from robsub.regression import RegressConfig, irls_solve, m_regress, regression_objective

@@ -181,6 +181,14 @@ class TestApproxCommand:
                    "--stage", "dimreduce", "--eps", "1.5"])
         assert rc == EXIT_CONFIG
 
+    def test_empty_input_exit_3(self, tmp_path, capsys):
+        mtx = tmp_path / "empty.mtx"
+        save_matrix_market(mtx, sp.csr_matrix((0, 6)))
+        rc = main(["approx", "--input", str(mtx), "--k", "3", "--loss", "l1",
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        assert "no rows" in capsys.readouterr().err
+
     def test_non_finite_input_exit_3(self, matrix_files, capsys):
         a = np.loadtxt(matrix_files["a_csv"], delimiter=",")
         a[5, 2] = np.nan

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import planted_lowrank
+from conftest import best_rank_k_in_subspace, planted_lowrank
 from robsub import (
     DimReduceConfig,
     LossSpec,
@@ -16,7 +16,6 @@ from robsub import (
 )
 from robsub import dimreduce
 from robsub.oracle import alternating_reference
-from robsub.pipeline import best_rank_k_in_subspace
 
 
 CFG = DimReduceConfig(quality_k=2.0)

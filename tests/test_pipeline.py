@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import planted_lowrank
+from conftest import best_rank_k_in_subspace, planted_lowrank
 from robsub import (
     LossSpec,
     Subspace,
@@ -21,7 +21,6 @@ from robsub.pipeline import (
     SmallProblem,
     approx_lp,
     approx_m2,
-    best_rank_k_in_subspace,
     small_approx,
 )
 
@@ -202,6 +201,26 @@ class TestApproxLp:
         _, svd_cost = svd_truncation_cost(a, 3, None, loss)
         assert residual_cost(a, sub, None, loss) <= 1.1 * svd_cost
 
+    def test_p15_final_sample_scored_by_basis_row_norms(self):
+        # planted rank 3 plus 0.1 noise, and 0.3% of rows along one shared
+        # direction orthogonal to it that outweighs any planted direction
+        # (the benchmark's lp_dense_outliers geometry, input seed 300).  The
+        # final sample scored by one-column Gaussian estimates |U_i g| lost
+        # to the SVD on this fit (1.031x); scored by ||U_i||_p^p it costs 0.48x
+        n, d, k = 20000, 20, 3
+        rng = np.random.default_rng([300, 1])
+        basis, _ = np.linalg.qr(rng.standard_normal((d, k + 1)))
+        a = (10.0 * rng.standard_normal((n, k))) @ basis[:, :k].T
+        a += 0.1 * rng.standard_normal((n, d))
+        rows = rng.choice(n, 60, replace=False)
+        signs = rng.choice([-1.0, 1.0], rows.size)
+        a[rows] = (10.0 * np.sqrt(2.0 * n / rows.size) * signs[:, None] * basis[:, k]
+                   + 0.1 * rng.standard_normal((rows.size, d)))
+        loss = LossSpec.lp(1.5)
+        sub = approx_lp(a, k, 0.25, loss, seed=300001)
+        _, svd_cost = svd_truncation_cost(a, k, None, loss)
+        assert residual_cost(a, sub, None, loss) < svd_cost
+
     def test_sparse_input_end_to_end(self):
         import scipy.sparse as sp
 
@@ -376,6 +395,32 @@ class TestApproxM2:
 _BOTH_PIPELINES = pytest.mark.parametrize(
     "fit, loss", [(approx_lp, LossSpec.lp(1.0)), (approx_m2, LossSpec.huber(1.0))],
     ids=["lp", "m2"])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("fit, loss", [(approx_lp, LossSpec.lp(1.0)),
+                                       (approx_m2, LossSpec.huber(1.0))])
+class TestShortInput:
+    def test_fewer_rows_than_k_padded_to_k(self, fit, loss, sparse):
+        # two rows span two dimensions: the stages run at rank 2 (a clamp
+        # warning would fail here, as RuntimeWarnings are errors) and the
+        # factor is padded to k = 3 orthonormal columns
+        dense = np.random.default_rng(40).standard_normal((2, 6))
+        a = sp.csr_matrix(dense) if sparse else dense
+        sub = fit(a, 3, 0.25, loss, seed=1)
+        assert sub.u.shape == (6, 3)
+        assert np.abs(sub.u.T @ sub.u - np.eye(3)).max() <= 1e-12
+        assert residual_cost(a, sub, None, loss) <= 1e-12 * v_norm_p(a, None, loss)
+
+    def test_no_rows_rejected(self, fit, loss, sparse):
+        a = sp.csr_matrix((0, 6)) if sparse else np.zeros((0, 6))
+        with pytest.raises(ValueError, match="no rows"):
+            fit(a, 3, 0.25, loss, seed=1)
+
+    def test_k_above_columns_rejected(self, fit, loss, sparse):
+        dense = np.random.default_rng(41).standard_normal((50, 2))
+        with pytest.raises(ValueError, match="k=3 outside"):
+            fit(sp.csr_matrix(dense) if sparse else dense, 3, 0.25, loss, seed=1)
 
 
 class TestExactColumns:

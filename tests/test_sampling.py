@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sample_size_subspace
 from robsub import (
     LossSpec,
     SamplingPlan,
     draw,
     make_plan,
-    sample_size_subspace,
     v_norm_p,
     weighted_leverage_scores,
 )

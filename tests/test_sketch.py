@@ -72,16 +72,6 @@ class TestApplyRight:
         sk = make_sparse_sketch(5, m=7, d=9, s=2)
         assert np.all(apply_right(np.zeros((4, 9)), sk) == 0)
 
-    def test_work_count_exact(self):
-        rng = np.random.default_rng(1)
-        dense = rng.standard_normal((30, 15))
-        dense[rng.random((30, 15)) < 0.7] = 0.0
-        sk = make_sparse_sketch(2, m=10, d=15, s=3)
-        _, work = apply_right(dense, sk, return_work=True)
-        assert work == 3 * np.count_nonzero(dense)
-        _, work_sp = apply_right(sp.csr_matrix(dense), sk, return_work=True)
-        assert work_sp == work
-
     def test_sparse_dense_agree(self):
         rng = np.random.default_rng(2)
         dense = rng.standard_normal((25, 12))
@@ -130,8 +120,8 @@ class TestApplyRight:
 class TestGaussianSketch:
     def test_column_variance(self):
         g = make_gaussian_sketch(0, d=200, t=64)
-        assert g.g.shape == (200, 64)
-        assert g.g.var() == pytest.approx(1.0 / 64, rel=0.05)
+        assert g.shape == (200, 64)
+        assert g.var() == pytest.approx(1.0 / 64, rel=0.05)
 
     def test_estimates_full_deflation_zero(self):
         rng = np.random.default_rng(5)
@@ -188,7 +178,7 @@ class TestGaussianSketch:
         q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
         g = make_gaussian_sketch(3, d=7, t=5)
         est = gaussian_row_norm_estimates(a, Subspace(q), g)
-        direct = np.linalg.norm((a - (a @ q) @ q.T) @ g.g, axis=1)
+        direct = np.linalg.norm((a - (a @ q) @ q.T) @ g, axis=1)
         assert np.allclose(est, direct)
 
     def test_deflated_estimate_forms_no_n_by_dim_product(self):
@@ -204,7 +194,7 @@ class TestGaussianSketch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        direct = np.abs(a @ g.g - (a @ sub.u) @ (sub.u.T @ g.g)).ravel()
+        direct = np.abs(a @ g - (a @ sub.u) @ (sub.u.T @ g)).ravel()
         assert np.allclose(est, direct)
         assert peak < 8 * n * dim
 
