@@ -31,7 +31,7 @@ t_full = time.perf_counter() - t0
 
 t0 = time.perf_counter()
 trace = {}
-cfg = RegressConfig(base_cap=4000, level_c=0.05)
+cfg = RegressConfig(base_cap=4000)
 x_samp = m_regress(a, b, huber, eps=0.5, cfg=cfg, seed=1, trace=trace)
 t_samp = time.perf_counter() - t0
 

@@ -40,8 +40,8 @@ from .sampling import (
     draw,
     make_plan,
 )
-from .dimreduce import DimReduceConfig, dim_reduce
-from .bicriteria import ConstApproxConfig, const_approx, const_approx_recur
+from .dimreduce import dim_reduce
+from .bicriteria import const_approx, const_approx_recur
 from .pipeline import (
     CapExceededError,
     PipelineConfig,

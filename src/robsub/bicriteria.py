@@ -13,35 +13,28 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .core import LossSpec, Subspace, check_finite, spawn_rng
-from .sampling import leverage_rounds
+from .sampling import _SHRINK, leverage_rounds
 from .sketch import apply_right, make_sparse_sketch, orthonormal_union
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
 _SKETCH_NNZ = 4
+_SKETCH_COLS_C = 40.0   # right-sketch width m = min(max(k + 1, c k^2), d)
+_SAMPLE_ROWS_C = 10.0   # per-round sample multiplier on d'^2 * sum(scores)
 _LOGLOGLOG_C = 3.0      # extra factor on the per-round sample for p=2 losses
+_P_M_C = 50.0           # multiplier c of the survivor cap P_M
 
 
-@dataclass(frozen=True)
-class ConstApproxConfig:
-    c_sketch_cols: float = 40.0    # sketch width multiplier: m = min(c * k^2, d)
-    c_sample_rows: float = 10.0    # per-level sample multiplier on d'^2 * sum(scores)
-    p_m_multiplier: float = 50.0
-    shrink: float = 0.5            # per-level expected sample is capped at shrink * n'
-    p_m_override: Optional[int] = None
-
-    def p_m(self, k: int, n: int, loss: LossSpec) -> int:
-        if self.p_m_override is not None:
-            return int(self.p_m_override)
-        base = self.p_m_multiplier * k * k
-        if loss.is_m2:
-            base *= math.ceil(math.log2(n + 2) ** 3)
-        return int(base)
+def _p_m(k: int, n: int, loss: LossSpec) -> int:
+    """P_M, the most rows that may survive: c k^2, times ceil(log2(n + 2)^3) at p = 2."""
+    base = _P_M_C * k * k
+    if loss.is_m2:
+        base *= math.ceil(math.log2(n + 2) ** 3)
+    return int(base)
 
 
 def _logloglog(n: float) -> float:
@@ -52,7 +45,6 @@ def const_approx_recur(
     a_proj,
     w: np.ndarray,
     loss: LossSpec,
-    cfg: ConstApproxConfig,
     seed: int,
     p_m: int,
     max_depth: int,
@@ -75,10 +67,10 @@ def const_approx_recur(
         # the formula c d'^2 gamma_total (times a log log log n' factor at
         # p = 2) exceeds n' at practical sizes, which would stall the rounds;
         # the expected sample is capped so the row count keeps shrinking
-        scale = cfg.c_sample_rows * d_prime * d_prime
+        scale = _SAMPLE_ROWS_C * d_prime * d_prime
         if loss.is_m2:
             scale *= _LOGLOGLOG_C * _logloglog(n_prime)
-        return min(scale * scores.gamma_total, cfg.shrink * n_prime)
+        return min(scale * scores.gamma_total, _SHRINK * n_prime)
 
     # min_rows=-1: an empty draw is carried, leaving no survivors
     idx, _, _, depth = leverage_rounds(
@@ -93,15 +85,16 @@ def const_approx_recur(
     return idx
 
 
-def const_approx(a, k: int, loss: LossSpec, cfg: Optional[ConstApproxConfig] = None,
-                 seed: int = 0, trace: Optional[list] = None) -> Subspace:
+def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
+                 trace: Optional[list] = None) -> Subspace:
     """Bicriteria subspace: sketch right, sample rows, span the surviving input rows.
 
     The output dimension is at most P_M; its cost is within a modest factor
     of the best rank-k cost (over the randomness of sketch and samples).
     """
-    cfg = cfg or ConstApproxConfig()
     n, d = a.shape
+    if n == 0:
+        raise ValueError("input matrix has no rows")
     if k < 1:
         raise ValueError("k must be >= 1")
     check_finite(a)
@@ -109,16 +102,16 @@ def const_approx(a, k: int, loss: LossSpec, cfg: Optional[ConstApproxConfig] = N
         warnings.warn(f"k={k} exceeds min(n, d)={min(n, d)}; clamping", RuntimeWarning)
         k = min(n, d)
 
-    p_m = cfg.p_m(k, n, loss)
+    p_m = _p_m(k, n, loss)
     if n <= p_m:
         # no sampling round can run, so the right sketch would go unread
         if trace is not None:
             trace.append({"depth": 0, "n": n, "base_case": True, "indices": np.arange(n)})
         return orthonormal_union([a], d=d)
-    m = int(min(max(k + 1, cfg.c_sketch_cols * k * k), d))
+    m = int(min(max(k + 1, _SKETCH_COLS_C * k * k), d))
     sketch = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
                                 m=m, d=d, s=min(_SKETCH_NNZ, m))
     max_depth = int(4 * math.log2(max(math.log2(max(n, 4)), 2.0)) + 8)
-    idx = const_approx_recur(apply_right(a, sketch), np.ones(n), loss, cfg, seed,
+    idx = const_approx_recur(apply_right(a, sketch), np.ones(n), loss, seed,
                              p_m, max_depth, trace=trace)
     return orthonormal_union([a[idx]], d=d)

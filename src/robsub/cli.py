@@ -7,8 +7,8 @@ density).  All randomized outputs are fully determined by ``--seed``;
 reports are JSON with a fixed schema version, timings kept in a separate
 block so reports from identical seeds are byte-identical outside it.
 
-Exit codes: 0 success, 2 unreadable input, 3 bad configuration,
-4 numerical failure.
+Exit codes: 0 success, 2 unreadable input, 3 bad configuration (a usage
+error included), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import io as rio
-from .bicriteria import ConstApproxConfig
 from .core import LossSpec, residual_cost, v_norm_p
 from .hardness import (
     adjacency_excess,
@@ -33,7 +32,6 @@ from .hardness import (
     read_edge_list,
 )
 from .oracle import svd_truncation_cost
-from .dimreduce import DimReduceConfig
 from .pipeline import (CapExceededError, PipelineConfig, _stage_bicriteria, _stage_subspace,
                        approx_lp, approx_m2)
 from .regression import RegressConfig, irls_solve, m_regress, regression_objective
@@ -96,23 +94,10 @@ def _base_report(args, command: str) -> dict:
 # approx
 
 
-def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        const_cfg=ConstApproxConfig(c_sketch_cols=args.c_sketch_cols,
-                                    c_sample_rows=args.c_sample_rows,
-                                    p_m_multiplier=args.p_m_mult),
-        dim_cfg=DimReduceConfig(quality_k=args.quality_k, r1_multiplier=args.c1, k2=args.k2),
-        kappa=args.kappa,
-        t_rows_target=args.t_rows,
-        small_cap=args.small_cap,
-        restarts=args.restarts,
-    )
-
-
 def cmd_approx(args) -> int:
     a = rio.load_matrix(args.input)
     loss = _make_loss(args)
-    cfg = _pipeline_config(args)
+    cfg = PipelineConfig(t_rows_target=args.t_rows, small_cap=args.small_cap)
     n, d = a.shape
     if args.k < 1:
         raise ConfigError("--k must be >= 1")
@@ -123,11 +108,12 @@ def cmd_approx(args) -> int:
     timings = {}
     trace = {}
     t0 = time.perf_counter()
-    # the pipelines' own subspace stages, seeded as they seed them
+    # the pipelines' own subspace stages, seeded as they seed them and run at
+    # their rank min(k, n)
     if args.stage == "bicriteria":
-        sub = _stage_bicriteria(a, args.k, loss, cfg, args.seed, trace)
+        sub = _stage_bicriteria(a, min(args.k, n), loss, args.seed, trace)
     elif args.stage == "dimreduce":
-        sub = _stage_subspace(a, args.k, args.eps, loss, cfg, args.seed, trace)
+        sub = _stage_subspace(a, min(args.k, n), args.eps, loss, args.seed, trace)
     elif args.stage == "full":
         if loss.is_lp and loss.p < 2.0:
             sub = approx_lp(a, args.k, args.eps, loss, cfg, seed=args.seed, trace=trace)
@@ -175,8 +161,7 @@ def cmd_regress(args) -> int:
     loss = _make_loss(args)
     if loss.is_lp and loss.p >= 2.0:
         raise ConfigError("regression losses: lp with p in [1,2), huber, l1l2, fair")
-    cfg = RegressConfig(base_cap=args.base_cap, level_c=args.level_c,
-                        kappa=args.kappa)
+    cfg = RegressConfig(base_cap=args.base_cap)
     report = _base_report(args, "regress")
     timings = {}
     trace = {}
@@ -313,17 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--stage", default="full", choices=["bicriteria", "dimreduce", "full"])
     ap.add_argument("--subspace-out", default=None, dest="subspace_out",
                     help="write the fitted factor as Matrix Market")
-    ap.add_argument("--k2", type=float, default=4.0, help="oversampling constant")
-    ap.add_argument("--c1", type=float, default=2.0, help="residual-sampling size multiplier")
-    ap.add_argument("--c-sketch-cols", type=float, default=40.0, dest="c_sketch_cols")
-    ap.add_argument("--c-sample-rows", type=float, default=10.0, dest="c_sample_rows")
-    ap.add_argument("--p-m-mult", type=float, default=50.0, dest="p_m_mult")
-    ap.add_argument("--kappa", type=float, default=0.1)
-    ap.add_argument("--quality-k", type=float, default=None, dest="quality_k")
     ap.add_argument("--t-rows", type=int, default=300, dest="t_rows",
                     help="rows handed to the small solve")
-    ap.add_argument("--small-cap", type=int, default=400, dest="small_cap")
-    ap.add_argument("--restarts", type=int, default=10)
+    ap.add_argument("--small-cap", type=int, default=400, dest="small_cap",
+                    help="largest side of the small problem")
     _add_common(ap)
     ap.set_defaults(func=cmd_approx)
 
@@ -331,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--input", required=True)
     rp.add_argument("--rhs", required=True, help="right-hand side, one-column CSV")
     rp.add_argument("--eps", type=float, default=0.5)
-    rp.add_argument("--base-cap", type=int, default=None, dest="base_cap")
-    rp.add_argument("--level-c", type=float, default=1.0, dest="level_c")
-    rp.add_argument("--kappa", type=float, default=0.1)
+    rp.add_argument("--base-cap", type=int, default=None, dest="base_cap",
+                    help="rows at which sampling stops (default ceil(20 d^2 / eps^2))")
     rp.add_argument("--solution-out", default=None, dest="solution_out")
     _add_common(rp)
     rp.set_defaults(func=cmd_regress, loss="huber")
@@ -362,8 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
     except rio.InputError as exc:

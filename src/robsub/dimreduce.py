@@ -5,14 +5,13 @@ rank-k optimum, rows are sampled once, with probabilities proportional to
 M of their Gaussian-sketched residual norms, and the output subspace is
 the orthonormal union of the sampled rows with the columns of W.  The
 result contains span(W) and, with enough samples, a near-optimal rank-k
-subspace.  K and the sample-size constants c1 and k2 are the fields of
-``DimReduceConfig``, which the pipelines read from ``PipelineConfig.dim_cfg``.
+subspace.  K = max(2, k) and the sample-size constants c1 = 2 and k2 = 4
+are constants of the analysis: ``_r1`` and ``_K2``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (_FACTOR_BLOCK, LossSpec, Subspace, check_finite, m_value, row_norms, row_view,
@@ -20,38 +19,23 @@ from .core import (_FACTOR_BLOCK, LossSpec, Subspace, check_finite, m_value, row
 from .sampling import draw, make_plan
 from .sketch import gaussian_row_norm_estimates, make_gaussian_sketch, orthonormal_union
 
-
-@dataclass(frozen=True)
-class DimReduceConfig:
-    """Residual-sampling settings; k and eps are arguments of ``dim_reduce``.
-
-    The sample size is r1 = c1 K k^(2+p) eps^(-p-1) log(k/eps + 2), with
-    c1 = ``r1_multiplier`` and K = ``quality_k``, and plans oversample it
-    by ``k2``.
-    """
-
-    quality_k: Optional[float] = None  # K, the input projector's quality; default max(2, k)
-    r1_multiplier: float = 2.0
-    k2: float = 4.0
-
-    def __post_init__(self):
-        if self.quality_k is not None and self.quality_k < 1.0:
-            raise ValueError("quality bound must be >= 1")
-
-    def r1(self, k: int, eps: float, p: float) -> float:
-        quality = self.quality_k if self.quality_k is not None else float(max(2, k))
-        return (self.r1_multiplier * quality * k ** (2.0 + p)
-                * eps ** (-p - 1.0) * math.log(k / eps + 2.0))
+_R1_C = 2.0     # c1 in r1, see _r1
+_K2 = 4.0       # oversampling constant of the plan
 
 
-def dim_reduce(a, k: int, eps: float, xhat: Subspace, cfg: DimReduceConfig, loss: LossSpec,
+def _r1(k: int, eps: float, p: float) -> float:
+    """r1 = c1 K k^(2+p) eps^(-p-1) log(k/eps + 2), K = max(2, k) the bicriteria quality."""
+    return _R1_C * max(2, k) * k ** (2.0 + p) * eps ** (-p - 1.0) * math.log(k / eps + 2.0)
+
+
+def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
                seed: int = 0, trace: Optional[dict] = None) -> Subspace:
     """One round of residual sampling; returns a subspace containing xhat's.
 
     Scores are q'_i = M(||A_i (I - W W^T) G||_2) with G Gaussian (a single
     column for |x|^p losses, O(log n) columns otherwise); the plan uses
-    r = r1^(p+1) or r1 respectively, r1 = cfg.r1(k, eps, p), with
-    oversampling constant cfg.k2.  If every residual is zero (always so
+    r = r1^(p+1) or r1 respectively, r1 = _r1(k, eps, p), with
+    oversampling constant _K2.  If every residual is zero (always so
     when xhat is the whole space) the input subspace is returned unchanged.
     """
     if not (0.0 < eps < 1.0):
@@ -66,10 +50,10 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, cfg: DimReduceConfig, loss
     p = loss.p
     if loss.is_lp:
         t_m = 1
-        r = cfg.r1(k, eps, p) ** (p + 1.0)
+        r = _r1(k, eps, p) ** (p + 1.0)
     else:
         t_m = int(math.ceil(2.0 * math.log2(n + 2)))
-        r = cfg.r1(k, eps, p)
+        r = _r1(k, eps, p)
 
     g = make_gaussian_sketch(int(spawn_rng(seed, 43).integers(2**31)), d, t_m)
     resid = gaussian_row_norm_estimates(a, xhat, g)
@@ -86,7 +70,7 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, cfg: DimReduceConfig, loss
     if scores.sum() <= zero_floor:
         return xhat
 
-    plan = make_plan(scores, r, cfg.k2)
+    plan = make_plan(scores, r, _K2)
     sample = draw(plan, None, seed=int(spawn_rng(seed, 47).integers(2**31)))
     if trace is not None:
         trace["expected_size"] = plan.expected_size

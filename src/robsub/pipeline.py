@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bicriteria import ConstApproxConfig, const_approx
+from .bicriteria import const_approx
 from .core import (
     _FACTOR_BLOCK,
     LossSpec,
@@ -37,8 +37,10 @@ from .core import (
     row_view,
     spawn_rng,
 )
-from .dimreduce import DimReduceConfig, dim_reduce
-from .sampling import leverage_rounds
+from .dimreduce import dim_reduce
+from .sampling import _KAPPA, _SHRINK, leverage_rounds
+
+_M2_LEVEL_C = 1.0    # per-round sample multiplier of the p=2 pipeline
 
 
 class CapExceededError(RuntimeError):
@@ -84,14 +86,10 @@ class SmallProblem:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    const_cfg: ConstApproxConfig = field(default_factory=ConstApproxConfig)
-    dim_cfg: DimReduceConfig = field(default_factory=DimReduceConfig)
-    kappa: float = 0.1
+    """The small solve's budgets; every other sample size is a constant of the analysis."""
+
     t_rows_target: int = 300            # rows handed to the small solve
     small_cap: int = 400                # max side of the reduced problem
-    restarts: int = 10
-    m2_level_c: float = 1.0             # per-round sample multiplier, p=2 pipeline
-    shrink: float = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +230,17 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: in
 # shared pipeline stages
 
 
-def _stage_bicriteria(a, k, loss, cfg, seed, trace):
+def _stage_bicriteria(a, k, loss, seed, trace):
     """The bicriteria subspace."""
-    xhat = const_approx(a, k, loss, cfg.const_cfg, seed=int(spawn_rng(seed, 79).integers(2**31)))
+    xhat = const_approx(a, k, loss, seed=int(spawn_rng(seed, 79).integers(2**31)))
     trace["bicriteria_dim"] = xhat.dim
     return xhat
 
 
-def _stage_subspace(a, k, eps, loss, cfg, seed, trace):
+def _stage_subspace(a, k, eps, loss, seed, trace):
     """The residual-sampled subspace containing the bicriteria subspace."""
-    xhat = _stage_bicriteria(a, k, loss, cfg, seed, trace)
-    sub = dim_reduce(a, k, eps, xhat, cfg.dim_cfg, loss,
+    xhat = _stage_bicriteria(a, k, loss, seed, trace)
+    sub = dim_reduce(a, k, eps, xhat, loss,
                      seed=int(spawn_rng(seed, 83).integers(2**31)))
     trace["reduced_dim"] = sub.dim
     return sub
@@ -309,14 +307,12 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     n, d = a.shape
-    if n == 0:
-        raise ValueError("input matrix has no rows")
     if not (1 <= k <= d):
         raise ValueError(f"k={k} outside [1, {d}]")
     tr = {} if trace is None else trace
     tr["eps"] = eps
 
-    u = _stage_subspace(a, min(k, n), eps, loss, cfg, seed, tr).u
+    u = _stage_subspace(a, min(k, n), eps, loss, seed, tr).u
     m = u.shape[1]
     if m <= min(k, n):
         return _pad_to_k(u, k, seed)
@@ -333,7 +329,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     kept = row_view(scored, idx, scale).block(slice(None))
     prob = _exact_problem(_exact_columns(kept, u) if m == d else kept, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
-                            restarts=cfg.restarts, cap=max(cfg.small_cap, cfg.t_rows_target + 1))
+                            cap=max(cfg.small_cap, cfg.t_rows_target + 1))
     return _final_factor(u, w_factor)
 
 
@@ -388,9 +384,9 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
     max_depth = int(2 * max(1.0, math.log2(max(math.log2(max(a.shape[0], 4)), 2.0))) + 4)
 
     def target(n_prime: int, _d_hat: int) -> float:
-        return min(cfg.shrink * n_prime,
+        return min(_SHRINK * n_prime,
                    max(cfg.t_rows_target,
-                       cfg.m2_level_c * n_prime ** (0.5 + cfg.kappa) * math.log2(n_prime + 2)))
+                       _M2_LEVEL_C * n_prime ** (0.5 + _KAPPA) * math.log2(n_prime + 2)))
 
     def handover(kept: int, done: int) -> dict:
         if done > max_depth and kept > cfg.t_rows_target:
@@ -398,5 +394,5 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
         return {"recursion_depth": done, "base_rows": kept}
 
     return _sample_and_solve(a, k, eps, loss, cfg, seed, trace, target, rounds=max_depth + 1,
-                             gauss_t=int(math.ceil(3.0 / cfg.kappa)), salts=(113, 127, 131),
+                             gauss_t=int(math.ceil(3.0 / _KAPPA)), salts=(113, 127, 131),
                              handover=handover)

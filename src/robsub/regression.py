@@ -23,20 +23,18 @@ from typing import Optional
 import numpy as np
 
 from .core import LossSpec, RowView, as_weights, check_finite, m_derivative, m_value, row_view
-from .sampling import leverage_rounds
+from .sampling import _KAPPA, _SHRINK, leverage_rounds
 from .sketch import r_factor
 
 _RESID_FLOOR = 1e-12
 _LEVELS = 3     # sampling rounds before the IRLS solve
 _DELTA = 0.1    # failure probability in the per-round sample size
-_SHRINK = 0.5   # per-round expected sample is capped at _SHRINK * n'
+_LEVEL_C = 1.0  # multiplier on n^(1/2+kappa) poly(d) log(1/delta)/eps^2
 
 
 @dataclass(frozen=True)
 class RegressConfig:
     base_cap: Optional[int] = None   # default ceil(20 d^2 / eps^2)
-    level_c: float = 1.0             # multiplier on n^(1/2+kappa) poly(d) log(1/delta)/eps^2
-    kappa: float = 0.1
 
     def resolved_base_cap(self, d: int, eps: float) -> int:
         if self.base_cap is not None:
@@ -124,7 +122,7 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     weighted leverage scores of the augmented matrix [A b], read one block
     of rows at a time and never formed (orthonormal bases with Gaussian
     row-norm estimates for p=2 losses), and samples about
-    level_c * n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, with
+    n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, with kappa = 0.1,
     delta = 0.1 and at most half the rows, carrying
     weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead).
     Rounds carry only row positions, weights and scales; the surviving
@@ -143,14 +141,14 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     base_cap = cfg.resolved_base_cap(d, eps)
 
     def target(n_prime: int, _scores) -> float:
-        level = (cfg.level_c * n_prime ** (0.5 + cfg.kappa) * (d + 1)
+        level = (_LEVEL_C * n_prime ** (0.5 + _KAPPA) * (d + 1)
                  * math.log(1.0 / _DELTA) / eps**2)
         return min(_SHRINK * n_prime, max(level, 4.0 * (d + 1)))
 
     idx, w, scale, levels_run = leverage_rounds(
         stack, np.ones(n), loss, target=target, stop_rows=max(base_cap, 2 * (d + 1)),
         max_rounds=_LEVELS, seed=seed, salts=(137, 139), min_rows=d + 1,
-        gauss_t=int(math.ceil(3.0 / cfg.kappa)) if loss.is_m2 else None)
+        gauss_t=int(math.ceil(3.0 / _KAPPA)) if loss.is_m2 else None)
     if levels_run:
         a, rhs = row_view(stack, idx, scale)[:].parts
     if trace is not None:

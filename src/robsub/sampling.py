@@ -24,6 +24,11 @@ from .conditioning import LeverageScores, weighted_leverage_scores
 from .core import LossSpec, as_weights, row_view, spawn_rng
 
 _PROB_FLOOR = 1e-12
+# constants of the callers' per-round targets: a round's expected sample is
+# at most _SHRINK n', and the p=2 rounds of approx_m2 and m_regress sample
+# about n'^(1/2 + _KAPPA) rows, scored by ceil(3 / _KAPPA) Gaussian columns
+_SHRINK = 0.5
+_KAPPA = 0.1
 
 
 @dataclass(frozen=True)

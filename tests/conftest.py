@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from robsub import LossSpec, residual_cost
-from robsub import conditioning, pipeline
+from robsub import bicriteria, conditioning, dimreduce, pipeline
 
 
 def planted_lowrank(n, d, k, seed, noise=0.0, outlier_frac=0.0, outlier_scale=50.0):
@@ -87,6 +87,24 @@ def best_rank_k_in_subspace(a, sub, k, loss, w=None, seed=0, warm_starts=()):
                                      warm_starts=warm_starts)
     out = pipeline._final_factor(sub.u, w_factor)
     return out, residual_cost(a, out, w, loss)
+
+
+def r1_formula(k, eps, p, quality, c1=2.0):
+    """dim_reduce's residual sample size r1 = c1 K k^(2+p) eps^(-p-1) log(k/eps + 2)."""
+    return c1 * quality * k ** (2.0 + p) * eps ** (-p - 1.0) * math.log(k / eps + 2.0)
+
+
+@pytest.fixture
+def set_p_m(monkeypatch):
+    """Replace const_approx's survivor cap P_M by a fixed row count."""
+    return lambda rows: monkeypatch.setattr(bicriteria, "_p_m", lambda k, n, loss: rows)
+
+
+@pytest.fixture
+def set_r1(monkeypatch):
+    """Fix dim_reduce's r1 to ``r1_formula`` at a given quality bound K (and c1)."""
+    return lambda quality, c1=2.0: monkeypatch.setattr(
+        dimreduce, "_r1", lambda k, eps, p: r1_formula(k, eps, p, quality, c1))
 
 
 @pytest.fixture(scope="session")

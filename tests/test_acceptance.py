@@ -27,7 +27,7 @@ from robsub import (
     weighted_leverage_scores,
 )
 from robsub.core import m_value
-from robsub.dimreduce import DimReduceConfig, dim_reduce
+from robsub.dimreduce import dim_reduce
 from robsub.bicriteria import const_approx
 from robsub.hardness import (
     adjacency_excess,
@@ -45,6 +45,7 @@ from robsub.pipeline import (
     approx_m2,
     small_approx,
 )
+from robsub import regression
 from robsub.regression import RegressConfig, irls_solve, m_regress, regression_objective
 
 
@@ -238,8 +239,7 @@ def test_c08_residual_sampling_containment_and_quality():
         a, _ = planted_lowrank(200, 15, 3, seed=2000 + seed, noise=0.05,
                                outlier_frac=0.02, outlier_scale=30.0)
         xhat = const_approx(a, 3, loss, seed=seed)
-        cfg = DimReduceConfig(quality_k=3.0)
-        out = dim_reduce(a, 3, 0.25, xhat, cfg, loss, seed=seed)
+        out = dim_reduce(a, 3, 0.25, xhat, loss, seed=seed)  # K = max(2, k) = 3
         w = xhat.u
         containment_ok &= float(np.linalg.norm(w - out.u @ (out.u.T @ w))) <= 1e-8
         _, cost = best_rank_k_in_subspace(a, out, 3, loss, seed=seed)
@@ -252,13 +252,14 @@ def test_c08_residual_sampling_containment_and_quality():
                    f"within 1.25x of reference, {elapsed:.1f}s")
 
 
-def test_c09_regression_sampled_vs_full():
+def test_c09_regression_sampled_vs_full(monkeypatch):
     # huber regression, n=1e4, d=20, 5% corrupted responses: the sampled
     # solve costs <= 1.1x the full IRLS solve on >= 90% of 50 seeds, and
     # every IRLS run decreases its objective monotonically
     t0 = time.perf_counter()
     loss = LossSpec.huber(1.0)
-    cfg = RegressConfig(base_cap=4000, level_c=0.05)
+    cfg = RegressConfig(base_cap=4000)
+    monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
     ok_ratio = 0
     monotone = True
     sampled_any = True

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import planted_lowrank
 from robsub import (
-    ConstApproxConfig,
     LossSpec,
     const_approx,
     const_approx_recur,
@@ -28,9 +27,8 @@ class TestBaseCase:
     def test_recur_base_returns_every_index(self):
         rng = np.random.default_rng(1)
         a_proj = rng.standard_normal((10, 4))
-        cfg = ConstApproxConfig()
         idx = const_approx_recur(a_proj, np.ones(10), LossSpec.lp(1.0),
-                                 cfg, seed=0, p_m=50, max_depth=10)
+                                 seed=0, p_m=50, max_depth=10)
         assert np.array_equal(idx, np.arange(10))
 
     def test_base_case_skips_right_sketch(self, monkeypatch):
@@ -80,103 +78,104 @@ class TestExactRecovery:
 
 
 class TestRecursionMechanics:
-    def test_rows_shrink_geometrically(self):
+    def test_rows_shrink_geometrically(self, set_p_m):
         loss = LossSpec.lp(1.0)
         trace = []
         a, _ = planted_lowrank(4000, 10, 2, seed=3, noise=0.1)
-        cfg = ConstApproxConfig(p_m_override=100)
-        const_approx(a, 2, loss, cfg, seed=1, trace=trace)
+        set_p_m(100)
+        const_approx(a, 2, loss, seed=1, trace=trace)
         ns = [t["n"] for t in trace]
         for prev, nxt in zip(ns, ns[1:]):
             assert nxt <= max(0.9 * prev, 100)
 
-    def test_lp_sample_size_within_3_sigma(self):
+    def test_lp_sample_size_within_3_sigma(self, set_p_m):
         loss = LossSpec.lp(1.0)
         rng = np.random.default_rng(4)
         a = rng.standard_normal((2000, 8))
-        cfg = ConstApproxConfig(p_m_override=100)
+        set_p_m(100)
         devs = []
         for seed in range(30):
             trace = []
-            const_approx(a, 2, loss, cfg, seed=seed, trace=trace)
+            const_approx(a, 2, loss, seed=seed, trace=trace)
             lvl = trace[0]
             if not lvl["base_case"]:
                 sigma = math.sqrt(lvl["expected"]) + 1e-9
                 devs.append((lvl["realized"] - lvl["expected"]) / sigma)
         assert abs(np.mean(devs)) <= 3 / math.sqrt(len(devs))
 
-    def test_m2_reweights_unbiased(self):
+    def test_m2_reweights_unbiased(self, set_p_m):
         # E ||w'||_1 = ||w||_1 over draws at the first level
         loss = LossSpec.huber(1.0)
         rng = np.random.default_rng(5)
         a = rng.standard_normal((1500, 6))
-        cfg = ConstApproxConfig(p_m_override=100)
+        set_p_m(100)
         w1 = []
         for seed in range(60):
             trace = []
-            const_approx(a, 2, loss, cfg, seed=seed, trace=trace)
+            const_approx(a, 2, loss, seed=seed, trace=trace)
             lvl = trace[0]
             assert not lvl["base_case"]
             w1.append(lvl["w1_next"])
         se = np.std(w1) / math.sqrt(len(w1))
         assert abs(np.mean(w1) - 1500.0) <= 3 * se
 
-    def test_m2_weight_growth_bounded(self):
+    def test_m2_weight_growth_bounded(self, set_p_m):
         # after c levels ||w||_inf stays below n (log n)^c almost always
         loss = LossSpec.huber(1.0)
         rng = np.random.default_rng(6)
         a = rng.standard_normal((3000, 5))
-        cfg = ConstApproxConfig(p_m_override=60)
+        set_p_m(60)
         ok = 0
         trials = 20
         for seed in range(trials):
             trace = []
-            const_approx(a, 2, loss, cfg, seed=seed, trace=trace)
+            const_approx(a, 2, loss, seed=seed, trace=trace)
             levels = [t for t in trace if not t["base_case"]]
             n, c = 3000, len(levels)
             bound = n * math.log(n) ** max(c, 1)
             ok += all(t["w1_next"] <= bound for t in levels)
         assert ok >= int(0.95 * trials)
 
-    def test_survivors_are_original_rows(self):
+    def test_survivors_are_original_rows(self, set_p_m):
         # base-case indices trace back to rows of the input
         loss = LossSpec.huber(1.0)
         rng = np.random.default_rng(7)
         a = rng.standard_normal((800, 6))
-        cfg = ConstApproxConfig(p_m_override=50)
+        set_p_m(50)
         trace = []
-        const_approx(a, 2, loss, cfg, seed=3, trace=trace)
+        const_approx(a, 2, loss, seed=3, trace=trace)
         base = trace[-1]
         assert base["base_case"]
         idx = base["indices"]
         assert len(set(idx.tolist())) == len(idx)
         assert idx.min() >= 0 and idx.max() < 800
 
-    def test_lp_output_spans_unscaled_rows_at_traced_indices(self):
+    def test_lp_output_spans_unscaled_rows_at_traced_indices(self, set_p_m):
         # the rounds rescale the rows they score, but the output is the span
         # of the input rows themselves; fewer than d rows survive, so the
         # span is a proper subspace
         loss = LossSpec.lp(1.0)
         a = np.random.default_rng(8).standard_normal((900, 40))
         trace = []
-        sub = const_approx(a, 2, loss, ConstApproxConfig(p_m_override=25), seed=5,
-                           trace=trace)
+        set_p_m(25)
+        sub = const_approx(a, 2, loss, seed=5, trace=trace)
         assert trace[0]["base_case"] is False and trace[-1]["base_case"]
         rows = a[trace[-1]["indices"]]
         assert 0 < rows.shape[0] == sub.dim < 40
         v = np.linalg.svd(rows, full_matrices=False)[2].T
         assert np.abs(sub.u @ sub.u.T - v @ v.T).max() <= 1e-10
 
-    def test_oversampling_never_hurts(self):
+    def test_oversampling_never_hurts(self, set_p_m, monkeypatch):
         # larger shrink cap (more rows kept, coupled seeds) cannot raise the
         # achievable cost of the surviving span
         loss = LossSpec.lp(1.0)
+        set_p_m(80)
         for seed in range(5):
             a, _ = planted_lowrank(1200, 10, 2, seed=30 + seed, noise=0.2)
-            lo = const_approx(a, 2, loss, ConstApproxConfig(p_m_override=80, shrink=0.3),
-                              seed=seed)
-            hi = const_approx(a, 2, loss, ConstApproxConfig(p_m_override=80, shrink=0.6),
-                              seed=seed)
+            monkeypatch.setattr(bicriteria, "_SHRINK", 0.3)
+            lo = const_approx(a, 2, loss, seed=seed)
+            monkeypatch.setattr(bicriteria, "_SHRINK", 0.6)
+            hi = const_approx(a, 2, loss, seed=seed)
             # same seed stream: the bigger plan keeps a superset at level one,
             # so its span has no larger residual
             assert residual_cost(a, hi, None, loss) <= residual_cost(a, lo, None, loss) + 1e-8
@@ -186,11 +185,11 @@ class TestRecursionMechanics:
         a = np.random.default_rng(10).standard_normal((500, 6))
         with pytest.raises(RuntimeError):
             const_approx_recur(a[:, :3], np.ones(500), LossSpec.lp(1.0),
-                               ConstApproxConfig(), seed=0, p_m=1, max_depth=0)
+                               seed=0, p_m=1, max_depth=0)
 
-    def test_output_dimension_capped(self):
+    def test_output_dimension_capped(self, set_p_m):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2000, 40))
-        cfg = ConstApproxConfig(p_m_override=25)
-        sub = const_approx(a, 2, LossSpec.lp(1.0), cfg, seed=0)
+        set_p_m(25)
+        sub = const_approx(a, 2, LossSpec.lp(1.0), seed=0)
         assert sub.dim <= 25

@@ -1,11 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import planted_lowrank
-from robsub import LossSpec, PipelineConfig, cli, pipeline
+from robsub import LossSpec, cli, pipeline
+from robsub import io as rio
 from robsub.cli import BENCH_CSV_HEADER, EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from robsub.io import InputError, load_matrix, load_vector, save_matrix_market
 from robsub.pipeline import _stage_bicriteria
@@ -115,8 +117,7 @@ class TestApproxCommand:
                    "--stage", "bicriteria", "--seed", "4", "--subspace-out", str(out)])
         assert rc == EXIT_OK
         u = np.asarray(load_matrix(str(out)).todense())
-        xhat = _stage_bicriteria(load_matrix(str(csv)), 1, LossSpec.lp(1.0),
-                                 PipelineConfig(), 4, {})
+        xhat = _stage_bicriteria(load_matrix(str(csv)), 1, LossSpec.lp(1.0), 4, {})
         assert u.shape[1] == xhat.dim < 60
         assert np.abs(u @ u.T - xhat.u @ xhat.u.T).max() <= 1e-10
 
@@ -189,6 +190,61 @@ class TestApproxCommand:
         assert rc == EXIT_CONFIG
         assert "no rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["bicriteria", "dimreduce"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_subspace_stage_empty_input_exit_3(self, tmp_path, monkeypatch, capsys, stage,
+                                               sparse):
+        mtx = tmp_path / "empty.mtx"
+        if sparse:
+            save_matrix_market(mtx, sp.csr_matrix((0, 6)))
+        else:
+            # a 0 x 6 array-format Matrix Market file does not load, so the
+            # loader hands the dense matrix over
+            monkeypatch.setattr(rio, "load_matrix", lambda path: np.zeros((0, 6)))
+        rc = main(["approx", "--input", str(mtx), "--k", "3", "--loss", "l1",
+                   "--stage", stage, "--report", str(tmp_path / "r.json")])
+        assert rc == EXIT_CONFIG
+        assert "input matrix has no rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["bicriteria", "dimreduce"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_subspace_stage_fewer_rows_than_k(self, tmp_path, stage, sparse):
+        # two rows span two dimensions: the stages run at rank 2, unwarned
+        dense = np.random.default_rng(40).standard_normal((2, 6))
+        path = tmp_path / ("a.mtx" if sparse else "a.csv")
+        if sparse:
+            save_matrix_market(path, sp.csr_matrix(dense))
+        else:
+            np.savetxt(path, dense, delimiter=",")
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["approx", "--input", str(path), "--k", "3", "--loss", "l1",
+                       "--stage", stage, "--report", str(report)])
+        assert rc == EXIT_OK
+        assert _load(report)["results"]["subspace_dim"] == 2
+
+    def test_t_rows_bounds_base_rows(self, matrix_files, tmp_path):
+        # 200 rows are below the default of 300, so no round runs without the flag
+        rows = {}
+        for flag in ([], ["--t-rows", "60"]):
+            report = tmp_path / "r.json"
+            rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "3",
+                       "--loss", "huber", "--seed", "2", "--report", str(report)] + flag)
+            assert rc == EXIT_OK
+            rows[bool(flag)] = _load(report)["results"]["trace"]["base_rows"]
+        assert rows[True] <= 60 < rows[False] == 200
+
+    def test_small_cap_below_side_exit_4(self, tmp_path, capsys):
+        # at d = 320 the reduced span is all of R^320, so the small problem
+        # is 321 wide: above a cap of 310 (and the 301 that t_rows implies)
+        csv = tmp_path / "wide.csv"
+        np.savetxt(csv, np.random.default_rng(5).standard_normal((400, 320)), delimiter=",")
+        rc = main(["approx", "--input", str(csv), "--k", "1", "--loss", "l1",
+                   "--seed", "0", "--small-cap", "310"])
+        assert rc == EXIT_NUMERIC
+        assert "small problem has side 321 > cap 310" in capsys.readouterr().err
+
     def test_non_finite_input_exit_3(self, matrix_files, capsys):
         a = np.loadtxt(matrix_files["a_csv"], delimiter=",")
         a[5, 2] = np.nan
@@ -232,10 +288,35 @@ class TestRegressCommand:
             outs.append(json.dumps(d, sort_keys=True))
         assert outs[0] == outs[1]
 
+    def test_base_cap_engages_sampling(self, matrix_files, tmp_path):
+        # 200 rows are below the default base cap of 18000 at d = 15
+        levels = {}
+        for flag in ([], ["--base-cap", "40"]):
+            report = tmp_path / "r.json"
+            rc = main(["regress", "--input", matrix_files["a_csv"], "--rhs",
+                       matrix_files["rhs"], "--seed", "0", "--report", str(report)] + flag)
+            assert rc == EXIT_OK
+            levels[bool(flag)] = _load(report)["results"]["levels"]
+        assert levels[False] == 0 and levels[True] >= 1
+
     def test_rejects_p2(self, matrix_files):
         rc = main(["regress", "--input", matrix_files["a_csv"], "--rhs",
                    matrix_files["rhs"], "--loss", "l2"])
         assert rc == EXIT_CONFIG
+
+
+class TestUsage:
+    def test_removed_flag_exit_3(self, matrix_files, capsys):
+        rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2", "--kappa", "0.2"])
+        assert rc == EXIT_CONFIG
+        assert "unrecognized arguments: --kappa" in capsys.readouterr().err
+
+    def test_missing_k_exit_3(self, matrix_files):
+        assert main(["approx", "--input", matrix_files["a_csv"]]) == EXIT_CONFIG
+
+    def test_help_exit_0(self, capsys):
+        assert main(["approx", "--help"]) == EXIT_OK
+        assert "--base-cap" not in capsys.readouterr().out
 
 
 class TestGadgetCommand:

@@ -132,16 +132,15 @@ class TestConstApproxTarget:
                             lambda rows, *args, **kw: rounds.append((rows, kw))
                             or real(rows, *args, **kw))
         a = np.random.default_rng(33).standard_normal((3000, 10))
-        cfg = bicriteria.ConstApproxConfig()
-        const_approx(a, 1, LossSpec.lp(1.0), cfg, seed=2)
+        const_approx(a, 1, LossSpec.lp(1.0), seed=2)
         a_proj, kw = rounds[0]
         target, d_prime = kw["target"], a_proj.shape[1]
 
         scores = weighted_leverage_scores(a, None, LossSpec.lp(1.0), seed=5)
-        formula = cfg.c_sample_rows * d_prime**2 * scores.gamma_total
-        assert formula > cfg.shrink * 3000
-        assert target(3000, scores) == cfg.shrink * 3000
-        big = 4.0 * formula / cfg.shrink
+        formula = bicriteria._SAMPLE_ROWS_C * d_prime**2 * scores.gamma_total
+        assert formula > bicriteria._SHRINK * 3000
+        assert target(3000, scores) == bicriteria._SHRINK * 3000
+        big = 4.0 * formula / bicriteria._SHRINK
         assert target(big, scores) == pytest.approx(formula, rel=1e-12)
 
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import best_rank_k_in_subspace, planted_lowrank
+from conftest import best_rank_k_in_subspace, planted_lowrank, r1_formula
 from robsub import (
-    DimReduceConfig,
     LossSpec,
     Subspace,
     const_approx,
@@ -18,9 +17,6 @@ from robsub import dimreduce
 from robsub.oracle import alternating_reference
 
 
-CFG = DimReduceConfig(quality_k=2.0)
-
-
 class TestDimReduceEdges:
     def test_non_finite_rejected(self):
         rng = np.random.default_rng(4)
@@ -28,14 +24,14 @@ class TestDimReduceEdges:
         a[10, 3] = np.nan
         xhat = Subspace(np.linalg.qr(rng.standard_normal((9, 2)))[0])
         with pytest.raises(ValueError, match="infs or NaNs"):
-            dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.lp(1.0), seed=1)
+            dim_reduce(a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=1)
 
     def test_contained_rowspace_returns_xhat(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((60, 2)) @ rng.standard_normal((2, 9))
         q, _ = np.linalg.qr(np.linalg.svd(a, full_matrices=False)[2].T[:, :2])
         xhat = Subspace(q)
-        out = dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.lp(1.0), seed=1)
+        out = dim_reduce(a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=1)
         assert out.dim == xhat.dim
         assert out.u is xhat.u  # returned unchanged, not merely equal as a span
 
@@ -49,7 +45,7 @@ class TestDimReduceEdges:
         xhat = Subspace(np.linalg.qr(basis.toarray().T)[0])
         tracemalloc.start()
         try:
-            out = dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.lp(1.0), seed=1)
+            out = dim_reduce(a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -62,29 +58,29 @@ class TestDimReduceEdges:
                             lambda *args: pytest.fail("residuals estimated"))
         xhat = Subspace(np.eye(9))
         a = np.random.default_rng(6).standard_normal((80, 9))
-        assert dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.huber(1.0), seed=1) is xhat
+        assert dim_reduce(a, 2, 0.25, xhat, LossSpec.huber(1.0), seed=1) is xhat
 
     def test_empty_xhat_identity_input_full_space(self):
-        out = dim_reduce(np.eye(7), 2, 0.25, Subspace.empty(7), CFG, LossSpec.lp(1.0), seed=2)
+        out = dim_reduce(np.eye(7), 2, 0.25, Subspace.empty(7), LossSpec.lp(1.0), seed=2)
         assert out.dim == 7
 
     def test_k_exceeds_columns(self):
         with pytest.raises(ValueError):
-            dim_reduce(np.eye(4), 5, 0.25, Subspace.empty(4), CFG, LossSpec.lp(1.0))
+            dim_reduce(np.eye(4), 5, 0.25, Subspace.empty(4), LossSpec.lp(1.0))
 
     def test_projector_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            dim_reduce(np.eye(4), 2, 0.25, Subspace.empty(3), CFG, LossSpec.lp(1.0))
+            dim_reduce(np.eye(4), 2, 0.25, Subspace.empty(3), LossSpec.lp(1.0))
 
     @pytest.mark.parametrize("k, eps", [(0, 0.25), (2, 0.0), (2, 1.0)])
     def test_k_or_eps_out_of_range(self, k, eps):
         with pytest.raises(ValueError):
-            dim_reduce(np.eye(4), k, eps, Subspace.empty(4), CFG, LossSpec.lp(1.0))
+            dim_reduce(np.eye(4), k, eps, Subspace.empty(4), LossSpec.lp(1.0))
 
     def test_default_quality_is_max_2_k(self):
         for k in (1, 2, 5):
-            expected = DimReduceConfig(quality_k=float(max(2, k))).r1(k, 0.25, 1.0)
-            assert DimReduceConfig().r1(k, 0.25, 1.0) == expected
+            expected = r1_formula(k, 0.25, 1.0, quality=float(max(2, k)))
+            assert dimreduce._r1(k, 0.25, 1.0) == expected
 
 
 class TestDimReduceProperties:
@@ -94,7 +90,7 @@ class TestDimReduceProperties:
         for seed in range(10):
             a = rng.standard_normal((150, 12))
             xhat = const_approx(a, 2, loss, seed=seed)
-            out = dim_reduce(a, 2, 0.25, xhat, CFG, loss, seed=seed)
+            out = dim_reduce(a, 2, 0.25, xhat, loss, seed=seed)
             w = xhat.u
             assert np.linalg.norm(w - out.u @ (out.u.T @ w)) <= 1e-8
 
@@ -103,37 +99,39 @@ class TestDimReduceProperties:
         a = rng.standard_normal((100, 8))
         xhat = Subspace.empty(8)
         tr = {}
-        dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.lp(1.0), seed=0, trace=tr)
+        dim_reduce(a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=0, trace=tr)
         assert tr["t_m"] == 1
         tr = {}
-        dim_reduce(a, 2, 0.25, xhat, CFG, LossSpec.huber(1.0), seed=0, trace=tr)
+        dim_reduce(a, 2, 0.25, xhat, LossSpec.huber(1.0), seed=0, trace=tr)
         assert tr["t_m"] == int(math.ceil(2 * math.log2(102)))
 
-    def test_realized_sample_size_within_3_sigma(self):
+    def test_realized_sample_size_within_3_sigma(self, set_r1, monkeypatch):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((400, 10))
         xhat = Subspace.empty(10)
         # keep probabilities sub-saturated so the check is informative
-        cfg = DimReduceConfig(quality_k=1.0, r1_multiplier=0.02, k2=1.0)
+        set_r1(1.0, c1=0.02)
+        monkeypatch.setattr(dimreduce, "_K2", 1.0)
         sizes, mus, sigmas = [], [], []
         for seed in range(60):
             tr = {}
-            dim_reduce(a, 1, 0.9, xhat, cfg, LossSpec.lp(1.0), seed=seed, trace=tr)
+            dim_reduce(a, 1, 0.9, xhat, LossSpec.lp(1.0), seed=seed, trace=tr)
             sizes.append(tr["realized_size"])
             mus.append(tr["expected_size"])
         mu = np.mean(mus)
         sigma = math.sqrt(mu) + 1e-9  # Bernoulli sum variance <= mean
         assert abs(np.mean(sizes) - mu) <= 3 * sigma / math.sqrt(60)
 
-    def test_monotone_improvement_with_warm_start(self):
+    def test_monotone_improvement_with_warm_start(self, set_r1):
         # the best rank-k inside the enlarged span never costs more than the
         # best rank-k inside the bicriteria span it grew from
         loss = LossSpec.lp(1.0)
+        set_r1(2.0)
         for seed in range(5):
             a, _ = planted_lowrank(120, 10, 3, seed=seed, noise=0.1,
                                    outlier_frac=0.02)
             xhat = const_approx(a, 3, loss, seed=seed)
-            out = dim_reduce(a, 3, 0.25, xhat, CFG, loss, seed=seed)
+            out = dim_reduce(a, 3, 0.25, xhat, loss, seed=seed)
             sub_small, cost_small = best_rank_k_in_subspace(a, xhat, 3, loss, seed=seed)
             # lift the small solution into the large span as a warm start
             lifted = out.u.T @ sub_small.u
@@ -144,17 +142,18 @@ class TestDimReduceProperties:
 
 
 class TestDimReduceQuality:
-    def test_planted_quality_vs_alternating_reference(self):
+    def test_planted_quality_vs_alternating_reference(self, set_r1):
         # best rank-k inside the reduced span tracks the full-problem
         # alternating reference on planted instances
         loss = LossSpec.lp(1.0)
+        set_r1(2.0)
         wins = 0
         trials = 12
         for seed in range(trials):
             a, _ = planted_lowrank(200, 15, 3, seed=100 + seed, noise=0.05,
                                    outlier_frac=0.02, outlier_scale=30.0)
             xhat = const_approx(a, 3, loss, seed=seed)
-            out = dim_reduce(a, 3, 0.25, xhat, CFG, loss, seed=seed)
+            out = dim_reduce(a, 3, 0.25, xhat, loss, seed=seed)
             _, cost = best_rank_k_in_subspace(a, out, 3, loss, seed=seed)
             _, ref = alternating_reference(a, 3, loss, seed=seed)
             wins += cost <= 1.25 * ref + 1e-9

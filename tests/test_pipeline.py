@@ -336,12 +336,13 @@ class TestApproxM2:
             rows[t_rows] = tr["base_rows"]
         assert rows[100] <= 100 < rows[300] <= 300
 
-    def test_round_limit_raises(self):
+    def test_round_limit_raises(self, monkeypatch):
         # a per-round target of nearly every row cannot shrink to t_rows_target
         a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05)
-        cfg = PipelineConfig(m2_level_c=100.0, shrink=0.999)
+        monkeypatch.setattr(pipeline, "_M2_LEVEL_C", 100.0)
+        monkeypatch.setattr(pipeline, "_SHRINK", 0.999)
         with pytest.raises(RuntimeError, match="weighted sampling exceeded"):
-            approx_m2(a, 2, 0.3, LossSpec.huber(1.0), cfg, seed=3)
+            approx_m2(a, 2, 0.3, LossSpec.huber(1.0), seed=3)
 
     def test_padding_follows_fit_seed(self):
         # a rank-1 input gives a 1-dim subspace, padded to k = 3 columns:

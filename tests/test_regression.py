@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
-from robsub import LossSpec
+from robsub import LossSpec, regression
 from robsub.core import m_derivative, m_value
 from robsub.regression import (
     RegressConfig,
@@ -159,9 +159,10 @@ class TestMRegress:
         cost = regression_objective(a, b, x, None, loss)
         assert cost <= 1e-10 * m_value(loss, np.abs(b)).sum()
 
-    def test_sampled_close_to_full(self):
+    def test_sampled_close_to_full(self, monkeypatch):
         loss = LossSpec.huber(1.0)
-        cfg = RegressConfig(base_cap=1500, level_c=0.05)
+        cfg = RegressConfig(base_cap=1500)
+        monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
         ok = 0
         trials = 10
         for seed in range(trials):
@@ -175,20 +176,22 @@ class TestMRegress:
             ok += ratio <= 1.1
         assert ok >= 9
 
-    def test_levels_capped(self):
+    def test_levels_capped(self, monkeypatch):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((4000, 4))
         b = rng.standard_normal(4000)
         tr = {}
-        cfg = RegressConfig(base_cap=10, level_c=0.001)
+        cfg = RegressConfig(base_cap=10)
+        monkeypatch.setattr(regression, "_LEVEL_C", 0.001)
         m_regress(a, b, LossSpec.huber(1.0), eps=0.9, cfg=cfg, seed=1, trace=tr)
         assert tr["levels"] <= 3
 
-    def test_lp_loss_path(self):
+    def test_lp_loss_path(self, monkeypatch):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2000, 4))
         b = a @ rng.standard_normal(4) + 0.2 * rng.standard_normal(2000)
-        cfg = RegressConfig(base_cap=500, level_c=0.02)
+        cfg = RegressConfig(base_cap=500)
+        monkeypatch.setattr(regression, "_LEVEL_C", 0.02)
         x = m_regress(a, b, LossSpec.lp(1.0), eps=0.5, cfg=cfg, seed=2)
         x_f = irls_solve(a, b, None, LossSpec.lp(1.0))
         loss = LossSpec.lp(1.0)
