@@ -81,7 +81,8 @@ class WellConditionedBasis:
         return out
 
 
-def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedBasis:
+def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
+                           factor: Optional[tuple] = None) -> WellConditionedBasis:
     """Build a well-conditioned basis for the column space of A.
 
     The change of basis F = V_r diag(1/sigma_r) comes from
@@ -113,7 +114,9 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedB
     Here c_pi = 20; it and the cap are the module constants _C_PI and
     _STABLE_ROW_CAP.  The reported width m is the numerical rank, which
     drops below m0 when the columns of A are dependent.  A may be dense,
-    sparse or a ``RowView``.
+    sparse or a ``RowView``.  ``factor`` is ``rank_revealing_factor(A)``
+    when the caller already holds it: an unsketched basis is then built
+    from it, with no second factorization.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
@@ -131,6 +134,8 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedB
     if sketched:
         pi = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p)
         sv, v = rank_revealing_factor(pi.apply(view))
+    elif factor is not None:
+        sv, v = factor
     else:
         # no sketch when exact factorization is cheaper; identity is an
         # exact subspace embedding
@@ -174,6 +179,7 @@ def weighted_leverage_scores(
     loss: LossSpec,
     seed: int = 0,
     gauss_t: Optional[int] = None,
+    factor: Optional[tuple] = None,
 ) -> LeverageScores:
     """Leverage scores under dyadic weight buckets.
 
@@ -194,6 +200,8 @@ def weighted_leverage_scores(
     With ``gauss_t`` set, the basis row norms are replaced by the
     Euclidean norms of U G for a Gaussian G with that many columns scaled
     by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney & Woodruff 2012).
+    ``factor``, ``rank_revealing_factor(a)`` when the caller holds it, is
+    handed to the basis of a lone bucket, which holds every row of ``a``.
     """
     n = a.shape[0]
     wv = as_weights(w, n)
@@ -212,7 +220,8 @@ def weighted_leverage_scores(
             continue  # all-zero bucket contributes score 0
         bases += 1
         basis = well_conditioned_basis(
-            sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)))
+            sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)),
+            factor=factor if levels.size == 1 else None)
         if gauss_t is not None:
             g = spawn_rng(seed, 31, int(j)).standard_normal((basis.m, gauss_t))
             g /= math.sqrt(gauss_t)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -366,9 +366,16 @@ def entrywise_norm_p(a, w=None, loss: LossSpec = None) -> float:
 
 @dataclass(frozen=True)
 class Subspace:
-    """An orthonormal column factor U; the projector it represents is U U^T."""
+    """An orthonormal column factor U; the projector it represents is U U^T.
+
+    ``sv`` is set when U is the rank-revealing factor (sv, U) of the matrix
+    A that the subspace spans the rows of (``const_approx`` on an input
+    it keeps whole): A U diag(1/sv) is then an orthonormal basis of A's
+    column space, and a caller reading A takes it without factoring A again.
+    """
 
     u: np.ndarray
+    sv: Optional[np.ndarray] = None
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)

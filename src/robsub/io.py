@@ -25,6 +25,11 @@ def load_matrix(path):
     ext = os.path.splitext(path)[1].lower()
     try:
         if ext in (".mtx", ".mm"):
+            rows, cols, _, fmt, _, _ = sio.mminfo(path)
+            if fmt == "array" and rows * cols == 0:
+                # an array file with no entries holds nothing to read, and
+                # mmread dies with SIGFPE on one with no rows
+                return np.zeros((rows, cols))
             mat = sio.mmread(path)
             return mat.tocsr() if sp.issparse(mat) else np.asarray(mat, dtype=float)
         if ext in (".csv", ".txt"):

@@ -123,6 +123,21 @@ def _gradient(prob: SmallProblem, loss: LossSpec, w_factor: np.ndarray):
     return cost, grad
 
 
+def _bottom_eigenvectors(h: np.ndarray, k: int) -> np.ndarray:
+    """Eigenvectors of the k smallest eigenvalues of symmetric h, read from its lower triangle.
+
+    LAPACK dsyevr restricted to eigenvalue indices 1..k, so the other
+    eigenpairs are never computed.
+    """
+    # imported on first use: scipy.linalg adds about 0.13 s to the package's import
+    from scipy.linalg import lapack
+
+    _, vecs, _, _, info = lapack.dsyevr(h, range="I", lower=1, il=1, iu=k)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return vecs
+
+
 def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, g_mat: np.ndarray,
                 iters: int = 50):
     """Reweighted eigenvector alternation for the projector objective.
@@ -144,9 +159,7 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, g_mat: np.nd
         pa = psi[:, None] * prob.a_hat
         m1 = prob.a_hat.T @ pa
         m4 = pa.T @ g_mat
-        h = m1 - m4 - m4.T
-        _, vecs = np.linalg.eigh(h)
-        w_new = _orthonormal(vecs[:, : prob.k])
+        w_new = _orthonormal(_bottom_eigenvectors(m1 - m4 - m4.T, prob.k))
         if np.linalg.norm(w_new @ (w_new.T @ w_factor) - w_factor) < 1e-12:
             break
         w_factor = w_new
@@ -295,7 +308,9 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     orthonormal columns.  Otherwise at most ``rounds`` rounds of
     ``leverage_rounds`` shrink the rows of the dense n x (m+1) operand
     [A U, r], or of A as given (dense or CSR) when U is square, as [A U, 0]
-    then spans the column space of A.  Each round scores by the exact
+    then spans the column space of A; when U is the bicriteria stage's
+    factor of A (every row kept), round 0 builds its basis from it and A
+    is factored once per fit.  Each round scores by the exact
     basis row norms (``gauss_t`` None) or by ``gauss_t`` Gaussian columns,
     and plans ``target(n', d_hat)`` rows, d_hat the scored width, until at
     most ``cfg.t_rows_target`` remain; rows are read by index and none is
@@ -312,18 +327,20 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     tr = {} if trace is None else trace
     tr["eps"] = eps
 
-    u = _stage_subspace(a, min(k, n), eps, loss, seed, tr).u
-    m = u.shape[1]
+    sub = _stage_subspace(a, min(k, n), eps, loss, seed, tr)
+    u, m = sub.u, sub.dim
     if m <= min(k, n):
         return _pad_to_k(u, k, seed)
     # m <= n, as U lies in the row space of A: from here on k < n
 
     scored = a if m == d else _exact_columns(a, u)
+    # a square U that carries its singular values is A's own factor
+    factor = (sub.sv, u) if m == d and sub.sv is not None else None
     idx, w, scale, done = leverage_rounds(
         scored, np.ones(n), loss,
         target=lambda n_prime, _scores: target(n_prime, scored.shape[1]),
         stop_rows=cfg.t_rows_target, max_rounds=rounds, seed=seed,
-        salts=salts[:2], gauss_t=gauss_t)
+        salts=salts[:2], factor=factor, gauss_t=gauss_t)
     tr.update(handover(idx.size, done))
 
     kept = row_view(scored, idx, scale).block(slice(None))

@@ -101,6 +101,7 @@ def leverage_rounds(
     salts: tuple[int, int],
     min_rows: int = 0,
     trace: Optional[list] = None,
+    factor: Optional[tuple] = None,
     **score_kwargs,
 ):
     """Shrink the rows of ``a`` by rounds of weighted leverage-score sampling.
@@ -114,6 +115,8 @@ def leverage_rounds(
     rescale kept rows by q^(-1/p) and reset weights to one; other losses
     keep rows as they are and carry w / q.  Round r seeds its scores with
     (seed, salts[0], r) and its draws with (seed, salts[1], r, attempt).
+    ``factor``, ``sketch.rank_revealing_factor(a)`` when the caller holds
+    it, is handed to the scores of round 0, which reads every row of ``a``.
 
     ``a`` is a matrix or ``core.RowView``, and no copy of its kept rows is
     formed: each round scores ``row_view(a, idx, scale)``, read by index a
@@ -135,7 +138,8 @@ def leverage_rounds(
         n_prime = rows.shape[0]
         scores = weighted_leverage_scores(
             rows, w, loss,
-            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
+            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)),
+            factor=factor if idx is None else None, **score_kwargs)
         plan = make_plan(scores.gamma, target(n_prime, scores), 1.0)
         for attempt in range(2):
             sample = draw(plan, w,

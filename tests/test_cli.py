@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
+import scipy.io as sio
 import scipy.sparse as sp
 
+import robsub
 from conftest import planted_lowrank
 from robsub import LossSpec, cli, pipeline
 from robsub import io as rio
@@ -190,6 +195,22 @@ class TestApproxCommand:
         assert rc == EXIT_CONFIG
         assert "no rows" in capsys.readouterr().err
 
+    def test_empty_array_mtx_exit_3(self, tmp_path):
+        # scipy.io.mmread dies with SIGFPE on a 0 x 6 array-format file, so
+        # the command runs in its own process, where a regression fails
+        # this test instead of killing the test run
+        mtx = tmp_path / "empty.mtx"
+        sio.mmwrite(str(mtx), np.zeros((0, 6)))
+        assert sio.mminfo(str(mtx))[3] == "array"
+        src = os.path.dirname(os.path.dirname(robsub.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "robsub.cli", "approx", "--input", str(mtx),
+                               "--k", "3", "--loss", "l1", "--report", str(tmp_path / "r.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "input matrix has no rows" in proc.stderr
+
     @pytest.mark.parametrize("stage", ["bicriteria", "dimreduce"])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
     def test_subspace_stage_empty_input_exit_3(self, tmp_path, monkeypatch, capsys, stage,
@@ -198,8 +219,8 @@ class TestApproxCommand:
         if sparse:
             save_matrix_market(mtx, sp.csr_matrix((0, 6)))
         else:
-            # a 0 x 6 array-format Matrix Market file does not load, so the
-            # loader hands the dense matrix over
+            # the loader hands the dense matrix over in this process; the
+            # array-format file itself is read in a subprocess test above
             monkeypatch.setattr(rio, "load_matrix", lambda path: np.zeros((0, 6)))
         rc = main(["approx", "--input", str(mtx), "--k", "3", "--loss", "l1",
                    "--stage", stage, "--report", str(tmp_path / "r.json")])

@@ -1,11 +1,15 @@
-"""Every import in a library module is used.
+"""Every import in a library module is used, and importing the package stays light.
 
 A name bound by ``import`` or ``from ... import`` in ``src/robsub/*.py``
 (the package ``__init__``, whose imports are its exports, aside) must be
 read somewhere in that module; names inside string annotations count.
+``scipy.linalg`` is imported where it is used, not with the package.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +63,14 @@ def test_unused_import_is_caught():
     tree = ast.parse("import math\nfrom typing import Optional\n"
                      "def f(x: 'Optional[int]'):\n    return x\n")
     assert set(_imported(tree)) - _used(tree) == {"math"}
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # the streamed QR and the small solve's eigen-step import scipy.linalg on
+    # first use, which keeps its 0.13 s out of the package's import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = "import sys, robsub; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

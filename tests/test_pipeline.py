@@ -13,7 +13,8 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub import pipeline, sampling
+from robsub import pipeline, sampling, sketch
+from robsub.core import RowView
 from robsub.oracle import small_problem_grid, svd_truncation_cost
 from robsub.pipeline import (
     CapExceededError,
@@ -126,6 +127,23 @@ class TestSmallApprox:
         calls = self._spy_calls(monkeypatch)
         small_approx(_random_problem(11), LossSpec.lp(1.0), seed=0, restarts=10)
         assert calls == {"_mm_descent": 10, "_local_search_from": 1}
+
+    @pytest.mark.parametrize("m", [4, 20, 200])
+    @pytest.mark.parametrize("k", [1, 3, "m-1"])
+    def test_bottom_eigenvectors_match_eigh(self, m, k):
+        k = m - 1 if k == "m-1" else k
+        g = np.random.default_rng(m * 7 + k).standard_normal((m, m))
+        h = g + g.T
+        vecs = pipeline._bottom_eigenvectors(h, k)
+        ref = np.linalg.eigh(h)[1][:, :k]
+        assert vecs.shape == (m, k)
+        assert np.abs(vecs @ vecs.T - ref @ ref.T).max() <= 1e-10
+
+    def test_bottom_eigenvectors_failure_raises(self, monkeypatch):
+        from scipy.linalg import lapack
+        monkeypatch.setattr(lapack, "dsyevr", lambda *args, **kwargs: (None, None, 0, None, 2))
+        with pytest.raises(np.linalg.LinAlgError, match="dsyevr"):
+            pipeline._bottom_eigenvectors(np.eye(4), 2)
 
     def test_full_rank_runs_no_search(self, monkeypatch):
         calls = self._spy_calls(monkeypatch)
@@ -325,6 +343,49 @@ class TestApproxM2:
         sub = approx_m2(sp.csr_matrix(a), 2, 0.3, LossSpec.huber(1.0), seed=3)
         assert kinds and kinds[0]
         assert sub.dim == 2
+
+    @staticmethod
+    def _spy_factors(monkeypatch, a, handover=True):
+        """Count the R factors of all of ``a``; without handover, round 0 gets no factor."""
+        def whole(t):
+            return t is a or (isinstance(t, RowView) and len(t.parts) == 1
+                              and t.parts[0] is a and t.idx is None and t.scale is None)
+
+        wholes, r_factor = [], sketch.r_factor
+        monkeypatch.setattr(sketch, "r_factor", lambda t: wholes.append(whole(t)) or r_factor(t))
+        factors, rounds = [], pipeline.leverage_rounds
+
+        def spy(*args, factor=None, **kwargs):
+            factors.append(factor)
+            return rounds(*args, factor=factor if handover else None, **kwargs)
+
+        monkeypatch.setattr(pipeline, "leverage_rounds", spy)
+        return wholes, factors
+
+    def test_input_factored_once(self, monkeypatch, set_p_m):
+        # 3000 full-rank CSR rows, past one 2048-row QR block, are below
+        # P_M: the bicriteria stage keeps every row and its factor of A is
+        # round 0's basis, so the n x d operand is factored once, and the
+        # fit equals the one that factors A again
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
+        a = sp.csr_matrix(a)
+        loss = LossSpec.huber(1.0)
+        fits = {}
+        for handover in (True, False):
+            wholes, factors = self._spy_factors(monkeypatch, a, handover)
+            fits[handover] = approx_m2(a, 2, 0.3, loss, seed=3).u
+            assert sum(wholes) == (1 if handover else 2)
+            assert len(factors) == 1 and factors[0] is not None
+            monkeypatch.undo()
+        assert np.array_equal(fits[True], fits[False])
+        # forced through the sampling path, the subspace spans sampled rows:
+        # nothing is handed over and round 0 factors A itself
+        set_p_m(200)
+        wholes, factors = self._spy_factors(monkeypatch, a)
+        tr = {}
+        approx_m2(a, 2, 0.3, loss, seed=3, trace=tr)
+        assert tr["reduced_dim"] == 12
+        assert sum(wholes) == 1 and factors == [None]
 
     def test_t_rows_target_sets_base_rows(self):
         a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)

@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -17,7 +14,6 @@ from robsub import (
     make_sparse_sketch,
     orthonormal_union,
 )
-import robsub
 from robsub.core import RowView
 from robsub import sketch
 from robsub.sketch import rank_revealing_factor
@@ -203,18 +199,6 @@ def _svd_projector(rows, rank_tol=1e-8):
     _, sv, vt = np.linalg.svd(rows, full_matrices=False)
     v = vt[sv > rank_tol * sv[0]].T
     return v @ v.T
-
-
-def test_import_leaves_scipy_linalg_unloaded():
-    # the streamed QR imports scipy.linalg on first use, which keeps it out
-    # of the package's import time
-    src = os.path.dirname(os.path.dirname(robsub.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, robsub; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
 
 
 class TestRankRevealingFactor:
