@@ -120,9 +120,9 @@ def exhaustive_tiny(a, k: int, loss: LossSpec, budget: int = 10_000, w=None,
 def small_problem_grid(prob, loss: LossSpec, seed: int = 0, budget: int = 4000) -> np.ndarray:
     """Best factor W of a small problem over a dense candidate grid (domain <= 12, k <= 3).
 
-    ``prob`` is a ``pipeline.SmallProblem``, read only through its
-    ``cost``.  Candidates: every coordinate k-factor, then ``budget``
-    random orthonormal factors.
+    ``prob`` is a ``pipeline.SmallProblem``, read only through its ``k``,
+    ``domain_dim`` and ``cost``.  Candidates: every coordinate k-factor,
+    then ``budget`` random orthonormal factors.
     """
     k, m = prob.k, prob.domain_dim
     if m > 12 or k > 3:

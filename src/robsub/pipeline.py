@@ -4,16 +4,16 @@ Both pipelines run one body: bicriteria subspace -> residual sampling into
 a moderate subspace U -> rounds of the shared leverage-sampling loop on the
 rows of [A U, r], r_i = ||A_i (I - U U^T)|| (of A itself when U is square),
 giving the row sample T -> min over rank-k projectors W W^T of the small
-problem (T A U, [I_m 0], T [A U, r]) -> return U W.  Its per-row costs are
-exact, as ||A_i (I - U W W^T U^T)||^2 = ||A_i U (I - W W^T)||^2 + r_i^2 (a
-projection-cost-preserving reduction; Cohen, Elder, Musco, Musco & Persu
-2015).  The |x|^p pipeline draws T in one round, rescaling rows by
-q^(-1/p); the p=2 pipeline shrinks over several rounds carrying weights
-w / q.  No n x d array is formed.
+problem on the kept rows' exact columns T [A U, r] -> return U W.  Its
+per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
+||A_i U (I - W W^T)||^2 + r_i^2 (a projection-cost-preserving reduction;
+Cohen, Elder, Musco, Musco & Persu 2015).  The |x|^p pipeline draws T in
+one round, rescaling rows by q^(-1/p); the p=2 pipeline shrinks over
+several rounds carrying weights w / q.  No n x d array is formed.
 
-The small solver is heuristic by design: a reweighted eigenvector
-alternation runs from every start, and projected gradient descent on the
-orthonormal factor polishes the best of its iterates once.
+The small solver is heuristic by design: a reweighted-PCA alternation runs
+from every start, and projected gradient descent on the orthonormal
+factor polishes the best of its iterates once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .dimreduce import dim_reduce
 from .sampling import _KAPPA, _SHRINK, leverage_rounds
 
 _M2_LEVEL_C = 1.0    # per-round sample multiplier of the p=2 pipeline
+_RESTARTS = 10       # starts of the small solve's alternation
 
 
 class CapExceededError(RuntimeError):
@@ -49,39 +50,45 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SmallProblem:
-    """Operands of the reduced problem min_W ||A_hat W W^T B - C||_v^p."""
+    """The reduced problem on the kept rows' exact columns cols = [X r].
 
-    a_hat: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    For a factor W of the m = cols.shape[1] - 1 domain directions, row i
+    costs w_i M(sqrt(||X_i - X_i W W^T||^2 + r_i^2)).  The residual is
+    formed directly, so the cost is defined for any W.
+    """
+
+    cols: np.ndarray
     w: np.ndarray
     k: int
 
     def __post_init__(self):
-        a_hat = np.asarray(self.a_hat, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        if a_hat.shape[1] != b.shape[0]:
-            raise ValueError("inner dimensions of a_hat and b disagree")
-        if c.shape != (a_hat.shape[0], b.shape[1]):
-            raise ValueError("c must be (rows of a_hat) x (cols of b)")
-        if not (1 <= self.k <= a_hat.shape[1]):
-            raise ValueError(f"k={self.k} outside [1, {a_hat.shape[1]}]")
-        object.__setattr__(self, "a_hat", a_hat)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "w", as_weights(self.w, a_hat.shape[0]))
+        cols = np.asarray(self.cols, dtype=float)
+        if cols.ndim != 2 or cols.shape[1] < 2:
+            raise ValueError("cols must be a matrix [X r] with at least two columns")
+        if not (1 <= self.k < cols.shape[1]):
+            raise ValueError(f"k={self.k} outside [1, {cols.shape[1] - 1}]")
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "w", as_weights(self.w, cols.shape[0]))
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.cols[:, :-1]
 
     @property
     def domain_dim(self) -> int:
-        return self.a_hat.shape[1]
+        return self.cols.shape[1] - 1
 
     def max_side(self) -> int:
-        return max(self.a_hat.shape[0], self.a_hat.shape[1], self.b.shape[1])
+        return max(self.cols.shape)
+
+    def residual(self, w_factor: np.ndarray):
+        """X W W^T - X and the rows' residual norms sqrt(||X_i W W^T - X_i||^2 + r_i^2)."""
+        resid = (self.x @ w_factor) @ w_factor.T - self.x
+        r = self.cols[:, -1]
+        return resid, np.sqrt(np.einsum("ij,ij->i", resid, resid) + r * r)
 
     def cost(self, w_factor: np.ndarray, loss: LossSpec) -> float:
-        resid = (self.a_hat @ w_factor) @ (w_factor.T @ self.b) - self.c
-        return float(np.dot(self.w, m_value(loss, np.linalg.norm(resid, axis=1))))
+        return float(np.dot(self.w, m_value(loss, self.residual(w_factor)[1])))
 
 
 @dataclass(frozen=True)
@@ -103,24 +110,13 @@ def _orthonormal(mat: np.ndarray) -> np.ndarray:
     return q * signs
 
 
-def _column_energy_init(prob: SmallProblem) -> np.ndarray:
-    """Coordinate factor picking the k highest-energy domain directions."""
-    energy = np.linalg.norm(prob.a_hat, axis=0) * np.linalg.norm(prob.b, axis=1)
-    top = np.argsort(energy)[::-1][: prob.k]
-    return np.eye(prob.domain_dim)[:, np.sort(top)]
-
-
 def _gradient(prob: SmallProblem, loss: LossSpec, w_factor: np.ndarray):
-    aw = prob.a_hat @ w_factor
-    wb = w_factor.T @ prob.b
-    resid = aw @ wb - prob.c
-    norms = np.linalg.norm(resid, axis=1)
+    """The cost and its gradient g W + g^T W, g = X^T (psi o (X W W^T - X))."""
+    resid, norms = prob.residual(w_factor)
     cost = float(np.dot(prob.w, m_value(loss, norms)))
     psi = prob.w * m_derivative(loss, norms) / np.maximum(norms, 1e-300)
-    d_mat = psi[:, None] * resid
-    g = prob.a_hat.T @ d_mat @ prob.b.T
-    grad = g @ w_factor + g.T @ w_factor
-    return cost, grad
+    g = prob.x.T @ (psi[:, None] * resid)
+    return cost, g @ w_factor + g.T @ w_factor
 
 
 def _bottom_eigenvectors(h: np.ndarray, k: int) -> np.ndarray:
@@ -138,28 +134,23 @@ def _bottom_eigenvectors(h: np.ndarray, k: int) -> np.ndarray:
     return vecs
 
 
-def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, g_mat: np.ndarray,
-                iters: int = 50):
-    """Reweighted eigenvector alternation for the projector objective.
+def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, iters: int = 50):
+    """Reweighted-PCA alternation for the projector objective.
 
     At the current iterate the loss is majorized by a quadratic with
-    per-row weights psi_i = w_i M'(r_i) / (2 r_i).  Treating B^+ B as an
-    approximate isometry (exact when B has orthonormal rows, as the
-    pipelines' [I_m 0] does), the quadratic step minimizes
-    tr(W^T [A^T P A - 2 sym(A^T P C B^+)] W) over orthonormal W, i.e. a
-    bottom-k eigenvector problem.  Candidates are scored by the true
-    objective and the best is kept.  g_mat is C B^+.
+    per-row weights psi_i = w_i M'(n_i) / (2 n_i) at the residual norms
+    n_i.  For orthonormal W, ||X_i W W^T - X_i||^2 = ||X_i||^2 - ||X_i W||^2,
+    so the quadratic is minimized by the top-k eigenvectors of X^T Psi X,
+    the bottom k of its negative.
+    Every iterate is scored by the true objective and the best is kept.
     """
+    x = prob.x
     w_factor = w0
     best_w, best_cost = w0, prob.cost(w0, loss)
     for _ in range(iters):
-        resid = (prob.a_hat @ w_factor) @ (w_factor.T @ prob.b) - prob.c
-        norms = np.maximum(np.linalg.norm(resid, axis=1), 1e-12)
+        norms = np.maximum(prob.residual(w_factor)[1], 1e-12)
         psi = prob.w * m_derivative(loss, norms) / (2.0 * norms)
-        pa = psi[:, None] * prob.a_hat
-        m1 = prob.a_hat.T @ pa
-        m4 = pa.T @ g_mat
-        w_new = _orthonormal(_bottom_eigenvectors(m1 - m4 - m4.T, prob.k))
+        w_new = _orthonormal(_bottom_eigenvectors(-(x.T @ (psi[:, None] * x)), prob.k))
         if np.linalg.norm(w_new @ (w_new.T @ w_factor) - w_factor) < 1e-12:
             break
         w_factor = w_new
@@ -207,14 +198,14 @@ def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
     return best_w, converged
 
 
-def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: int = 10,
-                 cap: int = 400, warm_starts: Sequence[np.ndarray] = ()) -> np.ndarray:
-    """Approximately minimize ||A_hat W W^T B - C||_v^p over orthonormal W.
+def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
+                 cap: int = 400) -> np.ndarray:
+    """Approximately minimize the small problem's cost over orthonormal W.
 
-    Runs the reweighted eigenvector alternation from a coordinate start,
-    any warm starts, and random factors up to ``restarts`` starts in all,
-    then polishes the lowest-cost of those iterates once by projected
-    gradient descent with backtracking.
+    Runs the reweighted-PCA alternation from a coordinate start and from
+    random factors, ``_RESTARTS`` starts in all, then polishes the
+    lowest-cost of those iterates once by projected gradient descent with
+    backtracking.
     """
     if prob.max_side() > cap:
         raise CapExceededError(
@@ -225,13 +216,12 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0, restarts: in
         return np.eye(m)
     rng = spawn_rng(seed, 73)
 
-    g_mat = prob.c @ np.linalg.pinv(prob.b)  # C B^+, shared by every start
-    starts = [_column_energy_init(prob)]
-    starts.extend(np.asarray(w, dtype=float) for w in warm_starts)
-    while len(starts) < restarts:
+    # a coordinate start on the k columns of X of largest norm, then random factors
+    starts = [np.eye(m)[:, np.sort(np.argsort(np.linalg.norm(prob.x, axis=0))[::-1][:k])]]
+    while len(starts) < _RESTARTS:
         starts.append(_orthonormal(rng.standard_normal((m, k))))
 
-    w_mm, _ = min((_mm_descent(prob, loss, w0, g_mat) for w0 in starts), key=lambda r: r[1])
+    w_mm, _ = min((_mm_descent(prob, loss, w0) for w0 in starts), key=lambda r: r[1])
     best_w, converged = _local_search_from(prob, loss, w_mm)
     if not converged:
         warnings.warn("small-problem search hit the iteration cap; returning "
@@ -265,16 +255,6 @@ def _exact_columns(a, u: np.ndarray) -> np.ndarray:
     for lo, hi, rows in row_view(a).blocks(_FACTOR_BLOCK):
         out[lo:hi, :-1], out[lo:hi, -1] = project_rows(rows, u)
     return out
-
-
-def _exact_problem(c: np.ndarray, w, k: int) -> SmallProblem:
-    """The small problem (X, [I_m 0], [X r]) on exact columns c = [X r].
-
-    Row i costs ||X_i W W^T - X_i||^2 + r_i^2 for orthonormal W, which is
-    the squared residual of its row of A under the projector (U W)(U W)^T.
-    """
-    m = c.shape[1] - 1
-    return SmallProblem(c[:, :m], np.eye(m, m + 1), c, w, k)
 
 
 def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
@@ -344,7 +324,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     tr.update(handover(idx.size, done))
 
     kept = row_view(scored, idx, scale).block(slice(None))
-    prob = _exact_problem(_exact_columns(kept, u) if m == d else kept, w, k)
+    prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
                             cap=max(cfg.small_cap, cfg.t_rows_target + 1))
     return _final_factor(u, w_factor)

@@ -1,10 +1,11 @@
 """Row-sampling plans, realized draws, and the shared sampling loop.
 
 A plan turns nonnegative scores q' into independent inclusion
-probabilities q_i = min{1, k2 * r * q'_i / sum(q')}.  A draw realizes the
-plan with one uniform variate per index (in index order, so draws from the
-same seed are coupled across plans) and carries both the reweighting
-w'_i = w_i / q_i and, for |x|^p losses, the row scale factors q_i^(-1/p).
+probabilities q_i = min{1, tau q'_i}, tau water-filled so that the plan
+expects min{k2 r, nnz(q')} rows.  A draw realizes the plan with one
+uniform variate per index (in index order, so draws from the same seed are
+coupled across plans) and carries both the reweighting w'_i = w_i / q_i
+and, for |x|^p losses, the row scale factors q_i^(-1/p).
 ``leverage_rounds`` repeats score -> plan -> draw -> carry over weighted
 leverage scores, carrying only the kept row positions, their weights and
 their cumulative scale between rounds: each round reads its rows by index
@@ -41,7 +42,11 @@ class SamplingPlan:
 
 
 def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
-    """Build inclusion probabilities min{1, k2 * r * q'_i / sum(q')}."""
+    """Inclusion probabilities min{1, tau q'_i} expecting min{k2 r, nnz(q')} rows.
+
+    tau = k2 r / sum(q') unless a row caps at one; then the capped mass is
+    handed to the other rows (water-filling), so every q_i only rises.
+    """
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1:
         raise ValueError("scores must be a vector")
@@ -52,7 +57,16 @@ def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
         raise ValueError("all scores are zero")
     if r <= 0.0 or k2 <= 0.0:
         raise ValueError("r and k2 must be positive")
-    q = np.minimum(1.0, k2 * r * s / total)
+    q = k2 * r * s / total
+    if q.max() > 1.0:
+        # with the j largest scores capped, the others share target - j rows;
+        # the first j at which the next score stays below one fixes tau
+        desc = np.sort(s)[::-1]
+        rest = np.cumsum(desc[::-1])[::-1]
+        target = min(k2 * r, np.count_nonzero(s))
+        first = int(np.argmax((target - np.arange(s.size)) * desc <= rest))
+        q = (target - first) * s / rest[first]
+    q = np.minimum(1.0, q)
     q[q < _PROB_FLOOR] = 0.0  # avoid astronomically large reweights
     return SamplingPlan(q)
 

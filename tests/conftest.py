@@ -78,13 +78,14 @@ def best_rank_k_in_subspace(a, sub, k, loss, w=None, seed=0, warm_starts=()):
     """Best rank-k subspace inside span(U) and its residual cost, solved as a small problem.
 
     On the exact columns [A U, r] of the pipelines the small objective
-    equals the residual cost of the projector (U W)(U W)^T.
+    equals the residual cost of the projector (U W)(U W)^T.  Each factor
+    in ``warm_starts`` is scored too, and the cheapest factor is returned.
     """
-    prob = pipeline._exact_problem(pipeline._exact_columns(a, sub.u), w, min(k, sub.dim))
+    prob = pipeline.SmallProblem(pipeline._exact_columns(a, sub.u), w, min(k, sub.dim))
     w_factor = pipeline.small_approx(prob, loss, seed=seed,
                                      cap=max(pipeline.PipelineConfig().small_cap, a.shape[0],
-                                             sub.dim + 1),
-                                     warm_starts=warm_starts)
+                                             sub.dim + 1))
+    w_factor = min([w_factor, *warm_starts], key=lambda f: prob.cost(f, loss))
     out = pipeline._final_factor(sub.u, w_factor)
     return out, residual_cost(a, out, w, loss)
 

@@ -360,22 +360,21 @@ def test_c11_sketch_time_scales_with_nnz():
 
 def test_c12_small_solver_sanity():
     # the gradient solver is within 1.05x of the dense candidate grid on 20
-    # tiny instances, and recovers a planted projector to 1e-8
+    # tiny [X r] instances, and recovers a planted projector to 1e-8
     t0 = time.perf_counter()
     loss = LossSpec.lp(1.0)
     ok_ratio = 0
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
-        prob = SmallProblem(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)),
-                            rng.standard_normal((8, 8)), None, 2)
+        prob = SmallProblem(rng.standard_normal((8, 9)), None, 2)
         wl = small_approx(prob, loss, seed=seed)
         we = small_problem_grid(prob, loss, seed=seed)
         ok_ratio += prob.cost(wl, loss) <= 1.05 * prob.cost(we, loss)
+    # the rows of X lie in a rank-3 span, with r = 0
     rng = np.random.default_rng(7)
-    a_hat = rng.standard_normal((25, 10))
-    bmat = rng.standard_normal((10, 12))
+    x = rng.standard_normal((25, 10))
     w0 = np.linalg.qr(rng.standard_normal((10, 3)))[0]
-    planted = SmallProblem(a_hat, bmat, a_hat @ w0 @ w0.T @ bmat, None, 3)
+    planted = SmallProblem(np.hstack([x @ w0 @ w0.T, np.zeros((25, 1))]), None, 3)
     w_rec = small_approx(planted, loss, seed=0)
     recovery = planted.cost(w_rec, loss)
     elapsed = time.perf_counter() - t0

@@ -83,7 +83,7 @@ class TestExhaustiveTiny:
             a = rng.standard_normal((6, 6))
             sub, cost = exhaustive_tiny(a, 2, loss, budget=200, seed=seed,
                                         polish_steps=25)
-            prob = SmallProblem(a, np.eye(6), a, None, 2)
+            prob = SmallProblem(np.hstack([a, np.zeros((6, 1))]), None, 2)
             w = small_approx(prob, loss, seed=seed)
             assert prob.cost(w, loss) <= 1.05 * cost + 1e-12
 

@@ -40,6 +40,25 @@ class TestMakePlan:
         n_certain = int(np.sum(plan.q == 1.0))
         assert plan.expected_size <= 2.0 * 20.0 + n_certain
 
+    def test_capped_mass_handed_on(self):
+        # heavy-tailed scores cap many rows; the plan still expects its
+        # target, and no probability falls below the unfilled plan's
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            scores = rng.pareto(0.7, 300) * (rng.random(300) < 0.8)
+            nnz = np.count_nonzero(scores)
+            t = float(rng.uniform(1.0, nnz))
+            plan = make_plan(scores, r=t, k2=1.0)
+            unfilled = np.minimum(1.0, t * scores / scores.sum())
+            unfilled[unfilled < 1e-12] = 0.0
+            assert plan.expected_size == pytest.approx(t, abs=1e-9)
+            assert np.all(plan.q >= unfilled)
+
+    def test_target_above_support_keeps_every_row(self):
+        scores = np.array([5.0, 0.0, 1.0, 2.0, 0.0])
+        plan = make_plan(scores, r=4.0, k2=1.0)
+        assert np.array_equal(plan.q, [1.0, 0.0, 1.0, 1.0, 0.0])
+
     def test_tiny_probabilities_zeroed(self):
         scores = np.array([1.0, 1e-20])
         plan = make_plan(scores, r=1.0, k2=1.0)
