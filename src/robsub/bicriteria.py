@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import LossSpec, Subspace, check_finite, spawn_rng
 from .sampling import _SHRINK, leverage_rounds
+from . import sketch
 from .sketch import apply_right, make_sparse_sketch, orthonormal_union, rank_revealing_factor
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
@@ -92,7 +93,7 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     The output dimension is at most P_M; its cost is within a modest factor
     of the best rank-k cost (over the randomness of sketch and samples).
     When every row survives (n <= P_M) the subspace is the row space of A
-    and carries A's singular values (``Subspace.sv``).
+    and carries the R factor of A it was read from (``Subspace.r``).
     """
     n, d = a.shape
     if n == 0:
@@ -107,15 +108,15 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     p_m = _p_m(k, n, loss)
     if n <= p_m:
         # no sampling round can run, so the right sketch would go unread;
-        # the factor of A is kept for the caller's first basis of A
+        # the R of A is kept for the caller's first basis of A
         if trace is not None:
             trace.append({"depth": 0, "n": n, "base_case": True, "indices": np.arange(n)})
-        sv, v = rank_revealing_factor(a)
-        return Subspace(v, sv)
+        r = sketch.r_factor(a)
+        return Subspace(rank_revealing_factor(a, r)[1], r)
     m = int(min(max(k + 1, _SKETCH_COLS_C * k * k), d))
-    sketch = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
-                                m=m, d=d, s=min(_SKETCH_NNZ, m))
+    right = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
+                               m=m, d=d, s=min(_SKETCH_NNZ, m))
     max_depth = int(4 * math.log2(max(math.log2(max(n, 4)), 2.0)) + 8)
-    idx = const_approx_recur(apply_right(a, sketch), np.ones(n), loss, seed,
+    idx = const_approx_recur(apply_right(a, right), np.ones(n), loss, seed,
                              p_m, max_depth, trace=trace)
     return orthonormal_union([a[idx]], d=d)

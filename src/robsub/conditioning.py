@@ -1,19 +1,22 @@
 """Well-conditioned bases and leverage scores.
 
 A basis U for the column space of A is carried implicitly as a
-change-of-basis matrix: U = A F with F = V_r diag(1/sigma_r), where
-sigma_r and V_r are the singular values above the rank tolerance and the
-right singular vectors of the sketched product Pi A, computed by a
-streaming R-only QR, which folds one densified block of 2048 rows at a
-time into a running R, in memory independent of the row count, and the
-SVD of the small R.  The sketch Pi = S D is a sparse embedding with one
-nonzero per column, so Pi A costs O(nnz(A)) and Pi U is orthonormal: for
-p in [1, 2) a p-stable one (the sparse Cauchy transform of Meng & Mahoney
-2013 at p = 1), and for p = 2 CountSketch (Clarkson & Woodruff 2013),
-which distorts Euclidean norms by at most a constant factor beta.  Where
-the sketch would not be smaller than A, Pi is the identity and U is an
-exact orthonormal factor, whose row norms at p = 2 are the leverage
-scores of every orthonormal basis of the column space.
+change-of-basis matrix: U = A F with F = P_r R_r^(-1), where R P = Q' R'
+is a column-pivoted QR of the small R of the sketched product Pi A, R_r
+the leading block of R' whose diagonal lies above the rank tolerance, and
+P_r the pivot columns it keeps.  R comes from a streaming R-only QR,
+which folds one densified block of 2048 rows at a time into a running R,
+in memory independent of the row count.  Any F that makes Pi A F
+orthonormal serves: the conditioning bounds of Dasgupta et al. (2009) and
+Meng & Mahoney (2013) use nothing else, so no SVD is taken.  The sketch
+Pi = S D is a sparse embedding with one nonzero per column, so Pi A costs
+O(nnz(A)) and Pi U is orthonormal: for p in [1, 2) a p-stable one (the
+sparse Cauchy transform of Meng & Mahoney 2013 at p = 1), and for p = 2
+CountSketch (Clarkson & Woodruff 2013), which distorts Euclidean norms by
+at most a constant factor beta.  Where the sketch would not be smaller
+than A, Pi is the identity and U is an exact orthonormal factor, whose row
+norms at p = 2 are the leverage scores of every orthonormal basis of the
+column space.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
@@ -44,7 +47,7 @@ from .core import (
     row_view,
     spawn_rng,
 )
-from .sketch import make_pstable_sketch, rank_revealing_factor
+from .sketch import make_pstable_sketch, orthonormalizer
 
 _ROW_BLOCK = 8192
 # size rule of well_conditioned_basis: c_pi m0^2 hash buckets, the p < 2 cap
@@ -60,7 +63,7 @@ _P2_SKETCH_BETA = 1.5
 class WellConditionedBasis:
     """Implicit row access to a well-conditioned basis U = A F."""
 
-    change_of_basis: np.ndarray   # (m0, m) factor F = V_r diag(1/sigma_r): U = A F
+    change_of_basis: np.ndarray   # (m0, m) factor F = P_r R_r^(-1) of a pivoted QR: U = A F
     p: float
     n: int
     m: int
@@ -82,19 +85,19 @@ class WellConditionedBasis:
 
 
 def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
-                           factor: Optional[tuple] = None) -> WellConditionedBasis:
+                           factor: Optional[np.ndarray] = None) -> WellConditionedBasis:
     """Build a well-conditioned basis for the column space of A.
 
-    The change of basis F = V_r diag(1/sigma_r) comes from
-    ``rank_revealing_factor``: a streaming R-only QR of the operand, which
-    folds one dense block of 2048 rows at a time into a running R (a
-    sparse A is never densified whole, and the memory does not grow with
-    n), then the SVD of the small R, keeping singular values above
-    ``sketch.RANK_TOL`` * sigma_max.  The operand is either Pi A, with Pi = S D
-    the sparse embedding of ``PStableSketch`` that hashes the n rows into s
-    buckets after scaling each by a p-stable draw (a random sign at p = 2),
-    so that Pi A F is orthonormal; or A itself, so that A F is
-    orthonormal.  With m0 the column count of A, the size rule is:
+    The change of basis F = P_r R_r^(-1) comes from ``sketch.orthonormalizer``:
+    a streaming R-only QR of the operand, which folds one dense block of
+    2048 rows at a time into a running R (a sparse A is never densified
+    whole, and the memory does not grow with n), then a column-pivoted QR
+    of the small R, keeping the pivots whose diagonal entry exceeds
+    ``sketch.RANK_TOL`` times the first.  The operand is either Pi A, with
+    Pi = S D the sparse embedding of ``PStableSketch`` that hashes the n
+    rows into s buckets after scaling each by a p-stable draw (a random
+    sign at p = 2), so that Pi A F is orthonormal; or A itself, so that
+    A F is orthonormal.  With m0 the column count of A, the size rule is:
 
     * p in [1, 2): s = c_pi * m0^2, capped at 8192 (and at least 2 m0);
       the sketch is taken when s < n.  This is the sparse Cauchy transform
@@ -114,9 +117,9 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
     Here c_pi = 20; it and the cap are the module constants _C_PI and
     _STABLE_ROW_CAP.  The reported width m is the numerical rank, which
     drops below m0 when the columns of A are dependent.  A may be dense,
-    sparse or a ``RowView``.  ``factor`` is ``rank_revealing_factor(A)``
-    when the caller already holds it: an unsketched basis is then built
-    from it, with no second factorization.
+    sparse or a ``RowView``.  ``factor`` is ``sketch.r_factor(A)`` when the
+    caller already holds it: an unsketched basis is then built from it,
+    with no second factorization.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
@@ -133,17 +136,15 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
         sketched = s < n
     if sketched:
         pi = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p)
-        sv, v = rank_revealing_factor(pi.apply(view))
-    elif factor is not None:
-        sv, v = factor
+        f = orthonormalizer(pi.apply(view))
     else:
         # no sketch when exact factorization is cheaper; identity is an
         # exact subspace embedding
-        sv, v = rank_revealing_factor(view)
+        f = orthonormalizer(view, factor)
 
-    if sv.size == 0:
+    if f.shape[1] == 0:
         raise ValueError("operand has numerical rank zero")
-    return WellConditionedBasis(v / sv, float(p), n, sv.size, view, sketched)
+    return WellConditionedBasis(f, float(p), n, f.shape[1], view, sketched)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +180,7 @@ def weighted_leverage_scores(
     loss: LossSpec,
     seed: int = 0,
     gauss_t: Optional[int] = None,
-    factor: Optional[tuple] = None,
+    factor: Optional[np.ndarray] = None,
 ) -> LeverageScores:
     """Leverage scores under dyadic weight buckets.
 
@@ -200,8 +201,8 @@ def weighted_leverage_scores(
     With ``gauss_t`` set, the basis row norms are replaced by the
     Euclidean norms of U G for a Gaussian G with that many columns scaled
     by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney & Woodruff 2012).
-    ``factor``, ``rank_revealing_factor(a)`` when the caller holds it, is
-    handed to the basis of a lone bucket, which holds every row of ``a``.
+    ``factor``, ``sketch.r_factor(a)`` when the caller holds it, is handed
+    to the basis of a lone bucket, which holds every row of ``a``.
     """
     n = a.shape[0]
     wv = as_weights(w, n)
@@ -227,7 +228,7 @@ def weighted_leverage_scores(
             g /= math.sqrt(gauss_t)
             norms = np.empty(basis.n)
             for lo, hi, block in basis.iter_row_blocks(right=g):
-                norms[lo:hi] = np.linalg.norm(block, axis=1)
+                norms[lo:hi] = np.sqrt(np.einsum("ij,ij->i", block, block))
         else:
             norms = basis.row_norms_lp()
         gamma[rows] = 2.0 * _row_scores(loss, basis, norms)

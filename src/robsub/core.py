@@ -235,8 +235,12 @@ def check_finite(*arrays) -> None:
 def row_norms(a) -> np.ndarray:
     """Euclidean norm of each row."""
     if is_sparse(a):
-        sq = a.multiply(a).sum(axis=1)
-        return np.sqrt(np.asarray(sq).ravel())
+        # square the stored entries of a canonical copy: repeated entries
+        # of one position are summed first, as they add up to its value
+        c = sp.csr_matrix(a, dtype=float, copy=True)
+        c.sum_duplicates()
+        c.data **= 2
+        return np.sqrt(np.asarray(c.sum(axis=1)).ravel())
     return np.linalg.norm(np.asarray(a, dtype=float), axis=1)
 
 
@@ -368,14 +372,14 @@ def entrywise_norm_p(a, w=None, loss: LossSpec = None) -> float:
 class Subspace:
     """An orthonormal column factor U; the projector it represents is U U^T.
 
-    ``sv`` is set when U is the rank-revealing factor (sv, U) of the matrix
-    A that the subspace spans the rows of (``const_approx`` on an input
-    it keeps whole): A U diag(1/sv) is then an orthonormal basis of A's
-    column space, and a caller reading A takes it without factoring A again.
+    ``r`` is set when U is the row space of a matrix A that was factored
+    to find it (``const_approx`` on an input it keeps whole): it is the R
+    of ``sketch.r_factor(A)``, and a caller that reads A builds its basis
+    of A from it without factoring A again.
     """
 
     u: np.ndarray
-    sv: Optional[np.ndarray] = None
+    r: Optional[np.ndarray] = None
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)

@@ -1,10 +1,11 @@
 """Independent reference computations for tests and acceptance checks.
 
-Nothing here shares code with the sampling pipelines: the SVD baseline is
-a closed-form upper bound on the optimal cost (exact at p=2 with unit
-weights), the tiny-instance searches enumerate dense candidate sets (of
-subspaces, or of factors for a small problem), and the alternating
-reference is a self-contained reweighted-PCA loop.
+Nothing here shares code with the sampling pipelines but the R-only QR
+``sketch.r_factor``: the SVD baseline is a closed-form upper bound on the
+optimal cost (exact at p=2 with unit weights), the tiny-instance searches
+enumerate dense candidate sets (of subspaces, or of factors for a small
+problem), and the alternating reference is a self-contained
+reweighted-PCA loop.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     to_dense,
     spawn_rng,
 )
+from .sketch import r_factor
 
 
 def svd_truncation_cost(a, k: int, w=None, loss: LossSpec = None) -> Tuple[Subspace, float]:
@@ -33,6 +35,9 @@ def svd_truncation_cost(a, k: int, w=None, loss: LossSpec = None) -> Tuple[Subsp
 
     Globally optimal for the p=2 loss with unit weights; for other losses
     any subspace upper-bounds the optimum, so this is the natural baseline.
+    The right singular vectors of A are those of the small R of
+    ``sketch.r_factor(A)``, a streaming R-only QR, so a sparse A is never
+    densified whole and the n x d left factor is never formed.
     """
     if loss is None:
         raise TypeError("loss is required")
@@ -40,8 +45,7 @@ def svd_truncation_cost(a, k: int, w=None, loss: LossSpec = None) -> Tuple[Subsp
     n, d = a.shape
     if not (1 <= k <= min(n, d)):
         raise ValueError(f"k={k} outside [1, min(n,d)={min(n, d)}]")
-    dense = to_dense(a)
-    _, _, vt = np.linalg.svd(dense, full_matrices=False)
+    _, _, vt = np.linalg.svd(r_factor(a), full_matrices=False)
     sub = Subspace(vt[:k].T)
     return sub, residual_cost(a, sub, w, loss)
 

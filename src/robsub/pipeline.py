@@ -142,19 +142,22 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, iters: int =
     n_i.  For orthonormal W, ||X_i W W^T - X_i||^2 = ||X_i||^2 - ||X_i W||^2,
     so the quadratic is minimized by the top-k eigenvectors of X^T Psi X,
     the bottom k of its negative.
-    Every iterate is scored by the true objective and the best is kept.
+    Every iterate is scored by the true objective and the best is kept;
+    its residual norms give both its cost and the next step's weights.
     """
     x = prob.x
     w_factor = w0
-    best_w, best_cost = w0, prob.cost(w0, loss)
+    norms = prob.residual(w0)[1]
+    best_w, best_cost = w0, float(np.dot(prob.w, m_value(loss, norms)))
     for _ in range(iters):
-        norms = np.maximum(prob.residual(w_factor)[1], 1e-12)
-        psi = prob.w * m_derivative(loss, norms) / (2.0 * norms)
+        floored = np.maximum(norms, 1e-12)
+        psi = prob.w * m_derivative(loss, floored) / (2.0 * floored)
         w_new = _orthonormal(_bottom_eigenvectors(-(x.T @ (psi[:, None] * x)), prob.k))
         if np.linalg.norm(w_new @ (w_new.T @ w_factor) - w_factor) < 1e-12:
             break
         w_factor = w_new
-        cost = prob.cost(w_factor, loss)
+        norms = prob.residual(w_factor)[1]
+        cost = float(np.dot(prob.w, m_value(loss, norms)))
         if cost < best_cost - 1e-15:
             best_w, best_cost = w_factor, cost
     return best_w, best_cost
@@ -289,15 +292,16 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     ``leverage_rounds`` shrink the rows of the dense n x (m+1) operand
     [A U, r], or of A as given (dense or CSR) when U is square, as [A U, 0]
     then spans the column space of A; when U is the bicriteria stage's
-    factor of A (every row kept), round 0 builds its basis from it and A
-    is factored once per fit.  Each round scores by the exact
-    basis row norms (``gauss_t`` None) or by ``gauss_t`` Gaussian columns,
-    and plans ``target(n', d_hat)`` rows, d_hat the scored width, until at
-    most ``cfg.t_rows_target`` remain; rows are read by index and none is
-    copied.  ``handover(kept rows, rounds run)`` checks the sample and
-    returns the trace entries to record.  The kept rows are gathered once,
-    with their row scale, for the weighted small problem on their exact
-    columns.  Salts seed the scores, the draws and the small solve.
+    row space of A (every row kept), round 0 builds its basis from the R
+    factor of A that U carries, and A is factored once per fit.  Each
+    round scores by the exact basis row norms (``gauss_t`` None) or by
+    ``gauss_t`` Gaussian columns, and plans ``target(n', d_hat)`` rows,
+    d_hat the scored width, until at most ``cfg.t_rows_target`` remain;
+    rows are read by index and none is copied.  ``handover(kept rows,
+    rounds run)`` checks the sample and returns the trace entries to
+    record.  The kept rows are gathered once, with their row scale, for the
+    weighted small problem on their exact columns.  Salts seed the scores,
+    the draws and the small solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -314,8 +318,8 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     # m <= n, as U lies in the row space of A: from here on k < n
 
     scored = a if m == d else _exact_columns(a, u)
-    # a square U that carries its singular values is A's own factor
-    factor = (sub.sv, u) if m == d and sub.sv is not None else None
+    # a square U that carries an R factor was read from A itself
+    factor = sub.r if m == d else None
     idx, w, scale, done = leverage_rounds(
         scored, np.ones(n), loss,
         target=lambda n_prime, _scores: target(n_prime, scored.shape[1]),

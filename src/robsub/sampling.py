@@ -115,7 +115,7 @@ def leverage_rounds(
     salts: tuple[int, int],
     min_rows: int = 0,
     trace: Optional[list] = None,
-    factor: Optional[tuple] = None,
+    factor: Optional[np.ndarray] = None,
     **score_kwargs,
 ):
     """Shrink the rows of ``a`` by rounds of weighted leverage-score sampling.
@@ -129,8 +129,8 @@ def leverage_rounds(
     rescale kept rows by q^(-1/p) and reset weights to one; other losses
     keep rows as they are and carry w / q.  Round r seeds its scores with
     (seed, salts[0], r) and its draws with (seed, salts[1], r, attempt).
-    ``factor``, ``sketch.rank_revealing_factor(a)`` when the caller holds
-    it, is handed to the scores of round 0, which reads every row of ``a``.
+    ``factor``, ``sketch.r_factor(a)`` when the caller holds it, is handed
+    to the scores of round 0, which reads every row of ``a``.
 
     ``a`` is a matrix or ``core.RowView``, and no copy of its kept rows is
     formed: each round scores ``row_view(a, idx, scale)``, read by index a

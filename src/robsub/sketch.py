@@ -12,10 +12,12 @@ Three sketch families, each a pure function of its seed:
 
 Also provides the R factor of a dense, sparse or row-view operand (a
 streaming R-only QR that folds one dense block of 2048 rows at a time into
-one (width + 2048) x width buffer), which serves every exact basis and
-each reweighted least-squares step of IRLS; the rank-revealing factor
-(the SVD of that small R); and the orthonormal union of row blocks built
-on it, which the samplers feed into.
+one (width + 2048) x width buffer), which serves every basis, each
+reweighted least-squares step of IRLS and the SVD baseline; the
+rank-revealing factor (the SVD of that small R) and the orthonormal union
+of row blocks built on it, which the samplers feed into; and the change of
+basis F that makes t F orthonormal, from a pivoted QR of that small R,
+which every well-conditioned basis takes.
 """
 
 from __future__ import annotations
@@ -136,18 +138,48 @@ def r_factor(t) -> np.ndarray:
     return r
 
 
-def rank_revealing_factor(t):
+def rank_revealing_factor(t, r=None):
     """Singular values above RANK_TOL * sigma_max of t, with their right singular vectors.
 
     The SVD of the small R of ``r_factor(t)`` gives t = (Q U) diag(sv) V^T
-    with Q U orthonormal: t V diag(1/sv) is an orthonormal basis of the
-    column space of t, and V one of its row space.  t may be dense, sparse
-    or a ``RowView``.  Returns (sv, V) with V of shape (t.shape[1], rank).
-    Raises ValueError when t holds a NaN or infinity.
+    with Q U orthonormal: V is an orthonormal basis of the row space of t.
+    t may be dense, sparse or a ``RowView``; ``r`` is ``r_factor(t)`` when
+    the caller already holds it.  Returns (sv, V) with V of shape
+    (t.shape[1], rank).  Raises ValueError when t holds a NaN or infinity.
     """
-    _, sv, vt = np.linalg.svd(r_factor(t), full_matrices=False)
+    _, sv, vt = np.linalg.svd(r_factor(t) if r is None else r, full_matrices=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
     return sv[:rank], vt[:rank].T
+
+
+def orthonormalizer(t, r=None) -> np.ndarray:
+    """A change of basis F with t F an orthonormal basis of the column space of t.
+
+    From a column-pivoted QR of the small R of ``r_factor(t)``, R P = Q' R':
+    the rank is the count of |R'_ii| > RANK_TOL |R'_11|, and with R'_11 the
+    leading rank x rank block, F = P[:, :rank] R'_11^(-1), as
+    t P[:, :rank] = Q Q'[:, :rank] R'_11.  No SVD is taken, and F is
+    (t.shape[1], rank).  t may be dense, sparse or a ``RowView``; ``r`` is
+    ``r_factor(t)`` when the caller already holds it.  Raises ValueError
+    when t holds a NaN or infinity.
+    """
+    # imported on first use: scipy.linalg adds about 0.13 s to the package's import
+    from scipy.linalg import lapack, qr
+
+    r = r_factor(t) if r is None else r
+    width = r.shape[1]
+    if r.shape[0] == 0:
+        return np.zeros((width, 0))
+    rp, piv = qr(r, mode="r", pivoting=True, check_finite=False)
+    diag = np.abs(np.diag(rp))
+    rank = int(np.sum(diag > RANK_TOL * diag[0])) if diag[0] > 0.0 else 0
+    f = np.zeros((width, rank))
+    if rank:
+        inv, info = lapack.dtrtri(rp[:rank, :rank])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtri failed with info={info}")
+        f[piv[:rank]] = inv
+    return f
 
 
 def _streamed_r(view: RowView) -> np.ndarray:
@@ -178,7 +210,9 @@ def _streamed_r(view: RowView) -> np.ndarray:
         top = min(end, width)
         for j in range(top - 1):
             buf[j + 1:top, j] = 0.0  # the Householder vectors under R's diagonal
-    return buf[:top]
+    # a copy: a caller that keeps R (a handed-over factor) must not keep the
+    # (width + block) x width buffer alive with it
+    return np.array(buf[:top], order="F")
 
 
 def orthonormal_union(blocks, d: int | None = None) -> Subspace:

@@ -23,12 +23,12 @@ class TestBaseCase:
         sub = const_approx(a, 2, loss, seed=0)  # P_M = 200 > 30: base case
         assert sub.dim == 6
         assert residual_cost(a, sub, None, loss) <= 1e-12 * v_norm_p(a, None, loss)
-        # the factor of A travels with the subspace: A U / sv is orthonormal
-        basis = a @ sub.u / sub.sv
+        # the R factor of A travels with the subspace: A R^-1 is orthonormal
+        basis = a @ np.linalg.inv(sub.r)
         assert np.abs(basis.T @ basis - np.eye(6)).max() <= 1e-12
         # a sampled subspace spans sampled rows, so it carries no factor of A
         big = rng.standard_normal((300, 6))
-        assert const_approx(big, 1, loss, seed=0).sv is None  # P_M = 50 < 300
+        assert const_approx(big, 1, loss, seed=0).r is None  # P_M = 50 < 300
 
     def test_recur_base_returns_every_index(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import basis_rows, basis_scores
 from robsub import (
@@ -112,6 +113,19 @@ class TestWellConditionedBasis:
     def test_stable_sketch_path_large_n_p15(self, monkeypatch):
         # p = 1.5: Chambers-Mallows-Stuck draws
         self._check_large_n(monkeypatch, 1.5, 21, 6)
+
+    def test_takes_no_svd(self, monkeypatch):
+        # exact and sketched bases, at p = 1 and p = 2, dense and CSR, and the
+        # weighted scores over two buckets: no SVD runs on any of them
+        rng = np.random.default_rng(25)
+        small, tall = rng.standard_normal((400, 3)), rng.standard_normal((9000, 3))
+        w = np.where(np.arange(400) % 2, 1.0, 3.0)
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
+        for a, p, sketched in ((small, 2.0, False), (sp.csr_matrix(small), 2.0, False),
+                               (small, 1.0, True), (tall, 2.0, True)):
+            basis = well_conditioned_basis(a, p=p, seed=1)
+            assert basis.m == 3 and basis.sketched == sketched
+        assert weighted_leverage_scores(small, w, LossSpec.huber(1.0)).bucket_count == 2
 
     def test_colspace_preserved(self):
         rng = np.random.default_rng(4)

@@ -297,6 +297,19 @@ class TestSubspace:
         assert not halves.has_canonical_format
         assert np.array_equal(halves.data, data)
 
+    def test_row_norms_sparse_match_elementwise_square(self):
+        # squares of the canonical copy's entries agree with the row sums of
+        # A .* A on unsorted column indices, repeated entries and integers
+        a = sp.random(2000, 50, density=0.1, format="csr", random_state=21)
+        rows = np.repeat(np.arange(2000), np.diff(a.indptr))
+        order = np.lexsort((-a.indices, rows))  # each row's entries in reverse
+        unsorted = sp.csr_matrix((a.data[order], a.indices[order], a.indptr), shape=a.shape)
+        assert not unsorted.has_sorted_indices
+        ints = sp.csr_matrix(np.arange(-60, 60).reshape(20, 6))
+        for mat in (unsorted, split_halves(unsorted), ints):
+            ref = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1), dtype=float).ravel())
+            assert np.allclose(row_norms(mat), ref, rtol=1e-12, atol=0.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             residual_cost(np.eye(4), Subspace(np.eye(3)[:, :1]), None, LossSpec.lp(1.0))

@@ -122,16 +122,20 @@ class TestDimReduceProperties:
         sigma = math.sqrt(mu) + 1e-9  # Bernoulli sum variance <= mean
         assert abs(np.mean(sizes) - mu) <= 3 * sigma / math.sqrt(60)
 
-    def test_monotone_improvement_with_warm_start(self, set_r1):
+    def test_monotone_improvement_with_warm_start(self, set_p_m, set_r1):
         # the best rank-k inside the enlarged span never costs more than the
-        # best rank-k inside the bicriteria span it grew from
+        # best rank-k inside the bicriteria span it grew from; P_M = 4 makes
+        # const_approx sample, so the bicriteria span is a proper subspace
+        # that residual sampling enlarges
         loss = LossSpec.lp(1.0)
+        set_p_m(4)
         set_r1(2.0)
         for seed in range(5):
             a, _ = planted_lowrank(120, 10, 3, seed=seed, noise=0.1,
                                    outlier_frac=0.02)
             xhat = const_approx(a, 3, loss, seed=seed)
             out = dim_reduce(a, 3, 0.25, xhat, loss, seed=seed)
+            assert xhat.dim < out.dim
             sub_small, cost_small = best_rank_k_in_subspace(a, xhat, 3, loss, seed=seed)
             # lift the small solution into the large span as a warm start
             lifted = out.u.T @ sub_small.u

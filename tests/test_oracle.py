@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import planted_lowrank
-from robsub import LossSpec, Subspace, residual_cost
+from robsub import LossSpec, Subspace, core, oracle, residual_cost
 from robsub.oracle import alternating_reference, exhaustive_tiny, svd_truncation_cost
 from robsub.pipeline import SmallProblem, small_approx
 
@@ -42,6 +43,20 @@ class TestSvdTruncation:
         _, svd_cost = svd_truncation_cost(a, 2, None, loss)
         planted = Subspace(np.eye(10)[:, :2])
         assert residual_cost(a, planted, None, loss) < svd_cost
+
+    @pytest.mark.parametrize("rows", [300, 5000])
+    def test_sparse_input_not_densified(self, monkeypatch, rows):
+        # one QR block and several: the cost is the dense SVD's, and the CSR
+        # input is read through its R factor, never densified whole
+        a = sp.random(rows, 30, density=0.2, format="csr", random_state=rows)
+        a = (sp.diags(np.where(np.arange(rows) < 10, 50.0, 1.0)) @ a).tocsr()
+        loss = LossSpec.huber(1.0)
+        _, _, vt = np.linalg.svd(a.toarray(), full_matrices=False)
+        ref = residual_cost(a, Subspace(vt[:3].T), None, loss)
+        monkeypatch.setattr(oracle, "to_dense", lambda *args: pytest.fail("to_dense called"))
+        monkeypatch.setattr(core, "to_dense", lambda *args: pytest.fail("to_dense called"))
+        _, cost = svd_truncation_cost(a, 3, None, loss)
+        assert abs(cost - ref) <= 1e-10 * ref
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from robsub import (
 )
 from robsub.core import RowView
 from robsub import sketch
-from robsub.sketch import rank_revealing_factor
+from robsub.sketch import orthonormalizer, rank_revealing_factor
 
 
 class TestSparseSketch:
@@ -259,6 +259,12 @@ class TestRankRevealingFactor:
         with pytest.raises(ValueError, match="infs or NaNs"):
             rank_revealing_factor(sp.csr_matrix(a) if sparse else a)
 
+    def test_streamed_r_holds_no_buffer(self):
+        # a caller may keep R for the whole fit: it must not pin the
+        # (width + block) x width buffer it was folded in
+        r = sketch.r_factor(self._rank_deficient(5000))
+        assert r.shape == (12, 12) and r.base is None
+
     @staticmethod
     def _factor_peak(n, d=200):
         a = sp.random(n, d, density=0.01, format="csr", random_state=n)
@@ -275,6 +281,48 @@ class TestRankRevealingFactor:
         peak = self._factor_peak(40000)
         assert peak < 2 * (200 + 2048) * 200 * 8
         assert peak <= 1.1 * self._factor_peak(20000)
+
+
+class TestOrthonormalizer:
+    @staticmethod
+    def _operands():
+        """(name, t, dense rows of t) for each operand form and shape."""
+        rng = np.random.default_rng(41)
+        a = TestRankRevealingFactor._rank_deficient(3000)  # rank 6 of 12, past one block
+        idx = np.sort(rng.choice(3000, 2200, replace=False))
+        scale = np.exp(rng.standard_normal(2200))
+        wide = rng.standard_normal((5, 12))  # R is 5 x 12: fewer rows than columns
+        return [
+            ("dense", a, a),
+            ("csr", sp.csr_matrix(a), a),
+            ("non-canonical csr", split_halves(sp.csr_matrix(a)), a),
+            ("view", RowView((a[:, :8], sp.csr_matrix(a[:, 8:])), idx, scale),
+             a[idx] * scale[:, None]),
+            ("wide", wide, wide),
+            ("wide csr", sp.csr_matrix(wide), wide),
+        ]
+
+    def test_orthonormal_and_matches_svd_route(self):
+        # t F is orthonormal, F keeps as many columns as the SVD keeps
+        # singular values, and the row norms of t F (the p = 2 leverage
+        # scores) are those of the SVD route's basis t V diag(1/sv)
+        for name, t, dense in self._operands():
+            f = orthonormalizer(t)
+            sv, v = rank_revealing_factor(t)
+            assert f.shape == (dense.shape[1], sv.size), name
+            u = dense @ f
+            assert np.abs(u.T @ u - np.eye(sv.size)).max() <= 1e-10, name
+            ref = np.linalg.norm(dense @ v / sv, axis=1)
+            assert np.abs(np.linalg.norm(u, axis=1) - ref).max() <= 1e-10, name
+
+    def test_held_factor_gives_the_same_f(self):
+        # a caller that holds the R of t gets the F it would get from t
+        a = sp.csr_matrix(TestRankRevealingFactor._rank_deficient(3000))
+        assert np.array_equal(orthonormalizer(a, sketch.r_factor(a)), orthonormalizer(a))
+
+    def test_rank_zero_and_empty(self):
+        assert orthonormalizer(np.zeros((40, 5))).shape == (5, 0)
+        assert orthonormalizer(np.zeros((0, 5))).shape == (5, 0)
 
 
 class TestOrthonormalUnion:
