@@ -4,19 +4,21 @@ A basis U for the column space of A is carried implicitly as a
 change-of-basis matrix: U = A F with F = P_r R_r^(-1), where R P = Q' R'
 is a column-pivoted QR of the small R of the sketched product Pi A, R_r
 the leading block of R' whose diagonal lies above the rank tolerance, and
-P_r the pivot columns it keeps.  R comes from a streaming R-only QR,
-which folds one densified block of 2048 rows at a time into a running R,
-in memory independent of the row count.  Any F that makes Pi A F
-orthonormal serves: the conditioning bounds of Dasgupta et al. (2009) and
-Meng & Mahoney (2013) use nothing else, so no SVD is taken.  The sketch
-Pi = S D is a sparse embedding with one nonzero per column, so Pi A costs
-O(nnz(A)) and Pi U is orthonormal: for p in [1, 2) a p-stable one (the
-sparse Cauchy transform of Meng & Mahoney 2013 at p = 1), and for p = 2
-CountSketch (Clarkson & Woodruff 2013), which distorts Euclidean norms by
-at most a constant factor beta.  Where the sketch would not be smaller
-than A, Pi is the identity and U is an exact orthonormal factor, whose row
-norms at p = 2 are the leverage scores of every orthonormal basis of the
-column space.
+P_r the pivot columns it keeps.  R comes from ``sketch.r_factor``, in
+memory independent of the row count: the Cholesky factor of the Gram
+(Pi A)^T (Pi A), summed one block of 2048 rows at a time, when it is
+certified well conditioned, and otherwise a streaming R-only QR, which
+folds one densified block of 2048 rows at a time into a running R.  Any
+F that makes Pi A F orthonormal serves: the conditioning bounds of
+Dasgupta et al. (2009) and Meng & Mahoney (2013) use nothing else, so no
+SVD is taken.  The sketch Pi = S D is a sparse embedding with one nonzero
+per column, so Pi A costs O(nnz(A)) and Pi U is orthonormal: for p in
+[1, 2) a p-stable one (the sparse Cauchy transform of Meng & Mahoney 2013
+at p = 1), and for p = 2 CountSketch (Clarkson & Woodruff 2013), which
+distorts Euclidean norms by at most a constant factor beta.  Where the
+sketch would not be smaller than A, Pi is the identity and U is an exact
+orthonormal factor, whose row norms at p = 2 are the leverage scores of
+every orthonormal basis of the column space.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
@@ -89,15 +91,16 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
     """Build a well-conditioned basis for the column space of A.
 
     The change of basis F = P_r R_r^(-1) comes from ``sketch.orthonormalizer``:
-    a streaming R-only QR of the operand, which folds one dense block of
-    2048 rows at a time into a running R (a sparse A is never densified
-    whole, and the memory does not grow with n), then a column-pivoted QR
-    of the small R, keeping the pivots whose diagonal entry exceeds
-    ``sketch.RANK_TOL`` times the first.  The operand is either Pi A, with
-    Pi = S D the sparse embedding of ``PStableSketch`` that hashes the n
-    rows into s buckets after scaling each by a p-stable draw (a random
-    sign at p = 2), so that Pi A F is orthonormal; or A itself, so that
-    A F is orthonormal.  With m0 the column count of A, the size rule is:
+    the R factor of the operand (``sketch.r_factor``: a Cholesky factor of
+    its Gram when that is well conditioned, else a streaming R-only QR;
+    a sparse A is never densified whole, and the memory does not grow
+    with n), then a column-pivoted QR of the small R, keeping the pivots
+    whose diagonal entry exceeds ``sketch.RANK_TOL`` times the first.  The
+    operand is either Pi A, with Pi = S D the sparse embedding of
+    ``PStableSketch`` that hashes the n rows into s buckets after scaling
+    each by a p-stable draw (a random sign at p = 2), so that Pi A F is
+    orthonormal; or A itself, so that A F is orthonormal.  With m0 the
+    column count of A, the size rule is:
 
     * p in [1, 2): s = c_pi * m0^2, capped at 8192 (and at least 2 m0);
       the sketch is taken when s < n.  This is the sparse Cauchy transform
@@ -198,9 +201,11 @@ def weighted_leverage_scores(
     Drineas, Harb, Kumar & Mahoney 2009).  General p=2 losses use an
     orthonormal basis, scaled by the CountSketch beta when sketched, and
     take the max of the linear and quadratic branches of the row norm.
-    With ``gauss_t`` set, the basis row norms are replaced by the
-    Euclidean norms of U G for a Gaussian G with that many columns scaled
-    by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney & Woodruff 2012).
+    With ``gauss_t`` set below the basis width m, the basis row norms are
+    replaced by the Euclidean norms of U G for a Gaussian G with that many
+    columns scaled by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney &
+    Woodruff 2012).  At gauss_t >= m the estimate, A (F G), would cost no
+    less than the exact norms of A F, so those are taken.
     ``factor``, ``sketch.r_factor(a)`` when the caller holds it, is handed
     to the basis of a lone bucket, which holds every row of ``a``.
     """
@@ -223,7 +228,7 @@ def weighted_leverage_scores(
         basis = well_conditioned_basis(
             sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)),
             factor=factor if levels.size == 1 else None)
-        if gauss_t is not None:
+        if gauss_t is not None and gauss_t < basis.m:
             g = spawn_rng(seed, 31, int(j)).standard_normal((basis.m, gauss_t))
             g /= math.sqrt(gauss_t)
             norms = np.empty(basis.n)

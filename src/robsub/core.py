@@ -202,9 +202,10 @@ def as_weights(w, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # matrix helpers (dense ndarray or scipy.sparse are both accepted)
 
-# rows of an operand gathered and densified at a time by the blockwise passes:
-# the streamed QR factor (of bases and IRLS steps), the exact columns [A U, r],
-# the residual norms and dim_reduce's largest row norm
+# rows of an operand gathered at a time by the blockwise passes: the R factor
+# of bases and IRLS steps (a Gram sum, which keeps a sparse block sparse, or
+# the streamed QR, which densifies it), the exact columns [A U, r], the
+# residual norms and dim_reduce's largest row norm
 _FACTOR_BLOCK = 2048
 
 

@@ -1,6 +1,6 @@
 """Independent reference computations for tests and acceptance checks.
 
-Nothing here shares code with the sampling pipelines but the R-only QR
+Nothing here shares code with the sampling pipelines but the R factor
 ``sketch.r_factor``: the SVD baseline is a closed-form upper bound on the
 optimal cost (exact at p=2 with unit weights), the tiny-instance searches
 enumerate dense candidate sets (of subspaces, or of factors for a small
@@ -36,8 +36,9 @@ def svd_truncation_cost(a, k: int, w=None, loss: LossSpec = None) -> Tuple[Subsp
     Globally optimal for the p=2 loss with unit weights; for other losses
     any subspace upper-bounds the optimum, so this is the natural baseline.
     The right singular vectors of A are those of the small R of
-    ``sketch.r_factor(A)``, a streaming R-only QR, so a sparse A is never
-    densified whole and the n x d left factor is never formed.
+    ``sketch.r_factor(A)`` (the Cholesky factor of the Gram A^T A when that
+    is well conditioned, else a streaming R-only QR), so a sparse A is
+    never densified whole and the n x d left factor is never formed.
     """
     if loss is None:
         raise TypeError("loss is required")

@@ -8,9 +8,10 @@ scores its kept rows through a ``core.RowView`` of [A b], read by index
 with row blocks stacked on demand, so no round copies its rows.  The kept
 rows of A (still CSR for a CSR A) and entries of b are gathered once,
 after the last round, for ``irls_solve``, which never densifies A either:
-each reweighted least-squares step is solved from the small R of a
-streamed R-only QR of the row-scaled view of [A b] (``sketch.r_factor``),
-so IRLS memory is that of A plus O((d + 2048) d).  ``irls_solve`` is also
+each reweighted least-squares step is solved from the small R of the
+row-scaled view of [A b] (``sketch.r_factor``: the Cholesky factor of its
+Gram when that is well conditioned, else a streamed R-only QR), so IRLS
+memory is that of A plus O((d + 2048) d).  ``irls_solve`` is also
 the full-data baseline the sampled solve is measured against.
 """
 
@@ -63,8 +64,8 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
 
     A may be dense or CSR, and is never densified or copied whole.  Each
     step with row weights v solves min ||diag(sqrt v) (A x - b)|| from the
-    R = [[R11, z], [0, rho]] of an R-only QR of diag(sqrt v) [A b], read
-    one block of rows at a time (``sketch.r_factor``): x is the least-norm
+    R = [[R11, z], [0, rho]] of diag(sqrt v) [A b] = Q R, read one block
+    of rows at a time (``sketch.r_factor``): x is the least-norm
     solution of R11 x = z, with the singular-value cutoff of an n x d
     least-squares solve.  The residual A x - b is formed once per iterate
     and serves both the objective and the next weights.

@@ -10,14 +10,16 @@ Three sketch families, each a pure function of its seed:
   p=1, CountSketch at p=2), applied in O(nnz) work to condition bases
   for l_p.
 
-Also provides the R factor of a dense, sparse or row-view operand (a
-streaming R-only QR that folds one dense block of 2048 rows at a time into
-one (width + 2048) x width buffer), which serves every basis, each
-reweighted least-squares step of IRLS and the SVD baseline; the
-rank-revealing factor (the SVD of that small R) and the orthonormal union
-of row blocks built on it, which the samplers feed into; and the change of
-basis F that makes t F orthonormal, from a pivoted QR of that small R,
-which every well-conditioned basis takes.
+Also provides the R factor of a dense, sparse or row-view operand, which
+serves every basis, each reweighted least-squares step of IRLS and the SVD
+baseline: the Cholesky factor of the Gram t^T t, summed one block of 2048
+rows at a time (in sum_i nnz_i^2 work for a sparse t), when LAPACK's
+condition estimate certifies it, and otherwise a streaming R-only QR that
+folds one dense block of 2048 rows at a time into one (width + 2048) x
+width buffer.  On that small R are built the rank-revealing factor (its
+SVD) and the orthonormal union of row blocks, which the samplers feed
+into, and the change of basis F that makes t F orthonormal (from its
+pivoted QR), which every well-conditioned basis takes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from .core import (
 
 # singular values at or below RANK_TOL * sigma_max count as zero
 RANK_TOL = 1e-8
+# the least reciprocal condition estimate at which r_factor keeps the
+# Cholesky factor of the Gram; see r_factor
+_GRAM_RCOND = 1e-5
 
 
 @dataclass(frozen=True)
@@ -113,21 +118,41 @@ def gaussian_row_norm_estimates(a, deflate: Subspace | None, g: np.ndarray) -> n
 
 
 def r_factor(t) -> np.ndarray:
-    """R of an economic R-only QR of t: min(n, width) x width, upper triangular.
+    """An R with t = Q R for an orthonormal Q: min(n, width) x width, upper triangular.
 
-    Blocked Householder, with Q never formed.  A t of at most
-    ``_FACTOR_BLOCK`` rows is factored in one ``np.linalg.qr``.  A taller
-    one is factored as a streaming TSQR (Demmel, Grigori, Hoemmen & Langou
-    2012): each block of B = ``_FACTOR_BLOCK`` rows is written, dense,
-    below the running R in one Fortran-ordered buffer of min(n, width + B)
-    rows, and the buffer is factored in place, R <- qr([R; block]) (LAPACK
-    dgeqrf with its blocked workspace; zero rows below the block leave R
-    as it is).  Memory is O((width + B) width) whatever the row count n,
-    and a sparse block is scattered into the buffer with no dense copy.
-    t may be dense, sparse or a ``RowView``.  Raises ValueError when t
-    holds a NaN or infinity.
+    Q is never formed.  The Gram route is tried first (CholeskyQR;
+    Yamamoto, Nakatsukasa, Yanagisawa & Fukaya 2015): G = t^T t is summed
+    over blocks of ``_FACTOR_BLOCK`` rows (a sparse block by a sparse
+    product, which densifies no block, a dense one by BLAS dsyrk), in
+    sum_i nnz_i^2 work for a sparse t, and R is its Cholesky factor (LAPACK
+    dpotrf).  That R is kept when n >= width, G is finite with no diagonal
+    entry below n times the smallest normal number (so no product that
+    underflowed moves G by more than its rounding), dpotrf succeeds and
+    LAPACK dtrcon's estimate of the reciprocal 1-norm condition number of
+    R is at least ``_GRAM_RCOND`` = 1e-5.  Then sigma_min(t) >= about
+    1e-6 sigma_max(t), far above both ``RANK_TOL`` and the sqrt(eps)
+    sigma_max(t) below which the Gram's rounding hides singular values,
+    so the rank decisions of ``rank_revealing_factor`` and
+    ``orthonormalizer`` are those of a QR; R^T R equals t^T t to rounding,
+    and t R^(-1) is orthonormal to O(eps kappa^2).  The threshold is the
+    loosest at which the dense L1 benchmark's operands (kappa 6e3-1.3e4,
+    estimates 3e-5-8e-5) still take the Gram route.
+
+    Every other t (rank-deficient, ill-conditioned, wide, or with a Gram
+    that overflows or underflows) is factored by blocked Householder: in
+    one ``np.linalg.qr`` up to ``_FACTOR_BLOCK`` rows, and past that as a
+    streaming TSQR (Demmel, Grigori, Hoemmen & Langou 2012), in which
+    each block of B = ``_FACTOR_BLOCK`` rows is written, dense, below the
+    running R in one Fortran-ordered buffer of min(n, width + B) rows,
+    and the buffer is factored in place, R <- qr([R; block]) (LAPACK
+    dgeqrf).  Either route takes memory O((width + B) width) whatever the
+    row count n.  t may be dense, sparse or a ``RowView``.  Raises
+    ValueError when t holds a NaN or infinity.
     """
     view = row_view(t)
+    r = _gram_r(view)
+    if r is not None:
+        return r
     if view.shape[0] <= _FACTOR_BLOCK:
         # a t with no rows is one empty block, whose R is empty
         block = view.block(slice(None))
@@ -182,10 +207,33 @@ def orthonormalizer(t, r=None) -> np.ndarray:
     return f
 
 
+def _gram_r(view: RowView) -> np.ndarray | None:
+    """Cholesky factor R of the Gram t^T t of the view, or None when r_factor's
+    rule does not certify it."""
+    # imported on first use: scipy.linalg adds about 0.13 s to the package's import
+    from scipy.linalg import blas, lapack
+
+    n, width = view.shape
+    if width == 0 or n < width:
+        return None
+    g = np.zeros((width, width), order="F")
+    for _, _, block in view.blocks(_FACTOR_BLOCK):
+        if is_sparse(block):
+            g += (block.T @ block).toarray()
+        else:
+            # block^T block into the upper triangle, which is all dpotrf reads
+            g = blas.dsyrk(1.0, block.T, beta=1.0, c=g, overwrite_c=1)
+    if not np.all(np.isfinite(g)) or g.diagonal().min() <= n * np.finfo(float).tiny:
+        return None
+    r, info = lapack.dpotrf(g, overwrite_a=1)
+    if info != 0 or lapack.dtrcon(r)[0] < _GRAM_RCOND:
+        return None
+    return r
+
+
 def _streamed_r(view: RowView) -> np.ndarray:
     """R of a QR of the view, folding one row block at a time into one buffer."""
-    # imported on first use: scipy.linalg adds about 0.13 s to the package's
-    # import, and only operands taller than one row block need it
+    # imported on first use: scipy.linalg adds about 0.13 s to the package's import
     from scipy.linalg import lapack
 
     n, width = view.shape

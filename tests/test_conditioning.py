@@ -314,10 +314,23 @@ class TestWeightedLeverageScores:
         assert ws.gamma[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_gauss_estimated_scores_close(self):
+        # 300 columns: the basis is wider than the 256 Gaussian columns
         rng = np.random.default_rng(18)
-        a = rng.standard_normal((200, 6))
+        a = rng.standard_normal((1000, 300))
         loss = LossSpec.huber(1.0)
         exact = weighted_leverage_scores(a, None, loss, seed=9)
         est = weighted_leverage_scores(a, None, loss, seed=9, gauss_t=256)
         ratio = est.gamma / exact.gamma
+        assert not np.array_equal(est.gamma, exact.gamma)
         assert np.median(np.abs(ratio - 1.0)) < 0.2
+
+    def test_narrow_basis_scored_exactly(self):
+        # a basis no wider than gauss_t gets its exact row norms: the
+        # Gaussian estimate would cost no less
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((300, 6))
+        w = 1.0 + 6.0 * rng.random(300)
+        loss = LossSpec.huber(1.0)
+        for t in (6, 30):
+            est = weighted_leverage_scores(a, w, loss, seed=9, gauss_t=t)
+            assert np.array_equal(est.gamma, weighted_leverage_scores(a, w, loss, seed=9).gamma)

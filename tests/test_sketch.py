@@ -252,9 +252,16 @@ class TestRankRevealingFactor:
         for t in (a, sp.csr_matrix(a)):
             self._assert_matches_svd(t, a)
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_nan_in_last_block_raises(self, sparse):
-        a = self._rank_deficient(5000)
+    @pytest.mark.parametrize("sparse, conditioned", [(False, False), (True, False),
+                                                     (False, True), (True, True)],
+                             ids=["dense", "csr", "full-rank-dense", "full-rank-csr"])
+    def test_nan_in_last_block_raises(self, sparse, conditioned):
+        # a full-rank operand reaches the Gram route, a rank-deficient one
+        # only the streamed QR
+        if conditioned:
+            a = np.random.default_rng(5).standard_normal((5000, 12))
+        else:
+            a = self._rank_deficient(5000)
         a[4999, 3] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             rank_revealing_factor(sp.csr_matrix(a) if sparse else a)
@@ -281,6 +288,75 @@ class TestRankRevealingFactor:
         peak = self._factor_peak(40000)
         assert peak < 2 * (200 + 2048) * 200 * 8
         assert peak <= 1.1 * self._factor_peak(20000)
+
+
+class TestGramRoute:
+    @staticmethod
+    def _operands():
+        """(name, t, dense rows of t): full-rank operands of several row blocks, kappa about 1e2."""
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((6000, 12)) * np.logspace(0.0, -2.0, 12)
+        a[rng.random(a.shape) < 0.6] = 0.0
+        c = sp.csr_matrix(a)
+        idx = np.sort(rng.choice(6000, 4500, replace=False))
+        scale = np.exp(0.5 * rng.standard_normal(4500))
+        return [
+            ("dense", a, a),
+            ("csr", c, a),
+            ("non-canonical csr", split_halves(c), a),
+            ("view", RowView((a[:, :8], sp.csr_matrix(a[:, 8:])), idx, scale),
+             a[idx] * scale[:, None]),
+        ]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls, streamed = [], sketch._streamed_r
+        monkeypatch.setattr(sketch, "_streamed_r", lambda view: calls.append(1) or streamed(view))
+        return calls
+
+    def test_well_conditioned_takes_the_gram(self, monkeypatch):
+        # R^T R is t^T t to rounding and t R^-1 is orthonormal, with no QR
+        # of any block
+        calls = self._spy(monkeypatch)
+        for name, t, dense in self._operands():
+            r = sketch.r_factor(t)
+            assert r.shape == (12, 12) and np.array_equal(r, np.triu(r)), name
+            gram = dense.T @ dense
+            assert np.abs(r.T @ r - gram).max() <= 1e-12 * np.linalg.norm(dense, 2) ** 2, name
+            u = dense @ np.linalg.inv(r)
+            assert np.abs(u.T @ u - np.eye(12)).max() <= 1e-10, name
+        assert not calls
+
+    @pytest.mark.parametrize("kind", ["rank-deficient", "column-scaled", "wide"])
+    def test_others_take_the_streamed_qr(self, monkeypatch, kind):
+        # a rank-deficient operand, one with a column scaled by 1e-8 and a
+        # wide one (a 16-row block makes its 30 rows several blocks) are
+        # each folded by the streamed QR and meet the SVD thresholds
+        calls = self._spy(monkeypatch)
+        rng = np.random.default_rng(47)
+        if kind == "rank-deficient":
+            a = TestRankRevealingFactor._rank_deficient(5000)
+        elif kind == "column-scaled":
+            a = rng.standard_normal((5000, 12))
+            a[:, 4] *= 1e-8
+        else:
+            monkeypatch.setattr(sketch, "_FACTOR_BLOCK", 16)
+            a = rng.standard_normal((30, 40))
+        for t in (a, sp.csr_matrix(a)):
+            TestRankRevealingFactor._assert_matches_svd(t, a)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_gram_out_of_range_takes_the_streamed_qr(self, sparse, scale):
+        # a finite operand whose Gram overflows, or underflows into
+        # subnormals, is factored by the streamed QR and raises nothing
+        a = np.random.default_rng(53).standard_normal((5000, 10))
+        t = sp.csr_matrix(a * scale) if sparse else a * scale
+        r = sketch.r_factor(t)
+        assert np.array_equal(r, sketch._streamed_r(sketch.row_view(t)))
+        sv = np.linalg.svd(r, compute_uv=False) / scale
+        assert np.allclose(sv, np.linalg.svd(a, compute_uv=False), rtol=1e-12, atol=0.0)
 
 
 class TestOrthonormalizer:
