@@ -13,7 +13,12 @@ several rounds carrying weights w / q.  No n x d array is formed.
 
 The small solver is heuristic by design: a reweighted-PCA alternation runs
 from every start, and projected gradient descent on the orthonormal
-factor polishes the best of its iterates once.
+factor polishes the best of its iterates once.  Each alternation step
+takes the top-k eigenvectors of the m x m matrix X^T Psi X from a block
+Krylov space warm-started at the current factor, which applies the matrix
+through X and never forms it, and keeps them only under a residual
+certificate; narrow problems, and steps without the certificate, form the
+matrix and solve it with LAPACK.
 """
 
 from __future__ import annotations
@@ -42,6 +47,12 @@ from .sampling import _KAPPA, _SHRINK, leverage_rounds
 
 _M2_LEVEL_C = 1.0    # per-round sample multiplier of the p=2 pipeline
 _RESTARTS = 10       # starts of the small solve's alternation
+# the alternation's eigen step: from this width m on, a block Krylov space of at
+# most _KRYLOV_BLOCKS blocks replaces the formed m x m matrix, and its top-k Ritz
+# pairs are kept when their residual is at most _KRYLOV_CERT times the certified gap
+_KRYLOV_MIN_WIDTH = 64
+_KRYLOV_BLOCKS = 12
+_KRYLOV_CERT = 1e-12
 
 
 class CapExceededError(RuntimeError):
@@ -134,25 +145,68 @@ def _bottom_eigenvectors(h: np.ndarray, k: int) -> np.ndarray:
     return vecs
 
 
-def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, iters: int = 50):
+def _top_eigenvectors(x: np.ndarray, psi: np.ndarray, k: int, v0: np.ndarray):
+    """The top k eigenvectors of H = X^T diag(psi) X, psi >= 0, and whether
+    the Krylov certificate failed and the formed H was solved instead.
+
+    From a width m of ``_KRYLOV_MIN_WIDTH`` on, a block Krylov space of H
+    grows from the orthonormal m x k start v0, with H applied only as
+    X^T (psi o (X V)); each new block H Q_last is made orthonormal to the
+    space by a Householder QR of [Q, H Q_last].  The top k Ritz pairs
+    (Y, Theta) of the space are returned once ||H Y - Y Theta||_F <=
+    ``_KRYLOV_CERT`` * gap, gap = theta_k - (trace(H) - sum Theta): as H
+    is positive semidefinite, trace(H) - sum Theta bounds the sum of its
+    other eigenvalues, so lambda_{k+1} too, and by Davis-Kahan Y Y^T is
+    then within sqrt(2) ``_KRYLOV_CERT`` of H's top-k projector.  Narrower
+    widths, and a space that meets no certificate within
+    ``_KRYLOV_BLOCKS`` blocks, form H and solve it directly; Krylov
+    (Musco & Musco 2015) saves the m x m product and the tridiagonalization.
+    """
+    m = x.shape[1]
+    krylov = m >= _KRYLOV_MIN_WIDTH
+    if krylov:
+        trace_h = float(np.dot(psi, np.einsum("ij,ij->i", x, x)))
+        q = v0
+        hq = x.T @ (psi[:, None] * (x @ q))
+        for _ in range(_KRYLOV_BLOCKS):
+            theta, s = np.linalg.eigh(q.T @ hq)
+            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            y = q @ s
+            gap = theta[-1] - (trace_h - theta.sum())
+            if np.linalg.norm(hq @ s - y * theta) <= _KRYLOV_CERT * gap:
+                return y, False
+            if q.shape[1] + k > m:
+                break
+            new = np.linalg.qr(np.hstack([q, hq[:, -k:]]))[0][:, q.shape[1]:]
+            q = np.hstack([q, new])
+            hq = np.hstack([hq, x.T @ (psi[:, None] * (x @ new))])
+    return _bottom_eigenvectors(-(x.T @ (psi[:, None] * x)), k), krylov
+
+
+def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, tally: dict,
+                iters: int = 50):
     """Reweighted-PCA alternation for the projector objective.
 
     At the current iterate the loss is majorized by a quadratic with
     per-row weights psi_i = w_i M'(n_i) / (2 n_i) at the residual norms
     n_i.  For orthonormal W, ||X_i W W^T - X_i||^2 = ||X_i||^2 - ||X_i W||^2,
     so the quadratic is minimized by the top-k eigenvectors of X^T Psi X,
-    the bottom k of its negative.
-    Every iterate is scored by the true objective and the best is kept;
-    its residual norms give both its cost and the next step's weights.
+    taken by ``_top_eigenvectors`` from a Krylov space grown from the
+    current W.  Every iterate is scored by the true objective and the best
+    is kept; its residual norms give both its cost and the next step's
+    weights.  Steps and eigen fallbacks are added to ``tally``.
     """
     x = prob.x
     w_factor = w0
     norms = prob.residual(w0)[1]
     best_w, best_cost = w0, float(np.dot(prob.w, m_value(loss, norms)))
     for _ in range(iters):
+        tally["small_mm_steps"] += 1
         floored = np.maximum(norms, 1e-12)
         psi = prob.w * m_derivative(loss, floored) / (2.0 * floored)
-        w_new = _orthonormal(_bottom_eigenvectors(-(x.T @ (psi[:, None] * x)), prob.k))
+        top, fell_back = _top_eigenvectors(x, psi, prob.k, w_factor)
+        tally["small_eigen_fallbacks"] += fell_back
+        w_new = _orthonormal(top)
         if np.linalg.norm(w_new @ (w_new.T @ w_factor) - w_factor) < 1e-12:
             break
         w_factor = w_new
@@ -202,18 +256,23 @@ def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
 
 
 def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
-                 cap: int = 400) -> np.ndarray:
+                 cap: int = 400, trace: Optional[dict] = None) -> np.ndarray:
     """Approximately minimize the small problem's cost over orthonormal W.
 
     Runs the reweighted-PCA alternation from a coordinate start and from
     random factors, ``_RESTARTS`` starts in all, then polishes the
     lowest-cost of those iterates once by projected gradient descent with
-    backtracking.
+    backtracking.  ``trace`` receives the alternation steps of all starts
+    (``small_mm_steps``), the steps whose Krylov certificate failed
+    (``small_eigen_fallbacks``) and whether the polish hit its iteration
+    cap (``small_search_capped``).
     """
     if prob.max_side() > cap:
         raise CapExceededError(
             f"small problem has side {prob.max_side()} > cap {cap}; raise the "
             "cap or lower the sampling targets")
+    tally = {} if trace is None else trace
+    tally.update(small_mm_steps=0, small_eigen_fallbacks=0, small_search_capped=False)
     k, m = prob.k, prob.domain_dim
     if k == m:
         return np.eye(m)
@@ -224,8 +283,9 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
     while len(starts) < _RESTARTS:
         starts.append(_orthonormal(rng.standard_normal((m, k))))
 
-    w_mm, _ = min((_mm_descent(prob, loss, w0) for w0 in starts), key=lambda r: r[1])
+    w_mm, _ = min((_mm_descent(prob, loss, w0, tally) for w0 in starts), key=lambda r: r[1])
     best_w, converged = _local_search_from(prob, loss, w_mm)
+    tally["small_search_capped"] = not converged
     if not converged:
         warnings.warn("small-problem search hit the iteration cap; returning "
                       "best iterate", RuntimeWarning)
@@ -330,7 +390,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     kept = row_view(scored, idx, scale).block(slice(None))
     prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
-                            cap=max(cfg.small_cap, cfg.t_rows_target + 1))
+                            cap=max(cfg.small_cap, cfg.t_rows_target + 1), trace=tr)
     return _final_factor(u, w_factor)
 
 

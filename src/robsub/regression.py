@@ -59,8 +59,10 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
 
     Per-residual weight M'(|r|) / (2 |r|) with |r| floored at 1e-12; the
     objective is forced non-increasing by halving the step toward the new
-    iterate whenever a full step would increase it.  Returns the best
-    iterate (and the per-iteration objective history on request).
+    iterate whenever a full step would increase it by more than
+    tol * max(obj, 1), and the solve stops at a step that does not lower
+    it.  Returns the best iterate (and the per-iteration objective history
+    on request).
 
     A may be dense or CSR, and is never densified or copied whole.  Each
     step with row weights v solves min ||diag(sqrt v) (A x - b)|| from the
@@ -96,13 +98,14 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
         ares = np.maximum(np.abs(resid), _RESID_FLOOR)
         x_new = solve(np.maximum(wv * m_derivative(loss, ares) / (2.0 * ares), 0.0))
         resid_new, obj_new = evaluate(x_new)
-        # divergence guard: fall back toward the current iterate if needed
+        # divergence guard: fall back toward the current iterate if the step
+        # rises by more than the stopping tolerance, which is above rounding
         halvings = 0
-        while obj_new > obj + 1e-12 and halvings < 40:
+        while obj_new > obj + tol * max(obj, 1.0) and halvings < 40:
             x_new = 0.5 * (x_new + x)
             resid_new, obj_new = evaluate(x_new)
             halvings += 1
-        if obj_new > obj + 1e-12:
+        if obj_new > obj:
             break
         improved = obj - obj_new
         x, resid, obj = x_new, resid_new, obj_new

@@ -173,6 +173,26 @@ class TestApproxCommand:
         assert res["d"] == 450 and res["trace"]["reduced_dim"] < 450
         assert res["v_cost_p"] < res["baseline_svd_v_cost_p"]
 
+    def test_full_stage_traces_small_solve(self, tmp_path):
+        # CSR 3000 x 200, rank 3 plus noise and 30 outlier rows: the small
+        # problem is 201 wide, above the Krylov crossover, and every eigen
+        # step of its alternation is certified
+        rng = np.random.default_rng(0)
+        a = (rng.standard_normal((3000, 3)) @ rng.standard_normal((3, 200))
+             + 0.05 * rng.standard_normal((3000, 200)))
+        a[:30] = 30.0 * rng.standard_normal((30, 200))
+        mtx, report = tmp_path / "planted200.mtx", tmp_path / "r.json"
+        save_matrix_market(mtx, sp.csr_matrix(a))
+        rc = main(["approx", "--input", str(mtx), "--k", "3", "--loss", "huber",
+                   "--stage", "full", "--seed", "1", "--report", str(report)])
+        assert rc == EXIT_OK
+        res = _load(report)["results"]
+        assert res["trace"]["reduced_dim"] == 200
+        assert res["trace"]["small_mm_steps"] >= 10
+        assert res["trace"]["small_eigen_fallbacks"] == 0
+        assert res["trace"]["small_search_capped"] is False
+        assert res["v_cost_p"] < res["baseline_svd_v_cost_p"]
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = main(["approx", "--input", str(tmp_path / "nope.mtx"), "--k", "2"])
         assert rc == EXIT_INPUT

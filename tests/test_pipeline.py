@@ -160,6 +160,80 @@ class TestSmallApprox:
         assert np.array_equal(w, np.eye(8))
         assert calls == {"_mm_descent": 0, "_local_search_from": 0}
 
+    @staticmethod
+    def _spy_direct(monkeypatch):
+        calls = []
+        real = pipeline._bottom_eigenvectors
+
+        def spy(h, k):
+            calls.append(h.shape)
+            return real(h, k)
+
+        monkeypatch.setattr(pipeline, "_bottom_eigenvectors", spy)
+        return calls
+
+    @pytest.mark.parametrize("m", [64, 200, 400])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_top_eigenvectors_certified_match_eigh(self, monkeypatch, m, k):
+        # 300 rows of a planted rank-k span off by noise from 1e-12 to 1 in
+        # norm, a third of them gross outliers; psi is the |x|^1 majorizer's
+        # weights at the span, 1 / (2 n_i) with n_i floored at 1e-12
+        rng = np.random.default_rng(m * 10 + k)
+        basis = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        x = rng.standard_normal((300, k)) @ basis.T
+        x += 10.0 ** rng.uniform(-12, 0, (300, 1)) * rng.standard_normal((300, m)) / np.sqrt(m)
+        x[::3] += 10.0 * rng.standard_normal((100, m))
+        norms = np.maximum(np.linalg.norm(x - x @ basis @ basis.T, axis=1), 1e-12)
+        psi = 1.0 / (2.0 * norms)
+        assert psi.min() < 1e-1 and psi.max() > 1e10
+        calls = self._spy_direct(monkeypatch)
+        v0 = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        y, fell_back = pipeline._top_eigenvectors(x, psi, k, v0)
+        ref = np.linalg.eigh(x.T @ (psi[:, None] * x))[1][:, -k:]
+        assert not fell_back and calls == []
+        assert y.shape == (m, k)
+        assert np.abs(y @ y.T - ref @ ref.T).max() <= 1e-11
+
+    def test_top_eigenvectors_tie_falls_back(self, monkeypatch):
+        # lambda_3 = lambda_4: no gap, so no certificate, and the formed H is solved
+        m, k = 64, 3
+        rng = np.random.default_rng(5)
+        rot = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        lam = np.concatenate([[5.0, 4.0, 3.0, 3.0], np.full(m - 4, 1e-6)])
+        x = np.sqrt(lam)[:, None] * rot
+        calls = self._spy_direct(monkeypatch)
+        y, fell_back = pipeline._top_eigenvectors(x, np.ones(m), k, rot[:, 10:13])
+        assert fell_back and calls == [(m, m)]
+        h = x.T @ x
+        assert np.abs(h @ y - y * np.diag(y.T @ h @ y)).max() <= 1e-12
+        assert np.linalg.norm(y[:, :2] @ y[:, :2].T - rot[:2].T @ rot[:2]) <= 1e-10
+
+    def test_separated_planted_problem_never_falls_back(self, monkeypatch):
+        m, k = 200, 3
+        rng = np.random.default_rng(6)
+        basis = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        x = 10.0 * rng.standard_normal((300, k)) @ basis.T + 0.1 * rng.standard_normal((300, m))
+        prob = SmallProblem(np.hstack([x, 0.1 * rng.random((300, 1))]), None, k)
+        calls = self._spy_direct(monkeypatch)
+        trace = {}
+        w = small_approx(prob, LossSpec.huber(1.0), seed=0, trace=trace)
+        assert calls == []
+        assert trace["small_eigen_fallbacks"] == 0 and trace["small_mm_steps"] >= 10
+        assert trace["small_search_capped"] is False
+        assert np.linalg.norm(w @ w.T - basis @ basis.T) <= 0.05
+
+    @pytest.mark.parametrize("m", [20, pipeline._KRYLOV_MIN_WIDTH - 1])
+    def test_below_crossover_is_direct_path(self, monkeypatch, m):
+        prob = _random_problem(13, m_prime=2 * m, m=m, k=3)
+        loss = LossSpec.huber(1.0)
+        w = small_approx(prob, loss, seed=4)
+
+        def direct(x, psi, k, v0):
+            return pipeline._bottom_eigenvectors(-(x.T @ (psi[:, None] * x)), k), False
+
+        monkeypatch.setattr(pipeline, "_top_eigenvectors", direct)
+        assert np.array_equal(w, small_approx(prob, loss, seed=4))
+
 
 class TestApproxLp:
     def test_exact_rank_k(self):

@@ -76,6 +76,27 @@ class TestIrls:
             _, hist = irls_solve(a, b, None, loss, return_history=True)
             assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
 
+    def test_converged_step_not_halved(self, monkeypatch):
+        # outliers of size 1e4 put the objective near 4e5, where a converged
+        # step moves it by rounding (one ulp is about 6e-11): such a step
+        # ends the solve, so every pass of the objective is one iterate
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((5000, 5))
+        b = a @ rng.standard_normal(5) + 0.1 * rng.standard_normal(5000)
+        rows = rng.choice(5000, 50, replace=False)
+        b[rows] += 1e4 * rng.standard_normal(50)
+        passes = []
+        real = regression._weighted_cost
+
+        def spy(*args):
+            passes.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(regression, "_weighted_cost", spy)
+        _, hist = irls_solve(a, b, None, LossSpec.huber(1.0), return_history=True)
+        # the iterates kept, plus at most the one step that ended the solve
+        assert len(passes) <= len(hist) + 1
+
     def test_huber_matches_independent_solver(self):
         # smooth huber objective: compare with a BFGS solve from scipy
         rng = np.random.default_rng(4)
