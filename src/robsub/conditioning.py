@@ -2,23 +2,22 @@
 
 A basis U for the column space of A is carried implicitly as a
 change-of-basis matrix: U = A F with F = P_r R_r^(-1), where R P = Q' R'
-is a column-pivoted QR of the small R of the sketched product Pi A, R_r
-the leading block of R' whose diagonal lies above the rank tolerance, and
-P_r the pivot columns it keeps.  R comes from ``sketch.r_factor``, in
-memory independent of the row count: the Cholesky factor of the Gram
-(Pi A)^T (Pi A), summed one block of 2048 rows at a time, when it is
-certified well conditioned, and otherwise a streaming R-only QR, which
-folds one densified block of 2048 rows at a time into a running R.  Any
-F that makes Pi A F orthonormal serves: the conditioning bounds of
+is a column-pivoted QR of the small R of the operand, R_r the leading
+block of R' whose diagonal lies above the rank tolerance, and P_r the
+pivot columns it keeps.  R comes from ``sketch.r_factor``, in memory
+independent of the row count: the Cholesky factor of the operand's Gram,
+summed one block of 2048 rows at a time, when it is certified well
+conditioned, and otherwise a streaming R-only QR, which folds one
+densified block of 2048 rows at a time into a running R.  Any F that
+makes the operand times F orthonormal serves: the conditioning bounds of
 Dasgupta et al. (2009) and Meng & Mahoney (2013) use nothing else, so no
-SVD is taken.  The sketch Pi = S D is a sparse embedding with one nonzero
-per column, so Pi A costs O(nnz(A)) and Pi U is orthonormal: for p in
-[1, 2) a p-stable one (the sparse Cauchy transform of Meng & Mahoney 2013
-at p = 1), and for p = 2 CountSketch (Clarkson & Woodruff 2013), which
-distorts Euclidean norms by at most a constant factor beta.  Where the
-sketch would not be smaller than A, Pi is the identity and U is an exact
-orthonormal factor, whose row norms at p = 2 are the leverage scores of
-every orthonormal basis of the column space.
+SVD is taken.  At p = 2 the operand is A itself, so U is an exact
+orthonormal factor, whose squared row norms are the leverage scores of
+every orthonormal basis of the column space.  For p in [1, 2) it is the
+sketched product Pi A when that has fewer rows than A, with Pi = S D a
+sparse p-stable embedding with one nonzero per column (the sparse Cauchy
+transform of Meng & Mahoney 2013 at p = 1), so Pi A costs O(nnz(A)) and
+Pi U is orthonormal; otherwise it is A.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
@@ -28,7 +27,7 @@ builds one basis per bucket, and doubles the per-row scores.  A bucket is
 never copied out of its source: its basis holds the source and the
 bucket's row indices (a ``core.RowView``), its sketch places the bucket's
 columns at those rows of an operator over every source row, and its QR
-and row-norm passes gather one block of its rows at a time.
+and power-sum passes gather one block of its rows at a time.
 """
 
 from __future__ import annotations
@@ -52,13 +51,9 @@ from .core import (
 from .sketch import make_pstable_sketch, orthonormalizer
 
 _ROW_BLOCK = 8192
-# size rule of well_conditioned_basis: c_pi m0^2 hash buckets, the p < 2 cap
-# on them and the p = 2 row floor for sketching
+# p < 2 size rule of well_conditioned_basis: c_pi m0^2 hash buckets and their cap
 _C_PI = 20.0
 _STABLE_ROW_CAP = 8192
-# beta of a CountSketch-conditioned p = 2 basis, 1 + eps at eps = 1/2; see
-# well_conditioned_basis
-_P2_SKETCH_BETA = 1.5
 
 
 @dataclass(frozen=True)
@@ -70,7 +65,6 @@ class WellConditionedBasis:
     n: int
     m: int
     _a: RowView                   # n x m0 operand A, read a block of rows at a time
-    sketched: bool                # F comes from a sketch Pi A, not from A itself
 
     def iter_row_blocks(self, block_rows: int = _ROW_BLOCK, right=None):
         """Row blocks of U, or of U @ right taken as A @ (F @ right)."""
@@ -78,11 +72,12 @@ class WellConditionedBasis:
         for lo, hi, block in self._a.blocks(block_rows):
             yield lo, hi, matmul_dense(block, f)
 
-    def row_norms_lp(self) -> np.ndarray:
-        """||U_i||_p for every row, computed blockwise."""
+    def row_power_sums(self) -> np.ndarray:
+        """||U_i||_p^p = sum_j |U_ij|^p for every row, computed blockwise."""
         out = np.empty(self.n)
         for lo, hi, block in self.iter_row_blocks():
-            out[lo:hi] = np.sum(np.abs(block) ** self.p, axis=1) ** (1.0 / self.p)
+            out[lo:hi] = (np.einsum("ij,ij->i", block, block) if self.p == 2.0
+                          else np.sum(np.abs(block) ** self.p, axis=1))
         return out
 
 
@@ -95,33 +90,23 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
     its Gram when that is well conditioned, else a streaming R-only QR;
     a sparse A is never densified whole, and the memory does not grow
     with n), then a column-pivoted QR of the small R, keeping the pivots
-    whose diagonal entry exceeds ``sketch.RANK_TOL`` times the first.  The
-    operand is either Pi A, with Pi = S D the sparse embedding of
-    ``PStableSketch`` that hashes the n rows into s buckets after scaling
-    each by a p-stable draw (a random sign at p = 2), so that Pi A F is
-    orthonormal; or A itself, so that A F is orthonormal.  With m0 the
-    column count of A, the size rule is:
+    whose diagonal entry exceeds ``sketch.RANK_TOL`` times the first.  With
+    m0 the column count of A:
 
-    * p in [1, 2): s = c_pi * m0^2, capped at 8192 (and at least 2 m0);
-      the sketch is taken when s < n.  This is the sparse Cauchy transform
-      of Meng & Mahoney (2013) at p = 1.
-    * p = 2: s = ceil(c_pi * m0^2), uncapped; the sketch (CountSketch) is
-      taken only when n > max(s, 8192), and otherwise the exact
-      factor with beta = 1.  A sketched basis has beta = 1.5: when Pi is a
-      (1 +- 1/2) subspace embedding of the column space,
-      ||x|| = ||Pi U x|| <= 1.5 ||U x||, and the singular values of U lie in
-      [2/3, 2].  By the second moment of CountSketch,
-      E ||(Pi Q)^T Pi Q - I||_F^2 <= (m0^2 + m0) / s for an orthonormal Q,
-      that fails with probability at most 16 (1 + 1/m0) / (9 c_pi), about
-      0.09 at c_pi = 20.  Measured on 300 000 x 21 Gaussian rows with 50
-      rows scaled by 100, the singular values of U lay in [0.93, 1.15]
-      over three seeds.
+    * p = 2: the operand is A, whatever n is, so A F is orthonormal and
+      its squared row norms are the exact leverage scores.
+    * p in [1, 2): the operand is Pi A, with Pi = S D the sparse embedding
+      of ``PStableSketch`` that hashes the n rows into s buckets after
+      scaling each by a p-stable draw, so that Pi A F is orthonormal;
+      s = c_pi * m0^2, capped at 8192 (and at least 2 m0), and the sketch
+      is taken when s < n, A itself otherwise.  This is the sparse Cauchy
+      transform of Meng & Mahoney (2013) at p = 1.
 
     Here c_pi = 20; it and the cap are the module constants _C_PI and
     _STABLE_ROW_CAP.  The reported width m is the numerical rank, which
     drops below m0 when the columns of A are dependent.  A may be dense,
     sparse or a ``RowView``.  ``factor`` is ``sketch.r_factor(A)`` when the
-    caller already holds it: an unsketched basis is then built from it,
+    caller already holds it: a basis of A itself is then built from it,
     with no second factorization.
     """
     if not (1.0 <= p <= 2.0):
@@ -131,23 +116,17 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
     if n == 0 or m0 == 0:
         raise ValueError("empty operand")
 
-    if p == 2.0:
-        s = math.ceil(_C_PI * m0 * m0)
-        sketched = n > max(s, _STABLE_ROW_CAP)
-    else:
-        s = int(min(max(2 * m0, math.ceil(_C_PI * m0 * m0)), max(_STABLE_ROW_CAP, 2 * m0)))
-        sketched = s < n
-    if sketched:
+    s = int(min(max(2 * m0, math.ceil(_C_PI * m0 * m0)), max(_STABLE_ROW_CAP, 2 * m0)))
+    if p < 2.0 and s < n:
         pi = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p)
         f = orthonormalizer(pi.apply(view))
     else:
-        # no sketch when exact factorization is cheaper; identity is an
-        # exact subspace embedding
+        # the identity is an exact subspace embedding
         f = orthonormalizer(view, factor)
 
     if f.shape[1] == 0:
         raise ValueError("operand has numerical rank zero")
-    return WellConditionedBasis(f, float(p), n, f.shape[1], view, sketched)
+    return WellConditionedBasis(f, float(p), n, f.shape[1], view)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +149,11 @@ class LeverageScores:
         return float(self.gamma.sum())
 
 
-def _row_scores(loss: LossSpec, basis: WellConditionedBasis, norms: np.ndarray) -> np.ndarray:
+def _row_scores(loss: LossSpec, sums: np.ndarray) -> np.ndarray:
+    """Unweighted scores from a basis's row power sums ||U_i||_p^p."""
     if loss.is_lp:
-        return norms ** loss.p
-    beta = _P2_SKETCH_BETA if basis.sketched else 1.0
-    return np.maximum(beta * norms / loss.c_m, (beta * norms) ** 2)
+        return sums
+    return np.maximum(np.sqrt(sums) / loss.c_m, sums)
 
 
 def weighted_leverage_scores(
@@ -198,11 +177,11 @@ def weighted_leverage_scores(
     so |U_i x|^p <= ||U_i||_p^p ||U x||_p^p.  For a sketched basis the
     bound holds up to the sketch's distortion, a factor common to every
     row that would set only how many rows to draw, not which (Dasgupta,
-    Drineas, Harb, Kumar & Mahoney 2009).  General p=2 losses use an
-    orthonormal basis, scaled by the CountSketch beta when sketched, and
-    take the max of the linear and quadratic branches of the row norm.
-    With ``gauss_t`` set below the basis width m, the basis row norms are
-    replaced by the Euclidean norms of U G for a Gaussian G with that many
+    Drineas, Harb, Kumar & Mahoney 2009).  General p=2 losses use the
+    exact orthonormal basis and take the max of the linear and quadratic
+    branches of the row norm, max(||U_i|| / c_m, ||U_i||^2).
+    With ``gauss_t`` set below the basis width m, the squared basis row
+    norms are replaced by those of U G for a Gaussian G with that many
     columns scaled by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney &
     Woodruff 2012).  At gauss_t >= m the estimate, A (F G), would cost no
     less than the exact norms of A F, so those are taken.
@@ -231,10 +210,10 @@ def weighted_leverage_scores(
         if gauss_t is not None and gauss_t < basis.m:
             g = spawn_rng(seed, 31, int(j)).standard_normal((basis.m, gauss_t))
             g /= math.sqrt(gauss_t)
-            norms = np.empty(basis.n)
+            sums = np.empty(basis.n)
             for lo, hi, block in basis.iter_row_blocks(right=g):
-                norms[lo:hi] = np.sqrt(np.einsum("ij,ij->i", block, block))
+                sums[lo:hi] = np.einsum("ij,ij->i", block, block)
         else:
-            norms = basis.row_norms_lp()
-        gamma[rows] = 2.0 * _row_scores(loss, basis, norms)
+            sums = basis.row_power_sums()
+        gamma[rows] = 2.0 * _row_scores(loss, sums)
     return LeverageScores(gamma, bases)

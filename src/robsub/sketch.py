@@ -6,9 +6,9 @@ Three sketch families, each a pure function of its seed:
   applied on the right in O(s * nnz) work to reduce column count;
 * Gaussian sketches, plain d x t arrays, for the residual row-norm
   estimates of residual sampling, deflating a known subspace on the fly;
-* sparse p-stable embeddings Pi = S D (the sparse Cauchy transform at
-  p=1, CountSketch at p=2), applied in O(nnz) work to condition bases
-  for l_p.
+* sparse p-stable embeddings Pi = S D for p in [1, 2) (the sparse
+  Cauchy transform at p=1), applied in O(nnz) work to condition bases
+  for l_p; p = 2 bases need none, as they take the exact factor.
 
 Also provides the R factor of a dense, sparse or row-view operand, which
 serves every basis, each reweighted least-squares step of IRLS and the SVD
@@ -139,27 +139,22 @@ def r_factor(t) -> np.ndarray:
     estimates 3e-5-8e-5) still take the Gram route.
 
     Every other t (rank-deficient, ill-conditioned, wide, or with a Gram
-    that overflows or underflows) is factored by blocked Householder: in
-    one ``np.linalg.qr`` up to ``_FACTOR_BLOCK`` rows, and past that as a
-    streaming TSQR (Demmel, Grigori, Hoemmen & Langou 2012), in which
-    each block of B = ``_FACTOR_BLOCK`` rows is written, dense, below the
-    running R in one Fortran-ordered buffer of min(n, width + B) rows,
-    and the buffer is factored in place, R <- qr([R; block]) (LAPACK
-    dgeqrf).  Either route takes memory O((width + B) width) whatever the
-    row count n.  t may be dense, sparse or a ``RowView``.  Raises
-    ValueError when t holds a NaN or infinity.
+    that overflows or underflows) is factored by a streaming TSQR
+    (Demmel, Grigori, Hoemmen & Langou 2012), in which each block of
+    B = ``_FACTOR_BLOCK`` rows is written, dense, below the running R in
+    one Fortran-ordered buffer of min(n, width + B) rows, and the buffer
+    is factored in place, R <- qr([R; block]) (LAPACK dgeqrf); a t of at
+    most B rows is one block, factored once.  Either route takes memory
+    O((width + B) width) whatever the row count n.  t may be dense, sparse
+    or a ``RowView``.  Raises ValueError when t holds a NaN or infinity.
     """
     view = row_view(t)
+    if 0 in view.shape:
+        return np.zeros((0, view.shape[1]))  # dgeqrf_lwork rejects an empty t
     r = _gram_r(view)
-    if r is not None:
-        return r
-    if view.shape[0] <= _FACTOR_BLOCK:
-        # a t with no rows is one empty block, whose R is empty
-        block = view.block(slice(None))
-        r = np.linalg.qr(block.toarray() if is_sparse(block) else block, mode="r")
-    else:
+    if r is None:
         r = _streamed_r(view)
-    check_finite(r)  # a NaN or inf anywhere in t reaches R
+        check_finite(r)  # a NaN or inf anywhere in t reaches R
     return r
 
 
@@ -312,16 +307,12 @@ class PStableSketch:
 
     D is diagonal and S hashes each of the n input rows to one of the s
     output rows, so Pi has a single nonzero per column and Pi @ B costs
-    O(nnz(B)).  For p < 2 the diagonal holds n i.i.d. standard p-stable
-    draws; at p=1 this is the sparse Cauchy transform of Meng & Mahoney
-    (2013), "Low-distortion subspace embeddings in input-sparsity time and
-    applications to robust linear regression".  At p=2 it holds random
-    signs, which makes Pi CountSketch, an l_2 subspace embedding with
-    O(m^2) rows (Clarkson & Woodruff 2013).  Gaussian draws, though
-    2-stable, spread the singular values of the conditioned basis far
-    wider: over 20 seeds of 20 000 x 8 Gaussian rows with 30 rows scaled by
-    100, sketched to 1 280 rows, they lay in [0.46, 2.49] against
-    [0.77, 1.45] with signs.
+    O(nnz(B)).  For p in [1, 2) the diagonal holds n i.i.d. standard
+    p-stable draws; at p=1 this is the sparse Cauchy transform of Meng &
+    Mahoney (2013), "Low-distortion subspace embeddings in input-sparsity
+    time and applications to robust linear regression".  No p = 2 basis
+    is sketched: its exact factor costs no more than the pass that scores
+    its rows.
     """
 
     s: int
@@ -333,10 +324,7 @@ class PStableSketch:
         """Pi as an (s, n) sparse matrix: column j holds D_jj in row h(j)."""
         rng = spawn_rng(self.seed, 17)
         buckets = rng.integers(0, self.s, size=self.n)
-        if self.p == 2.0:
-            diag = rng.integers(0, 2, size=self.n) * 2.0 - 1.0
-        else:
-            diag = _stable_draws(rng, self.n, self.p)
+        diag = _stable_draws(rng, self.n, self.p)
         return sp.csc_matrix((diag, buckets, np.arange(self.n + 1)), shape=(self.s, self.n))
 
     def apply(self, b):
@@ -349,9 +337,9 @@ class PStableSketch:
 
 
 def make_pstable_sketch(seed: int, s: int, n: int, p: float) -> PStableSketch:
-    """Sparse embedding Pi = S D with s rows for n-row operands, p in [1, 2]."""
-    if not (1.0 <= p <= 2.0):
-        raise ValueError(f"p={p} outside [1, 2]")
+    """Sparse embedding Pi = S D with s rows for n-row operands, p in [1, 2)."""
+    if not (1.0 <= p < 2.0):
+        raise ValueError(f"p={p} outside [1, 2)")
     if s < 1 or n < 1:
         raise ValueError("sketch dimensions must be positive")
     return PStableSketch(int(s), int(n), float(p), int(seed))

@@ -14,31 +14,41 @@ from robsub import bicriteria, conditioning
 from robsub.core import m_value
 
 
+@pytest.fixture
+def sketches(monkeypatch):
+    """Every p-stable sketch that conditioning makes, in order."""
+    made = []
+    make = conditioning.make_pstable_sketch
+    monkeypatch.setattr(conditioning, "make_pstable_sketch",
+                        lambda *args: made.append(make(*args)) or made[-1])
+    return made
+
+
 class TestWellConditionedBasis:
-    def test_identity_p2_orthonormal(self):
+    def test_identity_p2_orthonormal(self, sketches):
         basis = well_conditioned_basis(np.eye(5), p=2.0, seed=0)
         u = basis_rows(basis)
         assert np.allclose(u.T @ u, np.eye(5), atol=1e-12)
-        assert not basis.sketched
+        assert not sketches
 
-    def test_dual_norm_condition_p1(self):
+    def test_dual_norm_condition_p1(self, sketches):
         # the unsketched basis is orthonormal, so for sampled x
         # ||x||_inf <= ||x||_2 = ||U x||_2 <= ||U x||_1
         rng = np.random.default_rng(0)
         a = rng.standard_normal((200, 5))
         basis = well_conditioned_basis(a, p=1.0, seed=3)
-        assert not basis.sketched
+        assert not sketches
         u = basis_rows(basis)
         for _ in range(200):
             x = rng.standard_normal(5)
             assert np.abs(x).max() <= np.abs(u @ x).sum() * (1 + 1e-9)
 
-    def test_dual_norm_condition_p15(self):
+    def test_dual_norm_condition_p15(self, sketches):
         # at p=1.5 the dual exponent is 3: ||x||_3 <= ||U x||_1.5
         rng = np.random.default_rng(20)
         a = rng.standard_normal((150, 4))
         basis = well_conditioned_basis(a, p=1.5, seed=4)
-        assert not basis.sketched
+        assert not sketches
         u = basis_rows(basis)
         for _ in range(200):
             x = rng.standard_normal(4)
@@ -76,29 +86,25 @@ class TestWellConditionedBasis:
         assert np.abs(scores.gamma - np.sum(q**2, axis=1)).max() <= 1e-10
 
     @staticmethod
-    def _sketched_basis(monkeypatch, a, p, seed):
+    def _sketched_basis(sketches, a, p, seed):
         """Basis of a with n above the row cap, and the one sketch Pi it used."""
-        sketches = []
-        make = conditioning.make_pstable_sketch
-        monkeypatch.setattr(conditioning, "make_pstable_sketch",
-                            lambda *args: sketches.append(make(*args)) or sketches[-1])
         basis = well_conditioned_basis(a, p=p, seed=seed)
-        assert basis.sketched and len(sketches) == 1 and sketches[0].s < a.shape[0]
+        assert len(sketches) == 1 and sketches[0].s < a.shape[0]
         return basis, sketches[0]
 
-    def test_sketched_factor_orthonormal_p15(self, monkeypatch):
+    def test_sketched_factor_orthonormal_p15(self, sketches):
         # n above the row cap: Pi A F is orthonormal for the sketch Pi used
         a = np.random.default_rng(24).standard_normal((9000, 5))
-        basis, pi = self._sketched_basis(monkeypatch, a, 1.5, 8)
+        basis, pi = self._sketched_basis(sketches, a, 1.5, 8)
         pu = pi.apply(basis_rows(basis))
         assert np.abs(pu.T @ pu - np.eye(5)).max() <= 1e-10
 
-    def _check_large_n(self, monkeypatch, p, data_seed, seed):
+    def _check_large_n(self, sketches, p, data_seed, seed):
         # n = 20000 sends the p-stable draws through the sketched route: Pi U
         # is orthonormal, U = A F spans the column space of A, and row
         # blocks of another size stack to the same U
         a = np.random.default_rng(data_seed).standard_normal((20000, 3))
-        basis, pi = self._sketched_basis(monkeypatch, a, p, seed)
+        basis, pi = self._sketched_basis(sketches, a, p, seed)
         u = basis_rows(basis)
         pu = pi.apply(u)
         assert np.abs(pu.T @ pu - np.eye(3)).max() <= 1e-10
@@ -106,26 +112,41 @@ class TestWellConditionedBasis:
         assert np.linalg.matrix_rank(np.hstack([u, a]), tol=1e-8) == 3
         assert np.array_equal(np.vstack([b for *_, b in basis.iter_row_blocks(2000)]), u)
 
-    def test_stable_sketch_path_large_n(self, monkeypatch):
+    def test_stable_sketch_path_large_n(self, sketches):
         # p = 1: Cauchy draws
-        self._check_large_n(monkeypatch, 1.0, 19, 3)
+        self._check_large_n(sketches, 1.0, 19, 3)
 
-    def test_stable_sketch_path_large_n_p15(self, monkeypatch):
+    def test_stable_sketch_path_large_n_p15(self, sketches):
         # p = 1.5: Chambers-Mallows-Stuck draws
-        self._check_large_n(monkeypatch, 1.5, 21, 6)
+        self._check_large_n(sketches, 1.5, 21, 6)
 
-    def test_takes_no_svd(self, monkeypatch):
+    def test_takes_no_svd(self, monkeypatch, sketches):
         # exact and sketched bases, at p = 1 and p = 2, dense and CSR, and the
         # weighted scores over two buckets: no SVD runs on any of them
         rng = np.random.default_rng(25)
-        small, tall = rng.standard_normal((400, 3)), rng.standard_normal((9000, 3))
+        small = rng.standard_normal((400, 3))
         w = np.where(np.arange(400) % 2, 1.0, 3.0)
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
-        for a, p, sketched in ((small, 2.0, False), (sp.csr_matrix(small), 2.0, False),
-                               (small, 1.0, True), (tall, 2.0, True)):
+        for a, p, sketched in ((small, 2.0, 0), (sp.csr_matrix(small), 2.0, 0), (small, 1.0, 1)):
+            sketches.clear()
             basis = well_conditioned_basis(a, p=p, seed=1)
-            assert basis.m == 3 and basis.sketched == sketched
+            assert basis.m == 3 and len(sketches) == sketched
         assert weighted_leverage_scores(small, w, LossSpec.huber(1.0)).bucket_count == 2
+
+    def test_p2_exact_at_every_n(self, monkeypatch, sketches):
+        # p = 2 takes the exact factor at any n, above c_pi m0^2 and 8192 rows
+        # too, with 30 rows of leverage far above the rest: no sketch and no
+        # SVD, and the scores are twice the SVD leverage scores
+        heavy = np.random.default_rng(0).standard_normal((20000, 8))
+        heavy[:30] *= 100.0
+        inputs = [heavy, np.random.default_rng(8821).standard_normal((8821, 21))]
+        leverage = [np.sum(np.linalg.svd(a, full_matrices=False)[0] ** 2, axis=1) for a in inputs]
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
+        for a, lev in zip(inputs, leverage):
+            assert well_conditioned_basis(a, p=2.0, seed=1).m == a.shape[1]
+            scores = weighted_leverage_scores(a, None, LossSpec.lp(2.0), seed=1)
+            assert np.abs(scores.gamma - 2.0 * lev).max() <= 1e-10
+        assert not sketches
 
     def test_colspace_preserved(self):
         rng = np.random.default_rng(4)
@@ -158,32 +179,6 @@ class TestConstApproxTarget:
         assert target(big, scores) == pytest.approx(formula, rel=1e-12)
 
 
-class TestSketchedP2:
-    def test_distortion_within_beta(self):
-        # CountSketch route: the singular values of A F lie in
-        # [1/(1+eps), 1/(1-eps)] with beta = 1 + eps, also with 30 rows of
-        # leverage far above the rest
-        beta = conditioning._P2_SKETCH_BETA
-        for seed in range(5):
-            a = np.random.default_rng(seed).standard_normal((20000, 8))
-            a[:30] *= 100.0
-            basis = well_conditioned_basis(a, p=2.0, seed=seed)
-            assert basis.sketched
-            sv = np.linalg.svd(basis_rows(basis), compute_uv=False)
-            assert 1.0 / beta <= sv.min() and sv.max() <= 1.0 / (2.0 - beta)
-
-    @pytest.mark.parametrize("n, m0", [(8820, 21), (8192, 8)])
-    def test_exact_at_size_boundary(self, n, m0):
-        # n = max(ceil(c_pi m0^2), stable_row_cap) stays exact; one more row sketches
-        a = np.random.default_rng(n).standard_normal((n + 1, m0))
-        basis = well_conditioned_basis(a[:n], p=2.0, seed=1)
-        assert not basis.sketched
-        q = np.linalg.svd(a[:n], full_matrices=False)[0]
-        scores = basis_scores(basis, LossSpec.lp(2.0))
-        assert np.abs(scores.gamma - np.sum(q**2, axis=1)).max() <= 1e-10
-        assert well_conditioned_basis(a, p=2.0, seed=1).sketched
-
-
 class TestNonFiniteInput:
     def test_basis_and_scores_reject_nan(self):
         a = np.random.default_rng(34).standard_normal((100, 5))
@@ -206,8 +201,7 @@ class TestLeverageScores:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((40, 5)))
         basis = well_conditioned_basis(q, p=2.0, seed=0)
-        norms2 = basis.row_norms_lp()
-        assert np.sum(norms2**2) == pytest.approx(5.0)
+        assert np.sum(basis.row_power_sums()) == pytest.approx(5.0)
 
     def test_identity_scores_equal(self):
         basis = well_conditioned_basis(np.eye(6), p=1.0, seed=4)

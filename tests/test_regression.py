@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
-from robsub import LossSpec, regression
+from robsub import LossSpec, conditioning, regression
 from robsub.core import m_derivative, m_value
 from robsub.regression import (
     RegressConfig,
@@ -206,6 +206,20 @@ class TestMRegress:
         monkeypatch.setattr(regression, "_LEVEL_C", 0.001)
         m_regress(a, b, LossSpec.huber(1.0), eps=0.9, cfg=cfg, seed=1, trace=tr)
         assert tr["levels"] <= 3
+
+    def test_huber_tall_dense_scores_exact_bases(self, monkeypatch):
+        # 20000 rows of [A b], more than both 8192 and c_pi (d + 1)^2: every
+        # round scores the exact p = 2 basis and makes no p-stable sketch
+        made = []
+        monkeypatch.setattr(conditioning, "make_pstable_sketch", lambda *args: made.append(args))
+        a, b, _ = _outlier_problem(20000, 6, 13)
+        loss = LossSpec.huber(1.0)
+        tr = {}
+        x = m_regress(a, b, loss, eps=0.5, seed=3, trace=tr)
+        assert not made and tr["levels"] >= 1
+        x_f = irls_solve(a, b, None, loss)
+        assert (regression_objective(a, b, x, None, loss)
+                <= 1.5 * regression_objective(a, b, x_f, None, loss))
 
     def test_lp_loss_path(self, monkeypatch):
         rng = np.random.default_rng(9)
