@@ -108,7 +108,7 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     p_m = _p_m(k, n, loss)
     if n <= p_m:
         # no sampling round can run, so the right sketch would go unread;
-        # the R of A is kept for the caller's first basis of A
+        # the R of A is kept for the caller's final sample, which reads A
         if trace is not None:
             trace.append({"depth": 0, "n": n, "base_case": True, "indices": np.arange(n)})
         r = sketch.r_factor(a)

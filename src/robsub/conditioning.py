@@ -81,8 +81,7 @@ class WellConditionedBasis:
         return out
 
 
-def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
-                           factor: Optional[np.ndarray] = None) -> WellConditionedBasis:
+def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedBasis:
     """Build a well-conditioned basis for the column space of A.
 
     The change of basis F = P_r R_r^(-1) comes from ``sketch.orthonormalizer``:
@@ -105,9 +104,7 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
     Here c_pi = 20; it and the cap are the module constants _C_PI and
     _STABLE_ROW_CAP.  The reported width m is the numerical rank, which
     drops below m0 when the columns of A are dependent.  A may be dense,
-    sparse or a ``RowView``.  ``factor`` is ``sketch.r_factor(A)`` when the
-    caller already holds it: a basis of A itself is then built from it,
-    with no second factorization.
+    sparse or a ``RowView``.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
@@ -122,7 +119,7 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0,
         f = orthonormalizer(pi.apply(view))
     else:
         # the identity is an exact subspace embedding
-        f = orthonormalizer(view, factor)
+        f = orthonormalizer(view)
 
     if f.shape[1] == 0:
         raise ValueError("operand has numerical rank zero")
@@ -162,7 +159,6 @@ def weighted_leverage_scores(
     loss: LossSpec,
     seed: int = 0,
     gauss_t: Optional[int] = None,
-    factor: Optional[np.ndarray] = None,
 ) -> LeverageScores:
     """Leverage scores under dyadic weight buckets.
 
@@ -185,8 +181,6 @@ def weighted_leverage_scores(
     columns scaled by 1/sqrt(gauss_t) (Drineas, Magdon-Ismail, Mahoney &
     Woodruff 2012).  At gauss_t >= m the estimate, A (F G), would cost no
     less than the exact norms of A F, so those are taken.
-    ``factor``, ``sketch.r_factor(a)`` when the caller holds it, is handed
-    to the basis of a lone bucket, which holds every row of ``a``.
     """
     n = a.shape[0]
     wv = as_weights(w, n)
@@ -205,8 +199,7 @@ def weighted_leverage_scores(
             continue  # all-zero bucket contributes score 0
         bases += 1
         basis = well_conditioned_basis(
-            sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)),
-            factor=factor if levels.size == 1 else None)
+            sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)))
         if gauss_t is not None and gauss_t < basis.m:
             g = spawn_rng(seed, 31, int(j)).standard_normal((basis.m, gauss_t))
             g /= math.sqrt(gauss_t)

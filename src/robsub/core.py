@@ -375,8 +375,8 @@ class Subspace:
 
     ``r`` is set when U is the row space of a matrix A that was factored
     to find it (``const_approx`` on an input it keeps whole): it is the R
-    of ``sketch.r_factor(A)``, and a caller that reads A builds its basis
-    of A from it without factoring A again.
+    of ``sketch.r_factor(A)``, and the pipelines' final sample of A takes
+    it without factoring A again.
     """
 
     u: np.ndarray

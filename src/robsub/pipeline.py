@@ -1,15 +1,14 @@
 """End-to-end (1+eps) pipelines and the desk-scale small-problem solver.
 
 Both pipelines run one body: bicriteria subspace -> residual sampling into
-a moderate subspace U -> rounds of the shared leverage-sampling loop on the
-rows of [A U, r], r_i = ||A_i (I - U U^T)|| (of A itself when U is square),
-giving the row sample T -> min over rank-k projectors W W^T of the small
-problem on the kept rows' exact columns T [A U, r] -> return U W.  Its
-per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
+a moderate subspace U -> one sensitivity sample T of the rows of [A U, r],
+r_i = ||A_i (I - U U^T)|| (of A itself when U is square), scored by each
+row's cost share under the top-k singular subspace B plus its leverage in
+the projection onto B -> min over rank-k projectors W W^T of the small
+problem on the kept rows' exact columns T [A U, r], weighted by 1/q ->
+return U W.  Its per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
 ||A_i U (I - W W^T)||^2 + r_i^2 (a projection-cost-preserving reduction;
-Cohen, Elder, Musco, Musco & Persu 2015).  The |x|^p pipeline draws T in
-one round, rescaling rows by q^(-1/p); the p=2 pipeline shrinks over
-several rounds carrying weights w / q.  No n x d array is formed.
+Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed.
 
 The small solver is heuristic by design: a reweighted-PCA alternation runs
 from every start, and projected gradient descent on the orthonormal
@@ -23,10 +22,9 @@ matrix and solve it with LAPACK.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +41,9 @@ from .core import (
     spawn_rng,
 )
 from .dimreduce import dim_reduce
-from .sampling import _KAPPA, _SHRINK, leverage_rounds
+from .sampling import draw, make_plan
+from .sketch import orthonormalizer, r_factor
 
-_M2_LEVEL_C = 1.0    # per-round sample multiplier of the p=2 pipeline
 _RESTARTS = 10       # starts of the small solve's alternation
 # the alternation's eigen step: from this width m on, a block Krylov space of at
 # most _KRYLOV_BLOCKS blocks replaces the formed m x m matrix, and its top-k Ritz
@@ -106,7 +104,7 @@ class SmallProblem:
 class PipelineConfig:
     """The small solve's budgets; every other sample size is a constant of the analysis."""
 
-    t_rows_target: int = 300            # rows handed to the small solve
+    t_rows_target: int = 300            # expected rows of the final sample
     small_cap: int = 400                # max side of the reduced problem
 
 
@@ -340,28 +338,62 @@ def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
     return Subspace(v)
 
 
+def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
+                  t_rows: int, seed: int, tr: dict):
+    """The rows of [X r] that the small solve keeps, and their weights.
+
+    X is the first m columns of ``scored`` and r its last (zero when
+    ``scored`` is A itself, m wide), and ``r_scored`` is an R of it, so
+    its leading m x m block is an R of X.  B is the top-k right singular
+    vectors of that block, the SVD's rank-k subspace of X.  Row i scores
+    s_i = M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.) +
+    lev_i(X B) / k: its cost share under B plus its leverage in X B,
+    which bound its sensitivity over every rank-k subspace inside U up to
+    the factor by which B's cost exceeds the optimum (Feldman & Langberg
+    2011; Varadarajan & Xiao 2012).  The cost share
+    is dropped when its total is zero.  The rows are read one block of
+    ``_FACTOR_BLOCK`` at a time.  A plan expecting ``t_rows`` rows is
+    drawn once, and each kept row weighs 1/q for every loss: for |x|^p
+    that costs what the row rescaled by q^(-1/p) costs, as w M(x) =
+    M(w^(1/p) x).  At most ``t_rows`` rows are all kept, with no draw.
+    """
+    n = scored.shape[0]
+    if n <= t_rows:
+        tr.update(t_rows=n, t_rows_expected=float(n))
+        return np.arange(n), np.ones(n)
+    r_x = r_scored[:m, :m]
+    b = np.linalg.svd(r_x)[2][:k].T
+    f = orthonormalizer(None, r_x @ b)
+    cost, lev = np.empty(n), np.empty(n)
+    for lo, hi, rows in row_view(scored).blocks(_FACTOR_BLOCK):
+        x, r = (rows, 0.0) if rows.shape[1] == m else (rows[:, :m], rows[:, m])
+        xb, resid = project_rows(x, b)
+        cost[lo:hi] = m_value(loss, np.hypot(resid, r))
+        xbf = xb @ f
+        lev[lo:hi] = np.einsum("ij,ij->i", xbf, xbf)
+    total = cost.sum()
+    plan = make_plan(lev / k + (cost / total if total > 0.0 else 0.0), t_rows)
+    sample = draw(plan, None, seed=seed)
+    if len(sample) == 0:
+        raise CapExceededError("final sampling stage drew no rows; raise t_rows_target")
+    tr.update(t_rows=len(sample), t_rows_expected=plan.expected_size)
+    return sample.indices, sample.reweights
+
+
 def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig,
-                      seed: int, trace: Optional[dict], target: Callable[[int, int], float],
-                      rounds: int, gauss_t: Optional[int], salts: Tuple[int, int, int],
-                      handover: Callable[[int, int], dict]) -> Subspace:
+                      seed: int, trace: Optional[dict], salts: Tuple[int, int]) -> Subspace:
     """The body shared by approx_lp and approx_m2.
 
     The stages run at rank min(k, n), as n rows span at most n
     dimensions, and a subspace U of at most that width is padded to k
-    orthonormal columns.  Otherwise at most ``rounds`` rounds of
-    ``leverage_rounds`` shrink the rows of the dense n x (m+1) operand
-    [A U, r], or of A as given (dense or CSR) when U is square, as [A U, 0]
-    then spans the column space of A; when U is the bicriteria stage's
-    row space of A (every row kept), round 0 builds its basis from the R
-    factor of A that U carries, and A is factored once per fit.  Each
-    round scores by the exact basis row norms (``gauss_t`` None) or by
-    ``gauss_t`` Gaussian columns, and plans ``target(n', d_hat)`` rows,
-    d_hat the scored width, until at most ``cfg.t_rows_target`` remain;
-    rows are read by index and none is copied.  ``handover(kept rows,
-    rounds run)`` checks the sample and returns the trace entries to
-    record.  The kept rows are gathered once, with their row scale, for the
-    weighted small problem on their exact columns.  Salts seed the scores,
-    the draws and the small solve.
+    orthonormal columns.  Otherwise ``_final_sample`` draws the rows of
+    the dense n x (m+1) operand [A U, r], or of A as given (dense or CSR)
+    when U is square, as [A U, 0] then spans the column space of A.  Its R
+    is that of A which U carries when U is the bicriteria stage's row
+    space of A (every row kept), so A is factored once per fit, and
+    ``sketch.r_factor`` of the operand otherwise.  The kept rows are
+    gathered once for the weighted small problem on their exact columns.
+    Salts seed the draw and the small solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -379,17 +411,13 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
 
     scored = a if m == d else _exact_columns(a, u)
     # a square U that carries an R factor was read from A itself
-    factor = sub.r if m == d else None
-    idx, w, scale, done = leverage_rounds(
-        scored, np.ones(n), loss,
-        target=lambda n_prime, _scores: target(n_prime, scored.shape[1]),
-        stop_rows=cfg.t_rows_target, max_rounds=rounds, seed=seed,
-        salts=salts[:2], factor=factor, gauss_t=gauss_t)
-    tr.update(handover(idx.size, done))
+    r_scored = sub.r if m == d and sub.r is not None else r_factor(scored)
+    idx, w = _final_sample(scored, m, r_scored, k, loss, cfg.t_rows_target,
+                           int(spawn_rng(seed, salts[0]).integers(2**31)), tr)
 
-    kept = row_view(scored, idx, scale).block(slice(None))
+    kept = row_view(scored).block(idx)
     prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)
-    w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[2]).integers(2**31)),
+    w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[1]).integers(2**31)),
                             cap=max(cfg.small_cap, cfg.t_rows_target + 1), trace=tr)
     return _final_factor(u, w_factor)
 
@@ -404,28 +432,14 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
     """(1+eps)-style pipeline for M(x) = |x|^p, p in [1, 2): returns rank-k U W.
 
     Stages: bicriteria subspace, residual sampling into U, one
-    non-adaptive round of leverage sampling of the exact operand [A U, r]
-    (of A itself when U is square) in proportion to the ||U'_i||_p^p of its
-    well-conditioned basis U', row rescaling by q^(-1/p), and the small
-    solve inside U on the sampled rows' exact columns T [A U, r].
+    sensitivity sample of the exact operand [A U, r] (of A itself when U
+    is square; ``_final_sample``), and the small solve inside U on the
+    sampled rows' exact columns T [A U, r], weighted by 1/q.
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")
-    cfg = cfg or PipelineConfig()
-
-    # the sampling inflation d_hat^(p/2) r1^(p+1) of the analysis
-    # oversamples everything at practical sizes, so r1 is derived from the
-    # configured sample size: the target is max(t_rows_target, d_hat^(p/2))
-    def target(_n_prime: int, d_hat: int) -> float:
-        return max(cfg.t_rows_target, d_hat ** (loss.p / 2.0))
-
-    def handover(kept: int, done: int) -> dict:
-        if done == 0 and kept > cfg.t_rows_target:
-            raise CapExceededError("final sampling stage drew no rows; raise t_rows_target")
-        return {"t_rows": kept}
-
-    return _sample_and_solve(a, k, eps, loss, cfg, seed, trace, target, rounds=1,
-                             gauss_t=None, salts=(97, 103, 107), handover=handover)
+    return _sample_and_solve(a, k, eps, loss, cfg or PipelineConfig(), seed, trace,
+                             salts=(103, 107))
 
 
 def approx_m2(a, k: int, eps: float, loss: LossSpec,
@@ -433,27 +447,12 @@ def approx_m2(a, k: int, eps: float, loss: LossSpec,
               trace: Optional[dict] = None) -> Subspace:
     """Pipeline for general nice p=2 losses (Huber, L1-L2, Fair).
 
-    After the shared subspace stages, rounds of ``leverage_rounds`` sample
-    rows of the exact operand [A U, r] (of A itself when U is square), with
-    weight carrying w' = w / q until at most ``t_rows_target`` remain;
-    then the weighted small problem on the kept rows' exact columns is
-    solved inside U.
+    The stages of ``approx_lp``: the shared subspace stages, one
+    sensitivity sample of the exact operand [A U, r] (of A itself when U
+    is square), and the small solve inside U on the kept rows' exact
+    columns, weighted by 1/q.
     """
     if not loss.is_m2:
         raise ValueError("this pipeline requires a p=2 (non-|x|^p) loss")
-    cfg = cfg or PipelineConfig()
-    max_depth = int(2 * max(1.0, math.log2(max(math.log2(max(a.shape[0], 4)), 2.0))) + 4)
-
-    def target(n_prime: int, _d_hat: int) -> float:
-        return min(_SHRINK * n_prime,
-                   max(cfg.t_rows_target,
-                       _M2_LEVEL_C * n_prime ** (0.5 + _KAPPA) * math.log2(n_prime + 2)))
-
-    def handover(kept: int, done: int) -> dict:
-        if done > max_depth and kept > cfg.t_rows_target:
-            raise RuntimeError(f"weighted sampling exceeded {max_depth + 1} rounds")
-        return {"recursion_depth": done, "base_rows": kept}
-
-    return _sample_and_solve(a, k, eps, loss, cfg, seed, trace, target, rounds=max_depth + 1,
-                             gauss_t=int(math.ceil(3.0 / _KAPPA)), salts=(113, 127, 131),
-                             handover=handover)
+    return _sample_and_solve(a, k, eps, loss, cfg or PipelineConfig(), seed, trace,
+                             salts=(127, 131))

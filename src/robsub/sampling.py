@@ -10,8 +10,9 @@ and, for |x|^p losses, the row scale factors q_i^(-1/p).
 leverage scores, carrying only the kept row positions, their weights and
 their cumulative scale between rounds: each round reads its rows by index
 from the caller's matrix, a block at a time, and the caller gathers the
-last sample once.  The bicriteria subspace, both subspace pipelines and
-robust regression all shrink their rows with it.
+last sample once.  The bicriteria subspace and robust regression shrink
+their rows with it; the subspace pipelines draw their final sample in one
+plan and one draw.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .core import LossSpec, as_weights, row_view, spawn_rng
 
 _PROB_FLOOR = 1e-12
 # constants of the callers' per-round targets: a round's expected sample is
-# at most _SHRINK n', and the p=2 rounds of approx_m2 and m_regress sample
-# about n'^(1/2 + _KAPPA) rows, scored by ceil(3 / _KAPPA) Gaussian columns
+# at most _SHRINK n', and the p=2 rounds of m_regress sample about
+# n'^(1/2 + _KAPPA) rows, scored by ceil(3 / _KAPPA) Gaussian columns
 _SHRINK = 0.5
 _KAPPA = 0.1
 
@@ -115,7 +116,6 @@ def leverage_rounds(
     salts: tuple[int, int],
     min_rows: int = 0,
     trace: Optional[list] = None,
-    factor: Optional[np.ndarray] = None,
     **score_kwargs,
 ):
     """Shrink the rows of ``a`` by rounds of weighted leverage-score sampling.
@@ -129,8 +129,6 @@ def leverage_rounds(
     rescale kept rows by q^(-1/p) and reset weights to one; other losses
     keep rows as they are and carry w / q.  Round r seeds its scores with
     (seed, salts[0], r) and its draws with (seed, salts[1], r, attempt).
-    ``factor``, ``sketch.r_factor(a)`` when the caller holds it, is handed
-    to the scores of round 0, which reads every row of ``a``.
 
     ``a`` is a matrix or ``core.RowView``, and no copy of its kept rows is
     formed: each round scores ``row_view(a, idx, scale)``, read by index a
@@ -152,8 +150,7 @@ def leverage_rounds(
         n_prime = rows.shape[0]
         scores = weighted_leverage_scores(
             rows, w, loss,
-            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)),
-            factor=factor if idx is None else None, **score_kwargs)
+            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
         plan = make_plan(scores.gamma, target(n_prime, scores), 1.0)
         for attempt in range(2):
             sample = draw(plan, w,

@@ -266,15 +266,18 @@ class TestApproxCommand:
         assert _load(report)["results"]["subspace_dim"] == 2
 
     def test_t_rows_bounds_base_rows(self, matrix_files, tmp_path):
-        # 200 rows are below the default of 300, so no round runs without the flag
-        rows = {}
+        # 200 rows are below the default of 300, so every row is kept with no
+        # draw; --t-rows 60 plans a final sample of 60 expected rows
+        traces = {}
         for flag in ([], ["--t-rows", "60"]):
             report = tmp_path / "r.json"
             rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "3",
                        "--loss", "huber", "--seed", "2", "--report", str(report)] + flag)
             assert rc == EXIT_OK
-            rows[bool(flag)] = _load(report)["results"]["trace"]["base_rows"]
-        assert rows[True] <= 60 < rows[False] == 200
+            traces[bool(flag)] = _load(report)["results"]["trace"]
+        assert traces[False]["t_rows"] == traces[False]["t_rows_expected"] == 200
+        assert traces[True]["t_rows_expected"] == pytest.approx(60, abs=1e-9)
+        assert traces[True]["t_rows"] < 200
 
     def test_small_cap_below_side_exit_4(self, tmp_path, capsys):
         # at d = 320 the reduced span is all of R^320, so the small problem
