@@ -42,5 +42,5 @@ for name, x, t in (("least squares", x_ls, t_ls),
     cost = regression_objective(a, b, x, None, huber)
     err = np.linalg.norm(x - x_true)
     print(f"{name:18s} {cost:12.1f} {err:10.4f} {t:8.3f}")
-print(f"\nsampled solve used {trace['base_rows']} of {n} rows "
-      f"({trace['levels']} sampling level(s)); 5% of responses are corrupted.")
+print(f"\nsampled solve used {trace['base_rows']} of {n} rows (its plan expected "
+      f"{trace['base_rows_expected']:.0f}); 5% of responses are corrupted.")

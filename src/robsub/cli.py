@@ -184,6 +184,7 @@ def cmd_regress(args) -> int:
         "cost_ratio": cost_sampled / cost_full if cost_full > 0 else 1.0,
         "levels": trace.get("levels"),
         "base_rows": trace.get("base_rows"),
+        "base_rows_expected": trace.get("base_rows_expected"),
     }
     report["timings"] = timings
     if args.solution_out:

@@ -275,12 +275,12 @@ class RowView:
     def _source(self, rows):
         return rows if self.idx is None else self.idx[rows]
 
-    def _gather(self, rows):
-        """Rows ``rows`` of each part, times their scale."""
+    def _gather(self, rows, scaled=True):
+        """Rows ``rows`` of each part, times their scale unless ``scaled`` is false."""
         src = self._source(rows)
         blocks = [p[src] if is_sparse(p) or isinstance(src, slice) else p.take(src, axis=0)
                   for p in self.parts]
-        if self.scale is None:
+        if self.scale is None or not scaled:
             return blocks
         s = self.scale[rows]
         return [sp.csr_matrix((b.data * np.repeat(s, np.diff(b.indptr)), b.indices, b.indptr),
@@ -289,10 +289,14 @@ class RowView:
 
     def block(self, rows):
         """Rows ``rows`` (a slice or index array) of the stack: dense, or CSR if a part is."""
-        blocks = self._gather(rows)
-        if len(blocks) == 1:
-            return blocks[0]
-        return sp.hstack(blocks, format="csr") if any(map(is_sparse, blocks)) else np.hstack(blocks)
+        if len(self.parts) == 1 or any(map(is_sparse, self.parts)):
+            blocks = self._gather(rows)
+            return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csr")
+        # dense parts: stacked unscaled into one buffer, then scaled in place
+        out = np.hstack(self._gather(rows, scaled=False))
+        if self.scale is not None:
+            out *= self.scale[rows][:, None]
+        return out
 
     def blocks(self, size: int):
         """(lo, hi, rows lo:hi of the stack) in order; no rows give one empty block."""
@@ -375,8 +379,8 @@ class Subspace:
 
     ``r`` is set when U is the row space of a matrix A that was factored
     to find it (``const_approx`` on an input it keeps whole): it is the R
-    of ``sketch.r_factor(A)``, and the pipelines' final sample of A takes
-    it without factoring A again.
+    of ``sketch.r_factor(A)``, U is its right singular vectors (descending),
+    and the pipelines' final sample of A takes both, factoring nothing again.
     """
 
     u: np.ndarray

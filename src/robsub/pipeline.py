@@ -339,30 +339,31 @@ def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
 
 
 def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
-                  t_rows: int, seed: int, tr: dict):
+                  t_rows: int, seed: int, tr: dict, top: Optional[np.ndarray] = None):
     """The rows of [X r] that the small solve keeps, and their weights.
 
     X is the first m columns of ``scored`` and r its last (zero when
     ``scored`` is A itself, m wide), and ``r_scored`` is an R of it, so
     its leading m x m block is an R of X.  B is the top-k right singular
-    vectors of that block, the SVD's rank-k subspace of X.  Row i scores
-    s_i = M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.) +
-    lev_i(X B) / k: its cost share under B plus its leverage in X B,
+    vectors of that block, the SVD's rank-k subspace of X (the first k
+    columns of ``top``, when given a U that carries R: ``core.Subspace.r``).
+    Row i scores s_i = M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.)
+    + lev_i(X B) / k: its cost share under B plus its leverage in X B,
     which bound its sensitivity over every rank-k subspace inside U up to
     the factor by which B's cost exceeds the optimum (Feldman & Langberg
-    2011; Varadarajan & Xiao 2012).  The cost share
-    is dropped when its total is zero.  The rows are read one block of
-    ``_FACTOR_BLOCK`` at a time.  A plan expecting ``t_rows`` rows is
-    drawn once, and each kept row weighs 1/q for every loss: for |x|^p
-    that costs what the row rescaled by q^(-1/p) costs, as w M(x) =
-    M(w^(1/p) x).  At most ``t_rows`` rows are all kept, with no draw.
+    2011; Varadarajan & Xiao 2012).  The cost share is dropped when its
+    total is zero.  The rows are read one block of ``_FACTOR_BLOCK`` at a
+    time.  A plan expecting ``t_rows`` rows is drawn once, and each kept
+    row weighs 1/q for every loss: for |x|^p that costs what the row
+    rescaled by q^(-1/p) costs, as w M(x) = M(w^(1/p) x).  At most
+    ``t_rows`` rows are all kept, with no draw.
     """
     n = scored.shape[0]
     if n <= t_rows:
         tr.update(t_rows=n, t_rows_expected=float(n))
         return np.arange(n), np.ones(n)
     r_x = r_scored[:m, :m]
-    b = np.linalg.svd(r_x)[2][:k].T
+    b = np.linalg.svd(r_x)[2][:k].T if top is None else top[:, :k]
     f = orthonormalizer(None, r_x @ b)
     cost, lev = np.empty(n), np.empty(n)
     for lo, hi, rows in row_view(scored).blocks(_FACTOR_BLOCK):
@@ -411,9 +412,10 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
 
     scored = a if m == d else _exact_columns(a, u)
     # a square U that carries an R factor was read from A itself
-    r_scored = sub.r if m == d and sub.r is not None else r_factor(scored)
+    top = u if m == d and sub.r is not None else None
+    r_scored = r_factor(scored) if top is None else sub.r
     idx, w = _final_sample(scored, m, r_scored, k, loss, cfg.t_rows_target,
-                           int(spawn_rng(seed, salts[0]).integers(2**31)), tr)
+                           int(spawn_rng(seed, salts[0]).integers(2**31)), tr, top)
 
     kept = row_view(scored).block(idx)
     prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)

@@ -1,13 +1,12 @@
-"""Robust regression: rounds of leverage sampling over an IRLS core.
+"""Robust regression: one leverage sample over an IRLS core.
 
-``m_regress`` shrinks the rows of [A b] by a constant number of rounds of
-the shared weighted leverage-score sampling loop (``leverage_rounds``),
-then solves the surviving weighted problem with iteratively reweighted
-least squares.  A may be dense or CSR.  [A b] is never formed: each round
-scores its kept rows through a ``core.RowView`` of [A b], read by index
-with row blocks stacked on demand, so no round copies its rows.  The kept
-rows of A (still CSR for a CSR A) and entries of b are gathered once,
-after the last round, for ``irls_solve``, which never densifies A either:
+``m_regress`` draws one weighted leverage-score sample of the rows of
+[A b], sized by a schedule of halving steps run on row counts alone, then
+solves the sampled weighted problem with iteratively reweighted least
+squares.  A may be dense or CSR.  [A b] is never formed: its rows are
+scored through a ``core.RowView`` of [A b], with row blocks stacked on
+demand.  The kept rows of A (still CSR for a CSR A) and entries of b are
+gathered once for ``irls_solve``, which never densifies A either:
 each reweighted least-squares step is solved from the small R of the
 row-scaled view of [A b] (``sketch.r_factor``: the Cholesky factor of its
 Gram when that is well conditioned, else a streamed R-only QR), so IRLS
@@ -23,24 +22,22 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LossSpec, RowView, as_weights, check_finite, m_derivative, m_value, row_view
-from .sampling import _KAPPA, _SHRINK, leverage_rounds
+from .conditioning import weighted_leverage_scores
+from .core import (LossSpec, RowView, as_weights, check_finite, m_derivative, m_value,
+                   row_view, spawn_rng)
+from .sampling import _SHRINK, draw, make_plan
 from .sketch import r_factor
 
 _RESID_FLOOR = 1e-12
-_LEVELS = 3     # sampling rounds before the IRLS solve
-_DELTA = 0.1    # failure probability in the per-round sample size
+_LEVELS = 3     # steps of the sample-size schedule
+_KAPPA = 0.1    # a step keeps ~n'^(1/2+kappa) rows; p=2 scores take ceil(3/kappa) columns
+_DELTA = 0.1    # failure probability in the per-step sample size
 _LEVEL_C = 1.0  # multiplier on n^(1/2+kappa) poly(d) log(1/delta)/eps^2
 
 
 @dataclass(frozen=True)
 class RegressConfig:
     base_cap: Optional[int] = None   # default ceil(20 d^2 / eps^2)
-
-    def resolved_base_cap(self, d: int, eps: float) -> int:
-        if self.base_cap is not None:
-            return int(self.base_cap)
-        return int(math.ceil(20.0 * d * d / eps**2))
 
 
 def regression_objective(a, b, x, w=None, loss: LossSpec = None) -> float:
@@ -120,18 +117,17 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
 def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
               cfg: Optional[RegressConfig] = None, seed: int = 0,
               trace: Optional[dict] = None) -> np.ndarray:
-    """(1+eps)-style regression by rounds of leverage sampling of [A b].
+    """(1+eps)-style regression on one leverage sample of [A b].
 
-    A may be dense or CSR.  Each of at most three rounds (levels) computes
-    weighted leverage scores of the augmented matrix [A b], read one block
-    of rows at a time and never formed (orthonormal bases with Gaussian
-    row-norm estimates for p=2 losses), and samples about
-    n^(1/2+kappa) * (d+1) * log(1/delta) / eps^2 rows, with kappa = 0.1,
-    delta = 0.1 and at most half the rows, carrying
-    weights w / q (|x|^p losses rescale the rows by q^(-1/p) instead).
-    Rounds carry only row positions, weights and scales; the surviving
-    rows of A (CSR for a CSR A) and entries of b are gathered once,
-    scaled, for IRLS.
+    A may be dense or CSR.  The sample expects the rows left by at most
+    three halving steps, run on row counts alone while more than
+    max(base_cap, 2 (d+1)) remain: n' -> min(n'/2, max(n'^(1/2+kappa)
+    (d+1) log(1/delta) / eps^2, 4 (d+1))), with kappa = delta = 0.1.  It
+    is drawn once from the weighted leverage scores of [A b], read a block
+    of rows at a time (Gaussian row-norm estimates for p=2 losses), with
+    weights 1/q (|x|^p losses rescale the rows by q^(-1/p)); a draw of at
+    most d+1 rows is dropped for all the rows.  The kept rows of A (CSR
+    for a CSR A) and entries of b are gathered once, scaled, for IRLS.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -142,20 +138,26 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     n, d = stack.shape[0], stack.shape[1] - 1
     if rhs.size != n:
         raise ValueError("right-hand side length mismatch")
-    base_cap = cfg.resolved_base_cap(d, eps)
+    base_cap = math.ceil(20.0 * d * d / eps**2) if cfg.base_cap is None else cfg.base_cap
+    stop_rows = max(base_cap, 2 * (d + 1))
 
-    def target(n_prime: int, _scores) -> float:
-        level = (_LEVEL_C * n_prime ** (0.5 + _KAPPA) * (d + 1)
-                 * math.log(1.0 / _DELTA) / eps**2)
-        return min(_SHRINK * n_prime, max(level, 4.0 * (d + 1)))
-
-    idx, w, scale, levels_run = leverage_rounds(
-        stack, np.ones(n), loss, target=target, stop_rows=max(base_cap, 2 * (d + 1)),
-        max_rounds=_LEVELS, seed=seed, salts=(137, 139), min_rows=d + 1,
-        gauss_t=int(math.ceil(3.0 / _KAPPA)) if loss.is_m2 else None)
-    if levels_run:
-        a, rhs = row_view(stack, idx, scale)[:].parts
+    size = float(n)
+    for _ in range(_LEVELS):
+        if size > stop_rows:
+            size = min(_SHRINK * size, max(_LEVEL_C * size ** (0.5 + _KAPPA) * (d + 1)
+                                           * math.log(1.0 / _DELTA) / eps**2, 4.0 * (d + 1)))
+    w, levels, expected = None, 0, float(n)
+    if size < n:
+        scores = weighted_leverage_scores(
+            stack, None, loss, seed=int(spawn_rng(seed, 137, 0).integers(2**31)),
+            gauss_t=int(math.ceil(3.0 / _KAPPA)) if loss.is_m2 else None)
+        plan = make_plan(scores.gamma, size)
+        sample = draw(plan, None, seed=int(spawn_rng(seed, 139, 0, 0).integers(2**31)))
+        if len(sample) > d + 1:
+            scale = sample.scale_factors(loss.p) if loss.is_lp else None
+            w = None if loss.is_lp else sample.reweights
+            a, rhs = row_view(stack, sample.indices, scale)[:].parts
+            levels, expected = 1, plan.expected_size
     if trace is not None:
-        trace["levels"] = levels_run
-        trace["base_rows"] = a.shape[0]
+        trace.update(levels=levels, base_rows=a.shape[0], base_rows_expected=expected)
     return irls_solve(a, rhs.ravel(), w, loss)

@@ -7,13 +7,8 @@ uniform variate per index (in index order, so draws from the same seed are
 coupled across plans) and carries both the reweighting w'_i = w_i / q_i
 and, for |x|^p losses, the row scale factors q_i^(-1/p).
 ``leverage_rounds`` repeats score -> plan -> draw -> carry over weighted
-leverage scores, carrying only the kept row positions, their weights and
-their cumulative scale between rounds: each round reads its rows by index
-from the caller's matrix, a block at a time, and the caller gathers the
-last sample once.  The bicriteria subspace and robust regression shrink
-their rows with it; the subspace pipelines draw their final sample in one
-plan and one draw.
-"""
+leverage scores for the bicriteria subspace; robust regression and the
+subspace pipelines draw their sample in one plan and one draw."""
 
 from __future__ import annotations
 
@@ -26,11 +21,8 @@ from .conditioning import LeverageScores, weighted_leverage_scores
 from .core import LossSpec, as_weights, row_view, spawn_rng
 
 _PROB_FLOOR = 1e-12
-# constants of the callers' per-round targets: a round's expected sample is
-# at most _SHRINK n', and the p=2 rounds of m_regress sample about
-# n'^(1/2 + _KAPPA) rows, scored by ceil(3 / _KAPPA) Gaussian columns
+# most expected rows of one bicriteria round or regression size step, over n'
 _SHRINK = 0.5
-_KAPPA = 0.1
 
 
 @dataclass(frozen=True)
@@ -116,12 +108,11 @@ def leverage_rounds(
     salts: tuple[int, int],
     min_rows: int = 0,
     trace: Optional[list] = None,
-    **score_kwargs,
 ):
     """Shrink the rows of ``a`` by rounds of weighted leverage-score sampling.
 
     While more than ``stop_rows`` rows remain, at most ``max_rounds`` times:
-    score the kept rows with ``weighted_leverage_scores(**score_kwargs)``,
+    score the kept rows with ``weighted_leverage_scores``,
     plan ``target(n', scores)`` expected rows in proportion to
     ``scores.gamma``, and draw, redrawing once if more than
     max(0.9 n', stop_rows) rows are kept.  A draw keeping at
@@ -150,7 +141,7 @@ def leverage_rounds(
         n_prime = rows.shape[0]
         scores = weighted_leverage_scores(
             rows, w, loss,
-            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)), **score_kwargs)
+            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)))
         plan = make_plan(scores.gamma, target(n_prime, scores), 1.0)
         for attempt in range(2):
             sample = draw(plan, w,

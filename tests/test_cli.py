@@ -333,15 +333,19 @@ class TestRegressCommand:
         assert outs[0] == outs[1]
 
     def test_base_cap_engages_sampling(self, matrix_files, tmp_path):
-        # 200 rows are below the default base cap of 18000 at d = 15
-        levels = {}
+        # 200 rows are below the default base cap of 18000 at d = 15; at a
+        # base cap of 40 the size schedule halves them three times, to 25
+        res = {}
         for flag in ([], ["--base-cap", "40"]):
             report = tmp_path / "r.json"
             rc = main(["regress", "--input", matrix_files["a_csv"], "--rhs",
                        matrix_files["rhs"], "--seed", "0", "--report", str(report)] + flag)
             assert rc == EXIT_OK
-            levels[bool(flag)] = _load(report)["results"]["levels"]
-        assert levels[False] == 0 and levels[True] >= 1
+            res[bool(flag)] = _load(report)["results"]
+        assert res[False]["levels"] == 0
+        assert res[False]["base_rows"] == res[False]["base_rows_expected"] == 200
+        assert res[True]["levels"] == 1
+        assert res[True]["base_rows_expected"] == pytest.approx(25.0, abs=1e-9)
 
     def test_rejects_p2(self, matrix_files):
         rc = main(["regress", "--input", matrix_files["a_csv"], "--rhs",

@@ -354,6 +354,9 @@ class TestScaledRowView:
         yield RowView((dense,), idx, scale), full[:, :4]
         yield RowView((csr,), idx, scale), full[:, 4:]
         yield row_view(RowView((dense, csr)), idx, scale), full
+        # dense parts only: stacked in one buffer, then scaled in place
+        yield row_view(RowView((dense[:, :1], dense[:, 1:])), idx, scale), full[:, :4]
+        yield RowView((dense[:, :3], dense[:, 3:])), dense
         # narrow a scaled view by index and scale it again
         rows = np.sort(rng.choice(200, 80, replace=False))
         outer = np.exp(rng.standard_normal(80))
@@ -368,6 +371,8 @@ class TestScaledRowView:
             assert np.array_equal(got.toarray() if sp.issparse(got) else got, want)
             got = view.block(rows)
             assert np.array_equal(got.toarray() if sp.issparse(got) else got, want[rows])
+            got = view.block(slice(7, None, 5))
+            assert np.array_equal(got.toarray() if sp.issparse(got) else got, want[7::5])
             parts = view[rows].parts
             got = np.hstack([p.toarray() if sp.issparse(p) else p for p in parts])
             assert np.array_equal(got, want[rows])

@@ -480,6 +480,26 @@ class TestApproxM2:
         assert tr["reduced_dim"] == 12
         assert sum(wholes) == 1
 
+    def test_input_kept_whole_takes_one_svd(self, monkeypatch):
+        # the bicriteria stage's U of an input it keeps whole is the right
+        # singular vectors of A's R, in descending order: the final sample's
+        # B is its first k columns, so R's SVD is taken once per fit, and
+        # the fit equals the one that takes B from a second SVD
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
+        loss = LossSpec.huber(1.0)
+        fits, stage, svd = {}, pipeline._stage_subspace, np.linalg.svd
+        for handover in (True, False):
+            calls = []
+            monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1)
+                                or svd(*args, **kw))
+            if not handover:
+                monkeypatch.setattr(pipeline, "_stage_subspace",
+                                    lambda *args: Subspace(stage(*args).u))
+            fits[handover] = approx_m2(a, 2, 0.3, loss, seed=3).u
+            monkeypatch.undo()
+            assert len(calls) == (1 if handover else 2)
+        assert np.array_equal(fits[True], fits[False])
+
     def test_t_rows_target_sets_base_rows(self):
         # the plan expects exactly t_rows_target rows; n <= t keeps every
         # row with no draw

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,13 +7,14 @@ import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
 from robsub import LossSpec, conditioning, regression
-from robsub.core import m_derivative, m_value
+from robsub.core import RowView, m_derivative, m_value
 from robsub.regression import (
     RegressConfig,
     irls_solve,
     m_regress,
     regression_objective,
 )
+from robsub.sampling import leverage_rounds
 
 
 def _outlier_problem(n, d, seed, frac=0.05, scale=30.0, noise=0.1):
@@ -234,10 +236,10 @@ class TestMRegress:
                 <= 1.2 * regression_objective(a, b, x_f, None, loss))
 
     def test_dense_peak_below_input_size(self):
-        # rounds read [A b] by index and gather the kept rows once, after the
-        # last round, so the fit's peak is set by one round's scoring or by
-        # IRLS on the final sample, well below the bytes of A (gathering each
-        # round's kept rows peaked at 1.21 A.nbytes here)
+        # the one sample reads [A b] block by block and gathers its kept rows
+        # once, so the fit's peak is set by scoring or by IRLS on the sample,
+        # well below the bytes of A (gathering the kept rows of each of
+        # several rounds once peaked at 1.21 A.nbytes here)
         a, b, _ = _outlier_problem(100_000, 20, 12, frac=0.01)
         tr = {}
         tracemalloc.start()
@@ -246,8 +248,63 @@ class TestMRegress:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tr["levels"] >= 2
+        assert tr["levels"] == 1
         assert peak < 0.8 * a.nbytes
+
+    def test_one_score_pass_draws_schedule_end(self, monkeypatch):
+        # 20000 x 6 at eps = 0.5: the size schedule halves 20000 three times,
+        # to 2500 rows below the base cap of 2880, from one scoring of [A b]
+        a, b, _ = _outlier_problem(20000, 6, 16)
+        calls, plans = [], []
+        real_scores, real_plan = regression.weighted_leverage_scores, regression.make_plan
+
+        def spy_scores(*args, **kwargs):
+            calls.append(real_scores(*args, **kwargs))
+            return calls[-1]
+
+        def spy_plan(*args, **kwargs):
+            plans.append(real_plan(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(regression, "weighted_leverage_scores", spy_scores)
+        monkeypatch.setattr(regression, "make_plan", spy_plan)
+        tr = {}
+        m_regress(a, b, LossSpec.huber(1.0), eps=0.5, seed=2, trace=tr)
+        size, steps = 20000.0, 0
+        while size > 2880 and steps < 3:
+            level = size ** 0.6 * 7 * math.log(10.0) / 0.25
+            size = min(0.5 * size, max(level, 28.0))
+            steps += 1
+        assert steps == 3 and size == 2500.0
+        assert len(calls) == 1 and calls[0].bucket_count == 1
+        assert len(plans) == 1 and abs(plans[0].expected_size - size) <= 1e-9
+        assert tr["levels"] == 1 and tr["base_rows_expected"] == plans[0].expected_size
+
+    def test_one_step_schedule_matches_one_round(self, monkeypatch):
+        # where the schedule takes one step, the sample is that of one
+        # leverage round with the same target and salts: x is bitwise equal
+        # (d + 1 = 11 <= 30 Gaussian columns, so p = 2 scores are exact)
+        loss = LossSpec.huber(1.0)
+        cfg = RegressConfig(base_cap=1500)
+        monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
+        a, b, _ = _outlier_problem(5000, 10, 17)
+        d, eps = 10, 0.5
+
+        def target(n_prime, _scores):
+            level = 0.05 * n_prime ** 0.6 * (d + 1) * math.log(10.0) / eps**2
+            return min(0.5 * n_prime, max(level, 4.0 * (d + 1)))
+
+        assert target(5000, None) <= 1500
+        stack = RowView((a, b[:, None]))
+        idx, w, _, rounds = leverage_rounds(
+            stack, np.ones(5000), loss, target=target, stop_rows=1500, max_rounds=1,
+            seed=5, salts=(137, 139), min_rows=d + 1)
+        assert rounds == 1
+        ref = irls_solve(a[idx], b[idx], w, loss)
+        tr = {}
+        x = m_regress(a, b, loss, eps=eps, cfg=cfg, seed=5, trace=tr)
+        assert tr["levels"] == 1 and tr["base_rows"] == idx.size
+        assert np.array_equal(x, ref)
 
     def test_non_finite_rhs_rejected(self):
         rng = np.random.default_rng(10)
