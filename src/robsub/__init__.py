@@ -41,7 +41,7 @@ from .sampling import (
     make_plan,
 )
 from .dimreduce import dim_reduce
-from .bicriteria import const_approx, const_approx_recur
+from .bicriteria import const_approx
 from .pipeline import (
     CapExceededError,
     PipelineConfig,

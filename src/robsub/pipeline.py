@@ -295,8 +295,9 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
 
 
 def _stage_bicriteria(a, k, loss, seed, trace):
-    """The bicriteria subspace."""
-    xhat = const_approx(a, k, loss, seed=int(spawn_rng(seed, 79).integers(2**31)))
+    """The bicriteria subspace; ``trace`` receives its sample's rows."""
+    xhat = const_approx(a, k, loss, seed=int(spawn_rng(seed, 79).integers(2**31)),
+                        trace=trace)
     trace["bicriteria_dim"] = xhat.dim
     return xhat
 

@@ -1,27 +1,24 @@
-"""Row-sampling plans, realized draws, and the shared sampling loop.
+"""Row-sampling plans and realized draws.
 
 A plan turns nonnegative scores q' into independent inclusion
 probabilities q_i = min{1, tau q'_i}, tau water-filled so that the plan
 expects min{k2 r, nnz(q')} rows.  A draw realizes the plan with one
 uniform variate per index (in index order, so draws from the same seed are
 coupled across plans) and carries both the reweighting w'_i = w_i / q_i
-and, for |x|^p losses, the row scale factors q_i^(-1/p).
-``leverage_rounds`` repeats score -> plan -> draw -> carry over weighted
-leverage scores for the bicriteria subspace; robust regression and the
-subspace pipelines draw their sample in one plan and one draw."""
+and, for |x|^p losses, the row scale factors q_i^(-1/p).  The bicriteria
+subspace, robust regression and the subspace pipelines each draw their
+sample in one plan and one draw."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .conditioning import LeverageScores, weighted_leverage_scores
-from .core import LossSpec, as_weights, row_view, spawn_rng
+from .core import as_weights, spawn_rng
 
 _PROB_FLOOR = 1e-12
-# most expected rows of one bicriteria round or regression size step, over n'
+# most expected rows of one bicriteria or regression size-schedule step, over n'
 _SHRINK = 0.5
 
 
@@ -96,73 +93,3 @@ def draw(plan: SamplingPlan, w=None, seed: int = 0) -> SampleDraw:
     idx = np.flatnonzero(mask)
     return SampleDraw(idx, plan.q[idx], wv[idx])
 
-
-def leverage_rounds(
-    a,
-    w,
-    loss: LossSpec,
-    target: Callable[[int, LeverageScores], float],
-    stop_rows: int,
-    max_rounds: int,
-    seed: int,
-    salts: tuple[int, int],
-    min_rows: int = 0,
-    trace: Optional[list] = None,
-):
-    """Shrink the rows of ``a`` by rounds of weighted leverage-score sampling.
-
-    While more than ``stop_rows`` rows remain, at most ``max_rounds`` times:
-    score the kept rows with ``weighted_leverage_scores``,
-    plan ``target(n', scores)`` expected rows in proportion to
-    ``scores.gamma``, and draw, redrawing once if more than
-    max(0.9 n', stop_rows) rows are kept.  A draw keeping at
-    most ``min_rows`` rows is dropped and ends the rounds.  |x|^p losses
-    rescale kept rows by q^(-1/p) and reset weights to one; other losses
-    keep rows as they are and carry w / q.  Round r seeds its scores with
-    (seed, salts[0], r) and its draws with (seed, salts[1], r, attempt).
-
-    ``a`` is a matrix or ``core.RowView``, and no copy of its kept rows is
-    formed: each round scores ``row_view(a, idx, scale)``, read by index a
-    block at a time, and only the kept positions, their weights and their
-    scale live from one round to the next.
-
-    Returns (idx, w, scale, rounds): the kept positions in ``a`` (sorted),
-    their weights, their cumulative row scale (the product of each round's
-    q^(-1/p) for |x|^p losses, None for others or when no round was kept),
-    and the number of rounds whose draw was kept.  The kept rows are
-    ``row_view(a, idx, scale)``.
-    """
-    n = a.shape[0]
-    w = as_weights(w, n)
-    idx, scale = None, None     # every row, unscaled, until a draw is kept
-    rounds = 0
-    while (n if idx is None else idx.size) > stop_rows and rounds < max_rounds:
-        rows = a if idx is None else row_view(a, idx, scale)
-        n_prime = rows.shape[0]
-        scores = weighted_leverage_scores(
-            rows, w, loss,
-            seed=int(spawn_rng(seed, salts[0], rounds).integers(2**31)))
-        plan = make_plan(scores.gamma, target(n_prime, scores), 1.0)
-        for attempt in range(2):
-            sample = draw(plan, w,
-                          seed=int(spawn_rng(seed, salts[1], rounds, attempt).integers(2**31)))
-            if len(sample) <= max(0.9 * n_prime, stop_rows):
-                break
-        if trace is not None:
-            trace.append({
-                "depth": rounds, "n": n_prime, "base_case": False,
-                "expected": plan.expected_size, "realized": len(sample),
-                "w1_next": float(sample.reweights.sum()),
-            })
-        if len(sample) <= min_rows:
-            break
-        keep = sample.indices
-        idx = keep if idx is None else idx[keep]
-        if loss.is_lp:
-            scale = sample.scale_factors(loss.p) * (1.0 if scale is None else scale[keep])
-            w = np.ones(keep.size)
-        else:
-            w = sample.reweights
-        del rows, scores, plan, sample, keep  # only idx, w and scale live into the next round
-        rounds += 1
-    return (np.arange(n) if idx is None else idx), w, scale, rounds

@@ -97,7 +97,7 @@ def r1_formula(k, eps, p, quality, c1=2.0):
 
 @pytest.fixture
 def set_p_m(monkeypatch):
-    """Replace const_approx's survivor cap P_M by a fixed row count."""
+    """Replace const_approx's sample-size cap P_M by a fixed row count."""
     return lambda rows: monkeypatch.setattr(bicriteria, "_p_m", lambda k, n, loss: rows)
 
 

@@ -7,7 +7,6 @@ from conftest import planted_lowrank
 from robsub import (
     LossSpec,
     const_approx,
-    const_approx_recur,
     residual_cost,
     v_norm_p,
 )
@@ -30,25 +29,15 @@ class TestBaseCase:
         big = rng.standard_normal((300, 6))
         assert const_approx(big, 1, loss, seed=0).r is None  # P_M = 50 < 300
 
-    def test_recur_base_returns_every_index(self):
-        rng = np.random.default_rng(1)
-        a_proj = rng.standard_normal((10, 4))
-        idx = const_approx_recur(a_proj, np.ones(10), LossSpec.lp(1.0),
-                                 seed=0, p_m=50, max_depth=10)
-        assert np.array_equal(idx, np.arange(10))
-
     def test_base_case_skips_right_sketch(self, monkeypatch):
-        # n <= P_M: no round reads the sketched copy, so none is made
+        # n <= P_M: no sample reads the sketched copy, so none is made
         monkeypatch.setattr(bicriteria, "apply_right",
                             lambda *args: pytest.fail("apply_right called"))
         a = np.random.default_rng(2).standard_normal((40, 9))
-        trace = []
+        trace = {}
         sub = const_approx(a, 2, LossSpec.huber(1.0), seed=0, trace=trace)
         assert sub.dim == 9
-        assert len(trace) == 1
-        entry = trace[0]
-        assert (entry["depth"], entry["n"], entry["base_case"]) == (0, 40, True)
-        assert np.array_equal(entry["indices"], np.arange(40))
+        assert trace == {"bicriteria_rows": 40, "bicriteria_rows_expected": 40.0}
 
 
 class TestExactRecovery:
@@ -83,16 +72,45 @@ class TestExactRecovery:
         assert sub.dim <= 4
 
 
+def _spy(monkeypatch, name):
+    """Record every result of ``bicriteria.<name>`` while it runs as before."""
+    results = []
+    real = getattr(bicriteria, name)
+    monkeypatch.setattr(bicriteria, name,
+                        lambda *args, **kw: results.append(real(*args, **kw)) or results[-1])
+    return results
+
+
 class TestRecursionMechanics:
-    def test_rows_shrink_geometrically(self, set_p_m):
-        loss = LossSpec.lp(1.0)
-        trace = []
-        a, _ = planted_lowrank(4000, 10, 2, seed=3, noise=0.1)
+    def test_one_score_pass_draws_schedule_end(self, monkeypatch):
+        # n > P_M = 450: one scoring of A S^T and one plan, expecting the rows
+        # at which the schedule n' -> min(c d'^2 gamma_total, n' / 2) ends
+        scores = _spy(monkeypatch, "weighted_leverage_scores")
+        plans = _spy(monkeypatch, "make_plan")
+        a, _ = planted_lowrank(9000, 20, 3, seed=11, noise=0.1)
+        trace = {}
+        const_approx(a, 3, LossSpec.lp(1.0), seed=4, trace=trace)
+        assert len(scores) == 1 and len(plans) == 1
+        size, formula = 9000.0, bicriteria._SAMPLE_ROWS_C * 20**2 * scores[0].gamma_total
+        while size > 450:
+            size = min(formula, bicriteria._SHRINK * size)
+        assert size == 9000.0 / 32
+        assert abs(plans[0].expected_size - size) <= 1e-9
+        assert trace["bicriteria_rows_expected"] == plans[0].expected_size
+
+    def test_m2_formula_carries_logloglog_factor(self, set_p_m, monkeypatch):
+        # at p = 2 the formula is 3 log log log n' times c d'^2 gamma_total,
+        # and log log log n' clamps to 1 below n' = e^(e^e); with c d'^2
+        # gamma_total set to 20 rows, the schedule ends at 60 <= P_M
+        scores = _spy(monkeypatch, "weighted_leverage_scores")
+        plans = _spy(monkeypatch, "make_plan")
+        a = np.random.default_rng(5).standard_normal((1500, 6))
         set_p_m(100)
-        const_approx(a, 2, loss, seed=1, trace=trace)
-        ns = [t["n"] for t in trace]
-        for prev, nxt in zip(ns, ns[1:]):
-            assert nxt <= max(0.9 * prev, 100)
+        const_approx(a, 2, LossSpec.huber(1.0), seed=1)  # d' = 6
+        monkeypatch.setattr(bicriteria, "_SAMPLE_ROWS_C", 20.0 / (6**2 * scores[0].gamma_total))
+        const_approx(a, 2, LossSpec.huber(1.0), seed=1)
+        assert abs(plans[0].expected_size - 1500 * bicriteria._SHRINK**4) <= 1e-9
+        assert abs(plans[1].expected_size - 60.0) <= 1e-9
 
     def test_lp_sample_size_within_3_sigma(self, set_p_m):
         loss = LossSpec.lp(1.0)
@@ -101,79 +119,44 @@ class TestRecursionMechanics:
         set_p_m(100)
         devs = []
         for seed in range(30):
-            trace = []
+            trace = {}
             const_approx(a, 2, loss, seed=seed, trace=trace)
-            lvl = trace[0]
-            if not lvl["base_case"]:
-                sigma = math.sqrt(lvl["expected"]) + 1e-9
-                devs.append((lvl["realized"] - lvl["expected"]) / sigma)
+            sigma = math.sqrt(trace["bicriteria_rows_expected"]) + 1e-9
+            devs.append((trace["bicriteria_rows"] - trace["bicriteria_rows_expected"]) / sigma)
         assert abs(np.mean(devs)) <= 3 / math.sqrt(len(devs))
 
-    def test_m2_reweights_unbiased(self, set_p_m):
-        # E ||w'||_1 = ||w||_1 over draws at the first level
-        loss = LossSpec.huber(1.0)
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((1500, 6))
-        set_p_m(100)
-        w1 = []
-        for seed in range(60):
-            trace = []
-            const_approx(a, 2, loss, seed=seed, trace=trace)
-            lvl = trace[0]
-            assert not lvl["base_case"]
-            w1.append(lvl["w1_next"])
-        se = np.std(w1) / math.sqrt(len(w1))
-        assert abs(np.mean(w1) - 1500.0) <= 3 * se
-
-    def test_m2_weight_growth_bounded(self, set_p_m):
-        # after c levels ||w||_inf stays below n (log n)^c almost always
-        loss = LossSpec.huber(1.0)
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((3000, 5))
-        set_p_m(60)
-        ok = 0
-        trials = 20
-        for seed in range(trials):
-            trace = []
-            const_approx(a, 2, loss, seed=seed, trace=trace)
-            levels = [t for t in trace if not t["base_case"]]
-            n, c = 3000, len(levels)
-            bound = n * math.log(n) ** max(c, 1)
-            ok += all(t["w1_next"] <= bound for t in levels)
-        assert ok >= int(0.95 * trials)
-
-    def test_survivors_are_original_rows(self, set_p_m):
-        # base-case indices trace back to rows of the input
+    def test_survivors_are_original_rows(self, set_p_m, monkeypatch):
+        # the drawn indices are rows of the input
+        draws = _spy(monkeypatch, "draw")
         loss = LossSpec.huber(1.0)
         rng = np.random.default_rng(7)
         a = rng.standard_normal((800, 6))
         set_p_m(50)
-        trace = []
+        trace = {}
         const_approx(a, 2, loss, seed=3, trace=trace)
-        base = trace[-1]
-        assert base["base_case"]
-        idx = base["indices"]
+        assert len(draws) == 1
+        idx = draws[0].indices
+        assert idx.size == trace["bicriteria_rows"]
         assert len(set(idx.tolist())) == len(idx)
         assert idx.min() >= 0 and idx.max() < 800
 
-    def test_lp_output_spans_unscaled_rows_at_traced_indices(self, set_p_m):
-        # the rounds rescale the rows they score, but the output is the span
-        # of the input rows themselves; fewer than d rows survive, so the
-        # span is a proper subspace
+    def test_lp_output_spans_unscaled_rows_at_traced_indices(self, set_p_m, monkeypatch):
+        # the draw carries row scales, but the output is the span of the
+        # input rows themselves; fewer than d rows are drawn, so the span is
+        # a proper subspace
+        draws = _spy(monkeypatch, "draw")
         loss = LossSpec.lp(1.0)
         a = np.random.default_rng(8).standard_normal((900, 40))
-        trace = []
         set_p_m(25)
-        sub = const_approx(a, 2, loss, seed=5, trace=trace)
-        assert trace[0]["base_case"] is False and trace[-1]["base_case"]
-        rows = a[trace[-1]["indices"]]
+        sub = const_approx(a, 2, loss, seed=5)
+        rows = a[draws[0].indices]
         assert 0 < rows.shape[0] == sub.dim < 40
         v = np.linalg.svd(rows, full_matrices=False)[2].T
         assert np.abs(sub.u @ sub.u.T - v @ v.T).max() <= 1e-10
 
     def test_oversampling_never_hurts(self, set_p_m, monkeypatch):
-        # larger shrink cap (more rows kept, coupled seeds) cannot raise the
-        # achievable cost of the surviving span
+        # a larger shrink cap (more rows expected, coupled seeds) cannot raise
+        # the achievable cost of the sampled span
         loss = LossSpec.lp(1.0)
         set_p_m(80)
         for seed in range(5):
@@ -182,16 +165,9 @@ class TestRecursionMechanics:
             lo = const_approx(a, 2, loss, seed=seed)
             monkeypatch.setattr(bicriteria, "_SHRINK", 0.6)
             hi = const_approx(a, 2, loss, seed=seed)
-            # same seed stream: the bigger plan keeps a superset at level one,
+            # same scores and draw seed: the bigger plan keeps a superset,
             # so its span has no larger residual
             assert residual_cost(a, hi, None, loss) <= residual_cost(a, lo, None, loss) + 1e-8
-
-    def test_depth_exceeded_raises(self):
-        # one round allowed, and it cannot shrink 500 rows to p_m = 1
-        a = np.random.default_rng(10).standard_normal((500, 6))
-        with pytest.raises(RuntimeError):
-            const_approx_recur(a[:, :3], np.ones(500), LossSpec.lp(1.0),
-                               seed=0, p_m=1, max_depth=0)
 
     def test_output_dimension_capped(self, set_p_m):
         rng = np.random.default_rng(9)

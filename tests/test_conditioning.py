@@ -159,24 +159,22 @@ class TestWellConditionedBasis:
 
 class TestConstApproxTarget:
     def test_const_approx_target_capped(self, monkeypatch):
-        # the recursion's target equals min(c d'^2 gamma_total, shrink n') on
-        # both sides of the cap
-        rounds = []
-        real = bicriteria.leverage_rounds
-        monkeypatch.setattr(bicriteria, "leverage_rounds",
-                            lambda rows, *args, **kw: rounds.append((rows, kw))
-                            or real(rows, *args, **kw))
+        # the plan expects the end of the schedule n' -> min(c d'^2
+        # gamma_total, shrink n') while n' > P_M, on both sides of the cap
+        plans = []
+        real = bicriteria.make_plan
+        monkeypatch.setattr(bicriteria, "make_plan",
+                            lambda gamma, r: plans.append((gamma.sum(), r)) or real(gamma, r))
         a = np.random.default_rng(33).standard_normal((3000, 10))
-        const_approx(a, 1, LossSpec.lp(1.0), seed=2)
-        a_proj, kw = rounds[0]
-        target, d_prime = kw["target"], a_proj.shape[1]
-
-        scores = weighted_leverage_scores(a, None, LossSpec.lp(1.0), seed=5)
-        formula = bicriteria._SAMPLE_ROWS_C * d_prime**2 * scores.gamma_total
+        const_approx(a, 1, LossSpec.lp(1.0), seed=2)  # P_M = 50, d' = 10
+        gamma_total, target = plans[0]
+        formula = bicriteria._SAMPLE_ROWS_C * 10**2 * gamma_total
         assert formula > bicriteria._SHRINK * 3000
-        assert target(3000, scores) == bicriteria._SHRINK * 3000
-        big = 4.0 * formula / bicriteria._SHRINK
-        assert target(big, scores) == pytest.approx(formula, rel=1e-12)
+        assert target == 3000 * bicriteria._SHRINK**6  # 46.875: six halvings
+        # a formula of 40 rows binds at the first step and ends the schedule
+        monkeypatch.setattr(bicriteria, "_SAMPLE_ROWS_C", 40.0 / (10**2 * gamma_total))
+        const_approx(a, 1, LossSpec.lp(1.0), seed=2)
+        assert len(plans) == 2 and plans[1][1] == pytest.approx(40.0, rel=1e-12)
 
 
 class TestNonFiniteInput:

@@ -7,14 +7,14 @@ import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
 from robsub import LossSpec, conditioning, regression
-from robsub.core import RowView, m_derivative, m_value
+from robsub.core import RowView, m_derivative, m_value, spawn_rng
 from robsub.regression import (
     RegressConfig,
     irls_solve,
     m_regress,
     regression_objective,
 )
-from robsub.sampling import leverage_rounds
+from robsub.sampling import draw, make_plan
 
 
 def _outlier_problem(n, d, seed, frac=0.05, scale=30.0, noise=0.1):
@@ -281,26 +281,24 @@ class TestMRegress:
         assert tr["levels"] == 1 and tr["base_rows_expected"] == plans[0].expected_size
 
     def test_one_step_schedule_matches_one_round(self, monkeypatch):
-        # where the schedule takes one step, the sample is that of one
-        # leverage round with the same target and salts: x is bitwise equal
+        # where the schedule takes one step, the sample is one scoring, plan
+        # and draw of [A b] with the same target and salts: x is bitwise equal
         # (d + 1 = 11 <= 30 Gaussian columns, so p = 2 scores are exact)
         loss = LossSpec.huber(1.0)
         cfg = RegressConfig(base_cap=1500)
         monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
         a, b, _ = _outlier_problem(5000, 10, 17)
         d, eps = 10, 0.5
-
-        def target(n_prime, _scores):
-            level = 0.05 * n_prime ** 0.6 * (d + 1) * math.log(10.0) / eps**2
-            return min(0.5 * n_prime, max(level, 4.0 * (d + 1)))
-
-        assert target(5000, None) <= 1500
-        stack = RowView((a, b[:, None]))
-        idx, w, _, rounds = leverage_rounds(
-            stack, np.ones(5000), loss, target=target, stop_rows=1500, max_rounds=1,
-            seed=5, salts=(137, 139), min_rows=d + 1)
-        assert rounds == 1
-        ref = irls_solve(a[idx], b[idx], w, loss)
+        level = 0.05 * 5000 ** 0.6 * (d + 1) * math.log(10.0) / eps**2
+        target = min(0.5 * 5000, max(level, 4.0 * (d + 1)))
+        assert target <= 1500
+        scores = conditioning.weighted_leverage_scores(
+            RowView((a, b[:, None])), None, loss, seed=int(spawn_rng(5, 137, 0).integers(2**31)))
+        sample = draw(make_plan(scores.gamma, target), None,
+                      seed=int(spawn_rng(5, 139, 0, 0).integers(2**31)))
+        idx = sample.indices
+        assert idx.size > d + 1
+        ref = irls_solve(a[idx], b[idx], sample.reweights, loss)
         tr = {}
         x = m_regress(a, b, loss, eps=eps, cfg=cfg, seed=5, trace=tr)
         assert tr["levels"] == 1 and tr["base_rows"] == idx.size

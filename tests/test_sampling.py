@@ -12,8 +12,7 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub.core import RowView, row_view, spawn_rng
-from robsub.sampling import leverage_rounds
+from robsub.core import spawn_rng
 
 
 class TestMakePlan:
@@ -200,119 +199,3 @@ class TestConcentration:
             good += abs(est - truth) <= 0.2 * truth
         assert good >= 170  # 85%
 
-
-def _half(n_prime, _gamma_total):
-    return 0.5 * n_prime
-
-
-class TestLeverageRounds:
-    def _rows(self, n=2000, d=5, seed=10):
-        return np.random.default_rng(seed).standard_normal((n, d))
-
-    def test_stops_at_stop_rows(self):
-        a = self._rows()
-        trace = []
-        idx, _, _, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), target=_half,
-            stop_rows=300, max_rounds=20, seed=1, salts=(1, 2), trace=trace)
-        assert idx.size <= 300
-        assert rounds == len(trace) >= 2
-        assert all(t["n"] > 300 for t in trace)
-
-    def test_stops_at_max_rounds(self):
-        a = self._rows()
-        trace = []
-        idx, _, _, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), target=_half,
-            stop_rows=10, max_rounds=2, seed=1, salts=(1, 2), trace=trace)
-        assert rounds == len(trace) == 2
-        assert idx.size == trace[-1]["realized"] > 10
-
-    def test_small_draw_keeps_previous_rows(self):
-        # round one halves the rows; round two plans ~3 rows, at most
-        # min_rows, so its draw is dropped and round one's rows are returned
-        a = self._rows()
-
-        def target(n_prime, _gamma_total):
-            return 0.5 * n_prime if n_prime == a.shape[0] else 3.0
-
-        trace = []
-        idx, w, scale, rounds = leverage_rounds(
-            a, None, LossSpec.huber(1.0), target=target,
-            stop_rows=10, max_rounds=5, seed=2, salts=(1, 2), min_rows=50, trace=trace)
-        assert rounds == 1 and len(trace) == 2
-        assert trace[1]["realized"] <= 50
-        assert idx.size == trace[0]["realized"] == trace[1]["n"]
-        assert scale is None and w.size == idx.size
-
-    def test_no_kept_draw_returns_input(self):
-        a = self._rows()
-        idx, w, scale, rounds = leverage_rounds(
-            a, None, LossSpec.lp(1.0),
-            target=lambda n_prime, _: 3.0, stop_rows=10, max_rounds=5, seed=3,
-            salts=(1, 2), min_rows=50)
-        assert rounds == 0 and scale is None
-        assert np.array_equal(idx, np.arange(a.shape[0])) and np.all(w == 1.0)
-
-    def _one_round(self, a, w, loss, seed):
-        """Plan q of round one, rebuilt from the documented seeding."""
-        scores = weighted_leverage_scores(
-            a, w, loss, seed=int(spawn_rng(seed, 1, 0).integers(2**31)))
-        return make_plan(scores.gamma, _half(a.shape[0], scores.gamma_total), 1.0).q
-
-    def test_lp_rescales_rows_with_unit_weights(self):
-        a = self._rows()
-        loss = LossSpec.lp(1.5)
-        idx, w, scale, rounds = leverage_rounds(
-            a, None, loss, target=_half, stop_rows=10,
-            max_rounds=1, seed=4, salts=(1, 2))
-        q = self._one_round(a, None, loss, 4)
-        assert rounds == 1 and np.all(w == 1.0)
-        assert np.allclose(scale, q[idx] ** (-1.0 / 1.5))
-
-    def test_lp_scale_compounds_over_rounds(self):
-        # the scale of each kept row is the product of every round's
-        # q^(-1/p); rebuilt here by gathering and scaling each round's rows
-        a = self._rows(n=4000)
-        loss = LossSpec.lp(1.0)
-        trace = []
-        idx, w, scale, rounds = leverage_rounds(
-            a, None, loss, target=_half, stop_rows=200, max_rounds=10, seed=7,
-            salts=(1, 2), trace=trace)
-        assert rounds >= 3 and np.all(w == 1.0)
-        assert np.all(np.diff(idx) > 0)
-        rows, pos = a, np.arange(a.shape[0])
-        for r in range(rounds):
-            scores = weighted_leverage_scores(
-                rows, None, loss, seed=int(spawn_rng(7, 1, r).integers(2**31)))
-            plan = make_plan(scores.gamma, _half(rows.shape[0], scores.gamma_total), 1.0)
-            keep = draw(plan, None, seed=int(spawn_rng(7, 2, r, 0).integers(2**31))).indices
-            assert keep.size == trace[r]["realized"]
-            rows, pos = rows[keep] * plan.q[keep, None] ** -1.0, pos[keep]
-        assert np.array_equal(pos, idx)
-        assert np.allclose(row_view(a, idx, scale).block(slice(None)), rows, rtol=1e-12, atol=0.0)
-
-    def test_p2_reweights_rows_unchanged(self):
-        a = self._rows()
-        loss = LossSpec.huber(1.0)
-        w0 = 1.0 + 3.0 * np.random.default_rng(11).random(a.shape[0])
-        idx, w, scale, rounds = leverage_rounds(
-            a, w0, loss, target=_half, stop_rows=10,
-            max_rounds=1, seed=5, salts=(1, 2))
-        q = self._one_round(a, w0, loss, 5)
-        assert rounds == 1 and scale is None
-        assert np.allclose(w, w0[idx] / q[idx])
-
-    def test_indices_map_kept_rows_to_input(self):
-        # the returned positions index the input over rounds: rounds over a
-        # RowView of the input's columns, read by index, keep the same rows
-        # with the same weights as rounds over the input itself
-        a = self._rows()
-        loss = LossSpec.huber(1.0)
-        idx, w, _, rounds = leverage_rounds(a, None, loss, target=_half, stop_rows=100,
-                                            max_rounds=10, seed=6, salts=(1, 2))
-        viewed = leverage_rounds(RowView((a[:, :2], a[:, 2:])), None, loss, target=_half,
-                                 stop_rows=100, max_rounds=10, seed=6, salts=(1, 2))
-        assert rounds >= 3 and viewed[3] == rounds
-        assert np.all(np.diff(idx) > 0)
-        assert np.array_equal(viewed[0], idx) and np.array_equal(viewed[1], w)
