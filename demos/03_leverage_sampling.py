@@ -20,27 +20,20 @@ loss = LossSpec.lp(1.0)
 a = rng.standard_normal((1000, 12))
 a[:10] *= 30.0
 
-scores = weighted_leverage_scores(a, None, loss, seed=5)
-# at p = 1 the total is twice the entrywise l1 norm of the basis U (one weight bucket)
+scores = weighted_leverage_scores(a, loss, seed=5)
+# at p = 1 the total is twice the entrywise l1 norm of the basis U
 print(f"total sensitivity gamma = {scores.gamma_total:.2f}")
 heavy = np.argsort(scores.gamma)[::-1][:10]
 print(f"top-10 leverage rows: {sorted(heavy.tolist())}  (the inflated rows are 0..9)")
 
 # reweighted sampling leaves the v-measure unbiased
-plan = make_plan(scores.gamma, r=80.0, k2=1.0)
+plan = make_plan(scores.gamma, r=80.0)
 truth = v_norm_p(a, None, loss)
 estimates = []
 for s in range(400):
-    d = draw(plan, None, seed=s)
+    d = draw(plan, seed=s)
     rows = a[d.indices]
     estimates.append(float(np.dot(d.reweights, np.linalg.norm(rows, axis=1))))
 print(f"\nE[sample size] = {plan.expected_size:.1f}")
 print(f"true v-measure {truth:.1f}; mean over 400 reweighted draws "
       f"{np.mean(estimates):.1f} (rel err {abs(np.mean(estimates)/truth-1):.4f})")
-
-# weights >= 1 are handled by dyadic bucketing
-w = np.ones(1000)
-w[::3] = 5.0
-ws = weighted_leverage_scores(a, w, LossSpec.huber(1.0), seed=9)
-print(f"\nweighted scores for huber: {ws.bucket_count} dyadic buckets, "
-      f"gamma = {ws.gamma_total:.1f}")

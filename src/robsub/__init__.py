@@ -9,7 +9,6 @@ oracles, and a clique-gadget instance generator for verification.
 from .core import (
     LossSpec,
     Subspace,
-    WeightVector,
     entrywise_norm_p,
     m_derivative,
     m_value,

@@ -1,8 +1,8 @@
 """Constant-factor bicriteria subspaces by one right sketch and one row sample.
 
 The driver sketches the input on the right down to d' = poly(k) columns,
-scores the rows of the sketched copy A S^T once with weighted leverage
-scores, and draws one sample of the rows; the row space of the sampled
+scores the rows of the sketched copy A S^T once with leverage scores,
+and draws one sample of the rows; the row space of the sampled
 input rows is the bicriteria subspace.  The sample expects the rows at
 which rounds of resampling would end, found by running their schedule on
 row counts alone: n' -> min(c d'^2 gamma_total, n'/2) while n' > P_M,
@@ -76,7 +76,7 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     m = int(min(max(k + 1, _SKETCH_COLS_C * k * k), d))
     right = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
                                m=m, d=d, s=min(_SKETCH_NNZ, m))
-    scores = weighted_leverage_scores(apply_right(a, right), None, loss,
+    scores = weighted_leverage_scores(apply_right(a, right), loss,
                                       seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
     # the formula c d'^2 gamma_total (times a log log log n' factor at p = 2)
     # exceeds n' at practical sizes, so each step also halves the rows
@@ -87,8 +87,8 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
             formula *= _LOGLOGLOG_C * _logloglog(size)
         size = min(formula, _SHRINK * size)
     plan = make_plan(scores.gamma, size)
-    sample = draw(plan, None, seed=int(spawn_rng(seed, 59, 0, 0).integers(2**31)))
+    sample = draw(plan, seed=int(spawn_rng(seed, 59, 0, 0).integers(2**31)))
     if trace is not None:
         trace.update(bicriteria_rows=len(sample), bicriteria_rows_expected=plan.expected_size)
-    # row scales and weights leave the span of the kept rows unchanged
+    # the kept rows' weights 1/q leave their span unchanged
     return orthonormal_union([a[sample.indices]], d=d)

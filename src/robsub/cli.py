@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--t-rows", type=int, default=300, dest="t_rows",
                     help="rows handed to the small solve")
     ap.add_argument("--small-cap", type=int, default=400, dest="small_cap",
-                    help="largest side of the small problem")
+                    help="widest small problem: most columns of [A U, r]")
     _add_common(ap)
     ap.set_defaults(func=cmd_approx)
 

@@ -21,13 +21,11 @@ Pi U is orthonormal; otherwise it is A.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
-``weighted_leverage_scores`` is the one entry point: it partitions rows
-into dyadic weight buckets (one bucket when the weights are all one),
-builds one basis per bucket, and doubles the per-row scores.  A bucket is
-never copied out of its source: its basis holds the source and the
-bucket's row indices (a ``core.RowView``), its sketch places the bucket's
-columns at those rows of an operator over every source row, and its QR
-and power-sum passes gather one block of its rows at a time.
+``weighted_leverage_scores`` is the one entry point: it builds one basis
+over every row of its operand (a matrix or a ``core.RowView``, whose QR
+and power-sum passes gather one block of rows at a time) and doubles the
+per-row scores.  Every sample is drawn once from unit-weight rows, so no
+input weights reach the scores.
 """
 
 from __future__ import annotations
@@ -38,16 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    LossSpec,
-    RowView,
-    WeightVector,
-    as_weights,
-    is_sparse,
-    matmul_dense,
-    row_view,
-    spawn_rng,
-)
+from .core import LossSpec, RowView, is_sparse, matmul_dense, row_view, spawn_rng
 from .sketch import make_pstable_sketch, orthonormalizer
 
 _ROW_BLOCK = 8192
@@ -132,7 +121,7 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedB
 
 @dataclass(frozen=True)
 class LeverageScores:
-    """Per-row scores gamma and the number of weight buckets with a basis."""
+    """Per-row scores gamma and the number of bases built: 0 for an all-zero operand, else 1."""
 
     gamma: np.ndarray
     bucket_count: int
@@ -155,17 +144,14 @@ def _row_scores(loss: LossSpec, sums: np.ndarray) -> np.ndarray:
 
 def weighted_leverage_scores(
     a,
-    w,
     loss: LossSpec,
     seed: int = 0,
     gauss_t: Optional[int] = None,
 ) -> LeverageScores:
-    """Leverage scores under dyadic weight buckets.
+    """Leverage scores of the rows of ``a`` (a matrix or a ``RowView``).
 
-    Rows are split into buckets 2^(j-1) <= w_i < 2^j (with ``w`` None,
-    one bucket of unit weights); each bucket that is not all zero gets its
-    own basis U over its rows of ``a`` (a matrix or a ``RowView``), read
-    by index, and per-row scores are twice the unweighted form below.
+    One basis U is built over every row, and per-row scores are twice the
+    unweighted form below; an all-zero operand builds none and scores 0.
 
     For |x|^p losses the unweighted score of row i is ||U_i||_p^p.  It
     bounds the row's sensitivity when U is the exact orthonormal factor:
@@ -182,31 +168,17 @@ def weighted_leverage_scores(
     Woodruff 2012).  At gauss_t >= m the estimate, A (F G), would cost no
     less than the exact norms of A F, so those are taken.
     """
-    n = a.shape[0]
-    wv = as_weights(w, n)
-    weights = WeightVector(wv)
-    buckets = weights.bucket_indices()
-    gamma = np.zeros(n)
-    basis_p = loss.p if loss.is_lp else 2.0
     src = row_view(a)
-    bases = 0
-    levels = np.flatnonzero(np.bincount(buckets))  # the occupied buckets, in order
-    for j in levels:
-        # a lone bucket holds every row: read them all, with no index vector
-        rows = slice(None) if levels.size == 1 else np.flatnonzero(buckets == j)
-        sub = src if levels.size == 1 else row_view(src, rows)
-        if not any(np.any(b.data if is_sparse(b) else b) for _, _, b in sub.blocks(_ROW_BLOCK)):
-            continue  # all-zero bucket contributes score 0
-        bases += 1
-        basis = well_conditioned_basis(
-            sub, p=basis_p, seed=int(spawn_rng(seed, 29, int(j)).integers(2**31)))
-        if gauss_t is not None and gauss_t < basis.m:
-            g = spawn_rng(seed, 31, int(j)).standard_normal((basis.m, gauss_t))
-            g /= math.sqrt(gauss_t)
-            sums = np.empty(basis.n)
-            for lo, hi, block in basis.iter_row_blocks(right=g):
-                sums[lo:hi] = np.einsum("ij,ij->i", block, block)
-        else:
-            sums = basis.row_power_sums()
-        gamma[rows] = 2.0 * _row_scores(loss, sums)
-    return LeverageScores(gamma, bases)
+    if not any(np.any(b.data if is_sparse(b) else b) for _, _, b in src.blocks(_ROW_BLOCK)):
+        return LeverageScores(np.zeros(src.shape[0]), 0)
+    basis = well_conditioned_basis(src, p=loss.p if loss.is_lp else 2.0,
+                                   seed=int(spawn_rng(seed, 29, 1).integers(2**31)))
+    if gauss_t is not None and gauss_t < basis.m:
+        g = spawn_rng(seed, 31, 1).standard_normal((basis.m, gauss_t))
+        g /= math.sqrt(gauss_t)
+        sums = np.empty(basis.n)
+        for lo, hi, block in basis.iter_row_blocks(right=g):
+            sums[lo:hi] = np.einsum("ij,ij->i", block, block)
+    else:
+        sums = basis.row_power_sums()
+    return LeverageScores(2.0 * _row_scores(loss, sums), 1)

@@ -1,7 +1,8 @@
 """Loss functions, weighted row measures, and the shared value types.
 
 The central object is the weighted v-measure of a matrix: for a loss M with
-growth exponent p and per-row weights w >= 1,
+growth exponent p and per-row weights w >= 1 (the 1/q of a sample's kept
+rows, or all one),
 
     v_norm_p(A) = sum_i w_i * M(||A_i||_2)
 
@@ -161,39 +162,17 @@ def m_derivative(loss: LossSpec, x):
 # weights
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Per-row weights with every w_i >= 1, carrying dyadic bucket structure.
-
-    Bucket j holds the rows with 2^(j-1) <= w_i < 2^j, for j = 1, 2, ...
-    """
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.w, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("weights must be finite")
-        if arr.size and arr.min() < 1.0:
-            raise ValueError("every weight must be >= 1")
-        object.__setattr__(self, "w", arr)
-
-    def bucket_indices(self) -> np.ndarray:
-        """1-based dyadic bucket index per row: 2^(j-1) <= w_i < 2^j."""
-        return np.floor(np.log2(self.w)).astype(int) + 1
-
-
 def as_weights(w, n: int) -> np.ndarray:
-    """Normalize a weights argument (None, array, or WeightVector) to an array."""
+    """Per-row weights as an array: ones for None, else a finite vector of n weights >= 1."""
     if w is None:
         return np.ones(n)
-    if isinstance(w, WeightVector):
-        arr = w.w
-    else:
-        arr = np.asarray(w, dtype=float)
-        WeightVector(arr)  # validation only
+    arr = np.asarray(w, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("weights must be a vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("weights must be finite")
+    if arr.size and arr.min() < 1.0:
+        raise ValueError("every weight must be >= 1")
     if arr.size != n:
         raise ValueError(f"weight length {arr.size} != row count {n}")
     return arr

@@ -5,8 +5,8 @@ rank-k optimum, rows are sampled once, with probabilities proportional to
 M of their Gaussian-sketched residual norms, and the output subspace is
 the orthonormal union of the sampled rows with the columns of W.  The
 result contains span(W) and, with enough samples, a near-optimal rank-k
-subspace.  K = max(2, k) and the sample-size constants c1 = 2 and k2 = 4
-are constants of the analysis: ``_r1`` and ``_K2``.
+subspace.  K = max(2, k), the sample-size constant c1 = 2 and the
+oversampling factor 4 are constants of the analysis: ``_r1`` and ``_K2``.
 """
 
 from __future__ import annotations
@@ -35,8 +35,12 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     Scores are q'_i = M(||A_i (I - W W^T) G||_2) with G Gaussian (a single
     column for |x|^p losses, O(log n) columns otherwise); the plan uses
     r = r1^(p+1) or r1 respectively, r1 = _r1(k, eps, p), with
-    oversampling constant _K2.  If every residual is zero (always so
-    when xhat is the whole space) the input subspace is returned unchanged.
+    oversampling constant _K2, so the plan expects _K2 r rows.  If every
+    residual is zero (always so when xhat is the whole space) the input
+    subspace is returned unchanged.  ``trace`` receives the Gaussian's
+    width (``t_m``) and the realized and expected rows of the sample
+    (``dimreduce_rows``, ``dimreduce_rows_expected``; 0 and 0.0 when no
+    sample is drawn).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -45,6 +49,8 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
         raise ValueError(f"k={k} outside [1, {d}]")
     if xhat.d != d:
         raise ValueError("projector dimension mismatch")
+    if trace is not None:
+        trace.update(dimreduce_rows=0, dimreduce_rows_expected=0.0)
     if xhat.dim == d:
         return xhat  # every residual is zero
     p = loss.p
@@ -61,8 +67,6 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     scores = m_value(loss, resid)
     if trace is not None:
         trace["t_m"] = t_m
-        trace["r"] = r
-        trace["scores_total"] = float(scores.sum())
     # residuals at the level of rounding noise count as an exact fit
     largest = max(float(row_norms(rows).max(initial=0.0))
                   for _, _, rows in row_view(a).blocks(_FACTOR_BLOCK))
@@ -70,11 +74,10 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     if scores.sum() <= zero_floor:
         return xhat
 
-    plan = make_plan(scores, r, _K2)
-    sample = draw(plan, None, seed=int(spawn_rng(seed, 47).integers(2**31)))
+    plan = make_plan(scores, _K2 * r)
+    sample = draw(plan, seed=int(spawn_rng(seed, 47).integers(2**31)))
     if trace is not None:
-        trace["expected_size"] = plan.expected_size
-        trace["realized_size"] = len(sample)
+        trace.update(dimreduce_rows=len(sample), dimreduce_rows_expected=plan.expected_size)
     blocks = [a[sample.indices]]
     if xhat.dim > 0:
         blocks.append(xhat.u.T)

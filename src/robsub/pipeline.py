@@ -105,7 +105,7 @@ class PipelineConfig:
     """The small solve's budgets; every other sample size is a constant of the analysis."""
 
     t_rows_target: int = 300            # expected rows of the final sample
-    small_cap: int = 400                # max side of the reduced problem
+    small_cap: int = 400                # most columns [X r] of the reduced problem
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +263,13 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
     backtracking.  ``trace`` receives the alternation steps of all starts
     (``small_mm_steps``), the steps whose Krylov certificate failed
     (``small_eigen_fallbacks``) and whether the polish hit its iteration
-    cap (``small_search_capped``).
+    cap (``small_search_capped``).  A problem more than ``cap`` columns
+    [X r] wide raises ``CapExceededError``; its row count is the final
+    sample's, which ``PipelineConfig.t_rows_target`` sets.
     """
-    if prob.max_side() > cap:
+    if prob.domain_dim + 1 > cap:
         raise CapExceededError(
-            f"small problem has side {prob.max_side()} > cap {cap}; raise the "
+            f"small problem has side {prob.domain_dim + 1} > cap {cap}; raise the "
             "cap or lower the sampling targets")
     tally = {} if trace is None else trace
     tally.update(small_mm_steps=0, small_eigen_fallbacks=0, small_search_capped=False)
@@ -303,10 +305,11 @@ def _stage_bicriteria(a, k, loss, seed, trace):
 
 
 def _stage_subspace(a, k, eps, loss, seed, trace):
-    """The residual-sampled subspace containing the bicriteria subspace."""
+    """The residual-sampled subspace containing the bicriteria subspace;
+    ``trace`` receives both stages' samples."""
     xhat = _stage_bicriteria(a, k, loss, seed, trace)
     sub = dim_reduce(a, k, eps, xhat, loss,
-                     seed=int(spawn_rng(seed, 83).integers(2**31)))
+                     seed=int(spawn_rng(seed, 83).integers(2**31)), trace=trace)
     trace["reduced_dim"] = sub.dim
     return sub
 
@@ -375,7 +378,7 @@ def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
         lev[lo:hi] = np.einsum("ij,ij->i", xbf, xbf)
     total = cost.sum()
     plan = make_plan(lev / k + (cost / total if total > 0.0 else 0.0), t_rows)
-    sample = draw(plan, None, seed=seed)
+    sample = draw(plan, seed=seed)
     if len(sample) == 0:
         raise CapExceededError("final sampling stage drew no rows; raise t_rows_target")
     tr.update(t_rows=len(sample), t_rows_expected=plan.expected_size)
@@ -421,7 +424,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     kept = row_view(scored).block(idx)
     prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[1]).integers(2**31)),
-                            cap=max(cfg.small_cap, cfg.t_rows_target + 1), trace=tr)
+                            cap=cfg.small_cap, trace=tr)
     return _final_factor(u, w_factor)
 
 

@@ -1,12 +1,12 @@
 """Robust regression: one leverage sample over an IRLS core.
 
-``m_regress`` draws one weighted leverage-score sample of the rows of
+``m_regress`` draws one leverage-score sample of the rows of
 [A b], sized by a schedule of halving steps run on row counts alone, then
-solves the sampled weighted problem with iteratively reweighted least
-squares.  A may be dense or CSR.  [A b] is never formed: its rows are
-scored through a ``core.RowView`` of [A b], with row blocks stacked on
-demand.  The kept rows of A (still CSR for a CSR A) and entries of b are
-gathered once for ``irls_solve``, which never densifies A either:
+solves the sampled problem, each kept row weighted 1/q, with iteratively
+reweighted least squares.  A may be dense or CSR.  [A b] is never formed:
+its rows are scored through a ``core.RowView`` of [A b], with row blocks
+stacked on demand.  The kept rows of A (still CSR for a CSR A) and entries
+of b are gathered once for ``irls_solve``, which never densifies A either:
 each reweighted least-squares step is solved from the small R of the
 row-scaled view of [A b] (``sketch.r_factor``: the Cholesky factor of its
 Gram when that is well conditioned, else a streamed R-only QR), so IRLS
@@ -123,11 +123,11 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     three halving steps, run on row counts alone while more than
     max(base_cap, 2 (d+1)) remain: n' -> min(n'/2, max(n'^(1/2+kappa)
     (d+1) log(1/delta) / eps^2, 4 (d+1))), with kappa = delta = 0.1.  It
-    is drawn once from the weighted leverage scores of [A b], read a block
-    of rows at a time (Gaussian row-norm estimates for p=2 losses), with
-    weights 1/q (|x|^p losses rescale the rows by q^(-1/p)); a draw of at
-    most d+1 rows is dropped for all the rows.  The kept rows of A (CSR
-    for a CSR A) and entries of b are gathered once, scaled, for IRLS.
+    is drawn once from the leverage scores of [A b], read a block
+    of rows at a time (Gaussian row-norm estimates for p=2 losses), and
+    each kept row weighs 1/q for every loss; a draw of at most d+1 rows is
+    dropped for all the rows.  The kept rows of A (CSR for a CSR A) and
+    entries of b are gathered once for IRLS.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -149,14 +149,13 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     w, levels, expected = None, 0, float(n)
     if size < n:
         scores = weighted_leverage_scores(
-            stack, None, loss, seed=int(spawn_rng(seed, 137, 0).integers(2**31)),
+            stack, loss, seed=int(spawn_rng(seed, 137, 0).integers(2**31)),
             gauss_t=int(math.ceil(3.0 / _KAPPA)) if loss.is_m2 else None)
         plan = make_plan(scores.gamma, size)
-        sample = draw(plan, None, seed=int(spawn_rng(seed, 139, 0, 0).integers(2**31)))
+        sample = draw(plan, seed=int(spawn_rng(seed, 139, 0, 0).integers(2**31)))
         if len(sample) > d + 1:
-            scale = sample.scale_factors(loss.p) if loss.is_lp else None
-            w = None if loss.is_lp else sample.reweights
-            a, rhs = row_view(stack, sample.indices, scale)[:].parts
+            w = sample.reweights
+            a, rhs = row_view(stack, sample.indices)[:].parts
             levels, expected = 1, plan.expected_size
     if trace is not None:
         trace.update(levels=levels, base_rows=a.shape[0], base_rows_expected=expected)

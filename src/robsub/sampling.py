@@ -2,12 +2,12 @@
 
 A plan turns nonnegative scores q' into independent inclusion
 probabilities q_i = min{1, tau q'_i}, tau water-filled so that the plan
-expects min{k2 r, nnz(q')} rows.  A draw realizes the plan with one
-uniform variate per index (in index order, so draws from the same seed are
-coupled across plans) and carries both the reweighting w'_i = w_i / q_i
-and, for |x|^p losses, the row scale factors q_i^(-1/p).  The bicriteria
-subspace, robust regression and the subspace pipelines each draw their
-sample in one plan and one draw."""
+expects min{r, nnz(q')} rows.  A draw realizes the plan with one uniform
+variate per index (in index order, so draws from the same seed are coupled
+across plans) and weighs each kept row 1/q_i, for every loss.  The
+bicriteria subspace, residual sampling, robust regression and the subspace
+pipelines each draw their sample in one plan and one draw, from rows of
+unit weight."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_weights, spawn_rng
+from .core import spawn_rng
 
 _PROB_FLOOR = 1e-12
 # most expected rows of one bicriteria or regression size-schedule step, over n'
@@ -31,10 +31,10 @@ class SamplingPlan:
         return float(self.q.sum())
 
 
-def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
-    """Inclusion probabilities min{1, tau q'_i} expecting min{k2 r, nnz(q')} rows.
+def make_plan(scores, r: float) -> SamplingPlan:
+    """Inclusion probabilities min{1, tau q'_i} expecting min{r, nnz(q')} rows.
 
-    tau = k2 r / sum(q') unless a row caps at one; then the capped mass is
+    tau = r / sum(q') unless a row caps at one; then the capped mass is
     handed to the other rows (water-filling), so every q_i only rises.
     """
     s = np.asarray(scores, dtype=float)
@@ -45,15 +45,15 @@ def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
     total = float(s.sum())
     if total <= 0.0:
         raise ValueError("all scores are zero")
-    if r <= 0.0 or k2 <= 0.0:
-        raise ValueError("r and k2 must be positive")
-    q = k2 * r * s / total
+    if r <= 0.0:
+        raise ValueError("r must be positive")
+    q = r * s / total
     if q.max() > 1.0:
         # with the j largest scores capped, the others share target - j rows;
         # the first j at which the next score stays below one fixes tau
         desc = np.sort(s)[::-1]
         rest = np.cumsum(desc[::-1])[::-1]
-        target = min(k2 * r, np.count_nonzero(s))
+        target = min(r, np.count_nonzero(s))
         first = int(np.argmax((target - np.arange(s.size)) * desc <= rest))
         q = (target - first) * s / rest[first]
     q = np.minimum(1.0, q)
@@ -65,31 +65,23 @@ def make_plan(scores, r: float, k2: float = 1.0) -> SamplingPlan:
 class SampleDraw:
     indices: np.ndarray   # sorted, each at most once
     q_sel: np.ndarray     # inclusion probabilities of the chosen rows
-    w_sel: np.ndarray     # original weights of the chosen rows
 
     @property
     def reweights(self) -> np.ndarray:
-        """w'_i = w_i / q_i for the chosen rows (always >= w_i)."""
-        return self.w_sel / self.q_sel
-
-    def scale_factors(self, p: float) -> np.ndarray:
-        """Row scale factors q_i^(-1/p) for the scale-invariant losses."""
-        return self.q_sel ** (-1.0 / p)
+        """Weights 1/q_i of the chosen rows (each at least 1)."""
+        return 1.0 / self.q_sel
 
     def __len__(self) -> int:
         return self.indices.size
 
 
-def draw(plan: SamplingPlan, w=None, seed: int = 0) -> SampleDraw:
+def draw(plan: SamplingPlan, seed: int = 0) -> SampleDraw:
     """Independent Bernoulli draw from the plan.
 
     One uniform per index in index order: a re-draw from the same seed with
     inflated probabilities yields a superset of indices.
     """
-    n = plan.q.size
-    wv = as_weights(w, n)
-    u = spawn_rng(seed, 37).random(n)
-    mask = u < plan.q
-    idx = np.flatnonzero(mask)
-    return SampleDraw(idx, plan.q[idx], wv[idx])
+    u = spawn_rng(seed, 37).random(plan.q.size)
+    idx = np.flatnonzero(u < plan.q)
+    return SampleDraw(idx, plan.q[idx])
 

@@ -150,14 +150,14 @@ def test_c04_sampling_concentration():
     a = rng.standard_normal((2000, 30))
     wmat = rng.standard_normal((30, 3))
     loss = LossSpec.lp(1.0)
-    scores = weighted_leverage_scores(a, None, loss, seed=0)
+    scores = weighted_leverage_scores(a, loss, seed=0)
     r = sample_size_subspace(z=3, eps=0.2, delta=0.1, gamma_total=scores.gamma_total, c=8.0)
     # q_i = min{1, r-hat gamma_i} with r-hat = r / gamma_total
-    plan = make_plan(scores.gamma, r, 1.0)
+    plan = make_plan(scores.gamma, r)
     truth = v_norm_p(a @ wmat, None, loss)
     good = 0
     for s in range(200):
-        d = draw(plan, None, seed=s)
+        d = draw(plan, seed=s)
         est = float(np.dot(d.reweights, np.linalg.norm(a[d.indices] @ wmat, axis=1)))
         good += abs(est - truth) <= 0.2 * truth
     elapsed = time.perf_counter() - t0

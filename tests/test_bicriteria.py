@@ -141,7 +141,7 @@ class TestRecursionMechanics:
         assert idx.min() >= 0 and idx.max() < 800
 
     def test_lp_output_spans_unscaled_rows_at_traced_indices(self, set_p_m, monkeypatch):
-        # the draw carries row scales, but the output is the span of the
+        # the draw carries weights 1/q, but the output is the span of the
         # input rows themselves; fewer than d rows are drawn, so the span is
         # a proper subspace
         draws = _spy(monkeypatch, "draw")

@@ -112,6 +112,19 @@ class TestApproxCommand:
         r = _load(report)
         assert r["results"]["subspace_dim"] >= 2
 
+    def test_dimreduce_stage_reports_its_sample(self, tmp_path):
+        # 300 x 200 at k = 2: the L1 bicriteria stage draws about 150 rows,
+        # a proper subspace, so residual sampling draws a sample of its own
+        csv = tmp_path / "wide.csv"
+        np.savetxt(csv, np.random.default_rng(0).standard_normal((300, 200)), delimiter=",")
+        report = tmp_path / "r.json"
+        rc = main(["approx", "--input", str(csv), "--k", "2", "--loss", "l1",
+                   "--stage", "dimreduce", "--seed", "1", "--report", str(report)])
+        assert rc == EXIT_OK
+        tr = _load(report)["results"]["trace"]
+        assert tr["bicriteria_dim"] < 200 and tr["reduced_dim"] >= tr["bicriteria_dim"]
+        assert tr["dimreduce_rows_expected"] > 0 and tr["dimreduce_rows"] > 0
+
     def test_bicriteria_stage_is_the_pipeline_stage(self, tmp_path):
         # k = 1 puts the L1 survivor cap (50) below n, so sampling rounds run
         # and fewer than d rows survive: the span depends on the seeding

@@ -122,16 +122,15 @@ class TestWellConditionedBasis:
 
     def test_takes_no_svd(self, monkeypatch, sketches):
         # exact and sketched bases, at p = 1 and p = 2, dense and CSR, and the
-        # weighted scores over two buckets: no SVD runs on any of them
+        # leverage scores: no SVD runs on any of them
         rng = np.random.default_rng(25)
         small = rng.standard_normal((400, 3))
-        w = np.where(np.arange(400) % 2, 1.0, 3.0)
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
         for a, p, sketched in ((small, 2.0, 0), (sp.csr_matrix(small), 2.0, 0), (small, 1.0, 1)):
             sketches.clear()
             basis = well_conditioned_basis(a, p=p, seed=1)
             assert basis.m == 3 and len(sketches) == sketched
-        assert weighted_leverage_scores(small, w, LossSpec.huber(1.0)).bucket_count == 2
+        assert weighted_leverage_scores(small, LossSpec.huber(1.0)).bucket_count == 1
 
     def test_p2_exact_at_every_n(self, monkeypatch, sketches):
         # p = 2 takes the exact factor at any n, above c_pi m0^2 and 8192 rows
@@ -144,7 +143,7 @@ class TestWellConditionedBasis:
         monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
         for a, lev in zip(inputs, leverage):
             assert well_conditioned_basis(a, p=2.0, seed=1).m == a.shape[1]
-            scores = weighted_leverage_scores(a, None, LossSpec.lp(2.0), seed=1)
+            scores = weighted_leverage_scores(a, LossSpec.lp(2.0), seed=1)
             assert np.abs(scores.gamma - 2.0 * lev).max() <= 1e-10
         assert not sketches
 
@@ -185,7 +184,7 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match="infs or NaNs"):
                 well_conditioned_basis(a, p=p, seed=0)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            weighted_leverage_scores(a, None, LossSpec.huber(1.0), seed=0)
+            weighted_leverage_scores(a, LossSpec.huber(1.0), seed=0)
 
     def test_sketched_route_rejects_inf(self):
         a = np.random.default_rng(35).standard_normal((9000, 4))
@@ -266,35 +265,28 @@ class TestWeightedLeverageScores:
         rng = np.random.default_rng(14)
         a = rng.standard_normal((50, 4))
         loss = LossSpec.huber(1.0)
-        ws = weighted_leverage_scores(a, np.ones(50), loss, seed=5)
+        ws = weighted_leverage_scores(a, loss, seed=5)
         assert ws.bucket_count == 1
         basis = well_conditioned_basis(a, p=2.0, seed=0)
         us = basis_scores(basis, loss)
         assert np.allclose(ws.gamma, 2.0 * us.gamma, rtol=1e-10)
 
-    def test_two_dyadic_levels(self):
-        rng = np.random.default_rng(15)
-        a = rng.standard_normal((40, 4))
-        w = np.ones(40)
-        w[:15] = 3.0
-        ws = weighted_leverage_scores(a, w, LossSpec.lp(1.0), seed=6)
-        assert ws.bucket_count == 2
-        assert ws.gamma_total == pytest.approx(ws.gamma.sum())
-
-    def test_weight_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_leverage_scores(np.eye(4), np.array([1, 1, 0.5, 1.0]),
-                                     LossSpec.lp(1.0), seed=0)
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_all_zero_operand_builds_no_basis(self, sparse):
+        a = sp.csr_matrix((30, 4)) if sparse else np.zeros((30, 4))
+        for loss in (LossSpec.lp(1.0), LossSpec.huber(1.0)):
+            ws = weighted_leverage_scores(a, loss, seed=6)
+            assert ws.bucket_count == 0
+            assert np.array_equal(ws.gamma, np.zeros(30))
 
     def test_weighted_sensitivity(self):
         rng = np.random.default_rng(16)
         a = rng.standard_normal((120, 5))
-        w = 1.0 + 6.0 * rng.random(120)
         loss = LossSpec.huber(1.0)
-        ws = weighted_leverage_scores(a, w, loss, seed=7)
+        ws = weighted_leverage_scores(a, loss, seed=7)
         for _ in range(100):
             y = rng.standard_normal(5) * rng.uniform(0.1, 5)
-            contrib = w * m_value(loss, a @ y)
+            contrib = m_value(loss, a @ y)
             ratios = contrib / contrib.sum()
             assert np.all(ratios <= ws.gamma + 1e-12)
 
@@ -302,7 +294,7 @@ class TestWeightedLeverageScores:
         rng = np.random.default_rng(17)
         a = rng.standard_normal((20, 4))
         a[3] = 0.0
-        ws = weighted_leverage_scores(a, np.ones(20), LossSpec.lp(1.0), seed=8)
+        ws = weighted_leverage_scores(a, LossSpec.lp(1.0), seed=8)
         assert ws.gamma[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_gauss_estimated_scores_close(self):
@@ -310,8 +302,8 @@ class TestWeightedLeverageScores:
         rng = np.random.default_rng(18)
         a = rng.standard_normal((1000, 300))
         loss = LossSpec.huber(1.0)
-        exact = weighted_leverage_scores(a, None, loss, seed=9)
-        est = weighted_leverage_scores(a, None, loss, seed=9, gauss_t=256)
+        exact = weighted_leverage_scores(a, loss, seed=9)
+        est = weighted_leverage_scores(a, loss, seed=9, gauss_t=256)
         ratio = est.gamma / exact.gamma
         assert not np.array_equal(est.gamma, exact.gamma)
         assert np.median(np.abs(ratio - 1.0)) < 0.2
@@ -321,8 +313,7 @@ class TestWeightedLeverageScores:
         # Gaussian estimate would cost no less
         rng = np.random.default_rng(19)
         a = rng.standard_normal((300, 6))
-        w = 1.0 + 6.0 * rng.random(300)
         loss = LossSpec.huber(1.0)
         for t in (6, 30):
-            est = weighted_leverage_scores(a, w, loss, seed=9, gauss_t=t)
-            assert np.array_equal(est.gamma, weighted_leverage_scores(a, w, loss, seed=9).gamma)
+            est = weighted_leverage_scores(a, loss, seed=9, gauss_t=t)
+            assert np.array_equal(est.gamma, weighted_leverage_scores(a, loss, seed=9).gamma)

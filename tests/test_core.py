@@ -9,12 +9,10 @@ from conftest import split_halves
 from robsub import (
     LossSpec,
     Subspace,
-    WeightVector,
     entrywise_norm_p,
     m_value,
     residual_cost,
     v_norm_p,
-    weighted_leverage_scores,
 )
 from robsub.core import RowView, as_weights, residual_row_norms, row_norms, row_view
 
@@ -212,21 +210,7 @@ class TestMeasureProperties:
 class TestWeights:
     def test_weights_below_one_rejected(self):
         with pytest.raises(ValueError):
-            WeightVector(np.array([1.0, 0.5]))
-
-    def test_bucket_indices(self):
-        w = WeightVector(np.array([1.0, 1.9, 2.0, 3.99, 4.0, 100.0]))
-        j = w.bucket_indices()
-        assert list(j) == [1, 1, 2, 2, 3, 7]
-        assert np.all((2.0 ** (j - 1) <= w.w) & (w.w < 2.0**j))
-
-    def test_bucket_count(self):
-        # the weight buckets that get a basis: empty buckets do not count
-        a = np.random.default_rng(0).standard_normal((40, 3))
-        for w1, count in ((1.0, 1), (1.5, 1), (5.0, 2), (7.0, 2)):
-            w = np.ones(40)
-            w[::4] = w1
-            assert weighted_leverage_scores(a, w, LossSpec.huber(1.0)).bucket_count == count
+            as_weights(np.array([1.0, 0.5]), 2)
 
     def test_as_weights_default(self):
         assert np.array_equal(as_weights(None, 3), np.ones(3))

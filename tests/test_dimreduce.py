@@ -116,8 +116,8 @@ class TestDimReduceProperties:
         for seed in range(60):
             tr = {}
             dim_reduce(a, 1, 0.9, xhat, LossSpec.lp(1.0), seed=seed, trace=tr)
-            sizes.append(tr["realized_size"])
-            mus.append(tr["expected_size"])
+            sizes.append(tr["dimreduce_rows"])
+            mus.append(tr["dimreduce_rows_expected"])
         mu = np.mean(mus)
         sigma = math.sqrt(mu) + 1e-9  # Bernoulli sum variance <= mean
         assert abs(np.mean(sizes) - mu) <= 3 * sigma / math.sqrt(60)

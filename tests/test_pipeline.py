@@ -116,9 +116,24 @@ class TestSmallApprox:
         assert np.array_equal(w1, w2)
 
     def test_cap_enforced(self):
-        prob = _random_problem(8, m_prime=30)
-        with pytest.raises(CapExceededError):
-            small_approx(prob, LossSpec.lp(1.0), cap=20)
+        # the cap bounds the width [X r]: 31 columns exceed 20, 30 rows do not
+        with pytest.raises(CapExceededError, match="side 31 > cap 20"):
+            small_approx(_random_problem(8, m=30), LossSpec.lp(1.0), cap=20)
+        small_approx(_random_problem(8, m_prime=30), LossSpec.lp(1.0), cap=20)
+
+    def test_t_rows_near_cap_never_raises(self):
+        # t_rows_target = 390 under the default cap of 400: the final sample
+        # overshoots t by about sqrt(t) rows, past the cap, but the problem
+        # is d + 1 = 21 wide, so no fit of either pipeline raises
+        a, _ = planted_lowrank(3000, 20, 3, seed=0, noise=0.1, outlier_frac=0.01)
+        cfg = PipelineConfig(t_rows_target=390)
+        for fit, loss in ((approx_m2, LossSpec.huber(1.0)), (approx_lp, LossSpec.lp(1.0))):
+            rows = []
+            for seed in range(10):
+                tr = {}
+                fit(a, 3, 0.25, loss, cfg, seed=seed, trace=tr)
+                rows.append(tr["t_rows"])
+            assert max(rows) > cfg.small_cap
 
     def test_exhaustive_domain_limit(self):
         prob = _random_problem(9, m=14, m_prime=20, k=2)
@@ -307,15 +322,15 @@ class TestApproxLp:
         a, _ = planted_lowrank(200, 20, 2, seed=12, noise=0.1)
         for fit, loss in ((approx_lp, LossSpec.lp(1.0)), (approx_m2, LossSpec.huber(1.0))):
             plans = []
-            monkeypatch.setattr(pipeline, "draw", lambda plan, w=None, seed=0: plans.append(plan)
-                                or draw(sampling.SamplingPlan(np.zeros_like(plan.q)), w, seed))
+            monkeypatch.setattr(pipeline, "draw", lambda plan, seed=0: plans.append(plan)
+                                or draw(sampling.SamplingPlan(np.zeros_like(plan.q)), seed))
             with pytest.raises(CapExceededError, match="drew no rows"):
                 fit(a, 2, 0.3, loss, PipelineConfig(t_rows_target=100), seed=5)
             assert len(plans) == 1 and plans[0].q.size == 200
 
     def test_p15_pipeline(self):
         # the fractional-exponent path: stable sketches at p=1.5, dual
-        # exponent 3 certificates, q^(-2/3) row scaling; lands at the
+        # exponent 3 certificates, 1/q row weights; lands at the
         # noise floor alongside the SVD baseline
         loss = LossSpec.lp(1.5)
         a, _ = planted_lowrank(500, 20, 3, seed=17, noise=0.02)
@@ -550,8 +565,8 @@ class TestApproxM2:
         a, _ = planted_lowrank(500, 12, 2, seed=18, noise=0.05, outlier_frac=0.01)
         q = np.linalg.qr(np.random.default_rng(19).standard_normal((12, 12)))[0]
         loss = LossSpec.huber(1.0)
-        plain = weighted_leverage_scores(a, None, loss, seed=0)
-        rotated = weighted_leverage_scores(a @ q, None, loss, seed=0)
+        plain = weighted_leverage_scores(a, loss, seed=0)
+        rotated = weighted_leverage_scores(a @ q, loss, seed=0)
         assert np.abs(plain.gamma - rotated.gamma).max() <= 1e-10
 
     def test_sparse_peak_below_dense_a(self):

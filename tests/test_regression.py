@@ -142,8 +142,8 @@ class TestIrls:
     def test_weighted_rank_deficient_step_is_lstsq(self, sparse):
         # 5000 rows, past one QR row block, of rank 8 in 12 columns (one
         # column only 1e-13 off another, below the cutoff of an n x d solve
-        # but above that of a d x d one), with weights in six dyadic
-        # buckets: one step, read from the streamed R of diag(sqrt w) [A b],
+        # but above that of a d x d one), with weights among 1, 2, ..., 32:
+        # one step, read from the streamed R of diag(sqrt w) [A b],
         # is the least-norm weighted solution
         rng = np.random.default_rng(12)
         a = sp.random(5000, 8, density=0.5, format="csr", random_state=12).toarray()
@@ -293,8 +293,8 @@ class TestMRegress:
         target = min(0.5 * 5000, max(level, 4.0 * (d + 1)))
         assert target <= 1500
         scores = conditioning.weighted_leverage_scores(
-            RowView((a, b[:, None])), None, loss, seed=int(spawn_rng(5, 137, 0).integers(2**31)))
-        sample = draw(make_plan(scores.gamma, target), None,
+            RowView((a, b[:, None])), loss, seed=int(spawn_rng(5, 137, 0).integers(2**31)))
+        sample = draw(make_plan(scores.gamma, target),
                       seed=int(spawn_rng(5, 139, 0, 0).integers(2**31)))
         idx = sample.indices
         assert idx.size > d + 1
@@ -345,9 +345,9 @@ class TestSparseInput:
         assert np.abs(x - m_regress(a.toarray(), b, loss, cfg=cfg, seed=3)).max() <= 1e-10
 
     def test_lp_scaling_reaches_rhs(self):
-        # |x|^p rounds scale the kept rows of A and entries of b alike by
-        # q^(-1/p), so an L1 fit of a planted solution with 1% outliers stays
-        # exact, from CSR or dense input
+        # an |x|^p sample weighs each kept row of [A b] 1/q, so an L1 fit of
+        # a planted solution with 1% outliers stays exact, from CSR or dense
+        # input
         a, b, x_true = _sparse_problem(50000, 40, 14)
         loss = LossSpec.lp(1.0)
         cfg = RegressConfig(base_cap=2000)

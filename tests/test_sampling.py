@@ -17,14 +17,14 @@ from robsub.core import spawn_rng
 
 class TestMakePlan:
     def test_uniform_scores(self):
-        plan = make_plan(np.ones(10), r=5.0, k2=1.0)
+        plan = make_plan(np.ones(10), r=5.0)
         assert np.allclose(plan.q, 0.5)
         assert plan.expected_size == pytest.approx(5.0)
 
     def test_dominant_score_clipped(self):
         scores = np.ones(10)
         scores[0] = 10.0
-        plan = make_plan(scores, r=5.0, k2=1.0)
+        plan = make_plan(scores, r=5.0)
         assert plan.q[0] == 1.0
         assert np.all(plan.q[1:] < 1.0)
 
@@ -35,9 +35,9 @@ class TestMakePlan:
     def test_expected_size_bound(self):
         rng = np.random.default_rng(0)
         scores = rng.random(100)
-        plan = make_plan(scores, r=20.0, k2=2.0)
+        plan = make_plan(scores, r=40.0)
         n_certain = int(np.sum(plan.q == 1.0))
-        assert plan.expected_size <= 2.0 * 20.0 + n_certain
+        assert plan.expected_size <= 40.0 + n_certain
 
     def test_capped_mass_handed_on(self):
         # heavy-tailed scores cap many rows; the plan still expects its
@@ -47,7 +47,7 @@ class TestMakePlan:
             scores = rng.pareto(0.7, 300) * (rng.random(300) < 0.8)
             nnz = np.count_nonzero(scores)
             t = float(rng.uniform(1.0, nnz))
-            plan = make_plan(scores, r=t, k2=1.0)
+            plan = make_plan(scores, r=t)
             unfilled = np.minimum(1.0, t * scores / scores.sum())
             unfilled[unfilled < 1e-12] = 0.0
             assert plan.expected_size == pytest.approx(t, abs=1e-9)
@@ -55,18 +55,18 @@ class TestMakePlan:
 
     def test_target_above_support_keeps_every_row(self):
         scores = np.array([5.0, 0.0, 1.0, 2.0, 0.0])
-        plan = make_plan(scores, r=4.0, k2=1.0)
+        plan = make_plan(scores, r=4.0)
         assert np.array_equal(plan.q, [1.0, 0.0, 1.0, 1.0, 0.0])
 
     def test_tiny_probabilities_zeroed(self):
         scores = np.array([1.0, 1e-20])
-        plan = make_plan(scores, r=1.0, k2=1.0)
+        plan = make_plan(scores, r=1.0)
         assert plan.q[1] == 0.0
 
     def test_realized_size_matches_expectation(self):
         rng = np.random.default_rng(1)
-        plan = make_plan(rng.random(500), r=60.0, k2=1.0)
-        sizes = [len(draw(plan, None, seed=s)) for s in range(2000)]
+        plan = make_plan(rng.random(500), r=60.0)
+        sizes = [len(draw(plan, seed=s)) for s in range(2000)]
         mu = plan.expected_size
         sigma = math.sqrt(float(np.sum(plan.q * (1 - plan.q))))
         assert abs(np.mean(sizes) - mu) <= 3 * sigma / math.sqrt(2000)
@@ -74,35 +74,22 @@ class TestMakePlan:
 
 class TestDraw:
     def test_certain_inclusion(self):
-        plan = make_plan(np.ones(6), r=6.0, k2=1.0)
-        d = draw(plan, None, seed=0)
+        plan = make_plan(np.ones(6), r=6.0)
+        d = draw(plan, seed=0)
         assert np.array_equal(d.indices, np.arange(6))
         assert np.allclose(d.reweights, 1.0)
 
     def test_empty_draw_legal(self):
         # after flooring, every probability is zero: the draw is empty
-        plan = make_plan(np.array([1.0, 1e-20, 1e-20]), r=1e-13, k2=1.0)
+        plan = make_plan(np.array([1.0, 1e-20, 1e-20]), r=1e-13)
         assert np.all(plan.q == 0.0)
-        d = draw(plan, None, seed=0)
+        d = draw(plan, seed=0)
         assert len(d) == 0
 
     def test_indices_sorted_unique(self):
         plan = make_plan(np.random.default_rng(2).random(50), r=20.0)
-        d = draw(plan, None, seed=3)
+        d = draw(plan, seed=3)
         assert np.all(np.diff(d.indices) > 0)
-
-    def test_reweights_at_least_weights(self):
-        rng = np.random.default_rng(3)
-        plan = make_plan(rng.random(40), r=10.0)
-        w = 1 + rng.random(40)
-        d = draw(plan, w, seed=4)
-        assert np.all(d.reweights >= d.w_sel - 1e-12)
-
-    def test_scale_factors(self):
-        plan = make_plan(np.ones(4), r=2.0)
-        d = draw(plan, None, seed=5)
-        assert np.allclose(d.scale_factors(1.0), 1.0 / d.q_sel)
-        assert np.allclose(d.scale_factors(2.0), d.q_sel**-0.5)
 
     def test_unbiased_vnorm_estimate(self):
         # mean reweighted v-measure over draws matches the truth within 2%
@@ -114,7 +101,7 @@ class TestDraw:
         plan = make_plan(scores, r=25.0)
         acc = []
         for s in range(2000):
-            d = draw(plan, None, seed=s)
+            d = draw(plan, seed=s)
             rows = np.linalg.norm(a[d.indices], axis=1)
             acc.append(float(np.dot(d.reweights, rows)))
         assert np.mean(acc) == pytest.approx(truth, rel=0.02)
@@ -124,8 +111,8 @@ class TestDraw:
         rng = np.random.default_rng(5)
         plan = make_plan(rng.random(200), r=30.0)
         bigger = SamplingPlan(np.minimum(1.0, 3.0 * plan.q))
-        d1 = draw(plan, None, seed=11)
-        d2 = draw(bigger, None, seed=11)
+        d1 = draw(plan, seed=11)
+        d2 = draw(bigger, seed=11)
         assert set(d1.indices).issubset(set(d2.indices))
 
 
@@ -170,11 +157,11 @@ class TestGaussianScorePlan:
         n, d, kappa = 1000, 150, 0.1
         u = rng.standard_normal((n, d))
         loss = LossSpec.huber(1.0)
-        floor = weighted_leverage_scores(u, None, loss).gamma / n**kappa
+        floor = weighted_leverage_scores(u, loss).gamma / n**kappa
         t = 14 * int(math.log2(n))  # 140 columns
         fails = 0
         for s in range(100):
-            est = weighted_leverage_scores(u, None, loss, seed=s, gauss_t=t).gamma
+            est = weighted_leverage_scores(u, loss, seed=s, gauss_t=t).gamma
             fails += np.any(est < floor)
         assert fails <= 1
 
@@ -187,13 +174,13 @@ class TestConcentration:
         a = rng.standard_normal((2000, 30))
         wmat = rng.standard_normal((30, 3))
         loss = LossSpec.lp(1.0)
-        scores = weighted_leverage_scores(a, None, loss, seed=1)
+        scores = weighted_leverage_scores(a, loss, seed=1)
         truth = v_norm_p(a @ wmat, None, loss)
         # r chosen for an expected sample of ~400 rows: genuinely sub-saturated
         plan = make_plan(scores.gamma, r=400.0)
         good = 0
         for s in range(200):
-            d = draw(plan, None, seed=s)
+            d = draw(plan, seed=s)
             est = float(np.dot(d.reweights,
                                np.linalg.norm(a[d.indices] @ wmat, axis=1)))
             good += abs(est - truth) <= 0.2 * truth
