@@ -2,8 +2,8 @@
 
 Rank-k fitting of point sets under |x|^p and robust (Huber, L1-L2, Fair)
 losses, with leverage-score row sampling, sparse right sketches, residual
-sampling, end-to-end (1+eps) pipelines, robust regression, brute-force
-oracles, and a clique-gadget instance generator for verification.
+sampling, end-to-end (1+eps) pipelines, robust regression, an SVD
+baseline, and a clique-gadget instance generator for verification.
 """
 
 from .core import (
@@ -57,7 +57,7 @@ from .hardness import (
     gen_gadget,
     perturbed_simplex_cost,
 )
-from .oracle import alternating_reference, exhaustive_tiny, svd_truncation_cost
+from .oracle import svd_truncation_cost
 
 __version__ = "0.1.0"
 

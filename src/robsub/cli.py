@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``approx`` (subspace fitting), ``regress`` (robust regression
-vs the full IRLS baseline), ``gadget`` (clique-gadget generation and
-brute-force verification), and ``bench`` (sketch-time scaling over input
-density).  All randomized outputs are fully determined by ``--seed``;
-reports are JSON with a fixed schema version, timings kept in a separate
-block so reports from identical seeds are byte-identical outside it.
+vs the full IRLS baseline) and ``gadget`` (clique-gadget generation and
+brute-force verification).  All randomized outputs are fully determined by
+``--seed``; reports are JSON with a fixed schema version, timings kept in a
+separate block so reports from identical seeds are byte-identical outside
+it.
 
 Exit codes: 0 success, 2 unreadable input, 3 bad configuration (a usage
 error included), 4 numerical failure.
@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import io as rio
 from .core import LossSpec, residual_cost, v_norm_p
@@ -35,7 +33,6 @@ from .oracle import svd_truncation_cost
 from .pipeline import (CapExceededError, PipelineConfig, _stage_bicriteria, _stage_subspace,
                        approx_lp, approx_m2)
 from .regression import RegressConfig, irls_solve, m_regress, regression_objective
-from .sketch import apply_right, make_sparse_sketch
 
 SCHEMA_VERSION = 1
 
@@ -43,8 +40,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
-
-BENCH_CSV_HEADER = "nnz,seconds"
 
 
 class ConfigError(Exception):
@@ -242,35 +237,6 @@ def cmd_gadget(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    densities = [float(x) for x in args.densities.split(",")]
-    if len(densities) < 2:
-        raise ConfigError("need at least two densities")
-    rows = []
-    sketch = make_sparse_sketch(args.seed, m=args.m, d=args.d, s=args.s)
-    for dens in densities:
-        a = sp.random(args.n, args.d, density=dens, format="csr", random_state=rng)
-        best = math.inf
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            apply_right(a, sketch)
-            best = min(best, time.perf_counter() - t0)
-        rows.append((a.nnz, best))
-    lines = [BENCH_CSV_HEADER] + [f"{nz},{sec:.6f}" for nz, sec in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
 # parser and main
 
 
@@ -326,16 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(gp, with_loss=False)
     gp.set_defaults(func=cmd_gadget)
 
-    bp = subs.add_parser("bench", help="sketch-time scaling over density")
-    bp.add_argument("--n", type=int, default=20000)
-    bp.add_argument("--d", type=int, default=1000)
-    bp.add_argument("--m", type=int, default=50)
-    bp.add_argument("--s", type=int, default=4)
-    bp.add_argument("--densities", default="0.02,0.06,0.12,0.24")
-    bp.add_argument("--repeats", type=int, default=5)
-    bp.add_argument("--out", default=None, help="CSV output path")
-    _add_common(bp, with_loss=False)
-    bp.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -11,13 +11,13 @@ return U W.  Its per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
 Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed.
 
 The small solver is heuristic by design: a reweighted-PCA alternation runs
-from every start, and projected gradient descent on the orthonormal
-factor polishes the best of its iterates once.  Each alternation step
-takes the top-k eigenvectors of the m x m matrix X^T Psi X from a block
-Krylov space warm-started at the current factor, which applies the matrix
-through X and never forms it, and keeps them only under a residual
-certificate; narrow problems, and steps without the certificate, form the
-matrix and solve it with LAPACK.
+from a few random orthonormal starts, and projected gradient descent on
+the orthonormal factor polishes the best of its iterates once.  Each
+alternation step takes the top-k eigenvectors of the m x m matrix
+X^T Psi X from a block Krylov space warm-started at the current factor,
+which applies the matrix through X and never forms it, and keeps them only
+under a residual certificate; narrow problems, and steps without the
+certificate, form the matrix and solve it with LAPACK.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .dimreduce import dim_reduce
 from .sampling import draw, make_plan
 from .sketch import orthonormalizer, r_factor
 
-_RESTARTS = 10       # starts of the small solve's alternation
+_RESTARTS = 5        # random starts of the small solve's alternation
 # the alternation's eigen step: from this width m on, a block Krylov space of at
 # most _KRYLOV_BLOCKS blocks replaces the formed m x m matrix, and its top-k Ritz
 # pairs are kept when their residual is at most _KRYLOV_CERT times the certified gap
@@ -257,15 +257,15 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
                  cap: int = 400, trace: Optional[dict] = None) -> np.ndarray:
     """Approximately minimize the small problem's cost over orthonormal W.
 
-    Runs the reweighted-PCA alternation from a coordinate start and from
-    random factors, ``_RESTARTS`` starts in all, then polishes the
-    lowest-cost of those iterates once by projected gradient descent with
-    backtracking.  ``trace`` receives the alternation steps of all starts
-    (``small_mm_steps``), the steps whose Krylov certificate failed
-    (``small_eigen_fallbacks``) and whether the polish hit its iteration
-    cap (``small_search_capped``).  A problem more than ``cap`` columns
-    [X r] wide raises ``CapExceededError``; its row count is the final
-    sample's, which ``PipelineConfig.t_rows_target`` sets.
+    Runs the reweighted-PCA alternation from ``_RESTARTS`` random
+    orthonormal factors, then polishes the lowest-cost of those iterates
+    once by projected gradient descent with backtracking.  ``trace``
+    receives the alternation steps of all starts (``small_mm_steps``), the
+    steps whose Krylov certificate failed (``small_eigen_fallbacks``) and
+    whether the polish hit its iteration cap (``small_search_capped``).  A
+    problem more than ``cap`` columns [X r] wide raises
+    ``CapExceededError``; its row count is the final sample's, which
+    ``PipelineConfig.t_rows_target`` sets.
     """
     if prob.domain_dim + 1 > cap:
         raise CapExceededError(
@@ -277,12 +277,7 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
     if k == m:
         return np.eye(m)
     rng = spawn_rng(seed, 73)
-
-    # a coordinate start on the k columns of X of largest norm, then random factors
-    starts = [np.eye(m)[:, np.sort(np.argsort(np.linalg.norm(prob.x, axis=0))[::-1][:k])]]
-    while len(starts) < _RESTARTS:
-        starts.append(_orthonormal(rng.standard_normal((m, k))))
-
+    starts = (_orthonormal(rng.standard_normal((m, k))) for _ in range(_RESTARTS))
     w_mm, _ = min((_mm_descent(prob, loss, w0, tally) for w0 in starts), key=lambda r: r[1])
     best_w, converged = _local_search_from(prob, loss, w_mm)
     tally["small_search_capped"] = not converged

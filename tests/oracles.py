@@ -1,0 +1,170 @@
+"""Brute-force and reference solvers that the tests check the pipelines against.
+
+Nothing here shares code with the sampling pipelines: the tiny-instance
+searches enumerate dense candidate sets (of subspaces, or of factors for a
+small problem), and the alternating reference is a self-contained
+reweighted-PCA loop.
+"""
+
+import itertools
+import math
+from typing import Tuple
+
+import numpy as np
+
+from robsub.core import (
+    LossSpec,
+    Subspace,
+    as_weights,
+    m_derivative,
+    residual_cost,
+    residual_row_norms,
+    spawn_rng,
+    to_dense,
+)
+
+
+def _orthonormal(mat: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(mat)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def _hill_climb(a, w, loss, v0: np.ndarray, rng, steps: int, sigma: float = 0.3):
+    """Stochastic polish: perturb-and-keep on the orthonormal factor."""
+    v = v0
+    best = residual_cost(a, Subspace(v), w, loss)
+    for _ in range(steps):
+        cand = _orthonormal(v + sigma * rng.standard_normal(v.shape))
+        cost = residual_cost(a, Subspace(cand), w, loss)
+        if cost < best:
+            v, best = cand, cost
+            sigma *= 1.1
+        else:
+            sigma *= 0.7
+    return v, best
+
+
+def exhaustive_tiny(a, k: int, loss: LossSpec, budget: int = 10_000, w=None,
+                    seed: int = 0, polish_steps: int = 50) -> Tuple[Subspace, float]:
+    """Best subspace over a dense candidate set on tiny instances (d<=6, k<=2).
+
+    Candidates: every coordinate k-subspace, SVD subspaces of row subsets of
+    size up to 2k, and ``budget`` random orthonormal factors each polished by
+    a short stochastic hill climb.  Returns the incumbent.
+    """
+    n, d = a.shape
+    if d > 6 or k > 2:
+        raise ValueError("exhaustive search is capped at d <= 6, k <= 2")
+    dense = to_dense(a)
+    rng = spawn_rng(seed, 67)
+
+    best_v, best_cost = None, math.inf
+
+    def consider(v):
+        nonlocal best_v, best_cost
+        cost = residual_cost(a, Subspace(v), w, loss)
+        if cost < best_cost - 1e-15:
+            best_v, best_cost = v, cost
+
+    eye = np.eye(d)
+    for comb in itertools.combinations(range(d), k):
+        consider(eye[:, list(comb)])
+
+    subset_cap = min(2 * k, n)
+    for size in range(1, subset_cap + 1):
+        if math.comb(n, size) > 20_000:
+            break
+        for rows in itertools.combinations(range(n), size):
+            block = dense[list(rows)]
+            if np.linalg.norm(block) == 0:
+                continue
+            _, _, vt = np.linalg.svd(block, full_matrices=False)
+            kk = min(k, vt.shape[0])
+            v = vt[:kk].T
+            if kk < k:
+                v = _complete_columns(v, k, rng)
+            consider(v)
+
+    for _ in range(budget):
+        v0 = _orthonormal(rng.standard_normal((d, k)))
+        v, _ = _hill_climb(a, w, loss, v0, rng, polish_steps)
+        consider(v)
+
+    return Subspace(best_v), best_cost
+
+
+def small_problem_grid(prob, loss: LossSpec, seed: int = 0, budget: int = 4000) -> np.ndarray:
+    """Best factor W of a small problem over a dense candidate grid (domain <= 12, k <= 3).
+
+    ``prob`` is a ``pipeline.SmallProblem``, read only through its ``k``,
+    ``domain_dim`` and ``cost``.  Candidates: every coordinate k-factor,
+    then ``budget`` random orthonormal factors.
+    """
+    k, m = prob.k, prob.domain_dim
+    if m > 12 or k > 3:
+        raise ValueError("exhaustive grid is limited to domain <= 12, k <= 3")
+    rng = spawn_rng(seed, 73)
+    best_w, best_cost = None, math.inf
+    eye = np.eye(m)
+    for comb in itertools.combinations(range(m), k):
+        w_factor = eye[:, list(comb)]
+        cost = prob.cost(w_factor, loss)
+        if cost < best_cost:
+            best_w, best_cost = w_factor, cost
+    for _ in range(budget):
+        w_factor = _orthonormal(rng.standard_normal((m, k)))
+        cost = prob.cost(w_factor, loss)
+        if cost < best_cost:
+            best_w, best_cost = w_factor, cost
+    return best_w
+
+
+def _complete_columns(v: np.ndarray, k: int, rng) -> np.ndarray:
+    """Pad an orthonormal factor with random orthonormal directions up to k."""
+    d = v.shape[0]
+    while v.shape[1] < k:
+        cand = rng.standard_normal((d, 1))
+        cand -= v @ (v.T @ cand)
+        norm = np.linalg.norm(cand)
+        if norm > 1e-12:
+            v = np.hstack([v, cand / norm])
+    return v
+
+
+def alternating_reference(a, k: int, loss: LossSpec, w=None, seed: int = 0,
+                          restarts: int = 5, iters: int = 60) -> Tuple[Subspace, float]:
+    """Reweighted-PCA reference for the full rank-k problem.
+
+    Alternates between per-row weights psi_i = M'(r_i) / (2 r_i) at the
+    current residuals and the top-k right-singular subspace of the
+    reweighted data.  Multi-restart (SVD start plus random rotations),
+    keeping the best iterate ever seen.
+    """
+    n, d = a.shape
+    dense = to_dense(a)
+    wv = as_weights(w, n)
+    rng = spawn_rng(seed, 71)
+
+    _, _, vt = np.linalg.svd(dense, full_matrices=False)
+    starts = [vt[:k].T]
+    for _ in range(restarts - 1):
+        starts.append(_orthonormal(rng.standard_normal((d, k))))
+
+    best_v, best_cost = None, math.inf
+    for v0 in starts:
+        v = v0
+        for _ in range(iters):
+            r = residual_row_norms(dense, Subspace(v))
+            psi = wv * m_derivative(loss, r) / np.maximum(2.0 * r, 1e-12)
+            _, _, vt = np.linalg.svd(dense * np.sqrt(psi)[:, None], full_matrices=False)
+            v_new = vt[:k].T
+            if np.linalg.norm(v_new @ (v_new.T @ v) - v) < 1e-12:
+                v = v_new
+                break
+            v = v_new
+        cost = residual_cost(a, Subspace(v), wv, loss)
+        if cost < best_cost:
+            best_v, best_cost = v, cost
+    return Subspace(best_v), best_cost

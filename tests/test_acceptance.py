@@ -14,6 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import best_rank_k_in_subspace, planted_lowrank, sample_size_subspace
+from oracles import alternating_reference, small_problem_grid
 from robsub import (
     LossSpec,
     Subspace,
@@ -38,7 +39,7 @@ from robsub.hardness import (
     petersen_graph,
     simplex_cost,
 )
-from robsub.oracle import alternating_reference, small_problem_grid, svd_truncation_cost
+from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
     SmallProblem,
     approx_lp,

@@ -13,7 +13,7 @@ import robsub
 from conftest import planted_lowrank
 from robsub import LossSpec, cli, pipeline
 from robsub import io as rio
-from robsub.cli import BENCH_CSV_HEADER, EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from robsub.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from robsub.io import InputError, load_matrix, load_vector, save_matrix_market
 from robsub.pipeline import _stage_bicriteria
 
@@ -425,18 +425,3 @@ class TestGadgetCommand:
         block = np.asarray(load_matrix(str(out)).todense())
         assert np.allclose(np.linalg.norm(block, axis=1), 1.0, atol=1e-10)
 
-
-class TestBenchCommand:
-    def test_csv_header_and_trend(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--n", "4000", "--d", "400", "--repeats", "2",
-                   "--densities", "0.02,0.08,0.2", "--out", str(out)])
-        assert rc == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == BENCH_CSV_HEADER
-        rows = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
-        nnzs = [r[0] for r in rows]
-        assert nnzs == sorted(nnzs)
-
-    def test_requires_two_densities(self):
-        assert main(["bench", "--densities", "0.1"]) == EXIT_CONFIG

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import best_rank_k_in_subspace, planted_lowrank, r1_formula
+from oracles import alternating_reference
 from robsub import (
     LossSpec,
     Subspace,
@@ -14,7 +15,6 @@ from robsub import (
     residual_cost,
 )
 from robsub import dimreduce
-from robsub.oracle import alternating_reference
 
 
 class TestDimReduceEdges:
