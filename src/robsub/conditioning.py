@@ -22,8 +22,8 @@ Pi U is orthonormal; otherwise it is A.
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
 ``weighted_leverage_scores`` is the one entry point: it builds one basis
-over every row of its operand (a matrix or a ``core.RowView``, whose QR
-and power-sum passes gather one block of rows at a time) and doubles the
+over every row of its operand (a matrix or a ``core.RowView``, whose parts
+are read one block of rows at a time, never stacked) and doubles the
 per-row scores.  Every sample is drawn once from unit-weight rows, so no
 input weights reach the scores.
 """
@@ -36,10 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LossSpec, RowView, is_sparse, matmul_dense, row_view, spawn_rng
+from .core import _FACTOR_BLOCK, LossSpec, RowView, is_sparse, matmul_dense, row_view, spawn_rng
 from .sketch import make_pstable_sketch, orthonormalizer
 
-_ROW_BLOCK = 8192
 # p < 2 size rule of well_conditioned_basis: c_pi m0^2 hash buckets and their cap
 _C_PI = 20.0
 _STABLE_ROW_CAP = 8192
@@ -55,11 +54,22 @@ class WellConditionedBasis:
     m: int
     _a: RowView                   # n x m0 operand A, read a block of rows at a time
 
-    def iter_row_blocks(self, block_rows: int = _ROW_BLOCK, right=None):
-        """Row blocks of U, or of U @ right taken as A @ (F @ right)."""
+    def iter_row_blocks(self, block_rows: int = _FACTOR_BLOCK, right=None):
+        """Row blocks of U, or of U @ right taken as A @ (F @ right), summed part
+        by part: a one-column dense part adds its outer product in place."""
+        # imported on first use: scipy.linalg adds about 0.13 s to the package's import
+        from scipy.linalg import blas
+
         f = self.change_of_basis if right is None else self.change_of_basis @ right
-        for lo, hi, block in self._a.blocks(block_rows):
-            yield lo, hi, matmul_dense(block, f)
+        first, *cols = self._a.columns()
+        for lo, hi, (block, *others) in self._a.blocks(block_rows):
+            out = matmul_dense(block, f[first])
+            for c, part in zip(cols, others):
+                if part.shape[1] == 1 and not is_sparse(part):
+                    out = blas.dger(1.0, f[c][0], part[:, 0], a=out.T, overwrite_a=1).T
+                else:
+                    out += matmul_dense(part, f[c])
+            yield lo, hi, out
 
     def row_power_sums(self) -> np.ndarray:
         """||U_i||_p^p = sum_j |U_ij|^p for every row, computed blockwise."""
@@ -169,7 +179,8 @@ def weighted_leverage_scores(
     less than the exact norms of A F, so those are taken.
     """
     src = row_view(a)
-    if not any(np.any(b.data if is_sparse(b) else b) for _, _, b in src.blocks(_ROW_BLOCK)):
+    if not any(np.any(b.data if is_sparse(b) else b)
+               for _, _, parts in src.blocks(_FACTOR_BLOCK) for b in parts):
         return LeverageScores(np.zeros(src.shape[0]), 0)
     basis = well_conditioned_basis(src, p=loss.p if loss.is_lp else 2.0,
                                    seed=int(spawn_rng(seed, 29, 1).integers(2**31)))

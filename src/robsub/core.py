@@ -237,10 +237,10 @@ class RowView:
     each times ``scale`` (one factor per row of the view, or None for none).
 
     The parts are dense arrays or CSR matrices with one row count, and the
-    stack is never formed: ``block`` gathers some of its rows, ``view[rows]``
-    gathers those rows of every part into a new view, and ``left_product``
-    sketches the view without gathering a row.  Gathered rows are multiplied
-    by their scale.
+    stack is never formed, nor any block of it: ``block`` gathers some rows
+    of each part, ``view[rows]`` gathers those rows into a new view, and
+    ``left_product`` sketches the view without gathering a row.  Gathered
+    rows are multiplied by their scale.
     """
 
     def __init__(self, parts, idx=None, scale=None):
@@ -251,40 +251,34 @@ class RowView:
         self.shape = (self.parts[0].shape[0] if idx is None else idx.size,
                       sum(p.shape[1] for p in self.parts))
 
+    def columns(self):
+        """The columns of the stack that each part fills, as slices."""
+        ends = np.cumsum([p.shape[1] for p in self.parts])
+        return [slice(e - p.shape[1], e) for e, p in zip(ends, self.parts)]
+
     def _source(self, rows):
         return rows if self.idx is None else self.idx[rows]
 
-    def _gather(self, rows, scaled=True):
-        """Rows ``rows`` of each part, times their scale unless ``scaled`` is false."""
+    def block(self, rows):
+        """Rows ``rows`` (a slice or index array) of each part, times their scale."""
         src = self._source(rows)
         blocks = [p[src] if is_sparse(p) or isinstance(src, slice) else p.take(src, axis=0)
                   for p in self.parts]
-        if self.scale is None or not scaled:
+        if self.scale is None:
             return blocks
         s = self.scale[rows]
         return [sp.csr_matrix((b.data * np.repeat(s, np.diff(b.indptr)), b.indices, b.indptr),
                               shape=b.shape)
                 if is_sparse(b) else b * s[:, None] for b in blocks]
 
-    def block(self, rows):
-        """Rows ``rows`` (a slice or index array) of the stack: dense, or CSR if a part is."""
-        if len(self.parts) == 1 or any(map(is_sparse, self.parts)):
-            blocks = self._gather(rows)
-            return blocks[0] if len(blocks) == 1 else sp.hstack(blocks, format="csr")
-        # dense parts: stacked unscaled into one buffer, then scaled in place
-        out = np.hstack(self._gather(rows, scaled=False))
-        if self.scale is not None:
-            out *= self.scale[rows][:, None]
-        return out
-
     def blocks(self, size: int):
-        """(lo, hi, rows lo:hi of the stack) in order; no rows give one empty block."""
+        """(lo, hi, rows lo:hi of each part) in order; no rows give one empty block."""
         for lo in range(0, max(self.shape[0], 1), size):
             hi = min(lo + size, self.shape[0])
             yield lo, hi, self.block(slice(lo, hi))
 
     def __getitem__(self, rows):
-        return RowView(self._gather(rows))
+        return RowView(self.block(rows))
 
     def left_product(self, op) -> "RowView":
         """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
@@ -412,7 +406,7 @@ def residual_row_norms(a, x: Subspace) -> np.ndarray:
     if x.d != a.shape[1]:
         raise ValueError(f"subspace lives in R^{x.d}, matrix has {a.shape[1]} columns")
     out = np.empty(a.shape[0])
-    for lo, hi, rows in row_view(a).blocks(_FACTOR_BLOCK):
+    for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
         out[lo:hi] = project_rows(rows, x.u)[1]
     return out
 

@@ -69,7 +69,7 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
         trace["t_m"] = t_m
     # residuals at the level of rounding noise count as an exact fit
     largest = max(float(row_norms(rows).max(initial=0.0))
-                  for _, _, rows in row_view(a).blocks(_FACTOR_BLOCK))
+                  for _, _, (rows,) in row_view(a).blocks(_FACTOR_BLOCK))
     zero_floor = n * m_value(loss, 1e-12 * (largest + 1e-300))
     if scores.sum() <= zero_floor:
         return xhat

@@ -312,7 +312,7 @@ def _stage_subspace(a, k, eps, loss, seed, trace):
 def _exact_columns(a, u: np.ndarray) -> np.ndarray:
     """[A U, r] with r_i = ||A_i (I - U U^T)||, built one row block at a time."""
     out = np.empty((a.shape[0], u.shape[1] + 1))
-    for lo, hi, rows in row_view(a).blocks(_FACTOR_BLOCK):
+    for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
         out[lo:hi, :-1], out[lo:hi, -1] = project_rows(rows, u)
     return out
 
@@ -365,7 +365,7 @@ def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
     b = np.linalg.svd(r_x)[2][:k].T if top is None else top[:, :k]
     f = orthonormalizer(None, r_x @ b)
     cost, lev = np.empty(n), np.empty(n)
-    for lo, hi, rows in row_view(scored).blocks(_FACTOR_BLOCK):
+    for lo, hi, (rows,) in row_view(scored).blocks(_FACTOR_BLOCK):
         x, r = (rows, 0.0) if rows.shape[1] == m else (rows[:, :m], rows[:, m])
         xb, resid = project_rows(x, b)
         cost[lo:hi] = m_value(loss, np.hypot(resid, r))
@@ -416,7 +416,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     idx, w = _final_sample(scored, m, r_scored, k, loss, cfg.t_rows_target,
                            int(spawn_rng(seed, salts[0]).integers(2**31)), tr, top)
 
-    kept = row_view(scored).block(idx)
+    kept, = row_view(scored).block(idx)
     prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[1]).integers(2**31)),
                             cap=cfg.small_cap, trace=tr)

@@ -1,17 +1,18 @@
 """Robust regression: one leverage sample over an IRLS core.
 
-``m_regress`` draws one leverage-score sample of the rows of
-[A b], sized by a schedule of halving steps run on row counts alone, then
-solves the sampled problem, each kept row weighted 1/q, with iteratively
-reweighted least squares.  A may be dense or CSR.  [A b] is never formed:
-its rows are scored through a ``core.RowView`` of [A b], with row blocks
-stacked on demand.  The kept rows of A (still CSR for a CSR A) and entries
-of b are gathered once for ``irls_solve``, which never densifies A either:
-each reweighted least-squares step is solved from the small R of the
-row-scaled view of [A b] (``sketch.r_factor``: the Cholesky factor of its
-Gram when that is well conditioned, else a streamed R-only QR), so IRLS
-memory is that of A plus O((d + 2048) d).  ``irls_solve`` is also
-the full-data baseline the sampled solve is measured against.
+``m_regress`` draws one leverage-score sample of the rows of [A b], sized
+by a schedule of halving steps run on row counts alone, then solves the
+sampled problem, each kept row weighted 1/q, with iteratively reweighted
+least squares.  A may be dense or CSR.  [A b] is never formed, nor any
+block of it: its rows are scored through a ``core.RowView`` of [A b],
+whose parts A and b are read side by side.  The kept rows of A (still CSR
+for a CSR A) and entries of b are gathered once for ``irls_solve``, which
+never densifies A either: each reweighted least-squares step is solved
+from the small R of the row-scaled view of [A b] (``sketch.r_factor``: the
+Cholesky factor of its Gram when that is well conditioned, else a
+streamed R-only QR), so IRLS memory is that of A plus O((d + 2048) d).
+``irls_solve`` is also the full-data baseline the sampled solve is
+measured against.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .conditioning import weighted_leverage_scores
-from .core import (LossSpec, RowView, as_weights, check_finite, m_derivative, m_value,
-                   row_view, spawn_rng)
+from .core import LossSpec, RowView, as_weights, m_derivative, m_value, row_view, spawn_rng
 from .sampling import _SHRINK, draw, make_plan
 from .sketch import r_factor
 
@@ -64,10 +64,10 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     A may be dense or CSR, and is never densified or copied whole.  Each
     step with row weights v solves min ||diag(sqrt v) (A x - b)|| from the
     R = [[R11, z], [0, rho]] of diag(sqrt v) [A b] = Q R, read one block
-    of rows at a time (``sketch.r_factor``): x is the least-norm
-    solution of R11 x = z, with the singular-value cutoff of an n x d
-    least-squares solve.  The residual A x - b is formed once per iterate
-    and serves both the objective and the next weights.
+    of rows of A and of b at a time, never stacked (``sketch.r_factor``):
+    x is the least-norm solution of R11 x = z, with the singular-value
+    cutoff of an n x d least-squares solve.  The residual A x - b is formed
+    once per iterate and serves both the objective and the next weights.
     """
     if loss is None:
         raise TypeError("loss is required")
@@ -127,12 +127,13 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     of rows at a time (Gaussian row-norm estimates for p=2 losses), and
     each kept row weighs 1/q for every loss; a draw of at most d+1 rows is
     dropped for all the rows.  The kept rows of A (CSR for a CSR A) and
-    entries of b are gathered once for IRLS.
+    entries of b are gathered once for IRLS.  A NaN or infinity in A or b
+    raises ValueError from the R factor of the scoring basis or of IRLS's
+    first step.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
     cfg = cfg or RegressConfig()
-    check_finite(a, b)
     rhs = np.asarray(b, dtype=float).ravel()
     stack = RowView((a, rhs[:, None]))
     n, d = stack.shape[0], stack.shape[1] - 1

@@ -50,11 +50,17 @@ def make_plan(scores, r: float) -> SamplingPlan:
     q = r * s / total
     if q.max() > 1.0:
         # with the j largest scores capped, the others share target - j rows;
-        # the first j at which the next score stays below one fixes tau
-        desc = np.sort(s)[::-1]
-        rest = np.cumsum(desc[::-1])[::-1]
+        # the first j at which the next score stays below one fixes tau: only
+        # the top k scores are sorted, k doubled until j < k (at k = n a j fits)
         target = min(r, np.count_nonzero(s))
-        first = int(np.argmax((target - np.arange(s.size)) * desc <= rest))
+        k, fits = np.count_nonzero(q > 1.0), np.zeros(0, bool)
+        while not fits.any():
+            k = min(2 * k, s.size)
+            part = np.partition(s, s.size - k)
+            desc = np.sort(part[s.size - k:])[::-1]
+            rest = part[:s.size - k].sum() + np.cumsum(desc[::-1])[::-1]
+            fits = (target - np.arange(k)) * desc <= rest
+        first = int(np.argmax(fits))
         q = (target - first) * s / rest[first]
     q = np.minimum(1.0, q)
     q[q < _PROB_FLOOR] = 0.0  # avoid astronomically large reweights

@@ -146,7 +146,9 @@ def r_factor(t) -> np.ndarray:
     is factored in place, R <- qr([R; block]) (LAPACK dgeqrf); a t of at
     most B rows is one block, factored once.  Either route takes memory
     O((width + B) width) whatever the row count n.  t may be dense, sparse
-    or a ``RowView``.  Raises ValueError when t holds a NaN or infinity.
+    or a ``RowView``, whose parts fill their own blocks of G or columns of
+    the buffer, so no block of the stack is formed.  Raises ValueError when
+    t holds a NaN or infinity, which fails G's check and reaches the R.
     """
     view = row_view(t)
     if 0 in view.shape:
@@ -212,12 +214,16 @@ def _gram_r(view: RowView) -> np.ndarray | None:
     if width == 0 or n < width:
         return None
     g = np.zeros((width, width), order="F")
-    for _, _, block in view.blocks(_FACTOR_BLOCK):
-        if is_sparse(block):
-            g += (block.T @ block).toarray()
-        else:
-            # block^T block into the upper triangle, which is all dpotrf reads
-            g = blas.dsyrk(1.0, block.T, beta=1.0, c=g, overwrite_c=1)
+    cols = view.columns()
+    for _, _, parts in view.blocks(_FACTOR_BLOCK):
+        # the upper triangle, all dpotrf reads: each part's Gram and products with later parts
+        for i, (ci, block) in enumerate(zip(cols, parts)):
+            if is_sparse(block):
+                g[ci, ci] += (block.T @ block).toarray()
+            else:
+                g[ci, ci] = blas.dsyrk(1.0, block.T, beta=1.0, c=g[ci, ci], overwrite_c=1)
+            for cj, other in zip(cols[i + 1:], parts[i + 1:]):
+                g[ci, cj] += matmul_dense(block.T, other)
     if not np.all(np.isfinite(g)) or g.diagonal().min() <= n * np.finfo(float).tiny:
         return None
     r, info = lapack.dpotrf(g, overwrite_a=1)
@@ -235,18 +241,19 @@ def _streamed_r(view: RowView) -> np.ndarray:
     buf = np.empty((min(n, width + _FACTOR_BLOCK), width), order="F")
     lwork = int(lapack.dgeqrf_lwork(*buf.shape)[0])
     top = 0  # rows of the running R at the head of buf
-    for lo, hi, block in view.blocks(_FACTOR_BLOCK):
+    for lo, hi, parts in view.blocks(_FACTOR_BLOCK):
         end = top + hi - lo
-        if is_sparse(block):
-            # on the gathered copy, in place: a scatter keeps only one of
-            # repeated entries, and CSR sums them far faster than COO
-            block.sum_duplicates()
-            coo = block.tocoo()
-            buf[top:] = 0.0
-            buf[top + coo.row, coo.col] = coo.data
-        else:
-            buf[top:end] = block
-            buf[end:] = 0.0
+        buf[end:] = 0.0
+        for c, block in zip(view.columns(), parts):
+            if is_sparse(block):
+                # on the gathered copy, in place: a scatter keeps only one of
+                # repeated entries, and CSR sums them far faster than COO
+                block.sum_duplicates()
+                coo = block.tocoo()
+                buf[top:end, c] = 0.0
+                buf[top + coo.row, c.start + coo.col] = coo.data
+            else:
+                buf[top:end, c] = block
         buf, _, _, info = lapack.dgeqrf(buf, lwork=lwork, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")

@@ -168,3 +168,19 @@ def alternating_reference(a, k: int, loss: LossSpec, w=None, seed: int = 0,
         if cost < best_cost:
             best_v, best_cost = v, cost
     return Subspace(best_v), best_cost
+
+
+def water_fill_full_sort(scores, r: float) -> np.ndarray:
+    """Inclusion probabilities min{1, tau s_i} expecting min{r, nnz(s)} rows, from
+    a full sort of the scores and the suffix sums of every sorted score."""
+    s = np.asarray(scores, dtype=float)
+    q = r * s / s.sum()
+    if q.max() > 1.0:
+        desc = np.sort(s)[::-1]
+        rest = np.cumsum(desc[::-1])[::-1]
+        target = min(r, np.count_nonzero(s))
+        first = int(np.argmax((target - np.arange(s.size)) * desc <= rest))
+        q = (target - first) * s / rest[first]
+    q = np.minimum(1.0, q)
+    q[q < 1e-12] = 0.0
+    return q

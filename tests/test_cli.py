@@ -360,6 +360,16 @@ class TestRegressCommand:
         assert res[True]["levels"] == 1
         assert res[True]["base_rows_expected"] == pytest.approx(25.0, abs=1e-9)
 
+    def test_non_finite_input_exit_3(self, matrix_files, capsys):
+        a = np.loadtxt(matrix_files["a_csv"], delimiter=",")
+        a[5, 2] = np.nan
+        path = matrix_files["dir"] / "nan.csv"
+        np.savetxt(path, a, delimiter=",")
+        rc = main(["regress", "--input", str(path), "--rhs", matrix_files["rhs"],
+                   "--loss", "huber"])
+        assert rc == EXIT_CONFIG
+        assert "infs or NaNs" in capsys.readouterr().err
+
     def test_rejects_p2(self, matrix_files):
         rc = main(["regress", "--input", matrix_files["a_csv"], "--rhs",
                    matrix_files["rhs"], "--loss", "l2"])

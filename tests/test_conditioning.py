@@ -11,7 +11,7 @@ from robsub import (
     well_conditioned_basis,
 )
 from robsub import bicriteria, conditioning
-from robsub.core import m_value
+from robsub.core import RowView, m_value
 
 
 @pytest.fixture
@@ -154,6 +154,21 @@ class TestWellConditionedBasis:
         u = basis_rows(basis)
         # u and a span the same column space
         assert np.linalg.matrix_rank(np.hstack([u, a]), tol=1e-8) == 6
+
+
+    def test_view_rows_summed_part_by_part(self):
+        # U = A F of a view adds each part's product with its rows of F: a
+        # CSR part, a wide dense part and a one-column dense part updated in
+        # place, over several row blocks, give the stacked product's rows
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((5000, 7))
+        a[rng.random(a.shape) < 0.4] = 0.0
+        idx = np.sort(rng.choice(5000, 4000, replace=False))
+        scale = np.exp(rng.standard_normal(4000))
+        view = RowView((sp.csr_matrix(a[:, :3]), a[:, 3:6], a[:, 6:]), idx, scale)
+        basis = well_conditioned_basis(view)
+        want = (a[idx] * scale[:, None]) @ basis.change_of_basis
+        assert np.abs(basis_rows(basis) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestConstApproxTarget:

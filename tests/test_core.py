@@ -338,7 +338,7 @@ class TestScaledRowView:
         yield RowView((dense,), idx, scale), full[:, :4]
         yield RowView((csr,), idx, scale), full[:, 4:]
         yield row_view(RowView((dense, csr)), idx, scale), full
-        # dense parts only: stacked in one buffer, then scaled in place
+        # dense parts only
         yield row_view(RowView((dense[:, :1], dense[:, 1:])), idx, scale), full[:, :4]
         yield RowView((dense[:, :3], dense[:, 3:])), dense
         # narrow a scaled view by index and scale it again
@@ -348,25 +348,25 @@ class TestScaledRowView:
         yield row_view(inner, rows, outer), self._explicit(dense, csr, idx[rows],
                                                            scale[rows] * outer)
 
+    @staticmethod
+    def _stacked(parts):
+        return np.hstack([p.toarray() if sp.issparse(p) else p for p in parts])
+
     def test_block_and_getitem_are_scaled_gathers(self):
         for view, want in self._views():
             rows = np.arange(0, view.shape[0], 3)
             got = view.block(slice(None))
-            assert np.array_equal(got.toarray() if sp.issparse(got) else got, want)
-            got = view.block(rows)
-            assert np.array_equal(got.toarray() if sp.issparse(got) else got, want[rows])
-            got = view.block(slice(7, None, 5))
-            assert np.array_equal(got.toarray() if sp.issparse(got) else got, want[7::5])
-            parts = view[rows].parts
-            got = np.hstack([p.toarray() if sp.issparse(p) else p for p in parts])
-            assert np.array_equal(got, want[rows])
+            assert len(got) == len(view.parts)  # one block per part, none stacked
+            assert np.array_equal(self._stacked(got), want)
+            assert np.array_equal(self._stacked(view.block(rows)), want[rows])
+            assert np.array_equal(self._stacked(view.block(slice(7, None, 5))), want[7::5])
+            assert np.array_equal(self._stacked(view[rows].parts), want[rows])
             assert view[rows].scale is None and view[rows].idx is None
 
     def test_left_product_folds_scale_into_operator(self):
         for view, want in self._views():
             op = sp.random(30, view.shape[0], density=0.05, format="csc", random_state=6)
-            got = view.left_product(op).block(slice(None))
-            got = got.toarray() if sp.issparse(got) else got
+            got = self._stacked(view.left_product(op).block(slice(None)))
             expect = op @ want
             assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
             assert np.linalg.norm(expect) > 0.0

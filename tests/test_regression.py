@@ -210,7 +210,8 @@ class TestMRegress:
         assert tr["levels"] <= 3
 
     def test_huber_tall_dense_scores_exact_bases(self, monkeypatch):
-        # 20000 rows of [A b], more than both 8192 and c_pi (d + 1)^2: every
+        # 20000 rows of [A b], more than both the p-stable row cap of 8192 and
+        # c_pi (d + 1)^2: every
         # round scores the exact p = 2 basis and makes no p-stable sketch
         made = []
         monkeypatch.setattr(conditioning, "make_pstable_sketch", lambda *args: made.append(args))
@@ -315,6 +316,43 @@ class TestMRegress:
     def test_rhs_length_mismatch(self):
         with pytest.raises(ValueError):
             m_regress(np.eye(4), np.ones(5), LossSpec.huber(1.0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("sampled", [False, True], ids=["irls-only", "sampled"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("where", ["a", "b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_rejected(self, monkeypatch, value, where, sparse, sampled):
+        # no pass checks [A b] on its own: a NaN or inf makes its column's
+        # Gram diagonal non-finite, and the streamed QR's R check raises,
+        # in IRLS's first step or in scoring the sample, with no warning
+        scored, real = [], regression.weighted_leverage_scores
+        monkeypatch.setattr(regression, "weighted_leverage_scores",
+                            lambda *args, **kwargs: scored.append(1) or real(*args, **kwargs))
+        n = 3000 if sampled else 300
+        a, b, _ = _outlier_problem(n, 4, 18)
+        (a if where == "a" else b[:, None])[n - 7, -1] = value
+        cfg = RegressConfig(base_cap=200 if sampled else None)
+        with pytest.raises(ValueError, match="^input must not contain infs or NaNs$"):
+            m_regress(sp.csr_matrix(a) if sparse else a, b, LossSpec.huber(1.0), cfg=cfg)
+        assert len(scored) == sampled
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_fit_stacks_no_block(self, monkeypatch, sparse):
+        # [A b] is read part by part, in scoring and in every IRLS step:
+        # neither hstack is called, where stacking cost one call per block
+        calls = []
+
+        def spy(real):
+            return lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+
+        for mod in (np, sp):
+            monkeypatch.setattr(mod, "hstack", spy(mod.hstack))
+        a, b, _ = _outlier_problem(20000, 8, 19)
+        tr = {}
+        m_regress(sp.csr_matrix(a) if sparse else a, b, LossSpec.huber(1.0),
+                  cfg=RegressConfig(base_cap=400), seed=1, trace=tr)
+        assert tr["levels"] == 1 and not calls
 
 
 class TestSparseInput:

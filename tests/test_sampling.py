@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_size_subspace
+from oracles import water_fill_full_sort
 from robsub import (
     LossSpec,
     SamplingPlan,
@@ -62,6 +63,32 @@ class TestMakePlan:
         scores = np.array([1.0, 1e-20])
         plan = make_plan(scores, r=1.0)
         assert plan.q[1] == 0.0
+
+    @staticmethod
+    def _water_fill_cases():
+        """(name, scores, r) for the partial water-fill against the full sort."""
+        rng = np.random.default_rng(23)
+        heavy = rng.pareto(0.5, 20000)
+        yield "many capped rows", heavy, 2000.0
+        ties = np.ones(5000)
+        ties[:300] = 40.0  # 300 tied scores, all capped
+        ties[300:400] = 3.0  # 100 more that capping the first 300 caps too
+        yield "ties at the cap", ties, 2000.0
+        yield "r >= nnz", rng.random(300) * (rng.random(300) < 0.5), 400.0
+        dominant = rng.random(10000)
+        dominant[4321] = 1e9
+        yield "one dominant score", dominant, 50.0
+        zeros = rng.exponential(size=8000) ** 4 * (rng.random(8000) < 0.3)
+        yield "zero scores", zeros, 900.0
+
+    def test_partial_water_fill_matches_full_sort(self):
+        for name, scores, r in self._water_fill_cases():
+            plan = make_plan(scores, r)
+            ref = water_fill_full_sort(scores, r)
+            assert np.max(r * scores / scores.sum()) > 1.0, name  # the water-fill runs
+            assert np.allclose(plan.q, ref, rtol=1e-12, atol=0.0), name
+            target = min(r, np.count_nonzero(scores))
+            assert plan.expected_size == pytest.approx(target, abs=1e-9), name
 
     def test_realized_size_matches_expectation(self):
         rng = np.random.default_rng(1)

@@ -359,6 +359,31 @@ class TestGramRoute:
         assert np.allclose(sv, np.linalg.svd(a, compute_uv=False), rtol=1e-12, atol=0.0)
 
 
+    @pytest.mark.parametrize("route", ["gram", "streamed"])
+    @pytest.mark.parametrize("kind", ["dense+dense", "csr+dense", "dense+csr"])
+    def test_multi_part_view_is_the_stacked_r(self, monkeypatch, kind, route):
+        # each part of a view fills its own columns of the Gram, or of the
+        # streamed QR's buffer: the R is that of the stacked rows, each times
+        # its scale; a column scaled by 1e-8 leaves the Gram uncertified
+        calls = self._spy(monkeypatch)
+        rng = np.random.default_rng(59)
+        a = rng.standard_normal((6000, 12))
+        a[rng.random(a.shape) < 0.5] = 0.0
+        if route == "streamed":
+            a[:, 3] *= 1e-8
+        left, right = a[:, :11], a[:, 11:]
+        if kind == "csr+dense":
+            left = sp.csr_matrix(left)
+        elif kind == "dense+csr":
+            left, right = a[:, :4], sp.csr_matrix(a[:, 4:])
+        idx = np.sort(rng.choice(6000, 4500, replace=False))
+        scale = np.exp(0.5 * rng.standard_normal(4500))
+        r = sketch.r_factor(RowView((left, right), idx, scale))
+        assert len(calls) == (route == "streamed")
+        ref = sketch.r_factor(a[idx] * scale[:, None])
+        assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 class TestOrthonormalizer:
     @staticmethod
     def _operands():
@@ -500,9 +525,9 @@ class TestPStable:
         rows = np.sort(rng.choice(4000, 1500, replace=False))
         for p in (1.0, 1.5):
             sk = make_pstable_sketch(10, s=100, n=1500, p=p)
-            out = sk.apply(RowView((a, b[:, None]), rows)).block(slice(None))
+            out = np.hstack(sk.apply(RowView((a, b[:, None]), rows)).block(slice(None)))
             assert np.array_equal(out, sk.apply(np.hstack([a, b[:, None]])[rows]))
-            out = sk.apply(RowView((csr,), rows)).block(slice(None))
+            out, = sk.apply(RowView((csr,), rows)).block(slice(None))
             assert sp.issparse(out) and np.array_equal(out.toarray(), sk.apply(csr[rows]))
 
     def test_stable_scaling_law(self):
