@@ -12,7 +12,10 @@ Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed.
 
 The small solver is heuristic by design: a reweighted-PCA alternation runs
 from a few random orthonormal starts, and projected gradient descent on
-the orthonormal factor polishes the best of its iterates once.  Each
+the orthonormal factor polishes the best of its iterates once.  Both
+loops stop on their cost, once a step gains at most a relative 1e-10 of
+it, and the polish also once no step as short as its next trial could
+gain more, to first order.  Each
 alternation step takes the top-k eigenvectors of the m x m matrix
 X^T Psi X from a block Krylov space warm-started at the current factor,
 which applies the matrix through X and never forms it, and keeps them only
@@ -51,6 +54,11 @@ _RESTARTS = 5        # random starts of the small solve's alternation
 _KRYLOV_MIN_WIDTH = 64
 _KRYLOV_BLOCKS = 12
 _KRYLOV_CERT = 1e-12
+# the small solve's loops stop once a step gains at most _STOP_TOL of the cost:
+# each start's alternation within _MM_STEPS steps, the polish within _POLISH_STEPS
+_STOP_TOL = 1e-10
+_MM_STEPS = 50
+_POLISH_STEPS = 300
 
 
 class CapExceededError(RuntimeError):
@@ -181,8 +189,7 @@ def _top_eigenvectors(x: np.ndarray, psi: np.ndarray, k: int, v0: np.ndarray):
     return _bottom_eigenvectors(-(x.T @ (psi[:, None] * x)), k), krylov
 
 
-def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, tally: dict,
-                iters: int = 50):
+def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, tally: dict):
     """Reweighted-PCA alternation for the projector objective.
 
     At the current iterate the loss is majorized by a quadratic with
@@ -190,67 +197,56 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, tally: dict,
     n_i.  For orthonormal W, ||X_i W W^T - X_i||^2 = ||X_i||^2 - ||X_i W||^2,
     so the quadratic is minimized by the top-k eigenvectors of X^T Psi X,
     taken by ``_top_eigenvectors`` from a Krylov space grown from the
-    current W.  Every iterate is scored by the true objective and the best
-    is kept; its residual norms give both its cost and the next step's
-    weights.  Steps and eigen fallbacks are added to ``tally``.
+    current W; they are orthonormal as returned.  Every iterate is scored
+    by the true objective and the best is kept; its residual norms give
+    both its cost and the next step's weights.  The start stops after
+    ``_MM_STEPS`` steps, or once a step lowers the best cost by at most
+    ``_STOP_TOL`` of it.  Steps and eigen fallbacks are added to ``tally``.
     """
-    x = prob.x
-    w_factor = w0
-    norms = prob.residual(w0)[1]
+    w_factor, norms = w0, prob.residual(w0)[1]
     best_w, best_cost = w0, float(np.dot(prob.w, m_value(loss, norms)))
-    for _ in range(iters):
+    for _ in range(_MM_STEPS):
         tally["small_mm_steps"] += 1
         floored = np.maximum(norms, 1e-12)
         psi = prob.w * m_derivative(loss, floored) / (2.0 * floored)
-        top, fell_back = _top_eigenvectors(x, psi, prob.k, w_factor)
+        w_factor, fell_back = _top_eigenvectors(prob.x, psi, prob.k, w_factor)
         tally["small_eigen_fallbacks"] += fell_back
-        w_new = _orthonormal(top)
-        if np.linalg.norm(w_new @ (w_new.T @ w_factor) - w_factor) < 1e-12:
-            break
-        w_factor = w_new
         norms = prob.residual(w_factor)[1]
-        cost = float(np.dot(prob.w, m_value(loss, norms)))
-        if cost < best_cost - 1e-15:
+        cost, prev = float(np.dot(prob.w, m_value(loss, norms))), best_cost
+        if cost < best_cost:
             best_w, best_cost = w_factor, cost
+        if prev - cost <= _STOP_TOL * prev:
+            break
     return best_w, best_cost
 
 
-def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray,
-                       max_iter: int = 300, tol: float = 1e-10):
+def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray):
     """Projected gradient descent with backtracking from w0.
 
-    Returns the best iterate and whether the descent stopped on its own
-    (no improving step, or a relative gain below tol) before max_iter.
+    A trial step s along the gradient G is kept when it lowers the cost,
+    so the last iterate is the best.  To first order no step shorter than
+    s gains more than s ||G||^2: the descent stops once that bound, or a
+    kept step's gain, is at most ``_STOP_TOL`` of the cost.  Returns the
+    last iterate and whether the descent stopped before ``_POLISH_STEPS``.
     """
     w_factor = w0
     cost, grad = _gradient(prob, loss, w_factor)
-    step = 1.0 / max(np.linalg.norm(grad), 1e-12)
-    best_w, best_cost = w_factor, cost
-    converged = False
-    for _ in range(max_iter):
-        improved = False
-        for _ in range(30):
+    step = 1.0 / max(np.linalg.norm(grad), np.finfo(float).tiny)
+    for _ in range(_POLISH_STEPS):
+        slope = float(np.vdot(grad, grad))
+        while step * slope > _STOP_TOL * cost:
             cand = _orthonormal(w_factor - step * grad)
-            cand_cost = prob.cost(cand, loss)
-            if cand_cost < cost - 1e-18:
-                improved = True
+            if prob.cost(cand, loss) < cost:
                 break
             step *= 0.5
-            if step < 1e-18:
-                break
-        if not improved:
-            converged = True
-            break
-        w_factor = cand
-        prev = cost
+        else:
+            return w_factor, True
+        w_factor, prev = cand, cost
         cost, grad = _gradient(prob, loss, w_factor)
-        if cost < best_cost:
-            best_w, best_cost = w_factor, cost
+        if prev - cost <= _STOP_TOL * prev:
+            return w_factor, True
         step *= 1.5
-        if prev - cost <= tol * max(prev, 1.0):
-            converged = True
-            break
-    return best_w, converged
+    return w_factor, False
 
 
 def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
@@ -259,7 +255,9 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
 
     Runs the reweighted-PCA alternation from ``_RESTARTS`` random
     orthonormal factors, then polishes the lowest-cost of those iterates
-    once by projected gradient descent with backtracking.  ``trace``
+    once by projected gradient descent with backtracking; both stop once
+    a step gains at most ``_STOP_TOL`` of the cost (``_mm_descent``,
+    ``_local_search_from``).  ``trace``
     receives the alternation steps of all starts (``small_mm_steps``), the
     steps whose Krylov certificate failed (``small_eigen_fallbacks``) and
     whether the polish hit its iteration cap (``small_search_capped``).  A

@@ -30,6 +30,16 @@ from robsub.pipeline import (
 )
 
 
+def _workloads(monkeypatch):
+    """The benchmark's input generators, perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def _random_problem(seed, m_prime=12, m=8, k=2):
     # the exact columns [X r] of m_prime kept rows, r != 0
     rng = np.random.default_rng(seed)
@@ -240,6 +250,76 @@ class TestSmallApprox:
         assert trace["small_eigen_fallbacks"] == 0 and trace["small_mm_steps"] >= 10
         assert trace["small_search_capped"] is False
         assert np.linalg.norm(w @ w.T - basis @ basis.T) <= 0.05
+
+    @pytest.mark.parametrize("m", [20, 200])
+    def test_alternation_factor_orthonormal_without_qr(self, monkeypatch, m):
+        # the eigen steps' vectors, dsyevr's below the Krylov crossover and
+        # Ritz vectors from it on, are orthonormal as they come: the
+        # alternation takes them with no QR of its own
+        prob = _random_problem(14, m_prime=300, m=m, k=3)
+        w0 = pipeline._orthonormal(np.random.default_rng(15).standard_normal((m, 3)))
+        qrs, real = [], pipeline._orthonormal
+        monkeypatch.setattr(pipeline, "_orthonormal", lambda mat: qrs.append(mat) or real(mat))
+        tally = {"small_mm_steps": 0, "small_eigen_fallbacks": 0}
+        w, _ = pipeline._mm_descent(prob, LossSpec.lp(1.0), w0, tally)
+        assert qrs == [] and tally["small_mm_steps"] >= 2 and not np.array_equal(w, w0)
+        assert np.abs(w.T @ w - np.eye(3)).max() <= 1e-12
+
+    def test_alternation_stops_on_relative_gain(self, monkeypatch):
+        # lp_dense_outliers input 1, fit 1001: its five starts took 60 steps
+        # when each ran until its subspace stopped moving, and take 30 when a
+        # start stops on a gain of at most _STOP_TOL of its cost, at the cost
+        # of a run that stops only on no gain at all, to 1e-7
+        workloads = _workloads(monkeypatch)
+        work = workloads.WORKLOADS["lp_dense_outliers"]
+        a = work.inputs(1).a
+        steps, costs = [], []
+        for tol in (pipeline._STOP_TOL, 0.0):
+            monkeypatch.setattr(pipeline, "_STOP_TOL", tol)
+            trace = {}
+            sub = approx_lp(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
+            costs.append(residual_cost(a, sub, None, work.loss))
+            steps.append(trace["small_mm_steps"])
+        assert steps[0] <= 35
+        assert costs[0] == pytest.approx(costs[1], rel=1e-7)
+
+    def test_polish_stops_on_its_possible_gain(self, monkeypatch):
+        # m2_sparse input 1, fit 1001: the alternation's best factor is
+        # already stationary to first order, and the polish halved its step
+        # 30 times, one cost evaluation each, before it stopped; bounding
+        # what a shorter step can gain stops it after at most a few
+        workloads = _workloads(monkeypatch)
+        work = workloads.WORKLOADS["m2_sparse"]
+        a = work.inputs(1).a
+        calls = []
+        real = SmallProblem.cost
+        monkeypatch.setattr(SmallProblem, "cost",
+                            lambda self, *args: calls.append(1) or real(self, *args))
+        trace = {}
+        approx_m2(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
+        assert len(calls) <= 3 and trace["small_search_capped"] is False
+
+    def test_polish_at_its_step_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_POLISH_STEPS", 0)
+        trace = {}
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            small_approx(_random_problem(16), LossSpec.lp(1.0), seed=0, trace=trace)
+        assert trace["small_search_capped"] is True
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12])
+    def test_stops_are_relative_to_the_cost(self, scale):
+        # dense rank 3 plus 0.05 noise and 30 outlier rows, scaled: at 1e-12
+        # every residual is in Huber's quadratic part, so the SVD is optimal
+        # and the sampled solve can only come near it; with absolute stop
+        # tests no step there counted as a gain and the fit kept a random
+        # start (3.67x the SVD); at scale 1 the outliers fall in the linear
+        # part, and the fit beats the SVD
+        a, _ = planted_lowrank(3000, 20, 3, seed=0, noise=0.05, outlier_frac=0.01)
+        a = scale * a
+        loss = LossSpec.huber(1.0)
+        _, svd_cost = svd_truncation_cost(a, 3, None, loss)
+        ratio = residual_cost(a, approx_m2(a, 3, 0.25, loss, seed=1), None, loss) / svd_cost
+        assert ratio <= (1.01 if scale < 1.0 else 0.95)
 
     @pytest.mark.parametrize("m", [20, pipeline._KRYLOV_MIN_WIDTH - 1])
     def test_below_crossover_is_direct_path(self, monkeypatch, m):
@@ -529,22 +609,13 @@ class TestApproxM2:
         approx_m2(a[:250], 2, 0.3, LossSpec.huber(1.0), seed=3, trace=tr)
         assert tr["t_rows"] == tr["t_rows_expected"] == 250
 
-    @staticmethod
-    def _workloads(monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
-        spec.loader.exec_module(workloads)
-        return workloads
-
     def test_collinear_outlier_rows_kept_by_final_sample(self, monkeypatch):
         # the benchmark's m2_sparse input 8 (20000 x 200 CSR, 200 outlier
         # rows along one direction): scored by leverage alone, the final
         # sample drew 0 or 2 outlier rows, and fits 8003 and 8005 took the
         # outlier direction (1.0076x and 1.0052x the SVD); scored by cost
         # share under B as well, both land at the planted subspace (0.19x)
-        workloads = self._workloads(monkeypatch)
+        workloads = _workloads(monkeypatch)
         work = workloads.WORKLOADS["m2_sparse"]
         a = work.inputs(8).a
         _, svd_cost = svd_truncation_cost(a, workloads.K, None, work.loss)
@@ -559,7 +630,7 @@ class TestApproxM2:
         # m2_sparse input 8 plus one row along e_0: at norm 1e5 the small
         # solve of fit 8002 reaches the better basin from one of its five
         # random starts only, and with three starts it scored 0.7427x the SVD
-        workloads = self._workloads(monkeypatch)
+        workloads = _workloads(monkeypatch)
         work = workloads.WORKLOADS["m2_sparse"]
         a8 = work.inputs(8).a
         a = sp.vstack([a8, sp.csr_matrix(([norm], ([0], [0])), shape=(1, a8.shape[1]))]).tocsr()
