@@ -11,11 +11,10 @@ return U W.  Its per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
 Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed.
 
 The small solver is heuristic by design: a reweighted-PCA alternation runs
-from a few random orthonormal starts, and projected gradient descent on
-the orthonormal factor polishes the best of its iterates once.  Both
-loops stop on their cost, once a step gains at most a relative 1e-10 of
-it, and the polish also once no step as short as its next trial could
-gain more, to first order.  Each
+from a few random orthonormal starts, each stopping once a step gains at
+most a relative 1e-10 of its cost, and the lowest-cost iterate is
+returned.  The width of [X r] is checked against the cap as soon as the
+residual-sampled subspace fixes it, before any row is sampled.  Each
 alternation step takes the top-k eigenvectors of the m x m matrix
 X^T Psi X from a block Krylov space warm-started at the current factor,
 which applies the matrix through X and never forms it, and keeps them only
@@ -25,7 +24,6 @@ certificate, form the matrix and solve it with LAPACK.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -54,11 +52,10 @@ _RESTARTS = 5        # random starts of the small solve's alternation
 _KRYLOV_MIN_WIDTH = 64
 _KRYLOV_BLOCKS = 12
 _KRYLOV_CERT = 1e-12
-# the small solve's loops stop once a step gains at most _STOP_TOL of the cost:
-# each start's alternation within _MM_STEPS steps, the polish within _POLISH_STEPS
+# each start's alternation stops once a step gains at most _STOP_TOL of the cost,
+# or after _MM_STEPS steps
 _STOP_TOL = 1e-10
 _MM_STEPS = 50
-_POLISH_STEPS = 300
 
 
 class CapExceededError(RuntimeError):
@@ -125,15 +122,6 @@ def _orthonormal(mat: np.ndarray) -> np.ndarray:
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs
-
-
-def _gradient(prob: SmallProblem, loss: LossSpec, w_factor: np.ndarray):
-    """The cost and its gradient g W + g^T W, g = X^T (psi o (X W W^T - X))."""
-    resid, norms = prob.residual(w_factor)
-    cost = float(np.dot(prob.w, m_value(loss, norms)))
-    psi = prob.w * m_derivative(loss, norms) / np.maximum(norms, 1e-300)
-    g = prob.x.T @ (psi[:, None] * resid)
-    return cost, g @ w_factor + g.T @ w_factor
 
 
 def _bottom_eigenvectors(h: np.ndarray, k: int) -> np.ndarray:
@@ -220,69 +208,24 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, tally: dict)
     return best_w, best_cost
 
 
-def _local_search_from(prob: SmallProblem, loss: LossSpec, w0: np.ndarray):
-    """Projected gradient descent with backtracking from w0.
-
-    A trial step s along the gradient G is kept when it lowers the cost,
-    so the last iterate is the best.  To first order no step shorter than
-    s gains more than s ||G||^2: the descent stops once that bound, or a
-    kept step's gain, is at most ``_STOP_TOL`` of the cost.  Returns the
-    last iterate and whether the descent stopped before ``_POLISH_STEPS``.
-    """
-    w_factor = w0
-    cost, grad = _gradient(prob, loss, w_factor)
-    step = 1.0 / max(np.linalg.norm(grad), np.finfo(float).tiny)
-    for _ in range(_POLISH_STEPS):
-        slope = float(np.vdot(grad, grad))
-        while step * slope > _STOP_TOL * cost:
-            cand = _orthonormal(w_factor - step * grad)
-            if prob.cost(cand, loss) < cost:
-                break
-            step *= 0.5
-        else:
-            return w_factor, True
-        w_factor, prev = cand, cost
-        cost, grad = _gradient(prob, loss, w_factor)
-        if prev - cost <= _STOP_TOL * prev:
-            return w_factor, True
-        step *= 1.5
-    return w_factor, False
-
-
 def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
-                 cap: int = 400, trace: Optional[dict] = None) -> np.ndarray:
+                 trace: Optional[dict] = None) -> np.ndarray:
     """Approximately minimize the small problem's cost over orthonormal W.
 
-    Runs the reweighted-PCA alternation from ``_RESTARTS`` random
-    orthonormal factors, then polishes the lowest-cost of those iterates
-    once by projected gradient descent with backtracking; both stop once
-    a step gains at most ``_STOP_TOL`` of the cost (``_mm_descent``,
-    ``_local_search_from``).  ``trace``
-    receives the alternation steps of all starts (``small_mm_steps``), the
-    steps whose Krylov certificate failed (``small_eigen_fallbacks``) and
-    whether the polish hit its iteration cap (``small_search_capped``).  A
-    problem more than ``cap`` columns [X r] wide raises
-    ``CapExceededError``; its row count is the final sample's, which
-    ``PipelineConfig.t_rows_target`` sets.
+    Runs the reweighted-PCA alternation (``_mm_descent``) from
+    ``_RESTARTS`` random orthonormal factors and returns the lowest-cost
+    of their iterates.  ``trace`` receives the alternation steps of all
+    starts (``small_mm_steps``) and the steps whose Krylov certificate
+    failed (``small_eigen_fallbacks``).
     """
-    if prob.domain_dim + 1 > cap:
-        raise CapExceededError(
-            f"small problem has side {prob.domain_dim + 1} > cap {cap}; raise the "
-            "cap or lower the sampling targets")
     tally = {} if trace is None else trace
-    tally.update(small_mm_steps=0, small_eigen_fallbacks=0, small_search_capped=False)
+    tally.update(small_mm_steps=0, small_eigen_fallbacks=0)
     k, m = prob.k, prob.domain_dim
     if k == m:
         return np.eye(m)
     rng = spawn_rng(seed, 73)
     starts = (_orthonormal(rng.standard_normal((m, k))) for _ in range(_RESTARTS))
-    w_mm, _ = min((_mm_descent(prob, loss, w0, tally) for w0 in starts), key=lambda r: r[1])
-    best_w, converged = _local_search_from(prob, loss, w_mm)
-    tally["small_search_capped"] = not converged
-    if not converged:
-        warnings.warn("small-problem search hit the iteration cap; returning "
-                      "best iterate", RuntimeWarning)
-    return best_w
+    return min((_mm_descent(prob, loss, w0, tally) for w0 in starts), key=lambda r: r[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +327,9 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
 
     The stages run at rank min(k, n), as n rows span at most n
     dimensions, and a subspace U of at most that width is padded to k
-    orthonormal columns.  Otherwise ``_final_sample`` draws the rows of
+    orthonormal columns.  A U of m columns with m + 1 > ``cfg.small_cap``
+    raises ``CapExceededError`` before any column or row of the final
+    sample is formed.  Otherwise ``_final_sample`` draws the rows of
     the dense n x (m+1) operand [A U, r], or of A as given (dense or CSR)
     when U is square, as [A U, 0] then spans the column space of A.  Its R
     is that of A which U carries when U is the bicriteria stage's row
@@ -406,6 +351,10 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     if m <= min(k, n):
         return _pad_to_k(u, k, seed)
     # m <= n, as U lies in the row space of A: from here on k < n
+    if m + 1 > cfg.small_cap:
+        raise CapExceededError(
+            f"small problem has side {m + 1} > cap {cfg.small_cap}; raise the "
+            "cap or lower the sampling targets")
 
     scored = a if m == d else _exact_columns(a, u)
     # a square U that carries an R factor was read from A itself
@@ -417,7 +366,7 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     kept, = row_view(scored).block(idx)
     prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[1]).integers(2**31)),
-                            cap=cfg.small_cap, trace=tr)
+                            trace=tr)
     return _final_factor(u, w_factor)
 
 

@@ -28,7 +28,7 @@ from .core import LossSpec, RowView, as_weights, m_derivative, m_value, row_view
 from .sampling import _SHRINK, draw, make_plan
 from .sketch import r_factor
 
-_RESID_FLOOR = 1e-12
+_RESID_FLOOR = 1e-12  # IRLS floors |r| at this share of the largest |r|
 _LEVELS = 3     # steps of the sample-size schedule
 _KAPPA = 0.1    # a step keeps ~n'^(1/2+kappa) rows; p=2 scores take ceil(3/kappa) columns
 _DELTA = 0.1    # failure probability in the per-step sample size
@@ -54,12 +54,14 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
                max_iter: int = 500, return_history: bool = False):
     """Iteratively reweighted least squares on sum_i w_i M(r_i).
 
-    Per-residual weight M'(|r|) / (2 |r|) with |r| floored at 1e-12; the
-    objective is forced non-increasing by halving the step toward the new
-    iterate whenever a full step would increase it by more than
-    tol * max(obj, 1), and the solve stops at a step that does not lower
-    it.  Returns the best iterate (and the per-iteration objective history
-    on request).
+    Per-residual weight M'(|r|) / (2 |r|) with |r| floored at 1e-12 of
+    the largest |r|; the objective is forced non-increasing by halving the
+    step toward the new iterate whenever a full step would increase it by
+    more than tol * obj, and the solve stops at a step that lowers it by
+    at most tol * obj, or at an exact fit (obj = 0).  Every test is
+    relative, so an |x|^p fit stops where it would for b scaled by any
+    c > 0.  Returns the best iterate (and the per-iteration objective
+    history on request).
 
     A may be dense or CSR, and is never densified or copied whole.  Each
     step with row weights v solves min ||diag(sqrt v) (A x - b)|| from the
@@ -92,13 +94,16 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     resid, obj = evaluate(x)
     history = [obj]
     for _ in range(max_iter):
-        ares = np.maximum(np.abs(resid), _RESID_FLOOR)
+        if obj == 0.0:
+            break
+        ares = np.abs(resid)
+        ares = np.maximum(ares, _RESID_FLOOR * ares.max())
         x_new = solve(np.maximum(wv * m_derivative(loss, ares) / (2.0 * ares), 0.0))
         resid_new, obj_new = evaluate(x_new)
         # divergence guard: fall back toward the current iterate if the step
         # rises by more than the stopping tolerance, which is above rounding
         halvings = 0
-        while obj_new > obj + tol * max(obj, 1.0) and halvings < 40:
+        while obj_new > obj + tol * obj and halvings < 40:
             x_new = 0.5 * (x_new + x)
             resid_new, obj_new = evaluate(x_new)
             halvings += 1
@@ -107,7 +112,7 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
         improved = obj - obj_new
         x, resid, obj = x_new, resid_new, obj_new
         history.append(obj)
-        if improved < tol * max(obj, 1.0):
+        if improved <= tol * obj:
             break
     if return_history:
         return x, history

@@ -82,8 +82,7 @@ def best_rank_k_in_subspace(a, sub, k, loss, w=None, seed=0, warm_starts=()):
     in ``warm_starts`` is scored too, and the cheapest factor is returned.
     """
     prob = pipeline.SmallProblem(pipeline._exact_columns(a, sub.u), w, min(k, sub.dim))
-    w_factor = pipeline.small_approx(prob, loss, seed=seed,
-                                     cap=max(pipeline.PipelineConfig().small_cap, sub.dim + 1))
+    w_factor = pipeline.small_approx(prob, loss, seed=seed)
     w_factor = min([w_factor, *warm_starts], key=lambda f: prob.cost(f, loss))
     out = pipeline._final_factor(sub.u, w_factor)
     return out, residual_cost(a, out, w, loss)

@@ -360,7 +360,7 @@ def test_c11_sketch_time_scales_with_nnz():
 
 
 def test_c12_small_solver_sanity():
-    # the gradient solver is within 1.05x of the dense candidate grid on 20
+    # the reweighted-PCA alternation is within 1.05x of the dense candidate grid on 20
     # tiny [X r] instances, and recovers a planted projector to 1e-8
     t0 = time.perf_counter()
     loss = LossSpec.lp(1.0)

@@ -203,7 +203,6 @@ class TestApproxCommand:
         assert res["trace"]["reduced_dim"] == 200
         assert res["trace"]["small_mm_steps"] >= 10
         assert res["trace"]["small_eigen_fallbacks"] == 0
-        assert res["trace"]["small_search_capped"] is False
         assert res["v_cost_p"] < res["baseline_svd_v_cost_p"]
 
     def test_missing_input_exit_2(self, tmp_path):

@@ -99,6 +99,27 @@ class TestIrls:
         # the iterates kept, plus at most the one step that ended the solve
         assert len(passes) <= len(hist) + 1
 
+    def test_stops_are_relative_to_the_objective(self):
+        # L1 on 5000 x 10 Gaussian rows, 0.1 noise and 50 responses off by
+        # 30, with b scaled by 1 and 1e-12: the objective over the scale is
+        # the same; with absolute stop, guard and floor tests the 1e-12 fit
+        # stopped after two steps, 1.8e-4 above it
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((5000, 10))
+        b = a @ rng.standard_normal(10) + 0.1 * rng.standard_normal(5000)
+        b[rng.choice(5000, 50, replace=False)] += 30.0
+        loss = LossSpec.lp(1.0)
+        objs = [regression_objective(a, scale * b, irls_solve(a, scale * b, None, loss),
+                                     None, loss) / scale for scale in (1.0, 1e-12)]
+        assert objs[1] == pytest.approx(objs[0], rel=1e-6)
+
+    def test_exact_fit_stops_at_once(self):
+        # b = 0: the first least-squares step fits exactly, and the solve
+        # returns it with no reweighted step, whose floor would be 0
+        a = np.random.default_rng(4).standard_normal((40, 3))
+        x, hist = irls_solve(a, np.zeros(40), None, LossSpec.lp(1.0), return_history=True)
+        assert hist == [0.0] and np.array_equal(x, np.zeros(3))
+
     def test_huber_matches_independent_solver(self):
         # smooth huber objective: compare with a BFGS solve from scipy
         rng = np.random.default_rng(4)
