@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from robsub import LossSpec
-from robsub.regression import RegressConfig, irls_solve, m_regress, regression_objective
+from robsub.regression import irls_solve, m_regress, regression_objective
 
 rng = np.random.default_rng(4)
 
@@ -31,8 +31,7 @@ t_full = time.perf_counter() - t0
 
 t0 = time.perf_counter()
 trace = {}
-cfg = RegressConfig(base_cap=4000)
-x_samp = m_regress(a, b, huber, eps=0.5, cfg=cfg, seed=1, trace=trace)
+x_samp = m_regress(a, b, huber, eps=0.5, base_cap=4000, seed=1, trace=trace)
 t_samp = time.perf_counter() - t0
 
 print(f"{'method':18s} {'huber cost':>12s} {'||x-x*||':>10s} {'seconds':>8s}")

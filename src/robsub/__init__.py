@@ -43,13 +43,12 @@ from .dimreduce import dim_reduce
 from .bicriteria import const_approx
 from .pipeline import (
     CapExceededError,
-    PipelineConfig,
     SmallProblem,
     approx_lp,
     approx_m2,
     small_approx,
 )
-from .regression import RegressConfig, irls_solve, m_regress, regression_objective
+from .regression import irls_solve, m_regress, regression_objective
 from .hardness import (
     GadgetInstance,
     brute_force_best_coordinate,

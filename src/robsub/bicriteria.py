@@ -2,13 +2,10 @@
 
 The driver sketches the input on the right down to d' = poly(k) columns,
 scores the rows of the sketched copy A S^T once with leverage scores,
-and draws one sample of the rows; the row space of the sampled
-input rows is the bicriteria subspace.  The sample expects the rows at
-which rounds of resampling would end, found by running their schedule on
-row counts alone: n' -> min(c d'^2 gamma_total, n'/2) while n' > P_M,
-the formula times a log log log n' factor at p = 2.  This is dv07's
-sequential row selection with the sample chosen all at once, as the
-source paper argues it may be.
+and draws one sample of the rows, sized where rounds of resampling would
+end (``_sample_target``); the row space of the sampled input rows is the
+bicriteria subspace.  This is dv07's sequential row selection with the
+sample chosen all at once, as the source paper argues it may be.
 """
 
 from __future__ import annotations
@@ -19,8 +16,7 @@ from typing import Optional
 
 from .conditioning import weighted_leverage_scores
 from .core import LossSpec, Subspace, check_finite, spawn_rng
-from .sampling import _SHRINK, draw, make_plan
-from . import sketch
+from . import sampling, sketch
 from .sketch import apply_right, make_sparse_sketch, orthonormal_union, rank_revealing_factor
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
@@ -41,6 +37,18 @@ def _p_m(k: int, n: int, loss: LossSpec) -> int:
 
 def _logloglog(n: float) -> float:
     return math.log(max(math.log(max(math.log(max(n, 3.0)), math.e)), math.e))
+
+
+def _sample_target(n: int, p_m: int, m: int, gamma_total: float, loss: LossSpec) -> float:
+    """Rows left by the schedule n' -> min(c d'^2 gamma_total, n'/2) while n' > P_M, d' = m."""
+    def step(size):
+        # at practical sizes this exceeds n', so the halving is what binds
+        formula = _SAMPLE_ROWS_C * m * m * gamma_total
+        if loss.is_m2:
+            formula *= _LOGLOGLOG_C * _logloglog(size)
+        return formula
+
+    return sampling.schedule_end(n, p_m, step)
 
 
 def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
@@ -69,8 +77,7 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     if n <= p_m:
         # no sample is drawn, so the right sketch would go unread; the R of
         # A is kept for the caller's final sample, which reads A
-        if trace is not None:
-            trace.update(bicriteria_rows=n, bicriteria_rows_expected=float(n))
+        sampling.record("bicriteria", n, n, trace)
         r = sketch.r_factor(a)
         return Subspace(rank_revealing_factor(a, r)[1], r)
     m = int(min(max(k + 1, _SKETCH_COLS_C * k * k), d))
@@ -78,17 +85,8 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
                                m=m, d=d, s=min(_SKETCH_NNZ, m))
     scores = weighted_leverage_scores(apply_right(a, right), loss,
                                       seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
-    # the formula c d'^2 gamma_total (times a log log log n' factor at p = 2)
-    # exceeds n' at practical sizes, so each step also halves the rows
-    size = float(n)
-    while size > p_m:
-        formula = _SAMPLE_ROWS_C * m * m * scores.gamma_total
-        if loss.is_m2:
-            formula *= _LOGLOGLOG_C * _logloglog(size)
-        size = min(formula, _SHRINK * size)
-    plan = make_plan(scores.gamma, size)
-    sample = draw(plan, seed=int(spawn_rng(seed, 59, 0, 0).integers(2**31)))
-    if trace is not None:
-        trace.update(bicriteria_rows=len(sample), bicriteria_rows_expected=plan.expected_size)
+    sample = sampling.sample("bicriteria", scores.gamma,
+                             _sample_target(n, p_m, m, scores.gamma_total, loss),
+                             int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)
     # the kept rows' weights 1/q leave their span unchanged
     return orthonormal_union([a[sample.indices]], d=d)

@@ -30,9 +30,8 @@ from .hardness import (
     read_edge_list,
 )
 from .oracle import svd_truncation_cost
-from .pipeline import (CapExceededError, PipelineConfig, _stage_bicriteria, _stage_subspace,
-                       approx_lp, approx_m2)
-from .regression import RegressConfig, irls_solve, m_regress, regression_objective
+from .pipeline import CapExceededError, _stage_bicriteria, _stage_subspace, approx_lp, approx_m2
+from .regression import irls_solve, m_regress, regression_objective
 
 SCHEMA_VERSION = 1
 
@@ -92,7 +91,6 @@ def _base_report(args, command: str) -> dict:
 def cmd_approx(args) -> int:
     a = rio.load_matrix(args.input)
     loss = _make_loss(args)
-    cfg = PipelineConfig(t_rows_target=args.t_rows, small_cap=args.small_cap)
     n, d = a.shape
     if args.k < 1:
         raise ConfigError("--k must be >= 1")
@@ -111,9 +109,11 @@ def cmd_approx(args) -> int:
         sub = _stage_subspace(a, min(args.k, n), args.eps, loss, args.seed, trace)
     elif args.stage == "full":
         if loss.is_lp and loss.p < 2.0:
-            sub = approx_lp(a, args.k, args.eps, loss, cfg, seed=args.seed, trace=trace)
+            sub = approx_lp(a, args.k, args.eps, loss, small_cap=args.small_cap,
+                            seed=args.seed, trace=trace)
         elif loss.is_m2:
-            sub = approx_m2(a, args.k, args.eps, loss, cfg, seed=args.seed, trace=trace)
+            sub = approx_m2(a, args.k, args.eps, loss, small_cap=args.small_cap,
+                            seed=args.seed, trace=trace)
         else:
             sub, _ = svd_truncation_cost(a, args.k, None, loss)
     else:
@@ -137,7 +137,7 @@ def cmd_approx(args) -> int:
         "v_cost": cost_p ** (1.0 / loss.p),
         "input_v_cost_p": total_p,
         "baseline_svd_v_cost_p": svd_cost_p,
-        "trace": {k: v for k, v in trace.items() if isinstance(v, (int, float, str))},
+        "trace": trace,
     }
     report["timings"] = timings
     if args.subspace_out:
@@ -156,13 +156,13 @@ def cmd_regress(args) -> int:
     loss = _make_loss(args)
     if loss.is_lp and loss.p >= 2.0:
         raise ConfigError("regression losses: lp with p in [1,2), huber, l1l2, fair")
-    cfg = RegressConfig(base_cap=args.base_cap)
     report = _base_report(args, "regress")
     timings = {}
     trace = {}
 
     t0 = time.perf_counter()
-    x_sampled = m_regress(a, b, loss, eps=args.eps, cfg=cfg, seed=args.seed, trace=trace)
+    x_sampled = m_regress(a, b, loss, eps=args.eps, base_cap=args.base_cap, seed=args.seed,
+                          trace=trace)
     timings["sampled_seconds"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     x_full = irls_solve(a, b, None, loss)
@@ -177,9 +177,7 @@ def cmd_regress(args) -> int:
         "sampled_cost": cost_sampled,
         "full_irls_cost": cost_full,
         "cost_ratio": cost_sampled / cost_full if cost_full > 0 else 1.0,
-        "levels": trace.get("levels"),
-        "base_rows": trace.get("base_rows"),
-        "base_rows_expected": trace.get("base_rows_expected"),
+        **trace,  # levels, base_rows and base_rows_expected
     }
     report["timings"] = timings
     if args.solution_out:
@@ -265,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--stage", default="full", choices=["bicriteria", "dimreduce", "full"])
     ap.add_argument("--subspace-out", default=None, dest="subspace_out",
                     help="write the fitted factor as Matrix Market")
-    ap.add_argument("--t-rows", type=int, default=300, dest="t_rows",
-                    help="rows handed to the small solve")
     ap.add_argument("--small-cap", type=int, default=400, dest="small_cap",
                     help="widest small problem: most columns of [A U, r]")
     _add_common(ap)

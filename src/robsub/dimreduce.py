@@ -16,7 +16,7 @@ from typing import Optional
 
 from .core import (_FACTOR_BLOCK, LossSpec, Subspace, check_finite, m_value, row_norms, row_view,
                    spawn_rng)
-from .sampling import draw, make_plan
+from . import sampling
 from .sketch import gaussian_row_norm_estimates, make_gaussian_sketch, orthonormal_union
 
 _R1_C = 2.0     # c1 in r1, see _r1
@@ -49,8 +49,8 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
         raise ValueError(f"k={k} outside [1, {d}]")
     if xhat.d != d:
         raise ValueError("projector dimension mismatch")
-    if trace is not None:
-        trace.update(dimreduce_rows=0, dimreduce_rows_expected=0.0)
+    trace = {} if trace is None else trace
+    sampling.record("dimreduce", 0, 0, trace)
     if xhat.dim == d:
         return xhat  # every residual is zero
     p = loss.p
@@ -65,8 +65,7 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     resid = gaussian_row_norm_estimates(a, xhat, g)
     check_finite(resid)  # a NaN or inf in A reaches the estimate of its row
     scores = m_value(loss, resid)
-    if trace is not None:
-        trace["t_m"] = t_m
+    trace["t_m"] = t_m
     # residuals at the level of rounding noise count as an exact fit
     largest = max(float(row_norms(rows).max(initial=0.0))
                   for _, _, (rows,) in row_view(a).blocks(_FACTOR_BLOCK))
@@ -74,10 +73,8 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     if scores.sum() <= zero_floor:
         return xhat
 
-    plan = make_plan(scores, _K2 * r)
-    sample = draw(plan, seed=int(spawn_rng(seed, 47).integers(2**31)))
-    if trace is not None:
-        trace.update(dimreduce_rows=len(sample), dimreduce_rows_expected=plan.expected_size)
+    sample = sampling.sample("dimreduce", scores, _K2 * r,
+                             int(spawn_rng(seed, 47).integers(2**31)), trace)
     blocks = [a[sample.indices]]
     if xhat.dim > 0:
         blocks.append(xhat.u.T)

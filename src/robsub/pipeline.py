@@ -10,16 +10,10 @@ return U W.  Its per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
 ||A_i U (I - W W^T)||^2 + r_i^2 (a projection-cost-preserving reduction;
 Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed.
 
-The small solver is heuristic by design: a reweighted-PCA alternation runs
-from a few random orthonormal starts, each stopping once a step gains at
-most a relative 1e-10 of its cost, and the lowest-cost iterate is
-returned.  The width of [X r] is checked against the cap as soon as the
-residual-sampled subspace fixes it, before any row is sampled.  Each
-alternation step takes the top-k eigenvectors of the m x m matrix
-X^T Psi X from a block Krylov space warm-started at the current factor,
-which applies the matrix through X and never forms it, and keeps them only
-under a residual certificate; narrow problems, and steps without the
-certificate, form the matrix and solve it with LAPACK.
+The small solver is heuristic by design: a reweighted-PCA alternation
+(``_mm_descent``) runs from a few random orthonormal starts, and the
+lowest-cost iterate is returned.  The width of [X r] is checked against
+the cap before any row is sampled.
 """
 
 from __future__ import annotations
@@ -41,10 +35,11 @@ from .core import (
     row_view,
     spawn_rng,
 )
+from . import sampling
 from .dimreduce import dim_reduce
-from .sampling import draw, make_plan
 from .sketch import orthonormalizer, r_factor
 
+_T_ROWS = 300        # expected rows of the final sample
 _RESTARTS = 5        # random starts of the small solve's alternation
 # the alternation's eigen step: from this width m on, a block Krylov space of at
 # most _KRYLOV_BLOCKS blocks replaces the formed m x m matrix, and its top-k Ritz
@@ -103,14 +98,6 @@ class SmallProblem:
 
     def cost(self, w_factor: np.ndarray, loss: LossSpec) -> float:
         return float(np.dot(self.w, m_value(loss, self.residual(w_factor)[1])))
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """The small solve's budgets; every other sample size is a constant of the analysis."""
-
-    t_rows_target: int = 300            # expected rows of the final sample
-    small_cap: int = 400                # most columns [X r] of the reduced problem
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +266,7 @@ def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
 
 
 def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
-                  t_rows: int, seed: int, tr: dict, top: Optional[np.ndarray] = None):
+                  seed: int, tr: dict, top: Optional[np.ndarray] = None):
     """The rows of [X r] that the small solve keeps, and their weights.
 
     X is the first m columns of ``scored`` and r its last (zero when
@@ -293,14 +280,15 @@ def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
     the factor by which B's cost exceeds the optimum (Feldman & Langberg
     2011; Varadarajan & Xiao 2012).  The cost share is dropped when its
     total is zero.  The rows are read one block of ``_FACTOR_BLOCK`` at a
-    time.  A plan expecting ``t_rows`` rows is drawn once, and each kept
+    time.  A plan expecting ``_T_ROWS`` rows is drawn once, and each kept
     row weighs 1/q for every loss: for |x|^p that costs what the row
     rescaled by q^(-1/p) costs, as w M(x) = M(w^(1/p) x).  At most
-    ``t_rows`` rows are all kept, with no draw.
+    ``_T_ROWS`` rows are all kept, with no draw.  ``tr`` receives the
+    realized and expected rows (``t_rows``, ``t_rows_expected``).
     """
     n = scored.shape[0]
-    if n <= t_rows:
-        tr.update(t_rows=n, t_rows_expected=float(n))
+    if n <= _T_ROWS:
+        sampling.record("t", n, n, tr)
         return np.arange(n), np.ones(n)
     r_x = r_scored[:m, :m]
     b = np.linalg.svd(r_x)[2][:k].T if top is None else top[:, :k]
@@ -313,21 +301,20 @@ def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
         xbf = xb @ f
         lev[lo:hi] = np.einsum("ij,ij->i", xbf, xbf)
     total = cost.sum()
-    plan = make_plan(lev / k + (cost / total if total > 0.0 else 0.0), t_rows)
-    sample = draw(plan, seed=seed)
+    sample = sampling.sample("t", lev / k + (cost / total if total > 0.0 else 0.0), _T_ROWS,
+                             seed, tr)
     if len(sample) == 0:
-        raise CapExceededError("final sampling stage drew no rows; raise t_rows_target")
-    tr.update(t_rows=len(sample), t_rows_expected=plan.expected_size)
+        raise CapExceededError(f"final sampling stage drew no rows of {n}")
     return sample.indices, sample.reweights
 
 
-def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig,
+def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
                       seed: int, trace: Optional[dict], salts: Tuple[int, int]) -> Subspace:
     """The body shared by approx_lp and approx_m2.
 
     The stages run at rank min(k, n), as n rows span at most n
     dimensions, and a subspace U of at most that width is padded to k
-    orthonormal columns.  A U of m columns with m + 1 > ``cfg.small_cap``
+    orthonormal columns.  A U of m columns with m + 1 > ``small_cap``
     raises ``CapExceededError`` before any column or row of the final
     sample is formed.  Otherwise ``_final_sample`` draws the rows of
     the dense n x (m+1) operand [A U, r], or of A as given (dense or CSR)
@@ -351,16 +338,16 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
     if m <= min(k, n):
         return _pad_to_k(u, k, seed)
     # m <= n, as U lies in the row space of A: from here on k < n
-    if m + 1 > cfg.small_cap:
+    if m + 1 > small_cap:
         raise CapExceededError(
-            f"small problem has side {m + 1} > cap {cfg.small_cap}; raise the "
+            f"small problem has side {m + 1} > cap {small_cap}; raise the "
             "cap or lower the sampling targets")
 
     scored = a if m == d else _exact_columns(a, u)
     # a square U that carries an R factor was read from A itself
     top = u if m == d and sub.r is not None else None
     r_scored = r_factor(scored) if top is None else sub.r
-    idx, w = _final_sample(scored, m, r_scored, k, loss, cfg.t_rows_target,
+    idx, w = _final_sample(scored, m, r_scored, k, loss,
                            int(spawn_rng(seed, salts[0]).integers(2**31)), tr, top)
 
     kept, = row_view(scored).block(idx)
@@ -375,32 +362,27 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, cfg: PipelineConfig
 
 
 def approx_lp(a, k: int, eps: float, loss: LossSpec,
-              cfg: Optional[PipelineConfig] = None, seed: int = 0,
+              small_cap: int = 400, seed: int = 0,
               trace: Optional[dict] = None) -> Subspace:
     """(1+eps)-style pipeline for M(x) = |x|^p, p in [1, 2): returns rank-k U W.
 
     Stages: bicriteria subspace, residual sampling into U, one
     sensitivity sample of the exact operand [A U, r] (of A itself when U
     is square; ``_final_sample``), and the small solve inside U on the
-    sampled rows' exact columns T [A U, r], weighted by 1/q.
+    sampled rows' exact columns T [A U, r], weighted by 1/q.  ``small_cap``
+    is the most columns [X r] of the small problem.
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")
-    return _sample_and_solve(a, k, eps, loss, cfg or PipelineConfig(), seed, trace,
+    return _sample_and_solve(a, k, eps, loss, small_cap, seed, trace,
                              salts=(103, 107))
 
 
 def approx_m2(a, k: int, eps: float, loss: LossSpec,
-              cfg: Optional[PipelineConfig] = None, seed: int = 0,
+              small_cap: int = 400, seed: int = 0,
               trace: Optional[dict] = None) -> Subspace:
-    """Pipeline for general nice p=2 losses (Huber, L1-L2, Fair).
-
-    The stages of ``approx_lp``: the shared subspace stages, one
-    sensitivity sample of the exact operand [A U, r] (of A itself when U
-    is square), and the small solve inside U on the kept rows' exact
-    columns, weighted by 1/q.
-    """
+    """Pipeline for general nice p=2 losses (Huber, L1-L2, Fair): the stages of ``approx_lp``."""
     if not loss.is_m2:
         raise ValueError("this pipeline requires a p=2 (non-|x|^p) loss")
-    return _sample_and_solve(a, k, eps, loss, cfg or PipelineConfig(), seed, trace,
+    return _sample_and_solve(a, k, eps, loss, small_cap, seed, trace,
                              salts=(127, 131))

@@ -1,31 +1,22 @@
 """Robust regression: one leverage sample over an IRLS core.
 
-``m_regress`` draws one leverage-score sample of the rows of [A b], sized
-by a schedule of halving steps run on row counts alone, then solves the
-sampled problem, each kept row weighted 1/q, with iteratively reweighted
-least squares.  A may be dense or CSR.  [A b] is never formed, nor any
-block of it: its rows are scored through a ``core.RowView`` of [A b],
-whose parts A and b are read side by side.  The kept rows of A (still CSR
-for a CSR A) and entries of b are gathered once for ``irls_solve``, which
-never densifies A either: each reweighted least-squares step is solved
-from the small R of the row-scaled view of [A b] (``sketch.r_factor``: the
-Cholesky factor of its Gram when that is well conditioned, else a
-streamed R-only QR), so IRLS memory is that of A plus O((d + 2048) d).
-``irls_solve`` is also the full-data baseline the sampled solve is
-measured against.
+``m_regress`` draws one leverage-score sample of the rows of [A b] and
+solves the sampled problem, each kept row weighted 1/q, with iteratively
+reweighted least squares (``irls_solve``, also the full-data baseline the
+sampled solve is measured against).  A may be dense or CSR; neither
+densifies A, and no block of [A b] is ever stacked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .conditioning import weighted_leverage_scores
 from .core import LossSpec, RowView, as_weights, m_derivative, m_value, row_view, spawn_rng
-from .sampling import _SHRINK, draw, make_plan
+from . import sampling
 from .sketch import r_factor
 
 _RESID_FLOOR = 1e-12  # IRLS floors |r| at this share of the largest |r|
@@ -33,11 +24,6 @@ _LEVELS = 3     # steps of the sample-size schedule
 _KAPPA = 0.1    # a step keeps ~n'^(1/2+kappa) rows; p=2 scores take ceil(3/kappa) columns
 _DELTA = 0.1    # failure probability in the per-step sample size
 _LEVEL_C = 1.0  # multiplier on n^(1/2+kappa) poly(d) log(1/delta)/eps^2
-
-
-@dataclass(frozen=True)
-class RegressConfig:
-    base_cap: Optional[int] = None   # default ceil(20 d^2 / eps^2)
 
 
 def regression_objective(a, b, x, w=None, loss: LossSpec = None) -> float:
@@ -119,14 +105,26 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     return x
 
 
+def _sample_target(n: int, d: int, eps: float, base_cap: Optional[int]) -> float:
+    """Rows left by the size schedule's at most ``_LEVELS`` steps (see ``m_regress``)."""
+    if base_cap is None:
+        base_cap = math.ceil(20.0 * d * d / eps**2)
+    return sampling.schedule_end(
+        n, max(base_cap, 2 * (d + 1)),
+        lambda size: max(_LEVEL_C * size ** (0.5 + _KAPPA) * (d + 1)
+                         * math.log(1.0 / _DELTA) / eps**2, 4.0 * (d + 1)),
+        steps=_LEVELS)
+
+
 def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
-              cfg: Optional[RegressConfig] = None, seed: int = 0,
+              base_cap: Optional[int] = None, seed: int = 0,
               trace: Optional[dict] = None) -> np.ndarray:
     """(1+eps)-style regression on one leverage sample of [A b].
 
     A may be dense or CSR.  The sample expects the rows left by at most
     three halving steps, run on row counts alone while more than
-    max(base_cap, 2 (d+1)) remain: n' -> min(n'/2, max(n'^(1/2+kappa)
+    max(base_cap, 2 (d+1)) remain (``base_cap`` defaults to
+    ceil(20 d^2 / eps^2)): n' -> min(n'/2, max(n'^(1/2+kappa)
     (d+1) log(1/delta) / eps^2, 4 (d+1))), with kappa = delta = 0.1.  It
     is drawn once from the leverage scores of [A b], read a block
     of rows at a time (Gaussian row-norm estimates for p=2 losses), and
@@ -138,31 +136,25 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
-    cfg = cfg or RegressConfig()
     rhs = np.asarray(b, dtype=float).ravel()
     stack = RowView((a, rhs[:, None]))
     n, d = stack.shape[0], stack.shape[1] - 1
     if rhs.size != n:
         raise ValueError("right-hand side length mismatch")
-    base_cap = math.ceil(20.0 * d * d / eps**2) if cfg.base_cap is None else cfg.base_cap
-    stop_rows = max(base_cap, 2 * (d + 1))
+    trace = {} if trace is None else trace
 
-    size = float(n)
-    for _ in range(_LEVELS):
-        if size > stop_rows:
-            size = min(_SHRINK * size, max(_LEVEL_C * size ** (0.5 + _KAPPA) * (d + 1)
-                                           * math.log(1.0 / _DELTA) / eps**2, 4.0 * (d + 1)))
-    w, levels, expected = None, 0, float(n)
+    size = _sample_target(n, d, eps, base_cap)
+    w = None
     if size < n:
         scores = weighted_leverage_scores(
             stack, loss, seed=int(spawn_rng(seed, 137, 0).integers(2**31)),
             gauss_t=int(math.ceil(3.0 / _KAPPA)) if loss.is_m2 else None)
-        plan = make_plan(scores.gamma, size)
-        sample = draw(plan, seed=int(spawn_rng(seed, 139, 0, 0).integers(2**31)))
+        sample = sampling.sample("base", scores.gamma, size,
+                                 int(spawn_rng(seed, 139, 0, 0).integers(2**31)), trace)
         if len(sample) > d + 1:
             w = sample.reweights
             a, rhs = row_view(stack, sample.indices)[:].parts
-            levels, expected = 1, plan.expected_size
-    if trace is not None:
-        trace.update(levels=levels, base_rows=a.shape[0], base_rows_expected=expected)
+    if w is None:
+        sampling.record("base", n, n, trace)
+    trace["levels"] = int(w is not None)
     return irls_solve(a, rhs.ravel(), w, loss)

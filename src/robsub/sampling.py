@@ -6,12 +6,15 @@ expects min{r, nnz(q')} rows.  A draw realizes the plan with one uniform
 variate per index (in index order, so draws from the same seed are coupled
 across plans) and weighs each kept row 1/q_i, for every loss.  The
 bicriteria subspace, residual sampling, robust regression and the subspace
-pipelines each draw their sample in one plan and one draw, from rows of
-unit weight."""
+pipelines each draw their sample in one plan and one draw (``sample``),
+from rows of unit weight; ``record`` alone writes the stage's sample size
+into its trace, and the bicriteria and regression sizes come from one
+halving schedule (``schedule_end``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -91,3 +94,33 @@ def draw(plan: SamplingPlan, seed: int = 0) -> SampleDraw:
     idx = np.flatnonzero(u < plan.q)
     return SampleDraw(idx, plan.q[idx])
 
+
+def record(stage: str, rows: int, expected: float, trace: Optional[dict]) -> None:
+    """Write a stage's realized and expected rows as ``{stage}_rows(_expected)``."""
+    if trace is not None:
+        trace.update({f"{stage}_rows": rows, f"{stage}_rows_expected": float(expected)})
+
+
+def sample(stage: str, scores, target: float, seed: int,
+           trace: Optional[dict]) -> SampleDraw:
+    """One plan expecting ``target`` rows and one draw from it, recorded for the stage.
+
+    All-zero scores give an empty draw expecting min{r, nnz(q')} = 0 rows.
+    """
+    if not np.any(scores):
+        record(stage, 0, 0.0, trace)
+        return SampleDraw(np.zeros(0, np.intp), np.zeros(0))
+    # make_plan and draw are read as module globals, so their wrappers see every stage
+    plan = make_plan(scores, target)
+    out = draw(plan, seed=seed)
+    record(stage, len(out), plan.expected_size, trace)
+    return out
+
+
+def schedule_end(n: int, stop: float, step: Callable[[float], float],
+                 steps: Optional[int] = None) -> float:
+    """Rows left by n' -> min(step(n'), _SHRINK n') from n while n' > stop, in at most ``steps``."""
+    size, taken = float(n), 0
+    while size > stop and (steps is None or taken < steps):
+        size, taken = min(step(size), _SHRINK * size), taken + 1
+    return size

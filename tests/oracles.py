@@ -184,3 +184,42 @@ def water_fill_full_sort(scores, r: float) -> np.ndarray:
     q = np.minimum(1.0, q)
     q[q < 1e-12] = 0.0
     return q
+
+
+# the two sample-size schedules as const_approx and m_regress ran them
+# inline, with the values of the constants they read
+_SHRINK = 0.5
+_SAMPLE_ROWS_C = 10.0
+_LOGLOGLOG_C = 3.0
+_LEVELS = 3
+_KAPPA = 0.1
+_DELTA = 0.1
+_LEVEL_C = 1.0
+
+
+def _logloglog(n: float) -> float:
+    return math.log(max(math.log(max(math.log(max(n, 3.0)), math.e)), math.e))
+
+
+def bicriteria_schedule_loop(n: int, p_m: int, m: int, gamma_total: float,
+                             loss: LossSpec) -> float:
+    """Rows at which const_approx's halving schedule ends, by its own loop."""
+    size = float(n)
+    while size > p_m:
+        formula = _SAMPLE_ROWS_C * m * m * gamma_total
+        if loss.is_m2:
+            formula *= _LOGLOGLOG_C * _logloglog(size)
+        size = min(formula, _SHRINK * size)
+    return size
+
+
+def regression_schedule_loop(n: int, d: int, eps: float, base_cap) -> float:
+    """Rows at which m_regress's halving schedule ends, by its own loop."""
+    base_cap = math.ceil(20.0 * d * d / eps**2) if base_cap is None else base_cap
+    stop_rows = max(base_cap, 2 * (d + 1))
+    size = float(n)
+    for _ in range(_LEVELS):
+        if size > stop_rows:
+            size = min(_SHRINK * size, max(_LEVEL_C * size ** (0.5 + _KAPPA) * (d + 1)
+                                           * math.log(1.0 / _DELTA) / eps**2, 4.0 * (d + 1)))
+    return size

@@ -47,7 +47,7 @@ from robsub.pipeline import (
     small_approx,
 )
 from robsub import regression
-from robsub.regression import RegressConfig, irls_solve, m_regress, regression_objective
+from robsub.regression import irls_solve, m_regress, regression_objective
 
 
 def _report(cid, ok, detail):
@@ -259,7 +259,6 @@ def test_c09_regression_sampled_vs_full(monkeypatch):
     # every IRLS run decreases its objective monotonically
     t0 = time.perf_counter()
     loss = LossSpec.huber(1.0)
-    cfg = RegressConfig(base_cap=4000)
     monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
     ok_ratio = 0
     monotone = True
@@ -272,7 +271,7 @@ def test_c09_regression_sampled_vs_full(monkeypatch):
         rows = rng.choice(10_000, 500, replace=False)
         b[rows] += 30.0 * rng.standard_normal(500)
         tr = {}
-        x_s = m_regress(a, b, loss, eps=0.5, cfg=cfg, seed=seed, trace=tr)
+        x_s = m_regress(a, b, loss, eps=0.5, base_cap=4000, seed=seed, trace=tr)
         sampled_any &= tr["levels"] >= 1
         x_f, hist = irls_solve(a, b, None, loss, return_history=True)
         monotone &= all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))

@@ -10,7 +10,7 @@ from robsub import (
     residual_cost,
     v_norm_p,
 )
-from robsub import bicriteria
+from robsub import bicriteria, sampling
 from robsub.oracle import svd_truncation_cost
 
 
@@ -72,11 +72,11 @@ class TestExactRecovery:
         assert sub.dim <= 4
 
 
-def _spy(monkeypatch, name):
-    """Record every result of ``bicriteria.<name>`` while it runs as before."""
+def _spy(monkeypatch, name, module=bicriteria):
+    """Record every result of ``module.<name>`` while it runs as before."""
     results = []
-    real = getattr(bicriteria, name)
-    monkeypatch.setattr(bicriteria, name,
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
                         lambda *args, **kw: results.append(real(*args, **kw)) or results[-1])
     return results
 
@@ -86,14 +86,14 @@ class TestRecursionMechanics:
         # n > P_M = 450: one scoring of A S^T and one plan, expecting the rows
         # at which the schedule n' -> min(c d'^2 gamma_total, n' / 2) ends
         scores = _spy(monkeypatch, "weighted_leverage_scores")
-        plans = _spy(monkeypatch, "make_plan")
+        plans = _spy(monkeypatch, "make_plan", sampling)
         a, _ = planted_lowrank(9000, 20, 3, seed=11, noise=0.1)
         trace = {}
         const_approx(a, 3, LossSpec.lp(1.0), seed=4, trace=trace)
         assert len(scores) == 1 and len(plans) == 1
         size, formula = 9000.0, bicriteria._SAMPLE_ROWS_C * 20**2 * scores[0].gamma_total
         while size > 450:
-            size = min(formula, bicriteria._SHRINK * size)
+            size = min(formula, sampling._SHRINK * size)
         assert size == 9000.0 / 32
         assert abs(plans[0].expected_size - size) <= 1e-9
         assert trace["bicriteria_rows_expected"] == plans[0].expected_size
@@ -103,13 +103,13 @@ class TestRecursionMechanics:
         # and log log log n' clamps to 1 below n' = e^(e^e); with c d'^2
         # gamma_total set to 20 rows, the schedule ends at 60 <= P_M
         scores = _spy(monkeypatch, "weighted_leverage_scores")
-        plans = _spy(monkeypatch, "make_plan")
+        plans = _spy(monkeypatch, "make_plan", sampling)
         a = np.random.default_rng(5).standard_normal((1500, 6))
         set_p_m(100)
         const_approx(a, 2, LossSpec.huber(1.0), seed=1)  # d' = 6
         monkeypatch.setattr(bicriteria, "_SAMPLE_ROWS_C", 20.0 / (6**2 * scores[0].gamma_total))
         const_approx(a, 2, LossSpec.huber(1.0), seed=1)
-        assert abs(plans[0].expected_size - 1500 * bicriteria._SHRINK**4) <= 1e-9
+        assert abs(plans[0].expected_size - 1500 * sampling._SHRINK**4) <= 1e-9
         assert abs(plans[1].expected_size - 60.0) <= 1e-9
 
     def test_lp_sample_size_within_3_sigma(self, set_p_m):
@@ -127,7 +127,7 @@ class TestRecursionMechanics:
 
     def test_survivors_are_original_rows(self, set_p_m, monkeypatch):
         # the drawn indices are rows of the input
-        draws = _spy(monkeypatch, "draw")
+        draws = _spy(monkeypatch, "draw", sampling)
         loss = LossSpec.huber(1.0)
         rng = np.random.default_rng(7)
         a = rng.standard_normal((800, 6))
@@ -144,7 +144,7 @@ class TestRecursionMechanics:
         # the draw carries weights 1/q, but the output is the span of the
         # input rows themselves; fewer than d rows are drawn, so the span is
         # a proper subspace
-        draws = _spy(monkeypatch, "draw")
+        draws = _spy(monkeypatch, "draw", sampling)
         loss = LossSpec.lp(1.0)
         a = np.random.default_rng(8).standard_normal((900, 40))
         set_p_m(25)
@@ -161,9 +161,9 @@ class TestRecursionMechanics:
         set_p_m(80)
         for seed in range(5):
             a, _ = planted_lowrank(1200, 10, 2, seed=30 + seed, noise=0.2)
-            monkeypatch.setattr(bicriteria, "_SHRINK", 0.3)
+            monkeypatch.setattr(sampling, "_SHRINK", 0.3)
             lo = const_approx(a, 2, loss, seed=seed)
-            monkeypatch.setattr(bicriteria, "_SHRINK", 0.6)
+            monkeypatch.setattr(sampling, "_SHRINK", 0.6)
             hi = const_approx(a, 2, loss, seed=seed)
             # same scores and draw seed: the bigger plan keeps a superset,
             # so its span has no larger residual

@@ -278,18 +278,55 @@ class TestApproxCommand:
         assert _load(report)["results"]["subspace_dim"] == 2
 
     def test_t_rows_bounds_base_rows(self, matrix_files, tmp_path):
-        # 200 rows are below the default of 300, so every row is kept with no
-        # draw; --t-rows 60 plans a final sample of 60 expected rows
+        # 200 rows are below the final sample's 300 expected rows, so every
+        # row is kept with no draw; of 600 rows a plan of 300 is drawn
+        a, _ = planted_lowrank(600, 15, 3, seed=0, noise=0.05, outlier_frac=0.01)
+        tall = tmp_path / "tall.csv"
+        np.savetxt(tall, a, delimiter=",")
         traces = {}
-        for flag in ([], ["--t-rows", "60"]):
+        for path in (matrix_files["a_csv"], str(tall)):
             report = tmp_path / "r.json"
-            rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "3",
-                       "--loss", "huber", "--seed", "2", "--report", str(report)] + flag)
+            rc = main(["approx", "--input", path, "--k", "3",
+                       "--loss", "huber", "--seed", "2", "--report", str(report)])
             assert rc == EXIT_OK
-            traces[bool(flag)] = _load(report)["results"]["trace"]
-        assert traces[False]["t_rows"] == traces[False]["t_rows_expected"] == 200
-        assert traces[True]["t_rows_expected"] == pytest.approx(60, abs=1e-9)
-        assert traces[True]["t_rows"] < 200
+            traces[path] = _load(report)["results"]["trace"]
+        assert traces[matrix_files["a_csv"]]["t_rows"] == 200
+        assert traces[matrix_files["a_csv"]]["t_rows_expected"] == 200
+        assert traces[str(tall)]["t_rows_expected"] == pytest.approx(300, abs=1e-9)
+        assert traces[str(tall)]["t_rows"] < 600
+
+    def test_full_trace_written_whole(self, tmp_path, monkeypatch):
+        # every key of a full-stage fit's trace reaches the report, each value
+        # a Python int or float; at 600 x 200 the L1 bicriteria stage keeps a
+        # proper subspace, so residual sampling scores rows and records t_m
+        csv = tmp_path / "wide.csv"
+        np.savetxt(csv, np.random.default_rng(0).standard_normal((600, 200)), delimiter=",")
+        payloads, real = [], cli._write_report
+        monkeypatch.setattr(cli, "_write_report",
+                            lambda path, payload: payloads.append(payload) or real(path, payload))
+        report = tmp_path / "r.json"
+        rc = main(["approx", "--input", str(csv), "--k", "2", "--loss", "l1",
+                   "--seed", "1", "--report", str(report)])
+        assert rc == EXIT_OK
+        trace = payloads[0]["results"]["trace"]
+        assert set(trace) == {
+            "eps", "bicriteria_rows", "bicriteria_rows_expected", "bicriteria_dim",
+            "dimreduce_rows", "dimreduce_rows_expected", "t_m", "reduced_dim",
+            "t_rows", "t_rows_expected", "small_mm_steps", "small_eigen_fallbacks"}
+        assert all(type(v) in (int, float) for v in trace.values()), trace
+        assert _load(report)["results"]["trace"] == trace
+
+    def test_all_zero_input_exit_0(self, tmp_path):
+        # all-zero scores draw no row: the padded k columns cost nothing
+        csv = tmp_path / "zero.csv"
+        np.savetxt(csv, np.zeros((500, 10)), delimiter=",")
+        for loss in ("l1", "huber"):
+            report = tmp_path / f"{loss}.json"
+            rc = main(["approx", "--input", str(csv), "--k", "2", "--loss", loss,
+                       "--seed", "1", "--report", str(report)])
+            assert rc == EXIT_OK
+            res = _load(report)["results"]
+            assert res["subspace_dim"] == 2 and res["v_cost_p"] == 0.0
 
     def test_small_cap_below_side_exit_4(self, tmp_path, capsys):
         # at d = 320 the reduced span is all of R^320, so the small problem
@@ -358,6 +395,19 @@ class TestRegressCommand:
         assert res[False]["base_rows"] == res[False]["base_rows_expected"] == 200
         assert res[True]["levels"] == 1
         assert res[True]["base_rows_expected"] == pytest.approx(25.0, abs=1e-9)
+
+    def test_all_zero_input_exit_0(self, tmp_path):
+        # at a base cap of 40 the all-zero [A b] is scored, draws no row, and
+        # falls back to IRLS on every row, which fits x = 0 at cost 0
+        csv, rhs = tmp_path / "zero.csv", tmp_path / "zero_b.csv"
+        np.savetxt(csv, np.zeros((500, 10)), delimiter=",")
+        np.savetxt(rhs, np.zeros(500), delimiter=",")
+        report = tmp_path / "r.json"
+        rc = main(["regress", "--input", str(csv), "--rhs", str(rhs), "--loss", "l1",
+                   "--base-cap", "40", "--seed", "1", "--report", str(report)])
+        assert rc == EXIT_OK
+        res = _load(report)["results"]
+        assert res["levels"] == 0 and res["base_rows"] == 500 and res["sampled_cost"] == 0.0
 
     def test_non_finite_input_exit_3(self, matrix_files, capsys):
         a = np.loadtxt(matrix_files["a_csv"], delimiter=",")

@@ -10,7 +10,7 @@ from robsub import (
     weighted_leverage_scores,
     well_conditioned_basis,
 )
-from robsub import bicriteria, conditioning
+from robsub import bicriteria, conditioning, sampling
 from robsub.core import RowView, m_value
 
 
@@ -176,15 +176,15 @@ class TestConstApproxTarget:
         # the plan expects the end of the schedule n' -> min(c d'^2
         # gamma_total, shrink n') while n' > P_M, on both sides of the cap
         plans = []
-        real = bicriteria.make_plan
-        monkeypatch.setattr(bicriteria, "make_plan",
+        real = sampling.make_plan
+        monkeypatch.setattr(sampling, "make_plan",
                             lambda gamma, r: plans.append((gamma.sum(), r)) or real(gamma, r))
         a = np.random.default_rng(33).standard_normal((3000, 10))
         const_approx(a, 1, LossSpec.lp(1.0), seed=2)  # P_M = 50, d' = 10
         gamma_total, target = plans[0]
         formula = bicriteria._SAMPLE_ROWS_C * 10**2 * gamma_total
-        assert formula > bicriteria._SHRINK * 3000
-        assert target == 3000 * bicriteria._SHRINK**6  # 46.875: six halvings
+        assert formula > sampling._SHRINK * 3000
+        assert target == 3000 * sampling._SHRINK**6  # 46.875: six halvings
         # a formula of 40 rows binds at the first step and ends the schedule
         monkeypatch.setattr(bicriteria, "_SAMPLE_ROWS_C", 40.0 / (10**2 * gamma_total))
         const_approx(a, 1, LossSpec.lp(1.0), seed=2)

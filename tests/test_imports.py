@@ -4,10 +4,12 @@ A name bound by ``import`` or ``from ... import`` in ``src/robsub/*.py``
 (the package ``__init__``, whose imports are its exports, aside) must be
 read somewhere in that module; names inside string annotations count.
 ``scipy.linalg`` is imported where it is used, not with the package.
+Every sample is planned, drawn and recorded in ``sampling.py`` alone.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +65,26 @@ def test_unused_import_is_caught():
     tree = ast.parse("import math\nfrom typing import Optional\n"
                      "def f(x: 'Optional[int]'):\n    return x\n")
     assert set(_imported(tree)) - _used(tree) == {"math"}
+
+
+def test_one_sampling_step():
+    # make_plan, draw and the schedule's _SHRINK are named only in sampling.py,
+    # and no other module writes a stage's {stage}_rows(_expected) record
+    key = re.compile(r"\w+_rows(_expected)?")
+    for path in MODULES:
+        if path.name == "sampling.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = set(_imported(tree)) | _used(tree)
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"make_plan", "draw", "_SHRINK"}, path.name
+        writes = [node.arg for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword) and node.arg and key.fullmatch(node.arg)]
+        writes += [node.slice.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.slice, ast.Constant)
+                   and key.fullmatch(str(node.slice.value))]
+        assert not writes, (path.name, writes)
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -22,7 +22,6 @@ from robsub.core import RowView
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
     CapExceededError,
-    PipelineConfig,
     SmallProblem,
     approx_lp,
     approx_m2,
@@ -119,26 +118,26 @@ class TestSmallApprox:
         monkeypatch.setattr(pipeline, "_final_sample",
                             lambda *args: calls.append(1) or real(*args))
         with pytest.raises(CapExceededError, match="side 31 > cap 20"):
-            approx_lp(a, 2, 0.25, LossSpec.lp(1.0), PipelineConfig(small_cap=20), seed=0)
+            approx_lp(a, 2, 0.25, LossSpec.lp(1.0), small_cap=20, seed=0)
         assert calls == []
         trace = {}
-        approx_lp(a, 2, 0.25, LossSpec.lp(1.0), PipelineConfig(small_cap=40), seed=0,
+        approx_lp(a, 2, 0.25, LossSpec.lp(1.0), small_cap=40, seed=0,
                   trace=trace)
         assert calls == [1] and trace["reduced_dim"] == 30 and trace["t_rows"] > 40
 
-    def test_t_rows_near_cap_never_raises(self):
-        # t_rows_target = 390 under the default cap of 400: the final sample
-        # overshoots t by about sqrt(t) rows, past the cap, but the problem
-        # is d + 1 = 21 wide, so no fit of either pipeline raises
+    def test_t_rows_near_cap_never_raises(self, monkeypatch):
+        # a final sample of 390 expected rows under the default cap of 400:
+        # it overshoots by about sqrt(390) rows, past the cap, but the
+        # problem is d + 1 = 21 wide, so no fit of either pipeline raises
         a, _ = planted_lowrank(3000, 20, 3, seed=0, noise=0.1, outlier_frac=0.01)
-        cfg = PipelineConfig(t_rows_target=390)
+        monkeypatch.setattr(pipeline, "_T_ROWS", 390)
         for fit, loss in ((approx_m2, LossSpec.huber(1.0)), (approx_lp, LossSpec.lp(1.0))):
             rows = []
             for seed in range(10):
                 tr = {}
-                fit(a, 3, 0.25, loss, cfg, seed=seed, trace=tr)
+                fit(a, 3, 0.25, loss, seed=seed, trace=tr)
                 rows.append(tr["t_rows"])
-            assert max(rows) > cfg.small_cap
+            assert max(rows) > 400
 
     def test_exhaustive_domain_limit(self):
         prob = _random_problem(9, m=14, m_prime=20, k=2)
@@ -383,16 +382,17 @@ class TestApproxLp:
 
     def test_empty_final_sample_raises(self, monkeypatch):
         # n = 200 is at most the bicriteria row target (50 k^2 at p = 1),
-        # so the final sample is the only draw of the pipeline's module,
-        # here forced to keep no rows; both pipelines raise alike
+        # so the final sample of 100 expected rows is the only draw of the
+        # fit, here forced to keep no rows; both pipelines raise alike
         draw = sampling.draw
         a, _ = planted_lowrank(200, 20, 2, seed=12, noise=0.1)
+        monkeypatch.setattr(pipeline, "_T_ROWS", 100)
         for fit, loss in ((approx_lp, LossSpec.lp(1.0)), (approx_m2, LossSpec.huber(1.0))):
             plans = []
-            monkeypatch.setattr(pipeline, "draw", lambda plan, seed=0: plans.append(plan)
+            monkeypatch.setattr(sampling, "draw", lambda plan, seed=0: plans.append(plan)
                                 or draw(sampling.SamplingPlan(np.zeros_like(plan.q)), seed))
             with pytest.raises(CapExceededError, match="drew no rows"):
-                fit(a, 2, 0.3, loss, PipelineConfig(t_rows_target=100), seed=5)
+                fit(a, 2, 0.3, loss, seed=5)
             assert len(plans) == 1 and plans[0].q.size == 200
 
     def test_p15_pipeline(self):
@@ -582,14 +582,14 @@ class TestApproxM2:
             assert len(calls) == (1 if handover else 2)
         assert np.array_equal(fits[True], fits[False])
 
-    def test_t_rows_target_sets_base_rows(self):
-        # the plan expects exactly t_rows_target rows; n <= t keeps every
+    def test_t_rows_target_sets_base_rows(self, monkeypatch):
+        # the plan expects exactly _T_ROWS rows; n <= _T_ROWS keeps every
         # row with no draw
         a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
         for t_rows in (100, 300):
+            monkeypatch.setattr(pipeline, "_T_ROWS", t_rows)
             tr = {}
-            approx_m2(a, 2, 0.3, LossSpec.huber(1.0), PipelineConfig(t_rows_target=t_rows),
-                      seed=3, trace=tr)
+            approx_m2(a, 2, 0.3, LossSpec.huber(1.0), seed=3, trace=tr)
             assert tr["t_rows_expected"] == pytest.approx(t_rows, abs=1e-9)
         tr = {}
         approx_m2(a[:250], 2, 0.3, LossSpec.huber(1.0), seed=3, trace=tr)

@@ -6,10 +6,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
-from robsub import LossSpec, conditioning, regression
+from robsub import LossSpec, conditioning, regression, sampling
 from robsub.core import RowView, m_derivative, m_value, spawn_rng
 from robsub.regression import (
-    RegressConfig,
     irls_solve,
     m_regress,
     regression_objective,
@@ -205,14 +204,13 @@ class TestMRegress:
 
     def test_sampled_close_to_full(self, monkeypatch):
         loss = LossSpec.huber(1.0)
-        cfg = RegressConfig(base_cap=1500)
         monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
         ok = 0
         trials = 10
         for seed in range(trials):
             a, b, _ = _outlier_problem(5000, 10, seed)
             tr = {}
-            x_s = m_regress(a, b, loss, eps=0.5, cfg=cfg, seed=seed, trace=tr)
+            x_s = m_regress(a, b, loss, eps=0.5, base_cap=1500, seed=seed, trace=tr)
             assert tr["levels"] >= 1  # genuinely sampled
             x_f = irls_solve(a, b, None, loss)
             ratio = (regression_objective(a, b, x_s, None, loss)
@@ -225,9 +223,8 @@ class TestMRegress:
         a = rng.standard_normal((4000, 4))
         b = rng.standard_normal(4000)
         tr = {}
-        cfg = RegressConfig(base_cap=10)
         monkeypatch.setattr(regression, "_LEVEL_C", 0.001)
-        m_regress(a, b, LossSpec.huber(1.0), eps=0.9, cfg=cfg, seed=1, trace=tr)
+        m_regress(a, b, LossSpec.huber(1.0), eps=0.9, base_cap=10, seed=1, trace=tr)
         assert tr["levels"] <= 3
 
     def test_huber_tall_dense_scores_exact_bases(self, monkeypatch):
@@ -249,9 +246,8 @@ class TestMRegress:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2000, 4))
         b = a @ rng.standard_normal(4) + 0.2 * rng.standard_normal(2000)
-        cfg = RegressConfig(base_cap=500)
         monkeypatch.setattr(regression, "_LEVEL_C", 0.02)
-        x = m_regress(a, b, LossSpec.lp(1.0), eps=0.5, cfg=cfg, seed=2)
+        x = m_regress(a, b, LossSpec.lp(1.0), eps=0.5, base_cap=500, seed=2)
         x_f = irls_solve(a, b, None, LossSpec.lp(1.0))
         loss = LossSpec.lp(1.0)
         assert (regression_objective(a, b, x, None, loss)
@@ -278,7 +274,7 @@ class TestMRegress:
         # to 2500 rows below the base cap of 2880, from one scoring of [A b]
         a, b, _ = _outlier_problem(20000, 6, 16)
         calls, plans = [], []
-        real_scores, real_plan = regression.weighted_leverage_scores, regression.make_plan
+        real_scores, real_plan = regression.weighted_leverage_scores, sampling.make_plan
 
         def spy_scores(*args, **kwargs):
             calls.append(real_scores(*args, **kwargs))
@@ -289,7 +285,7 @@ class TestMRegress:
             return plans[-1]
 
         monkeypatch.setattr(regression, "weighted_leverage_scores", spy_scores)
-        monkeypatch.setattr(regression, "make_plan", spy_plan)
+        monkeypatch.setattr(sampling, "make_plan", spy_plan)
         tr = {}
         m_regress(a, b, LossSpec.huber(1.0), eps=0.5, seed=2, trace=tr)
         size, steps = 20000.0, 0
@@ -307,7 +303,6 @@ class TestMRegress:
         # and draw of [A b] with the same target and salts: x is bitwise equal
         # (d + 1 = 11 <= 30 Gaussian columns, so p = 2 scores are exact)
         loss = LossSpec.huber(1.0)
-        cfg = RegressConfig(base_cap=1500)
         monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
         a, b, _ = _outlier_problem(5000, 10, 17)
         d, eps = 10, 0.5
@@ -322,7 +317,7 @@ class TestMRegress:
         assert idx.size > d + 1
         ref = irls_solve(a[idx], b[idx], sample.reweights, loss)
         tr = {}
-        x = m_regress(a, b, loss, eps=eps, cfg=cfg, seed=5, trace=tr)
+        x = m_regress(a, b, loss, eps=eps, base_cap=1500, seed=5, trace=tr)
         assert tr["levels"] == 1 and tr["base_rows"] == idx.size
         assert np.array_equal(x, ref)
 
@@ -353,9 +348,9 @@ class TestMRegress:
         n = 3000 if sampled else 300
         a, b, _ = _outlier_problem(n, 4, 18)
         (a if where == "a" else b[:, None])[n - 7, -1] = value
-        cfg = RegressConfig(base_cap=200 if sampled else None)
         with pytest.raises(ValueError, match="^input must not contain infs or NaNs$"):
-            m_regress(sp.csr_matrix(a) if sparse else a, b, LossSpec.huber(1.0), cfg=cfg)
+            m_regress(sp.csr_matrix(a) if sparse else a, b, LossSpec.huber(1.0),
+                      base_cap=200 if sampled else None)
         assert len(scored) == sampled
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
@@ -372,7 +367,7 @@ class TestMRegress:
         a, b, _ = _outlier_problem(20000, 8, 19)
         tr = {}
         m_regress(sp.csr_matrix(a) if sparse else a, b, LossSpec.huber(1.0),
-                  cfg=RegressConfig(base_cap=400), seed=1, trace=tr)
+                  base_cap=400, seed=1, trace=tr)
         assert tr["levels"] == 1 and not calls
 
 
@@ -391,17 +386,16 @@ class TestSparseInput:
         n, d = 50000, 40
         a, b, _ = _sparse_problem(n, d, 13, noise=0.1)
         loss = LossSpec.huber(1.0)
-        cfg = RegressConfig(base_cap=2000)
         tr = {}
         tracemalloc.start()
         try:
-            x = m_regress(a, b, loss, cfg=cfg, seed=3, trace=tr)
+            x = m_regress(a, b, loss, base_cap=2000, seed=3, trace=tr)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert tr["levels"] >= 1
         assert peak < n * d * 8
-        assert np.abs(x - m_regress(a.toarray(), b, loss, cfg=cfg, seed=3)).max() <= 1e-10
+        assert np.abs(x - m_regress(a.toarray(), b, loss, base_cap=2000, seed=3)).max() <= 1e-10
 
     def test_lp_scaling_reaches_rhs(self):
         # an |x|^p sample weighs each kept row of [A b] 1/q, so an L1 fit of
@@ -409,9 +403,8 @@ class TestSparseInput:
         # input
         a, b, x_true = _sparse_problem(50000, 40, 14)
         loss = LossSpec.lp(1.0)
-        cfg = RegressConfig(base_cap=2000)
         tr = {}
-        x = m_regress(a, b, loss, cfg=cfg, seed=4, trace=tr)
+        x = m_regress(a, b, loss, base_cap=2000, seed=4, trace=tr)
         assert tr["levels"] >= 1
-        assert np.abs(x - m_regress(a.toarray(), b, loss, cfg=cfg, seed=4)).max() <= 1e-10
+        assert np.abs(x - m_regress(a.toarray(), b, loss, base_cap=2000, seed=4)).max() <= 1e-10
         assert np.abs(x - x_true).max() <= 1e-8

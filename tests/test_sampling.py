@@ -1,15 +1,25 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import sample_size_subspace
-from oracles import water_fill_full_sort
+from oracles import bicriteria_schedule_loop, regression_schedule_loop, water_fill_full_sort
 from robsub import (
     LossSpec,
     SamplingPlan,
+    approx_lp,
+    approx_m2,
+    bicriteria,
     draw,
+    irls_solve,
+    m_regress,
     make_plan,
+    regression,
+    residual_cost,
+    sampling,
     v_norm_p,
     weighted_leverage_scores,
 )
@@ -141,6 +151,162 @@ class TestDraw:
         d1 = draw(plan, seed=11)
         d2 = draw(bigger, seed=11)
         assert set(d1.indices).issubset(set(d2.indices))
+
+
+class TestSampleStep:
+    def test_sample_is_one_plan_and_one_draw(self):
+        scores = np.random.default_rng(8).random(300)
+        trace = {}
+        out = sampling.sample("stage", scores, 40.0, 9, trace)
+        plan = make_plan(scores, 40.0)
+        ref = draw(plan, seed=9)
+        assert np.array_equal(out.indices, ref.indices)
+        assert np.array_equal(out.q_sel, ref.q_sel)
+        assert trace == {"stage_rows": len(ref), "stage_rows_expected": plan.expected_size}
+
+    def test_all_zero_scores_draw_nothing(self, monkeypatch):
+        # no plan is made: the empty draw expects min{r, nnz} = 0 rows
+        monkeypatch.setattr(sampling, "make_plan", lambda *args: pytest.fail("planned"))
+        trace = {}
+        out = sampling.sample("stage", np.zeros(50), 10.0, 0, trace)
+        assert len(out) == 0 and out.reweights.size == 0
+        assert trace == {"stage_rows": 0, "stage_rows_expected": 0.0}
+        assert sampling.sample("stage", np.zeros(50), 10.0, 0, None).indices.size == 0
+
+    def test_invalid_scores_still_rejected(self):
+        for bad in (np.array([1.0, np.nan]), np.array([1.0, -1.0])):
+            with pytest.raises(ValueError):
+                sampling.sample("stage", bad, 1.0, 0, {})
+
+    def test_record_writes_rows_and_float_expectation(self):
+        trace = {}
+        sampling.record("stage", 12, 12, trace)
+        assert trace == {"stage_rows": 12, "stage_rows_expected": 12.0}
+        assert type(trace["stage_rows_expected"]) is float
+        sampling.record("stage", 12, 12, None)
+
+
+class TestScheduleEnd:
+    @staticmethod
+    def _rows(stop):
+        return (1, stop, stop + 1) + tuple(10**e for e in range(3, 8))
+
+    def test_bicriteria_schedule_matches_its_loop(self):
+        # bit for bit, over n, loss, k, d' = min(max(k + 1, 40 k^2), d) and
+        # score totals that let the formula bind or not
+        for loss in (LossSpec.lp(1.0), LossSpec.lp(1.5), LossSpec.huber(1.0)):
+            for k in range(1, 6):
+                for d in range(1, 201):
+                    m = int(min(max(k + 1, bicriteria._SKETCH_COLS_C * k * k), d))
+                    for n in self._rows(bicriteria._p_m(k, 10**7, loss)):
+                        p_m = bicriteria._p_m(k, n, loss)
+                        for gamma_total in (1e-3, 1.0, float(m)):
+                            got = bicriteria._sample_target(n, p_m, m, gamma_total, loss)
+                            want = bicriteria_schedule_loop(n, p_m, m, gamma_total, loss)
+                            assert got == want, (n, loss, k, d, gamma_total)
+
+    def test_regression_schedule_matches_its_loop(self):
+        for d in range(1, 201):
+            for eps in np.round(np.arange(0.1, 1.0, 0.1), 1):
+                for base_cap in (None, 10, 4000):
+                    cap = math.ceil(20.0 * d * d / eps**2) if base_cap is None else base_cap
+                    for n in self._rows(max(cap, 2 * (d + 1))):
+                        got = regression._sample_target(n, d, eps, base_cap)
+                        want = regression_schedule_loop(n, d, eps, base_cap)
+                        assert got == want, (n, d, eps, base_cap)
+
+    def test_steps_bound_the_schedule(self):
+        assert sampling.schedule_end(1000, 10, lambda size: size) == 7.8125
+        assert sampling.schedule_end(1000, 10, lambda size: size, steps=2) == 250.0
+        assert sampling.schedule_end(1000, 10, lambda size: 8.0) == 8.0
+        assert sampling.schedule_end(5, 10, lambda size: 1.0) == 5.0
+
+
+# the function that calls sampling.sample -> the stage it records
+_STAGES = {"const_approx": "bicriteria", "dim_reduce": "dimreduce", "_final_sample": "t",
+           "m_regress": "base"}
+
+
+class TestOneRecordWriter:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(stage, plan, draw) of every draw, the stage read from sample's caller."""
+        out, plans = [], []
+        real_plan, real_draw = sampling.make_plan, sampling.draw
+
+        def spy_plan(*args, **kwargs):
+            plans.append(real_plan(*args, **kwargs))
+            return plans[-1]
+
+        def spy_draw(*args, **kwargs):
+            caller = sys._getframe(2).f_code.co_name
+            out.append((_STAGES[caller], plans[-1], real_draw(*args, **kwargs)))
+            return out[-1][2]
+
+        monkeypatch.setattr(sampling, "make_plan", spy_plan)
+        monkeypatch.setattr(sampling, "draw", spy_draw)
+        return out
+
+    @staticmethod
+    def _check(draws, trace, stages):
+        assert [stage for stage, _, _ in draws] == stages
+        for stage, plan, sample in draws:
+            assert trace[f"{stage}_rows"] == len(sample)
+            assert trace[f"{stage}_rows_expected"] == plan.expected_size
+
+    def test_approx_lp_stages(self, draws):
+        # 600 x 200 at L1, k = 2: each of the three stages draws
+        a = np.random.default_rng(0).standard_normal((600, 200))
+        trace = {}
+        approx_lp(a, 2, 0.25, LossSpec.lp(1.0), seed=1, trace=trace)
+        self._check(draws, trace, ["bicriteria", "dimreduce", "t"])
+
+    def test_approx_m2_stages(self, draws, set_p_m):
+        a = np.random.default_rng(1).standard_normal((600, 200))
+        set_p_m(100)
+        trace = {}
+        approx_m2(a, 2, 0.25, LossSpec.huber(1.0), seed=1, trace=trace)
+        self._check(draws, trace, ["bicriteria", "dimreduce", "t"])
+
+    def test_m_regress_stage(self, draws):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((5000, 5))
+        trace = {}
+        m_regress(a, a @ rng.standard_normal(5), LossSpec.huber(1.0), base_cap=200, seed=1,
+                  trace=trace)
+        self._check(draws, trace, ["base"])
+        assert trace["levels"] == 1
+
+
+class TestAllZeroInput:
+    """All-zero scores draw no row: the fits return where make_plan would raise."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    @pytest.mark.parametrize("fit, loss", [
+        (approx_lp, LossSpec.lp(1.0)), (approx_lp, LossSpec.lp(1.5)),
+        (approx_m2, LossSpec.huber(1.0))], ids=["l1", "p1.5", "huber"])
+    def test_pipelines_return_padded_subspace(self, fit, loss, sparse, set_p_m):
+        # n = 500 is above P_M (200 at p < 2, set to 100 at p = 2), so the
+        # bicriteria stage scores the zero rows and draws none
+        a = sp.csr_matrix((500, 10)) if sparse else np.zeros((500, 10))
+        if loss.is_m2:
+            set_p_m(100)
+        trace = {}
+        sub = fit(a, 2, 0.25, loss, seed=1, trace=trace)
+        assert sub.dim == 2 and np.allclose(sub.u.T @ sub.u, np.eye(2))
+        assert residual_cost(a, sub, None, loss) == 0.0
+        assert trace["bicriteria_rows"] == 0 and trace["bicriteria_rows_expected"] == 0.0
+        assert trace["bicriteria_dim"] == 0
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_m_regress_falls_back_to_irls(self, sparse):
+        a = sp.csr_matrix((5000, 5)) if sparse else np.zeros((5000, 5))
+        b = np.zeros(5000)
+        loss = LossSpec.huber(1.0)
+        trace = {}
+        x = m_regress(a, b, loss, base_cap=50, seed=1, trace=trace)
+        assert np.array_equal(x, irls_solve(a, b, None, loss)) and not x.any()
+        assert trace == {"levels": 0, "base_rows": 5000, "base_rows_expected": 5000.0}
 
 
 class TestSampleSize:
