@@ -31,7 +31,7 @@ t_full = time.perf_counter() - t0
 
 t0 = time.perf_counter()
 trace = {}
-x_samp = m_regress(a, b, huber, eps=0.5, base_cap=4000, seed=1, trace=trace)
+x_samp = m_regress(a, b, huber, eps=0.5, seed=1, trace=trace)
 t_samp = time.perf_counter() - t0
 
 print(f"{'method':18s} {'huber cost':>12s} {'||x-x*||':>10s} {'seconds':>8s}")

@@ -273,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--rhs", required=True, help="right-hand side, one-column CSV")
     rp.add_argument("--eps", type=float, default=0.5)
     rp.add_argument("--base-cap", type=int, default=None, dest="base_cap",
-                    help="rows at which sampling stops (default ceil(20 d^2 / eps^2))")
+                    help="rows the sample expects; an input of at most that many rows "
+                    "is solved whole (default ceil(16 (d+1) ln(d+1) / eps^2))")
     rp.add_argument("--solution-out", default=None, dest="solution_out")
     _add_common(rp)
     rp.set_defaults(func=cmd_regress, loss="huber")

@@ -39,7 +39,7 @@ ArrayLike = Union[np.ndarray, "sp.spmatrix"]
 # loss functions
 
 
-def _grid_lower_growth_constant(m_func, lo=1e-6, hi=1e6, points=400):
+def _grid_lower_growth_constant(shape: "LossSpec", lo=1e-6, hi=1e6, points=400):
     """Numerical certificate for the linear lower-growth constant.
 
     Minimizes M(a)*b / (M(b)*a) over a log grid with a >= b.  Equivalently
@@ -47,7 +47,7 @@ def _grid_lower_growth_constant(m_func, lo=1e-6, hi=1e6, points=400):
     with M(0)=0 keeps at >= 1; the certificate is clamped to at most 1.
     """
     grid = np.logspace(math.log10(lo), math.log10(hi), points)
-    slope = m_func(grid) / grid
+    slope = m_value(shape, grid) / grid
     # min over a >= b of slope(a)/slope(b): suffix minima divided pointwise
     suffix_min = np.minimum.accumulate(slope[::-1])[::-1]
     cert = float(np.min(suffix_min / slope))
@@ -89,14 +89,12 @@ class LossSpec:
 
     @staticmethod
     def l1l2() -> "LossSpec":
-        c_m = _grid_lower_growth_constant(lambda x: 2.0 * (np.sqrt(1.0 + x * x / 2.0) - 1.0))
-        return LossSpec(L1L2, 2.0, c_m)
+        return LossSpec(L1L2, 2.0, _grid_lower_growth_constant(LossSpec(L1L2, 2.0, 1.0)))
 
     @staticmethod
     def fair(c: float = 1.0) -> "LossSpec":
-        cc = float(c)
-        c_m = _grid_lower_growth_constant(lambda x: cc * cc * (x / cc - np.log1p(x / cc)))
-        return LossSpec(FAIR, 2.0, c_m, cc)
+        shape = LossSpec(FAIR, 2.0, 1.0, float(c))  # c_m is read off its M
+        return LossSpec(FAIR, 2.0, _grid_lower_growth_constant(shape), shape.param)
 
     @property
     def is_lp(self) -> bool:
@@ -117,22 +115,35 @@ class LossSpec:
 
 
 def m_value(loss: LossSpec, x):
-    """Evaluate M(x) elementwise; even in x, with M(0) = 0."""
+    """Evaluate M(x) elementwise; even in x, with M(0) = 0; a 0-d input gives a float.
+
+    The input is never written: M is evaluated in |x| and at most one
+    more buffer, in place.
+    """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("loss argument must be finite")
-    ax = np.abs(arr)
-    if loss.kind == LP:
-        out = ax ** loss.p
-    elif loss.kind == HUBER:
-        tau = loss.param
-        out = np.where(ax <= tau, ax * ax / (2.0 * tau), ax - tau / 2.0)
+    if loss.kind == LP:  # 0-d input takes numpy's scalar pow, unlike the array loop to the bit
+        out = np.abs(arr) ** loss.p
+        return float(out) if out.ndim == 0 else out
+    ax = np.abs(arr, out=np.empty_like(arr))  # an array even for 0-d input, so M forms in place
+    if loss.kind == HUBER:
+        mask, quad = ax <= loss.param, ax * ax
+        quad /= 2.0 * loss.param
+        ax -= loss.param / 2.0
+        np.putmask(ax, mask, quad)
     elif loss.kind == L1L2:
-        out = 2.0 * (np.sqrt(1.0 + ax * ax / 2.0) - 1.0)
+        ax *= ax
+        ax /= 2.0
+        ax += 1.0
+        np.sqrt(ax, out=ax)
+        ax -= 1.0
+        ax *= 2.0
     else:  # FAIR
-        c = loss.param
-        out = c * c * (ax / c - np.log1p(ax / c))
-    return float(out) if out.ndim == 0 else out
+        ax /= loss.param
+        ax -= np.log1p(ax)
+        ax *= loss.param * loss.param
+    return float(ax) if ax.ndim == 0 else ax
 
 
 def m_derivative(loss: LossSpec, x):

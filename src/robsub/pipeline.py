@@ -96,9 +96,6 @@ class SmallProblem:
         r = self.cols[:, -1]
         return resid, np.sqrt(np.einsum("ij,ij->i", resid, resid) + r * r)
 
-    def cost(self, w_factor: np.ndarray, loss: LossSpec) -> float:
-        return float(np.dot(self.w, m_value(loss, self.residual(w_factor)[1])))
-
 
 # ---------------------------------------------------------------------------
 # small-problem solver

@@ -1,9 +1,9 @@
 """Robust regression: one leverage sample over an IRLS core.
 
-``m_regress`` draws one leverage-score sample of the rows of [A b] and
-solves the sampled problem, each kept row weighted 1/q, with iteratively
-reweighted least squares (``irls_solve``, also the full-data baseline the
-sampled solve is measured against).  A may be dense or CSR; neither
+``m_regress`` draws one leverage-score sample of the rows of [A b], sized
+by d and eps alone, and solves the sampled problem, each kept row weighted
+1/q, with iteratively reweighted least squares (``irls_solve``, also the
+full-data baseline the sampled solve is measured against).  A may be dense or CSR; neither
 densifies A, and no block of [A b] is ever stacked.
 """
 
@@ -20,20 +20,16 @@ from . import sampling
 from .sketch import r_factor
 
 _RESID_FLOOR = 1e-12  # IRLS floors |r| at this share of the largest |r|
-_LEVELS = 3     # steps of the sample-size schedule
-_KAPPA = 0.1    # a step keeps ~n'^(1/2+kappa) rows; p=2 scores take ceil(3/kappa) columns
-_DELTA = 0.1    # failure probability in the per-step sample size
-_LEVEL_C = 1.0  # multiplier on n^(1/2+kappa) poly(d) log(1/delta)/eps^2
+_BASE_ROWS_C = 16.0   # c of the default base cap c (d+1) ln(d+1) / eps^2
+_GAUSS_COLS = 30      # Gaussian columns of the p=2 scores (exact norms for a basis no wider)
 
 
 def regression_objective(a, b, x, w=None, loss: LossSpec = None) -> float:
     """sum_i w_i M(residual_i) for the candidate solution x."""
-    resid = np.asarray(a @ x).ravel() - np.asarray(b, dtype=float).ravel()
-    return _weighted_cost(resid, as_weights(w, resid.size), loss)
-
-
-def _weighted_cost(resid: np.ndarray, wv: np.ndarray, loss: LossSpec) -> float:
-    return float(np.dot(wv, m_value(loss, resid)))
+    resid = np.asarray(a @ x, dtype=float).ravel()  # a fresh product, so b comes off in place
+    resid -= np.asarray(b, dtype=float).ravel()
+    cost = m_value(loss, resid)
+    return float(cost.sum() if w is None else np.dot(as_weights(w, resid.size), cost))
 
 
 def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
@@ -74,7 +70,7 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
 
     def evaluate(x):
         resid = np.asarray(a @ x).ravel() - rhs
-        return resid, _weighted_cost(resid, wv, loss)
+        return resid, float(np.dot(wv, m_value(loss, resid)))
 
     x = solve(wv)
     resid, obj = evaluate(x)
@@ -105,34 +101,22 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     return x
 
 
-def _sample_target(n: int, d: int, eps: float, base_cap: Optional[int]) -> float:
-    """Rows left by the size schedule's at most ``_LEVELS`` steps (see ``m_regress``)."""
-    if base_cap is None:
-        base_cap = math.ceil(20.0 * d * d / eps**2)
-    return sampling.schedule_end(
-        n, max(base_cap, 2 * (d + 1)),
-        lambda size: max(_LEVEL_C * size ** (0.5 + _KAPPA) * (d + 1)
-                         * math.log(1.0 / _DELTA) / eps**2, 4.0 * (d + 1)),
-        steps=_LEVELS)
-
-
 def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
               base_cap: Optional[int] = None, seed: int = 0,
               trace: Optional[dict] = None) -> np.ndarray:
     """(1+eps)-style regression on one leverage sample of [A b].
 
-    A may be dense or CSR.  The sample expects the rows left by at most
-    three halving steps, run on row counts alone while more than
-    max(base_cap, 2 (d+1)) remain (``base_cap`` defaults to
-    ceil(20 d^2 / eps^2)): n' -> min(n'/2, max(n'^(1/2+kappa)
-    (d+1) log(1/delta) / eps^2, 4 (d+1))), with kappa = delta = 0.1.  It
-    is drawn once from the leverage scores of [A b], read a block
-    of rows at a time (Gaussian row-norm estimates for p=2 losses), and
-    each kept row weighs 1/q for every loss; a draw of at most d+1 rows is
-    dropped for all the rows.  The kept rows of A (CSR for a CSR A) and
-    entries of b are gathered once for IRLS.  A NaN or infinity in A or b
-    raises ValueError from the R factor of the scoring basis or of IRLS's
-    first step.
+    A may be dense or CSR.  The sample's size depends on d and eps, not on
+    n: it expects max(base_cap, 2 (d+1)) rows, ``base_cap`` defaulting to
+    ceil(16 (d+1) ln(d+1) / eps^2), the l_p row-sampling size (Cohen &
+    Peng 2015) with its constant fixed by measurement; an input of at most
+    that many rows is solved on all of them.  The sample is drawn once from
+    the leverage scores of [A b], read a block of rows at a time (Gaussian
+    row-norm estimates for p=2 losses), and each kept row weighs 1/q for
+    every loss; a draw of at most d+1 rows is dropped for all the rows.
+    The kept rows of A (CSR for a CSR A) and entries of b are gathered
+    once for IRLS.  A NaN or infinity in A or b raises ValueError from the
+    R factor of the scoring basis or of IRLS's first step.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -143,12 +127,14 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
         raise ValueError("right-hand side length mismatch")
     trace = {} if trace is None else trace
 
-    size = _sample_target(n, d, eps, base_cap)
+    if base_cap is None:
+        base_cap = math.ceil(_BASE_ROWS_C * (d + 1) * math.log(d + 1) / eps**2)
+    size = max(base_cap, 2 * (d + 1))
     w = None
     if size < n:
         scores = weighted_leverage_scores(
             stack, loss, seed=int(spawn_rng(seed, 137, 0).integers(2**31)),
-            gauss_t=int(math.ceil(3.0 / _KAPPA)) if loss.is_m2 else None)
+            gauss_t=_GAUSS_COLS if loss.is_m2 else None)
         sample = sampling.sample("base", scores.gamma, size,
                                  int(spawn_rng(seed, 139, 0, 0).integers(2**31)), trace)
         if len(sample) > d + 1:

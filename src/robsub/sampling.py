@@ -8,8 +8,8 @@ across plans) and weighs each kept row 1/q_i, for every loss.  The
 bicriteria subspace, residual sampling, robust regression and the subspace
 pipelines each draw their sample in one plan and one draw (``sample``),
 from rows of unit weight; ``record`` alone writes the stage's sample size
-into its trace, and the bicriteria and regression sizes come from one
-halving schedule (``schedule_end``)."""
+into its trace, and the bicriteria size comes from a halving schedule
+(``schedule_end``)."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 from .core import spawn_rng
 
 _PROB_FLOOR = 1e-12
-# most expected rows of one bicriteria or regression size-schedule step, over n'
+# most expected rows of one step of the bicriteria size schedule, over n'
 _SHRINK = 0.5
 
 
@@ -117,10 +117,9 @@ def sample(stage: str, scores, target: float, seed: int,
     return out
 
 
-def schedule_end(n: int, stop: float, step: Callable[[float], float],
-                 steps: Optional[int] = None) -> float:
-    """Rows left by n' -> min(step(n'), _SHRINK n') from n while n' > stop, in at most ``steps``."""
-    size, taken = float(n), 0
-    while size > stop and (steps is None or taken < steps):
-        size, taken = min(step(size), _SHRINK * size), taken + 1
+def schedule_end(n: int, stop: float, step: Callable[[float], float]) -> float:
+    """Rows left by n' -> min(step(n'), _SHRINK n') from n while n' > stop."""
+    size = float(n)
+    while size > stop:
+        size = min(step(size), _SHRINK * size)
     return size

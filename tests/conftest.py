@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import small_problem_cost
 from robsub import LossSpec, residual_cost
 from robsub import bicriteria, conditioning, dimreduce, pipeline
 
@@ -83,7 +84,7 @@ def best_rank_k_in_subspace(a, sub, k, loss, w=None, seed=0, warm_starts=()):
     """
     prob = pipeline.SmallProblem(pipeline._exact_columns(a, sub.u), w, min(k, sub.dim))
     w_factor = pipeline.small_approx(prob, loss, seed=seed)
-    w_factor = min([w_factor, *warm_starts], key=lambda f: prob.cost(f, loss))
+    w_factor = min([w_factor, *warm_starts], key=lambda f: small_problem_cost(prob, f, loss))
     out = pipeline._final_factor(sub.u, w_factor)
     return out, residual_cost(a, out, w, loss)
 

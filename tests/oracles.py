@@ -17,11 +17,32 @@ from robsub.core import (
     Subspace,
     as_weights,
     m_derivative,
+    m_value,
     residual_cost,
     residual_row_norms,
     spawn_rng,
     to_dense,
 )
+
+
+def m_value_reference(loss: LossSpec, x):
+    """M(x) by its closed form, one expression per loss kind, as numpy evaluates it."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    c = loss.param
+    if loss.kind == "lp":
+        out = ax ** loss.p
+    elif loss.kind == "huber":
+        out = np.where(ax <= c, ax * ax / (2.0 * c), ax - c / 2.0)
+    elif loss.kind == "l1l2":
+        out = 2.0 * (np.sqrt(1.0 + ax * ax / 2.0) - 1.0)
+    else:  # fair
+        out = c * c * (ax / c - np.log1p(ax / c))
+    return float(out) if out.ndim == 0 else out
+
+
+def small_problem_cost(prob, w_factor: np.ndarray, loss: LossSpec) -> float:
+    """sum_i w_i M(sqrt(||X_i W W^T - X_i||^2 + r_i^2)) of a ``pipeline.SmallProblem``."""
+    return float(np.dot(prob.w, m_value(loss, prob.residual(w_factor)[1])))
 
 
 def _orthonormal(mat: np.ndarray) -> np.ndarray:
@@ -99,7 +120,7 @@ def small_problem_grid(prob, loss: LossSpec, seed: int = 0, budget: int = 4000) 
     """Best factor W of a small problem over a dense candidate grid (domain <= 12, k <= 3).
 
     ``prob`` is a ``pipeline.SmallProblem``, read only through its ``k``,
-    ``domain_dim`` and ``cost``.  Candidates: every coordinate k-factor,
+    ``domain_dim`` and ``residual``.  Candidates: every coordinate k-factor,
     then ``budget`` random orthonormal factors.
     """
     k, m = prob.k, prob.domain_dim
@@ -110,12 +131,12 @@ def small_problem_grid(prob, loss: LossSpec, seed: int = 0, budget: int = 4000) 
     eye = np.eye(m)
     for comb in itertools.combinations(range(m), k):
         w_factor = eye[:, list(comb)]
-        cost = prob.cost(w_factor, loss)
+        cost = small_problem_cost(prob, w_factor, loss)
         if cost < best_cost:
             best_w, best_cost = w_factor, cost
     for _ in range(budget):
         w_factor = _orthonormal(rng.standard_normal((m, k)))
-        cost = prob.cost(w_factor, loss)
+        cost = small_problem_cost(prob, w_factor, loss)
         if cost < best_cost:
             best_w, best_cost = w_factor, cost
     return best_w
@@ -186,15 +207,11 @@ def water_fill_full_sort(scores, r: float) -> np.ndarray:
     return q
 
 
-# the two sample-size schedules as const_approx and m_regress ran them
-# inline, with the values of the constants they read
+# the sample-size schedule as const_approx ran it inline, with the values of
+# the constants it read
 _SHRINK = 0.5
 _SAMPLE_ROWS_C = 10.0
 _LOGLOGLOG_C = 3.0
-_LEVELS = 3
-_KAPPA = 0.1
-_DELTA = 0.1
-_LEVEL_C = 1.0
 
 
 def _logloglog(n: float) -> float:
@@ -210,16 +227,4 @@ def bicriteria_schedule_loop(n: int, p_m: int, m: int, gamma_total: float,
         if loss.is_m2:
             formula *= _LOGLOGLOG_C * _logloglog(size)
         size = min(formula, _SHRINK * size)
-    return size
-
-
-def regression_schedule_loop(n: int, d: int, eps: float, base_cap) -> float:
-    """Rows at which m_regress's halving schedule ends, by its own loop."""
-    base_cap = math.ceil(20.0 * d * d / eps**2) if base_cap is None else base_cap
-    stop_rows = max(base_cap, 2 * (d + 1))
-    size = float(n)
-    for _ in range(_LEVELS):
-        if size > stop_rows:
-            size = min(_SHRINK * size, max(_LEVEL_C * size ** (0.5 + _KAPPA) * (d + 1)
-                                           * math.log(1.0 / _DELTA) / eps**2, 4.0 * (d + 1)))
     return size

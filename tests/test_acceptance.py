@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import best_rank_k_in_subspace, planted_lowrank, sample_size_subspace
-from oracles import alternating_reference, small_problem_grid
+from oracles import alternating_reference, small_problem_cost, small_problem_grid
 from robsub import (
     LossSpec,
     Subspace,
@@ -46,7 +46,6 @@ from robsub.pipeline import (
     approx_m2,
     small_approx,
 )
-from robsub import regression
 from robsub.regression import irls_solve, m_regress, regression_objective
 
 
@@ -253,13 +252,13 @@ def test_c08_residual_sampling_containment_and_quality():
                    f"within 1.25x of reference, {elapsed:.1f}s")
 
 
-def test_c09_regression_sampled_vs_full(monkeypatch):
+def test_c09_regression_sampled_vs_full():
     # huber regression, n=1e4, d=20, 5% corrupted responses: the sampled
-    # solve costs <= 1.1x the full IRLS solve on >= 90% of 50 seeds, and
-    # every IRLS run decreases its objective monotonically
+    # solve (a base cap of 2430 rows) costs <= 1.1x the full IRLS solve on
+    # >= 90% of 50 seeds, and every IRLS run decreases its objective
+    # monotonically
     t0 = time.perf_counter()
     loss = LossSpec.huber(1.0)
-    monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
     ok_ratio = 0
     monotone = True
     sampled_any = True
@@ -271,7 +270,7 @@ def test_c09_regression_sampled_vs_full(monkeypatch):
         rows = rng.choice(10_000, 500, replace=False)
         b[rows] += 30.0 * rng.standard_normal(500)
         tr = {}
-        x_s = m_regress(a, b, loss, eps=0.5, base_cap=4000, seed=seed, trace=tr)
+        x_s = m_regress(a, b, loss, eps=0.5, base_cap=2430, seed=seed, trace=tr)
         sampled_any &= tr["levels"] >= 1
         x_f, hist = irls_solve(a, b, None, loss, return_history=True)
         monotone &= all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
@@ -369,14 +368,15 @@ def test_c12_small_solver_sanity():
         prob = SmallProblem(rng.standard_normal((8, 9)), None, 2)
         wl = small_approx(prob, loss, seed=seed)
         we = small_problem_grid(prob, loss, seed=seed)
-        ok_ratio += prob.cost(wl, loss) <= 1.05 * prob.cost(we, loss)
+        ok_ratio += (small_problem_cost(prob, wl, loss)
+                     <= 1.05 * small_problem_cost(prob, we, loss))
     # the rows of X lie in a rank-3 span, with r = 0
     rng = np.random.default_rng(7)
     x = rng.standard_normal((25, 10))
     w0 = np.linalg.qr(rng.standard_normal((10, 3)))[0]
     planted = SmallProblem(np.hstack([x @ w0 @ w0.T, np.zeros((25, 1))]), None, 3)
     w_rec = small_approx(planted, loss, seed=0)
-    recovery = planted.cost(w_rec, loss)
+    recovery = small_problem_cost(planted, w_rec, loss)
     elapsed = time.perf_counter() - t0
     ok = ok_ratio == 20 and recovery <= 1e-8 and elapsed < 60.0
     assert _report("C12", ok,

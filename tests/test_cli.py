@@ -382,8 +382,8 @@ class TestRegressCommand:
         assert outs[0] == outs[1]
 
     def test_base_cap_engages_sampling(self, matrix_files, tmp_path):
-        # 200 rows are below the default base cap of 18000 at d = 15; at a
-        # base cap of 40 the size schedule halves them three times, to 25
+        # 200 rows are below the default base cap of 2840 at d = 15; at a
+        # base cap of 40 the sample expects 40 of them
         res = {}
         for flag in ([], ["--base-cap", "40"]):
             report = tmp_path / "r.json"
@@ -394,7 +394,7 @@ class TestRegressCommand:
         assert res[False]["levels"] == 0
         assert res[False]["base_rows"] == res[False]["base_rows_expected"] == 200
         assert res[True]["levels"] == 1
-        assert res[True]["base_rows_expected"] == pytest.approx(25.0, abs=1e-9)
+        assert res[True]["base_rows_expected"] == pytest.approx(40.0, abs=1e-9)
 
     def test_all_zero_input_exit_0(self, tmp_path):
         # at a base cap of 40 the all-zero [A b] is scored, draws no row, and

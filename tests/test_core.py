@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import split_halves
+from oracles import m_value_reference
 from robsub import (
     LossSpec,
     Subspace,
@@ -98,6 +99,59 @@ class TestLossValues:
         assert LossSpec.huber(1.0).p == 2.0
         assert LossSpec.l1l2().p == 2.0
         assert LossSpec.fair(2.0).p == 2.0
+
+
+_FORMULA_LOSSES = [LossSpec.lp(1.0), LossSpec.lp(1.5), LossSpec.huber(1.0), LossSpec.l1l2(),
+                   LossSpec.fair(2.0)]
+_FORMULA_IDS = ["l1", "p1.5", "huber", "l1l2", "fair"]
+
+
+class TestLossInPlace:
+    """m_value evaluates an array in |x| and one more buffer, to the formulas' bits."""
+
+    @staticmethod
+    def _values():
+        # 1e5 values: zero, both signs of 1e-8 and 1e8, the Huber threshold and
+        # its neighbours, and magnitudes spread log-uniformly in between
+        edges = [0.0, -0.0, 1e-8, -1e-8, 1e8, -1e8, 1.0, -1.0, 2.0,
+                 np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+        rng = np.random.default_rng(11)
+        mags = 10.0 ** rng.uniform(-8.0, 8.0, 100_000 - len(edges))
+        return np.concatenate([edges, rng.choice([-1.0, 1.0], mags.size) * mags])
+
+    @pytest.mark.parametrize("loss", _FORMULA_LOSSES, ids=_FORMULA_IDS)
+    def test_matches_formulas_bit_for_bit(self, loss):
+        x = self._values()
+        assert np.array_equal(m_value(loss, x), m_value_reference(loss, x))
+
+    @pytest.mark.parametrize("loss", _FORMULA_LOSSES, ids=_FORMULA_IDS)
+    def test_zero_dim_input(self, loss):
+        # numpy scalars, as the formulas evaluate them (scalar pow differs
+        # from the array loop's in the last bit for some inputs)
+        for v in (0.0, -1e-8, 0.5, 1.0, -2.75, 1e8, np.float64(3.0), np.array(-1.5),
+                  *self._values()[::50]):
+            got = m_value(loss, v)
+            assert type(got) is float and got == m_value_reference(loss, v), v
+
+    @pytest.mark.parametrize("loss", _FORMULA_LOSSES, ids=_FORMULA_IDS)
+    def test_input_left_unmodified(self, loss):
+        x = self._values()
+        before = x.copy()
+        out = m_value(loss, x)
+        assert np.array_equal(x, before) and not np.shares_memory(out, x)
+
+    @pytest.mark.parametrize("loss", _FORMULA_LOSSES, ids=_FORMULA_IDS)
+    def test_peak_below_two_outputs(self, loss):
+        # |x| and one more buffer, plus a boolean mask: the formulas' chain of
+        # temporaries held about four n-vectors at once for Huber
+        x = np.random.default_rng(12).standard_normal(1_000_000) * 3.0
+        tracemalloc.start()
+        try:
+            out = m_value(loss, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * out.nbytes
 
 
 class TestMeasures:

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import planted_lowrank
-from oracles import alternating_reference, exhaustive_tiny
+from oracles import alternating_reference, exhaustive_tiny, small_problem_cost
 from robsub import LossSpec, Subspace, core, residual_cost
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import SmallProblem, small_approx
@@ -100,7 +100,7 @@ class TestExhaustiveTiny:
                                         polish_steps=25)
             prob = SmallProblem(np.hstack([a, np.zeros((6, 1))]), None, 2)
             w = small_approx(prob, loss, seed=seed)
-            assert prob.cost(w, loss) <= 1.05 * cost + 1e-12
+            assert small_problem_cost(prob, w, loss) <= 1.05 * cost + 1e-12
 
 
 class TestAlternatingReference:

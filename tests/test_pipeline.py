@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import best_rank_k_in_subspace, planted_lowrank
-from oracles import small_problem_grid
+from oracles import small_problem_cost, small_problem_grid
 from robsub import (
     LossSpec,
     Subspace,
@@ -64,7 +64,7 @@ class TestSmallProblem:
         loss = LossSpec.lp(1.0)
         x, r = prob.cols[:, :-1], prob.cols[:, -1]
         direct = np.linalg.norm(np.hstack([x @ q @ q.T - x, r[:, None]]), axis=1).sum()
-        assert prob.cost(q, loss) == pytest.approx(direct)
+        assert small_problem_cost(prob, q, loss) == pytest.approx(direct)
         assert prob.domain_dim == 8 and prob.max_side() == 12
 
 
@@ -76,14 +76,15 @@ class TestSmallApprox:
         w0, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         prob = SmallProblem(np.hstack([x @ w0 @ w0.T, np.zeros((20, 1))]), None, 2)
         w = small_approx(prob, LossSpec.lp(1.0), seed=0)
-        assert prob.cost(w, LossSpec.lp(1.0)) <= 1e-8
+        assert small_problem_cost(prob, w, LossSpec.lp(1.0)) <= 1e-8
 
     def test_full_rank_is_identity(self):
         prob = _random_problem(4, k=8)
         w = small_approx(prob, LossSpec.lp(1.0), seed=0)
         assert np.allclose(w @ w.T, np.eye(8))
         # only the residual column is left: the cost is sum M(|r_i|)
-        assert prob.cost(w, LossSpec.lp(1.0)) == pytest.approx(np.abs(prob.cols[:, -1]).sum())
+        assert (small_problem_cost(prob, w, LossSpec.lp(1.0))
+                == pytest.approx(np.abs(prob.cols[:, -1]).sum()))
 
     def test_local_search_vs_exhaustive(self):
         loss = LossSpec.lp(1.0)
@@ -92,7 +93,8 @@ class TestSmallApprox:
             prob = _random_problem(seed, m_prime=8, m=8, k=2)
             wl = small_approx(prob, loss, seed=seed)
             we = small_problem_grid(prob, loss, seed=seed, budget=2000)
-            ok += prob.cost(wl, loss) <= 1.05 * prob.cost(we, loss)
+            ok += (small_problem_cost(prob, wl, loss)
+                   <= 1.05 * small_problem_cost(prob, we, loss))
         assert ok == 20
 
     def test_orthonormal_output(self):
@@ -277,17 +279,20 @@ class TestSmallApprox:
 
     def test_no_cost_evaluated_after_the_alternation(self, monkeypatch):
         # lp_dense_outliers input 1, fit 1001: a gradient polish of the best
-        # start made 15 trial steps here, one SmallProblem.cost each, and
-        # kept none; the fit is that start's factor and costs the same
+        # start made 15 trial steps here, one small-problem cost each, and
+        # kept none; the fit is that start's factor and costs the same.  Every
+        # cost is of the residual norms of one alternation iterate: one per
+        # start, and one per step
         workloads = _workloads(monkeypatch)
         work = workloads.WORKLOADS["lp_dense_outliers"]
         a = work.inputs(1).a
         calls = []
-        real = SmallProblem.cost
-        monkeypatch.setattr(SmallProblem, "cost",
+        real = SmallProblem.residual
+        monkeypatch.setattr(SmallProblem, "residual",
                             lambda self, *args: calls.append(1) or real(self, *args))
-        sub = approx_lp(a, workloads.K, work.eps, work.loss, seed=1001)
-        assert calls == []
+        trace = {}
+        sub = approx_lp(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
+        assert len(calls) == pipeline._RESTARTS + trace["small_mm_steps"]
         assert residual_cost(a, sub, None, work.loss) == pytest.approx(10638.882049779806,
                                                                        rel=1e-9)
 
@@ -729,7 +734,7 @@ class TestExactColumns:
         prob = SmallProblem(cols, w, 2)
         for _ in range(3):
             w_factor = np.linalg.qr(rng.standard_normal((6, 2)))[0]
-            assert prob.cost(w_factor, loss) == pytest.approx(
+            assert small_problem_cost(prob, w_factor, loss) == pytest.approx(
                 residual_cost(a, Subspace(u @ w_factor), w, loss), rel=1e-10)
 
     @_BOTH_PIPELINES

@@ -87,13 +87,13 @@ class TestIrls:
         rows = rng.choice(5000, 50, replace=False)
         b[rows] += 1e4 * rng.standard_normal(50)
         passes = []
-        real = regression._weighted_cost
+        real = regression.m_value
 
         def spy(*args):
             passes.append(1)
             return real(*args)
 
-        monkeypatch.setattr(regression, "_weighted_cost", spy)
+        monkeypatch.setattr(regression, "m_value", spy)
         _, hist = irls_solve(a, b, None, LossSpec.huber(1.0), return_history=True)
         # the iterates kept, plus at most the one step that ended the solve
         assert len(passes) <= len(hist) + 1
@@ -202,15 +202,14 @@ class TestMRegress:
         cost = regression_objective(a, b, x, None, loss)
         assert cost <= 1e-10 * m_value(loss, np.abs(b)).sum()
 
-    def test_sampled_close_to_full(self, monkeypatch):
+    def test_sampled_close_to_full(self):
         loss = LossSpec.huber(1.0)
-        monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
         ok = 0
         trials = 10
         for seed in range(trials):
             a, b, _ = _outlier_problem(5000, 10, seed)
             tr = {}
-            x_s = m_regress(a, b, loss, eps=0.5, base_cap=1500, seed=seed, trace=tr)
+            x_s = m_regress(a, b, loss, eps=0.5, base_cap=840, seed=seed, trace=tr)
             assert tr["levels"] >= 1  # genuinely sampled
             x_f = irls_solve(a, b, None, loss)
             ratio = (regression_objective(a, b, x_s, None, loss)
@@ -218,14 +217,19 @@ class TestMRegress:
             ok += ratio <= 1.1
         assert ok >= 9
 
-    def test_levels_capped(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        a = rng.standard_normal((4000, 4))
-        b = rng.standard_normal(4000)
-        tr = {}
-        monkeypatch.setattr(regression, "_LEVEL_C", 0.001)
-        m_regress(a, b, LossSpec.huber(1.0), eps=0.9, base_cap=10, seed=1, trace=tr)
-        assert tr["levels"] <= 3
+    def test_sample_size_does_not_grow_with_n(self):
+        # dense Huber, d = 20, eps = 0.5: at 50 000 and 400 000 rows the sample
+        # expects the default base cap, ceil(16 (d+1) ln(d+1) / eps^2) = 4092
+        # rows (a halving schedule kept n/8: 6 250 and 50 000)
+        expected = []
+        for n in (50_000, 400_000):
+            a, b, _ = _outlier_problem(n, 20, 22, frac=0.01)
+            tr = {}
+            m_regress(a, b, LossSpec.huber(1.0), eps=0.5, seed=1, trace=tr)
+            expected.append(tr["base_rows_expected"])
+            del a, b
+        assert expected[0] == pytest.approx(expected[1], rel=1e-12)
+        assert expected[0] == pytest.approx(4092.0, rel=1e-12) and expected[0] < 10_000
 
     def test_huber_tall_dense_scores_exact_bases(self, monkeypatch):
         # 20000 rows of [A b], more than both the p-stable row cap of 8192 and
@@ -242,12 +246,11 @@ class TestMRegress:
         assert (regression_objective(a, b, x, None, loss)
                 <= 1.5 * regression_objective(a, b, x_f, None, loss))
 
-    def test_lp_loss_path(self, monkeypatch):
+    def test_lp_loss_path(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2000, 4))
         b = a @ rng.standard_normal(4) + 0.2 * rng.standard_normal(2000)
-        monkeypatch.setattr(regression, "_LEVEL_C", 0.02)
-        x = m_regress(a, b, LossSpec.lp(1.0), eps=0.5, base_cap=500, seed=2)
+        x = m_regress(a, b, LossSpec.lp(1.0), eps=0.5, base_cap=88, seed=2)
         x_f = irls_solve(a, b, None, LossSpec.lp(1.0))
         loss = LossSpec.lp(1.0)
         assert (regression_objective(a, b, x, None, loss)
@@ -270,8 +273,8 @@ class TestMRegress:
         assert peak < 0.8 * a.nbytes
 
     def test_one_score_pass_draws_schedule_end(self, monkeypatch):
-        # 20000 x 6 at eps = 0.5: the size schedule halves 20000 three times,
-        # to 2500 rows below the base cap of 2880, from one scoring of [A b]
+        # 20000 x 6 at eps = 0.5: one scoring of [A b] and one plan expecting
+        # the default base cap, ceil(16 (d+1) ln(d+1) / eps^2) = 872 rows
         a, b, _ = _outlier_problem(20000, 6, 16)
         calls, plans = [], []
         real_scores, real_plan = regression.weighted_leverage_scores, sampling.make_plan
@@ -288,27 +291,19 @@ class TestMRegress:
         monkeypatch.setattr(sampling, "make_plan", spy_plan)
         tr = {}
         m_regress(a, b, LossSpec.huber(1.0), eps=0.5, seed=2, trace=tr)
-        size, steps = 20000.0, 0
-        while size > 2880 and steps < 3:
-            level = size ** 0.6 * 7 * math.log(10.0) / 0.25
-            size = min(0.5 * size, max(level, 28.0))
-            steps += 1
-        assert steps == 3 and size == 2500.0
+        size = math.ceil(16.0 * 7 * math.log(7.0) / 0.25)
+        assert size == 872
         assert len(calls) == 1 and calls[0].bucket_count == 1
         assert len(plans) == 1 and abs(plans[0].expected_size - size) <= 1e-9
         assert tr["levels"] == 1 and tr["base_rows_expected"] == plans[0].expected_size
 
-    def test_one_step_schedule_matches_one_round(self, monkeypatch):
-        # where the schedule takes one step, the sample is one scoring, plan
-        # and draw of [A b] with the same target and salts: x is bitwise equal
-        # (d + 1 = 11 <= 30 Gaussian columns, so p = 2 scores are exact)
+    def test_one_step_schedule_matches_one_round(self):
+        # the sample is one scoring, plan and draw of [A b] expecting base_cap
+        # rows, with the same salts: x is bitwise equal (d + 1 = 11 <= 30
+        # Gaussian columns, so p = 2 scores are exact)
         loss = LossSpec.huber(1.0)
-        monkeypatch.setattr(regression, "_LEVEL_C", 0.05)
         a, b, _ = _outlier_problem(5000, 10, 17)
-        d, eps = 10, 0.5
-        level = 0.05 * 5000 ** 0.6 * (d + 1) * math.log(10.0) / eps**2
-        target = min(0.5 * 5000, max(level, 4.0 * (d + 1)))
-        assert target <= 1500
+        d, eps, target = 10, 0.5, 840
         scores = conditioning.weighted_leverage_scores(
             RowView((a, b[:, None])), loss, seed=int(spawn_rng(5, 137, 0).integers(2**31)))
         sample = draw(make_plan(scores.gamma, target),
@@ -317,7 +312,7 @@ class TestMRegress:
         assert idx.size > d + 1
         ref = irls_solve(a[idx], b[idx], sample.reweights, loss)
         tr = {}
-        x = m_regress(a, b, loss, eps=eps, base_cap=1500, seed=5, trace=tr)
+        x = m_regress(a, b, loss, eps=eps, base_cap=target, seed=5, trace=tr)
         assert tr["levels"] == 1 and tr["base_rows"] == idx.size
         assert np.array_equal(x, ref)
 

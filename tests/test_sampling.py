@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import sample_size_subspace
-from oracles import bicriteria_schedule_loop, regression_schedule_loop, water_fill_full_sort
+from oracles import bicriteria_schedule_loop, water_fill_full_sort
 from robsub import (
     LossSpec,
     SamplingPlan,
@@ -17,7 +17,6 @@ from robsub import (
     irls_solve,
     m_regress,
     make_plan,
-    regression,
     residual_cost,
     sampling,
     v_norm_p,
@@ -205,19 +204,8 @@ class TestScheduleEnd:
                             want = bicriteria_schedule_loop(n, p_m, m, gamma_total, loss)
                             assert got == want, (n, loss, k, d, gamma_total)
 
-    def test_regression_schedule_matches_its_loop(self):
-        for d in range(1, 201):
-            for eps in np.round(np.arange(0.1, 1.0, 0.1), 1):
-                for base_cap in (None, 10, 4000):
-                    cap = math.ceil(20.0 * d * d / eps**2) if base_cap is None else base_cap
-                    for n in self._rows(max(cap, 2 * (d + 1))):
-                        got = regression._sample_target(n, d, eps, base_cap)
-                        want = regression_schedule_loop(n, d, eps, base_cap)
-                        assert got == want, (n, d, eps, base_cap)
-
     def test_steps_bound_the_schedule(self):
         assert sampling.schedule_end(1000, 10, lambda size: size) == 7.8125
-        assert sampling.schedule_end(1000, 10, lambda size: size, steps=2) == 250.0
         assert sampling.schedule_end(1000, 10, lambda size: 8.0) == 8.0
         assert sampling.schedule_end(5, 10, lambda size: 1.0) == 5.0
 
