@@ -2,10 +2,10 @@
 
 The driver sketches the input on the right down to d' = poly(k) columns,
 scores the rows of the sketched copy A S^T once with leverage scores,
-and draws one sample of the rows, sized where rounds of resampling would
-end (``_sample_target``); the row space of the sampled input rows is the
-bicriteria subspace.  This is dv07's sequential row selection with the
-sample chosen all at once, as the source paper argues it may be.
+and draws one sample of the rows expecting P_M of them; the row space of
+the sampled input rows is the bicriteria subspace.  This is dv07's
+sequential row selection with the sample chosen all at once, as the
+source paper argues it may be.
 """
 
 from __future__ import annotations
@@ -22,41 +22,23 @@ from .sketch import apply_right, make_sparse_sketch, orthonormal_union, rank_rev
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
 _SKETCH_NNZ = 4
 _SKETCH_COLS_C = 40.0   # right-sketch width m = min(max(k + 1, c k^2), d)
-_SAMPLE_ROWS_C = 10.0   # per-step sample multiplier on d'^2 * sum(scores)
-_LOGLOGLOG_C = 3.0      # extra factor on the per-step sample for p=2 losses
-_P_M_C = 50.0           # multiplier c of the sample-size cap P_M
+_P_M_C = 50.0           # multiplier c of P_M, the rows the sample expects
 
 
 def _p_m(k: int, n: int, loss: LossSpec) -> int:
-    """P_M, the most rows the sample expects: c k^2, times ceil(log2(n + 2)^3) at p = 2."""
+    """P_M, the rows the sample expects: c k^2, times ceil(log2(n + 2)^3) at p = 2."""
     base = _P_M_C * k * k
     if loss.is_m2:
         base *= math.ceil(math.log2(n + 2) ** 3)
     return int(base)
 
 
-def _logloglog(n: float) -> float:
-    return math.log(max(math.log(max(math.log(max(n, 3.0)), math.e)), math.e))
-
-
-def _sample_target(n: int, p_m: int, m: int, gamma_total: float, loss: LossSpec) -> float:
-    """Rows left by the schedule n' -> min(c d'^2 gamma_total, n'/2) while n' > P_M, d' = m."""
-    def step(size):
-        # at practical sizes this exceeds n', so the halving is what binds
-        formula = _SAMPLE_ROWS_C * m * m * gamma_total
-        if loss.is_m2:
-            formula *= _LOGLOGLOG_C * _logloglog(size)
-        return formula
-
-    return sampling.schedule_end(n, p_m, step)
-
-
 def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
                  trace: Optional[dict] = None) -> Subspace:
     """Bicriteria subspace: sketch right, sample rows once, span the sampled input rows.
 
-    The sample expects at most P_M rows, so the output dimension is at
-    most P_M in expectation (not for certain); its cost is within a
+    The sample expects P_M rows, so the output dimension is at most P_M
+    in expectation (not for certain); its cost is within a
     modest factor of the best rank-k cost (over the randomness of sketch
     and sample).  When every row is kept (n <= P_M) the subspace is the
     row space of A and carries the R factor of A it was read from
@@ -85,8 +67,7 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
                                m=m, d=d, s=min(_SKETCH_NNZ, m))
     scores = weighted_leverage_scores(apply_right(a, right), loss,
                                       seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
-    sample = sampling.sample("bicriteria", scores.gamma,
-                             _sample_target(n, p_m, m, scores.gamma_total, loss),
+    sample = sampling.sample("bicriteria", scores.gamma, p_m,
                              int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)
     # the kept rows' weights 1/q leave their span unchanged
     return orthonormal_union([a[sample.indices]], d=d)

@@ -18,7 +18,6 @@ Huber, L1-L2, and Fair; the latter three all have growth exponent 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -37,21 +36,6 @@ ArrayLike = Union[np.ndarray, "sp.spmatrix"]
 
 # ---------------------------------------------------------------------------
 # loss functions
-
-
-def _grid_lower_growth_constant(shape: "LossSpec", lo=1e-6, hi=1e6, points=400):
-    """Numerical certificate for the linear lower-growth constant.
-
-    Minimizes M(a)*b / (M(b)*a) over a log grid with a >= b.  Equivalently
-    minimizes the ratio of M(x)/x between grid points, which a convex loss
-    with M(0)=0 keeps at >= 1; the certificate is clamped to at most 1.
-    """
-    grid = np.logspace(math.log10(lo), math.log10(hi), points)
-    slope = m_value(shape, grid) / grid
-    # min over a >= b of slope(a)/slope(b): suffix minima divided pointwise
-    suffix_min = np.minimum.accumulate(slope[::-1])[::-1]
-    cert = float(np.min(suffix_min / slope))
-    return min(cert, 1.0)
 
 
 @dataclass(frozen=True)
@@ -87,14 +71,15 @@ class LossSpec:
         # c_m = 1/2 is a deliberately conservative certificate
         return LossSpec(HUBER, 2.0, 0.5, float(tau))
 
+    # L1-L2 and Fair are convex with M(0) = 0, so M(x)/x is nondecreasing
+    # and c_m = 1 is their best lower-growth constant
     @staticmethod
     def l1l2() -> "LossSpec":
-        return LossSpec(L1L2, 2.0, _grid_lower_growth_constant(LossSpec(L1L2, 2.0, 1.0)))
+        return LossSpec(L1L2, 2.0, 1.0)
 
     @staticmethod
     def fair(c: float = 1.0) -> "LossSpec":
-        shape = LossSpec(FAIR, 2.0, 1.0, float(c))  # c_m is read off its M
-        return LossSpec(FAIR, 2.0, _grid_lower_growth_constant(shape), shape.param)
+        return LossSpec(FAIR, 2.0, 1.0, float(c))
 
     @property
     def is_lp(self) -> bool:
@@ -209,12 +194,6 @@ def nnz(a) -> int:
     return int(np.count_nonzero(a))
 
 
-def to_dense(a) -> np.ndarray:
-    if is_sparse(a):
-        return np.asarray(a.todense())
-    return np.asarray(a, dtype=float)
-
-
 def check_finite(*arrays) -> None:
     """Raise ValueError if a dense array or sparse matrix holds a NaN or infinity."""
     for x in arrays:
@@ -244,36 +223,29 @@ def matmul_dense(a, b) -> np.ndarray:
 
 
 class RowView:
-    """Rows ``idx`` (sorted, or None for all) of the column stack of ``parts``,
-    each times ``scale`` (one factor per row of the view, or None for none).
+    """The column stack of ``parts``, each row times ``scale`` (one factor
+    per row, or None for none).
 
     The parts are dense arrays or CSR matrices with one row count, and the
     stack is never formed, nor any block of it: ``block`` gathers some rows
-    of each part, ``view[rows]`` gathers those rows into a new view, and
-    ``left_product`` sketches the view without gathering a row.  Gathered
-    rows are multiplied by their scale.
+    of each part, and ``left_product`` sketches the view without gathering
+    a row.  Gathered rows are multiplied by their scale.
     """
 
-    def __init__(self, parts, idx=None, scale=None):
+    def __init__(self, parts, scale=None):
         self.parts = tuple(p.tocsr() if is_sparse(p) else np.asarray(p, dtype=float)
                            for p in parts)
-        self.idx = idx
         self.scale = scale
-        self.shape = (self.parts[0].shape[0] if idx is None else idx.size,
-                      sum(p.shape[1] for p in self.parts))
+        self.shape = (self.parts[0].shape[0], sum(p.shape[1] for p in self.parts))
 
     def columns(self):
         """The columns of the stack that each part fills, as slices."""
         ends = np.cumsum([p.shape[1] for p in self.parts])
         return [slice(e - p.shape[1], e) for e, p in zip(ends, self.parts)]
 
-    def _source(self, rows):
-        return rows if self.idx is None else self.idx[rows]
-
     def block(self, rows):
         """Rows ``rows`` (a slice or index array) of each part, times their scale."""
-        src = self._source(rows)
-        blocks = [p[src] if is_sparse(p) or isinstance(src, slice) else p.take(src, axis=0)
+        blocks = [p[rows] if is_sparse(p) or isinstance(rows, slice) else p.take(rows, axis=0)
                   for p in self.parts]
         if self.scale is None:
             return blocks
@@ -288,40 +260,29 @@ class RowView:
             hi = min(lo + size, self.shape[0])
             yield lo, hi, self.block(slice(lo, hi))
 
-    def __getitem__(self, rows):
-        return RowView(self.block(rows))
-
     def left_product(self, op) -> "RowView":
         """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
 
-        The scale multiplies op's columns.  With ``idx`` set, op's columns
-        move to those rows of an operator over every row of the parts: op
-        is taken row by row (CSR, columns in order), so each entry adds its
-        rows in view order, and the move costs O(nnz(op)).
+        The scale multiplies op's columns, taken row by row (CSR), at a
+        cost of O(nnz(op)).
         """
-        if self.idx is None and self.scale is None:
+        if self.scale is None:
             # op as given: a CSC op reads each part's rows in sequence
             return RowView(tuple(op @ p for p in self.parts))
         op = op.tocsr()
-        data, cols = op.data, op.indices
-        if self.scale is not None:
-            data = data * self.scale[cols]
-        if self.idx is not None:
-            cols = self.idx[cols]
-        op = sp.csr_matrix((data, cols, op.indptr), shape=(op.shape[0], self.parts[0].shape[0]))
+        op = sp.csr_matrix((op.data * self.scale[op.indices], op.indices, op.indptr),
+                           shape=op.shape)
         return RowView(tuple(op @ p for p in self.parts))
 
 
-def row_view(a, rows=None, scale=None) -> RowView:
-    """Rows ``rows`` (sorted, or None for all) of a matrix or RowView, each times
-    ``scale`` (one factor per chosen row, or None), as a RowView."""
+def row_view(a, scale=None) -> RowView:
+    """A matrix or RowView as a RowView, each row times ``scale`` (one factor
+    per row, or None)."""
     if not isinstance(a, RowView):
-        return RowView((a,), rows, scale)
-    if rows is not None:
-        a = RowView(a.parts, a._source(rows), None if a.scale is None else a.scale[rows])
+        return RowView((a,), scale)
     if scale is None:
         return a
-    return RowView(a.parts, a.idx, scale if a.scale is None else a.scale * scale)
+    return RowView(a.parts, scale if a.scale is None else a.scale * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,8 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+    if small_cap < 1:
+        raise ValueError("small_cap must be >= 1")
     n, d = a.shape
     if not (1 <= k <= d):
         raise ValueError(f"k={k} outside [1, {d}]")
@@ -367,7 +369,7 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
     sensitivity sample of the exact operand [A U, r] (of A itself when U
     is square; ``_final_sample``), and the small solve inside U on the
     sampled rows' exact columns T [A U, r], weighted by 1/q.  ``small_cap``
-    is the most columns [X r] of the small problem.
+    (at least 1) is the most columns [X r] of the small problem.
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")

@@ -65,7 +65,7 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     rcond = np.finfo(float).eps * max(n, d)
 
     def solve(v):
-        r = r_factor(row_view(stack, None, np.sqrt(v)))
+        r = r_factor(row_view(stack, np.sqrt(v)))
         return np.linalg.lstsq(r[:d, :d], r[:d, d], rcond=rcond)[0]
 
     def evaluate(x):
@@ -107,10 +107,10 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     """(1+eps)-style regression on one leverage sample of [A b].
 
     A may be dense or CSR.  The sample's size depends on d and eps, not on
-    n: it expects max(base_cap, 2 (d+1)) rows, ``base_cap`` defaulting to
-    ceil(16 (d+1) ln(d+1) / eps^2), the l_p row-sampling size (Cohen &
-    Peng 2015) with its constant fixed by measurement; an input of at most
-    that many rows is solved on all of them.  The sample is drawn once from
+    n: it expects max(base_cap, 2 (d+1)) rows, ``base_cap`` (at least 1)
+    defaulting to ceil(16 (d+1) ln(d+1) / eps^2), the l_p row-sampling
+    size (Cohen & Peng 2015) with its constant fixed by measurement; an
+    input of at most that many rows is solved on all of them.  The sample is drawn once from
     the leverage scores of [A b], read a block of rows at a time (Gaussian
     row-norm estimates for p=2 losses), and each kept row weighs 1/q for
     every loss; a draw of at most d+1 rows is dropped for all the rows.
@@ -120,6 +120,8 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
+    if base_cap is not None and base_cap < 1:
+        raise ValueError("base_cap must be >= 1")
     rhs = np.asarray(b, dtype=float).ravel()
     stack = RowView((a, rhs[:, None]))
     n, d = stack.shape[0], stack.shape[1] - 1
@@ -139,7 +141,7 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
                                  int(spawn_rng(seed, 139, 0, 0).integers(2**31)), trace)
         if len(sample) > d + 1:
             w = sample.reweights
-            a, rhs = row_view(stack, sample.indices)[:].parts
+            a, rhs = stack.block(sample.indices)
     if w is None:
         sampling.record("base", n, n, trace)
     trace["levels"] = int(w is not None)

@@ -8,21 +8,18 @@ across plans) and weighs each kept row 1/q_i, for every loss.  The
 bicriteria subspace, residual sampling, robust regression and the subspace
 pipelines each draw their sample in one plan and one draw (``sample``),
 from rows of unit weight; ``record`` alone writes the stage's sample size
-into its trace, and the bicriteria size comes from a halving schedule
-(``schedule_end``)."""
+into its trace."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .core import spawn_rng
 
 _PROB_FLOOR = 1e-12
-# most expected rows of one step of the bicriteria size schedule, over n'
-_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -115,11 +112,3 @@ def sample(stage: str, scores, target: float, seed: int,
     out = draw(plan, seed=seed)
     record(stage, len(out), plan.expected_size, trace)
     return out
-
-
-def schedule_end(n: int, stop: float, step: Callable[[float], float]) -> float:
-    """Rows left by n' -> min(step(n'), _SHRINK n') from n while n' > stop."""
-    size = float(n)
-    while size > stop:
-        size = min(step(size), _SHRINK * size)
-    return size

@@ -11,6 +11,7 @@ import math
 from typing import Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from robsub.core import (
     LossSpec,
@@ -21,7 +22,6 @@ from robsub.core import (
     residual_cost,
     residual_row_norms,
     spawn_rng,
-    to_dense,
 )
 
 
@@ -78,7 +78,7 @@ def exhaustive_tiny(a, k: int, loss: LossSpec, budget: int = 10_000, w=None,
     n, d = a.shape
     if d > 6 or k > 2:
         raise ValueError("exhaustive search is capped at d <= 6, k <= 2")
-    dense = to_dense(a)
+    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
     rng = spawn_rng(seed, 67)
 
     best_v, best_cost = None, math.inf
@@ -164,7 +164,7 @@ def alternating_reference(a, k: int, loss: LossSpec, w=None, seed: int = 0,
     keeping the best iterate ever seen.
     """
     n, d = a.shape
-    dense = to_dense(a)
+    dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
     wv = as_weights(w, n)
     rng = spawn_rng(seed, 71)
 
@@ -205,26 +205,3 @@ def water_fill_full_sort(scores, r: float) -> np.ndarray:
     q = np.minimum(1.0, q)
     q[q < 1e-12] = 0.0
     return q
-
-
-# the sample-size schedule as const_approx ran it inline, with the values of
-# the constants it read
-_SHRINK = 0.5
-_SAMPLE_ROWS_C = 10.0
-_LOGLOGLOG_C = 3.0
-
-
-def _logloglog(n: float) -> float:
-    return math.log(max(math.log(max(math.log(max(n, 3.0)), math.e)), math.e))
-
-
-def bicriteria_schedule_loop(n: int, p_m: int, m: int, gamma_total: float,
-                             loss: LossSpec) -> float:
-    """Rows at which const_approx's halving schedule ends, by its own loop."""
-    size = float(n)
-    while size > p_m:
-        formula = _SAMPLE_ROWS_C * m * m * gamma_total
-        if loss.is_m2:
-            formula *= _LOGLOGLOG_C * _logloglog(size)
-        size = min(formula, _SHRINK * size)
-    return size

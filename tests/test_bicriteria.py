@@ -39,6 +39,18 @@ class TestBaseCase:
         assert sub.dim == 9
         assert trace == {"bicriteria_rows": 40, "bicriteria_rows_expected": 40.0}
 
+    def test_no_plan_up_to_p_m(self, monkeypatch):
+        # L1 at k = 2 has P_M = 200: 200 rows are all kept with no plan made,
+        # and 201 rows take one plan expecting 200 of them
+        plans = _spy(monkeypatch, "make_plan", sampling)
+        a = np.random.default_rng(3).standard_normal((201, 8))
+        trace = {}
+        sub = const_approx(a[:200], 2, LossSpec.lp(1.0), seed=0, trace=trace)
+        assert plans == [] and sub.dim == 8 and sub.r is not None
+        assert trace == {"bicriteria_rows": 200, "bicriteria_rows_expected": 200.0}
+        const_approx(a, 2, LossSpec.lp(1.0), seed=0, trace=trace)
+        assert len(plans) == 1 and abs(plans[0].expected_size - 200) <= 1e-9
+
 
 class TestExactRecovery:
     def test_rank_k_input_recovered(self):
@@ -82,35 +94,22 @@ def _spy(monkeypatch, name, module=bicriteria):
 
 
 class TestRecursionMechanics:
-    def test_one_score_pass_draws_schedule_end(self, monkeypatch):
-        # n > P_M = 450: one scoring of A S^T and one plan, expecting the rows
-        # at which the schedule n' -> min(c d'^2 gamma_total, n' / 2) ends
+    def test_one_plan_expects_p_m_rows(self, set_p_m, monkeypatch):
+        # n > P_M: one scoring of A S^T and one plan, expecting P_M rows, for
+        # L1 at its own P_M = 50 k^2 = 450 and for Huber at a P_M set to 100
         scores = _spy(monkeypatch, "weighted_leverage_scores")
         plans = _spy(monkeypatch, "make_plan", sampling)
         a, _ = planted_lowrank(9000, 20, 3, seed=11, noise=0.1)
         trace = {}
         const_approx(a, 3, LossSpec.lp(1.0), seed=4, trace=trace)
         assert len(scores) == 1 and len(plans) == 1
-        size, formula = 9000.0, bicriteria._SAMPLE_ROWS_C * 20**2 * scores[0].gamma_total
-        while size > 450:
-            size = min(formula, sampling._SHRINK * size)
-        assert size == 9000.0 / 32
-        assert abs(plans[0].expected_size - size) <= 1e-9
+        assert abs(plans[0].expected_size - 450) <= 1e-9
         assert trace["bicriteria_rows_expected"] == plans[0].expected_size
-
-    def test_m2_formula_carries_logloglog_factor(self, set_p_m, monkeypatch):
-        # at p = 2 the formula is 3 log log log n' times c d'^2 gamma_total,
-        # and log log log n' clamps to 1 below n' = e^(e^e); with c d'^2
-        # gamma_total set to 20 rows, the schedule ends at 60 <= P_M
-        scores = _spy(monkeypatch, "weighted_leverage_scores")
-        plans = _spy(monkeypatch, "make_plan", sampling)
-        a = np.random.default_rng(5).standard_normal((1500, 6))
         set_p_m(100)
-        const_approx(a, 2, LossSpec.huber(1.0), seed=1)  # d' = 6
-        monkeypatch.setattr(bicriteria, "_SAMPLE_ROWS_C", 20.0 / (6**2 * scores[0].gamma_total))
-        const_approx(a, 2, LossSpec.huber(1.0), seed=1)
-        assert abs(plans[0].expected_size - 1500 * sampling._SHRINK**4) <= 1e-9
-        assert abs(plans[1].expected_size - 60.0) <= 1e-9
+        const_approx(np.random.default_rng(5).standard_normal((1500, 6)), 2,
+                     LossSpec.huber(1.0), seed=1)
+        assert len(scores) == 2 and len(plans) == 2
+        assert abs(plans[1].expected_size - 100) <= 1e-9
 
     def test_lp_sample_size_within_3_sigma(self, set_p_m):
         loss = LossSpec.lp(1.0)
@@ -154,24 +153,27 @@ class TestRecursionMechanics:
         v = np.linalg.svd(rows, full_matrices=False)[2].T
         assert np.abs(sub.u @ sub.u.T - v @ v.T).max() <= 1e-10
 
-    def test_oversampling_never_hurts(self, set_p_m, monkeypatch):
-        # a larger shrink cap (more rows expected, coupled seeds) cannot raise
-        # the achievable cost of the sampled span
+    def test_oversampling_never_hurts(self, set_p_m):
+        # a larger P_M (more rows expected, coupled seeds) cannot raise the
+        # achievable cost of the sampled span
         loss = LossSpec.lp(1.0)
-        set_p_m(80)
         for seed in range(5):
             a, _ = planted_lowrank(1200, 10, 2, seed=30 + seed, noise=0.2)
-            monkeypatch.setattr(sampling, "_SHRINK", 0.3)
+            set_p_m(40)
             lo = const_approx(a, 2, loss, seed=seed)
-            monkeypatch.setattr(sampling, "_SHRINK", 0.6)
+            set_p_m(80)
             hi = const_approx(a, 2, loss, seed=seed)
             # same scores and draw seed: the bigger plan keeps a superset,
             # so its span has no larger residual
             assert residual_cost(a, hi, None, loss) <= residual_cost(a, lo, None, loss) + 1e-8
 
     def test_output_dimension_capped(self, set_p_m):
+        # the plan expects P_M rows, and their span has no more dimensions
+        # than rows were drawn
         rng = np.random.default_rng(9)
         a = rng.standard_normal((2000, 40))
         set_p_m(25)
-        sub = const_approx(a, 2, LossSpec.lp(1.0), seed=0)
-        assert sub.dim <= 25
+        trace = {}
+        sub = const_approx(a, 2, LossSpec.lp(1.0), seed=0, trace=trace)
+        assert abs(trace["bicriteria_rows_expected"] - 25) <= 1e-9
+        assert sub.dim <= trace["bicriteria_rows"]

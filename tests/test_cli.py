@@ -328,6 +328,13 @@ class TestApproxCommand:
             res = _load(report)["results"]
             assert res["subspace_dim"] == 2 and res["v_cost_p"] == 0.0
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_small_cap_exit_3(self, matrix_files, capsys, cap):
+        rc = main(["approx", "--input", matrix_files["a_csv"], "--k", "2", "--loss", "l1",
+                   "--seed", "0", "--small-cap", cap])
+        assert rc == EXIT_CONFIG
+        assert "small_cap must be >= 1" in capsys.readouterr().err
+
     def test_small_cap_below_side_exit_4(self, tmp_path, capsys):
         # at d = 320 the reduced span is all of R^320, so the small problem
         # is 321 wide: above a cap of 310 (and the 301 that t_rows implies)
@@ -395,6 +402,13 @@ class TestRegressCommand:
         assert res[False]["base_rows"] == res[False]["base_rows_expected"] == 200
         assert res[True]["levels"] == 1
         assert res[True]["base_rows_expected"] == pytest.approx(40.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_non_positive_base_cap_exit_3(self, matrix_files, capsys, cap):
+        rc = main(["regress", "--input", matrix_files["a_csv"], "--rhs", matrix_files["rhs"],
+                   "--seed", "0", "--base-cap", cap])
+        assert rc == EXIT_CONFIG
+        assert "base_cap must be >= 1" in capsys.readouterr().err
 
     def test_all_zero_input_exit_0(self, tmp_path):
         # at a base cap of 40 the all-zero [A b] is scored, draws no row, and

@@ -10,7 +10,7 @@ from robsub import (
     weighted_leverage_scores,
     well_conditioned_basis,
 )
-from robsub import bicriteria, conditioning, sampling
+from robsub import conditioning, sampling
 from robsub.core import RowView, m_value
 
 
@@ -165,30 +165,24 @@ class TestWellConditionedBasis:
         a[rng.random(a.shape) < 0.4] = 0.0
         idx = np.sort(rng.choice(5000, 4000, replace=False))
         scale = np.exp(rng.standard_normal(4000))
-        view = RowView((sp.csr_matrix(a[:, :3]), a[:, 3:6], a[:, 6:]), idx, scale)
+        view = RowView((sp.csr_matrix(a[idx, :3]), a[idx, 3:6], a[idx, 6:]), scale)
         basis = well_conditioned_basis(view)
         want = (a[idx] * scale[:, None]) @ basis.change_of_basis
         assert np.abs(basis_rows(basis) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestConstApproxTarget:
-    def test_const_approx_target_capped(self, monkeypatch):
-        # the plan expects the end of the schedule n' -> min(c d'^2
-        # gamma_total, shrink n') while n' > P_M, on both sides of the cap
+    def test_const_approx_target_capped(self, set_p_m, monkeypatch):
+        # the one plan expects P_M rows: 50 k^2 at k = 1, and a P_M set to 40
         plans = []
         real = sampling.make_plan
         monkeypatch.setattr(sampling, "make_plan",
-                            lambda gamma, r: plans.append((gamma.sum(), r)) or real(gamma, r))
+                            lambda gamma, r: plans.append(r) or real(gamma, r))
         a = np.random.default_rng(33).standard_normal((3000, 10))
         const_approx(a, 1, LossSpec.lp(1.0), seed=2)  # P_M = 50, d' = 10
-        gamma_total, target = plans[0]
-        formula = bicriteria._SAMPLE_ROWS_C * 10**2 * gamma_total
-        assert formula > sampling._SHRINK * 3000
-        assert target == 3000 * sampling._SHRINK**6  # 46.875: six halvings
-        # a formula of 40 rows binds at the first step and ends the schedule
-        monkeypatch.setattr(bicriteria, "_SAMPLE_ROWS_C", 40.0 / (10**2 * gamma_total))
+        set_p_m(40)
         const_approx(a, 1, LossSpec.lp(1.0), seed=2)
-        assert len(plans) == 2 and plans[1][1] == pytest.approx(40.0, rel=1e-12)
+        assert plans == [50, 40]
 
 
 class TestNonFiniteInput:

@@ -68,7 +68,7 @@ def test_unused_import_is_caught():
 
 
 def test_one_sampling_step():
-    # make_plan, draw and the schedule's _SHRINK are named only in sampling.py,
+    # make_plan and draw are named only in sampling.py,
     # and no other module writes a stage's {stage}_rows(_expected) record
     key = re.compile(r"\w+_rows(_expected)?")
     for path in MODULES:
@@ -77,7 +77,7 @@ def test_one_sampling_step():
         tree = ast.parse(path.read_text(), filename=str(path))
         names = set(_imported(tree)) | _used(tree)
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert not names & {"make_plan", "draw", "_SHRINK"}, path.name
+        assert not names & {"make_plan", "draw"}, path.name
         writes = [node.arg for node in ast.walk(tree)
                   if isinstance(node, ast.keyword) and node.arg and key.fullmatch(node.arg)]
         writes += [node.slice.value for node in ast.walk(tree)

@@ -293,7 +293,7 @@ class TestSmallApprox:
         trace = {}
         sub = approx_lp(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
         assert len(calls) == pipeline._RESTARTS + trace["small_mm_steps"]
-        assert residual_cost(a, sub, None, work.loss) == pytest.approx(10638.882049779806,
+        assert residual_cost(a, sub, None, work.loss) == pytest.approx(10638.882071770942,
                                                                        rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12])
@@ -488,6 +488,17 @@ class TestApproxM2:
         with pytest.raises(ValueError):
             approx_m2(np.eye(4), 1, 0.2, LossSpec.lp(1.0))
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    @pytest.mark.parametrize("fit, loss", [(approx_lp, LossSpec.lp(1.0)),
+                                           (approx_m2, LossSpec.huber(1.0))])
+    def test_non_positive_small_cap_rejected_before_any_stage(self, monkeypatch, cap,
+                                                              fit, loss):
+        monkeypatch.setattr(pipeline, "_stage_subspace",
+                            lambda *args: pytest.fail("a subspace stage ran"))
+        a, _ = planted_lowrank(600, 20, 2, seed=5, noise=0.1)
+        with pytest.raises(ValueError, match="small_cap must be >= 1"):
+            fit(a, 2, 0.3, loss, small_cap=cap, seed=0)
+
     def test_deterministic_bit_for_bit(self):
         a, _ = planted_lowrank(600, 15, 2, seed=16, noise=0.1)
         loss = LossSpec.l1l2()
@@ -527,7 +538,7 @@ class TestApproxM2:
         """Count the R factors of all of ``a``, wherever r_factor is bound."""
         def whole(t):
             return t is a or (isinstance(t, RowView) and len(t.parts) == 1
-                              and t.parts[0] is a and t.idx is None and t.scale is None)
+                              and t.parts[0] is a and t.scale is None)
 
         wholes, r_factor = [], sketch.r_factor
 

@@ -328,6 +328,16 @@ class TestMRegress:
         with pytest.raises(ValueError):
             m_regress(np.eye(4), np.ones(5), LossSpec.huber(1.0))
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_non_positive_base_cap_rejected(self, monkeypatch, cap):
+        # rejected before any row is scored, rather than read as a sample of 2 (d+1) rows
+        monkeypatch.setattr(regression, "weighted_leverage_scores",
+                            lambda *args, **kw: pytest.fail("rows were scored"))
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((300, 8))
+        with pytest.raises(ValueError, match="base_cap must be >= 1"):
+            m_regress(a, a @ rng.standard_normal(8), LossSpec.huber(1.0), base_cap=cap)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("sampled", [False, True], ids=["irls-only", "sampled"])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])

@@ -6,13 +6,12 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import sample_size_subspace
-from oracles import bicriteria_schedule_loop, water_fill_full_sort
+from oracles import water_fill_full_sort
 from robsub import (
     LossSpec,
     SamplingPlan,
     approx_lp,
     approx_m2,
-    bicriteria,
     draw,
     irls_solve,
     m_regress,
@@ -183,31 +182,6 @@ class TestSampleStep:
         assert trace == {"stage_rows": 12, "stage_rows_expected": 12.0}
         assert type(trace["stage_rows_expected"]) is float
         sampling.record("stage", 12, 12, None)
-
-
-class TestScheduleEnd:
-    @staticmethod
-    def _rows(stop):
-        return (1, stop, stop + 1) + tuple(10**e for e in range(3, 8))
-
-    def test_bicriteria_schedule_matches_its_loop(self):
-        # bit for bit, over n, loss, k, d' = min(max(k + 1, 40 k^2), d) and
-        # score totals that let the formula bind or not
-        for loss in (LossSpec.lp(1.0), LossSpec.lp(1.5), LossSpec.huber(1.0)):
-            for k in range(1, 6):
-                for d in range(1, 201):
-                    m = int(min(max(k + 1, bicriteria._SKETCH_COLS_C * k * k), d))
-                    for n in self._rows(bicriteria._p_m(k, 10**7, loss)):
-                        p_m = bicriteria._p_m(k, n, loss)
-                        for gamma_total in (1e-3, 1.0, float(m)):
-                            got = bicriteria._sample_target(n, p_m, m, gamma_total, loss)
-                            want = bicriteria_schedule_loop(n, p_m, m, gamma_total, loss)
-                            assert got == want, (n, loss, k, d, gamma_total)
-
-    def test_steps_bound_the_schedule(self):
-        assert sampling.schedule_end(1000, 10, lambda size: size) == 7.8125
-        assert sampling.schedule_end(1000, 10, lambda size: 8.0) == 8.0
-        assert sampling.schedule_end(5, 10, lambda size: 1.0) == 5.0
 
 
 # the function that calls sampling.sample -> the stage it records

@@ -230,7 +230,7 @@ class TestRankRevealingFactor:
         rng = np.random.default_rng(31)
         idx = np.sort(rng.choice(9000, 6500, replace=False))
         scale = np.exp(rng.standard_normal(6500))
-        view = RowView((a[:, :8], sp.csr_matrix(a[:, 8:])), idx, scale)
+        view = RowView((a[idx, :8], sp.csr_matrix(a[idx, 8:])), scale)
         for t, dense in ((a, a), (c, a), (sp.coo_matrix(a), a), (halves, a),
                          (view, a[idx] * scale[:, None])):
             self._assert_matches_svd(t, dense)
@@ -304,7 +304,7 @@ class TestGramRoute:
             ("dense", a, a),
             ("csr", c, a),
             ("non-canonical csr", split_halves(c), a),
-            ("view", RowView((a[:, :8], sp.csr_matrix(a[:, 8:])), idx, scale),
+            ("view", RowView((a[idx, :8], sp.csr_matrix(a[idx, 8:])), scale),
              a[idx] * scale[:, None]),
         ]
 
@@ -378,7 +378,7 @@ class TestGramRoute:
             left, right = a[:, :4], sp.csr_matrix(a[:, 4:])
         idx = np.sort(rng.choice(6000, 4500, replace=False))
         scale = np.exp(0.5 * rng.standard_normal(4500))
-        r = sketch.r_factor(RowView((left, right), idx, scale))
+        r = sketch.r_factor(RowView((left[idx], right[idx]), scale))
         assert len(calls) == (route == "streamed")
         ref = sketch.r_factor(a[idx] * scale[:, None])
         assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -397,7 +397,7 @@ class TestOrthonormalizer:
             ("dense", a, a),
             ("csr", sp.csr_matrix(a), a),
             ("non-canonical csr", split_halves(sp.csr_matrix(a)), a),
-            ("view", RowView((a[:, :8], sp.csr_matrix(a[:, 8:])), idx, scale),
+            ("view", RowView((a[idx, :8], sp.csr_matrix(a[idx, 8:])), scale),
              a[idx] * scale[:, None]),
             ("wide", wide, wide),
             ("wide csr", sp.csr_matrix(wide), wide),
@@ -517,17 +517,17 @@ class TestPStable:
         assert np.allclose(out, full @ bs.toarray())
 
     def test_apply_to_rows_by_index(self):
-        # sketching some rows of a column stack by index adds the same terms
-        # in the same order as sketching a copy of those rows of the stack
+        # sketching a column stack of rows gathered by index adds the same
+        # terms in the same order as sketching a copy of those rows of the stack
         rng = np.random.default_rng(12)
         a, b = rng.standard_normal((4000, 6)), rng.standard_normal(4000)
         csr = sp.random(4000, 6, density=0.3, format="csr", random_state=4)
         rows = np.sort(rng.choice(4000, 1500, replace=False))
         for p in (1.0, 1.5):
             sk = make_pstable_sketch(10, s=100, n=1500, p=p)
-            out = np.hstack(sk.apply(RowView((a, b[:, None]), rows)).block(slice(None)))
+            out = np.hstack(sk.apply(RowView((a[rows], b[rows, None]))).block(slice(None)))
             assert np.array_equal(out, sk.apply(np.hstack([a, b[:, None]])[rows]))
-            out, = sk.apply(RowView((csr,), rows)).block(slice(None))
+            out, = sk.apply(RowView((csr[rows],))).block(slice(None))
             assert sp.issparse(out) and np.array_equal(out.toarray(), sk.apply(csr[rows]))
 
     def test_stable_scaling_law(self):
