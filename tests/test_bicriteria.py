@@ -94,9 +94,9 @@ def _spy(monkeypatch, name, module=bicriteria):
 
 
 class TestRecursionMechanics:
-    def test_one_plan_expects_p_m_rows(self, set_p_m, monkeypatch):
+    def test_one_plan_expects_p_m_rows(self, monkeypatch):
         # n > P_M: one scoring of A S^T and one plan, expecting P_M rows, for
-        # L1 at its own P_M = 50 k^2 = 450 and for Huber at a P_M set to 100
+        # L1 at its own P_M = 50 k^2 = 450
         scores = _spy(monkeypatch, "weighted_leverage_scores")
         plans = _spy(monkeypatch, "make_plan", sampling)
         a, _ = planted_lowrank(9000, 20, 3, seed=11, noise=0.1)
@@ -105,11 +105,19 @@ class TestRecursionMechanics:
         assert len(scores) == 1 and len(plans) == 1
         assert abs(plans[0].expected_size - 450) <= 1e-9
         assert trace["bicriteria_rows_expected"] == plans[0].expected_size
+
+    def test_huber_plan_expects_set_p_m_rows(self, set_p_m, monkeypatch):
+        # an M-estimator takes the same single plan: with P_M set to 100,
+        # 1500 Huber rows are scored once and 100 of them are expected
+        scores = _spy(monkeypatch, "weighted_leverage_scores")
+        plans = _spy(monkeypatch, "make_plan", sampling)
         set_p_m(100)
+        trace = {}
         const_approx(np.random.default_rng(5).standard_normal((1500, 6)), 2,
-                     LossSpec.huber(1.0), seed=1)
-        assert len(scores) == 2 and len(plans) == 2
-        assert abs(plans[1].expected_size - 100) <= 1e-9
+                     LossSpec.huber(1.0), seed=1, trace=trace)
+        assert len(scores) == 1 and len(plans) == 1
+        assert abs(plans[0].expected_size - 100) <= 1e-9
+        assert trace["bicriteria_rows_expected"] == plans[0].expected_size
 
     def test_lp_sample_size_within_3_sigma(self, set_p_m):
         loss = LossSpec.lp(1.0)
