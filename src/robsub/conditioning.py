@@ -23,8 +23,9 @@ Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
 ``weighted_leverage_scores`` is the one entry point: it builds one basis
 over every row of its operand (a matrix or a ``core.RowView``, whose parts
-are read one block of rows at a time, never stacked) and doubles the
-per-row scores.  Every sample is drawn once from unit-weight rows, so no
+are read one block of rows at a time, never stacked), finishes each row's
+doubled score in the pass over its block of the basis, and keeps only the
+n scores.  Every sample is drawn once from unit-weight rows, so no
 input weights reach the scores.
 """
 
@@ -70,14 +71,6 @@ class WellConditionedBasis:
                 else:
                     out += matmul_dense(part, f[c])
             yield lo, hi, out
-
-    def row_power_sums(self) -> np.ndarray:
-        """||U_i||_p^p = sum_j |U_ij|^p for every row, computed blockwise."""
-        out = np.empty(self.n)
-        for lo, hi, block in self.iter_row_blocks():
-            out[lo:hi] = (np.einsum("ij,ij->i", block, block) if self.p == 2.0
-                          else np.sum(np.abs(block) ** self.p, axis=1))
-        return out
 
 
 def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedBasis:
@@ -137,7 +130,9 @@ class LeverageScores:
     bucket_count: int
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.gamma)):
+        # min and max pass on a NaN and reach any infinity, and form no n-vector
+        g = self.gamma
+        if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
             raise ValueError("scores must be finite")
 
     @property
@@ -145,11 +140,18 @@ class LeverageScores:
         return float(self.gamma.sum())
 
 
-def _row_scores(loss: LossSpec, sums: np.ndarray) -> np.ndarray:
-    """Unweighted scores from a basis's row power sums ||U_i||_p^p."""
-    if loss.is_lp:
-        return sums
-    return np.maximum(np.sqrt(sums) / loss.c_m, sums)
+def _row_scores(loss: LossSpec, p: float, block: np.ndarray) -> np.ndarray:
+    """Twice the unweighted scores of a block of basis rows U_i: 2 ||U_i||_p^p,
+    or 2 max(||U_i|| / c_m, ||U_i||^2) for a general p=2 loss."""
+    if p == 2.0:
+        sums = np.einsum("ij,ij->i", block, block)
+    else:
+        mag = np.abs(block)
+        sums = (mag if p == 1.0 else mag ** p).sum(axis=1)
+    if not loss.is_lp:
+        sums = np.maximum(np.sqrt(sums) / loss.c_m, sums)
+    sums *= 2.0
+    return sums
 
 
 def weighted_leverage_scores(
@@ -162,6 +164,9 @@ def weighted_leverage_scores(
 
     One basis U is built over every row, and per-row scores are twice the
     unweighted form below; an all-zero operand builds none and scores 0.
+    Each row's score is finished in the pass over its block of U and
+    written into one preallocated n-vector, the only one the scoring holds:
+    besides A it takes the basis's O((m0 + 2048) m0) and one block of U.
 
     For |x|^p losses the unweighted score of row i is ||U_i||_p^p.  It
     bounds the row's sensitivity when U is the exact orthonormal factor:
@@ -184,12 +189,12 @@ def weighted_leverage_scores(
         return LeverageScores(np.zeros(src.shape[0]), 0)
     basis = well_conditioned_basis(src, p=loss.p if loss.is_lp else 2.0,
                                    seed=int(spawn_rng(seed, 29, 1).integers(2**31)))
+    g, p = None, basis.p
     if gauss_t is not None and gauss_t < basis.m:
         g = spawn_rng(seed, 31, 1).standard_normal((basis.m, gauss_t))
         g /= math.sqrt(gauss_t)
-        sums = np.empty(basis.n)
-        for lo, hi, block in basis.iter_row_blocks(right=g):
-            sums[lo:hi] = np.einsum("ij,ij->i", block, block)
-    else:
-        sums = basis.row_power_sums()
-    return LeverageScores(2.0 * _row_scores(loss, sums), 1)
+        p = 2.0  # the squared row norms of U G
+    gamma = np.empty(basis.n)
+    for lo, hi, block in basis.iter_row_blocks(right=g):
+        gamma[lo:hi] = _row_scores(loss, p, block)
+    return LeverageScores(gamma, 1)

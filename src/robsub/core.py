@@ -183,6 +183,18 @@ def as_weights(w, n: int) -> np.ndarray:
 # residual norms and dim_reduce's largest row norm
 _FACTOR_BLOCK = 2048
 
+# entries of an n-vector that the elementwise passes form at a time: a sampling
+# plan's probabilities and its draw's uniforms, IRLS's weights and losses, and a
+# regression objective's residuals.  An m_regress fit of 300 000 x 20 rows (one
+# BLAS thread on a 2-vCPU Xeon) took 60 ms at 16384, and 65 ms both at 2048,
+# from Python overhead, and with whole n-vectors
+_CHUNK = 16384
+
+
+def chunks(n: int) -> list:
+    """Slices that cover range(n) in order, ``_CHUNK`` long; n = 0 gives one empty slice."""
+    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, max(n, 1), _CHUNK)]
+
 
 def is_sparse(a) -> bool:
     return sp.issparse(a)
@@ -228,8 +240,8 @@ class RowView:
 
     The parts are dense arrays or CSR matrices with one row count, and the
     stack is never formed, nor any block of it: ``block`` gathers some rows
-    of each part, and ``left_product`` sketches the view without gathering
-    a row.  Gathered rows are multiplied by their scale.
+    of each part, and ``left_product`` sketches an unscaled view without
+    gathering a row.  Gathered rows are multiplied by their scale.
     """
 
     def __init__(self, parts, scale=None):
@@ -263,15 +275,12 @@ class RowView:
     def left_product(self, op) -> "RowView":
         """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
 
-        The scale multiplies op's columns, taken row by row (CSR), at a
-        cost of O(nnz(op)).
+        Only the unscaled views of the bases' sketches are sketched, so a
+        scaled view raises ValueError.
         """
-        if self.scale is None:
-            # op as given: a CSC op reads each part's rows in sequence
-            return RowView(tuple(op @ p for p in self.parts))
-        op = op.tocsr()
-        op = sp.csr_matrix((op.data * self.scale[op.indices], op.indices, op.indptr),
-                           shape=op.shape)
+        if self.scale is not None:
+            raise ValueError("left_product takes an unscaled view")
+        # op as given: a CSC op reads each part's rows in sequence
         return RowView(tuple(op @ p for p in self.parts))
 
 

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .conditioning import weighted_leverage_scores
-from .core import LossSpec, RowView, as_weights, m_derivative, m_value, row_view, spawn_rng
+from .core import (LossSpec, RowView, as_weights, chunks, m_derivative, m_value, row_view,
+                   spawn_rng)
 from . import sampling
 from .sketch import r_factor
 
@@ -25,11 +26,21 @@ _GAUSS_COLS = 30      # Gaussian columns of the p=2 scores (exact norms for a ba
 
 
 def regression_objective(a, b, x, w=None, loss: LossSpec = None) -> float:
-    """sum_i w_i M(residual_i) for the candidate solution x."""
-    resid = np.asarray(a @ x, dtype=float).ravel()  # a fresh product, so b comes off in place
-    resid -= np.asarray(b, dtype=float).ravel()
-    cost = m_value(loss, resid)
-    return float(cost.sum() if w is None else np.dot(as_weights(w, resid.size), cost))
+    """sum_i w_i M(residual_i) for the candidate solution x, summed over
+    blocks of ``core._CHUNK`` rows, so no n-vector is formed."""
+    rhs = np.asarray(b, dtype=float).ravel()
+    view = row_view(a)
+    if rhs.size != view.shape[0]:
+        raise ValueError("right-hand side length mismatch")
+    wv = None if w is None else as_weights(w, rhs.size)
+    total = 0.0
+    for c in chunks(rhs.size):
+        (rows,) = view.block(c)
+        resid = np.asarray(rows @ x, dtype=float).ravel()  # a fresh product: b comes off in place
+        resid -= rhs[c]
+        cost = m_value(loss, resid)
+        total += float(cost.sum() if wv is None else np.dot(wv[c], cost))
+    return total
 
 
 def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
@@ -51,7 +62,10 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     of rows of A and of b at a time, never stacked (``sketch.r_factor``):
     x is the least-norm solution of R11 x = z, with the singular-value
     cutoff of an n x d least-squares solve.  The residual A x - b is formed
-    once per iterate and serves both the objective and the next weights.
+    once per iterate and serves both the objective and the next weights,
+    which are formed in its place; losses and weights are evaluated one
+    chunk of ``core._CHUNK`` rows at a time, so a step holds at most three
+    n-vectors: the weights w, the residual and its losses.
     """
     if loss is None:
         raise TypeError("loss is required")
@@ -64,35 +78,50 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     wv = as_weights(w, n)
     rcond = np.finfo(float).eps * max(n, d)
 
-    def solve(v):
-        r = r_factor(row_view(stack, np.sqrt(v)))
+    def solve(root):
+        """The step for row weights root**2: root scales the rows of [A b]."""
+        r = r_factor(row_view(stack, root))
         return np.linalg.lstsq(r[:d, :d], r[:d, d], rcond=rcond)[0]
 
     def evaluate(x):
-        resid = np.asarray(a @ x).ravel() - rhs
-        return resid, float(np.dot(wv, m_value(loss, resid)))
+        resid = np.asarray(a @ x).ravel()  # a fresh product: b comes off in place
+        resid -= rhs
+        cost = np.empty(n)
+        for c in chunks(n):
+            cost[c] = m_value(loss, resid[c])
+        return resid, float(np.dot(wv, cost))
 
-    x = solve(wv)
+    def reweigh(resid):
+        """The roots of the weights w M'(|r|) / (2 |r|), written over resid."""
+        ares = np.abs(resid, out=resid)
+        np.maximum(ares, _RESID_FLOOR * ares.max(), out=ares)
+        for c in chunks(n):
+            r = ares[c]
+            np.sqrt(np.maximum(wv[c] * m_derivative(loss, r) / (2.0 * r), 0.0), out=r)
+        return ares
+
+    x = solve(np.sqrt(wv))
     resid, obj = evaluate(x)
     history = [obj]
     for _ in range(max_iter):
         if obj == 0.0:
             break
-        ares = np.abs(resid)
-        ares = np.maximum(ares, _RESID_FLOOR * ares.max())
-        x_new = solve(np.maximum(wv * m_derivative(loss, ares) / (2.0 * ares), 0.0))
+        x_new = solve(reweigh(resid))
+        resid = None  # its buffer held the weights
         resid_new, obj_new = evaluate(x_new)
         # divergence guard: fall back toward the current iterate if the step
         # rises by more than the stopping tolerance, which is above rounding
         halvings = 0
         while obj_new > obj + tol * obj and halvings < 40:
             x_new = 0.5 * (x_new + x)
+            resid_new = None
             resid_new, obj_new = evaluate(x_new)
             halvings += 1
         if obj_new > obj:
             break
         improved = obj - obj_new
         x, resid, obj = x_new, resid_new, obj_new
+        resid_new = None  # resid alone holds the buffer that the next weights take
         history.append(obj)
         if improved <= tol * obj:
             break
@@ -115,7 +144,8 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     row-norm estimates for p=2 losses), and each kept row weighs 1/q for
     every loss; a draw of at most d+1 rows is dropped for all the rows.
     The kept rows of A (CSR for a CSR A) and entries of b are gathered
-    once for IRLS.  A NaN or infinity in A or b raises ValueError from the
+    once for IRLS.  Besides A, the sample holds one n-vector, the scores,
+    let go before IRLS runs.  A NaN or infinity in A or b raises ValueError from the
     R factor of the scoring basis or of IRLS's first step.
     """
     if not (0.0 < eps < 1.0):
@@ -134,11 +164,12 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     size = max(base_cap, 2 * (d + 1))
     w = None
     if size < n:
-        scores = weighted_leverage_scores(
+        gamma = weighted_leverage_scores(
             stack, loss, seed=int(spawn_rng(seed, 137, 0).integers(2**31)),
-            gauss_t=_GAUSS_COLS if loss.is_m2 else None)
-        sample = sampling.sample("base", scores.gamma, size,
+            gauss_t=_GAUSS_COLS if loss.is_m2 else None).gamma
+        sample = sampling.sample("base", gamma, size,
                                  int(spawn_rng(seed, 139, 0, 0).integers(2**31)), trace)
+        del gamma
         if len(sample) > d + 1:
             w = sample.reweights
             a, rhs = stack.block(sample.indices)

@@ -57,8 +57,8 @@ def basis_rows(basis):
 
 def basis_scores(basis, loss):
     """Unweighted leverage scores of a prebuilt basis: half of what one weight bucket scores."""
-    return conditioning.LeverageScores(
-        conditioning._row_scores(loss, basis.row_power_sums()), 1)
+    doubled = conditioning._row_scores(loss, basis.p, basis_rows(basis))
+    return conditioning.LeverageScores(doubled / 2.0, 1)
 
 
 def sample_size_subspace(z, eps, delta, gamma_total, c=8.0):

@@ -15,14 +15,17 @@ import scipy.sparse as sp
 
 from robsub.core import (
     LossSpec,
+    RowView,
     Subspace,
     as_weights,
     m_derivative,
     m_value,
     residual_cost,
     residual_row_norms,
+    row_view,
     spawn_rng,
 )
+from robsub.sketch import r_factor
 
 
 def m_value_reference(loss: LossSpec, x):
@@ -205,3 +208,56 @@ def water_fill_full_sort(scores, r: float) -> np.ndarray:
     q = np.minimum(1.0, q)
     q[q < 1e-12] = 0.0
     return q
+
+
+def draw_all_at_once(q, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A Bernoulli draw of probabilities q from all n uniforms at once: the
+    indices with u_i < q_i and their q_i, u from the stream of the draw's seed."""
+    q = np.asarray(q, dtype=float)
+    u = spawn_rng(seed, 37).random(q.size)
+    idx = np.flatnonzero(u < q)
+    return idx, q[idx]
+
+
+def irls_whole_vectors(a, b, w, loss: LossSpec, tol: float = 1e-10, max_iter: int = 500):
+    """``regression.irls_solve`` with each weight, residual and loss vector
+    formed over all n rows at once, in the same order of operations: returns
+    the best iterate and the objective history."""
+    rhs = np.asarray(b, dtype=float).ravel()
+    stack = RowView((a, rhs[:, None]))
+    a = stack.parts[0]
+    n, d = a.shape
+    wv = as_weights(w, n)
+    rcond = np.finfo(float).eps * max(n, d)
+
+    def solve(v):
+        r = r_factor(row_view(stack, np.sqrt(v)))
+        return np.linalg.lstsq(r[:d, :d], r[:d, d], rcond=rcond)[0]
+
+    def evaluate(x):
+        resid = np.asarray(a @ x).ravel() - rhs
+        return resid, float(np.dot(wv, m_value(loss, resid)))
+
+    x = solve(wv)
+    resid, obj = evaluate(x)
+    history = [obj]
+    for _ in range(max_iter):
+        if obj == 0.0:
+            break
+        ares = np.abs(resid)
+        ares = np.maximum(ares, 1e-12 * ares.max())
+        x_new = solve(np.maximum(wv * m_derivative(loss, ares) / (2.0 * ares), 0.0))
+        resid_new, obj_new = evaluate(x_new)
+        halvings = 0
+        while obj_new > obj + tol * obj and halvings < 40:
+            x_new = 0.5 * (x_new + x)
+            resid_new, obj_new = evaluate(x_new)
+            halvings += 1
+        if obj_new > obj:
+            break
+        improved = obj - obj_new
+        x, resid, obj = x_new, resid_new, obj_new
+        history.append(obj)
+        if improved <= tol * obj:
+            break
+    return x, history

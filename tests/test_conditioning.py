@@ -207,7 +207,7 @@ class TestLeverageScores:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.standard_normal((40, 5)))
         basis = well_conditioned_basis(q, p=2.0, seed=0)
-        assert np.sum(basis.row_power_sums()) == pytest.approx(5.0)
+        assert np.sum(basis_rows(basis) ** 2) == pytest.approx(5.0)
 
     def test_identity_scores_equal(self):
         basis = well_conditioned_basis(np.eye(6), p=1.0, seed=4)

@@ -370,7 +370,7 @@ class TestSubspace:
 
 
 class TestScaledRowView:
-    """A view's row scale multiplies every gathered row, and every sketched one."""
+    """A view's row scale multiplies every gathered row; only an unscaled view is sketched."""
 
     def _parts(self):
         rng = np.random.default_rng(17)
@@ -414,10 +414,17 @@ class TestScaledRowView:
             assert np.array_equal(self._stacked(view.block(rows)), want[rows])
             assert np.array_equal(self._stacked(view.block(slice(7, None, 5))), want[7::5])
 
-    def test_left_product_folds_scale_into_operator(self):
+    def test_left_product_rejects_a_scaled_view(self):
+        scaled = 0
         for view, want in self._views():
             op = sp.random(30, view.shape[0], density=0.05, format="csc", random_state=6)
+            if view.scale is not None:
+                scaled += 1
+                with pytest.raises(ValueError, match="unscaled"):
+                    view.left_product(op)
+                continue
             got = self._stacked(view.left_product(op).block(slice(None)))
             expect = op @ want
             assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
             assert np.linalg.norm(expect) > 0.0
+        assert scaled == 5  # and one unscaled view

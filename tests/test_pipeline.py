@@ -395,7 +395,7 @@ class TestApproxLp:
         for fit, loss in ((approx_lp, LossSpec.lp(1.0)), (approx_m2, LossSpec.huber(1.0))):
             plans = []
             monkeypatch.setattr(sampling, "draw", lambda plan, seed=0: plans.append(plan)
-                                or draw(sampling.SamplingPlan(np.zeros_like(plan.q)), seed))
+                                or draw(sampling.SamplingPlan.from_probabilities(np.zeros_like(plan.q)), seed))
             with pytest.raises(CapExceededError, match="drew no rows"):
                 fit(a, 2, 0.3, loss, seed=5)
             assert len(plans) == 1 and plans[0].q.size == 200

@@ -6,8 +6,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
+from oracles import irls_whole_vectors
 from robsub import LossSpec, conditioning, regression, sampling
-from robsub.core import RowView, m_derivative, m_value, spawn_rng
+from robsub.core import _CHUNK, RowView, m_derivative, m_value, spawn_rng
 from robsub.regression import (
     irls_solve,
     m_regress,
@@ -190,6 +191,35 @@ class TestIrls:
         assert peak < n * d * 8 / 4
         assert np.abs(x - irls_solve(a.toarray(), b, None, loss)).max() <= 1e-10
 
+    @pytest.mark.parametrize("loss", [LossSpec.huber(1.0), LossSpec.lp(1.0), LossSpec.lp(1.5),
+                                      LossSpec.fair(2.0)], ids=["huber", "l1", "p1.5", "fair"])
+    def test_chunked_vectors_match_whole_vectors(self, loss):
+        # weights and losses formed a chunk at a time, over three chunks, give
+        # the iterates of whole-vector passes bit for bit
+        n = 2 * _CHUNK + 7
+        a, b, _ = _outlier_problem(n, 6, 20)
+        w = 1.0 + 3.0 * np.random.default_rng(20).random(n)
+        x, hist = irls_solve(a, b, w, loss, return_history=True)
+        x_ref, hist_ref = irls_whole_vectors(a, b, w, loss)
+        assert len(hist) >= 3
+        assert np.array_equal(hist, hist_ref) and np.array_equal(x, x_ref)
+
+    def test_dense_peak_below_three_and_a_half_n_vectors(self):
+        # the unit weights, the residual and its losses: the next weights are
+        # formed in the residual's place, and losses and weights a chunk at a time
+        n = 200_000
+        a, b, _ = _outlier_problem(n, 10, 19, frac=0.01)
+        loss = LossSpec.huber(1.0)
+        irls_solve(a[:3000], b[:3000], None, loss)  # modules imported on first use
+        tracemalloc.start()
+        try:
+            _, hist = irls_solve(a, b, None, loss, return_history=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(hist) >= 3  # several reweighted steps
+        assert peak < 3.5 * 8 * n
+
 
 class TestMRegress:
     def test_interpolation_near_zero_cost(self):
@@ -271,6 +301,24 @@ class TestMRegress:
             tracemalloc.stop()
         assert tr["levels"] == 1
         assert peak < 0.8 * a.nbytes
+
+    def test_huber_peak_below_two_n_vectors(self):
+        # the scores are the one n-vector of the fit: each is finished in its
+        # block of the basis, the plan and its draw form O(chunk) more, and
+        # the scores are let go before IRLS solves the sample
+        n = 200_000
+        a, b, _ = _outlier_problem(n, 10, 18, frac=0.01)
+        loss = LossSpec.huber(1.0)
+        m_regress(a[:5000], b[:5000], loss, seed=1)  # modules imported on first use
+        tr = {}
+        tracemalloc.start()
+        try:
+            m_regress(a, b, loss, seed=1, trace=tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr["levels"] == 1
+        assert peak < 2 * 8 * n
 
     def test_one_score_pass_draws_schedule_end(self, monkeypatch):
         # 20000 x 6 at eps = 0.5: one scoring of [A b] and one plan expecting

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import sample_size_subspace
-from oracles import water_fill_full_sort
+from oracles import draw_all_at_once, water_fill_full_sort
 from robsub import (
     LossSpec,
     SamplingPlan,
@@ -21,7 +21,7 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub.core import spawn_rng
+from robsub.core import _CHUNK, spawn_rng
 
 
 class TestMakePlan:
@@ -145,10 +145,59 @@ class TestDraw:
         # same seed, inflated probabilities: the draw can only grow
         rng = np.random.default_rng(5)
         plan = make_plan(rng.random(200), r=30.0)
-        bigger = SamplingPlan(np.minimum(1.0, 3.0 * plan.q))
+        bigger = SamplingPlan.from_probabilities(np.minimum(1.0, 3.0 * plan.q))
         d1 = draw(plan, seed=11)
         d2 = draw(bigger, seed=11)
         assert set(d1.indices).issubset(set(d2.indices))
+
+
+class TestChunkedDraw:
+    """A plan forms q, and its draw the uniforms, a chunk at a time, on the
+    stream that one call for all n uniforms gives: the draw is that call's."""
+
+    @staticmethod
+    def _plans(n):
+        """(name, plan) of plain, water-filled and floored plans of n rows."""
+        rng = np.random.default_rng(n)
+        scores = rng.random(n)
+        yield "plain", make_plan(scores, r=0.3 * n)
+        heavy = rng.pareto(0.5, n)
+        r = max(0.3 * n, 2.0)
+        assert r * heavy.max() / heavy.sum() > 1.0  # the water-fill runs
+        yield "water-filled", make_plan(heavy, r=r)
+        tiny = 0.5 * scores
+        tiny[::3] = 1e-13
+        plan = SamplingPlan.from_probabilities(tiny)
+        assert not plan.q[::3].any() and plan.q[1::3].all()
+        yield "floored", plan
+
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+    def test_draw_equals_one_stream_of_n_uniforms(self, n):
+        for name, plan in self._plans(n):
+            assert plan.q.size == n
+            for seed in (0, 17):
+                idx, q_sel = draw_all_at_once(plan.q, seed)
+                got = draw(plan, seed=seed)
+                assert np.array_equal(got.indices, idx), name
+                assert np.array_equal(got.q_sel, q_sel), name
+                assert got.indices.dtype == np.intp, name
+            # the chunks' sum rounds apart from one sum of all q
+            assert plan.expected_size == pytest.approx(plan.q.sum(), rel=1e-12), name
+
+    def test_no_rows_draw_nothing(self):
+        plan = SamplingPlan.from_probabilities(np.zeros(0))
+        got = draw(plan, seed=3)
+        assert got.indices.size == got.q_sel.size == 0 and got.indices.dtype == np.intp
+        assert plan.expected_size == 0.0
+
+    def test_plan_keeps_the_scores_not_a_copy(self):
+        scores = np.random.default_rng(3).random(100)
+        assert make_plan(scores, r=10.0).scores is scores
+
+    def test_probabilities_out_of_range_rejected(self):
+        for bad in (np.array([0.5, 1.5]), np.array([-0.1]), np.array([np.nan]), np.ones((2, 2))):
+            with pytest.raises(ValueError):
+                SamplingPlan.from_probabilities(bad)
 
 
 class TestSampleStep:
