@@ -1,11 +1,12 @@
 """Constant-factor bicriteria subspaces by one right sketch and one row sample.
 
 The driver sketches the input on the right down to d' = poly(k) columns,
-scores the rows of the sketched copy A S^T once with leverage scores,
+scores the rows of the sketched product A S^T once with leverage scores,
 and draws one sample of the rows expecting P_M of them; the row space of
-the sampled input rows is the bicriteria subspace.  This is dv07's
-sequential row selection with the sample chosen all at once, as the
-source paper argues it may be.
+the sampled input rows is the bicriteria subspace.  A S^T is never
+formed: it is a ``sketch.RightSketchPart``, computed one block of rows at
+a time on each read.  This is dv07's sequential row selection with the
+sample chosen all at once, as the source paper argues it may be.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 from .conditioning import weighted_leverage_scores
 from .core import LossSpec, Subspace, check_finite, spawn_rng
 from . import sampling, sketch
-from .sketch import apply_right, make_sparse_sketch, orthonormal_union, rank_revealing_factor
+from .sketch import RightSketchPart, make_sparse_sketch, orthonormal_union, rank_revealing_factor
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
 _SKETCH_NNZ = 4
@@ -40,10 +41,16 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     The sample expects P_M rows, so the output dimension is at most P_M
     in expectation (not for certain); its cost is within a
     modest factor of the best rank-k cost (over the randomness of sketch
-    and sample).  When every row is kept (n <= P_M) the subspace is the
+    and sample).  The n x m product A S^T is scored as a
+    ``sketch.RightSketchPart``, so the stage holds A, a block of the
+    product (at most 2048 rows, and 0.5 MB past 32 columns), O((m + d) m)
+    for the sketch and basis, and, past the p-stable row cap, the sketch
+    Pi A of at most nnz(A) entries; never the n x m product.  When every
+    row is kept (n <= P_M) no product with S is taken: the subspace is the
     row space of A and carries the R factor of A it was read from
-    (``Subspace.r``).  ``trace`` receives the realized and expected rows
-    of the sample (``bicriteria_rows``, ``bicriteria_rows_expected``).
+    (``Subspace.r``).
+    ``trace`` receives the realized and expected rows of the sample
+    (``bicriteria_rows``, ``bicriteria_rows_expected``).
     """
     n, d = a.shape
     if n == 0:
@@ -65,7 +72,7 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     m = int(min(max(k + 1, _SKETCH_COLS_C * k * k), d))
     right = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
                                m=m, d=d, s=min(_SKETCH_NNZ, m))
-    scores = weighted_leverage_scores(apply_right(a, right), loss,
+    scores = weighted_leverage_scores(RightSketchPart(a, right), loss,
                                       seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
     sample = sampling.sample("bicriteria", scores.gamma, p_m,
                              int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)

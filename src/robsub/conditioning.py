@@ -25,8 +25,11 @@ to the v-measure, and drive all row sampling downstream.
 over every row of its operand (a matrix or a ``core.RowView``, whose parts
 are read one block of rows at a time, never stacked), finishes each row's
 doubled score in the pass over its block of the basis, and keeps only the
-n scores.  Every sample is drawn once from unit-weight rows, so no
-input weights reach the scores.
+n scores.  A part computed on read, the right-sketched product A S^T of a
+``sketch.RightSketchPart``, is never formed: its p-stable sketch is
+(Pi A) S^T, computed block by block from Pi A, and the basis is read as
+A (S^T F), with S^T folded into the change of basis.  Every sample is
+drawn once from unit-weight rows, so no input weights reach the scores.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .core import _FACTOR_BLOCK, LossSpec, RowView, is_sparse, matmul_dense, row_view, spawn_rng
-from .sketch import make_pstable_sketch, orthonormalizer
+from .sketch import RightSketchPart, make_pstable_sketch, orthonormalizer
 
 # p < 2 size rule of well_conditioned_basis: c_pi m0^2 hash buckets and their cap
 _C_PI = 20.0
@@ -57,19 +60,29 @@ class WellConditionedBasis:
 
     def iter_row_blocks(self, block_rows: int = _FACTOR_BLOCK, right=None):
         """Row blocks of U, or of U @ right taken as A @ (F @ right), summed part
-        by part: a one-column dense part adds its outer product in place."""
+        by part: a one-column dense part adds its outer product in place.  A
+        ``RightSketchPart`` A S^T is read as A (S^T F), so none of its rows is formed."""
         # imported on first use: scipy.linalg adds about 0.13 s to the package's import
         from scipy.linalg import blas
 
         f = self.change_of_basis if right is None else self.change_of_basis @ right
-        first, *cols = self._a.columns()
-        for lo, hi, (block, *others) in self._a.blocks(block_rows):
-            out = matmul_dense(block, f[first])
-            for c, part in zip(cols, others):
+        parts, fs = [], []
+        for c, part in zip(self._a.columns(), self._a.parts):
+            if isinstance(part, RightSketchPart):
+                parts.append(part.a)
+                fs.append(part.r.right_operator() @ f[c])
+            else:
+                parts.append(part)
+                fs.append(f[c])
+        first, *rest = fs
+        size = self._a.rows_per_block(block_rows)  # as its computed parts set it
+        for lo, hi, (block, *others) in RowView(parts, self._a.scale).blocks(size):
+            out = matmul_dense(block, first)
+            for fc, part in zip(rest, others):
                 if part.shape[1] == 1 and not is_sparse(part):
-                    out = blas.dger(1.0, f[c][0], part[:, 0], a=out.T, overwrite_a=1).T
+                    out = blas.dger(1.0, fc[0], part[:, 0], a=out.T, overwrite_a=1).T
                 else:
-                    out += matmul_dense(part, f[c])
+                    out += matmul_dense(part, fc)
             yield lo, hi, out
 
 

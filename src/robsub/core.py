@@ -183,6 +183,14 @@ def as_weights(w, n: int) -> np.ndarray:
 # residual norms and dim_reduce's largest row norm
 _FACTOR_BLOCK = 2048
 
+# entries of a computed part's block, 0.5 MB: a view that holds a ``ComputedPart``
+# reads fewer rows than asked per block when it is wider than 32 columns, so a
+# pass holds a few such blocks whatever the width.  With 1 MB blocks the 9100 x 300
+# CSR fit of the CI's outliers.mtx peaked at 7.5 MB in its bicriteria stage, next
+# to the 7.6 MB of its [A U, r]; with 0.5 MB at 5.6 MB.  Every benchmark operand
+# that holds a computed part is at most 32 wide
+_COMPUTED_ENTRIES = _FACTOR_BLOCK * 32
+
 # entries of an n-vector that the elementwise passes form at a time: a sampling
 # plan's probabilities and its draw's uniforms, IRLS's weights and losses, and a
 # regression objective's residuals.  An m_regress fit of 300 000 x 20 rows (one
@@ -234,18 +242,51 @@ def matmul_dense(a, b) -> np.ndarray:
     return np.asarray(out)
 
 
+def _take(part, rows):
+    """Rows ``rows`` (a slice or index array) of a dense, CSR or computed part."""
+    if isinstance(part, np.ndarray) and not isinstance(rows, slice):
+        return part.take(rows, axis=0)
+    return part[rows]
+
+
+class ComputedPart:
+    """A ``RowView`` part whose rows are computed on read from those of a
+    matrix ``a`` (dense or CSR), and never stored.
+
+    Indexing with a slice or an index array takes those rows of ``a`` and
+    returns ``compute`` of them, a dense block of ``width`` columns.  A
+    part has a ``left_product`` only when its rows are linear in those of
+    ``a`` (``sketch.RightSketchPart``); others raise ValueError.
+    """
+
+    def __init__(self, a, width: int):
+        self.a = a.tocsr() if is_sparse(a) else np.asarray(a, dtype=float)
+        self.shape = (self.a.shape[0], width)
+
+    def compute(self, rows) -> np.ndarray:
+        raise NotImplementedError
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.compute(_take(self.a, rows))
+
+    def left_product(self, op) -> "ComputedPart":
+        raise ValueError(f"{type(self).__name__} rows are not linear in the input's")
+
+
 class RowView:
     """The column stack of ``parts``, each row times ``scale`` (one factor
     per row, or None for none).
 
-    The parts are dense arrays or CSR matrices with one row count, and the
-    stack is never formed, nor any block of it: ``block`` gathers some rows
-    of each part, and ``left_product`` sketches an unscaled view without
+    The parts are dense arrays, CSR matrices or ``ComputedPart``s with one
+    row count, and the stack is never formed, nor any block of it:
+    ``block`` gathers some rows of each part (a computed part computes
+    just those), and ``left_product`` sketches an unscaled view without
     gathering a row.  Gathered rows are multiplied by their scale.
     """
 
     def __init__(self, parts, scale=None):
-        self.parts = tuple(p.tocsr() if is_sparse(p) else np.asarray(p, dtype=float)
+        self.parts = tuple(p if isinstance(p, ComputedPart)
+                           else p.tocsr() if is_sparse(p) else np.asarray(p, dtype=float)
                            for p in parts)
         self.scale = scale
         self.shape = (self.parts[0].shape[0], sum(p.shape[1] for p in self.parts))
@@ -257,8 +298,7 @@ class RowView:
 
     def block(self, rows):
         """Rows ``rows`` (a slice or index array) of each part, times their scale."""
-        blocks = [p[rows] if is_sparse(p) or isinstance(rows, slice) else p.take(rows, axis=0)
-                  for p in self.parts]
+        blocks = [_take(p, rows) for p in self.parts]
         if self.scale is None:
             return blocks
         s = self.scale[rows]
@@ -266,8 +306,17 @@ class RowView:
                               shape=b.shape)
                 if is_sparse(b) else b * s[:, None] for b in blocks]
 
+    def rows_per_block(self, size: int) -> int:
+        """The rows of each block of ``blocks(size)``: ``size``, or for a view that
+        holds a computed part at most ``_COMPUTED_ENTRIES`` entries' worth."""
+        if any(isinstance(p, ComputedPart) for p in self.parts):
+            return max(1, min(size, _COMPUTED_ENTRIES // self.shape[1]))
+        return size
+
     def blocks(self, size: int):
-        """(lo, hi, rows lo:hi of each part) in order; no rows give one empty block."""
+        """(lo, hi, rows lo:hi of each part) in order, ``rows_per_block(size)`` at a
+        time; no rows give one empty block."""
+        size = self.rows_per_block(size)
         for lo in range(0, max(self.shape[0], 1), size):
             hi = min(lo + size, self.shape[0])
             yield lo, hi, self.block(slice(lo, hi))
@@ -275,13 +324,15 @@ class RowView:
     def left_product(self, op) -> "RowView":
         """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
 
-        Only the unscaled views of the bases' sketches are sketched, so a
-        scaled view raises ValueError.
+        A computed part gives its own ``left_product``.  Only the unscaled
+        views of the bases' sketches are sketched, so a scaled view raises
+        ValueError.
         """
         if self.scale is not None:
             raise ValueError("left_product takes an unscaled view")
         # op as given: a CSC op reads each part's rows in sequence
-        return RowView(tuple(op @ p for p in self.parts))
+        return RowView(tuple(p.left_product(op) if isinstance(p, ComputedPart) else op @ p
+                             for p in self.parts))
 
 
 def row_view(a, scale=None) -> RowView:
@@ -345,8 +396,9 @@ class Subspace:
         if u.ndim != 2:
             raise ValueError("subspace factor must be 2-D")
         if u.shape[1] > 0:
-            gram = u.T @ u
-            err = np.abs(gram - np.eye(u.shape[1])).max()
+            gram = u.T @ u  # minus the identity, in place: no other dim x dim array
+            gram.flat[::u.shape[1] + 1] -= 1.0
+            err = np.abs(gram, out=gram).max()
             if err > 1e-10:
                 raise ValueError(f"columns not orthonormal (deviation {err:.2e})")
         object.__setattr__(self, "u", u)

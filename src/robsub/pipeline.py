@@ -8,7 +8,8 @@ the projection onto B -> min over rank-k projectors W W^T of the small
 problem on the kept rows' exact columns T [A U, r], weighted by 1/q ->
 return U W.  Its per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
 ||A_i U (I - W W^T)||^2 + r_i^2 (a projection-cost-preserving reduction;
-Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed.
+Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed, nor
+the n x (m+1) [A U, r]: its rows are computed block by block on each read.
 
 The small solver is heuristic by design: a reweighted-PCA alternation
 (``_mm_descent``) runs from a few random orthonormal starts, and the
@@ -26,9 +27,11 @@ import numpy as np
 from .bicriteria import const_approx
 from .core import (
     _FACTOR_BLOCK,
+    ComputedPart,
     LossSpec,
     Subspace,
     as_weights,
+    is_sparse,
     m_derivative,
     m_value,
     project_rows,
@@ -234,12 +237,22 @@ def _stage_subspace(a, k, eps, loss, seed, trace):
     return sub
 
 
-def _exact_columns(a, u: np.ndarray) -> np.ndarray:
-    """[A U, r] with r_i = ||A_i (I - U U^T)||, built one row block at a time."""
-    out = np.empty((a.shape[0], u.shape[1] + 1))
-    for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
-        out[lo:hi, :-1], out[lo:hi, -1] = project_rows(rows, u)
-    return out
+def _exact_columns(rows, u: np.ndarray) -> np.ndarray:
+    """[A U, r] of some rows A of the input, with r_i = ||A_i (I - U U^T)||."""
+    au, r = project_rows(rows, u)
+    return np.column_stack((au, r))
+
+
+class _ExactColumns(ComputedPart):
+    """The rows of [A U, r], computed on read by ``_exact_columns`` (a ``core.ComputedPart``)."""
+
+    def __init__(self, a, u: np.ndarray):
+        super().__init__(a, u.shape[1] + 1)
+        # scipy multiplies a CSR block by a C-ordered U as it is, and copies any other
+        self.u = np.ascontiguousarray(u) if is_sparse(self.a) else u
+
+    def compute(self, rows) -> np.ndarray:
+        return _exact_columns(rows, self.u)
 
 
 def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
@@ -314,13 +327,18 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
     orthonormal columns.  A U of m columns with m + 1 > ``small_cap``
     raises ``CapExceededError`` before any column or row of the final
     sample is formed.  Otherwise ``_final_sample`` draws the rows of
-    the dense n x (m+1) operand [A U, r], or of A as given (dense or CSR)
-    when U is square, as [A U, 0] then spans the column space of A.  Its R
-    is that of A which U carries when U is the bicriteria stage's row
-    space of A (every row kept), so A is factored once per fit, and
-    ``sketch.r_factor`` of the operand otherwise.  The kept rows are
-    gathered once for the weighted small problem on their exact columns.
-    Salts seed the draw and the small solve.
+    the n x (m+1) operand [A U, r], a ``_ExactColumns`` part computed one
+    block at a time on each read (at most ``_FACTOR_BLOCK`` rows, and
+    0.5 MB past 32 columns) and never formed whole, or of A as given
+    (dense or CSR) when U is square, as [A U, 0] then spans the column
+    space of A.  Its R is that of A which U carries when U is the
+    bicriteria stage's row space of A (every row kept), so A is factored
+    once per fit, and ``sketch.r_factor`` of the operand otherwise; each
+    of the R and the draw reads the operand once (the R twice when it
+    falls back from the Gram to the streamed QR), for nnz(A) m work per
+    read.  The kept rows of A are gathered once, and
+    their exact columns formed, for the weighted small problem.  Salts
+    seed the draw and the small solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -342,15 +360,15 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
             f"small problem has side {m + 1} > cap {small_cap}; raise the "
             "cap or lower the sampling targets")
 
-    scored = a if m == d else _exact_columns(a, u)
+    scored = a if m == d else _ExactColumns(a, u)
     # a square U that carries an R factor was read from A itself
     top = u if m == d and sub.r is not None else None
     r_scored = r_factor(scored) if top is None else sub.r
     idx, w = _final_sample(scored, m, r_scored, k, loss,
                            int(spawn_rng(seed, salts[0]).integers(2**31)), tr, top)
 
-    kept, = row_view(scored).block(idx)
-    prob = SmallProblem(_exact_columns(kept, u) if m == d else kept, w, k)
+    kept, = row_view(a).block(idx)
+    prob = SmallProblem(_exact_columns(kept, u), w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[1]).integers(2**31)),
                             trace=tr)
     return _final_factor(u, w_factor)

@@ -1,9 +1,11 @@
 """Brute-force and reference solvers that the tests check the pipelines against.
 
-Nothing here shares code with the sampling pipelines: the tiny-instance
-searches enumerate dense candidate sets (of subspaces, or of factors for a
-small problem), and the alternating reference is a self-contained
-reweighted-PCA loop.
+The tiny-instance searches enumerate dense candidate sets (of subspaces,
+or of factors for a small problem), and the alternating reference is a
+self-contained reweighted-PCA loop.  The eager references run a stage's
+own steps on operands that the library never forms whole (A S^T, whole
+n-vectors), so a test can check that the blockwise reads draw the same
+rows and reach the same fits.
 """
 
 import itertools
@@ -25,7 +27,9 @@ from robsub.core import (
     row_view,
     spawn_rng,
 )
-from robsub.sketch import r_factor
+from robsub import bicriteria, sampling
+from robsub.conditioning import weighted_leverage_scores
+from robsub.sketch import apply_right, make_sparse_sketch, r_factor
 
 
 def m_value_reference(loss: LossSpec, x):
@@ -261,3 +265,22 @@ def irls_whole_vectors(a, b, w, loss: LossSpec, tol: float = 1e-10, max_iter: in
         if improved <= tol * obj:
             break
     return x, history
+
+
+def eager_bicriteria_rows(a, k: int, loss: LossSpec, seed: int) -> np.ndarray:
+    """The rows ``bicriteria.const_approx`` draws from an input of n > P_M rows,
+    with A S^T formed whole.
+
+    The right sketch, the scores and the draw are const_approx's, seeded
+    as it seeds them, but the n x m product A S^T is formed by
+    ``apply_right`` and scored as a dense matrix, so a p-stable sketch of
+    it, when one is taken, is Pi (A S^T) rather than (Pi A) S^T.
+    """
+    n, d = a.shape
+    m = int(min(max(k + 1, bicriteria._SKETCH_COLS_C * k * k), d))
+    right = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)), m=m, d=d,
+                               s=min(bicriteria._SKETCH_NNZ, m))
+    scores = weighted_leverage_scores(apply_right(a, right), loss,
+                                      seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
+    return sampling.sample("bicriteria", scores.gamma, bicriteria._p_m(k, n, loss),
+                           int(spawn_rng(seed, 59, 0, 0).integers(2**31)), None).indices

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import planted_lowrank
 from robsub import (
@@ -10,7 +12,8 @@ from robsub import (
     residual_cost,
     v_norm_p,
 )
-from robsub import bicriteria, sampling
+from oracles import eager_bicriteria_rows
+from robsub import bicriteria, sampling, sketch
 from robsub.oracle import svd_truncation_cost
 
 
@@ -30,14 +33,23 @@ class TestBaseCase:
         assert const_approx(big, 1, loss, seed=0).r is None  # P_M = 50 < 300
 
     def test_base_case_skips_right_sketch(self, monkeypatch):
-        # n <= P_M: no sample reads the sketched copy, so none is made
-        monkeypatch.setattr(bicriteria, "apply_right",
-                            lambda *args: pytest.fail("apply_right called"))
-        a = np.random.default_rng(2).standard_normal((40, 9))
+        # n <= P_M: no sample reads the sketched operand, so no product with the
+        # right sketch is taken.  Every one reads S^T from right_operator: the
+        # blocks of apply_right and the basis's folded A (S^T F) alike
+        def product(*args):
+            pytest.fail("a right-sketch product was computed")
+
+        monkeypatch.setattr(sketch, "apply_right", product)
+        monkeypatch.setattr(sketch.SparseSketch, "right_operator", product)
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((40, 9))
         trace = {}
         sub = const_approx(a, 2, LossSpec.huber(1.0), seed=0, trace=trace)
         assert sub.dim == 9
         assert trace == {"bicriteria_rows": 40, "bicriteria_rows_expected": 40.0}
+        # past P_M = 200 L1 rows the same patches trip
+        with pytest.raises(pytest.fail.Exception, match="right-sketch product"):
+            const_approx(rng.standard_normal((300, 9)), 2, LossSpec.lp(1.0), seed=0)
 
     def test_no_plan_up_to_p_m(self, monkeypatch):
         # L1 at k = 2 has P_M = 200: 200 rows are all kept with no plan made,
@@ -185,3 +197,29 @@ class TestRecursionMechanics:
         sub = const_approx(a, 2, LossSpec.lp(1.0), seed=0, trace=trace)
         assert abs(trace["bicriteria_rows_expected"] - 25) <= 1e-9
         assert sub.dim <= trace["bicriteria_rows"]
+
+
+class TestComputedRightSketch:
+    @pytest.mark.parametrize("n", [6000, 10000], ids=["no-pstable", "pstable"])
+    def test_eager_rows_drawn_below_half_the_sketch(self, monkeypatch, n):
+        # L1 at k = 3 sketches 600 CSR columns to m = 360.  A S^T is read one
+        # block at a time and never formed, and the rows drawn are those drawn
+        # from the formed product.  Past 8192 rows, the p-stable row cap, the
+        # basis is conditioned by Pi applied to A, not to A S^T
+        a = sp.random(n, 600, density=0.02, format="csr", random_state=n)
+        loss = LossSpec.lp(1.0)
+        want = eager_bicriteria_rows(a, 3, loss, seed=1)
+        const_approx(a, 3, loss, seed=1)  # the modules imported on first use
+        draws = _spy(monkeypatch, "draw", sampling)
+        sketched, apply = [], sketch.PStableSketch.apply
+        monkeypatch.setattr(sketch.PStableSketch, "apply",
+                            lambda pi, b: sketched.append(b.shape) or apply(pi, b))
+        tracemalloc.start()
+        try:
+            const_approx(a, 3, loss, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(draws) == 1 and np.array_equal(draws[0].indices, want)
+        assert sketched == ([(n, 360)] if n > 8192 else [])
+        assert peak < n * 360 * 8 / 2

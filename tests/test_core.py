@@ -15,7 +15,10 @@ from robsub import (
     residual_cost,
     v_norm_p,
 )
-from robsub.core import RowView, as_weights, residual_row_norms, row_norms, row_view
+from robsub import pipeline
+from robsub.core import (_COMPUTED_ENTRIES, _FACTOR_BLOCK, RowView, as_weights,
+                         residual_row_norms, row_norms, row_view)
+from robsub.sketch import RightSketchPart, apply_right, make_sparse_sketch
 
 
 class TestLossValues:
@@ -428,3 +431,71 @@ class TestScaledRowView:
             assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
             assert np.linalg.norm(expect) > 0.0
         assert scaled == 5  # and one unscaled view
+
+
+class TestComputedParts:
+    """Parts computed on read: A S^T (sketch.RightSketchPart) and [A U, r] (pipeline._ExactColumns)."""
+
+    def _parts(self):
+        """(part, the matrix it computes) for a dense and a CSR A."""
+        rng = np.random.default_rng(23)
+        dense = rng.standard_normal((300, 12))
+        csr = sp.random(300, 12, density=0.3, format="csr", random_state=8)
+        r = make_sparse_sketch(5, 6, 12, 2)
+        u = np.linalg.qr(rng.standard_normal((12, 4)))[0]
+        for a in (dense, csr):
+            yield RightSketchPart(a, r), apply_right(a, r)
+            yield pipeline._ExactColumns(a, u), pipeline._exact_columns(a, u)
+
+    def test_block_by_slice_and_index(self):
+        idx = np.array([7, 0, 299, 7, 23])
+        scale = np.exp(np.random.default_rng(24).standard_normal(300))
+        for part, full in self._parts():
+            view = RowView((part,))
+            assert view.shape == full.shape
+            for rows in (slice(10, 130), slice(7, None, 5), idx):
+                got, = view.block(rows)
+                assert np.allclose(got, full[rows], rtol=1e-13, atol=1e-13)
+                # A S^T is computed row by row, to the bit
+                assert isinstance(part, pipeline._ExactColumns) or np.array_equal(got, full[rows])
+            got, = RowView((part,), scale).block(idx)
+            assert np.allclose(got, full[idx] * scale[idx, None], rtol=1e-13, atol=1e-13)
+
+    def test_blocks_cover_the_rows_beside_a_stored_part(self):
+        other = np.arange(600.0).reshape(300, 2)
+        for part, full in self._parts():
+            view = RowView((part, other))
+            got = list(view.blocks(128))
+            assert [(lo, hi) for lo, hi, _ in got] == [(0, 128), (128, 256), (256, 300)]
+            stacked = np.vstack([np.hstack(parts) for _, _, parts in got])
+            assert np.allclose(stacked, np.hstack([full, other]), rtol=1e-13, atol=1e-13)
+
+    def test_wide_part_reads_fewer_rows(self):
+        # a view that holds a computed part is read _COMPUTED_ENTRIES entries at a
+        # time once it is wider than _COMPUTED_ENTRIES / _FACTOR_BLOCK columns
+        a = sp.random(3000, 200, density=0.05, format="csr", random_state=9)
+        wide = RightSketchPart(a, make_sparse_sketch(6, 100, 200, 4))
+        assert RowView((wide,)).rows_per_block(_FACTOR_BLOCK) == _COMPUTED_ENTRIES // 100
+        assert RowView((a,)).rows_per_block(_FACTOR_BLOCK) == _FACTOR_BLOCK
+        narrow = RightSketchPart(a, make_sparse_sketch(6, 8, 200, 4))
+        assert RowView((narrow,)).rows_per_block(_FACTOR_BLOCK) == _FACTOR_BLOCK
+        rows = [hi - lo for lo, hi, _ in RowView((wide,)).blocks(_FACTOR_BLOCK)]
+        assert max(rows) * 100 <= _COMPUTED_ENTRIES and sum(rows) == 3000
+
+    def test_left_product(self):
+        # op (A S^T) is the part (op A) S^T, to rounding; [A U, r] is not linear
+        # in A, and a scaled view of either raises
+        op = sp.random(40, 300, density=0.05, format="csc", random_state=10)
+        scale = np.full(300, 2.0)
+        for part, full in self._parts():
+            with pytest.raises(ValueError, match="unscaled"):
+                RowView((part,), scale).left_product(op)
+            if isinstance(part, pipeline._ExactColumns):
+                with pytest.raises(ValueError, match="not linear"):
+                    RowView((part,)).left_product(op)
+                continue
+            sketched, = RowView((part,)).left_product(op).parts
+            assert isinstance(sketched, RightSketchPart) and sketched.shape == (40, 6)
+            got, = RowView((sketched,)).block(slice(None))
+            want = op @ full
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)

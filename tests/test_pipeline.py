@@ -781,6 +781,31 @@ class TestExactColumns:
             assert tr["reduced_dim"] < a.shape[1]
             assert residual_cost(a, sub, None, loss) < svd_cost
 
+    def test_outliers_recipe_reads_exact_columns_on_demand(self, monkeypatch):
+        # the CI's outliers.mtx recipe, 9100 CSR rows by 300, at p = 1.5: U has
+        # m = 103 < d columns, [A U, r] is computed one block at a time for the
+        # R and the draw, and the fit peaks below the n x (m + 1) operand and
+        # costs what the fit on the formed operand costs
+        rng = np.random.default_rng(1)
+        v = sp.random(3, 300, density=0.05, random_state=rng)
+        a = sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
+                       30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
+        loss = LossSpec.lp(1.5)
+        approx_lp(a, 3, 0.25, loss, seed=1)  # the modules imported on first use
+        tr = {}
+        tracemalloc.start()
+        try:
+            sub = approx_lp(a, 3, 0.25, loss, seed=1, trace=tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr["reduced_dim"] == 103
+        assert peak < a.shape[0] * (tr["reduced_dim"] + 1) * 8
+        monkeypatch.setattr(pipeline, "_ExactColumns", pipeline._exact_columns)  # formed whole
+        formed = approx_lp(a, 3, 0.25, loss, seed=1)
+        assert residual_cost(a, sub, None, loss) == pytest.approx(
+            residual_cost(a, formed, None, loss), rel=1e-12)
+
 
 class TestNonFiniteInput:
     @staticmethod
