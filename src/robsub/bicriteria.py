@@ -1,12 +1,20 @@
 """Constant-factor bicriteria subspaces by one right sketch and one row sample.
 
-The driver sketches the input on the right down to d' = poly(k) columns,
-scores the rows of the sketched product A S^T once with leverage scores,
-and draws one sample of the rows expecting P_M of them; the row space of
-the sampled input rows is the bicriteria subspace.  A S^T is never
-formed: it is a ``sketch.RightSketchPart``, computed one block of rows at
-a time on each read.  This is dv07's sequential row selection with the
-sample chosen all at once, as the source paper argues it may be.
+The stage must return a subspace of dimension at most P_M whose cost is
+within a constant factor of the best rank-k cost.  When min(n, d) <= P_M
+the row space of A does so whole: its dimension is rank(A) <= min(n, d),
+its cost is 0, and it holds an optimal rank-k subspace, as projecting a
+subspace onto it moves no row farther from it.  It is read from one R
+factor of A, which the pipelines' final sample reuses.
+
+Otherwise the driver sketches the input on the right down to d' = poly(k)
+columns (or keeps A itself when d' >= d), scores the rows of the sketched
+product A S^T once with leverage scores, and draws one sample of the
+rows expecting P_M of them; the row space of the sampled input rows is
+the bicriteria subspace.  A S^T is never formed: it is a
+``sketch.RightSketchPart``, computed one block of rows at a time on each
+read.  This is dv07's sequential row selection with the sample chosen
+all at once, as the source paper argues it may be.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .sketch import RightSketchPart, make_sparse_sketch, orthonormal_union, rank
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
 _SKETCH_NNZ = 4
-_SKETCH_COLS_C = 40.0   # right-sketch width m = min(max(k + 1, c k^2), d)
+_SKETCH_COLS_C = 40.0   # right-sketch width m = max(k + 1, c k^2), when below d
 _P_M_C = 50.0           # multiplier c of P_M, the rows the sample expects
 
 
@@ -38,19 +46,21 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
                  trace: Optional[dict] = None) -> Subspace:
     """Bicriteria subspace: sketch right, sample rows once, span the sampled input rows.
 
-    The sample expects P_M rows, so the output dimension is at most P_M
-    in expectation (not for certain); its cost is within a
-    modest factor of the best rank-k cost (over the randomness of sketch
-    and sample).  The n x m product A S^T is scored as a
-    ``sketch.RightSketchPart``, so the stage holds A, a block of the
+    When min(n, d) <= P_M every row is kept and no product with S is
+    taken: the subspace is the row space of A, of cost 0 and dimension
+    rank(A) <= P_M, and it carries the R factor of A it was read from
+    (``Subspace.r``), so a fit factors A once.  Otherwise the sample
+    expects P_M rows, so the output dimension is at most P_M in
+    expectation (not for certain); its cost is within a modest factor of
+    the best rank-k cost (over the randomness of sketch and sample).  The
+    n x m product A S^T (m < d; A itself when m >= d) is scored as
+    a ``sketch.RightSketchPart``, so the stage holds A, a block of the
     product (at most 2048 rows, and 0.5 MB past 32 columns), O((m + d) m)
     for the sketch and basis, and, past the p-stable row cap, the sketch
-    Pi A of at most nnz(A) entries; never the n x m product.  When every
-    row is kept (n <= P_M) no product with S is taken: the subspace is the
-    row space of A and carries the R factor of A it was read from
-    (``Subspace.r``).
+    Pi A of at most nnz(A) entries; never the n x m product.
     ``trace`` receives the realized and expected rows of the sample
-    (``bicriteria_rows``, ``bicriteria_rows_expected``).
+    (``bicriteria_rows``, ``bicriteria_rows_expected``; n and n when every
+    row is kept).
     """
     n, d = a.shape
     if n == 0:
@@ -63,16 +73,18 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
         k = min(n, d)
 
     p_m = _p_m(k, n, loss)
-    if n <= p_m:
-        # no sample is drawn, so the right sketch would go unread; the R of
-        # A is kept for the caller's final sample, which reads A
+    if min(n, d) <= p_m:
+        # the row space of A meets the contract whole; its R is kept for the
+        # caller's final sample, which reads A
         sampling.record("bicriteria", n, n, trace)
         r = sketch.r_factor(a)
         return Subspace(rank_revealing_factor(a, r)[1], r)
-    m = int(min(max(k + 1, _SKETCH_COLS_C * k * k), d))
-    right = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
-                               m=m, d=d, s=min(_SKETCH_NNZ, m))
-    scores = weighted_leverage_scores(RightSketchPart(a, right), loss,
+    m = int(max(k + 1, _SKETCH_COLS_C * k * k))
+    scored = a  # at m >= d a square S^T would save no work and may lose a direction of A
+    if m < d:
+        scored = RightSketchPart(a, make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
+                                                       m=m, d=d, s=min(_SKETCH_NNZ, m)))
+    scores = weighted_leverage_scores(scored, loss,
                                       seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
     sample = sampling.sample("bicriteria", scores.gamma, p_m,
                              int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)

@@ -383,9 +383,12 @@ class Subspace:
     """An orthonormal column factor U; the projector it represents is U U^T.
 
     ``r`` is set when U is the row space of a matrix A that was factored
-    to find it (``const_approx`` on an input it keeps whole): it is the R
-    of ``sketch.r_factor(A)``, U is its right singular vectors (descending),
-    and the pipelines' final sample of A takes both, factoring nothing again.
+    to find it (``const_approx`` when min(n, d) <= P_M, as that row space
+    meets the bicriteria contract whole): it is the R of
+    ``sketch.r_factor(A)`` and U is its right singular vectors
+    (descending).  No row of A lies outside U, so residual sampling
+    returns U at once, and the pipelines' final sample of A takes both,
+    factoring nothing again.
     """
 
     u: np.ndarray

@@ -331,14 +331,15 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
     block at a time on each read (at most ``_FACTOR_BLOCK`` rows, and
     0.5 MB past 32 columns) and never formed whole, or of A as given
     (dense or CSR) when U is square, as [A U, 0] then spans the column
-    space of A.  Its R is that of A which U carries when U is the
-    bicriteria stage's row space of A (every row kept), so A is factored
-    once per fit, and ``sketch.r_factor`` of the operand otherwise; each
-    of the R and the draw reads the operand once (the R twice when it
-    falls back from the Gram to the streamed QR), for nnz(A) m work per
-    read.  The kept rows of A are gathered once, and
-    their exact columns formed, for the weighted small problem.  Salts
-    seed the draw and the small solve.
+    space of A.  Its R is the R of A that U carries when U is the
+    bicriteria stage's row space of A (whenever min(n, d) <= P_M) and A
+    has rank d, so a fit on such an input factors A once and reads no
+    sketch; it is ``sketch.r_factor`` of the operand otherwise.  Each of
+    the R and the draw reads the operand once (the R twice when it falls
+    back from the Gram to the streamed QR), for nnz(A) m work per read.
+    The kept rows of A are gathered once, and their exact columns formed,
+    for the weighted small problem.  Salts seed the draw and the small
+    solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")

@@ -15,11 +15,12 @@ serves every basis, each reweighted least-squares step of IRLS and the SVD
 baseline: the Cholesky factor of the Gram t^T t, summed one block of 2048
 rows at a time (in sum_i nnz_i^2 work for a sparse t), when LAPACK's
 condition estimate certifies it, and otherwise a streaming R-only QR that
-folds one dense block of 2048 rows at a time into one (width + 2048) x
-width buffer.  On that small R are built the rank-revealing factor (its
-SVD) and the orthonormal union of row blocks, which the samplers feed
-into, and the change of basis F that makes t F orthonormal (from its
-pivoted QR), which every well-conditioned basis takes.
+folds one dense block of 2048 rows at a time (fewer past 128 columns) into
+one (width + block) x width buffer.  On that small R are built the
+rank-revealing factor (its SVD) and the orthonormal union of row blocks,
+which the samplers feed into, and the change of basis F that makes t F
+orthonormal (from its pivoted QR), which every well-conditioned basis
+takes.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ RANK_TOL = 1e-8
 # the least reciprocal condition estimate at which r_factor keeps the
 # Cholesky factor of the Gram; see r_factor
 _GRAM_RCOND = 1e-5
+# entries of a block of the streamed QR past 128 columns: it reads
+# max(width, 2**18 // width) rows a block, not _FACTOR_BLOCK.  On a 9100 x 300
+# CSR operand of rank 103 (873-row blocks) its peak fell from 8.4 to 4.1 MB, and
+# it took 56 ms against 52 ms at 2048 rows (1 BLAS thread, 2-vCPU Xeon)
+_STREAMED_ENTRIES = 2**18
 # rows of A @ S^T that apply_right forms per product.  A dense block's product
 # takes two temporaries of its size, a C-ordered copy of its transpose and the
 # transposed product.  Reading a dense 8000 x 20 part (lp_dense_outliers' p-stable
@@ -201,8 +207,9 @@ def r_factor(t) -> np.ndarray:
     Every other t (rank-deficient, ill-conditioned, wide, or with a Gram
     that overflows or underflows) is factored by a streaming TSQR
     (Demmel, Grigori, Hoemmen & Langou 2012), in which each block of
-    B = ``_FACTOR_BLOCK`` rows is written, dense, below the running R in
-    one Fortran-ordered buffer of min(n, width + B) rows, and the buffer
+    B = ``_FACTOR_BLOCK`` rows (fewer past 128 columns: max(width,
+    ``_STREAMED_ENTRIES`` // width)) is written, dense, below the running
+    R in one Fortran-ordered buffer of min(n, width + B) rows, and the buffer
     is factored in place, R <- qr([R; block]) (LAPACK dgeqrf); a t of at
     most B rows is one block, factored once.  Either route takes memory
     O((width + B) width) whatever the row count n.  t may be dense, sparse
@@ -298,10 +305,11 @@ def _streamed_r(view: RowView) -> np.ndarray:
     from scipy.linalg import lapack
 
     n, width = view.shape
-    buf = np.empty((min(n, width + view.rows_per_block(_FACTOR_BLOCK)), width), order="F")
+    size = min(_FACTOR_BLOCK, max(width, _STREAMED_ENTRIES // width))
+    buf = np.empty((min(n, width + view.rows_per_block(size)), width), order="F")
     lwork = int(lapack.dgeqrf_lwork(*buf.shape)[0])
     top = 0  # rows of the running R at the head of buf
-    for lo, hi, parts in view.blocks(_FACTOR_BLOCK):
+    for lo, hi, parts in view.blocks(size):
         end = top + hi - lo
         buf[end:] = 0.0
         for c, block in zip(view.columns(), parts):

@@ -268,8 +268,8 @@ def irls_whole_vectors(a, b, w, loss: LossSpec, tol: float = 1e-10, max_iter: in
 
 
 def eager_bicriteria_rows(a, k: int, loss: LossSpec, seed: int) -> np.ndarray:
-    """The rows ``bicriteria.const_approx`` draws from an input of n > P_M rows,
-    with A S^T formed whole.
+    """The rows ``bicriteria.const_approx`` draws from an input whose n and d
+    both exceed P_M, at a sketch width m < d, with A S^T formed whole.
 
     The right sketch, the scores and the draw are const_approx's, seeded
     as it seeds them, but the n x m product A S^T is formed by
@@ -277,7 +277,7 @@ def eager_bicriteria_rows(a, k: int, loss: LossSpec, seed: int) -> np.ndarray:
     it, when one is taken, is Pi (A S^T) rather than (Pi A) S^T.
     """
     n, d = a.shape
-    m = int(min(max(k + 1, bicriteria._SKETCH_COLS_C * k * k), d))
+    m = int(max(k + 1, bicriteria._SKETCH_COLS_C * k * k))
     right = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)), m=m, d=d,
                                s=min(bicriteria._SKETCH_NNZ, m))
     scores = weighted_leverage_scores(apply_right(a, right), loss,

@@ -28,14 +28,18 @@ class TestBaseCase:
         # the R factor of A travels with the subspace: A R^-1 is orthonormal
         basis = a @ np.linalg.inv(sub.r)
         assert np.abs(basis.T @ basis - np.eye(6)).max() <= 1e-12
+        # so does that of more rows than P_M = 50, when d <= P_M
+        tall = const_approx(rng.standard_normal((300, 6)), 1, loss, seed=0)
+        assert tall.dim == 6 and tall.r is not None
         # a sampled subspace spans sampled rows, so it carries no factor of A
-        big = rng.standard_normal((300, 6))
-        assert const_approx(big, 1, loss, seed=0).r is None  # P_M = 50 < 300
+        wide = rng.standard_normal((300, 60))
+        assert const_approx(wide, 1, loss, seed=0).r is None  # P_M = 50 < 60
 
     def test_base_case_skips_right_sketch(self, monkeypatch):
-        # n <= P_M: no sample reads the sketched operand, so no product with the
-        # right sketch is taken.  Every one reads S^T from right_operator: the
-        # blocks of apply_right and the basis's folded A (S^T F) alike
+        # min(n, d) <= P_M: no sample reads the sketched operand, so no product
+        # with the right sketch is taken.  Every one reads S^T from
+        # right_operator: the blocks of apply_right and the basis's folded
+        # A (S^T F) alike
         def product(*args):
             pytest.fail("a right-sketch product was computed")
 
@@ -47,18 +51,20 @@ class TestBaseCase:
         sub = const_approx(a, 2, LossSpec.huber(1.0), seed=0, trace=trace)
         assert sub.dim == 9
         assert trace == {"bicriteria_rows": 40, "bicriteria_rows_expected": 40.0}
-        # past P_M = 200 L1 rows the same patches trip
+        # 300 L1 rows, past P_M = 200, are kept whole too while d = 9 <= P_M
+        assert const_approx(rng.standard_normal((300, 9)), 2, LossSpec.lp(1.0), seed=0).dim == 9
+        # past P_M = 200 in both rows and columns the same patches trip
         with pytest.raises(pytest.fail.Exception, match="right-sketch product"):
-            const_approx(rng.standard_normal((300, 9)), 2, LossSpec.lp(1.0), seed=0)
+            const_approx(rng.standard_normal((300, 250)), 2, LossSpec.lp(1.0), seed=0)
 
     def test_no_plan_up_to_p_m(self, monkeypatch):
-        # L1 at k = 2 has P_M = 200: 200 rows are all kept with no plan made,
-        # and 201 rows take one plan expecting 200 of them
+        # L1 at k = 2 has P_M = 200: 200 rows 250 wide are all kept with no plan
+        # made, and 201 rows take one plan expecting 200 of them
         plans = _spy(monkeypatch, "make_plan", sampling)
-        a = np.random.default_rng(3).standard_normal((201, 8))
+        a = np.random.default_rng(3).standard_normal((201, 250))
         trace = {}
         sub = const_approx(a[:200], 2, LossSpec.lp(1.0), seed=0, trace=trace)
-        assert plans == [] and sub.dim == 8 and sub.r is not None
+        assert plans == [] and sub.dim == 200 and sub.r is not None
         assert trace == {"bicriteria_rows": 200, "bicriteria_rows_expected": 200.0}
         const_approx(a, 2, LossSpec.lp(1.0), seed=0, trace=trace)
         assert len(plans) == 1 and abs(plans[0].expected_size - 200) <= 1e-9
@@ -107,34 +113,52 @@ def _spy(monkeypatch, name, module=bicriteria):
 
 class TestRecursionMechanics:
     def test_one_plan_expects_p_m_rows(self, monkeypatch):
-        # n > P_M: one scoring of A S^T and one plan, expecting P_M rows, for
-        # L1 at its own P_M = 50 k^2 = 450
+        # n, d > P_M: one scoring of A S^T and one plan, expecting P_M rows, for
+        # L1 at its own P_M = 50 k^2 = 50 at k = 1
         scores = _spy(monkeypatch, "weighted_leverage_scores")
         plans = _spy(monkeypatch, "make_plan", sampling)
-        a, _ = planted_lowrank(9000, 20, 3, seed=11, noise=0.1)
+        a, _ = planted_lowrank(9000, 60, 1, seed=11, noise=0.1)
         trace = {}
-        const_approx(a, 3, LossSpec.lp(1.0), seed=4, trace=trace)
+        const_approx(a, 1, LossSpec.lp(1.0), seed=4, trace=trace)
         assert len(scores) == 1 and len(plans) == 1
-        assert abs(plans[0].expected_size - 450) <= 1e-9
+        assert abs(plans[0].expected_size - 50) <= 1e-9
         assert trace["bicriteria_rows_expected"] == plans[0].expected_size
 
     def test_huber_plan_expects_set_p_m_rows(self, set_p_m, monkeypatch):
         # an M-estimator takes the same single plan: with P_M set to 100,
-        # 1500 Huber rows are scored once and 100 of them are expected
+        # 1500 Huber rows 120 wide are scored once and 100 of them are expected
         scores = _spy(monkeypatch, "weighted_leverage_scores")
         plans = _spy(monkeypatch, "make_plan", sampling)
         set_p_m(100)
         trace = {}
-        const_approx(np.random.default_rng(5).standard_normal((1500, 6)), 2,
+        const_approx(np.random.default_rng(5).standard_normal((1500, 120)), 2,
                      LossSpec.huber(1.0), seed=1, trace=trace)
         assert len(scores) == 1 and len(plans) == 1
         assert abs(plans[0].expected_size - 100) <= 1e-9
         assert trace["bicriteria_rows_expected"] == plans[0].expected_size
 
+    def test_square_sketch_scores_a_itself(self, set_p_m, monkeypatch):
+        # L1 at k = 1 sketches to m = min(40, d) columns; at d = 30 that is d,
+        # and A itself is scored, with no sketch made
+        def product(*args, **kw):
+            pytest.fail("a right sketch was made")
+
+        monkeypatch.setattr(bicriteria, "make_sparse_sketch", product)
+        scored, real = [], bicriteria.weighted_leverage_scores
+        monkeypatch.setattr(bicriteria, "weighted_leverage_scores",
+                            lambda t, *args, **kw: scored.append(t) or real(t, *args, **kw))
+        a = np.random.default_rng(6).standard_normal((500, 30))
+        set_p_m(20)
+        trace = {}
+        sub = const_approx(a, 1, LossSpec.lp(1.0), seed=2, trace=trace)
+        assert len(scored) == 1 and scored[0] is a
+        assert abs(trace["bicriteria_rows_expected"] - 20) <= 1e-9
+        assert sub.r is None and 0 < sub.dim <= trace["bicriteria_rows"]
+
     def test_lp_sample_size_within_3_sigma(self, set_p_m):
         loss = LossSpec.lp(1.0)
         rng = np.random.default_rng(4)
-        a = rng.standard_normal((2000, 8))
+        a = rng.standard_normal((2000, 120))
         set_p_m(100)
         devs = []
         for seed in range(30):
@@ -149,7 +173,7 @@ class TestRecursionMechanics:
         draws = _spy(monkeypatch, "draw", sampling)
         loss = LossSpec.huber(1.0)
         rng = np.random.default_rng(7)
-        a = rng.standard_normal((800, 6))
+        a = rng.standard_normal((800, 60))
         set_p_m(50)
         trace = {}
         const_approx(a, 2, loss, seed=3, trace=trace)
@@ -178,7 +202,7 @@ class TestRecursionMechanics:
         # achievable cost of the sampled span
         loss = LossSpec.lp(1.0)
         for seed in range(5):
-            a, _ = planted_lowrank(1200, 10, 2, seed=30 + seed, noise=0.2)
+            a, _ = planted_lowrank(1200, 100, 2, seed=30 + seed, noise=0.2)
             set_p_m(40)
             lo = const_approx(a, 2, loss, seed=seed)
             set_p_m(80)

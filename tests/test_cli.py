@@ -113,12 +113,12 @@ class TestApproxCommand:
         assert r["results"]["subspace_dim"] >= 2
 
     def test_dimreduce_stage_reports_its_sample(self, tmp_path):
-        # 300 x 200 at k = 2: the L1 bicriteria stage draws about 150 rows,
+        # 300 x 200 at k = 1: the L1 bicriteria stage draws about P_M = 50 rows,
         # a proper subspace, so residual sampling draws a sample of its own
         csv = tmp_path / "wide.csv"
         np.savetxt(csv, np.random.default_rng(0).standard_normal((300, 200)), delimiter=",")
         report = tmp_path / "r.json"
-        rc = main(["approx", "--input", str(csv), "--k", "2", "--loss", "l1",
+        rc = main(["approx", "--input", str(csv), "--k", "1", "--loss", "l1",
                    "--stage", "dimreduce", "--seed", "1", "--report", str(report)])
         assert rc == EXIT_OK
         tr = _load(report)["results"]["trace"]
@@ -297,15 +297,15 @@ class TestApproxCommand:
 
     def test_full_trace_written_whole(self, tmp_path, monkeypatch):
         # every key of a full-stage fit's trace reaches the report, each value
-        # a Python int or float; at 600 x 200 the L1 bicriteria stage keeps a
-        # proper subspace, so residual sampling scores rows and records t_m
+        # a Python int or float; at 600 x 200 and k = 1 the L1 bicriteria stage
+        # keeps a proper subspace, so residual sampling scores rows and records t_m
         csv = tmp_path / "wide.csv"
         np.savetxt(csv, np.random.default_rng(0).standard_normal((600, 200)), delimiter=",")
         payloads, real = [], cli._write_report
         monkeypatch.setattr(cli, "_write_report",
                             lambda path, payload: payloads.append(payload) or real(path, payload))
         report = tmp_path / "r.json"
-        rc = main(["approx", "--input", str(csv), "--k", "2", "--loss", "l1",
+        rc = main(["approx", "--input", str(csv), "--k", "1", "--loss", "l1",
                    "--seed", "1", "--report", str(report)])
         assert rc == EXIT_OK
         trace = payloads[0]["results"]["trace"]

@@ -178,8 +178,8 @@ class TestConstApproxTarget:
         real = sampling.make_plan
         monkeypatch.setattr(sampling, "make_plan",
                             lambda gamma, r: plans.append(r) or real(gamma, r))
-        a = np.random.default_rng(33).standard_normal((3000, 10))
-        const_approx(a, 1, LossSpec.lp(1.0), seed=2)  # P_M = 50, d' = 10
+        a = np.random.default_rng(33).standard_normal((3000, 60))
+        const_approx(a, 1, LossSpec.lp(1.0), seed=2)  # P_M = 50 < d, d' = 40
         set_p_m(40)
         const_approx(a, 1, LossSpec.lp(1.0), seed=2)
         assert plans == [50, 40]

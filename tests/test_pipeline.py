@@ -17,7 +17,7 @@ from robsub import (
     v_norm_p,
     weighted_leverage_scores,
 )
-from robsub import pipeline, sampling, sketch
+from robsub import bicriteria, conditioning, pipeline, sampling, sketch
 from robsub.core import RowView
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
@@ -293,7 +293,7 @@ class TestSmallApprox:
         trace = {}
         sub = approx_lp(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
         assert len(calls) == pipeline._RESTARTS + trace["small_mm_steps"]
-        assert residual_cost(a, sub, None, work.loss) == pytest.approx(10638.882071770942,
+        assert residual_cost(a, sub, None, work.loss) == pytest.approx(10638.88205460869,
                                                                        rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12])
@@ -551,8 +551,8 @@ class TestApproxM2:
         return wholes
 
     def test_input_factored_once(self, monkeypatch, set_p_m):
-        # 3000 full-rank CSR rows, past one 2048-row QR block, are below
-        # P_M: the bicriteria stage keeps every row and its factor of A
+        # 3000 full-rank CSR rows, past one 2048-row QR block, 12 <= P_M wide:
+        # the bicriteria stage keeps every row and its factor of A
         # gives the final sample's B, so the n x d operand is factored
         # once, and the fit equals the one that factors A again
         a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
@@ -569,14 +569,15 @@ class TestApproxM2:
             assert sum(wholes) == (1 if handover else 2)
             monkeypatch.undo()
         assert np.array_equal(fits[True], fits[False])
-        # forced through the sampling path, the subspace spans sampled rows:
-        # nothing is handed over and the final sample factors A itself
-        set_p_m(200)
+        # forced through the sampling path (P_M < d), the subspace spans sampled
+        # rows: nothing is handed over and the final sample factors A itself,
+        # after the bicriteria scores' basis of A (its sketch would be square)
+        set_p_m(10)
         wholes = self._spy_factors(monkeypatch, a)
         tr = {}
         approx_m2(a, 2, 0.3, loss, seed=3, trace=tr)
         assert tr["reduced_dim"] == 12
-        assert sum(wholes) == 1
+        assert sum(wholes) == 2
 
     def test_input_kept_whole_takes_one_svd(self, monkeypatch):
         # the bicriteria stage's U of an input it keeps whole is the right
@@ -805,6 +806,58 @@ class TestExactColumns:
         formed = approx_lp(a, 3, 0.25, loss, seed=1)
         assert residual_cost(a, sub, None, loss) == pytest.approx(
             residual_cost(a, formed, None, loss), rel=1e-12)
+
+
+class TestSketchesReached:
+    def test_dense_outliers_factor_a_once_and_sketch_nothing(self, monkeypatch):
+        # lp_dense_outliers input 1 (9000 x 20, L1, k = 3): d = 20 <= P_M = 450,
+        # so the bicriteria stage keeps A's row space, read from one R of A,
+        # and the final sample takes that R: no sketch is made or applied and
+        # no row is scored by leverage
+        workloads = _workloads(monkeypatch)
+        work = workloads.WORKLOADS["lp_dense_outliers"]
+        a = work.inputs(1).a
+
+        def fail(*args, **kw):
+            pytest.fail("a sketch or leverage pass ran")
+
+        for owner, name in [(sketch, "make_sparse_sketch"), (bicriteria, "make_sparse_sketch"),
+                            (sketch, "apply_right"), (sketch.PStableSketch, "apply"),
+                            (bicriteria, "weighted_leverage_scores"),
+                            (conditioning, "weighted_leverage_scores")]:
+            monkeypatch.setattr(owner, name, fail)
+        factored, real = [], sketch.r_factor
+
+        def spy(t):
+            factored.append(t)
+            return real(t)
+
+        monkeypatch.setattr(sketch, "r_factor", spy)
+        monkeypatch.setattr(pipeline, "r_factor", spy)
+        trace = {}
+        approx_lp(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
+        assert len(factored) == 1 and factored[0] is a
+        assert trace["bicriteria_rows"] == trace["bicriteria_rows_expected"] == 9000
+
+    def test_outliers_recipe_at_k2_sketches_pi_once(self, monkeypatch):
+        # the CI's outliers.mtx recipe (9100 CSR rows by 300) at k = 2: P_M = 200
+        # < d, so the bicriteria stage sketches A S^T, and past the p-stable
+        # row cap of 8192 conditions its basis by Pi, applied once, to the
+        # computed right-sketch part
+        rng = np.random.default_rng(1)
+        v = sp.random(3, 300, density=0.05, random_state=rng)
+        a = sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
+                       30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
+        sketched, apply = [], sketch.PStableSketch.apply
+        monkeypatch.setattr(sketch.PStableSketch, "apply",
+                            lambda pi, b: sketched.append(b) or apply(pi, b))
+        trace = {}
+        sub = approx_lp(a, 2, 0.25, LossSpec.lp(1.5), seed=1, trace=trace)
+        assert len(sketched) == 1 and isinstance(sketched[0], RowView)
+        assert [type(part) for part in sketched[0].parts] == [sketch.RightSketchPart]
+        assert abs(trace["bicriteria_rows_expected"] - 200) <= 1e-9
+        _, svd_cost = svd_truncation_cost(a, 2, None, LossSpec.lp(1.5))
+        assert residual_cost(a, sub, None, LossSpec.lp(1.5)) < svd_cost
 
 
 class TestNonFiniteInput:

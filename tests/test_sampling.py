@@ -266,10 +266,10 @@ class TestOneRecordWriter:
             assert trace[f"{stage}_rows_expected"] == plan.expected_size
 
     def test_approx_lp_stages(self, draws):
-        # 600 x 200 at L1, k = 2: each of the three stages draws
+        # 600 x 200 at L1, k = 1 (P_M = 50 < d): each of the three stages draws
         a = np.random.default_rng(0).standard_normal((600, 200))
         trace = {}
-        approx_lp(a, 2, 0.25, LossSpec.lp(1.0), seed=1, trace=trace)
+        approx_lp(a, 1, 0.25, LossSpec.lp(1.0), seed=1, trace=trace)
         self._check(draws, trace, ["bicriteria", "dimreduce", "t"])
 
     def test_approx_m2_stages(self, draws, set_p_m):
@@ -297,9 +297,9 @@ class TestAllZeroInput:
         (approx_lp, LossSpec.lp(1.0)), (approx_lp, LossSpec.lp(1.5)),
         (approx_m2, LossSpec.huber(1.0))], ids=["l1", "p1.5", "huber"])
     def test_pipelines_return_padded_subspace(self, fit, loss, sparse, set_p_m):
-        # n = 500 is above P_M (200 at p < 2, set to 100 at p = 2), so the
-        # bicriteria stage scores the zero rows and draws none
-        a = sp.csr_matrix((500, 10)) if sparse else np.zeros((500, 10))
+        # n = 500 and d = 250 are above P_M (200 at p < 2, set to 100 at p = 2),
+        # so the bicriteria stage scores the zero rows and draws none
+        a = sp.csr_matrix((500, 250)) if sparse else np.zeros((500, 250))
         if loss.is_m2:
             set_p_m(100)
         trace = {}
