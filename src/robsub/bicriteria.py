@@ -23,7 +23,7 @@ import math
 import warnings
 from typing import Optional
 
-from .conditioning import weighted_leverage_scores
+from .conditioning import leverage_score_blocks
 from .core import LossSpec, Subspace, check_finite, spawn_rng
 from . import sampling, sketch
 from .sketch import RightSketchPart, make_sparse_sketch, orthonormal_union, rank_revealing_factor
@@ -57,7 +57,8 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     a ``sketch.RightSketchPart``, so the stage holds A, a block of the
     product (at most 2048 rows, and 0.5 MB past 32 columns), O((m + d) m)
     for the sketch and basis, and, past the p-stable row cap, the sketch
-    Pi A of at most nnz(A) entries; never the n x m product.
+    Pi A of at most nnz(A) entries, and the sample's O(chunk + P_M),
+    drawn as the scores stream; never the n x m product, nor n scores.
     ``trace`` receives the realized and expected rows of the sample
     (``bicriteria_rows``, ``bicriteria_rows_expected``; n and n when every
     row is kept).
@@ -84,9 +85,8 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     if m < d:
         scored = RightSketchPart(a, make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
                                                        m=m, d=d, s=min(_SKETCH_NNZ, m)))
-    scores = weighted_leverage_scores(scored, loss,
-                                      seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
-    sample = sampling.sample("bicriteria", scores.gamma, p_m,
-                             int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)
+    scores = leverage_score_blocks(scored, loss, seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
+    sample = sampling.sample_stream("bicriteria", scores, p_m,
+                                    int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)
     # the kept rows' weights 1/q leave their span unchanged
     return orthonormal_union([a[sample.indices]], d=d)

@@ -21,15 +21,16 @@ Pi U is orthonormal; otherwise it is A.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
-``weighted_leverage_scores`` is the one entry point: it builds one basis
+``leverage_score_blocks`` is the one entry point: it builds one basis
 over every row of its operand (a matrix or a ``core.RowView``, whose parts
-are read one block of rows at a time, never stacked), finishes each row's
-doubled score in the pass over its block of the basis, and keeps only the
-n scores.  A part computed on read, the right-sketched product A S^T of a
-``sketch.RightSketchPart``, is never formed: its p-stable sketch is
-(Pi A) S^T, computed block by block from Pi A, and the basis is read as
-A (S^T F), with S^T folded into the change of basis.  Every sample is
-drawn once from unit-weight rows, so no input weights reach the scores.
+are read one block of rows at a time, never stacked), and yields each
+row's doubled score in the pass over its block of the basis, for samples
+drawn as the scores stream.  A part computed on read, the right-sketched
+product A S^T of a ``sketch.RightSketchPart``, is never formed: its
+p-stable sketch is (Pi A) S^T, computed block by block from Pi A, and the
+basis is read as A (S^T F), with S^T folded into the change of basis.
+Every sample is drawn once from unit-weight rows, so no input weights
+reach the scores.
 """
 
 from __future__ import annotations
@@ -167,19 +168,13 @@ def _row_scores(loss: LossSpec, p: float, block: np.ndarray) -> np.ndarray:
     return sums
 
 
-def weighted_leverage_scores(
-    a,
-    loss: LossSpec,
-    seed: int = 0,
-    gauss_t: Optional[int] = None,
-) -> LeverageScores:
-    """Leverage scores of the rows of ``a`` (a matrix or a ``RowView``).
+def leverage_score_blocks(a, loss: LossSpec, seed: int = 0, gauss_t: Optional[int] = None):
+    """Leverage scores of the rows of ``a`` (a matrix or a ``RowView``), as
+    (lo, hi, scores of rows lo:hi), one block of U at a time, in row order.
 
     One basis U is built over every row, and per-row scores are twice the
-    unweighted form below; an all-zero operand builds none and scores 0.
-    Each row's score is finished in the pass over its block of U and
-    written into one preallocated n-vector, the only one the scoring holds:
-    besides A it takes the basis's O((m0 + 2048) m0) and one block of U.
+    unweighted form below; an all-zero operand builds none and yields no
+    block.  Besides A it takes the basis's O((m0 + 2048) m0) and a block of U.
 
     For |x|^p losses the unweighted score of row i is ||U_i||_p^p.  It
     bounds the row's sensitivity when U is the exact orthonormal factor:
@@ -199,7 +194,7 @@ def weighted_leverage_scores(
     src = row_view(a)
     if not any(np.any(b.data if is_sparse(b) else b)
                for _, _, parts in src.blocks(_FACTOR_BLOCK) for b in parts):
-        return LeverageScores(np.zeros(src.shape[0]), 0)
+        return
     basis = well_conditioned_basis(src, p=loss.p if loss.is_lp else 2.0,
                                    seed=int(spawn_rng(seed, 29, 1).integers(2**31)))
     g, p = None, basis.p
@@ -207,7 +202,14 @@ def weighted_leverage_scores(
         g = spawn_rng(seed, 31, 1).standard_normal((basis.m, gauss_t))
         g /= math.sqrt(gauss_t)
         p = 2.0  # the squared row norms of U G
-    gamma = np.empty(basis.n)
     for lo, hi, block in basis.iter_row_blocks(right=g):
-        gamma[lo:hi] = _row_scores(loss, p, block)
-    return LeverageScores(gamma, 1)
+        yield lo, hi, _row_scores(loss, p, block)
+
+
+def weighted_leverage_scores(a, loss: LossSpec, seed: int = 0,
+                             gauss_t: Optional[int] = None) -> LeverageScores:
+    """``leverage_score_blocks`` as one n-vector, with the bases built (0 or 1)."""
+    gamma, built = np.zeros(row_view(a).shape[0]), 0
+    for lo, hi, scores in leverage_score_blocks(a, loss, seed, gauss_t):
+        gamma[lo:hi], built = scores, 1
+    return LeverageScores(gamma, built)

@@ -225,12 +225,15 @@ def check_finite(*arrays) -> None:
 def row_norms(a) -> np.ndarray:
     """Euclidean norm of each row."""
     if is_sparse(a):
-        # square the stored entries of a canonical copy: repeated entries
-        # of one position are summed first, as they add up to its value
-        c = sp.csr_matrix(a, dtype=float, copy=True)
-        c.sum_duplicates()
-        c.data **= 2
-        return np.sqrt(np.asarray(c.sum(axis=1)).ravel())
+        c = a.tocsr()
+        copied = not c.has_canonical_format
+        if copied:  # repeated entries add up to one value: sum them first, on a copy
+            c = c.astype(float)
+            c.sum_duplicates()
+        sums, filled = np.zeros(c.shape[0]), np.diff(c.indptr) > 0
+        squares = np.square(c.data, dtype=float, out=c.data if copied else None)
+        sums[filled] = np.add.reduceat(squares, c.indptr[:-1][filled])
+        return np.sqrt(sums)
     return np.linalg.norm(np.asarray(a, dtype=float), axis=1)
 
 

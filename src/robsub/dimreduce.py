@@ -38,7 +38,8 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     oversampling constant _K2, so the plan expects _K2 r rows.  If every
     residual is zero the input subspace is returned unchanged; when xhat
     is the whole space or carries A's R (``Subspace.r``: it is A's row
-    space) that is known before any row is read.  ``trace`` receives the
+    space) that is known before any row is read, and else after the one
+    pass over A that scores and samples it.  ``trace`` receives the
     Gaussian's width (``t_m``) and the realized and expected rows of the
     sample (``dimreduce_rows``, ``dimreduce_rows_expected``; 0 and 0.0
     when no sample is drawn).
@@ -63,19 +64,25 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
         r = _r1(k, eps, p)
 
     g = make_gaussian_sketch(int(spawn_rng(seed, 43).integers(2**31)), d, t_m)
-    resid = gaussian_row_norm_estimates(a, xhat, g)
-    check_finite(resid)  # a NaN or inf in A reaches the estimate of its row
-    scores = m_value(loss, resid)
+    g -= xhat.u @ (xhat.u.T @ g)  # deflated once, for the residuals of every block
     trace["t_m"] = t_m
-    # residuals at the level of rounding noise count as an exact fit
-    largest = max(float(row_norms(rows).max(initial=0.0))
-                  for _, _, (rows,) in row_view(a).blocks(_FACTOR_BLOCK))
-    zero_floor = n * m_value(loss, 1e-12 * (largest + 1e-300))
-    if scores.sum() <= zero_floor:
-        return xhat
+    sums = [0.0, 0.0]  # the scores' total and the largest row norm of A
 
-    sample = sampling.sample("dimreduce", scores, _K2 * r,
-                             int(spawn_rng(seed, 47).integers(2**31)), trace)
+    def scores():
+        for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
+            resid = gaussian_row_norm_estimates(rows, None, g)
+            check_finite(resid)  # a NaN or inf in A reaches the estimate of its row
+            block = m_value(loss, resid)
+            sums[0] += block.sum()
+            sums[1] = max(sums[1], row_norms(rows).max(initial=0.0))
+            yield lo, hi, block
+
+    sample = sampling.sample_stream("dimreduce", scores(), _K2 * r,
+                                    int(spawn_rng(seed, 47).integers(2**31)), trace)
+    # residuals at the level of rounding noise count as an exact fit: the sample is dropped
+    if sums[0] <= n * m_value(loss, 1e-12 * (sums[1] + 1e-300)):
+        sampling.record("dimreduce", 0, 0, trace)
+        return xhat
     blocks = [a[sample.indices]]
     if xhat.dim > 0:
         blocks.append(xhat.u.T)

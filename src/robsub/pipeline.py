@@ -283,7 +283,7 @@ def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
     ``scored`` is A itself, m wide), and ``r_scored`` is an R of it, so
     its leading m x m block is an R of X.  B is the top-k right singular
     vectors of that block, the SVD's rank-k subspace of X (the first k
-    columns of ``top``, when given a U that carries R: ``core.Subspace.r``).
+    columns of ``top``, given when U carries A's R: ``core.Subspace.r``).
     Row i scores s_i = M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.)
     + lev_i(X B) / k: its cost share under B plus its leverage in X B,
     which bound its sensitivity over every rank-k subspace inside U up to
@@ -333,9 +333,9 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
     (dense or CSR) when U is square, as [A U, 0] then spans the column
     space of A.  Its R is the R of A that U carries when U is the
     bicriteria stage's row space of A (whenever min(n, d) <= P_M) and A
-    has rank d, so a fit on such an input factors A once and reads no
-    sketch; it is ``sketch.r_factor`` of the operand otherwise.  Each of
-    the R and the draw reads the operand once (the R twice when it falls
+    has rank d (that of R_A U below), so a fit on such an input factors A
+    once and reads no sketch; it is ``sketch.r_factor`` of the operand
+    otherwise.  Each of the R and the draw reads the operand once (the R twice when it falls
     back from the Gram to the streamed QR), for nnz(A) m work per read.
     The kept rows of A are gathered once, and their exact columns formed,
     for the weighted small problem.  Salts seed the draw and the small
@@ -362,9 +362,14 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
             "cap or lower the sampling targets")
 
     scored = a if m == d else _ExactColumns(a, u)
-    # a square U that carries an R factor was read from A itself
-    top = u if m == d and sub.r is not None else None
-    r_scored = r_factor(scored) if top is None else sub.r
+    if sub.r is None:
+        top, r_scored = None, r_factor(scored)
+    elif m == d:
+        top, r_scored = u, sub.r
+    else:
+        # U is A's right singular vectors, in descending order: as A U = Q (R U),
+        # A U has the R of R U, and its top-k subspace is its first k axes
+        top, r_scored = np.eye(m), np.linalg.qr(sub.r @ u, mode="r")
     idx, w = _final_sample(scored, m, r_scored, k, loss,
                            int(spawn_rng(seed, salts[0]).integers(2**31)), tr, top)
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .conditioning import weighted_leverage_scores
+from .conditioning import leverage_score_blocks
 from .core import (LossSpec, RowView, as_weights, chunks, m_derivative, m_value, row_view,
                    spawn_rng)
 from . import sampling
@@ -144,9 +144,11 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     row-norm estimates for p=2 losses), and each kept row weighs 1/q for
     every loss; a draw of at most d+1 rows is dropped for all the rows.
     The kept rows of A (CSR for a CSR A) and entries of b are gathered
-    once for IRLS.  Besides A, the sample holds one n-vector, the scores,
-    let go before IRLS runs.  A NaN or infinity in A or b raises ValueError from the
-    R factor of the scoring basis or of IRLS's first step.
+    once for IRLS.  The sample holds no n-vector: it is drawn as the scores
+    stream (``sampling.sample_stream``), in O(chunk + base_cap) memory
+    besides A and a block of the scoring basis.  A NaN or infinity in A or
+    b raises ValueError from the R factor of the scoring basis or of IRLS's
+    first step.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -164,12 +166,11 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     size = max(base_cap, 2 * (d + 1))
     w = None
     if size < n:
-        gamma = weighted_leverage_scores(
+        scores = leverage_score_blocks(
             stack, loss, seed=int(spawn_rng(seed, 137, 0).integers(2**31)),
-            gauss_t=_GAUSS_COLS if loss.is_m2 else None).gamma
-        sample = sampling.sample("base", gamma, size,
-                                 int(spawn_rng(seed, 139, 0, 0).integers(2**31)), trace)
-        del gamma
+            gauss_t=_GAUSS_COLS if loss.is_m2 else None)
+        sample = sampling.sample_stream("base", scores, size,
+                                        int(spawn_rng(seed, 139, 0, 0).integers(2**31)), trace)
         if len(sample) > d + 1:
             w = sample.reweights
             a, rhs = stack.block(sample.indices)

@@ -58,16 +58,16 @@ class TestBaseCase:
             const_approx(rng.standard_normal((300, 250)), 2, LossSpec.lp(1.0), seed=0)
 
     def test_no_plan_up_to_p_m(self, monkeypatch):
-        # L1 at k = 2 has P_M = 200: 200 rows 250 wide are all kept with no plan
-        # made, and 201 rows take one plan expecting 200 of them
-        plans = _spy(monkeypatch, "make_plan", sampling)
+        # L1 at k = 2 has P_M = 200: 200 rows 250 wide are all kept with no
+        # sample drawn, and 201 rows take one sample expecting 200 of them
+        plans = _spy(monkeypatch, "sample_stream", sampling)
         a = np.random.default_rng(3).standard_normal((201, 250))
         trace = {}
         sub = const_approx(a[:200], 2, LossSpec.lp(1.0), seed=0, trace=trace)
         assert plans == [] and sub.dim == 200 and sub.r is not None
         assert trace == {"bicriteria_rows": 200, "bicriteria_rows_expected": 200.0}
         const_approx(a, 2, LossSpec.lp(1.0), seed=0, trace=trace)
-        assert len(plans) == 1 and abs(plans[0].expected_size - 200) <= 1e-9
+        assert len(plans) == 1 and abs(plans[0].expected - 200) <= 1e-9
 
 
 class TestExactRecovery:
@@ -113,29 +113,29 @@ def _spy(monkeypatch, name, module=bicriteria):
 
 class TestRecursionMechanics:
     def test_one_plan_expects_p_m_rows(self, monkeypatch):
-        # n, d > P_M: one scoring of A S^T and one plan, expecting P_M rows, for
-        # L1 at its own P_M = 50 k^2 = 50 at k = 1
-        scores = _spy(monkeypatch, "weighted_leverage_scores")
-        plans = _spy(monkeypatch, "make_plan", sampling)
+        # n, d > P_M: one scoring of A S^T and one sample, expecting P_M rows,
+        # for L1 at its own P_M = 50 k^2 = 50 at k = 1
+        scores = _spy(monkeypatch, "leverage_score_blocks")
+        plans = _spy(monkeypatch, "sample_stream", sampling)
         a, _ = planted_lowrank(9000, 60, 1, seed=11, noise=0.1)
         trace = {}
         const_approx(a, 1, LossSpec.lp(1.0), seed=4, trace=trace)
         assert len(scores) == 1 and len(plans) == 1
-        assert abs(plans[0].expected_size - 50) <= 1e-9
-        assert trace["bicriteria_rows_expected"] == plans[0].expected_size
+        assert abs(plans[0].expected - 50) <= 1e-9
+        assert trace["bicriteria_rows_expected"] == plans[0].expected
 
     def test_huber_plan_expects_set_p_m_rows(self, set_p_m, monkeypatch):
-        # an M-estimator takes the same single plan: with P_M set to 100,
+        # an M-estimator takes the same single sample: with P_M set to 100,
         # 1500 Huber rows 120 wide are scored once and 100 of them are expected
-        scores = _spy(monkeypatch, "weighted_leverage_scores")
-        plans = _spy(monkeypatch, "make_plan", sampling)
+        scores = _spy(monkeypatch, "leverage_score_blocks")
+        plans = _spy(monkeypatch, "sample_stream", sampling)
         set_p_m(100)
         trace = {}
         const_approx(np.random.default_rng(5).standard_normal((1500, 120)), 2,
                      LossSpec.huber(1.0), seed=1, trace=trace)
         assert len(scores) == 1 and len(plans) == 1
-        assert abs(plans[0].expected_size - 100) <= 1e-9
-        assert trace["bicriteria_rows_expected"] == plans[0].expected_size
+        assert abs(plans[0].expected - 100) <= 1e-9
+        assert trace["bicriteria_rows_expected"] == plans[0].expected
 
     def test_square_sketch_scores_a_itself(self, set_p_m, monkeypatch):
         # L1 at k = 1 sketches to m = min(40, d) columns; at d = 30 that is d,
@@ -144,8 +144,8 @@ class TestRecursionMechanics:
             pytest.fail("a right sketch was made")
 
         monkeypatch.setattr(bicriteria, "make_sparse_sketch", product)
-        scored, real = [], bicriteria.weighted_leverage_scores
-        monkeypatch.setattr(bicriteria, "weighted_leverage_scores",
+        scored, real = [], bicriteria.leverage_score_blocks
+        monkeypatch.setattr(bicriteria, "leverage_score_blocks",
                             lambda t, *args, **kw: scored.append(t) or real(t, *args, **kw))
         a = np.random.default_rng(6).standard_normal((500, 30))
         set_p_m(20)
@@ -170,7 +170,7 @@ class TestRecursionMechanics:
 
     def test_survivors_are_original_rows(self, set_p_m, monkeypatch):
         # the drawn indices are rows of the input
-        draws = _spy(monkeypatch, "draw", sampling)
+        draws = _spy(monkeypatch, "sample_stream", sampling)
         loss = LossSpec.huber(1.0)
         rng = np.random.default_rng(7)
         a = rng.standard_normal((800, 60))
@@ -187,7 +187,7 @@ class TestRecursionMechanics:
         # the draw carries weights 1/q, but the output is the span of the
         # input rows themselves; fewer than d rows are drawn, so the span is
         # a proper subspace
-        draws = _spy(monkeypatch, "draw", sampling)
+        draws = _spy(monkeypatch, "sample_stream", sampling)
         loss = LossSpec.lp(1.0)
         a = np.random.default_rng(8).standard_normal((900, 40))
         set_p_m(25)
@@ -234,7 +234,7 @@ class TestComputedRightSketch:
         loss = LossSpec.lp(1.0)
         want = eager_bicriteria_rows(a, 3, loss, seed=1)
         const_approx(a, 3, loss, seed=1)  # the modules imported on first use
-        draws = _spy(monkeypatch, "draw", sampling)
+        draws = _spy(monkeypatch, "sample_stream", sampling)
         sketched, apply = [], sketch.PStableSketch.apply
         monkeypatch.setattr(sketch.PStableSketch, "apply",
                             lambda pi, b: sketched.append(b.shape) or apply(pi, b))

@@ -173,11 +173,12 @@ class TestWellConditionedBasis:
 
 class TestConstApproxTarget:
     def test_const_approx_target_capped(self, set_p_m, monkeypatch):
-        # the one plan expects P_M rows: 50 k^2 at k = 1, and a P_M set to 40
+        # the one sample expects P_M rows: 50 k^2 at k = 1, and a P_M set to 40
         plans = []
-        real = sampling.make_plan
-        monkeypatch.setattr(sampling, "make_plan",
-                            lambda gamma, r: plans.append(r) or real(gamma, r))
+        real = sampling.sample_stream
+        monkeypatch.setattr(sampling, "sample_stream",
+                            lambda stage, blocks, r, *args: plans.append(r)
+                            or real(stage, blocks, r, *args))
         a = np.random.default_rng(33).standard_normal((3000, 60))
         const_approx(a, 1, LossSpec.lp(1.0), seed=2)  # P_M = 50 < d, d' = 40
         set_p_m(40)

@@ -4,10 +4,12 @@ A name bound by ``import`` or ``from ... import`` in ``src/robsub/*.py``
 (the package ``__init__``, whose imports are its exports, aside) must be
 read somewhere in that module; names inside string annotations count.
 ``scipy.linalg`` is imported where it is used, not with the package.
-Every sample is planned, drawn and recorded in ``sampling.py`` alone.
+Every sample is planned, drawn and recorded in ``sampling.py`` alone, and
+every span the benchmark traces names a function of the package.
 """
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -85,6 +87,23 @@ def test_one_sampling_step():
                    and isinstance(node.slice, ast.Constant)
                    and key.fullmatch(str(node.slice.value))]
         assert not writes, (path.name, writes)
+
+
+def test_perfbench_counters_resolve(monkeypatch):
+    # the benchmark's tracer binds every span of spans.COUNTERS by name, so
+    # each must name a function or method of the package
+    import robsub
+
+    path = SRC.parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look their module up
+    spec.loader.exec_module(spans)
+    for name in spans.COUNTERS:
+        owner = robsub
+        for attr in name.split("."):
+            owner = getattr(owner, attr, None)
+        assert callable(owner), name
 
 
 def test_import_leaves_scipy_linalg_unloaded():

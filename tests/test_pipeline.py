@@ -823,7 +823,8 @@ class TestSketchesReached:
 
         for owner, name in [(sketch, "make_sparse_sketch"), (bicriteria, "make_sparse_sketch"),
                             (sketch, "apply_right"), (sketch.PStableSketch, "apply"),
-                            (bicriteria, "weighted_leverage_scores"),
+                            (bicriteria, "leverage_score_blocks"),
+                            (conditioning, "leverage_score_blocks"),
                             (conditioning, "weighted_leverage_scores")]:
             monkeypatch.setattr(owner, name, fail)
         factored, real = [], sketch.r_factor
@@ -858,6 +859,32 @@ class TestSketchesReached:
         assert abs(trace["bicriteria_rows_expected"] - 200) <= 1e-9
         _, svd_cost = svd_truncation_cost(a, 2, None, LossSpec.lp(1.5))
         assert residual_cost(a, sub, None, LossSpec.lp(1.5)) < svd_cost
+
+
+    def test_rank_deficient_row_space_factored_once(self, monkeypatch):
+        # the CI's outliers.mtx recipe at k = 3: d = 300 <= P_M = 450, so the
+        # bicriteria stage keeps A's row space, of rank 103 < d, with its R.
+        # The final sample's R of [A U, r] is read from that R, as the R of
+        # R_A U, and B from U's descending order: A is factored once, where
+        # factoring [A U, r] again cost 53351.02103867558 (value measured so)
+        rng = np.random.default_rng(1)
+        v = sp.random(3, 300, density=0.05, random_state=rng)
+        a = sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
+                       30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
+        factored, real = [], sketch.r_factor
+
+        def spy(t):
+            factored.append(t)
+            return real(t)
+
+        monkeypatch.setattr(sketch, "r_factor", spy)
+        monkeypatch.setattr(pipeline, "r_factor", spy)
+        trace = {}
+        sub = approx_lp(a, 3, 0.25, LossSpec.lp(1.5), seed=1, trace=trace)
+        assert len(factored) == 1 and factored[0] is a
+        assert trace["bicriteria_dim"] == trace["reduced_dim"] == 103
+        cost = residual_cost(a, sub, None, LossSpec.lp(1.5))
+        assert abs(cost - 53351.02103867558) <= 1e-10 * cost
 
 
 class TestNonFiniteInput:

@@ -320,30 +320,53 @@ class TestMRegress:
         assert tr["levels"] == 1
         assert peak < 2 * 8 * n
 
+    def test_huber_peak_below_half_an_n_vector(self):
+        # no stage holds n scores: each chunk of them is drawn from as it is
+        # finished, so the fit takes the block of the scoring basis, a few
+        # chunks and the sample's candidates (2 n-vectors when the scores
+        # were collected first)
+        n = 200_000
+        a, b, _ = _outlier_problem(n, 10, 18, frac=0.01)
+        loss = LossSpec.huber(1.0)
+        m_regress(a[:5000], b[:5000], loss, seed=1)  # modules imported on first use
+        tr = {}
+        tracemalloc.start()
+        try:
+            m_regress(a, b, loss, seed=1, trace=tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr["levels"] == 1
+        assert peak < 4 * n
+
     def test_one_score_pass_draws_schedule_end(self, monkeypatch):
-        # 20000 x 6 at eps = 0.5: one scoring of [A b] and one plan expecting
-        # the default base cap, ceil(16 (d+1) ln(d+1) / eps^2) = 872 rows
+        # 20000 x 6 at eps = 0.5: one scoring of [A b], its one basis streamed
+        # block by block, and one sample expecting the default base cap,
+        # ceil(16 (d+1) ln(d+1) / eps^2) = 872 rows
         a, b, _ = _outlier_problem(20000, 6, 16)
         calls, plans = [], []
-        real_scores, real_plan = regression.weighted_leverage_scores, sampling.make_plan
+        real_scores, real_sample = regression.leverage_score_blocks, sampling.sample_stream
 
         def spy_scores(*args, **kwargs):
-            calls.append(real_scores(*args, **kwargs))
-            return calls[-1]
+            calls.append([])
+            for block in real_scores(*args, **kwargs):
+                calls[-1].append(block[:2])
+                yield block
 
-        def spy_plan(*args, **kwargs):
-            plans.append(real_plan(*args, **kwargs))
+        def spy_sample(*args, **kwargs):
+            plans.append(real_sample(*args, **kwargs))
             return plans[-1]
 
-        monkeypatch.setattr(regression, "weighted_leverage_scores", spy_scores)
-        monkeypatch.setattr(sampling, "make_plan", spy_plan)
+        monkeypatch.setattr(regression, "leverage_score_blocks", spy_scores)
+        monkeypatch.setattr(sampling, "sample_stream", spy_sample)
         tr = {}
         m_regress(a, b, LossSpec.huber(1.0), eps=0.5, seed=2, trace=tr)
         size = math.ceil(16.0 * 7 * math.log(7.0) / 0.25)
         assert size == 872
-        assert len(calls) == 1 and calls[0].bucket_count == 1
-        assert len(plans) == 1 and abs(plans[0].expected_size - size) <= 1e-9
-        assert tr["levels"] == 1 and tr["base_rows_expected"] == plans[0].expected_size
+        assert len(calls) == 1 and calls[0] == [(lo, min(lo + 2048, 20000))
+                                                for lo in range(0, 20000, 2048)]
+        assert len(plans) == 1 and abs(plans[0].expected - size) <= 1e-9
+        assert tr["levels"] == 1 and tr["base_rows_expected"] == plans[0].expected
 
     def test_one_step_schedule_matches_one_round(self):
         # the sample is one scoring, plan and draw of [A b] expecting base_cap
@@ -379,7 +402,7 @@ class TestMRegress:
     @pytest.mark.parametrize("cap", [0, -5])
     def test_non_positive_base_cap_rejected(self, monkeypatch, cap):
         # rejected before any row is scored, rather than read as a sample of 2 (d+1) rows
-        monkeypatch.setattr(regression, "weighted_leverage_scores",
+        monkeypatch.setattr(regression, "leverage_score_blocks",
                             lambda *args, **kw: pytest.fail("rows were scored"))
         rng = np.random.default_rng(11)
         a = rng.standard_normal((300, 8))
@@ -395,8 +418,8 @@ class TestMRegress:
         # no pass checks [A b] on its own: a NaN or inf makes its column's
         # Gram diagonal non-finite, and the streamed QR's R check raises,
         # in IRLS's first step or in scoring the sample, with no warning
-        scored, real = [], regression.weighted_leverage_scores
-        monkeypatch.setattr(regression, "weighted_leverage_scores",
+        scored, real = [], regression.leverage_score_blocks
+        monkeypatch.setattr(regression, "leverage_score_blocks",
                             lambda *args, **kwargs: scored.append(1) or real(*args, **kwargs))
         n = 3000 if sampled else 300
         a, b, _ = _outlier_problem(n, 4, 18)

@@ -233,7 +233,7 @@ class TestSampleStep:
         sampling.record("stage", 12, 12, None)
 
 
-# the function that calls sampling.sample -> the stage it records
+# the function that calls sampling.sample or sampling.sample_stream -> the stage it records
 _STAGES = {"const_approx": "bicriteria", "dim_reduce": "dimreduce", "_final_sample": "t",
            "m_regress": "base"}
 
@@ -241,29 +241,41 @@ _STAGES = {"const_approx": "bicriteria", "dim_reduce": "dimreduce", "_final_samp
 class TestOneRecordWriter:
     @pytest.fixture
     def draws(self, monkeypatch):
-        """(stage, plan, draw) of every draw, the stage read from sample's caller."""
+        """(stage, expected rows, draw) of every sample, the stage read from its caller:
+        a plan's expected size, or a streamed sample's water-fill target min{r, nnz}."""
         out, plans = [], []
-        real_plan, real_draw = sampling.make_plan, sampling.draw
+        real_plan, real_sample, real_stream = (sampling.make_plan, sampling.sample,
+                                               sampling.sample_stream)
 
         def spy_plan(*args, **kwargs):
             plans.append(real_plan(*args, **kwargs))
             return plans[-1]
 
-        def spy_draw(*args, **kwargs):
-            caller = sys._getframe(2).f_code.co_name
-            out.append((_STAGES[caller], plans[-1], real_draw(*args, **kwargs)))
-            return out[-1][2]
+        def spy_sample(stage, scores, target, *args):
+            assert stage == _STAGES[sys._getframe(1).f_code.co_name]
+            drawn = real_sample(stage, scores, target, *args)
+            out.append((stage, plans[-1].expected_size, drawn))
+            return drawn
+
+        def spy_stream(stage, blocks, target, *args):
+            assert stage == _STAGES[sys._getframe(1).f_code.co_name]
+            nnz = []  # the nonzero scores of each block, counted as it passes
+            drawn = real_stream(stage, (nnz.append(np.count_nonzero(block[2])) or block
+                                        for block in blocks), target, *args)
+            out.append((stage, min(target, sum(nnz)), drawn))
+            return drawn
 
         monkeypatch.setattr(sampling, "make_plan", spy_plan)
-        monkeypatch.setattr(sampling, "draw", spy_draw)
+        monkeypatch.setattr(sampling, "sample", spy_sample)
+        monkeypatch.setattr(sampling, "sample_stream", spy_stream)
         return out
 
     @staticmethod
     def _check(draws, trace, stages):
         assert [stage for stage, _, _ in draws] == stages
-        for stage, plan, sample in draws:
+        for stage, expected, sample in draws:
             assert trace[f"{stage}_rows"] == len(sample)
-            assert trace[f"{stage}_rows_expected"] == plan.expected_size
+            assert trace[f"{stage}_rows_expected"] == expected
 
     def test_approx_lp_stages(self, draws):
         # 600 x 200 at L1, k = 1 (P_M = 50 < d): each of the three stages draws
