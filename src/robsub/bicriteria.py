@@ -24,7 +24,7 @@ import warnings
 from typing import Optional
 
 from .conditioning import leverage_score_blocks
-from .core import LossSpec, Subspace, check_finite, spawn_rng
+from .core import LossSpec, Subspace, spawn_rng
 from . import sampling, sketch
 from .sketch import RightSketchPart, make_sparse_sketch, orthonormal_union, rank_revealing_factor
 
@@ -61,14 +61,14 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     drawn as the scores stream; never the n x m product, nor n scores.
     ``trace`` receives the realized and expected rows of the sample
     (``bicriteria_rows``, ``bicriteria_rows_expected``; n and n when every
-    row is kept).
+    row is kept).  No pass checks A on its own: a NaN or infinity raises
+    ValueError from ``sketch.r_factor`` of A, or of the scored operand.
     """
     n, d = a.shape
     if n == 0:
         raise ValueError("input matrix has no rows")
     if k < 1:
         raise ValueError("k must be >= 1")
-    check_finite(a)
     if k > min(n, d):
         warnings.warn(f"k={k} exceeds min(n, d)={min(n, d)}; clamping", RuntimeWarning)
         k = min(n, d)

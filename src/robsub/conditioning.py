@@ -59,9 +59,10 @@ class WellConditionedBasis:
     m: int
     _a: RowView                   # n x m0 operand A, read a block of rows at a time
 
-    def iter_row_blocks(self, block_rows: int = _FACTOR_BLOCK, right=None):
+    def iter_row_blocks(self, right=None):
         """Row blocks of U, or of U @ right taken as A @ (F @ right), summed part
-        by part: a one-column dense part adds its outer product in place.  A
+        by part: a one-column dense part adds its outer product in place.  Blocks
+        are ``_FACTOR_BLOCK`` rows, fewer as the operand's computed parts cap them.  A
         ``RightSketchPart`` A S^T is read as A (S^T F), so none of its rows is formed."""
         # imported on first use: scipy.linalg adds about 0.13 s to the package's import
         from scipy.linalg import blas
@@ -76,7 +77,7 @@ class WellConditionedBasis:
                 parts.append(part)
                 fs.append(f[c])
         first, *rest = fs
-        size = self._a.rows_per_block(block_rows)  # as its computed parts set it
+        size = self._a.rows_per_block(_FACTOR_BLOCK)
         for lo, hi, (block, *others) in RowView(parts, self._a.scale).blocks(size):
             out = matmul_dense(block, first)
             for fc, part in zip(rest, others):

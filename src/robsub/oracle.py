@@ -11,7 +11,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import LossSpec, Subspace, check_finite, residual_cost
+from .core import LossSpec, Subspace, residual_cost
 from .sketch import r_factor
 
 
@@ -23,11 +23,11 @@ def svd_truncation_cost(a, k: int, w=None, loss: LossSpec = None) -> Tuple[Subsp
     The right singular vectors of A are those of the small R of
     ``sketch.r_factor(A)`` (the Cholesky factor of the Gram A^T A when that
     is well conditioned, else a streaming R-only QR), so a sparse A is
-    never densified whole and the n x d left factor is never formed.
+    never densified whole and the n x d left factor is never formed.  A
+    NaN or infinity in A raises ValueError from that R factor.
     """
     if loss is None:
         raise TypeError("loss is required")
-    check_finite(a)
     n, d = a.shape
     if not (1 <= k <= min(n, d)):
         raise ValueError(f"k={k} outside [1, min(n,d)={min(n, d)}]")

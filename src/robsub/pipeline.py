@@ -31,6 +31,7 @@ from .core import (
     LossSpec,
     Subspace,
     as_weights,
+    chunks,
     is_sparse,
     m_derivative,
     m_value,
@@ -290,7 +291,9 @@ def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
     the factor by which B's cost exceeds the optimum (Feldman & Langberg
     2011; Varadarajan & Xiao 2012).  The cost share is dropped when its
     total is zero.  The rows are read one block of ``_FACTOR_BLOCK`` at a
-    time.  A plan expecting ``_T_ROWS`` rows is drawn once, and each kept
+    time into the two terms' n-vectors, summed in place once the total is
+    known, and the scores stream a chunk at a time into one sample
+    expecting ``_T_ROWS`` rows (``sampling.sample_stream``).  Each kept
     row weighs 1/q for every loss: for |x|^p that costs what the row
     rescaled by q^(-1/p) costs, as w M(x) = M(w^(1/p) x).  At most
     ``_T_ROWS`` rows are all kept, with no draw.  ``tr`` receives the
@@ -310,9 +313,13 @@ def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
         cost[lo:hi] = m_value(loss, np.hypot(resid, r))
         xbf = xb @ f
         lev[lo:hi] = np.einsum("ij,ij->i", xbf, xbf)
+    lev /= k
     total = cost.sum()
-    sample = sampling.sample("t", lev / k + (cost / total if total > 0.0 else 0.0), _T_ROWS,
-                             seed, tr)
+    if total > 0.0:
+        cost /= total
+        lev += cost
+    sample = sampling.sample_stream("t", ((c.start, c.stop, lev[c]) for c in chunks(n)),
+                                    _T_ROWS, seed, tr)
     if len(sample) == 0:
         raise CapExceededError(f"final sampling stage drew no rows of {n}")
     return sample.indices, sample.reweights

@@ -10,10 +10,10 @@ one stream, drawn a chunk at a time (so the draw equals one taken from all
 n uniforms at once, and draws from the same seed are coupled across
 plans), and weighs each kept row 1/q_i, for every loss.  As tau is
 water-filled a chunk at a time, ``sample_stream`` draws each chunk as its
-scores arrive, holding none of them.  Each stage draws its sample once,
-from rows of unit weight, streamed or, when its scores need their total
-first, planned and drawn (``sample``); ``record`` alone writes its size
-into the trace.  Besides the scores, a sample holds O(chunk + r) memory."""
+scores arrive, holding none of them: it is every stage's one draw, from
+rows of unit weight, and equals ``draw(make_plan(...))``, which stay as
+its reference.  ``record`` alone writes a sample's size into the trace.
+Besides its scores' source, a sample holds O(chunk + r) memory."""
 
 from __future__ import annotations
 
@@ -36,14 +36,6 @@ class SamplingPlan:
     scores: np.ndarray   # s, nonnegative; the caller's vector, not a copy
     num: float
     den: float
-
-    @staticmethod
-    def from_probabilities(q) -> "SamplingPlan":
-        """The plan that keeps row i with probability q_i, for q_i in [0, 1]."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 1 or q.size and not (q.min() >= 0.0 and q.max() <= 1.0):
-            raise ValueError("probabilities must be a vector in [0, 1]")
-        return SamplingPlan(q, 1.0, 1.0)
 
     def probabilities(self, rows: slice = slice(None)) -> np.ndarray:
         """q over ``rows``, formed afresh."""
@@ -160,20 +152,6 @@ def record(stage: str, rows: int, expected: float, trace: Optional[dict]) -> Non
     """Write a stage's realized and expected rows as ``{stage}_rows(_expected)``."""
     if trace is not None:
         trace.update({f"{stage}_rows": rows, f"{stage}_rows_expected": float(expected)})
-
-
-def sample(stage: str, scores, target: float, seed: int,
-           trace: Optional[dict]) -> SampleDraw:
-    """One plan expecting ``target`` rows and one draw from it, recorded for the stage.
-
-    All-zero scores give an empty draw expecting min{r, nnz(q')} = 0 rows.
-    """
-    out = SampleDraw(np.zeros(0, np.intp), np.zeros(0))
-    if np.any(scores):
-        # make_plan and draw are read as module globals, so their wrappers see every stage
-        out = draw(make_plan(scores, target), seed=seed)
-    record(stage, len(out), out.expected, trace)
-    return out
 
 
 def sample_stream(stage: str, blocks, target: float, seed: int,

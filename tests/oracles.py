@@ -272,7 +272,8 @@ def eager_bicriteria_rows(a, k: int, loss: LossSpec, seed: int) -> np.ndarray:
     both exceed P_M, at a sketch width m < d, with A S^T formed whole.
 
     The right sketch, the scores and the draw are const_approx's, seeded
-    as it seeds them, but the n x m product A S^T is formed by
+    as it seeds them, the draw taken by a plan of the finished scores (which
+    the stream equals), but the n x m product A S^T is formed by
     ``apply_right`` and scored as a dense matrix, so a p-stable sketch of
     it, when one is taken, is Pi (A S^T) rather than (Pi A) S^T.
     """
@@ -282,5 +283,5 @@ def eager_bicriteria_rows(a, k: int, loss: LossSpec, seed: int) -> np.ndarray:
                                s=min(bicriteria._SKETCH_NNZ, m))
     scores = weighted_leverage_scores(apply_right(a, right), loss,
                                       seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
-    return sampling.sample("bicriteria", scores.gamma, bicriteria._p_m(k, n, loss),
-                           int(spawn_rng(seed, 59, 0, 0).integers(2**31)), None).indices
+    plan = sampling.make_plan(scores.gamma, bicriteria._p_m(k, n, loss))
+    return sampling.draw(plan, seed=int(spawn_rng(seed, 59, 0, 0).integers(2**31))).indices

@@ -382,3 +382,36 @@ def test_c12_small_solver_sanity():
     assert _report("C12", ok,
                    f"{ok_ratio}/20 within 1.05x of the grid, planted recovery "
                    f"cost {recovery:.2e}, {elapsed:.1f}s")
+
+
+def _c13_input(seed, n=9000, d=600, outliers=90):
+    """CSR rank-2 rows plus sparse noise, with 1% gross outlier rows, and the planted subspace."""
+    rng = np.random.default_rng([seed, 13])
+    v = sp.random(2, d, density=0.02, random_state=rng, format="csr")
+    signal = sp.csr_matrix(10.0 * rng.standard_normal((n - outliers, 2))) @ v
+    noise = 0.1 * sp.random(n - outliers, d, density=2 / d, random_state=rng, format="csr")
+    gross = 30.0 * sp.random(outliers, d, density=0.05, random_state=rng, format="csr")
+    return sp.vstack([signal + noise, gross]).tocsr(), Subspace(np.linalg.qr(v.toarray().T)[0])
+
+
+def test_c13_bicriteria_sample_at_scale():
+    # n and d both past P_M = 200 (L1, k = 2): const_approx scores the 160-wide
+    # right sketch, conditioned by the p-stable sketch as 9000 rows pass its
+    # 8192-row cap, and draws one sample expecting P_M rows.  Its span is a
+    # proper subspace costing at most 0.5x the planted subspace, which pays
+    # for the outlier rows: fit seeds 0-19 read 0.135-0.256, at 0.2-0.45 s a fit
+    t0 = time.perf_counter()
+    loss = LossSpec.lp(1.0)
+    worst, dims, expected = 0.0, [], set()
+    for seed in range(4):
+        a, planted = _c13_input(seed)
+        tr = {}
+        sub = const_approx(a, 2, loss, seed=seed, trace=tr)
+        expected.add(tr["bicriteria_rows_expected"])
+        dims.append(sub.dim)
+        worst = max(worst, residual_cost(a, sub, None, loss) / residual_cost(a, planted, None, loss))
+    elapsed = time.perf_counter() - t0
+    ok = expected == {200.0} and max(dims) < 600 and worst <= 0.5 and elapsed < 60.0
+    assert _report("C13", ok,
+                   f"expected rows {sorted(expected)}, dims {dims} of 600, worst cost "
+                   f"{worst:.3f}x planted (need <= 0.5), {elapsed:.1f}s")

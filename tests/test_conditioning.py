@@ -11,7 +11,7 @@ from robsub import (
     well_conditioned_basis,
 )
 from robsub import conditioning, sampling
-from robsub.core import RowView, m_value
+from robsub.core import _FACTOR_BLOCK, RowView, m_value
 
 
 @pytest.fixture
@@ -101,8 +101,8 @@ class TestWellConditionedBasis:
 
     def _check_large_n(self, sketches, p, data_seed, seed):
         # n = 20000 sends the p-stable draws through the sketched route: Pi U
-        # is orthonormal, U = A F spans the column space of A, and row
-        # blocks of another size stack to the same U
+        # is orthonormal, U = A F spans the column space of A, and U is
+        # read _FACTOR_BLOCK rows at a time
         a = np.random.default_rng(data_seed).standard_normal((20000, 3))
         basis, pi = self._sketched_basis(sketches, a, p, seed)
         u = basis_rows(basis)
@@ -110,7 +110,8 @@ class TestWellConditionedBasis:
         assert np.abs(pu.T @ pu - np.eye(3)).max() <= 1e-10
         assert np.allclose(u, a @ basis.change_of_basis, rtol=0.0, atol=1e-12)
         assert np.linalg.matrix_rank(np.hstack([u, a]), tol=1e-8) == 3
-        assert np.array_equal(np.vstack([b for *_, b in basis.iter_row_blocks(2000)]), u)
+        assert [(lo, hi) for lo, hi, _ in basis.iter_row_blocks()] == [
+            (lo, min(lo + _FACTOR_BLOCK, 20000)) for lo in range(0, 20000, _FACTOR_BLOCK)]
 
     def test_stable_sketch_path_large_n(self, sketches):
         # p = 1: Cauchy draws

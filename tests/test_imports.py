@@ -4,7 +4,8 @@ A name bound by ``import`` or ``from ... import`` in ``src/robsub/*.py``
 (the package ``__init__``, whose imports are its exports, aside) must be
 read somewhere in that module; names inside string annotations count.
 ``scipy.linalg`` is imported where it is used, not with the package.
-Every sample is planned, drawn and recorded in ``sampling.py`` alone, and
+Every sample is drawn by ``sampling.sample_stream`` and recorded in
+``sampling.py`` alone, and
 every span the benchmark traces names a function of the package.
 """
 
@@ -70,13 +71,17 @@ def test_unused_import_is_caught():
 
 
 def test_one_sampling_step():
-    # make_plan and draw are named only in sampling.py,
-    # and no other module writes a stage's {stage}_rows(_expected) record
+    # no function of the package calls make_plan or draw, not even in
+    # sampling.py, where they stay as the stream's reference; they are named
+    # only there, and no other module writes a stage's {stage}_rows(_expected) record
     key = re.compile(r"\w+_rows(_expected)?")
     for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & {"make_plan", "draw"}, path.name
         if path.name == "sampling.py":
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         names = set(_imported(tree)) | _used(tree)
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert not names & {"make_plan", "draw"}, path.name

@@ -388,17 +388,23 @@ class TestApproxLp:
     def test_empty_final_sample_raises(self, monkeypatch):
         # n = 200 is at most the bicriteria row target (50 k^2 at p = 1),
         # so the final sample of 100 expected rows is the only draw of the
-        # fit, here forced to keep no rows; both pipelines raise alike
-        draw = sampling.draw
+        # fit, here forced to keep no rows by zeroing the "t" stream's
+        # scores; both pipelines raise alike
+        stream, calls = sampling.sample_stream, []
         a, _ = planted_lowrank(200, 20, 2, seed=12, noise=0.1)
         monkeypatch.setattr(pipeline, "_T_ROWS", 100)
+
+        def empty_t(stage, blocks, *args):
+            blocks = [(lo, hi, np.zeros_like(s) if stage == "t" else s) for lo, hi, s in blocks]
+            calls.append((stage, sum(s.size for *_, s in blocks)))
+            return stream(stage, blocks, *args)
+
+        monkeypatch.setattr(sampling, "sample_stream", empty_t)
         for fit, loss in ((approx_lp, LossSpec.lp(1.0)), (approx_m2, LossSpec.huber(1.0))):
-            plans = []
-            monkeypatch.setattr(sampling, "draw", lambda plan, seed=0: plans.append(plan)
-                                or draw(sampling.SamplingPlan.from_probabilities(np.zeros_like(plan.q)), seed))
+            calls.clear()
             with pytest.raises(CapExceededError, match="drew no rows"):
                 fit(a, 2, 0.3, loss, seed=5)
-            assert len(plans) == 1 and plans[0].q.size == 200
+            assert calls == [("t", 200)]
 
     def test_p15_pipeline(self):
         # the fractional-exponent path: stable sketches at p=1.5, dual

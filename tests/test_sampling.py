@@ -145,7 +145,7 @@ class TestDraw:
         # same seed, inflated probabilities: the draw can only grow
         rng = np.random.default_rng(5)
         plan = make_plan(rng.random(200), r=30.0)
-        bigger = SamplingPlan.from_probabilities(np.minimum(1.0, 3.0 * plan.q))
+        bigger = SamplingPlan(np.minimum(1.0, 3.0 * plan.q), 1.0, 1.0)
         d1 = draw(plan, seed=11)
         d2 = draw(bigger, seed=11)
         assert set(d1.indices).issubset(set(d2.indices))
@@ -167,7 +167,7 @@ class TestChunkedDraw:
         yield "water-filled", make_plan(heavy, r=r)
         tiny = 0.5 * scores
         tiny[::3] = 1e-13
-        plan = SamplingPlan.from_probabilities(tiny)
+        plan = SamplingPlan(tiny, 1.0, 1.0)
         assert not plan.q[::3].any() and plan.q[1::3].all()
         yield "floored", plan
 
@@ -185,7 +185,7 @@ class TestChunkedDraw:
             assert plan.expected_size == pytest.approx(plan.q.sum(), rel=1e-12), name
 
     def test_no_rows_draw_nothing(self):
-        plan = SamplingPlan.from_probabilities(np.zeros(0))
+        plan = SamplingPlan(np.zeros(0), 1.0, 1.0)
         got = draw(plan, seed=3)
         assert got.indices.size == got.q_sel.size == 0 and got.indices.dtype == np.intp
         assert plan.expected_size == 0.0
@@ -194,36 +194,32 @@ class TestChunkedDraw:
         scores = np.random.default_rng(3).random(100)
         assert make_plan(scores, r=10.0).scores is scores
 
-    def test_probabilities_out_of_range_rejected(self):
-        for bad in (np.array([0.5, 1.5]), np.array([-0.1]), np.array([np.nan]), np.ones((2, 2))):
-            with pytest.raises(ValueError):
-                SamplingPlan.from_probabilities(bad)
-
 
 class TestSampleStep:
+    @staticmethod
+    def _stream(scores, *args):
+        return sampling.sample_stream("stage", [(0, scores.size, scores)], *args)
+
     def test_sample_is_one_plan_and_one_draw(self):
+        # the stream draws what one plan and one draw of the finished scores draw,
+        # and records min{r, nnz} expected rows
         scores = np.random.default_rng(8).random(300)
         trace = {}
-        out = sampling.sample("stage", scores, 40.0, 9, trace)
+        out = self._stream(scores, 40.0, 9, trace)
         plan = make_plan(scores, 40.0)
         ref = draw(plan, seed=9)
         assert np.array_equal(out.indices, ref.indices)
         assert np.array_equal(out.q_sel, ref.q_sel)
-        assert trace == {"stage_rows": len(ref), "stage_rows_expected": plan.expected_size}
+        assert trace == {"stage_rows": len(ref), "stage_rows_expected": 40.0}
+        assert plan.expected_size == pytest.approx(40.0, rel=1e-12)
 
-    def test_all_zero_scores_draw_nothing(self, monkeypatch):
-        # no plan is made: the empty draw expects min{r, nnz} = 0 rows
-        monkeypatch.setattr(sampling, "make_plan", lambda *args: pytest.fail("planned"))
+    def test_all_zero_scores_draw_nothing(self):
+        # the empty draw expects min{r, nnz} = 0 rows
         trace = {}
-        out = sampling.sample("stage", np.zeros(50), 10.0, 0, trace)
+        out = self._stream(np.zeros(50), 10.0, 0, trace)
         assert len(out) == 0 and out.reweights.size == 0
         assert trace == {"stage_rows": 0, "stage_rows_expected": 0.0}
-        assert sampling.sample("stage", np.zeros(50), 10.0, 0, None).indices.size == 0
-
-    def test_invalid_scores_still_rejected(self):
-        for bad in (np.array([1.0, np.nan]), np.array([1.0, -1.0])):
-            with pytest.raises(ValueError):
-                sampling.sample("stage", bad, 1.0, 0, {})
+        assert self._stream(np.zeros(50), 10.0, 0, None).indices.size == 0
 
     def test_record_writes_rows_and_float_expectation(self):
         trace = {}
@@ -233,7 +229,7 @@ class TestSampleStep:
         sampling.record("stage", 12, 12, None)
 
 
-# the function that calls sampling.sample or sampling.sample_stream -> the stage it records
+# the function that calls sampling.sample_stream -> the stage it records
 _STAGES = {"const_approx": "bicriteria", "dim_reduce": "dimreduce", "_final_sample": "t",
            "m_regress": "base"}
 
@@ -241,21 +237,9 @@ _STAGES = {"const_approx": "bicriteria", "dim_reduce": "dimreduce", "_final_samp
 class TestOneRecordWriter:
     @pytest.fixture
     def draws(self, monkeypatch):
-        """(stage, expected rows, draw) of every sample, the stage read from its caller:
-        a plan's expected size, or a streamed sample's water-fill target min{r, nnz}."""
-        out, plans = [], []
-        real_plan, real_sample, real_stream = (sampling.make_plan, sampling.sample,
-                                               sampling.sample_stream)
-
-        def spy_plan(*args, **kwargs):
-            plans.append(real_plan(*args, **kwargs))
-            return plans[-1]
-
-        def spy_sample(stage, scores, target, *args):
-            assert stage == _STAGES[sys._getframe(1).f_code.co_name]
-            drawn = real_sample(stage, scores, target, *args)
-            out.append((stage, plans[-1].expected_size, drawn))
-            return drawn
+        """(stage, expected rows, draw) of every sample, the stage read from its caller,
+        and the expected rows the stream's water-fill target min{r, nnz}."""
+        out, real_stream = [], sampling.sample_stream
 
         def spy_stream(stage, blocks, target, *args):
             assert stage == _STAGES[sys._getframe(1).f_code.co_name]
@@ -265,8 +249,6 @@ class TestOneRecordWriter:
             out.append((stage, min(target, sum(nnz)), drawn))
             return drawn
 
-        monkeypatch.setattr(sampling, "make_plan", spy_plan)
-        monkeypatch.setattr(sampling, "sample", spy_sample)
         monkeypatch.setattr(sampling, "sample_stream", spy_stream)
         return out
 
