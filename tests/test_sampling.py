@@ -221,6 +221,11 @@ class TestSampleStep:
         assert trace == {"stage_rows": 0, "stage_rows_expected": 0.0}
         assert self._stream(np.zeros(50), 10.0, 0, None).indices.size == 0
 
+    def test_invalid_scores_still_rejected(self):
+        for bad in (np.array([1.0, np.nan]), np.array([1.0, -1.0]), np.array([np.inf, 1.0])):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                self._stream(bad, 1.0, 0, {})
+
     def test_record_writes_rows_and_float_expectation(self):
         trace = {}
         sampling.record("stage", 12, 12, trace)
