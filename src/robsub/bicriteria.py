@@ -4,8 +4,9 @@ The stage must return a subspace of dimension at most P_M whose cost is
 within a constant factor of the best rank-k cost.  When min(n, d) <= P_M
 the row space of A does so whole: its dimension is rank(A) <= min(n, d),
 its cost is 0, and it holds an optimal rank-k subspace, as projecting a
-subspace onto it moves no row farther from it.  It is read from one R
-factor of A, which the pipelines' final sample reuses.
+subspace onto it moves no row farther from it.  It is read from one SVD
+of the R factor of A, whose singular values the pipelines' final sample
+reuses.
 
 Otherwise the driver sketches the input on the right down to d' = poly(k)
 columns (or keeps A itself when d' >= d), scores the rows of the sketched
@@ -25,7 +26,7 @@ from typing import Optional
 
 from .conditioning import leverage_score_blocks
 from .core import LossSpec, Subspace, spawn_rng
-from . import sampling, sketch
+from . import sampling
 from .sketch import RightSketchPart, make_sparse_sketch, orthonormal_union, rank_revealing_factor
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
@@ -48,8 +49,9 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
 
     When min(n, d) <= P_M every row is kept and no product with S is
     taken: the subspace is the row space of A, of cost 0 and dimension
-    rank(A) <= P_M, and it carries the R factor of A it was read from
-    (``Subspace.r``), so a fit factors A once.  Otherwise the sample
+    rank(A) <= P_M, read from the SVD of the R factor of A
+    (``sketch.rank_revealing_factor``), and it carries A's singular values
+    (``Subspace.sv``), so a fit factors A once.  Otherwise the sample
     expects P_M rows, so the output dimension is at most P_M in
     expectation (not for certain); its cost is within a modest factor of
     the best rank-k cost (over the randomness of sketch and sample).  The
@@ -75,11 +77,11 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
 
     p_m = _p_m(k, n, loss)
     if min(n, d) <= p_m:
-        # the row space of A meets the contract whole; its R is kept for the
-        # caller's final sample, which reads A
+        # the row space of A meets the contract whole; its singular values are
+        # kept for the caller's final sample, which reads A
         sampling.record("bicriteria", n, n, trace)
-        r = sketch.r_factor(a)
-        return Subspace(rank_revealing_factor(a, r)[1], r)
+        sv, v = rank_revealing_factor(a)
+        return Subspace(v, sv)
     m = int(max(k + 1, _SKETCH_COLS_C * k * k))
     scored = a  # at m >= d a square S^T would save no work and may lose a direction of A
     if m < d:

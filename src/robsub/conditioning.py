@@ -55,7 +55,6 @@ class WellConditionedBasis:
 
     change_of_basis: np.ndarray   # (m0, m) factor F = P_r R_r^(-1) of a pivoted QR: U = A F
     p: float
-    n: int
     m: int
     _a: RowView                   # n x m0 operand A, read a block of rows at a time
 
@@ -130,7 +129,7 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedB
 
     if f.shape[1] == 0:
         raise ValueError("operand has numerical rank zero")
-    return WellConditionedBasis(f, float(p), n, f.shape[1], view)
+    return WellConditionedBasis(f, float(p), f.shape[1], view)
 
 
 # ---------------------------------------------------------------------------

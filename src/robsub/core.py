@@ -249,7 +249,10 @@ def _take(part, rows):
     """Rows ``rows`` (a slice or index array) of a dense, CSR or computed part."""
     if isinstance(part, np.ndarray) and not isinstance(rows, slice):
         return part.take(rows, axis=0)
-    return part[rows]
+    block = part[rows]
+    if is_sparse(block):  # a copy, whatever rows is: made canonical in place
+        block.sum_duplicates()
+    return block
 
 
 class ComputedPart:
@@ -385,17 +388,16 @@ def entrywise_norm_p(a, w=None, loss: LossSpec = None) -> float:
 class Subspace:
     """An orthonormal column factor U; the projector it represents is U U^T.
 
-    ``r`` is set when U is the row space of a matrix A that was factored
-    to find it (``const_approx`` when min(n, d) <= P_M, as that row space
-    meets the bicriteria contract whole): it is the R of
-    ``sketch.r_factor(A)`` and U is its right singular vectors
-    (descending).  No row of A lies outside U, so residual sampling
-    returns U at once, and the pipelines' final sample of A takes both,
-    factoring nothing again.
+    ``sv`` is set when U is the row space of a matrix A, read from its SVD
+    (``const_approx`` when min(n, d) <= P_M, as that row space meets the
+    bicriteria contract whole): U is A's right singular vectors and ``sv``
+    their singular values, descending, so A U / sv is orthonormal.  No row
+    of A lies outside U, so residual sampling returns U at once, and the
+    pipelines' final sample scores A with both, factoring nothing again.
     """
 
     u: np.ndarray
-    r: Optional[np.ndarray] = None
+    sv: Optional[np.ndarray] = None
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)

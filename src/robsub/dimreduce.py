@@ -37,12 +37,12 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     r = r1^(p+1) or r1 respectively, r1 = _r1(k, eps, p), with
     oversampling constant _K2, so the plan expects _K2 r rows.  If every
     residual is zero the input subspace is returned unchanged; when xhat
-    is the whole space or carries A's R (``Subspace.r``: it is A's row
-    space) that is known before any row is read, and else after the one
-    pass over A that scores and samples it.  ``trace`` receives the
-    Gaussian's width (``t_m``) and the realized and expected rows of the
-    sample (``dimreduce_rows``, ``dimreduce_rows_expected``; 0 and 0.0
-    when no sample is drawn).
+    is the whole space or carries A's singular values (``Subspace.sv``:
+    it is A's row space) that is known before any row is read, and else
+    after the one pass over A that scores and samples it.  ``trace``
+    receives the Gaussian's width (``t_m``) and the realized and expected
+    rows of the sample (``dimreduce_rows``, ``dimreduce_rows_expected``; 0
+    and 0.0 when no sample is drawn).
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -53,7 +53,7 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
         raise ValueError("projector dimension mismatch")
     trace = {} if trace is None else trace
     sampling.record("dimreduce", 0, 0, trace)
-    if xhat.dim == d or xhat.r is not None:
+    if xhat.dim == d or xhat.sv is not None:
         return xhat  # xhat holds every row of A, so every residual is zero
     p = loss.p
     if loss.is_lp:

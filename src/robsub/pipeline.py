@@ -2,14 +2,15 @@
 
 Both pipelines run one body: bicriteria subspace -> residual sampling into
 a moderate subspace U -> one sensitivity sample T of the rows of [A U, r],
-r_i = ||A_i (I - U U^T)|| (of A itself when U is square), scored by each
-row's cost share under the top-k singular subspace B plus its leverage in
-the projection onto B -> min over rank-k projectors W W^T of the small
-problem on the kept rows' exact columns T [A U, r], weighted by 1/q ->
-return U W.  Its per-row costs are exact, as ||A_i (I - U W W^T U^T)||^2 =
-||A_i U (I - W W^T)||^2 + r_i^2 (a projection-cost-preserving reduction;
-Cohen, Elder, Musco, Musco & Persu 2015).  No n x d array is formed, nor
-the n x (m+1) [A U, r]: its rows are computed block by block on each read.
+r_i = ||A_i (I - U U^T)|| (of A itself when U is square or A's row space),
+scored by each row's cost share under the top-k singular subspace B plus
+its leverage in the projection onto B -> min over rank-k projectors W W^T
+of the small problem on the kept rows' exact columns T [A U, r], weighted
+by 1/q -> return U W.  Its per-row costs are exact, as
+||A_i (I - U W W^T U^T)||^2 = ||A_i U (I - W W^T)||^2 + r_i^2 (a
+projection-cost-preserving reduction; Cohen, Elder, Musco, Musco & Persu
+2015).  No n x d array or n x (m+1) [A U, r] is formed: the latter's rows
+are computed block by block on each read.
 
 The small solver is heuristic by design: a reweighted-PCA alternation
 (``_mm_descent``) runs from a few random orthonormal starts, and the
@@ -41,7 +42,7 @@ from .core import (
 )
 from . import sampling
 from .dimreduce import dim_reduce
-from .sketch import orthonormalizer, r_factor
+from .sketch import RANK_TOL, r_factor
 
 _T_ROWS = 300        # expected rows of the final sample
 _RESTARTS = 5        # random starts of the small solve's alternation
@@ -276,43 +277,42 @@ def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
     return Subspace(v)
 
 
-def _final_sample(scored, m: int, r_scored: np.ndarray, k: int, loss: LossSpec,
-                  seed: int, tr: dict, top: Optional[np.ndarray] = None):
+def _final_sample(scored, b: np.ndarray, sv: np.ndarray, loss: LossSpec, seed: int, tr: dict):
     """The rows of [X r] that the small solve keeps, and their weights.
 
-    X is the first m columns of ``scored`` and r its last (zero when
-    ``scored`` is A itself, m wide), and ``r_scored`` is an R of it, so
-    its leading m x m block is an R of X.  B is the top-k right singular
-    vectors of that block, the SVD's rank-k subspace of X (the first k
-    columns of ``top``, given when U carries A's R: ``core.Subspace.r``).
-    Row i scores s_i = M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.)
-    + lev_i(X B) / k: its cost share under B plus its leverage in X B,
-    which bound its sensitivity over every rank-k subspace inside U up to
-    the factor by which B's cost exceeds the optimum (Feldman & Langberg
-    2011; Varadarajan & Xiao 2012).  The cost share is dropped when its
-    total is zero.  The rows are read one block of ``_FACTOR_BLOCK`` at a
-    time into the two terms' n-vectors, summed in place once the total is
-    known, and the scores stream a chunk at a time into one sample
-    expecting ``_T_ROWS`` rows (``sampling.sample_stream``).  Each kept
-    row weighs 1/q for every loss: for |x|^p that costs what the row
-    rescaled by q^(-1/p) costs, as w M(x) = M(w^(1/p) x).  At most
-    ``_T_ROWS`` rows are all kept, with no draw.  ``tr`` receives the
-    realized and expected rows (``t_rows``, ``t_rows_expected``).
+    X is the first m = ``b.shape[0]`` columns of ``scored`` and r its
+    last (zero when ``scored`` is A itself, m wide).  B = ``b`` is the
+    top-k right singular vectors of X, its SVD's rank-k subspace, and
+    ``sv`` their singular values, so X B / sv is orthonormal.  Row i
+    scores s_i = M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.)
+    + ||X_i B / sv||^2 / k: its cost share under B plus its leverage in
+    X B, which bound its sensitivity over every rank-k subspace inside U
+    up to the factor by which B's cost exceeds the optimum (Feldman &
+    Langberg 2011; Varadarajan & Xiao 2012).  A direction whose singular
+    value is at most ``sketch.RANK_TOL`` times the largest adds no
+    leverage, and the cost share is dropped when its total is zero.  The
+    rows are read one block of ``_FACTOR_BLOCK`` at a time into the two
+    terms' n-vectors, summed in place once the total is known, and the
+    scores stream a chunk at a time into one sample expecting ``_T_ROWS``
+    rows (``sampling.sample_stream``).  Each kept row weighs 1/q for
+    every loss: for |x|^p that costs what the row rescaled by q^(-1/p)
+    costs, as w M(x) = M(w^(1/p) x).  At most ``_T_ROWS`` rows are all
+    kept, with no draw.  ``tr`` receives the realized and expected rows
+    (``t_rows``, ``t_rows_expected``).
     """
     n = scored.shape[0]
     if n <= _T_ROWS:
         sampling.record("t", n, n, tr)
         return np.arange(n), np.ones(n)
-    r_x = r_scored[:m, :m]
-    b = np.linalg.svd(r_x)[2][:k].T if top is None else top[:, :k]
-    f = orthonormalizer(None, r_x @ b)
+    m, k = b.shape
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[0])
     cost, lev = np.empty(n), np.empty(n)
     for lo, hi, (rows,) in row_view(scored).blocks(_FACTOR_BLOCK):
         x, r = (rows, 0.0) if rows.shape[1] == m else (rows[:, :m], rows[:, m])
         xb, resid = project_rows(x, b)
         cost[lo:hi] = m_value(loss, np.hypot(resid, r))
-        xbf = xb @ f
-        lev[lo:hi] = np.einsum("ij,ij->i", xbf, xbf)
+        xb *= inv
+        lev[lo:hi] = np.einsum("ij,ij->i", xb, xb)
     lev /= k
     total = cost.sum()
     if total > 0.0:
@@ -333,16 +333,17 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
     dimensions, and a subspace U of at most that width is padded to k
     orthonormal columns.  A U of m columns with m + 1 > ``small_cap``
     raises ``CapExceededError`` before any column or row of the final
-    sample is formed.  Otherwise ``_final_sample`` draws the rows of
-    the n x (m+1) operand [A U, r], a ``_ExactColumns`` part computed one
-    block at a time on each read (at most ``_FACTOR_BLOCK`` rows, and
-    0.5 MB past 32 columns) and never formed whole, or of A as given
-    (dense or CSR) when U is square, as [A U, 0] then spans the column
-    space of A.  Its R is the R of A that U carries when U is the
-    bicriteria stage's row space of A (whenever min(n, d) <= P_M) and A
-    has rank d (that of R_A U below), so a fit on such an input factors A
-    once and reads no sketch; it is ``sketch.r_factor`` of the operand
-    otherwise.  Each of the R and the draw reads the operand once (the R twice when it falls
+    sample is formed.  When U carries A's singular values (``Subspace.sv``:
+    the bicriteria stage's row space of A, whenever min(n, d) <= P_M), no
+    row of A lies off U, and ``_final_sample`` draws the rows of A as
+    given (dense or CSR) with B the first k columns of U and their
+    singular values, so the fit factors A once and reads no sketch.
+    Otherwise it draws the rows of the n x (m+1) operand [A U, r] (of A
+    when U is square), a ``_ExactColumns`` part computed one block at a
+    time on each read (at most ``_FACTOR_BLOCK`` rows, and 0.5 MB past 32
+    columns) and never formed whole, with B and its singular values from
+    one SVD of the leading m x m block of ``sketch.r_factor`` of it.  Each
+    of the R and the draw reads the operand once (the R twice when it falls
     back from the Gram to the streamed QR), for nnz(A) m work per read.
     The kept rows of A are gathered once, and their exact columns formed,
     for the weighted small problem.  Salts seed the draw and the small
@@ -368,17 +369,14 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
             f"small problem has side {m + 1} > cap {small_cap}; raise the "
             "cap or lower the sampling targets")
 
-    scored = a if m == d else _ExactColumns(a, u)
-    if sub.r is None:
-        top, r_scored = None, r_factor(scored)
-    elif m == d:
-        top, r_scored = u, sub.r
+    if sub.sv is not None:
+        scored, b, sv = a, u[:, :k], sub.sv[:k]
     else:
-        # U is A's right singular vectors, in descending order: as A U = Q (R U),
-        # A U has the R of R U, and its top-k subspace is its first k axes
-        top, r_scored = np.eye(m), np.linalg.qr(sub.r @ u, mode="r")
-    idx, w = _final_sample(scored, m, r_scored, k, loss,
-                           int(spawn_rng(seed, salts[0]).integers(2**31)), tr, top)
+        scored = a if m == d else _ExactColumns(a, u)
+        _, sv, vt = np.linalg.svd(r_factor(scored)[:m, :m])
+        b, sv = vt[:k].T, sv[:k]
+    idx, w = _final_sample(scored, b, sv, loss,
+                           int(spawn_rng(seed, salts[0]).integers(2**31)), tr)
 
     kept, = row_view(a).block(idx)
     prob = SmallProblem(_exact_columns(kept, u), w, k)

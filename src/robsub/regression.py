@@ -23,6 +23,8 @@ from .sketch import r_factor
 _RESID_FLOOR = 1e-12  # IRLS floors |r| at this share of the largest |r|
 _BASE_ROWS_C = 16.0   # c of the default base cap c (d+1) ln(d+1) / eps^2
 _GAUSS_COLS = 30      # Gaussian columns of the p=2 scores (exact norms for a basis no wider)
+_IRLS_TOL = 1e-10     # IRLS's relative stopping and divergence tolerance
+_IRLS_MAX_ITER = 500  # IRLS's most reweighted steps
 
 
 def regression_objective(a, b, x, w=None, loss: LossSpec = None) -> float:
@@ -43,18 +45,17 @@ def regression_objective(a, b, x, w=None, loss: LossSpec = None) -> float:
     return total
 
 
-def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
-               max_iter: int = 500, return_history: bool = False):
+def irls_solve(a, b, w=None, loss: LossSpec = None, return_history: bool = False):
     """Iteratively reweighted least squares on sum_i w_i M(r_i).
 
     Per-residual weight M'(|r|) / (2 |r|) with |r| floored at 1e-12 of
     the largest |r|; the objective is forced non-increasing by halving the
     step toward the new iterate whenever a full step would increase it by
-    more than tol * obj, and the solve stops at a step that lowers it by
-    at most tol * obj, or at an exact fit (obj = 0).  Every test is
-    relative, so an |x|^p fit stops where it would for b scaled by any
-    c > 0.  Returns the best iterate (and the per-iteration objective
-    history on request).
+    more than tol * obj, tol = ``_IRLS_TOL``, and the solve stops at a step
+    that lowers it by at most tol * obj, at an exact fit (obj = 0), or
+    after ``_IRLS_MAX_ITER`` steps.  Every test is relative, so an |x|^p
+    fit stops where it would for b scaled by any c > 0.  Returns the best
+    iterate (and the per-iteration objective history on request).
 
     A may be dense or CSR, and is never densified or copied whole.  Each
     step with row weights v solves min ||diag(sqrt v) (A x - b)|| from the
@@ -103,7 +104,7 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
     x = solve(np.sqrt(wv))
     resid, obj = evaluate(x)
     history = [obj]
-    for _ in range(max_iter):
+    for _ in range(_IRLS_MAX_ITER):
         if obj == 0.0:
             break
         x_new = solve(reweigh(resid))
@@ -112,7 +113,7 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
         # divergence guard: fall back toward the current iterate if the step
         # rises by more than the stopping tolerance, which is above rounding
         halvings = 0
-        while obj_new > obj + tol * obj and halvings < 40:
+        while obj_new > obj + _IRLS_TOL * obj and halvings < 40:
             x_new = 0.5 * (x_new + x)
             resid_new = None
             resid_new, obj_new = evaluate(x_new)
@@ -123,7 +124,7 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, tol: float = 1e-10,
         x, resid, obj = x_new, resid_new, obj_new
         resid_new = None  # resid alone holds the buffer that the next weights take
         history.append(obj)
-        if improved <= tol * obj:
+        if improved <= _IRLS_TOL * obj:
             break
     if return_history:
         return x, history

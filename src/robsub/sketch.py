@@ -73,7 +73,6 @@ class SparseSketch:
     rows: int
     cols: int
     s: int
-    seed: int
     positions: np.ndarray  # (cols, s) row indices, distinct per column
     values: np.ndarray     # (cols, s) signed magnitudes +-1/sqrt(s)
 
@@ -113,7 +112,7 @@ def make_sparse_sketch(seed: int, m: int, d: int, s: int) -> SparseSketch:
     positions = np.argsort(keys, axis=1)[:, :s].astype(np.int64)
     signs = rng.integers(0, 2, size=(d, s)) * 2 - 1
     values = signs / math.sqrt(s)
-    return SparseSketch(m, d, s, int(seed), positions, values)
+    return SparseSketch(m, d, s, positions, values)
 
 
 def apply_right(a, r: SparseSketch) -> np.ndarray:
@@ -227,35 +226,34 @@ def r_factor(t) -> np.ndarray:
     return r
 
 
-def rank_revealing_factor(t, r=None):
+def rank_revealing_factor(t):
     """Singular values above RANK_TOL * sigma_max of t, with their right singular vectors.
 
     The SVD of the small R of ``r_factor(t)`` gives t = (Q U) diag(sv) V^T
-    with Q U orthonormal: V is an orthonormal basis of the row space of t.
-    t may be dense, sparse or a ``RowView``; ``r`` is ``r_factor(t)`` when
-    the caller already holds it.  Returns (sv, V) with V of shape
-    (t.shape[1], rank).  Raises ValueError when t holds a NaN or infinity.
+    with Q U orthonormal: V is an orthonormal basis of the row space of t,
+    and t V / sv is orthonormal.  t may be dense, sparse or a ``RowView``.
+    Returns (sv, V), descending, with V of shape (t.shape[1], rank).
+    Raises ValueError when t holds a NaN or infinity.
     """
-    _, sv, vt = np.linalg.svd(r_factor(t) if r is None else r, full_matrices=False)
+    _, sv, vt = np.linalg.svd(r_factor(t), full_matrices=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
     return sv[:rank], vt[:rank].T
 
 
-def orthonormalizer(t, r=None) -> np.ndarray:
+def orthonormalizer(t) -> np.ndarray:
     """A change of basis F with t F an orthonormal basis of the column space of t.
 
     From a column-pivoted QR of the small R of ``r_factor(t)``, R P = Q' R':
     the rank is the count of |R'_ii| > RANK_TOL |R'_11|, and with R'_11 the
     leading rank x rank block, F = P[:, :rank] R'_11^(-1), as
     t P[:, :rank] = Q Q'[:, :rank] R'_11.  No SVD is taken, and F is
-    (t.shape[1], rank).  t may be dense, sparse or a ``RowView``; ``r`` is
-    ``r_factor(t)`` when the caller already holds it.  Raises ValueError
-    when t holds a NaN or infinity.
+    (t.shape[1], rank).  t may be dense, sparse or a ``RowView``.  Raises
+    ValueError when t holds a NaN or infinity.
     """
     # imported on first use: scipy.linalg adds about 0.13 s to the package's import
     from scipy.linalg import lapack, qr
 
-    r = r_factor(t) if r is None else r
+    r = r_factor(t)
     width = r.shape[1]
     if r.shape[0] == 0:
         return np.zeros((width, 0))
@@ -313,10 +311,7 @@ def _streamed_r(view: RowView) -> np.ndarray:
         end = top + hi - lo
         buf[end:] = 0.0
         for c, block in zip(view.columns(), parts):
-            if is_sparse(block):
-                # on the gathered copy, in place: a scatter keeps only one of
-                # repeated entries, and CSR sums them far faster than COO
-                block.sum_duplicates()
+            if is_sparse(block):  # a gathered block holds no repeated entry
                 coo = block.tocoo()
                 buf[top:end, c] = 0.0
                 buf[top + coo.row, c.start + coo.col] = coo.data
@@ -328,8 +323,8 @@ def _streamed_r(view: RowView) -> np.ndarray:
         top = min(end, width)
         for j in range(top - 1):
             buf[j + 1:top, j] = 0.0  # the Householder vectors under R's diagonal
-    # a copy, unless R fills the buffer: a caller that keeps R (a handed-over
-    # factor) must not keep the (width + block) x width buffer alive with it
+    # a copy, unless R fills the buffer: a caller that keeps R must not keep
+    # the (width + block) x width buffer alive with it
     return buf if top == buf.shape[0] else np.array(buf[:top], order="F")
 
 

@@ -25,15 +25,15 @@ class TestBaseCase:
         sub = const_approx(a, 2, loss, seed=0)  # P_M = 200 > 30: base case
         assert sub.dim == 6
         assert residual_cost(a, sub, None, loss) <= 1e-12 * v_norm_p(a, None, loss)
-        # the R factor of A travels with the subspace: A R^-1 is orthonormal
-        basis = a @ np.linalg.inv(sub.r)
+        # A's singular values travel with the subspace: A U / sv is orthonormal
+        basis = a @ sub.u / sub.sv
         assert np.abs(basis.T @ basis - np.eye(6)).max() <= 1e-12
-        # so does that of more rows than P_M = 50, when d <= P_M
+        # so do those of more rows than P_M = 50, when d <= P_M
         tall = const_approx(rng.standard_normal((300, 6)), 1, loss, seed=0)
-        assert tall.dim == 6 and tall.r is not None
+        assert tall.dim == 6 and tall.sv is not None
         # a sampled subspace spans sampled rows, so it carries no factor of A
         wide = rng.standard_normal((300, 60))
-        assert const_approx(wide, 1, loss, seed=0).r is None  # P_M = 50 < 60
+        assert const_approx(wide, 1, loss, seed=0).sv is None  # P_M = 50 < 60
 
     def test_base_case_skips_right_sketch(self, monkeypatch):
         # min(n, d) <= P_M: no sample reads the sketched operand, so no product
@@ -64,7 +64,7 @@ class TestBaseCase:
         a = np.random.default_rng(3).standard_normal((201, 250))
         trace = {}
         sub = const_approx(a[:200], 2, LossSpec.lp(1.0), seed=0, trace=trace)
-        assert plans == [] and sub.dim == 200 and sub.r is not None
+        assert plans == [] and sub.dim == 200 and sub.sv is not None
         assert trace == {"bicriteria_rows": 200, "bicriteria_rows_expected": 200.0}
         const_approx(a, 2, LossSpec.lp(1.0), seed=0, trace=trace)
         assert len(plans) == 1 and abs(plans[0].expected - 200) <= 1e-9
@@ -153,7 +153,7 @@ class TestRecursionMechanics:
         sub = const_approx(a, 1, LossSpec.lp(1.0), seed=2, trace=trace)
         assert len(scored) == 1 and scored[0] is a
         assert abs(trace["bicriteria_rows_expected"] - 20) <= 1e-9
-        assert sub.r is None and 0 < sub.dim <= trace["bicriteria_rows"]
+        assert sub.sv is None and 0 < sub.dim <= trace["bicriteria_rows"]
 
     def test_lp_sample_size_within_3_sigma(self, set_p_m):
         loss = LossSpec.lp(1.0)

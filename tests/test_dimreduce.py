@@ -60,17 +60,17 @@ class TestDimReduceEdges:
         a = np.random.default_rng(6).standard_normal((80, 9))
         assert dim_reduce(a, 2, 0.25, xhat, LossSpec.huber(1.0), seed=1) is xhat
 
-    def test_row_space_with_r_returned_without_estimates(self, monkeypatch):
+    def test_row_space_with_sv_returned_without_estimates(self, monkeypatch):
         # a rank-deficient input kept whole: xhat is A's row space (it carries
-        # A's R), a proper subspace, and no row is read to find that every
-        # residual is zero
+        # A's singular values), a proper subspace, and no row is read to find
+        # that every residual is zero
         monkeypatch.setattr(dimreduce, "gaussian_row_norm_estimates",
                             lambda *args: pytest.fail("residuals estimated"))
         monkeypatch.setattr(dimreduce, "row_norms", lambda *args: pytest.fail("rows read"))
         rng = np.random.default_rng(5)
         a = rng.standard_normal((300, 2)) @ rng.standard_normal((2, 9))
         xhat = const_approx(a, 2, LossSpec.lp(1.0), seed=0)  # P_M = 200 >= d
-        assert xhat.r is not None and xhat.dim == 2
+        assert xhat.sv is not None and xhat.dim == 2
         trace = {}
         assert dim_reduce(a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=1, trace=trace) is xhat
         assert trace == {"dimreduce_rows": 0, "dimreduce_rows_expected": 0.0}

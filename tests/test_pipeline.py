@@ -517,8 +517,8 @@ class TestApproxM2:
     def _spy_sample(monkeypatch):
         """Record (scored operand, m) of every final sample."""
         calls, sample = [], pipeline._final_sample
-        monkeypatch.setattr(pipeline, "_final_sample", lambda scored, m, *args:
-                            calls.append((scored, m)) or sample(scored, m, *args))
+        monkeypatch.setattr(pipeline, "_final_sample", lambda scored, b, *args:
+                            calls.append((scored, b.shape[0])) or sample(scored, b, *args))
         return calls
 
     def test_identity_embedding_scores_a_itself(self, monkeypatch):
@@ -538,6 +538,21 @@ class TestApproxM2:
         sub = approx_m2(sp.csr_matrix(a), 2, 0.3, LossSpec.huber(1.0), seed=3)
         assert len(calls) == 1 and sp.issparse(calls[0][0])
         assert sub.dim == 2
+
+    def test_unsorted_csr_input_left_unwritten(self):
+        # each row's column indices reversed: every gathered block is summed to
+        # canonical form in place, and the caller's arrays stay as they were
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
+        a = sp.csr_matrix(a)
+        perm = np.concatenate([np.arange(hi - 1, lo - 1, -1)
+                               for lo, hi in zip(a.indptr[:-1], a.indptr[1:])])
+        a = sp.csr_matrix((a.data[perm], a.indices[perm], a.indptr), shape=a.shape)
+        assert not a.has_canonical_format
+        before = [arr.copy() for arr in (a.data, a.indices, a.indptr)]
+        approx_m2(a, 2, 0.3, LossSpec.huber(1.0), seed=3)
+        approx_lp(a, 2, 0.3, LossSpec.lp(1.0), seed=3)
+        assert all(np.array_equal(arr, ref)
+                   for arr, ref in zip((a.data, a.indices, a.indptr), before))
 
     @staticmethod
     def _spy_factors(monkeypatch, a):
@@ -585,25 +600,53 @@ class TestApproxM2:
         assert tr["reduced_dim"] == 12
         assert sum(wholes) == 2
 
-    def test_input_kept_whole_takes_one_svd(self, monkeypatch):
-        # the bicriteria stage's U of an input it keeps whole is the right
-        # singular vectors of A's R, in descending order: the final sample's
-        # B is its first k columns, so R's SVD is taken once per fit, and
-        # the fit equals the one that takes B from a second SVD
-        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
-        loss = LossSpec.huber(1.0)
-        fits, stage, svd = {}, pipeline._stage_subspace, np.linalg.svd
+    @staticmethod
+    def _fits_with_and_without_sv(monkeypatch, a, loss):
+        """{U carries A's singular values: (fit, final-sample rows, trace)}; the
+        other fit is forced to take B and its singular values from a second SVD."""
+        fits, stage, sample = {}, pipeline._stage_subspace, pipeline._final_sample
+        svd = np.linalg.svd
         for handover in (True, False):
-            calls = []
+            calls, kept = [], []
             monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1)
                                 or svd(*args, **kw))
+            monkeypatch.setattr(pipeline, "_final_sample",
+                                lambda *args: kept.append(sample(*args)) or kept[-1])
             if not handover:
                 monkeypatch.setattr(pipeline, "_stage_subspace",
                                     lambda *args: Subspace(stage(*args).u))
-            fits[handover] = approx_m2(a, 2, 0.3, loss, seed=3).u
+            tr = {}
+            fits[handover] = approx_m2(a, 2, 0.3, loss, seed=3, trace=tr), kept[0][0], tr
             monkeypatch.undo()
             assert len(calls) == (1 if handover else 2)
-        assert np.array_equal(fits[True], fits[False])
+        return fits
+
+    def test_input_kept_whole_takes_one_svd(self, monkeypatch):
+        # the bicriteria stage's U of an input it keeps whole is the right
+        # singular vectors of A's R, in descending order, with their singular
+        # values: the final sample's B is its first k columns, so R's SVD is
+        # taken once per fit, and the fit equals the one that takes B from a
+        # second SVD
+        a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
+        fits = self._fits_with_and_without_sv(monkeypatch, a, LossSpec.huber(1.0))
+        assert np.array_equal(fits[True][0].u, fits[False][0].u)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_rank_deficient_input_kept_whole_takes_one_svd(self, monkeypatch, sparse):
+        # rank 6 in 12 columns, 30 of 3000 rows scaled x30 within the row space:
+        # the kept-whole U is 6 wide, and the final sample scores A itself with
+        # U's first k columns; the fit that scores [A U, r] by a second SVD
+        # keeps the same rows at the same cost
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((3000, 6)) @ np.linalg.qr(rng.standard_normal((12, 6)))[0].T
+        a[:30] *= 30.0
+        loss = LossSpec.huber(1.0)
+        fits = self._fits_with_and_without_sv(monkeypatch, sp.csr_matrix(a) if sparse else a,
+                                              loss)
+        assert fits[True][2]["reduced_dim"] == fits[False][2]["reduced_dim"] == 6
+        assert np.array_equal(fits[True][1], fits[False][1])
+        assert residual_cost(a, fits[True][0], None, loss) == pytest.approx(
+            residual_cost(a, fits[False][0], None, loss), rel=1e-12)
 
     def test_t_rows_target_sets_base_rows(self, monkeypatch):
         # the plan expects exactly _T_ROWS rows; n <= _T_ROWS keeps every
@@ -757,7 +800,8 @@ class TestExactColumns:
 
     @_BOTH_PIPELINES
     def test_exact_columns_beat_svd(self, monkeypatch, fit, loss):
-        # both the scored operand and the small problem's C are [A U, r]
+        # the input is kept whole, so the final sample scores A itself, and
+        # the small problem's C is [A U, r]
         scored, solved = [], []
         sample, solve = pipeline._final_sample, pipeline.small_approx
         monkeypatch.setattr(pipeline, "_final_sample",
@@ -772,7 +816,7 @@ class TestExactColumns:
             _, svd_cost = svd_truncation_cost(a, 3, None, loss)
             assert residual_cost(a, sub, None, loss) < svd_cost
             assert tr["reduced_dim"] == 4
-        assert scored == [5] * 3 and solved == [5] * 3
+        assert scored == [100] * 3 and solved == [5] * 3
 
     @_BOTH_PIPELINES
     def test_width_above_small_cap(self, fit, loss):
@@ -790,14 +834,20 @@ class TestExactColumns:
 
     def test_outliers_recipe_reads_exact_columns_on_demand(self, monkeypatch):
         # the CI's outliers.mtx recipe, 9100 CSR rows by 300, at p = 1.5: U has
-        # m = 103 < d columns, [A U, r] is computed one block at a time for the
-        # R and the draw, and the fit peaks below the n x (m + 1) operand and
-        # costs what the fit on the formed operand costs
+        # m = 103 < d columns, and with A's singular values dropped from it,
+        # [A U, r] is computed one block at a time for the R and the draw, and
+        # the fit peaks below the n x (m + 1) operand and costs what the fit on
+        # the formed operand costs
         rng = np.random.default_rng(1)
         v = sp.random(3, 300, density=0.05, random_state=rng)
         a = sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
                        30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
         loss = LossSpec.lp(1.5)
+        stage, scored = pipeline._stage_subspace, []
+        monkeypatch.setattr(pipeline, "_stage_subspace", lambda *args: Subspace(stage(*args).u))
+        exact = pipeline._ExactColumns
+        monkeypatch.setattr(pipeline, "_ExactColumns",
+                            lambda *args: scored.append(1) or exact(*args))
         approx_lp(a, 3, 0.25, loss, seed=1)  # the modules imported on first use
         tr = {}
         tracemalloc.start()
@@ -806,7 +856,7 @@ class TestExactColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tr["reduced_dim"] == 103
+        assert tr["reduced_dim"] == 103 and scored == [1, 1]
         assert peak < a.shape[0] * (tr["reduced_dim"] + 1) * 8
         monkeypatch.setattr(pipeline, "_ExactColumns", pipeline._exact_columns)  # formed whole
         formed = approx_lp(a, 3, 0.25, loss, seed=1)
@@ -818,8 +868,8 @@ class TestSketchesReached:
     def test_dense_outliers_factor_a_once_and_sketch_nothing(self, monkeypatch):
         # lp_dense_outliers input 1 (9000 x 20, L1, k = 3): d = 20 <= P_M = 450,
         # so the bicriteria stage keeps A's row space, read from one R of A,
-        # and the final sample takes that R: no sketch is made or applied and
-        # no row is scored by leverage
+        # and the final sample takes its singular values: no sketch is made or
+        # applied and no row is scored by leverage
         workloads = _workloads(monkeypatch)
         work = workloads.WORKLOADS["lp_dense_outliers"]
         a = work.inputs(1).a
@@ -869,9 +919,9 @@ class TestSketchesReached:
 
     def test_rank_deficient_row_space_factored_once(self, monkeypatch):
         # the CI's outliers.mtx recipe at k = 3: d = 300 <= P_M = 450, so the
-        # bicriteria stage keeps A's row space, of rank 103 < d, with its R.
-        # The final sample's R of [A U, r] is read from that R, as the R of
-        # R_A U, and B from U's descending order: A is factored once, where
+        # bicriteria stage keeps A's row space, of rank 103 < d, with its
+        # singular values. The final sample scores A itself, with U's first k
+        # columns and their singular values: A is factored once, where
         # factoring [A U, r] again cost 53351.02103867558 (value measured so)
         rng = np.random.default_rng(1)
         v = sp.random(3, 300, density=0.05, random_state=rng)

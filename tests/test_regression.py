@@ -59,12 +59,14 @@ class TestIrls:
         assert np.isfinite(x).all()
         assert abs(x[0] - x[1]) <= 1e-8  # least-norm splits evenly
 
-    def test_huber_location_matches_golden_section(self):
+    def test_huber_location_matches_golden_section(self, monkeypatch):
         rng = np.random.default_rng(2)
         loss = LossSpec.huber(1.0)
         b = np.concatenate([rng.standard_normal(190), 50 + 5 * rng.standard_normal(10)])
         ones = np.ones((200, 1))
-        x = irls_solve(ones, b, None, loss, tol=1e-14, max_iter=2000)
+        monkeypatch.setattr(regression, "_IRLS_TOL", 1e-14)
+        monkeypatch.setattr(regression, "_IRLS_MAX_ITER", 2000)
+        x = irls_solve(ones, b, None, loss)
         ref = minimize_scalar(
             lambda t: regression_objective(ones, b, np.array([t]), None, loss),
             method="golden", bracket=(-20, 20), options={"xtol": 1e-12})
@@ -120,7 +122,7 @@ class TestIrls:
         x, hist = irls_solve(a, np.zeros(40), None, LossSpec.lp(1.0), return_history=True)
         assert hist == [0.0] and np.array_equal(x, np.zeros(3))
 
-    def test_huber_matches_independent_solver(self):
+    def test_huber_matches_independent_solver(self, monkeypatch):
         # smooth huber objective: compare with a BFGS solve from scipy
         rng = np.random.default_rng(4)
         a = rng.standard_normal((120, 8))
@@ -134,7 +136,9 @@ class TestIrls:
             r = a @ x - b
             return a.T @ (np.sign(r) * m_derivative(loss, r))
 
-        x_irls = irls_solve(a, b, None, loss, tol=1e-14, max_iter=3000)
+        monkeypatch.setattr(regression, "_IRLS_TOL", 1e-14)
+        monkeypatch.setattr(regression, "_IRLS_MAX_ITER", 3000)
+        x_irls = irls_solve(a, b, None, loss)
         ref = minimize(f, np.zeros(8), jac=grad, method="BFGS",
                        options={"gtol": 1e-12, "maxiter": 5000})
         assert f(x_irls) <= ref.fun + 1e-6
@@ -147,20 +151,22 @@ class TestIrls:
         x2 = irls_solve(a, 3.5 * b, None, LossSpec.lp(2.0))
         assert np.abs(3.5 * x1 - x2).max() <= 1e-10
 
-    def test_weighted_objective_respected(self):
+    def test_weighted_objective_respected(self, monkeypatch):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((60, 3))
         b = rng.standard_normal(60)
         w = np.ones(60)
         w[:5] = 100.0
         loss = LossSpec.huber(1.0)
-        x = irls_solve(a, b, w, loss, tol=1e-14, max_iter=2000)
+        monkeypatch.setattr(regression, "_IRLS_TOL", 1e-14)
+        monkeypatch.setattr(regression, "_IRLS_MAX_ITER", 2000)
+        x = irls_solve(a, b, w, loss)
         # heavily weighted rows fit much better than the rest
         r = np.abs(a @ x - b)
         assert np.mean(r[:5]) < np.mean(r[5:])
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
-    def test_weighted_rank_deficient_step_is_lstsq(self, sparse):
+    def test_weighted_rank_deficient_step_is_lstsq(self, monkeypatch, sparse):
         # 5000 rows, past one QR row block, of rank 8 in 12 columns (one
         # column only 1e-13 off another, below the cutoff of an n x d solve
         # but above that of a d x d one), with weights among 1, 2, ..., 32:
@@ -173,7 +179,8 @@ class TestIrls:
         b = rng.standard_normal(5000)
         w = np.exp2(rng.integers(0, 6, 5000))
         ref = np.linalg.lstsq(a * np.sqrt(w)[:, None], b * np.sqrt(w), rcond=None)[0]
-        x = irls_solve(sp.csr_matrix(a) if sparse else a, b, w, LossSpec.lp(2.0), max_iter=0)
+        monkeypatch.setattr(regression, "_IRLS_MAX_ITER", 0)
+        x = irls_solve(sp.csr_matrix(a) if sparse else a, b, w, LossSpec.lp(2.0))
         assert np.abs(x - ref).max() <= 1e-10
 
     def test_csr_peak_below_quarter_of_dense(self):
