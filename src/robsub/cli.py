@@ -100,6 +100,7 @@ def cmd_approx(args) -> int:
     report = _base_report(args, "approx")
     timings = {}
     trace = {}
+    svd_cost_p = None  # the baseline's cost, when the fit is the baseline
     t0 = time.perf_counter()
     # the pipelines' own subspace stages, seeded as they seed them and run at
     # their rank min(k, n)
@@ -115,7 +116,7 @@ def cmd_approx(args) -> int:
             sub = approx_m2(a, args.k, args.eps, loss, small_cap=args.small_cap,
                             seed=args.seed, trace=trace)
         else:
-            sub, _ = svd_truncation_cost(a, args.k, None, loss)
+            sub, svd_cost_p = svd_truncation_cost(a, args.k, None, loss)
     else:
         raise ConfigError(f"unknown stage {args.stage!r}")
     timings["fit_seconds"] = time.perf_counter() - t0
@@ -123,7 +124,8 @@ def cmd_approx(args) -> int:
     t0 = time.perf_counter()
     cost_p = residual_cost(a, sub, None, loss)
     total_p = v_norm_p(a, None, loss)
-    _, svd_cost_p = svd_truncation_cost(a, min(args.k, min(n, d)), None, loss)
+    if svd_cost_p is None:
+        _, svd_cost_p = svd_truncation_cost(a, min(args.k, min(n, d)), None, loss)
     timings["report_seconds"] = time.perf_counter() - t0
 
     report["results"] = {

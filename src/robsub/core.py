@@ -178,17 +178,17 @@ def as_weights(w, n: int) -> np.ndarray:
 # matrix helpers (dense ndarray or scipy.sparse are both accepted)
 
 # rows of an operand gathered at a time by the blockwise passes: the R factor
-# of bases and IRLS steps (a Gram sum, which keeps a sparse block sparse, or
-# the streamed QR, which densifies it), the exact columns [A U, r], the
-# residual norms and dim_reduce's largest row norm
+# of bases, IRLS steps and the final sample's A U (a Gram sum, which keeps a
+# sparse block sparse, or the streamed QR, which densifies it), the final
+# sample's scores of A, the residual norms and dim_reduce's largest row norm
 _FACTOR_BLOCK = 2048
 
 # entries of a computed part's block, 0.5 MB: a view that holds a ``ComputedPart``
 # reads fewer rows than asked per block when it is wider than 32 columns, so a
 # pass holds a few such blocks whatever the width.  With 1 MB blocks the 9100 x 300
-# CSR fit of the CI's outliers.mtx peaked at 7.5 MB in its bicriteria stage, next
-# to the 7.6 MB of its [A U, r]; with 0.5 MB at 5.6 MB.  Every benchmark operand
-# that holds a computed part is at most 32 wide
+# CSR fit of the CI's outliers.mtx peaked at 7.5 MB in its bicriteria stage, and
+# with 0.5 MB at 5.6 MB.  The final sample's A U is such a part, read by its R
+# factor alone.  Every benchmark operand that holds a computed part is at most 32 wide
 _COMPUTED_ENTRIES = _FACTOR_BLOCK * 32
 
 # entries of an n-vector that the elementwise passes form at a time: a sampling
@@ -260,9 +260,10 @@ class ComputedPart:
     matrix ``a`` (dense or CSR), and never stored.
 
     Indexing with a slice or an index array takes those rows of ``a`` and
-    returns ``compute`` of them, a dense block of ``width`` columns.  A
-    part has a ``left_product`` only when its rows are linear in those of
-    ``a`` (``sketch.RightSketchPart``); others raise ValueError.
+    returns ``compute`` of them, a dense block of ``width`` columns: A S^T
+    (``sketch.RightSketchPart``) or A U (``pipeline._Coordinates``, which
+    only an R factor reads).  Only a part that a p-stable sketch reads has
+    a ``left_product`` (``RightSketchPart``); others raise ValueError.
     """
 
     def __init__(self, a, width: int):
@@ -276,7 +277,7 @@ class ComputedPart:
         return self.compute(_take(self.a, rows))
 
     def left_product(self, op) -> "ComputedPart":
-        raise ValueError(f"{type(self).__name__} rows are not linear in the input's")
+        raise ValueError(f"{type(self).__name__} has no left product")
 
 
 class RowView:

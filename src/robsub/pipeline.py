@@ -1,16 +1,16 @@
 """End-to-end (1+eps) pipelines and the desk-scale small-problem solver.
 
 Both pipelines run one body: bicriteria subspace -> residual sampling into
-a moderate subspace U -> one sensitivity sample T of the rows of [A U, r],
-r_i = ||A_i (I - U U^T)|| (of A itself when U is square or A's row space),
-scored by each row's cost share under the top-k singular subspace B plus
-its leverage in the projection onto B -> min over rank-k projectors W W^T
-of the small problem on the kept rows' exact columns T [A U, r], weighted
-by 1/q -> return U W.  Its per-row costs are exact, as
-||A_i (I - U W W^T U^T)||^2 = ||A_i U (I - W W^T)||^2 + r_i^2 (a
-projection-cost-preserving reduction; Cohen, Elder, Musco, Musco & Persu
-2015).  No n x d array or n x (m+1) [A U, r] is formed: the latter's rows
-are computed block by block on each read.
+a moderate subspace U -> one sensitivity sample T of the rows of A, scored
+by each row's cost share under V_k, the top-k right singular vectors of A
+inside U, plus its leverage in A V_k -> min over rank-k projectors W W^T
+of the small problem on the kept rows' exact columns T [A U, r],
+r_i = ||A_i (I - U U^T)||, weighted by 1/q -> return U W.  Its per-row
+costs are exact, as ||A_i (I - U W W^T U^T)||^2 = ||A_i U (I - W W^T)||^2
++ r_i^2 (a projection-cost-preserving reduction; Cohen, Elder, Musco,
+Musco & Persu 2015), so a row's score needs only A_i and the d x k V_k.
+No n x d array or n x m A U is formed: the R factor that finds V_k reads
+A U one block at a time.
 
 The small solver is heuristic by design: a reweighted-PCA alternation
 (``_mm_descent``) runs from a few random orthonormal starts, and the
@@ -36,13 +36,14 @@ from .core import (
     is_sparse,
     m_derivative,
     m_value,
+    matmul_dense,
     project_rows,
     row_view,
     spawn_rng,
 )
 from . import sampling
 from .dimreduce import dim_reduce
-from .sketch import RANK_TOL, r_factor
+from .sketch import rank_revealing_factor
 
 _T_ROWS = 300        # expected rows of the final sample
 _RESTARTS = 5        # random starts of the small solve's alternation
@@ -245,16 +246,16 @@ def _exact_columns(rows, u: np.ndarray) -> np.ndarray:
     return np.column_stack((au, r))
 
 
-class _ExactColumns(ComputedPart):
-    """The rows of [A U, r], computed on read by ``_exact_columns`` (a ``core.ComputedPart``)."""
+class _Coordinates(ComputedPart):
+    """The rows of A U, computed on read (a ``core.ComputedPart``)."""
 
     def __init__(self, a, u: np.ndarray):
-        super().__init__(a, u.shape[1] + 1)
+        super().__init__(a, u.shape[1])
         # scipy multiplies a CSR block by a C-ordered U as it is, and copies any other
         self.u = np.ascontiguousarray(u) if is_sparse(self.a) else u
 
     def compute(self, rows) -> np.ndarray:
-        return _exact_columns(rows, self.u)
+        return matmul_dense(rows, self.u)
 
 
 def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
@@ -277,40 +278,44 @@ def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
     return Subspace(v)
 
 
-def _final_sample(scored, b: np.ndarray, sv: np.ndarray, loss: LossSpec, seed: int, tr: dict):
-    """The rows of [X r] that the small solve keeps, and their weights.
+def _final_sample(a, sub: Subspace, k: int, loss: LossSpec, seed: int, tr: dict):
+    """The rows of A that the small solve keeps, and their weights.
 
-    X is the first m = ``b.shape[0]`` columns of ``scored`` and r its
-    last (zero when ``scored`` is A itself, m wide).  B = ``b`` is the
-    top-k right singular vectors of X, its SVD's rank-k subspace, and
-    ``sv`` their singular values, so X B / sv is orthonormal.  Row i
-    scores s_i = M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.)
-    + ||X_i B / sv||^2 / k: its cost share under B plus its leverage in
-    X B, which bound its sensitivity over every rank-k subspace inside U
-    up to the factor by which B's cost exceeds the optimum (Feldman &
-    Langberg 2011; Varadarajan & Xiao 2012).  A direction whose singular
-    value is at most ``sketch.RANK_TOL`` times the largest adds no
-    leverage, and the cost share is dropped when its total is zero.  The
-    rows are read one block of ``_FACTOR_BLOCK`` at a time into the two
-    terms' n-vectors, summed in place once the total is known, and the
-    scores stream a chunk at a time into one sample expecting ``_T_ROWS``
-    rows (``sampling.sample_stream``).  Each kept row weighs 1/q for
-    every loss: for |x|^p that costs what the row rescaled by q^(-1/p)
-    costs, as w M(x) = M(w^(1/p) x).  At most ``_T_ROWS`` rows are all
-    kept, with no draw.  ``tr`` receives the realized and expected rows
+    At most ``_T_ROWS`` rows are all kept, with no draw and no factor.
+    Otherwise V_k, the top-k right singular vectors of A inside U =
+    ``sub.u``, and their singular values sigma are U's first k columns
+    and ``sub.sv`` when that is set (U is A's row space), and else come
+    from ``sketch.rank_revealing_factor`` of A when U spans R^d, or of the
+    A U part, read one block at a time (V_k = U V[:, :k]); A V_k / sigma
+    is orthonormal.  Row i scores s_i = M(||A_i (I - V_k V_k^T)||) /
+    sum_j M(.) + ||A_i V_k / sigma||^2 / k: its cost share under V_k plus
+    its leverage in A V_k, which bound its sensitivity over every rank-k
+    subspace inside U up to the factor by which V_k's cost exceeds the
+    optimum (Feldman & Langberg 2011; Varadarajan & Xiao 2012).  The cost
+    share is dropped when its total is zero.  A (dense or CSR) is read one
+    block of ``_FACTOR_BLOCK`` rows at a time into the two terms'
+    n-vectors, summed in place once the total is known, and the scores
+    stream a chunk at a time into one sample expecting ``_T_ROWS`` rows
+    (``sampling.sample_stream``).  Each kept row weighs 1/q for every
+    loss: for |x|^p that costs what the row rescaled by q^(-1/p) costs, as
+    w M(x) = M(w^(1/p) x).  ``tr`` receives the realized and expected rows
     (``t_rows``, ``t_rows_expected``).
     """
-    n = scored.shape[0]
+    n = a.shape[0]
     if n <= _T_ROWS:
         sampling.record("t", n, n, tr)
         return np.arange(n), np.ones(n)
-    m, k = b.shape
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[0])
+    if sub.sv is not None:
+        sv, vk = sub.sv, sub.u
+    else:
+        square = sub.dim == sub.d
+        sv, v = rank_revealing_factor(a if square else _Coordinates(a, sub.u))
+        vk = v if square else sub.u @ v[:, :k]
+    vk, inv = vk[:, :k], 1.0 / sv[:k]
     cost, lev = np.empty(n), np.empty(n)
-    for lo, hi, (rows,) in row_view(scored).blocks(_FACTOR_BLOCK):
-        x, r = (rows, 0.0) if rows.shape[1] == m else (rows[:, :m], rows[:, m])
-        xb, resid = project_rows(x, b)
-        cost[lo:hi] = m_value(loss, np.hypot(resid, r))
+    for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
+        xb, resid = project_rows(rows, vk)
+        cost[lo:hi] = m_value(loss, resid)
         xb *= inv
         lev[lo:hi] = np.einsum("ij,ij->i", xb, xb)
     lev /= k
@@ -333,21 +338,14 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
     dimensions, and a subspace U of at most that width is padded to k
     orthonormal columns.  A U of m columns with m + 1 > ``small_cap``
     raises ``CapExceededError`` before any column or row of the final
-    sample is formed.  When U carries A's singular values (``Subspace.sv``:
-    the bicriteria stage's row space of A, whenever min(n, d) <= P_M), no
-    row of A lies off U, and ``_final_sample`` draws the rows of A as
-    given (dense or CSR) with B the first k columns of U and their
-    singular values, so the fit factors A once and reads no sketch.
-    Otherwise it draws the rows of the n x (m+1) operand [A U, r] (of A
-    when U is square), a ``_ExactColumns`` part computed one block at a
-    time on each read (at most ``_FACTOR_BLOCK`` rows, and 0.5 MB past 32
-    columns) and never formed whole, with B and its singular values from
-    one SVD of the leading m x m block of ``sketch.r_factor`` of it.  Each
-    of the R and the draw reads the operand once (the R twice when it falls
-    back from the Gram to the streamed QR), for nnz(A) m work per read.
-    The kept rows of A are gathered once, and their exact columns formed,
-    for the weighted small problem.  Salts seed the draw and the small
-    solve.
+    sample is formed.  ``_final_sample`` draws the rows of A as given
+    (dense or CSR), and is the one place that finds their sensitivity
+    basis, from an R factor that alone reads the A U part; when U carries
+    A's singular values (``Subspace.sv``: the bicriteria stage's row space
+    of A, whenever min(n, d) <= P_M) the fit factors A once and reads no
+    sketch.  The kept rows of A are gathered
+    once, and their exact columns [A U, r] formed, for the weighted small
+    problem.  Salts seed the draw and the small solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -369,14 +367,8 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
             f"small problem has side {m + 1} > cap {small_cap}; raise the "
             "cap or lower the sampling targets")
 
-    if sub.sv is not None:
-        scored, b, sv = a, u[:, :k], sub.sv[:k]
-    else:
-        scored = a if m == d else _ExactColumns(a, u)
-        _, sv, vt = np.linalg.svd(r_factor(scored)[:m, :m])
-        b, sv = vt[:k].T, sv[:k]
-    idx, w = _final_sample(scored, b, sv, loss,
-                           int(spawn_rng(seed, salts[0]).integers(2**31)), tr)
+    idx, w = _final_sample(a, sub, k, loss, int(spawn_rng(seed, salts[0]).integers(2**31)),
+                           tr)
 
     kept, = row_view(a).block(idx)
     prob = SmallProblem(_exact_columns(kept, u), w, k)
@@ -395,9 +387,9 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
     """(1+eps)-style pipeline for M(x) = |x|^p, p in [1, 2): returns rank-k U W.
 
     Stages: bicriteria subspace, residual sampling into U, one
-    sensitivity sample of the exact operand [A U, r] (of A itself when U
-    is square; ``_final_sample``), and the small solve inside U on the
-    sampled rows' exact columns T [A U, r], weighted by 1/q.  ``small_cap``
+    sensitivity sample of the rows of A (``_final_sample``), and the small
+    solve inside U on the sampled rows' exact columns T [A U, r], weighted
+    by 1/q.  ``small_cap``
     (at least 1) is the most columns [X r] of the small problem.
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):

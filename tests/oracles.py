@@ -22,14 +22,15 @@ from robsub.core import (
     as_weights,
     m_derivative,
     m_value,
+    project_rows,
     residual_cost,
     residual_row_norms,
     row_view,
     spawn_rng,
 )
-from robsub import bicriteria, sampling
+from robsub import bicriteria, pipeline, sampling
 from robsub.conditioning import weighted_leverage_scores
-from robsub.sketch import apply_right, make_sparse_sketch, r_factor
+from robsub.sketch import RANK_TOL, apply_right, make_sparse_sketch, r_factor
 
 
 def m_value_reference(loss: LossSpec, x):
@@ -285,3 +286,26 @@ def eager_bicriteria_rows(a, k: int, loss: LossSpec, seed: int) -> np.ndarray:
                                       seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
     plan = sampling.make_plan(scores.gamma, bicriteria._p_m(k, n, loss))
     return sampling.draw(plan, seed=int(spawn_rng(seed, 59, 0, 0).integers(2**31))).indices
+
+
+def final_sample_of_exact_columns(a, u: np.ndarray, k: int, loss: LossSpec, seed: int):
+    """The rows and weights that ``pipeline._final_sample`` keeps, scored on the
+    formed n x (m+1) operand C = [X r], X = A U and r_i = ||A_i (I - U U^T)||.
+
+    B and sigma are the top-k right singular vectors and values of the
+    leading m x m block of ``r_factor(C)``, a direction with sigma_j <=
+    ``RANK_TOL`` sigma_1 adds no leverage, and row i scores
+    M(sqrt(||X_i (I - B B^T)||^2 + r_i^2)) / sum_j M(.) + ||X_i B / sigma||^2 / k,
+    drawn by a plan of the finished scores expecting ``pipeline._T_ROWS`` rows
+    (which the stream equals).
+    """
+    x, r = project_rows(a, u)
+    m = u.shape[1]
+    _, sv, vt = np.linalg.svd(r_factor(np.column_stack((x, r)))[:m, :m])
+    sv = sv[:k]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > RANK_TOL * sv[0])
+    xb, resid = project_rows(x, vt[:k].T)
+    cost = m_value(loss, np.hypot(resid, r))
+    scores = np.einsum("ij,ij->i", xb * inv, xb * inv) / k + cost / cost.sum()
+    sample = sampling.draw(sampling.make_plan(scores, pipeline._T_ROWS), seed=seed)
+    return sample.indices, sample.reweights

@@ -169,6 +169,26 @@ class TestApproxCommand:
         # at p=2 the baseline is the optimum, so the fit matches it
         assert res["v_cost_p"] == pytest.approx(res["baseline_svd_v_cost_p"])
 
+    def test_p2_full_stage_takes_the_svd_once(self, tmp_path, monkeypatch):
+        # the fit is the SVD baseline itself, so its cost is the baseline's: one
+        # SVD, at k, and the report's costs are those of that one subspace
+        a = np.random.default_rng(0).standard_normal((300, 8))
+        csv, report = tmp_path / "a.csv", tmp_path / "r.json"
+        np.savetxt(csv, a, delimiter=",")
+        a = load_matrix(str(csv))
+        loss = LossSpec.lp(2.0)
+        sub, cost = cli.svd_truncation_cost(a, 2, None, loss)
+        calls, real = [], cli.svd_truncation_cost
+        monkeypatch.setattr(cli, "svd_truncation_cost",
+                            lambda a, k, *args: calls.append(k) or real(a, k, *args))
+        rc = main(["approx", "--input", str(csv), "--k", "2", "--loss", "l2",
+                   "--stage", "full", "--seed", "1", "--report", str(report)])
+        assert rc == EXIT_OK and calls == [2]
+        res = _load(report)["results"]
+        assert res["v_cost_p"] == res["baseline_svd_v_cost_p"] == cost
+        assert res["v_cost_p"] == robsub.residual_cost(a, sub, None, loss)
+        assert res["input_v_cost_p"] == robsub.v_norm_p(a, None, loss)
+
     @pytest.mark.parametrize("loss", ["l1", "huber"])
     def test_full_stage_wider_than_small_cap(self, tmp_path, loss):
         # CSR 1200 x 450, d above the default small_cap of 400: sparse rank 3

@@ -16,7 +16,7 @@ from robsub import (
     v_norm_p,
 )
 from robsub import pipeline
-from robsub.core import (_COMPUTED_ENTRIES, _FACTOR_BLOCK, RowView, as_weights,
+from robsub.core import (_COMPUTED_ENTRIES, _FACTOR_BLOCK, RowView, as_weights, matmul_dense,
                          residual_row_norms, row_norms, row_view)
 from robsub.sketch import RightSketchPart, apply_right, make_sparse_sketch
 
@@ -434,7 +434,7 @@ class TestScaledRowView:
 
 
 class TestComputedParts:
-    """Parts computed on read: A S^T (sketch.RightSketchPart) and [A U, r] (pipeline._ExactColumns)."""
+    """Parts computed on read: A S^T (sketch.RightSketchPart) and A U (pipeline._Coordinates)."""
 
     def _parts(self):
         """(part, the matrix it computes) for a dense and a CSR A."""
@@ -445,7 +445,7 @@ class TestComputedParts:
         u = np.linalg.qr(rng.standard_normal((12, 4)))[0]
         for a in (dense, csr):
             yield RightSketchPart(a, r), apply_right(a, r)
-            yield pipeline._ExactColumns(a, u), pipeline._exact_columns(a, u)
+            yield pipeline._Coordinates(a, u), matmul_dense(a, u)
 
     def test_block_by_slice_and_index(self):
         idx = np.array([7, 0, 299, 7, 23])
@@ -457,7 +457,7 @@ class TestComputedParts:
                 got, = view.block(rows)
                 assert np.allclose(got, full[rows], rtol=1e-13, atol=1e-13)
                 # A S^T is computed row by row, to the bit
-                assert isinstance(part, pipeline._ExactColumns) or np.array_equal(got, full[rows])
+                assert isinstance(part, pipeline._Coordinates) or np.array_equal(got, full[rows])
             got, = RowView((part,), scale).block(idx)
             assert np.allclose(got, full[idx] * scale[idx, None], rtol=1e-13, atol=1e-13)
 
@@ -483,15 +483,15 @@ class TestComputedParts:
         assert max(rows) * 100 <= _COMPUTED_ENTRIES and sum(rows) == 3000
 
     def test_left_product(self):
-        # op (A S^T) is the part (op A) S^T, to rounding; [A U, r] is not linear
-        # in A, and a scaled view of either raises
+        # op (A S^T) is the part (op A) S^T, to rounding; A U, which no sketch
+        # reads, has no left product, and a scaled view of either raises
         op = sp.random(40, 300, density=0.05, format="csc", random_state=10)
         scale = np.full(300, 2.0)
         for part, full in self._parts():
             with pytest.raises(ValueError, match="unscaled"):
                 RowView((part,), scale).left_product(op)
-            if isinstance(part, pipeline._ExactColumns):
-                with pytest.raises(ValueError, match="not linear"):
+            if isinstance(part, pipeline._Coordinates):
+                with pytest.raises(ValueError, match="no left product"):
                     RowView((part,)).left_product(op)
                 continue
             sketched, = RowView((part,)).left_product(op).parts

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import best_rank_k_in_subspace, planted_lowrank
-from oracles import small_problem_cost, small_problem_grid
+from oracles import final_sample_of_exact_columns, small_problem_cost, small_problem_grid
 from robsub import (
     LossSpec,
     Subspace,
@@ -18,7 +18,7 @@ from robsub import (
     weighted_leverage_scores,
 )
 from robsub import bicriteria, conditioning, pipeline, sampling, sketch
-from robsub.core import RowView
+from robsub.core import RowView, matmul_dense
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
     CapExceededError,
@@ -43,6 +43,14 @@ def _random_problem(seed, m_prime=12, m=8, k=2):
     # the exact columns [X r] of m_prime kept rows, r != 0
     rng = np.random.default_rng(seed)
     return SmallProblem(rng.standard_normal((m_prime, m + 1)), None, k)
+
+
+def _outliers_recipe():
+    """The CI's outliers.mtx: 9000 sparse rank-3 CSR rows by 300 and 100 sparse outlier rows."""
+    rng = np.random.default_rng(1)
+    v = sp.random(3, 300, density=0.05, random_state=rng)
+    return sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
+                      30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
 
 
 class TestSmallProblem:
@@ -515,15 +523,16 @@ class TestApproxM2:
 
     @staticmethod
     def _spy_sample(monkeypatch):
-        """Record (scored operand, m) of every final sample."""
+        """Record (scored operand, dimension of its sensitivity basis's space) of
+        every final sample."""
         calls, sample = [], pipeline._final_sample
-        monkeypatch.setattr(pipeline, "_final_sample", lambda scored, b, *args:
-                            calls.append((scored, b.shape[0])) or sample(scored, b, *args))
+        monkeypatch.setattr(pipeline, "_final_sample", lambda scored, sub, *args:
+                            calls.append((scored, sub.d)) or sample(scored, sub, *args))
         return calls
 
     def test_identity_embedding_scores_a_itself(self, monkeypatch):
-        # at d = 12 the reduced span is all of R^12, so the final sample
-        # scores A itself (width d) rather than the exact operand [A U, r]
+        # at d = 12 the reduced span is all of R^12; the final sample scores
+        # A itself, with a basis in R^12
         calls = self._spy_sample(monkeypatch)
         a, _ = planted_lowrank(3000, 12, 2, seed=17, noise=0.05, outlier_frac=0.01)
         tr = {}
@@ -568,7 +577,6 @@ class TestApproxM2:
             return r_factor(t)
 
         monkeypatch.setattr(sketch, "r_factor", spy)
-        monkeypatch.setattr(pipeline, "r_factor", spy)
         return wholes
 
     def test_input_factored_once(self, monkeypatch, set_p_m):
@@ -591,8 +599,9 @@ class TestApproxM2:
             monkeypatch.undo()
         assert np.array_equal(fits[True], fits[False])
         # forced through the sampling path (P_M < d), the subspace spans sampled
-        # rows: nothing is handed over and the final sample factors A itself,
-        # after the bicriteria scores' basis of A (its sketch would be square)
+        # rows: nothing is handed over and the final sample factors A itself
+        # (U spans R^12), after the bicriteria scores' basis of A (its sketch
+        # would be square)
         set_p_m(10)
         wholes = self._spy_factors(monkeypatch, a)
         tr = {}
@@ -634,9 +643,9 @@ class TestApproxM2:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
     def test_rank_deficient_input_kept_whole_takes_one_svd(self, monkeypatch, sparse):
         # rank 6 in 12 columns, 30 of 3000 rows scaled x30 within the row space:
-        # the kept-whole U is 6 wide, and the final sample scores A itself with
-        # U's first k columns; the fit that scores [A U, r] by a second SVD
-        # keeps the same rows at the same cost
+        # the kept-whole U is 6 wide, and the final sample scores A with U's
+        # first k columns; the fit that finds its basis by a second SVD, of
+        # A U, keeps the same rows at the same cost
         rng = np.random.default_rng(23)
         a = rng.standard_normal((3000, 6)) @ np.linalg.qr(rng.standard_normal((12, 6)))[0].T
         a[:30] *= 30.0
@@ -834,20 +843,17 @@ class TestExactColumns:
 
     def test_outliers_recipe_reads_exact_columns_on_demand(self, monkeypatch):
         # the CI's outliers.mtx recipe, 9100 CSR rows by 300, at p = 1.5: U has
-        # m = 103 < d columns, and with A's singular values dropped from it,
-        # [A U, r] is computed one block at a time for the R and the draw, and
-        # the fit peaks below the n x (m + 1) operand and costs what the fit on
-        # the formed operand costs
-        rng = np.random.default_rng(1)
-        v = sp.random(3, 300, density=0.05, random_state=rng)
-        a = sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
-                       30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
+        # m = 103 < d columns, and with A's singular values dropped from it, the
+        # final sample's R factor reads A U one block at a time, and the fit
+        # peaks below the n x (m + 1) operand [A U, r] and costs what the fit
+        # on a formed A U costs
+        a = _outliers_recipe()
         loss = LossSpec.lp(1.5)
         stage, scored = pipeline._stage_subspace, []
         monkeypatch.setattr(pipeline, "_stage_subspace", lambda *args: Subspace(stage(*args).u))
-        exact = pipeline._ExactColumns
-        monkeypatch.setattr(pipeline, "_ExactColumns",
-                            lambda *args: scored.append(1) or exact(*args))
+        coordinates = pipeline._Coordinates
+        monkeypatch.setattr(pipeline, "_Coordinates",
+                            lambda *args: scored.append(1) or coordinates(*args))
         approx_lp(a, 3, 0.25, loss, seed=1)  # the modules imported on first use
         tr = {}
         tracemalloc.start()
@@ -858,7 +864,7 @@ class TestExactColumns:
             tracemalloc.stop()
         assert tr["reduced_dim"] == 103 and scored == [1, 1]
         assert peak < a.shape[0] * (tr["reduced_dim"] + 1) * 8
-        monkeypatch.setattr(pipeline, "_ExactColumns", pipeline._exact_columns)  # formed whole
+        monkeypatch.setattr(pipeline, "_Coordinates", matmul_dense)  # formed whole
         formed = approx_lp(a, 3, 0.25, loss, seed=1)
         assert residual_cost(a, sub, None, loss) == pytest.approx(
             residual_cost(a, formed, None, loss), rel=1e-12)
@@ -890,7 +896,6 @@ class TestSketchesReached:
             return real(t)
 
         monkeypatch.setattr(sketch, "r_factor", spy)
-        monkeypatch.setattr(pipeline, "r_factor", spy)
         trace = {}
         approx_lp(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
         assert len(factored) == 1 and factored[0] is a
@@ -901,10 +906,7 @@ class TestSketchesReached:
         # < d, so the bicriteria stage sketches A S^T, and past the p-stable
         # row cap of 8192 conditions its basis by Pi, applied once, to the
         # computed right-sketch part
-        rng = np.random.default_rng(1)
-        v = sp.random(3, 300, density=0.05, random_state=rng)
-        a = sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
-                       30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
+        a = _outliers_recipe()
         sketched, apply = [], sketch.PStableSketch.apply
         monkeypatch.setattr(sketch.PStableSketch, "apply",
                             lambda pi, b: sketched.append(b) or apply(pi, b))
@@ -923,10 +925,7 @@ class TestSketchesReached:
         # singular values. The final sample scores A itself, with U's first k
         # columns and their singular values: A is factored once, where
         # factoring [A U, r] again cost 53351.02103867558 (value measured so)
-        rng = np.random.default_rng(1)
-        v = sp.random(3, 300, density=0.05, random_state=rng)
-        a = sp.vstack([sp.csr_matrix(rng.standard_normal((9000, 3)) @ v),
-                       30.0 * sp.random(100, 300, density=0.05, random_state=rng)]).tocsr()
+        a = _outliers_recipe()
         factored, real = [], sketch.r_factor
 
         def spy(t):
@@ -934,13 +933,56 @@ class TestSketchesReached:
             return real(t)
 
         monkeypatch.setattr(sketch, "r_factor", spy)
-        monkeypatch.setattr(pipeline, "r_factor", spy)
         trace = {}
         sub = approx_lp(a, 3, 0.25, LossSpec.lp(1.5), seed=1, trace=trace)
         assert len(factored) == 1 and factored[0] is a
         assert trace["bicriteria_dim"] == trace["reduced_dim"] == 103
         cost = residual_cost(a, sub, None, LossSpec.lp(1.5))
         assert abs(cost - 53351.02103867558) <= 1e-10 * cost
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_outliers_recipe_at_k2_samples_as_the_formed_exact_columns(self, sparse):
+        # at k = 2 U spans sampled rows, m < d wide, with no singular values: the
+        # final sample, which scores A with U B from the R of A U, keeps the rows
+        # that scoring the formed [A U, r] with B from its R keeps, at the same
+        # weights
+        a = _outliers_recipe()
+        a = a if sparse else a.toarray()
+        loss = LossSpec.lp(1.5)
+        tr = {}
+        sub = pipeline._stage_subspace(a, 2, 0.25, loss, 1, tr)
+        assert sub.sv is None and 2 < sub.dim < 300
+        idx, w = pipeline._final_sample(a, sub, 2, loss, 5, tr)
+        ref_idx, ref_w = final_sample_of_exact_columns(a, sub.u, 2, loss, 5)
+        assert len(idx) > 100 and np.array_equal(idx, ref_idx)
+        assert w == pytest.approx(ref_w, rel=1e-12)
+
+    def test_rows_kept_whole_factor_nothing_after_the_subspace(self, monkeypatch):
+        # 250 x 200 Gaussian rows at L1, k = 1: P_M = 50 is below n and d, so the
+        # bicriteria stage samples, and its subspace carries no singular values;
+        # residual sampling reaches all of R^200.  n <= _T_ROWS, so the final
+        # sample keeps every row, and no R factor follows the subspace stages
+        a = np.random.default_rng(0).standard_normal((250, 200))
+        factors, stage = [], pipeline._stage_subspace
+
+        def subspace(*args):
+            sub = stage(*args)
+            factors.clear()  # the subspace stages' own factors
+            return sub
+
+        def spy(name, real):
+            return lambda *args: factors.append(name) or real(*args)
+
+        monkeypatch.setattr(pipeline, "_stage_subspace", subspace)
+        for owner in (sketch, pipeline):
+            for name in ("r_factor", "rank_revealing_factor"):
+                if hasattr(owner, name):  # wherever the name is bound
+                    monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        tr = {}
+        approx_lp(a, 1, 0.25, LossSpec.lp(1.0), seed=1, trace=tr)
+        assert factors == []
+        assert tr["bicriteria_rows_expected"] == pytest.approx(50, abs=1e-9)
+        assert tr["reduced_dim"] == 200 and tr["t_rows"] == tr["t_rows_expected"] == 250
 
 
 class TestNonFiniteInput:
