@@ -7,7 +7,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from robsub import (
-    Subspace,
     apply_right,
     gaussian_row_norm_estimates,
     make_gaussian_sketch,
@@ -33,16 +32,17 @@ for _ in range(200):
 print(f"||y S^T|| / ||y|| deviation over a rank-3 rowspace: "
       f"median {np.median(errs):.3f}, max {np.max(errs):.3f}")
 
-# Gaussian row-norm estimation, optionally deflating a known subspace
+# Gaussian row-norm estimation, and of residual row norms by deflating the sketch
 dense = rng.standard_normal((500, 40))
 g = make_gaussian_sketch(seed=3, d=40, t=64)
-est = gaussian_row_norm_estimates(dense, None, g)
+est = gaussian_row_norm_estimates(dense, g)
 true = np.linalg.norm(dense, axis=1)
 print(f"\n64-column Gaussian estimates: ratio to true row norms in "
       f"[{(est / true).min():.3f}, {(est / true).max():.3f}]")
 
 q, _ = np.linalg.qr(rng.standard_normal((40, 5)))
-deflated = gaussian_row_norm_estimates(dense, Subspace(q), g)
+# A (I - Q Q^T) G = A (G - Q (Q^T G)): G is deflated, and no 500 x 5 product A Q is formed
+deflated = gaussian_row_norm_estimates(dense, g - q @ (q.T @ g))
 true_defl = np.linalg.norm(dense - (dense @ q) @ q.T, axis=1)
 print(f"with a 5-dim deflation: ratio in "
       f"[{(deflated / true_defl).min():.3f}, {(deflated / true_defl).max():.3f}]")

@@ -13,9 +13,10 @@ columns (or keeps A itself when d' >= d), scores the rows of the sketched
 product A S^T once with leverage scores, and draws one sample of the
 rows expecting P_M of them; the row space of the sampled input rows is
 the bicriteria subspace.  A S^T is never formed: it is a
-``sketch.RightSketchPart``, computed one block of rows at a time on each
-read.  This is dv07's sequential row selection with the sample chosen
-all at once, as the source paper argues it may be.
+``core.ComputedPart`` of A and ``SparseSketch.right_operator()``,
+computed one block of rows at a time on each read.  This is dv07's
+sequential row selection with the sample chosen all at once, as the
+source paper argues it may be.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import warnings
 from typing import Optional
 
 from .conditioning import leverage_score_blocks
-from .core import LossSpec, Subspace, spawn_rng
+from .core import ComputedPart, LossSpec, Subspace, spawn_rng
 from . import sampling
-from .sketch import RightSketchPart, make_sparse_sketch, orthonormal_union, rank_revealing_factor
+from .sketch import make_sparse_sketch, orthonormal_union, rank_revealing_factor
 
 # nonzeros per column of a sparse right sketch: ceil(2 / eps) at eps = 1/2
 _SKETCH_NNZ = 4
@@ -56,7 +57,7 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     expectation (not for certain); its cost is within a modest factor of
     the best rank-k cost (over the randomness of sketch and sample).  The
     n x m product A S^T (m < d; A itself when m >= d) is scored as
-    a ``sketch.RightSketchPart``, so the stage holds A, a block of the
+    a ``core.ComputedPart``, so the stage holds A, a block of the
     product (at most 2048 rows, and 0.5 MB past 32 columns), O((m + d) m)
     for the sketch and basis, and, past the p-stable row cap, the sketch
     Pi A of at most nnz(A) entries, and the sample's O(chunk + P_M),
@@ -85,8 +86,9 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     m = int(max(k + 1, _SKETCH_COLS_C * k * k))
     scored = a  # at m >= d a square S^T would save no work and may lose a direction of A
     if m < d:
-        scored = RightSketchPart(a, make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)),
-                                                       m=m, d=d, s=min(_SKETCH_NNZ, m)))
+        r = make_sparse_sketch(int(spawn_rng(seed, 61).integers(2**31)), m=m, d=d,
+                               s=min(_SKETCH_NNZ, m))
+        scored = ComputedPart(a, r.right_operator())
     scores = leverage_score_blocks(scored, loss, seed=int(spawn_rng(seed, 53, 0).integers(2**31)))
     sample = sampling.sample_stream("bicriteria", scores, p_m,
                                     int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)

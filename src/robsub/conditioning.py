@@ -25,10 +25,11 @@ to the v-measure, and drive all row sampling downstream.
 over every row of its operand (a matrix or a ``core.RowView``, whose parts
 are read one block of rows at a time, never stacked), and yields each
 row's doubled score in the pass over its block of the basis, for samples
-drawn as the scores stream.  A part computed on read, the right-sketched
-product A S^T of a ``sketch.RightSketchPart``, is never formed: its
-p-stable sketch is (Pi A) S^T, computed block by block from Pi A, and the
-basis is read as A (S^T F), with S^T folded into the change of basis.
+drawn as the scores stream.  A part computed on read, the product A R of
+a ``core.ComputedPart`` (the bicriteria stage's right-sketched A S^T), is
+never formed: its p-stable sketch is (Pi A) R, computed block by block
+from Pi A, and the basis is read as A (R F), with R folded into the
+change of basis.
 Every sample is drawn once from unit-weight rows, so no input weights
 reach the scores.
 """
@@ -41,8 +42,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _FACTOR_BLOCK, LossSpec, RowView, is_sparse, matmul_dense, row_view, spawn_rng
-from .sketch import RightSketchPart, make_pstable_sketch, orthonormalizer
+from .core import (_FACTOR_BLOCK, ComputedPart, LossSpec, RowView, is_sparse, matmul_dense,
+                   row_view, spawn_rng)
+from .sketch import make_pstable_sketch, orthonormalizer
 
 # p < 2 size rule of well_conditioned_basis: c_pi m0^2 hash buckets and their cap
 _C_PI = 20.0
@@ -62,16 +64,16 @@ class WellConditionedBasis:
         """Row blocks of U, or of U @ right taken as A @ (F @ right), summed part
         by part: a one-column dense part adds its outer product in place.  Blocks
         are ``_FACTOR_BLOCK`` rows, fewer as the operand's computed parts cap them.  A
-        ``RightSketchPart`` A S^T is read as A (S^T F), so none of its rows is formed."""
+        ``ComputedPart`` A R is read as A (R F), so none of its rows is formed."""
         # imported on first use: scipy.linalg adds about 0.13 s to the package's import
         from scipy.linalg import blas
 
         f = self.change_of_basis if right is None else self.change_of_basis @ right
         parts, fs = [], []
         for c, part in zip(self._a.columns(), self._a.parts):
-            if isinstance(part, RightSketchPart):
+            if isinstance(part, ComputedPart):
                 parts.append(part.a)
-                fs.append(part.r.right_operator() @ f[c])
+                fs.append(part.right @ f[c])
             else:
                 parts.append(part)
                 fs.append(f[c])

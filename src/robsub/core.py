@@ -177,18 +177,18 @@ def as_weights(w, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # matrix helpers (dense ndarray or scipy.sparse are both accepted)
 
-# rows of an operand gathered at a time by the blockwise passes: the R factor
-# of bases, IRLS steps and the final sample's A U (a Gram sum, which keeps a
-# sparse block sparse, or the streamed QR, which densifies it), the final
-# sample's scores of A, the residual norms and dim_reduce's largest row norm
+# rows of an operand gathered at a time by the blockwise passes: its R factor (a
+# Gram sum, which keeps a sparse block sparse, or the streamed QR, which densifies
+# it) for bases, IRLS steps, the SVD baseline and the final sample's A U; a basis's
+# row blocks, which leverage scores read; the residual norms; dim_reduce's scoring
+# pass; and the final sample's scores of A
 _FACTOR_BLOCK = 2048
 
 # entries of a computed part's block, 0.5 MB: a view that holds a ``ComputedPart``
 # reads fewer rows than asked per block when it is wider than 32 columns, so a
 # pass holds a few such blocks whatever the width.  With 1 MB blocks the 9100 x 300
 # CSR fit of the CI's outliers.mtx peaked at 7.5 MB in its bicriteria stage, and
-# with 0.5 MB at 5.6 MB.  The final sample's A U is such a part, read by its R
-# factor alone.  Every benchmark operand that holds a computed part is at most 32 wide
+# with 0.5 MB at 5.6 MB
 _COMPUTED_ENTRIES = _FACTOR_BLOCK * 32
 
 # entries of an n-vector that the elementwise passes form at a time: a sampling
@@ -256,28 +256,37 @@ def _take(part, rows):
 
 
 class ComputedPart:
-    """A ``RowView`` part whose rows are computed on read from those of a
-    matrix ``a`` (dense or CSR), and never stored.
+    """A ``RowView`` part whose rows are those of ``a @ right``, computed on read
+    and never stored.
 
-    Indexing with a slice or an index array takes those rows of ``a`` and
-    returns ``compute`` of them, a dense block of ``width`` columns: A S^T
-    (``sketch.RightSketchPart``) or A U (``pipeline._Coordinates``, which
-    only an R factor reads).  Only a part that a p-stable sketch reads has
-    a ``left_product`` (``RightSketchPart``); others raise ValueError.
+    ``a`` is dense or CSR, and ``right`` a d x m factor: a sparse one, the
+    S^T of ``sketch.SparseSketch.right_operator()`` (the bicriteria stage's
+    A S^T), or a dense one, the U of the final sample's A U.  Indexing with
+    a slice or an index array takes those rows of ``a`` times ``right``, a
+    dense block of m columns.  A width mismatch raises ValueError.
     """
 
-    def __init__(self, a, width: int):
+    def __init__(self, a, right):
+        if a.shape[1] != right.shape[0]:
+            raise ValueError(f"matrix has {a.shape[1]} columns, factor expects {right.shape[0]}")
         self.a = a.tocsr() if is_sparse(a) else np.asarray(a, dtype=float)
-        self.shape = (self.a.shape[0], width)
-
-    def compute(self, rows) -> np.ndarray:
-        raise NotImplementedError
+        # scipy multiplies a CSR block by a C-ordered dense factor as it is, and copies any other
+        self.right = (np.ascontiguousarray(right) if is_sparse(self.a) and not is_sparse(right)
+                      else right)
+        self.shape = (self.a.shape[0], right.shape[1])
 
     def __getitem__(self, rows) -> np.ndarray:
-        return self.compute(_take(self.a, rows))
+        return matmul_dense(_take(self.a, rows), self.right)
 
     def left_product(self, op) -> "ComputedPart":
-        raise ValueError(f"{type(self).__name__} has no left product")
+        """op (A R) as the part (op A) R: a p-stable sketch of it reads A in
+        O(nnz(A)) work and forms no row of A R; op A has at most nnz(A)
+        entries for a CSR A, and at most as many as A for a dense one when op
+        has fewer rows than A."""
+        # a CSR A is read as the CSC A^T, which scipy multiplies in place; op @ A
+        # would first copy A to CSC, then the CSC product to CSR
+        return ComputedPart((self.a.T @ op.T).T if is_sparse(self.a) else op @ self.a,
+                            self.right)
 
 
 class RowView:
@@ -331,9 +340,8 @@ class RowView:
     def left_product(self, op) -> "RowView":
         """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
 
-        A computed part gives its own ``left_product``.  Only the unscaled
-        views of the bases' sketches are sketched, so a scaled view raises
-        ValueError.
+        A computed part A R gives (op A) R.  Only the unscaled views of the
+        bases' sketches are sketched, so a scaled view raises ValueError.
         """
         if self.scale is not None:
             raise ValueError("left_product takes an unscaled view")

@@ -70,7 +70,7 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
 
     def scores():
         for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
-            resid = gaussian_row_norm_estimates(rows, None, g)
+            resid = gaussian_row_norm_estimates(rows, g)
             check_finite(resid)  # a NaN or inf in A reaches the estimate of its row
             block = m_value(loss, resid)
             sums[0] += block.sum()

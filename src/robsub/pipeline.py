@@ -10,7 +10,7 @@ costs are exact, as ||A_i (I - U W W^T U^T)||^2 = ||A_i U (I - W W^T)||^2
 + r_i^2 (a projection-cost-preserving reduction; Cohen, Elder, Musco,
 Musco & Persu 2015), so a row's score needs only A_i and the d x k V_k.
 No n x d array or n x m A U is formed: the R factor that finds V_k reads
-A U one block at a time.
+A U, a ``core.ComputedPart`` of A and U, one block at a time.
 
 The small solver is heuristic by design: a reweighted-PCA alternation
 (``_mm_descent``) runs from a few random orthonormal starts, and the
@@ -33,10 +33,8 @@ from .core import (
     Subspace,
     as_weights,
     chunks,
-    is_sparse,
     m_derivative,
     m_value,
-    matmul_dense,
     project_rows,
     row_view,
     spawn_rng,
@@ -246,18 +244,6 @@ def _exact_columns(rows, u: np.ndarray) -> np.ndarray:
     return np.column_stack((au, r))
 
 
-class _Coordinates(ComputedPart):
-    """The rows of A U, computed on read (a ``core.ComputedPart``)."""
-
-    def __init__(self, a, u: np.ndarray):
-        super().__init__(a, u.shape[1])
-        # scipy multiplies a CSR block by a C-ordered U as it is, and copies any other
-        self.u = np.ascontiguousarray(u) if is_sparse(self.a) else u
-
-    def compute(self, rows) -> np.ndarray:
-        return matmul_dense(rows, self.u)
-
-
 def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
     v = u @ w_factor
     # re-orthonormalize defensively; the product is orthonormal up to fp noise
@@ -286,8 +272,8 @@ def _final_sample(a, sub: Subspace, k: int, loss: LossSpec, seed: int, tr: dict)
     ``sub.u``, and their singular values sigma are U's first k columns
     and ``sub.sv`` when that is set (U is A's row space), and else come
     from ``sketch.rank_revealing_factor`` of A when U spans R^d, or of the
-    A U part, read one block at a time (V_k = U V[:, :k]); A V_k / sigma
-    is orthonormal.  Row i scores s_i = M(||A_i (I - V_k V_k^T)||) /
+    A U part, ``ComputedPart(a, U)``, read one block at a time (V_k =
+    U V[:, :k]); A V_k / sigma is orthonormal.  Row i scores s_i = M(||A_i (I - V_k V_k^T)||) /
     sum_j M(.) + ||A_i V_k / sigma||^2 / k: its cost share under V_k plus
     its leverage in A V_k, which bound its sensitivity over every rank-k
     subspace inside U up to the factor by which V_k's cost exceeds the
@@ -309,7 +295,7 @@ def _final_sample(a, sub: Subspace, k: int, loss: LossSpec, seed: int, tr: dict)
         sv, vk = sub.sv, sub.u
     else:
         square = sub.dim == sub.d
-        sv, v = rank_revealing_factor(a if square else _Coordinates(a, sub.u))
+        sv, v = rank_revealing_factor(a if square else ComputedPart(a, sub.u))
         vk = v if square else sub.u @ v[:, :k]
     vk, inv = vk[:, :k], 1.0 / sv[:k]
     cost, lev = np.empty(n), np.empty(n)

@@ -5,7 +5,7 @@ Three sketch families, each a pure function of its seed:
 * sparse sign sketches (s nonzeros of magnitude 1/sqrt(s) per column),
   applied on the right in O(s * nnz) work to reduce column count;
 * Gaussian sketches, plain d x t arrays, for the residual row-norm
-  estimates of residual sampling, deflating a known subspace on the fly;
+  estimates of residual sampling, which deflates its subspace from G once;
 * sparse p-stable embeddings Pi = S D for p in [1, 2) (the sparse
   Cauchy transform at p=1), applied in O(nnz) work to condition bases
   for l_p; p = 2 bases need none, as they take the exact factor.
@@ -25,7 +25,6 @@ takes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,6 @@ import scipy.sparse as sp
 
 from .core import (
     _FACTOR_BLOCK,
-    ComputedPart,
     RowView,
     Subspace,
     check_finite,
@@ -54,11 +52,11 @@ _GRAM_RCOND = 1e-5
 # CSR operand of rank 103 (873-row blocks) its peak fell from 8.4 to 4.1 MB, and
 # it took 56 ms against 52 ms at 2048 rows (1 BLAS thread, 2-vCPU Xeon)
 _STREAMED_ENTRIES = 2**18
-# rows of A @ S^T that apply_right forms per product.  A dense block's product
-# takes two temporaries of its size, a C-ordered copy of its transpose and the
-# transposed product.  Reading a dense 8000 x 20 part (lp_dense_outliers' p-stable
-# sketch) in 2048-row blocks took 0.60 ms of CPU and 0.50 MB a block at 512 rows,
-# and 0.72 ms and 0.99 MB at 2048 (1 BLAS thread, 2-vCPU Xeon)
+# rows of A @ S^T that apply_right forms per product.  A block's product takes a
+# temporary of its size, and a dense block's also a C-ordered copy of its
+# transpose.  A dense 8000 x 20 matrix, taken 2048 rows at a time, took 0.60 ms
+# of CPU and 0.50 MB a block at 512 rows, and 0.72 ms and 0.99 MB at 2048 (1 BLAS
+# thread, 2-vCPU Xeon)
 _RIGHT_BLOCK = 512
 
 
@@ -79,25 +77,14 @@ class SparseSketch:
     def right_operator(self) -> sp.csc_matrix:
         """S^T as a (cols, rows) sparse matrix, the factor applied on the right.
 
-        Built on the first call and kept: a product read block by block
-        takes it once per block, and a build costs about 0.4 ms.
+        Built anew on each call, in about 0.4 ms: a caller that reads a
+        product block by block builds it once and keeps it.
         """
-        return self._right_operator
-
-    @functools.cached_property
-    def _right_operator(self) -> sp.csc_matrix:
         indptr = np.arange(self.cols + 1) * self.s
         return sp.csc_matrix(
             (self.values.ravel(), self.positions.ravel(), indptr),
             shape=(self.rows, self.cols),
         ).T.tocsc()
-
-    @functools.cached_property
-    def _left_operator(self) -> sp.csr_matrix:
-        """S as a (rows, cols) CSR matrix, the transpose of ``right_operator()``
-        on its arrays: scipy takes a dense B @ S^T as (S @ B^T)^T, and
-        transposes S^T anew on each call."""
-        return self.right_operator().T
 
 
 def make_sparse_sketch(seed: int, m: int, d: int, s: int) -> SparseSketch:
@@ -120,43 +107,16 @@ def apply_right(a, r: SparseSketch) -> np.ndarray:
 
     The dense, C-ordered output is written one block of ``_RIGHT_BLOCK``
     rows at a time, so beside it only one block's product is held.  Each
-    row is that of the product taken whole, to the bit.
+    row is that of the product taken whole, to the bit (scipy takes a dense
+    block B as (S B^T)^T).
     """
     if a.shape[1] != r.cols:
         raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {r.cols}")
     op = r.right_operator()
     out = np.empty((a.shape[0], r.rows))
     for lo, hi, (rows,) in row_view(a).blocks(_RIGHT_BLOCK):
-        if is_sparse(rows):
-            (rows @ op).toarray(out=out[lo:hi])
-        else:
-            out[lo:hi] = (r._left_operator @ rows.T).T
+        out[lo:hi] = matmul_dense(rows, op)
     return out
-
-
-class RightSketchPart(ComputedPart):
-    """The rows of A @ S^T, computed on read by ``apply_right`` (a ``core.ComputedPart``).
-
-    Its left product with a sparse op is the part of (op @ A) @ S^T, so
-    a p-stable sketch of it takes O(nnz(A)) work on A and forms no row
-    of A @ S^T; op @ A has at most nnz(A) entries for a CSR A, and at
-    most as many as A for a dense one when op has fewer rows than A.
-    """
-
-    def __init__(self, a, r: SparseSketch):
-        if a.shape[1] != r.cols:
-            raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {r.cols}")
-        super().__init__(a, r.rows)
-        self.r = r
-
-    def compute(self, rows) -> np.ndarray:
-        return apply_right(rows, self.r)
-
-    def left_product(self, op) -> "RightSketchPart":
-        # a CSR A is read as the CSC A^T, which scipy multiplies in place; op @ A
-        # would first copy A to CSC, then the CSC product to CSR
-        return RightSketchPart((self.a.T @ op.T).T if is_sparse(self.a) else op @ self.a,
-                               self.r)
 
 
 def make_gaussian_sketch(seed: int, d: int, t: int) -> np.ndarray:
@@ -166,19 +126,16 @@ def make_gaussian_sketch(seed: int, d: int, t: int) -> np.ndarray:
     return spawn_rng(seed, 13).standard_normal((d, t)) / math.sqrt(t)
 
 
-def gaussian_row_norm_estimates(a, deflate: Subspace | None, g: np.ndarray) -> np.ndarray:
-    """Row norms ||A_i (I - W W^T) G||_2 without forming A (I - W W^T).
+def gaussian_row_norm_estimates(a, g: np.ndarray) -> np.ndarray:
+    """Sketched row norms ||A_i G||_2, in nnz(A) t work, for a d x t G
+    (``make_gaussian_sketch``).
 
-    Deflates the sketch, not A: computed as A (G - W (W^T G)), in nnz(A) t
-    work with no n x dim(W) product; with no deflation this is just the
-    sketched row norm ||A_i G||_2.  G is a d x t ``make_gaussian_sketch``.
+    A G forms no n x d array.  To estimate the residual row norms
+    ||A_i (I - W W^T) G||_2 of a subspace W, deflate G once, G - W (W^T G),
+    rather than A: that needs no n x dim(W) product A W.
     """
     if a.shape[1] != g.shape[0]:
         raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {g.shape[0]}")
-    if deflate is not None and deflate.dim > 0:
-        if deflate.d != a.shape[1]:
-            raise ValueError("deflation subspace dimension mismatch")
-        g = g - deflate.u @ (deflate.u.T @ g)
     return np.linalg.norm(matmul_dense(a, g), axis=1)
 
 
@@ -400,8 +357,8 @@ class PStableSketch:
     def apply(self, b):
         """Compute Pi @ B in O(nnz(B)) work: dense for a dense or sparse B, and for
         a ``RowView`` B the view of Pi times each part, gathering no row.  A
-        ``RightSketchPart`` A S^T gives the part (Pi A) S^T, so Pi reads A
-        and no row of A S^T is formed."""
+        ``core.ComputedPart`` A R gives the part (Pi A) R, so Pi reads A and
+        no row of A R is formed."""
         if b.shape[0] != self.n:
             raise ValueError(f"operand has {b.shape[0]} rows, sketch expects {self.n}")
         op = self._operator()

@@ -38,8 +38,8 @@ class TestBaseCase:
     def test_base_case_skips_right_sketch(self, monkeypatch):
         # min(n, d) <= P_M: no sample reads the sketched operand, so no product
         # with the right sketch is taken.  Every one reads S^T from
-        # right_operator: the blocks of apply_right and the basis's folded
-        # A (S^T F) alike
+        # right_operator: the computed part A S^T is built on it, and
+        # apply_right calls it too
         def product(*args):
             pytest.fail("a right-sketch product was computed")
 

@@ -15,10 +15,9 @@ from robsub import (
     residual_cost,
     v_norm_p,
 )
-from robsub import pipeline
-from robsub.core import (_COMPUTED_ENTRIES, _FACTOR_BLOCK, RowView, as_weights, matmul_dense,
-                         residual_row_norms, row_norms, row_view)
-from robsub.sketch import RightSketchPart, apply_right, make_sparse_sketch
+from robsub.core import (_COMPUTED_ENTRIES, _FACTOR_BLOCK, ComputedPart, RowView, as_weights,
+                         matmul_dense, residual_row_norms, row_norms, row_view)
+from robsub.sketch import apply_right, make_sparse_sketch
 
 
 class TestLossValues:
@@ -434,7 +433,7 @@ class TestScaledRowView:
 
 
 class TestComputedParts:
-    """Parts computed on read: A S^T (sketch.RightSketchPart) and A U (pipeline._Coordinates)."""
+    """Parts computed on read, A R: A S^T (a sparse R) and A U (a dense one)."""
 
     def _parts(self):
         """(part, the matrix it computes) for a dense and a CSR A."""
@@ -444,8 +443,8 @@ class TestComputedParts:
         r = make_sparse_sketch(5, 6, 12, 2)
         u = np.linalg.qr(rng.standard_normal((12, 4)))[0]
         for a in (dense, csr):
-            yield RightSketchPart(a, r), apply_right(a, r)
-            yield pipeline._Coordinates(a, u), matmul_dense(a, u)
+            yield ComputedPart(a, r.right_operator()), apply_right(a, r)
+            yield ComputedPart(a, u), matmul_dense(a, u)
 
     def test_block_by_slice_and_index(self):
         idx = np.array([7, 0, 299, 7, 23])
@@ -457,9 +456,15 @@ class TestComputedParts:
                 got, = view.block(rows)
                 assert np.allclose(got, full[rows], rtol=1e-13, atol=1e-13)
                 # A S^T is computed row by row, to the bit
-                assert isinstance(part, pipeline._Coordinates) or np.array_equal(got, full[rows])
+                assert not sp.issparse(part.right) or np.array_equal(got, full[rows])
             got, = RowView((part,), scale).block(idx)
             assert np.allclose(got, full[idx] * scale[idx, None], rtol=1e-13, atol=1e-13)
+
+    def test_width_mismatch_raises(self):
+        a = np.ones((5, 12))
+        for right in (make_sparse_sketch(5, 6, 11, 2).right_operator(), np.ones((11, 3))):
+            with pytest.raises(ValueError, match="12 columns"):
+                ComputedPart(a, right)
 
     def test_blocks_cover_the_rows_beside_a_stored_part(self):
         other = np.arange(600.0).reshape(300, 2)
@@ -474,28 +479,25 @@ class TestComputedParts:
         # a view that holds a computed part is read _COMPUTED_ENTRIES entries at a
         # time once it is wider than _COMPUTED_ENTRIES / _FACTOR_BLOCK columns
         a = sp.random(3000, 200, density=0.05, format="csr", random_state=9)
-        wide = RightSketchPart(a, make_sparse_sketch(6, 100, 200, 4))
+        wide = ComputedPart(a, make_sparse_sketch(6, 100, 200, 4).right_operator())
         assert RowView((wide,)).rows_per_block(_FACTOR_BLOCK) == _COMPUTED_ENTRIES // 100
         assert RowView((a,)).rows_per_block(_FACTOR_BLOCK) == _FACTOR_BLOCK
-        narrow = RightSketchPart(a, make_sparse_sketch(6, 8, 200, 4))
+        narrow = ComputedPart(a, make_sparse_sketch(6, 8, 200, 4).right_operator())
         assert RowView((narrow,)).rows_per_block(_FACTOR_BLOCK) == _FACTOR_BLOCK
         rows = [hi - lo for lo, hi, _ in RowView((wide,)).blocks(_FACTOR_BLOCK)]
         assert max(rows) * 100 <= _COMPUTED_ENTRIES and sum(rows) == 3000
 
     def test_left_product(self):
-        # op (A S^T) is the part (op A) S^T, to rounding; A U, which no sketch
-        # reads, has no left product, and a scaled view of either raises
+        # op (A R) is the part (op A) R, to rounding, for A S^T and A U alike,
+        # and a scaled view of either raises
         op = sp.random(40, 300, density=0.05, format="csc", random_state=10)
         scale = np.full(300, 2.0)
         for part, full in self._parts():
             with pytest.raises(ValueError, match="unscaled"):
                 RowView((part,), scale).left_product(op)
-            if isinstance(part, pipeline._Coordinates):
-                with pytest.raises(ValueError, match="no left product"):
-                    RowView((part,)).left_product(op)
-                continue
             sketched, = RowView((part,)).left_product(op).parts
-            assert isinstance(sketched, RightSketchPart) and sketched.shape == (40, 6)
+            assert isinstance(sketched, ComputedPart) and sketched.right is part.right
+            assert sketched.shape == (40, full.shape[1])
             got, = RowView((sketched,)).block(slice(None))
             want = op @ full
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)

@@ -160,6 +160,66 @@ class TestDimReduceProperties:
             assert cost_large <= cost_small + 1e-8
 
 
+class TestDeflatedEstimates:
+    """dim_reduce deflates its Gaussian sketch G once, G - W (W^T G), and never A."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """G as drawn, before its deflation, and the residual estimates of every block."""
+        seen = {"est": []}
+        make, estimate = dimreduce.make_gaussian_sketch, dimreduce.gaussian_row_norm_estimates
+
+        def drawn(*args):
+            g = make(*args)
+            seen["g"] = g.copy()
+            return g
+
+        monkeypatch.setattr(dimreduce, "make_gaussian_sketch", drawn)
+        monkeypatch.setattr(dimreduce, "gaussian_row_norm_estimates",
+                            lambda rows, g: seen["est"].append(estimate(rows, g))
+                            or seen["est"][-1])
+        return seen
+
+    def test_estimates_vanish_when_xhat_holds_every_row(self, monkeypatch):
+        # W spans every row of A (and carries no singular values), so each
+        # row's deflated estimate is zero to rounding, and xhat is returned
+        seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((20, 2)) @ rng.standard_normal((2, 6))
+        xhat = Subspace(np.linalg.qr(a.T)[0][:, :2])
+        assert dim_reduce(a, 2, 0.25, xhat, LossSpec.huber(1.0), seed=1) is xhat
+        est = np.concatenate(seen["est"])
+        assert est.shape == (20,) and np.all(est < 1e-10)
+
+    def test_deflation_identity(self, monkeypatch):
+        # A (G - W (W^T G)) equals A (I - W W^T) G computed directly
+        seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((15, 7))
+        q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
+        dim_reduce(a, 2, 0.25, Subspace(q), LossSpec.huber(1.0), seed=3)
+        direct = np.linalg.norm((a - (a @ q) @ q.T) @ seen["g"], axis=1)
+        assert seen["g"].shape[1] > 1 and np.allclose(np.concatenate(seen["est"]), direct)
+
+    def test_deflated_estimate_forms_no_n_by_dim_product(self, monkeypatch):
+        # deflating G, not A, keeps a sparse A's n x dim(W) product A W out
+        # of memory: the peak stays below that product's size
+        n, d, dim = 20_000, 500, 200
+        a = sp.random(n, d, density=0.01, format="csr", random_state=9)
+        sub = Subspace(np.linalg.qr(np.random.default_rng(9).standard_normal((d, dim)))[0])
+        seen = self._spy(monkeypatch)
+        tracemalloc.start()
+        try:
+            dim_reduce(a, 1, 0.9, sub, LossSpec.lp(1.0), seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        g = seen["g"]
+        direct = np.abs(a @ g - (a @ sub.u) @ (sub.u.T @ g)).ravel()
+        assert np.allclose(np.concatenate(seen["est"]), direct)
+        assert peak < 8 * n * dim
+
+
 class TestDimReduceQuality:
     def test_planted_quality_vs_alternating_reference(self, set_r1):
         # best rank-k inside the reduced span tracks the full-problem

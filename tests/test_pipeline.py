@@ -18,7 +18,7 @@ from robsub import (
     weighted_leverage_scores,
 )
 from robsub import bicriteria, conditioning, pipeline, sampling, sketch
-from robsub.core import RowView, matmul_dense
+from robsub.core import ComputedPart, RowView, matmul_dense
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
     CapExceededError,
@@ -851,9 +851,9 @@ class TestExactColumns:
         loss = LossSpec.lp(1.5)
         stage, scored = pipeline._stage_subspace, []
         monkeypatch.setattr(pipeline, "_stage_subspace", lambda *args: Subspace(stage(*args).u))
-        coordinates = pipeline._Coordinates
-        monkeypatch.setattr(pipeline, "_Coordinates",
-                            lambda *args: scored.append(1) or coordinates(*args))
+        computed = pipeline.ComputedPart
+        monkeypatch.setattr(pipeline, "ComputedPart",
+                            lambda *args: scored.append(1) or computed(*args))
         approx_lp(a, 3, 0.25, loss, seed=1)  # the modules imported on first use
         tr = {}
         tracemalloc.start()
@@ -864,7 +864,7 @@ class TestExactColumns:
             tracemalloc.stop()
         assert tr["reduced_dim"] == 103 and scored == [1, 1]
         assert peak < a.shape[0] * (tr["reduced_dim"] + 1) * 8
-        monkeypatch.setattr(pipeline, "_Coordinates", matmul_dense)  # formed whole
+        monkeypatch.setattr(pipeline, "ComputedPart", matmul_dense)  # formed whole
         formed = approx_lp(a, 3, 0.25, loss, seed=1)
         assert residual_cost(a, sub, None, loss) == pytest.approx(
             residual_cost(a, formed, None, loss), rel=1e-12)
@@ -901,22 +901,34 @@ class TestSketchesReached:
         assert len(factored) == 1 and factored[0] is a
         assert trace["bicriteria_rows"] == trace["bicriteria_rows_expected"] == 9000
 
-    def test_outliers_recipe_at_k2_sketches_pi_once(self, monkeypatch):
-        # the CI's outliers.mtx recipe (9100 CSR rows by 300) at k = 2: P_M = 200
-        # < d, so the bicriteria stage sketches A S^T, and past the p-stable
-        # row cap of 8192 conditions its basis by Pi, applied once, to the
-        # computed right-sketch part
+    @pytest.mark.parametrize("sparse, want", [(False, 67236.85633455355),
+                                              (True, 67236.85633455354)], ids=["dense", "csr"])
+    def test_outliers_recipe_at_k2_sketches_pi_once(self, monkeypatch, sparse, want):
+        # the CI's outliers.mtx recipe (9100 rows by 300, dense or CSR) at k = 2:
+        # P_M = 200 < d, so the bicriteria stage sketches A S^T, and past the
+        # p-stable row cap of 8192 conditions its basis by Pi, applied once, to
+        # the computed part A S^T; U, m = 103 < d wide, carries no singular
+        # values, so the final sample's R factor reads the computed part A U.
+        # The cost is pinned to 1e-9 (values measured so)
         a = _outliers_recipe()
+        a = a if sparse else a.toarray()
         sketched, apply = [], sketch.PStableSketch.apply
         monkeypatch.setattr(sketch.PStableSketch, "apply",
                             lambda pi, b: sketched.append(b) or apply(pi, b))
+        computed = pipeline.ComputedPart
+        monkeypatch.setattr(pipeline, "ComputedPart",
+                            lambda *args: sketched.append(args) or computed(*args))
         trace = {}
         sub = approx_lp(a, 2, 0.25, LossSpec.lp(1.5), seed=1, trace=trace)
-        assert len(sketched) == 1 and isinstance(sketched[0], RowView)
-        assert [type(part) for part in sketched[0].parts] == [sketch.RightSketchPart]
+        assert len(sketched) == 2 and isinstance(sketched[0], RowView)
+        assert [type(part) for part in sketched[0].parts] == [ComputedPart]
+        assert sketched[1][0] is a and sketched[1][1].shape == (300, 103)
         assert abs(trace["bicriteria_rows_expected"] - 200) <= 1e-9
+        assert trace["bicriteria_rows"] == 206 and trace["reduced_dim"] == 103
+        cost = residual_cost(a, sub, None, LossSpec.lp(1.5))
+        assert abs(cost - want) <= 1e-9 * want
         _, svd_cost = svd_truncation_cost(a, 2, None, LossSpec.lp(1.5))
-        assert residual_cost(a, sub, None, LossSpec.lp(1.5)) < svd_cost
+        assert cost < svd_cost
 
 
     def test_rank_deficient_row_space_factored_once(self, monkeypatch):
