@@ -1,23 +1,23 @@
 """Well-conditioned bases and leverage scores.
 
 A basis U for the column space of A is carried implicitly as a
-change-of-basis matrix: U = A F with F = P_r R_r^(-1), where R P = Q' R'
-is a column-pivoted QR of the small R of the operand, R_r the leading
-block of R' whose diagonal lies above the rank tolerance, and P_r the
-pivot columns it keeps.  R comes from ``sketch.r_factor``, in memory
-independent of the row count: the Cholesky factor of the operand's Gram,
-summed one block of 2048 rows at a time, when it is certified well
-conditioned, and otherwise a streaming R-only QR, which folds one
-densified block of 2048 rows at a time into a running R.  Any F that
-makes the operand times F orthonormal serves: the conditioning bounds of
-Dasgupta et al. (2009) and Meng & Mahoney (2013) use nothing else, so no
-SVD is taken.  At p = 2 the operand is A itself, so U is an exact
-orthonormal factor, whose squared row norms are the leverage scores of
-every orthonormal basis of the column space.  For p in [1, 2) it is the
-sketched product Pi A when that has fewer rows than A, with Pi = S D a
-sparse p-stable embedding with one nonzero per column (the sparse Cauchy
-transform of Meng & Mahoney 2013 at p = 1), so Pi A costs O(nnz(A)) and
-Pi U is orthonormal; otherwise it is A.
+change-of-basis matrix: U = A F with F = V diag(1/sv), where sv and V are
+the singular values above the rank tolerance of the operand and their
+right singular vectors (``sketch.rank_revealing_factor``, the SVD of the
+operand's small R), the one routine and rank rule behind every basis of
+the library.  R comes from ``sketch.r_factor``, in memory independent of
+the row count: the Cholesky factor of the operand's Gram, summed one
+block of 2048 rows at a time, when it is certified well conditioned, and
+otherwise a streaming R-only QR, which folds one densified block of 2048
+rows at a time into a running R.  Any F that makes the operand times F
+orthonormal serves: the conditioning bounds of Dasgupta et al. (2009) and
+Meng & Mahoney (2013) use nothing else.  At p = 2 the operand is A
+itself, so U is an exact orthonormal factor, whose squared row norms are
+the leverage scores of every orthonormal basis of the column space.  For
+p in [1, 2) it is the sketched product Pi A when that has fewer rows than
+A, with Pi = S D a sparse p-stable embedding with one nonzero per column
+(the sparse Cauchy transform of Meng & Mahoney 2013 at p = 1), so Pi A
+costs O(nnz(A)) and Pi U is orthonormal; otherwise it is A.
 
 Leverage scores bound the fractional contribution any single row can make
 to the v-measure, and drive all row sampling downstream.
@@ -44,7 +44,7 @@ import numpy as np
 
 from .core import (_FACTOR_BLOCK, ComputedPart, LossSpec, RowView, is_sparse, matmul_dense,
                    row_view, spawn_rng)
-from .sketch import make_pstable_sketch, orthonormalizer
+from .sketch import make_pstable_sketch, rank_revealing_factor
 
 # p < 2 size rule of well_conditioned_basis: c_pi m0^2 hash buckets and their cap
 _C_PI = 20.0
@@ -55,7 +55,7 @@ _STABLE_ROW_CAP = 8192
 class WellConditionedBasis:
     """Implicit row access to a well-conditioned basis U = A F."""
 
-    change_of_basis: np.ndarray   # (m0, m) factor F = P_r R_r^(-1) of a pivoted QR: U = A F
+    change_of_basis: np.ndarray   # (m0, m) factor F = V diag(1/sv) of the operand: U = A F
     p: float
     m: int
     _a: RowView                   # n x m0 operand A, read a block of rows at a time
@@ -92,13 +92,13 @@ class WellConditionedBasis:
 def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedBasis:
     """Build a well-conditioned basis for the column space of A.
 
-    The change of basis F = P_r R_r^(-1) comes from ``sketch.orthonormalizer``:
-    the R factor of the operand (``sketch.r_factor``: a Cholesky factor of
-    its Gram when that is well conditioned, else a streaming R-only QR;
-    a sparse A is never densified whole, and the memory does not grow
-    with n), then a column-pivoted QR of the small R, keeping the pivots
-    whose diagonal entry exceeds ``sketch.RANK_TOL`` times the first.  With
-    m0 the column count of A:
+    The change of basis F = V diag(1/sv) comes from
+    ``sketch.rank_revealing_factor``: the R factor of the operand
+    (``sketch.r_factor``: a Cholesky factor of its Gram when that is well
+    conditioned, else a streaming R-only QR; a sparse A is never densified
+    whole, and the memory does not grow with n), then the SVD of the small
+    R, keeping the singular values above ``sketch.RANK_TOL`` times the
+    largest.  With m0 the column count of A:
 
     * p = 2: the operand is A, whatever n is, so A F is orthonormal and
       its squared row norms are the exact leverage scores.
@@ -122,15 +122,13 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedB
         raise ValueError("empty operand")
 
     s = int(min(max(2 * m0, math.ceil(_C_PI * m0 * m0)), max(_STABLE_ROW_CAP, 2 * m0)))
+    operand = view  # the identity is an exact subspace embedding
     if p < 2.0 and s < n:
-        pi = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p)
-        f = orthonormalizer(pi.apply(view))
-    else:
-        # the identity is an exact subspace embedding
-        f = orthonormalizer(view)
-
-    if f.shape[1] == 0:
+        operand = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p).apply(view)
+    sv, v = rank_revealing_factor(operand)
+    if sv.size == 0:
         raise ValueError("operand has numerical rank zero")
+    f = v / sv
     return WellConditionedBasis(f, float(p), f.shape[1], view)
 
 

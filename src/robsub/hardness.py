@@ -22,6 +22,7 @@ import numpy as np
 from .core import Subspace
 
 _BRUTE_CAP = 10**6
+_EXPLICIT_ROWS = 100_000
 
 
 def regular_degree(adjacency: np.ndarray) -> int:
@@ -57,10 +58,10 @@ class GadgetInstance:
     b2: int
     c: float
 
-    def explicit_points(self, max_rows: int = 100_000) -> np.ndarray:
-        """Materialize the full point set; only sensible for tiny b2."""
+    def explicit_points(self) -> np.ndarray:
+        """Materialize the full point set, of at most ``_EXPLICIT_ROWS`` rows (tiny b2)."""
         total = self.b2 * self.d + self.d
-        if total > max_rows:
+        if total > _EXPLICIT_ROWS:
             raise ValueError(f"point set has {total} rows; refusing to materialize")
         simplex = np.tile(np.eye(self.d), (self.b2, 1))
         return np.vstack([simplex, self.a])

@@ -16,11 +16,11 @@ baseline: the Cholesky factor of the Gram t^T t, summed one block of 2048
 rows at a time (in sum_i nnz_i^2 work for a sparse t), when LAPACK's
 condition estimate certifies it, and otherwise a streaming R-only QR that
 folds one dense block of 2048 rows at a time (fewer past 128 columns) into
-one (width + block) x width buffer.  On that small R are built the
-rank-revealing factor (its SVD) and the orthonormal union of row blocks,
-which the samplers feed into, and the change of basis F that makes t F
-orthonormal (from its pivoted QR), which every well-conditioned basis
-takes.
+one (width + block) x width buffer.  On that small R is built the
+rank-revealing factor (its SVD), the one source of every basis: the
+orthonormal union of row blocks, which the samplers feed into, and the
+change of basis V / sv that makes t V / sv orthonormal, which every
+well-conditioned basis takes.
 """
 
 from __future__ import annotations
@@ -154,8 +154,8 @@ def r_factor(t) -> np.ndarray:
     R is at least ``_GRAM_RCOND`` = 1e-5.  Then sigma_min(t) >= about
     1e-6 sigma_max(t), far above both ``RANK_TOL`` and the sqrt(eps)
     sigma_max(t) below which the Gram's rounding hides singular values,
-    so the rank decisions of ``rank_revealing_factor`` and
-    ``orthonormalizer`` are those of a QR; R^T R equals t^T t to rounding,
+    so the rank decisions of ``rank_revealing_factor`` are those of a
+    QR; R^T R equals t^T t to rounding,
     and t R^(-1) is orthonormal to O(eps kappa^2).  The threshold is the
     loosest at which the dense L1 benchmark's operands (kappa 6e3-1.3e4,
     estimates 3e-5-8e-5) still take the Gram route.
@@ -195,35 +195,6 @@ def rank_revealing_factor(t):
     _, sv, vt = np.linalg.svd(r_factor(t), full_matrices=False)
     rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv.size and sv[0] > 0.0 else 0
     return sv[:rank], vt[:rank].T
-
-
-def orthonormalizer(t) -> np.ndarray:
-    """A change of basis F with t F an orthonormal basis of the column space of t.
-
-    From a column-pivoted QR of the small R of ``r_factor(t)``, R P = Q' R':
-    the rank is the count of |R'_ii| > RANK_TOL |R'_11|, and with R'_11 the
-    leading rank x rank block, F = P[:, :rank] R'_11^(-1), as
-    t P[:, :rank] = Q Q'[:, :rank] R'_11.  No SVD is taken, and F is
-    (t.shape[1], rank).  t may be dense, sparse or a ``RowView``.  Raises
-    ValueError when t holds a NaN or infinity.
-    """
-    # imported on first use: scipy.linalg adds about 0.13 s to the package's import
-    from scipy.linalg import lapack, qr
-
-    r = r_factor(t)
-    width = r.shape[1]
-    if r.shape[0] == 0:
-        return np.zeros((width, 0))
-    rp, piv = qr(r, mode="r", pivoting=True, check_finite=False)
-    diag = np.abs(np.diag(rp))
-    rank = int(np.sum(diag > RANK_TOL * diag[0])) if diag[0] > 0.0 else 0
-    f = np.zeros((width, rank))
-    if rank:
-        inv, info = lapack.dtrtri(rp[:rank, :rank])
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtrtri failed with info={info}")
-        f[piv[:rank]] = inv
-    return f
 
 
 def _gram_r(view: RowView) -> np.ndarray | None:
@@ -285,20 +256,18 @@ def _streamed_r(view: RowView) -> np.ndarray:
     return buf if top == buf.shape[0] else np.array(buf[:top], order="F")
 
 
-def orthonormal_union(blocks, d: int | None = None) -> Subspace:
-    """Orthonormal basis for the span of all rows across the given blocks.
+def orthonormal_union(blocks, d: int) -> Subspace:
+    """Orthonormal basis for the span of all rows across the given blocks, in R^d.
 
     Rank-revealing: the basis is the right singular vectors of the stacked
     rows (``rank_revealing_factor``) whose singular value exceeds RANK_TOL
     times the largest.  Sparse blocks stay sparse: the stack is CSR when
     any block is sparse, and a single block is factored as given.  An
-    empty input yields the empty subspace.
+    empty input yields the empty subspace of R^d.
     """
     mats = [b if is_sparse(b) else np.atleast_2d(np.asarray(b, dtype=float))
             for b in blocks if b is not None and b.shape[0] > 0]
     if not mats:
-        if d is None:
-            raise ValueError("cannot infer ambient dimension from empty input")
         return Subspace.empty(d)
     width = mats[0].shape[1]
     if any(m.shape[1] != width for m in mats):

