@@ -16,6 +16,7 @@ from robsub import (
 )
 from robsub.core import RowView
 from robsub import sketch
+from robsub.conditioning import well_conditioned_basis
 from robsub.sketch import rank_revealing_factor
 
 
@@ -189,9 +190,7 @@ class TestRankRevealingFactor:
         # the running R.  Each input form gives the factor of its dense
         # rows, whose projector is the SVD one: the non-canonical CSR stores
         # every entry as two halves, which add up, and the view gathers
-        # 6500 rows of a dense and a CSR part, each times its own scale.
-        # A wide t (an R with fewer rows than columns), dense and CSR, an
-        # all-zero t and an empty one match too, and t V / sv is orthonormal
+        # 6500 rows of a dense and a CSR part, each times its own scale
         a = self._rank_deficient(9000)
         c = sp.csr_matrix(a)
         halves = split_halves(c)
@@ -199,14 +198,9 @@ class TestRankRevealingFactor:
         idx = np.sort(rng.choice(9000, 6500, replace=False))
         scale = np.exp(rng.standard_normal(6500))
         view = RowView((a[idx, :8], sp.csr_matrix(a[idx, 8:])), scale)
-        wide, zero, empty = rng.standard_normal((5, 12)), np.zeros((40, 5)), np.zeros((0, 5))
-        for t, dense, rank in ((a, a, 6), (c, a, 6), (sp.coo_matrix(a), a, 6), (halves, a, 6),
-                               (view, a[idx] * scale[:, None], 6), (wide, wide, 5),
-                               (sp.csr_matrix(wide), wide, 5), (zero, zero, 0), (empty, empty, 0)):
+        for t, dense in ((a, a), (c, a), (sp.coo_matrix(a), a), (halves, a),
+                         (view, a[idx] * scale[:, None])):
             self._assert_matches_svd(t, dense)
-            sv, v = rank_revealing_factor(t)
-            u = dense @ v / sv
-            assert sv.size == rank and np.allclose(u.T @ u, np.eye(rank), rtol=0.0, atol=1e-10)
 
     def test_one_block_is_one_qr(self):
         # up to one row block the factor is the R-only QR of t, bit for bit
@@ -355,6 +349,53 @@ class TestGramRoute:
         assert len(calls) == (route == "streamed")
         ref = sketch.r_factor(a[idx] * scale[:, None])
         assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestOrthonormalizer:
+    """The change of basis F = V diag(1/sv) that makes t F orthonormal.
+
+    ``well_conditioned_basis`` takes it from ``rank_revealing_factor`` for
+    every basis, exact and sketched."""
+
+    @staticmethod
+    def _operands():
+        """(name, t, dense rows of t) for each operand form and shape."""
+        rng = np.random.default_rng(41)
+        a = TestRankRevealingFactor._rank_deficient(3000)  # rank 6 of 12, past one block
+        idx = np.sort(rng.choice(3000, 2200, replace=False))
+        scale = np.exp(rng.standard_normal(2200))
+        wide = rng.standard_normal((5, 12))  # R is 5 x 12: fewer rows than columns
+        return [
+            ("dense", a, a),
+            ("csr", sp.csr_matrix(a), a),
+            ("non-canonical csr", split_halves(sp.csr_matrix(a)), a),
+            ("view", RowView((a[idx, :8], sp.csr_matrix(a[idx, 8:])), scale),
+             a[idx] * scale[:, None]),
+            ("wide", wide, wide),
+            ("wide csr", sp.csr_matrix(wide), wide),
+        ]
+
+    def test_orthonormal_and_matches_svd_route(self):
+        # t F is orthonormal, F keeps as many columns as the SVD of the dense
+        # rows keeps singular values, and the row norms of t F (the p = 2
+        # leverage scores) are those of that SVD's left singular vectors
+        for name, t, dense in self._operands():
+            f = well_conditioned_basis(t, p=2.0).change_of_basis
+            ref_u, ref_sv, _ = np.linalg.svd(dense, full_matrices=False)
+            rank = int(np.sum(ref_sv > 1e-8 * ref_sv[0]))
+            assert f.shape == (dense.shape[1], rank), name
+            u = dense @ f
+            assert np.abs(u.T @ u - np.eye(rank)).max() <= 1e-10, name
+            ref = np.linalg.norm(ref_u[:, :rank], axis=1)
+            assert np.abs(np.linalg.norm(u, axis=1) - ref).max() <= 1e-10, name
+
+    def test_rank_zero_and_empty(self):
+        # no column survives the rank rule, and no basis is built
+        for t in (np.zeros((40, 5)), np.zeros((0, 5))):
+            sv, v = rank_revealing_factor(t)
+            assert sv.shape == (0,) and v.shape == (5, 0)
+            with pytest.raises(ValueError):
+                well_conditioned_basis(t)
 
 
 class TestOrthonormalUnion:
