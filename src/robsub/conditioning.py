@@ -62,12 +62,10 @@ class WellConditionedBasis:
 
     def iter_row_blocks(self, right=None):
         """Row blocks of U, or of U @ right taken as A @ (F @ right), summed part
-        by part: a one-column dense part adds its outer product in place.  Blocks
-        are ``_FACTOR_BLOCK`` rows, fewer as the operand's computed parts cap them.  A
-        ``ComputedPart`` A R is read as A (R F), so none of its rows is formed."""
-        # imported on first use: scipy.linalg adds about 0.13 s to the package's import
-        from scipy.linalg import blas
-
+        by part.  Blocks are ``_FACTOR_BLOCK`` rows, fewer as the operand's
+        computed parts cap them.  A ``ComputedPart`` A R is read as A (R F), so
+        none of its rows is formed.  Only the yielded block of U is held while
+        the caller reads it, not the rows of A it came from."""
         f = self.change_of_basis if right is None else self.change_of_basis @ right
         parts, fs = [], []
         for c, part in zip(self._a.columns(), self._a.parts):
@@ -77,16 +75,28 @@ class WellConditionedBasis:
             else:
                 parts.append(part)
                 fs.append(f[c])
-        first, *rest = fs
         size = self._a.rows_per_block(_FACTOR_BLOCK)
-        for lo, hi, (block, *others) in RowView(parts, self._a.scale).blocks(size):
-            out = matmul_dense(block, first)
-            for fc, part in zip(rest, others):
-                if part.shape[1] == 1 and not is_sparse(part):
-                    out = blas.dger(1.0, fc[0], part[:, 0], a=out.T, overwrite_a=1).T
-                else:
-                    out += matmul_dense(part, fc)
+        for lo, hi, blocks in RowView(parts, self._a.scale).blocks(size):
+            out = _block_product(blocks, fs)
+            del blocks  # released before the yield
             yield lo, hi, out
+            del out  # not held while the next block is gathered
+
+
+def _block_product(blocks, fs) -> np.ndarray:
+    """The sum of each part's row block times its factor: a one-column dense
+    part adds its outer product in place."""
+    # imported on first use: scipy.linalg adds about 0.13 s to the package's import
+    from scipy.linalg import blas
+
+    (block, *others), (first, *rest) = blocks, fs
+    out = matmul_dense(block, first)
+    for fc, part in zip(rest, others):
+        if part.shape[1] == 1 and not is_sparse(part):
+            out = blas.dger(1.0, fc[0], part[:, 0], a=out.T, overwrite_a=1).T
+        else:
+            out += matmul_dense(part, fc)
+    return out
 
 
 def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedBasis:
@@ -192,8 +202,7 @@ def leverage_score_blocks(a, loss: LossSpec, seed: int = 0, gauss_t: Optional[in
     less than the exact norms of A F, so those are taken.
     """
     src = row_view(a)
-    if not any(np.any(b.data if is_sparse(b) else b)
-               for _, _, parts in src.blocks(_FACTOR_BLOCK) for b in parts):
+    if _all_zero(src):
         return
     basis = well_conditioned_basis(src, p=loss.p if loss.is_lp else 2.0,
                                    seed=int(spawn_rng(seed, 29, 1).integers(2**31)))
@@ -203,7 +212,19 @@ def leverage_score_blocks(a, loss: LossSpec, seed: int = 0, gauss_t: Optional[in
         g /= math.sqrt(gauss_t)
         p = 2.0  # the squared row norms of U G
     for lo, hi, block in basis.iter_row_blocks(right=g):
-        yield lo, hi, _row_scores(loss, p, block)
+        scores = _row_scores(loss, p, block)
+        del block  # released before the yield
+        yield lo, hi, scores
+
+
+def _all_zero(view: RowView) -> bool:
+    """Whether every entry of the view is zero, read a block at a time up to the
+    first nonzero."""
+    for _, _, parts in view.blocks(_FACTOR_BLOCK):
+        if any(np.any(b.data if is_sparse(b) else b) for b in parts):
+            return False
+        del parts  # not held while the next block is gathered
+    return True
 
 
 def weighted_leverage_scores(a, loss: LossSpec, seed: int = 0,

@@ -185,15 +185,16 @@ def as_weights(w, n: int) -> np.ndarray:
 _FACTOR_BLOCK = 2048
 
 # entries of a computed part's block, 0.5 MB: a view that holds a ``ComputedPart``
-# reads fewer rows than asked per block when it is wider than 32 columns, so a
-# pass holds a few such blocks whatever the width.  With 1 MB blocks the 9100 x 300
+# reads fewer rows than asked per block when it is wider than 32 columns, so the
+# block a pass holds stays this size whatever the width.  With 1 MB blocks the 9100 x 300
 # CSR fit of the CI's outliers.mtx peaked at 7.5 MB in its bicriteria stage, and
 # with 0.5 MB at 5.6 MB
 _COMPUTED_ENTRIES = _FACTOR_BLOCK * 32
 
 # entries of an n-vector that the elementwise passes form at a time: a sampling
 # plan's probabilities and its draw's uniforms, IRLS's weights and losses, and a
-# regression objective's residuals.  An m_regress fit of 300 000 x 20 rows (one
+# regression objective's residuals; also the most entries of a CSR matrix that
+# ``entry_spans`` hands a pass at a time.  An m_regress fit of 300 000 x 20 rows (one
 # BLAS thread on a 2-vCPU Xeon) took 60 ms at 16384, and 65 ms both at 2048,
 # from Python overhead, and with whole n-vectors
 _CHUNK = 16384
@@ -222,17 +223,33 @@ def check_finite(*arrays) -> None:
             raise ValueError("input must not contain infs or NaNs")
 
 
+def entry_spans(indptr: np.ndarray):
+    """Spans (lo, hi) that cover the rows of a CSR matrix with row pointer
+    ``indptr`` in order, each holding at most ``_CHUNK`` entries, or one row
+    that holds more: a pass over the entries a span at a time forms no
+    temporary of nnz entries."""
+    lo, n = 0, indptr.size - 1
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _CHUNK, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
 def row_norms(a) -> np.ndarray:
-    """Euclidean norm of each row."""
+    """Euclidean norm of each row; a sparse matrix's entries are squared one
+    ``entry_spans`` span at a time."""
     if is_sparse(a):
         c = a.tocsr()
         copied = not c.has_canonical_format
         if copied:  # repeated entries add up to one value: sum them first, on a copy
             c = c.astype(float)
             c.sum_duplicates()
-        sums, filled = np.zeros(c.shape[0]), np.diff(c.indptr) > 0
-        squares = np.square(c.data, dtype=float, out=c.data if copied else None)
-        sums[filled] = np.add.reduceat(squares, c.indptr[:-1][filled])
+        sums, ptr = np.zeros(c.shape[0]), c.indptr
+        for lo, hi in entry_spans(ptr):
+            seg = c.data[ptr[lo]:ptr[hi]]
+            squares = np.square(seg, dtype=float, out=seg if copied else None)
+            filled = np.diff(ptr[lo:hi + 1]) > 0
+            sums[lo:hi][filled] = np.add.reduceat(squares, ptr[lo:hi][filled] - ptr[lo])
         return np.sqrt(sums)
     return np.linalg.norm(np.asarray(a, dtype=float), axis=1)
 
@@ -331,7 +348,12 @@ class RowView:
 
     def blocks(self, size: int):
         """(lo, hi, rows lo:hi of each part) in order, ``rows_per_block(size)`` at a
-        time; no rows give one empty block."""
+        time; no rows give one empty block.
+
+        A consumer drops its block before it asks for the next one (``del``,
+        or a per-block helper whose locals die when it returns), so that a
+        pass holds one block, not the one it read and the one being gathered.
+        """
         size = self.rows_per_block(size)
         for lo in range(0, max(self.shape[0], 1), size):
             hi = min(lo + size, self.shape[0])
@@ -437,14 +459,20 @@ def project_rows(a, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(A U, r) with r_i = ||A_i (I - U U^T)||_2, for an orthonormal U.
 
     Dense inputs subtract the projection directly (accurate near zero
-    residual); sparse inputs use the projector identity
-    ||A_i (I-P)||^2 = ||A_i||^2 - ||A_i U||^2 to avoid densification.
+    residual) in one temporary the size of A: the residual is written
+    into the product A U U^T and squared in place, and its rows summed as
+    ``np.linalg.norm`` sums them, to the bit.  Sparse inputs use the
+    projector identity ||A_i (I-P)||^2 = ||A_i||^2 - ||A_i U||^2 to avoid
+    densification.
     """
     au = matmul_dense(a, u)
     if is_sparse(a):
         proj = np.linalg.norm(au, axis=1) ** 2
         return au, np.sqrt(np.clip(row_norms(a) ** 2 - proj, 0.0, None))
-    return au, np.linalg.norm(np.asarray(a, dtype=float) - au @ u.T, axis=1)
+    resid = au @ u.T
+    np.subtract(np.asarray(a, dtype=float), resid, out=resid)
+    np.square(resid, out=resid)
+    return au, np.sqrt(np.add.reduce(resid, axis=1))
 
 
 def residual_row_norms(a, x: Subspace) -> np.ndarray:
@@ -458,6 +486,7 @@ def residual_row_norms(a, x: Subspace) -> np.ndarray:
     out = np.empty(a.shape[0])
     for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
         out[lo:hi] = project_rows(rows, x.u)[1]
+        del rows  # not held while the next block is gathered
     return out
 
 

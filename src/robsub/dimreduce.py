@@ -75,6 +75,7 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
             block = m_value(loss, resid)
             sums[0] += block.sum()
             sums[1] = max(sums[1], row_norms(rows).max(initial=0.0))
+            del rows  # released before the yield
             yield lo, hi, block
 
     sample = sampling.sample_stream("dimreduce", scores(), _K2 * r,

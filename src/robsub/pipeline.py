@@ -304,6 +304,7 @@ def _final_sample(a, sub: Subspace, k: int, loss: LossSpec, seed: int, tr: dict)
         cost[lo:hi] = m_value(loss, resid)
         xb *= inv
         lev[lo:hi] = np.einsum("ij,ij->i", xb, xb)
+        del rows, xb, resid  # not held while the next block is gathered
     lev /= k
     total = cost.sum()
     if total > 0.0:

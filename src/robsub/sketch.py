@@ -36,6 +36,7 @@ from .core import (
     RowView,
     Subspace,
     check_finite,
+    entry_spans,
     is_sparse,
     matmul_dense,
     row_view,
@@ -116,6 +117,7 @@ def apply_right(a, r: SparseSketch) -> np.ndarray:
     out = np.empty((a.shape[0], r.rows))
     for lo, hi, (rows,) in row_view(a).blocks(_RIGHT_BLOCK):
         out[lo:hi] = matmul_dense(rows, op)
+        del rows  # not held while the next block is gathered
     return out
 
 
@@ -201,7 +203,7 @@ def _gram_r(view: RowView) -> np.ndarray | None:
     """Cholesky factor R of the Gram t^T t of the view, or None when r_factor's
     rule does not certify it."""
     # imported on first use: scipy.linalg adds about 0.13 s to the package's import
-    from scipy.linalg import blas, lapack
+    from scipy.linalg import lapack
 
     n, width = view.shape
     if width == 0 or n < width:
@@ -209,20 +211,28 @@ def _gram_r(view: RowView) -> np.ndarray | None:
     g = np.zeros((width, width), order="F")
     cols = view.columns()
     for _, _, parts in view.blocks(_FACTOR_BLOCK):
-        # the upper triangle, all dpotrf reads: each part's Gram and products with later parts
-        for i, (ci, block) in enumerate(zip(cols, parts)):
-            if is_sparse(block):
-                g[ci, ci] += (block.T @ block).toarray()
-            else:
-                g[ci, ci] = blas.dsyrk(1.0, block.T, beta=1.0, c=g[ci, ci], overwrite_c=1)
-            for cj, other in zip(cols[i + 1:], parts[i + 1:]):
-                g[ci, cj] += matmul_dense(block.T, other)
+        _add_gram(g, cols, parts)
+        del parts  # not held while the next block is gathered
     if not np.all(np.isfinite(g)) or g.diagonal().min() <= n * np.finfo(float).tiny:
         return None
     r, info = lapack.dpotrf(g, overwrite_a=1)
     if info != 0 or lapack.dtrcon(r)[0] < _GRAM_RCOND:
         return None
     return r
+
+
+def _add_gram(g: np.ndarray, cols, parts) -> None:
+    """Add one row block's Gram to the upper triangle of g, all dpotrf reads: each
+    part's own Gram and its products with the later parts."""
+    from scipy.linalg import blas  # on first use, as in _gram_r
+
+    for i, (ci, block) in enumerate(zip(cols, parts)):
+        if is_sparse(block):
+            g[ci, ci] += (block.T @ block).toarray()
+        else:
+            g[ci, ci] = blas.dsyrk(1.0, block.T, beta=1.0, c=g[ci, ci], overwrite_c=1)
+        for cj, other in zip(cols[i + 1:], parts[i + 1:]):
+            g[ci, cj] += matmul_dense(block.T, other)
 
 
 def _streamed_r(view: RowView) -> np.ndarray:
@@ -234,17 +244,12 @@ def _streamed_r(view: RowView) -> np.ndarray:
     size = min(_FACTOR_BLOCK, max(width, _STREAMED_ENTRIES // width))
     buf = np.empty((min(n, width + view.rows_per_block(size)), width), order="F")
     lwork = int(lapack.dgeqrf_lwork(*buf.shape)[0])
-    top = 0  # rows of the running R at the head of buf
+    top, cols = 0, view.columns()  # top: rows of the running R at the head of buf
     for lo, hi, parts in view.blocks(size):
         end = top + hi - lo
         buf[end:] = 0.0
-        for c, block in zip(view.columns(), parts):
-            if is_sparse(block):  # a gathered block holds no repeated entry
-                coo = block.tocoo()
-                buf[top:end, c] = 0.0
-                buf[top + coo.row, c.start + coo.col] = coo.data
-            else:
-                buf[top:end, c] = block
+        _fill_rows(buf[top:end], cols, parts)
+        del parts  # not held while the next block is gathered
         buf, _, _, info = lapack.dgeqrf(buf, lwork=lwork, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
@@ -254,6 +259,22 @@ def _streamed_r(view: RowView) -> np.ndarray:
     # a copy, unless R fills the buffer: a caller that keeps R must not keep
     # the (width + block) x width buffer alive with it
     return buf if top == buf.shape[0] else np.array(buf[:top], order="F")
+
+
+def _fill_rows(rows: np.ndarray, cols, parts) -> None:
+    """Write one row block, each part into its columns ``cols``, over ``rows``;
+    a sparse part's entries go one ``core.entry_spans`` span at a time, so
+    their indices take no temporary the size of the block."""
+    for c, block in zip(cols, parts):
+        if is_sparse(block):  # a gathered block holds no repeated entry
+            rows[:, c] = 0.0
+            ptr = block.indptr
+            for lo, hi in entry_spans(ptr):
+                at = slice(ptr[lo], ptr[hi])
+                rows[np.repeat(np.arange(lo, hi), np.diff(ptr[lo:hi + 1])),
+                     c.start + block.indices[at]] = block.data[at]
+        else:
+            rows[:, c] = block
 
 
 def orthonormal_union(blocks, d: int) -> Subspace:

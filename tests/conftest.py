@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 from oracles import small_problem_cost
 from robsub import LossSpec, residual_cost
-from robsub import bicriteria, conditioning, dimreduce, pipeline
+from robsub import bicriteria, conditioning, core, dimreduce, pipeline
 
 
 def planted_lowrank(n, d, k, seed, noise=0.0, outlier_frac=0.0, outlier_scale=50.0):
@@ -27,6 +28,24 @@ def planted_lowrank(n, d, k, seed, noise=0.0, outlier_frac=0.0, outlier_scale=50
         a[rows] = outlier_scale * dirs
         clean[rows] = False
     return a, clean
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def csr_block_nbytes(a, rows):
+    """Bytes of the largest block of ``rows`` consecutive rows of a CSR matrix,
+    as a pass gathers it: its data, indices and row pointer."""
+    ptr = a.indptr
+    nnz = max(ptr[min(lo + rows, a.shape[0])] - ptr[lo] for lo in range(0, a.shape[0], rows))
+    return int(nnz) * (a.data.itemsize + a.indices.itemsize) + (rows + 1) * ptr.itemsize
 
 
 def split_halves(c):
@@ -105,6 +124,24 @@ def set_r1(monkeypatch):
     """Fix dim_reduce's r1 to ``r1_formula`` at a given quality bound K (and c1)."""
     return lambda quality, c1=2.0: monkeypatch.setattr(
         dimreduce, "_r1", lambda k, eps, p: r1_formula(k, eps, p, quality, c1))
+
+
+@pytest.fixture
+def rows_read(monkeypatch):
+    """``rows_read(a)``: the list to which each gather of rows of the matrix
+    ``a`` itself (a ``core._take`` of it) appends its row count."""
+    def watch(a):
+        reads, take = [], core._take
+
+        def counted(part, rows):
+            block = take(part, rows)
+            if part is a:
+                reads.append(block.shape[0])
+            return block
+
+        monkeypatch.setattr(core, "_take", counted)
+        return reads
+    return watch
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import planted_lowrank
+from conftest import planted_lowrank, traced_peak
 from robsub import (
     LossSpec,
     const_approx,
@@ -238,12 +237,7 @@ class TestComputedRightSketch:
         sketched, apply = [], sketch.PStableSketch.apply
         monkeypatch.setattr(sketch.PStableSketch, "apply",
                             lambda pi, b: sketched.append(b.shape) or apply(pi, b))
-        tracemalloc.start()
-        try:
-            const_approx(a, 3, loss, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(const_approx, a, 3, loss, seed=1)
         assert len(draws) == 1 and np.array_equal(draws[0].indices, want)
         assert sketched == ([(n, 360)] if n > 8192 else [])
         assert peak < n * 360 * 8 / 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import basis_rows, basis_scores
+from conftest import basis_rows, basis_scores, traced_peak
 from robsub import (
     LossSpec,
     const_approx,
@@ -268,6 +268,28 @@ class TestLeverageScores:
         s1 = basis_scores(well_conditioned_basis(a, p=1.0, seed=21), loss)
         s2 = basis_scores(well_conditioned_basis(3.0 * a, p=1.0, seed=21), loss)
         assert np.allclose(s1.gamma, s2.gamma, rtol=1e-8)
+
+
+class TestScorePassResidency:
+    def test_stream_holds_one_block_of_the_basis(self):
+        # the p = 2 basis of a dense A, drained by the sample as its scores stream:
+        # each 2048 x d block of U was held by both generators while the next was
+        # formed.  A's own blocks are views, and take no memory
+        n, d = 10000, 100
+        a = np.random.default_rng(35).standard_normal((n, d))
+        loss = LossSpec.huber(1.0)
+
+        def drain():
+            blocks = conditioning.leverage_score_blocks(a, loss, seed=3)
+            return sampling.sample_stream("stage", blocks, 400.0, 5, None)
+
+        drain()  # scipy.linalg's first use
+        sample, peak = traced_peak(drain)
+        assert 0 < len(sample) < n
+        # the change of basis, and the sample's three n-vectors: the held scores,
+        # their concatenation and the uniforms
+        own = d * d * 8 + 3 * n * 8
+        assert peak < own + 1.5 * _FACTOR_BLOCK * d * 8
 
 
 class TestWeightedLeverageScores:

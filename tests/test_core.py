@@ -1,11 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import split_halves
+from conftest import csr_block_nbytes, split_halves, traced_peak
 from oracles import m_value_reference
 from robsub import (
     LossSpec,
@@ -15,8 +14,9 @@ from robsub import (
     residual_cost,
     v_norm_p,
 )
-from robsub.core import (_COMPUTED_ENTRIES, _FACTOR_BLOCK, ComputedPart, RowView, as_weights,
-                         matmul_dense, residual_row_norms, row_norms, row_view)
+from robsub.core import (_CHUNK, _COMPUTED_ENTRIES, _FACTOR_BLOCK, ComputedPart, RowView,
+                         as_weights, entry_spans, matmul_dense, residual_row_norms, row_norms,
+                         row_view)
 from robsub.sketch import apply_right, make_sparse_sketch
 
 
@@ -147,12 +147,7 @@ class TestLossInPlace:
         # |x| and one more buffer, plus a boolean mask: the formulas' chain of
         # temporaries held about four n-vectors at once for Huber
         x = np.random.default_rng(12).standard_normal(1_000_000) * 3.0
-        tracemalloc.start()
-        try:
-            out = m_value(loss, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(m_value, loss, x)
         assert peak < 2.2 * out.nbytes
 
 
@@ -204,6 +199,45 @@ class TestMeasures:
         base = v_norm_p(a, w, loss)
         w[7] = 3.0
         assert v_norm_p(a, w, loss) > base
+
+
+class TestResidualPassResidency:
+    """``residual_row_norms`` holds its n-vector and one block of rows: each block
+    is dropped before the next is gathered, and a dense block is projected in
+    one temporary of its size."""
+
+    @staticmethod
+    def _subspace(d):
+        return Subspace(np.linalg.qr(np.random.default_rng(d).standard_normal((d, 3)))[0])
+
+    def test_dense_block_projected_in_one_temporary(self):
+        # a dense block is a view of A; np.linalg.norm(rows - rows U U^T) held the
+        # product, the difference and its square, three 2048 x d temporaries
+        n, d = 10000, 100
+        a = np.random.default_rng(30).standard_normal((n, d))
+        x = self._subspace(d)
+        residual_row_norms(a, x)  # numpy's first-use allocations
+        out, peak = traced_peak(residual_row_norms, a, x)
+        assert peak < out.nbytes + 1.5 * _FACTOR_BLOCK * d * 8
+
+    def test_dense_residuals_are_the_norm_of_the_difference(self):
+        # the in-place residual sums its squares as np.linalg.norm does, to the bit
+        n, d = 5000, 30
+        a = np.random.default_rng(31).standard_normal((n, d))
+        u = self._subspace(d).u
+        want = np.concatenate([np.linalg.norm(b - (b @ u) @ u.T, axis=1)
+                               for b in np.split(a, range(_FACTOR_BLOCK, n, _FACTOR_BLOCK))])
+        assert np.array_equal(residual_row_norms(a, Subspace(u)), want)
+
+    def test_sparse_block_dropped_before_the_next(self):
+        # five CSR blocks, each gathered as a copy: the pass held block j while it
+        # gathered block j + 1, and squared a whole block's entries at once
+        n, d = 10000, 400
+        a = sp.random(n, d, density=0.1, format="csr", random_state=32)
+        x = self._subspace(d)
+        residual_row_norms(a, x)
+        out, peak = traced_peak(residual_row_norms, a, x)
+        assert peak < out.nbytes + 1.5 * csr_block_nbytes(a, _FACTOR_BLOCK)
 
 
 class TestMeasureProperties:
@@ -350,6 +384,22 @@ class TestSubspace:
             ref = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1), dtype=float).ravel())
             assert np.allclose(row_norms(mat), ref, rtol=1e-12, atol=0.0)
 
+    def test_row_norms_sparse_spans_sum_as_one_pass(self):
+        # entries squared a span of at most _CHUNK at a time, over empty rows and
+        # one row longer than a span, give the norms of one whole-array pass
+        a = sp.random(3000, _CHUNK + 500, density=0.002, format="lil", random_state=22)
+        a[100] = np.arange(1.0, _CHUNK + 501.0)
+        a[2000:2100] = 0.0
+        a = sp.csr_matrix(a)
+        spans = list(entry_spans(a.indptr))
+        assert (100, 101) in spans and (2000, 2100) not in spans and len(spans) > 3
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans][:-1]
+        assert spans[-1][1] == a.shape[0]
+        filled = np.diff(a.indptr) > 0
+        want = np.zeros(a.shape[0])
+        want[filled] = np.add.reduceat(np.square(a.data), a.indptr[:-1][filled])
+        assert np.array_equal(row_norms(a), np.sqrt(want))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             residual_cost(np.eye(4), Subspace(np.eye(3)[:, :1]), None, LossSpec.lp(1.0))
@@ -361,12 +411,7 @@ class TestSubspace:
         a = sp.random(20000, 200, density=0.05, format="csr", random_state=18)
         q, _ = np.linalg.qr(np.random.default_rng(18).standard_normal((200, 3)))
         sub, loss = Subspace(q), LossSpec.huber(1.0)
-        tracemalloc.start()
-        try:
-            cost = residual_cost(a, sub, None, loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cost, peak = traced_peak(residual_cost, a, sub, None, loss)
         assert peak < a.nnz * 8
         assert cost == pytest.approx(residual_cost(a.toarray(), sub, None, loss), rel=1e-10)
 

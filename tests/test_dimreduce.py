@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import best_rank_k_in_subspace, planted_lowrank, r1_formula
+from conftest import (best_rank_k_in_subspace, csr_block_nbytes, planted_lowrank, r1_formula,
+                      traced_peak)
 from oracles import alternating_reference
 from robsub import (
     LossSpec,
@@ -15,6 +15,7 @@ from robsub import (
     residual_cost,
 )
 from robsub import dimreduce
+from robsub.core import _FACTOR_BLOCK
 
 
 class TestDimReduceEdges:
@@ -43,12 +44,7 @@ class TestDimReduceEdges:
         basis = sp.random(2, 400, density=0.1, format="csr", random_state=7)
         a = (sp.csr_matrix(rng.standard_normal((20000, 2))) @ basis).tocsr()
         xhat = Subspace(np.linalg.qr(basis.toarray().T)[0])
-        tracemalloc.start()
-        try:
-            out = dim_reduce(a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(dim_reduce, a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=1)
         assert out is xhat
         assert peak < 8 * a.nnz
 
@@ -208,16 +204,28 @@ class TestDeflatedEstimates:
         a = sp.random(n, d, density=0.01, format="csr", random_state=9)
         sub = Subspace(np.linalg.qr(np.random.default_rng(9).standard_normal((d, dim)))[0])
         seen = self._spy(monkeypatch)
-        tracemalloc.start()
-        try:
-            dim_reduce(a, 1, 0.9, sub, LossSpec.lp(1.0), seed=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(dim_reduce, a, 1, 0.9, sub, LossSpec.lp(1.0), seed=4)
         g = seen["g"]
         direct = np.abs(a @ g - (a @ sub.u) @ (sub.u.T @ g)).ravel()
         assert np.allclose(np.concatenate(seen["est"]), direct)
         assert peak < 8 * n * dim
+
+
+class TestScorePassResidency:
+    def test_stream_holds_one_block(self, monkeypatch):
+        # five CSR blocks scored by one-column Gaussian residual estimates: the
+        # score generator held block j while block j + 1 was gathered
+        n, d = 10000, 400
+        a = sp.random(n, d, density=0.1, format="csr", random_state=37)
+        xhat = Subspace(np.linalg.qr(np.random.default_rng(37).standard_normal((d, 2)))[0])
+        monkeypatch.setattr(dimreduce, "_r1", lambda k, eps, p: 3.0)  # 36 rows expected
+        args = (a, 2, 0.5, xhat, LossSpec.lp(1.0))
+        dim_reduce(*args, seed=2)
+        out, peak = traced_peak(dim_reduce, *args, seed=2)
+        assert xhat.dim < out.dim < 60
+        # the sample's three n-vectors: the held scores, their concatenation and
+        # the uniforms; the sampled rows' union, some 40 x d, comes after the pass
+        assert peak < 3 * n * 8 + 1.5 * csr_block_nbytes(a, _FACTOR_BLOCK)
 
 
 class TestDimReduceQuality:

@@ -1,13 +1,12 @@
 import importlib.util
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import best_rank_k_in_subspace, planted_lowrank
+from conftest import best_rank_k_in_subspace, csr_block_nbytes, planted_lowrank, traced_peak
 from oracles import final_sample_of_exact_columns, small_problem_cost, small_problem_grid
 from robsub import (
     LossSpec,
@@ -18,7 +17,7 @@ from robsub import (
     weighted_leverage_scores,
 )
 from robsub import bicriteria, conditioning, pipeline, sampling, sketch
-from robsub.core import ComputedPart, RowView, matmul_dense
+from robsub.core import _FACTOR_BLOCK, ComputedPart, RowView, matmul_dense
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
     CapExceededError,
@@ -739,12 +738,7 @@ class TestApproxM2:
         coef = np.column_stack([10.0 * rng.standard_normal((n, 3)) * keep[:, None],
                                 100.0 * (1.0 - keep)])
         a = (sp.diags(keep) @ noise + sp.csr_matrix(coef) @ sp.csr_matrix(v)).tocsr()
-        tracemalloc.start()
-        try:
-            sub = approx_m2(a, 3, 0.25, LossSpec.huber(1.0), seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sub, peak = traced_peak(approx_m2, a, 3, 0.25, LossSpec.huber(1.0), seed=0)
         assert sub.dim == 3
         assert peak < n * d * 8
 
@@ -778,6 +772,44 @@ class TestShortInput:
         dense = np.random.default_rng(41).standard_normal((50, 2))
         with pytest.raises(ValueError, match="k=3 outside"):
             fit(sp.csr_matrix(dense) if sparse else dense, 3, 0.25, loss, seed=1)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@_BOTH_PIPELINES
+def test_kept_row_space_reads_a_twice_and_the_sample(fit, loss, sparse, rows_read, monkeypatch):
+    # d = 20 <= P_M: the bicriteria stage keeps A's row space from one R factor
+    # of A (the Gram route), and the final sample scores A in one pass and then
+    # gathers its kept rows; no other pass reads A
+    a, _ = planted_lowrank(5000, 20, 3, seed=38, noise=0.1, outlier_frac=0.01)
+    a = sp.csr_matrix(a) if sparse else a
+    monkeypatch.setattr(sketch, "_streamed_r", lambda view: pytest.fail("streamed QR"))
+    reads, tr = rows_read(a), {}
+    fit(a, 3, 0.25, loss, seed=1, trace=tr)
+    one_pass = [2048, 2048, 904]
+    assert reads == one_pass + one_pass + [tr["t_rows"]]
+
+
+class TestFinalSampleResidency:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_scores_hold_one_block(self, sparse):
+        # the scores of A under V_k = A's own top right singular vectors (the
+        # route of every benchmark fit): a CSR block j was held while block j + 1
+        # was gathered, and a dense block's residual took three 2048 x d temporaries
+        n, d, k = 10000, (400 if sparse else 100), 3
+        if sparse:
+            a = sp.random(n, d, density=0.1, format="csr", random_state=36)
+            block = csr_block_nbytes(a, _FACTOR_BLOCK)
+        else:
+            a = np.random.default_rng(36).standard_normal((n, d))
+            block = _FACTOR_BLOCK * d * 8
+        sv, v = sketch.rank_revealing_factor(a)
+        args = (a, Subspace(v, sv), k, LossSpec.huber(1.0), 7, {})
+        pipeline._final_sample(*args)
+        (idx, _), peak = traced_peak(pipeline._final_sample, *args)
+        assert 0 < idx.size < n
+        # the cost and leverage n-vectors; the draw's two more (the scores'
+        # concatenation and the uniforms) come after the last block is dropped
+        assert peak < 2 * n * 8 + 1.5 * block
 
 
 class TestExactColumns:
@@ -856,12 +888,7 @@ class TestExactColumns:
                             lambda *args: scored.append(1) or computed(*args))
         approx_lp(a, 3, 0.25, loss, seed=1)  # the modules imported on first use
         tr = {}
-        tracemalloc.start()
-        try:
-            sub = approx_lp(a, 3, 0.25, loss, seed=1, trace=tr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        sub, peak = traced_peak(approx_lp, a, 3, 0.25, loss, seed=1, trace=tr)
         assert tr["reduced_dim"] == 103 and scored == [1, 1]
         assert peak < a.shape[0] * (tr["reduced_dim"] + 1) * 8
         monkeypatch.setattr(pipeline, "ComputedPart", matmul_dense)  # formed whole

@@ -1,13 +1,13 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize, minimize_scalar
 
+from conftest import traced_peak
 from oracles import irls_whole_vectors
-from robsub import LossSpec, conditioning, regression, sampling
+from robsub import LossSpec, conditioning, regression, sampling, sketch
 from robsub.core import _CHUNK, RowView, m_derivative, m_value, spawn_rng
 from robsub.regression import (
     irls_solve,
@@ -189,12 +189,7 @@ class TestIrls:
         n, d = 40000, 100
         a, b, _ = _sparse_problem(n, d, 15, noise=0.1)
         loss = LossSpec.huber(1.0)
-        tracemalloc.start()
-        try:
-            x = irls_solve(a, b, None, loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        x, peak = traced_peak(irls_solve, a, b, None, loss)
         assert peak < n * d * 8 / 4
         assert np.abs(x - irls_solve(a.toarray(), b, None, loss)).max() <= 1e-10
 
@@ -218,12 +213,7 @@ class TestIrls:
         a, b, _ = _outlier_problem(n, 10, 19, frac=0.01)
         loss = LossSpec.huber(1.0)
         irls_solve(a[:3000], b[:3000], None, loss)  # modules imported on first use
-        tracemalloc.start()
-        try:
-            _, hist = irls_solve(a, b, None, loss, return_history=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, hist), peak = traced_peak(irls_solve, a, b, None, loss, return_history=True)
         assert len(hist) >= 3  # several reweighted steps
         assert peak < 3.5 * 8 * n
 
@@ -300,12 +290,7 @@ class TestMRegress:
         # several rounds once peaked at 1.21 A.nbytes here)
         a, b, _ = _outlier_problem(100_000, 20, 12, frac=0.01)
         tr = {}
-        tracemalloc.start()
-        try:
-            m_regress(a, b, LossSpec.huber(1.0), seed=1, trace=tr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(m_regress, a, b, LossSpec.huber(1.0), seed=1, trace=tr)
         assert tr["levels"] == 1
         assert peak < 0.8 * a.nbytes
 
@@ -318,12 +303,7 @@ class TestMRegress:
         loss = LossSpec.huber(1.0)
         m_regress(a[:5000], b[:5000], loss, seed=1)  # modules imported on first use
         tr = {}
-        tracemalloc.start()
-        try:
-            m_regress(a, b, loss, seed=1, trace=tr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(m_regress, a, b, loss, seed=1, trace=tr)
         assert tr["levels"] == 1
         assert peak < 2 * 8 * n
 
@@ -337,12 +317,7 @@ class TestMRegress:
         loss = LossSpec.huber(1.0)
         m_regress(a[:5000], b[:5000], loss, seed=1)  # modules imported on first use
         tr = {}
-        tracemalloc.start()
-        try:
-            m_regress(a, b, loss, seed=1, trace=tr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(m_regress, a, b, loss, seed=1, trace=tr)
         assert tr["levels"] == 1
         assert peak < 4 * n
 
@@ -454,6 +429,21 @@ class TestMRegress:
         assert tr["levels"] == 1 and not calls
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+def test_sampled_fit_reads_a_twice_and_the_sample(sparse, rows_read, monkeypatch):
+    # the zero check of [A b] stops at its first block, which holds a nonzero;
+    # its R factor (the Gram route) and its scores read one pass each; IRLS
+    # solves the gathered sample and reads no other row of A
+    a, b, _ = _outlier_problem(5000, 8, 39)
+    a = sp.csr_matrix(a) if sparse else a
+    monkeypatch.setattr(sketch, "_streamed_r", lambda view: pytest.fail("streamed QR"))
+    reads, tr = rows_read(a), {}
+    m_regress(a, b, LossSpec.huber(1.0), base_cap=400, seed=1, trace=tr)
+    one_pass = [2048, 2048, 904]
+    assert tr["levels"] == 1
+    assert reads == [2048] + one_pass + one_pass + [tr["base_rows"]]
+
+
 class TestSparseInput:
     def test_zero_rounds_is_irls(self):
         # n <= stop_rows: the view of [A b] is never sampled
@@ -470,12 +460,7 @@ class TestSparseInput:
         a, b, _ = _sparse_problem(n, d, 13, noise=0.1)
         loss = LossSpec.huber(1.0)
         tr = {}
-        tracemalloc.start()
-        try:
-            x = m_regress(a, b, loss, base_cap=2000, seed=3, trace=tr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        x, peak = traced_peak(m_regress, a, b, loss, base_cap=2000, seed=3, trace=tr)
         assert tr["levels"] >= 1
         assert peak < n * d * 8
         assert np.abs(x - m_regress(a.toarray(), b, loss, base_cap=2000, seed=3)).max() <= 1e-10

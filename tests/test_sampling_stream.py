@@ -6,11 +6,10 @@ it against ``draw(make_plan(scores, r))`` on the same scores and seed, and
 that both reject a NaN, infinite or negative score.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from robsub import sampling
 from robsub.core import _CHUNK
 from robsub.sampling import draw, make_plan, sample_stream
@@ -114,11 +113,6 @@ def test_memory_independent_of_rows(monkeypatch):
             yield lo, lo + 2048, rng.pareto(1.5, 2048)
 
     sample_stream("stage", blocks(), r, 1, None)  # numpy's first-use allocations
-    tracemalloc.start()
-    try:
-        out = sample_stream("stage", blocks(), r, 1, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(sample_stream, "stage", blocks(), r, 1, None)
     assert len(out) > 0 and max(kept) <= r
     assert peak < 8 * 8 * _CHUNK

@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import pstable_dense, sparse_sketch_dense, split_halves
+from conftest import (csr_block_nbytes, pstable_dense, sparse_sketch_dense, split_halves,
+                      traced_peak)
 from robsub import (
     Subspace,
     apply_right,
@@ -14,7 +13,7 @@ from robsub import (
     make_sparse_sketch,
     orthonormal_union,
 )
-from robsub.core import RowView
+from robsub.core import _FACTOR_BLOCK, RowView, row_view
 from robsub import sketch
 from robsub.conditioning import well_conditioned_basis
 from robsub.sketch import rank_revealing_factor
@@ -242,12 +241,7 @@ class TestRankRevealingFactor:
     @staticmethod
     def _factor_peak(n, d=200):
         a = sp.random(n, d, density=0.01, format="csr", random_state=n)
-        tracemalloc.start()
-        try:
-            rank_revealing_factor(a)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(rank_revealing_factor, a)[1]
 
     def test_peak_independent_of_row_count(self):
         # one (width + block) x width buffer, whatever n: a stack of block Rs
@@ -349,6 +343,39 @@ class TestGramRoute:
         assert len(calls) == (route == "streamed")
         ref = sketch.r_factor(a[idx] * scale[:, None])
         assert np.abs(r - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestFactorPassResidency:
+    """``r_factor`` holds its own width x width arrays and one block of rows,
+    on either route: each block is dropped before the next is gathered."""
+
+    def test_gram_route_scales_one_block_at_a_time(self, monkeypatch):
+        # IRLS's operand, [A b] with every row scaled, copies each gathered block;
+        # the Gram of block j was summed while block j + 1 was scaled
+        n, d = 10000, 100
+        rng = np.random.default_rng(33)
+        a, b = rng.standard_normal((n, d)), rng.standard_normal(n)
+        view = row_view(RowView((a, b[:, None])), rng.uniform(0.5, 2.0, n))
+        monkeypatch.setattr(sketch, "_streamed_r", lambda v: pytest.fail("streamed QR"))
+        sketch.r_factor(view)  # scipy.linalg's first use
+        _, peak = traced_peak(sketch.r_factor, view)
+        # the Gram, factored in place, and dsyrk's copy of A's part of it and its result
+        own = 3 * (d + 1) ** 2 * 8
+        assert peak < own + 1.5 * _FACTOR_BLOCK * (d + 1) * 8
+
+    def test_streamed_route_fills_one_block_at_a_time(self, monkeypatch):
+        # one column scaled by 1e-7 fails the Gram's certificate; each CSR block was
+        # held, with its COO row indices, while the next one was gathered
+        n, d = 10000, 100
+        a = sp.random(n, d, density=0.5, format="csr", random_state=34)
+        a = (a @ sp.diags(np.r_[np.ones(d - 1), 1e-7])).tocsr()
+        streamed, real = [], sketch._streamed_r
+        monkeypatch.setattr(sketch, "_streamed_r", lambda v: streamed.append(1) or real(v))
+        sketch.r_factor(a)
+        r, peak = traced_peak(sketch.r_factor, a)
+        assert streamed == [1, 1]
+        buf = (d + _FACTOR_BLOCK) * d * 8  # the (width + block) x width buffer
+        assert peak < buf + r.nbytes + 1.5 * csr_block_nbytes(a, _FACTOR_BLOCK)
 
 
 class TestOrthonormalizer:
