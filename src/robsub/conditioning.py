@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Optional
 
 import numpy as np
@@ -60,12 +61,14 @@ class WellConditionedBasis:
     m: int
     _a: RowView                   # n x m0 operand A, read a block of rows at a time
 
-    def iter_row_blocks(self, right=None):
-        """Row blocks of U, or of U @ right taken as A @ (F @ right), summed part
-        by part.  Blocks are ``_FACTOR_BLOCK`` rows, fewer as the operand's
-        computed parts cap them.  A ``ComputedPart`` A R is read as A (R F), so
-        none of its rows is formed.  Only the yielded block of U is held while
-        the caller reads it, not the rows of A it came from."""
+    def iter_row_blocks(self, fn, right=None):
+        """(lo, hi, fn(rows lo:hi of U)) in order, or of U @ right taken as
+        A @ (F @ right), summed part by part.  Blocks are ``_FACTOR_BLOCK``
+        rows, fewer as the operand's computed parts cap them.  A
+        ``ComputedPart`` A R is read as A (R F), so none of its rows is formed.
+        As in ``RowView.blocks``, each block of U is freed when ``fn`` returns,
+        before the next is formed, and the rows of A it came from are freed
+        before ``fn`` reads it."""
         f = self.change_of_basis if right is None else self.change_of_basis @ right
         parts, fs = [], []
         for c, part in zip(self._a.columns(), self._a.parts):
@@ -76,11 +79,8 @@ class WellConditionedBasis:
                 parts.append(part)
                 fs.append(f[c])
         size = self._a.rows_per_block(_FACTOR_BLOCK)
-        for lo, hi, blocks in RowView(parts, self._a.scale).blocks(size):
-            out = _block_product(blocks, fs)
-            del blocks  # released before the yield
-            yield lo, hi, out
-            del out  # not held while the next block is gathered
+        u = RowView(parts, self._a.scale).blocks(size, lambda rows: _block_product(rows, fs))
+        return starmap(lambda lo, hi, block: (lo, hi, fn(block)), u)
 
 
 def _block_product(blocks, fs) -> np.ndarray:
@@ -211,20 +211,14 @@ def leverage_score_blocks(a, loss: LossSpec, seed: int = 0, gauss_t: Optional[in
         g = spawn_rng(seed, 31, 1).standard_normal((basis.m, gauss_t))
         g /= math.sqrt(gauss_t)
         p = 2.0  # the squared row norms of U G
-    for lo, hi, block in basis.iter_row_blocks(right=g):
-        scores = _row_scores(loss, p, block)
-        del block  # released before the yield
-        yield lo, hi, scores
+    yield from basis.iter_row_blocks(lambda block: _row_scores(loss, p, block), right=g)
 
 
 def _all_zero(view: RowView) -> bool:
     """Whether every entry of the view is zero, read a block at a time up to the
     first nonzero."""
-    for _, _, parts in view.blocks(_FACTOR_BLOCK):
-        if any(np.any(b.data if is_sparse(b) else b) for b in parts):
-            return False
-        del parts  # not held while the next block is gathered
-    return True
+    return not any(nonzero for _, _, nonzero in view.blocks(
+        _FACTOR_BLOCK, lambda parts: any(np.any(b.data if is_sparse(b) else b) for b in parts)))
 
 
 def weighted_leverage_scores(a, loss: LossSpec, seed: int = 0,

@@ -346,18 +346,18 @@ class RowView:
             return max(1, min(size, _COMPUTED_ENTRIES // self.shape[1]))
         return size
 
-    def blocks(self, size: int):
-        """(lo, hi, rows lo:hi of each part) in order, ``rows_per_block(size)`` at a
-        time; no rows give one empty block.
+    def blocks(self, size: int, fn):
+        """(lo, hi, fn(rows lo:hi of each part)) in order, ``rows_per_block(size)``
+        rows at a time; no rows give one empty block.
 
-        A consumer drops its block before it asks for the next one (``del``,
-        or a per-block helper whose locals die when it returns), so that a
-        pass holds one block, not the one it read and the one being gathered.
+        Each block is gathered as the argument of ``fn`` and bound to no
+        name here, so it is freed when ``fn`` returns, before the next one
+        is gathered: a pass whose ``fn`` keeps none of it holds one block.
         """
         size = self.rows_per_block(size)
         for lo in range(0, max(self.shape[0], 1), size):
             hi = min(lo + size, self.shape[0])
-            yield lo, hi, self.block(slice(lo, hi))
+            yield lo, hi, fn(self.block(slice(lo, hi)))
 
     def left_product(self, op) -> "RowView":
         """op @ stack as the view of each op @ P_i, for a sparse op with one column per row.
@@ -484,9 +484,9 @@ def residual_row_norms(a, x: Subspace) -> np.ndarray:
     if x.d != a.shape[1]:
         raise ValueError(f"subspace lives in R^{x.d}, matrix has {a.shape[1]} columns")
     out = np.empty(a.shape[0])
-    for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
-        out[lo:hi] = project_rows(rows, x.u)[1]
-        del rows  # not held while the next block is gathered
+    for lo, hi, out[lo:hi] in row_view(a).blocks(_FACTOR_BLOCK,
+                                                 lambda parts: project_rows(*parts, x.u)[1]):
+        pass
     return out
 
 

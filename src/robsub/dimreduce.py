@@ -68,17 +68,17 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     trace["t_m"] = t_m
     sums = [0.0, 0.0]  # the scores' total and the largest row norm of A
 
-    def scores():
-        for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
-            resid = gaussian_row_norm_estimates(rows, g)
-            check_finite(resid)  # a NaN or inf in A reaches the estimate of its row
-            block = m_value(loss, resid)
-            sums[0] += block.sum()
-            sums[1] = max(sums[1], row_norms(rows).max(initial=0.0))
-            del rows  # released before the yield
-            yield lo, hi, block
+    def score(parts):
+        rows, = parts
+        resid = gaussian_row_norm_estimates(rows, g)
+        check_finite(resid)  # a NaN or inf in A reaches the estimate of its row
+        block = m_value(loss, resid)
+        sums[0] += block.sum()
+        sums[1] = max(sums[1], row_norms(rows).max(initial=0.0))
+        return block
 
-    sample = sampling.sample_stream("dimreduce", scores(), _K2 * r,
+    scores = row_view(a).blocks(_FACTOR_BLOCK, score)
+    sample = sampling.sample_stream("dimreduce", scores, _K2 * r,
                                     int(spawn_rng(seed, 47).integers(2**31)), trace)
     # residuals at the level of rounding noise count as an exact fit: the sample is dropped
     if sums[0] <= n * m_value(loss, 1e-12 * (sums[1] + 1e-300)):

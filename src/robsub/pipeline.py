@@ -94,11 +94,13 @@ class SmallProblem:
     def max_side(self) -> int:
         return max(self.cols.shape)
 
-    def residual(self, w_factor: np.ndarray):
-        """X W W^T - X and the rows' residual norms sqrt(||X_i W W^T - X_i||^2 + r_i^2)."""
-        resid = (self.x @ w_factor) @ w_factor.T - self.x
+    def residual_norms(self, w_factor: np.ndarray) -> np.ndarray:
+        """The rows' residual norms sqrt(||X_i W W^T - X_i||^2 + r_i^2); the
+        residual is formed in the product X W W^T."""
+        resid = (self.x @ w_factor) @ w_factor.T
+        resid -= self.x
         r = self.cols[:, -1]
-        return resid, np.sqrt(np.einsum("ij,ij->i", resid, resid) + r * r)
+        return np.sqrt(np.einsum("ij,ij->i", resid, resid) + r * r)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +181,7 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, tally: dict)
     ``_MM_STEPS`` steps, or once a step lowers the best cost by at most
     ``_STOP_TOL`` of it.  Steps and eigen fallbacks are added to ``tally``.
     """
-    w_factor, norms = w0, prob.residual(w0)[1]
+    w_factor, norms = w0, prob.residual_norms(w0)
     best_w, best_cost = w0, float(np.dot(prob.w, m_value(loss, norms)))
     for _ in range(_MM_STEPS):
         tally["small_mm_steps"] += 1
@@ -187,7 +189,7 @@ def _mm_descent(prob: SmallProblem, loss: LossSpec, w0: np.ndarray, tally: dict)
         psi = prob.w * m_derivative(loss, floored) / (2.0 * floored)
         w_factor, fell_back = _top_eigenvectors(prob.x, psi, prob.k, w_factor)
         tally["small_eigen_fallbacks"] += fell_back
-        norms = prob.residual(w_factor)[1]
+        norms = prob.residual_norms(w_factor)
         cost, prev = float(np.dot(prob.w, m_value(loss, norms))), best_cost
         if cost < best_cost:
             best_w, best_cost = w_factor, cost
@@ -298,13 +300,15 @@ def _final_sample(a, sub: Subspace, k: int, loss: LossSpec, seed: int, tr: dict)
         sv, v = rank_revealing_factor(a if square else ComputedPart(a, sub.u))
         vk = v if square else sub.u @ v[:, :k]
     vk, inv = vk[:, :k], 1.0 / sv[:k]
-    cost, lev = np.empty(n), np.empty(n)
-    for lo, hi, (rows,) in row_view(a).blocks(_FACTOR_BLOCK):
-        xb, resid = project_rows(rows, vk)
-        cost[lo:hi] = m_value(loss, resid)
+
+    def score(parts):
+        xb, resid = project_rows(*parts, vk)
         xb *= inv
-        lev[lo:hi] = np.einsum("ij,ij->i", xb, xb)
-        del rows, xb, resid  # not held while the next block is gathered
+        return m_value(loss, resid), np.einsum("ij,ij->i", xb, xb)
+
+    cost, lev = np.empty(n), np.empty(n)
+    for lo, hi, (cost[lo:hi], lev[lo:hi]) in row_view(a).blocks(_FACTOR_BLOCK, score):
+        pass
     lev /= k
     total = cost.sum()
     if total > 0.0:

@@ -115,9 +115,9 @@ def apply_right(a, r: SparseSketch) -> np.ndarray:
         raise ValueError(f"matrix has {a.shape[1]} columns, sketch expects {r.cols}")
     op = r.right_operator()
     out = np.empty((a.shape[0], r.rows))
-    for lo, hi, (rows,) in row_view(a).blocks(_RIGHT_BLOCK):
-        out[lo:hi] = matmul_dense(rows, op)
-        del rows  # not held while the next block is gathered
+    for lo, hi, out[lo:hi] in row_view(a).blocks(_RIGHT_BLOCK,
+                                                 lambda parts: matmul_dense(*parts, op)):
+        pass
     return out
 
 
@@ -210,9 +210,8 @@ def _gram_r(view: RowView) -> np.ndarray | None:
         return None
     g = np.zeros((width, width), order="F")
     cols = view.columns()
-    for _, _, parts in view.blocks(_FACTOR_BLOCK):
-        _add_gram(g, cols, parts)
-        del parts  # not held while the next block is gathered
+    for _ in view.blocks(_FACTOR_BLOCK, lambda parts: _add_gram(g, cols, parts)):
+        pass
     if not np.all(np.isfinite(g)) or g.diagonal().min() <= n * np.finfo(float).tiny:
         return None
     r, info = lapack.dpotrf(g, overwrite_a=1)
@@ -245,11 +244,10 @@ def _streamed_r(view: RowView) -> np.ndarray:
     buf = np.empty((min(n, width + view.rows_per_block(size)), width), order="F")
     lwork = int(lapack.dgeqrf_lwork(*buf.shape)[0])
     top, cols = 0, view.columns()  # top: rows of the running R at the head of buf
-    for lo, hi, parts in view.blocks(size):
+    # fn reads buf and top as the last fold left them, when each block is gathered
+    for lo, hi, _ in view.blocks(size, lambda parts: _fill_rows(buf, top, cols, parts)):
         end = top + hi - lo
         buf[end:] = 0.0
-        _fill_rows(buf[top:end], cols, parts)
-        del parts  # not held while the next block is gathered
         buf, _, _, info = lapack.dgeqrf(buf, lwork=lwork, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dgeqrf failed with info={info}")
@@ -261,10 +259,11 @@ def _streamed_r(view: RowView) -> np.ndarray:
     return buf if top == buf.shape[0] else np.array(buf[:top], order="F")
 
 
-def _fill_rows(rows: np.ndarray, cols, parts) -> None:
-    """Write one row block, each part into its columns ``cols``, over ``rows``;
-    a sparse part's entries go one ``core.entry_spans`` span at a time, so
-    their indices take no temporary the size of the block."""
+def _fill_rows(buf: np.ndarray, top: int, cols, parts) -> None:
+    """Write one row block over ``buf[top:top + rows]``, each part into its
+    columns ``cols``; a sparse part's entries go one ``core.entry_spans`` span
+    at a time, so their indices take no temporary the size of the block."""
+    rows = buf[top:top + parts[0].shape[0]]
     for c, block in zip(cols, parts):
         if is_sparse(block):  # a gathered block holds no repeated entry
             rows[:, c] = 0.0

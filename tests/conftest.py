@@ -71,7 +71,7 @@ def pstable_dense(sk):
 
 def basis_rows(basis):
     """Every row of a ``WellConditionedBasis`` U, stacked from its row blocks."""
-    return np.vstack([block for _, _, block in basis.iter_row_blocks()])
+    return np.vstack([block for _, _, block in basis.iter_row_blocks(lambda block: block)])
 
 
 def basis_scores(basis, loss):

@@ -50,7 +50,7 @@ def m_value_reference(loss: LossSpec, x):
 
 def small_problem_cost(prob, w_factor: np.ndarray, loss: LossSpec) -> float:
     """sum_i w_i M(sqrt(||X_i W W^T - X_i||^2 + r_i^2)) of a ``pipeline.SmallProblem``."""
-    return float(np.dot(prob.w, m_value(loss, prob.residual(w_factor)[1])))
+    return float(np.dot(prob.w, m_value(loss, prob.residual_norms(w_factor))))
 
 
 def _orthonormal(mat: np.ndarray) -> np.ndarray:

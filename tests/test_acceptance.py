@@ -340,7 +340,7 @@ def test_c11_sketch_time_scales_with_nnz():
     nnzs = [a.nnz for a in mats]
 
     def read_blocks(a):
-        for _ in row_view(ComputedPart(a, sketch.right_operator())).blocks(_FACTOR_BLOCK):
+        for _ in row_view(ComputedPart(a, sketch.right_operator())).blocks(_FACTOR_BLOCK, len):
             pass
 
     readers = {"apply_right": lambda a: apply_right(a, sketch), "A S^T blocks": read_blocks}

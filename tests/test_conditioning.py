@@ -110,7 +110,7 @@ class TestWellConditionedBasis:
         assert np.abs(pu.T @ pu - np.eye(3)).max() <= 1e-10
         assert np.allclose(u, a @ basis.change_of_basis, rtol=0.0, atol=1e-12)
         assert np.linalg.matrix_rank(np.hstack([u, a]), tol=1e-8) == 3
-        assert [(lo, hi) for lo, hi, _ in basis.iter_row_blocks()] == [
+        assert [(lo, hi) for lo, hi, _ in basis.iter_row_blocks(len)] == [
             (lo, min(lo + _FACTOR_BLOCK, 20000)) for lo in range(0, 20000, _FACTOR_BLOCK)]
 
     def test_stable_sketch_path_large_n(self, sketches):

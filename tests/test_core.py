@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from robsub import (
     residual_cost,
     v_norm_p,
 )
+from robsub.conditioning import well_conditioned_basis
 from robsub.core import (_CHUNK, _COMPUTED_ENTRIES, _FACTOR_BLOCK, ComputedPart, RowView,
                          as_weights, entry_spans, matmul_dense, residual_row_norms, row_norms,
                          row_view)
@@ -515,9 +517,9 @@ class TestComputedParts:
         other = np.arange(600.0).reshape(300, 2)
         for part, full in self._parts():
             view = RowView((part, other))
-            got = list(view.blocks(128))
+            got = list(view.blocks(128, np.hstack))
             assert [(lo, hi) for lo, hi, _ in got] == [(0, 128), (128, 256), (256, 300)]
-            stacked = np.vstack([np.hstack(parts) for _, _, parts in got])
+            stacked = np.vstack([rows for _, _, rows in got])
             assert np.allclose(stacked, np.hstack([full, other]), rtol=1e-13, atol=1e-13)
 
     def test_wide_part_reads_fewer_rows(self):
@@ -529,7 +531,7 @@ class TestComputedParts:
         assert RowView((a,)).rows_per_block(_FACTOR_BLOCK) == _FACTOR_BLOCK
         narrow = ComputedPart(a, make_sparse_sketch(6, 8, 200, 4).right_operator())
         assert RowView((narrow,)).rows_per_block(_FACTOR_BLOCK) == _FACTOR_BLOCK
-        rows = [hi - lo for lo, hi, _ in RowView((wide,)).blocks(_FACTOR_BLOCK)]
+        rows = [hi - lo for lo, hi, _ in RowView((wide,)).blocks(_FACTOR_BLOCK, len)]
         assert max(rows) * 100 <= _COMPUTED_ENTRIES and sum(rows) == 3000
 
     def test_left_product(self):
@@ -546,3 +548,75 @@ class TestComputedParts:
             got, = RowView((sketched,)).block(slice(None))
             want = op @ full
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class TestBlocksFreeEachBlock:
+    """``RowView.blocks`` hands each block to fn and frees it when fn returns,
+    before the next block is gathered; the basis's ``iter_row_blocks`` does
+    the same with each block of U, and frees the rows of A it came from
+    before fn reads it."""
+
+    N = 5000  # three blocks of the basis's _FACTOR_BLOCK rows
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """(handed, gathered): weak references that fn fills with what it is
+        handed, and the spy on ``RowView.block`` with the parts it gathers.
+        Each gather first asserts that every block handed to fn is dead."""
+        handed, gathered = [], []
+        real = RowView.block
+
+        def block(self, rows):
+            assert all(ref() is None for ref in handed), "an earlier block is alive"
+            parts = real(self, rows)
+            gathered.extend(weakref.ref(p) for p in parts)
+            return parts
+
+        monkeypatch.setattr(RowView, "block", block)
+        return handed, gathered
+
+    def _views(self):
+        """Dense, CSR and computed parts, and scaled two-part [A b] views, of N rows."""
+        rng = np.random.default_rng(32)
+        dense = rng.standard_normal((self.N, 12))
+        csr = sp.random(self.N, 12, density=0.3, format="csr", random_state=13)
+        b, scale = rng.standard_normal((self.N, 1)), np.exp(rng.standard_normal(self.N))
+        u = np.linalg.qr(rng.standard_normal((12, 4)))[0]
+        sketch = make_sparse_sketch(7, 6, 12, 2).right_operator()
+        for a in (dense, csr):
+            yield RowView((a,))
+            yield RowView((ComputedPart(a, sketch),))
+            yield RowView((ComputedPart(a, u),))
+            yield RowView((a, b), scale)
+
+    def test_row_view_blocks(self, spy):
+        handed, _ = spy
+        for view in self._views():
+            handed.clear()
+
+            def rows(parts):
+                handed.extend(weakref.ref(p) for p in parts)
+                return parts[0].shape[0]
+
+            got = list(view.blocks(128, rows))
+            assert got == [(lo, min(lo + 128, self.N), min(128, self.N - lo))
+                           for lo in range(0, self.N, 128)]
+            assert len(handed) == len(got) * len(view.parts)
+            assert all(ref() is None for ref in handed)
+
+    def test_basis_blocks(self, spy):
+        handed, gathered = spy
+        for view in self._views():
+            for p in (1.0, 2.0) if view.scale is None else (2.0,):  # only p = 2 takes a scale
+                basis = well_conditioned_basis(view, p=p, seed=4)
+                handed.clear()
+
+                def rows(u):
+                    assert all(ref() is None for ref in gathered), "rows of A are alive"
+                    handed.append(weakref.ref(u))
+                    return u.shape[0]
+
+                got = list(basis.iter_row_blocks(rows))
+                assert [n for _, _, n in got] == [hi - lo for lo, hi, _ in got]
+                assert got[-1][1] == self.N and len(handed) == len(got) > 1
+                assert all(ref() is None for ref in handed)

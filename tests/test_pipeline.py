@@ -294,8 +294,8 @@ class TestSmallApprox:
         work = workloads.WORKLOADS["lp_dense_outliers"]
         a = work.inputs(1).a
         calls = []
-        real = SmallProblem.residual
-        monkeypatch.setattr(SmallProblem, "residual",
+        real = SmallProblem.residual_norms
+        monkeypatch.setattr(SmallProblem, "residual_norms",
                             lambda self, *args: calls.append(1) or real(self, *args))
         trace = {}
         sub = approx_lp(a, workloads.K, work.eps, work.loss, seed=1001, trace=trace)
