@@ -121,23 +121,19 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedB
 
     Here c_pi = 20; it and the cap are the module constants _C_PI and
     _STABLE_ROW_CAP.  The reported width m is the numerical rank, which
-    drops below m0 when the columns of A are dependent.  A may be dense,
-    sparse or a ``RowView``.
+    drops below m0 when the columns of A are dependent, and is 0 when A
+    has rank zero, an empty A included.  A may be dense, sparse or a
+    ``RowView``.
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p={p} outside [1, 2]")
     view = row_view(a)
     n, m0 = view.shape
-    if n == 0 or m0 == 0:
-        raise ValueError("empty operand")
-
     s = int(min(max(2 * m0, math.ceil(_C_PI * m0 * m0)), max(_STABLE_ROW_CAP, 2 * m0)))
     operand = view  # the identity is an exact subspace embedding
-    if p < 2.0 and s < n:
+    if p < 2.0 and 0 < s < n:  # s = 0 only when A has no column
         operand = make_pstable_sketch(spawn_rng(seed, 19).integers(2**31), s, n, p).apply(view)
     sv, v = rank_revealing_factor(operand)
-    if sv.size == 0:
-        raise ValueError("operand has numerical rank zero")
     f = v / sv
     return WellConditionedBasis(f, float(p), f.shape[1], view)
 
@@ -148,7 +144,8 @@ def well_conditioned_basis(a, p: float = 2.0, seed: int = 0) -> WellConditionedB
 
 @dataclass(frozen=True)
 class LeverageScores:
-    """Per-row scores gamma and the number of bases built: 0 for an all-zero operand, else 1."""
+    """Per-row scores gamma, and 0 when the operand has rank zero (a basis of width
+    m = 0, which scores no row), else 1."""
 
     gamma: np.ndarray
     bucket_count: int
@@ -183,8 +180,9 @@ def leverage_score_blocks(a, loss: LossSpec, seed: int = 0, gauss_t: Optional[in
     (lo, hi, scores of rows lo:hi), one block of U at a time, in row order.
 
     One basis U is built over every row, and per-row scores are twice the
-    unweighted form below; an all-zero operand builds none and yields no
-    block.  Besides A it takes the basis's O((m0 + 2048) m0) and a block of U.
+    unweighted form below; an operand of rank zero gives a basis of width
+    m = 0 and yields no block.  Besides A it takes the basis's
+    O((m0 + 2048) m0) and a block of U.
 
     For |x|^p losses the unweighted score of row i is ||U_i||_p^p.  It
     bounds the row's sensitivity when U is the exact orthonormal factor:
@@ -201,11 +199,10 @@ def leverage_score_blocks(a, loss: LossSpec, seed: int = 0, gauss_t: Optional[in
     Woodruff 2012).  At gauss_t >= m the estimate, A (F G), would cost no
     less than the exact norms of A F, so those are taken.
     """
-    src = row_view(a)
-    if _all_zero(src):
-        return
-    basis = well_conditioned_basis(src, p=loss.p if loss.is_lp else 2.0,
+    basis = well_conditioned_basis(a, p=loss.p if loss.is_lp else 2.0,
                                    seed=int(spawn_rng(seed, 29, 1).integers(2**31)))
+    if basis.m == 0:
+        return
     g, p = None, basis.p
     if gauss_t is not None and gauss_t < basis.m:
         g = spawn_rng(seed, 31, 1).standard_normal((basis.m, gauss_t))
@@ -214,16 +211,9 @@ def leverage_score_blocks(a, loss: LossSpec, seed: int = 0, gauss_t: Optional[in
     yield from basis.iter_row_blocks(lambda block: _row_scores(loss, p, block), right=g)
 
 
-def _all_zero(view: RowView) -> bool:
-    """Whether every entry of the view is zero, read a block at a time up to the
-    first nonzero."""
-    return not any(nonzero for _, _, nonzero in view.blocks(
-        _FACTOR_BLOCK, lambda parts: any(np.any(b.data if is_sparse(b) else b) for b in parts)))
-
-
 def weighted_leverage_scores(a, loss: LossSpec, seed: int = 0,
                              gauss_t: Optional[int] = None) -> LeverageScores:
-    """``leverage_score_blocks`` as one n-vector, with the bases built (0 or 1)."""
+    """``leverage_score_blocks`` as one n-vector, with 0 for a rank-zero operand, else 1."""
     gamma, built = np.zeros(row_view(a).shape[0]), 0
     for lo, hi, scores in leverage_score_blocks(a, loss, seed, gauss_t):
         gamma[lo:hi], built = scores, 1

@@ -84,7 +84,4 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     if sums[0] <= n * m_value(loss, 1e-12 * (sums[1] + 1e-300)):
         sampling.record("dimreduce", 0, 0, trace)
         return xhat
-    blocks = [a[sample.indices]]
-    if xhat.dim > 0:
-        blocks.append(xhat.u.T)
-    return orthonormal_union(blocks, d=d)
+    return orthonormal_union([a[sample.indices], xhat.u.T], d=d)

@@ -4,7 +4,7 @@ Both pipelines run one body: bicriteria subspace -> residual sampling into
 a moderate subspace U -> one sensitivity sample T of the rows of A, scored
 by each row's cost share under V_k, the top-k right singular vectors of A
 inside U, plus its leverage in A V_k -> min over rank-k projectors W W^T
-of the small problem on the kept rows' exact columns T [A U, r],
+of the small problem on the kept rows' X = T A U and their residuals
 r_i = ||A_i (I - U U^T)||, weighted by 1/q -> return U W.  Its per-row
 costs are exact, as ||A_i (I - U W W^T U^T)||^2 = ||A_i U (I - W W^T)||^2
 + r_i^2 (a projection-cost-preserving reduction; Cohen, Elder, Musco,
@@ -14,8 +14,8 @@ A U, a ``core.ComputedPart`` of A and U, one block at a time.
 
 The small solver is heuristic by design: a reweighted-PCA alternation
 (``_mm_descent``) runs from a few random orthonormal starts, and the
-lowest-cost iterate is returned.  The width of [X r] is checked against
-the cap before any row is sampled.
+lowest-cost iterate is returned.  The small problem's width, X's m
+columns and r, is checked against the cap before any row is sampled.
 """
 
 from __future__ import annotations
@@ -63,44 +63,39 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class SmallProblem:
-    """The reduced problem on the kept rows' exact columns cols = [X r].
+    """The reduced problem on the kept rows' exact columns: X = T A U and
+    r_i = ||A_i (I - U U^T)||, the pair ``core.project_rows`` returns.
 
-    For a factor W of the m = cols.shape[1] - 1 domain directions, row i
-    costs w_i M(sqrt(||X_i - X_i W W^T||^2 + r_i^2)).  The residual is
-    formed directly, so the cost is defined for any W.
+    For a factor W of the m = x.shape[1] domain directions, row i costs
+    w_i M(sqrt(||X_i - X_i W W^T||^2 + r_i^2)).  The residual is formed
+    directly, so the cost is defined for any W.
     """
 
-    cols: np.ndarray
+    x: np.ndarray
+    r: np.ndarray
     w: np.ndarray
     k: int
 
     def __post_init__(self):
-        cols = np.asarray(self.cols, dtype=float)
-        if cols.ndim != 2 or cols.shape[1] < 2:
-            raise ValueError("cols must be a matrix [X r] with at least two columns")
-        if not (1 <= self.k < cols.shape[1]):
-            raise ValueError(f"k={self.k} outside [1, {cols.shape[1] - 1}]")
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "w", as_weights(self.w, cols.shape[0]))
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.cols[:, :-1]
-
-    @property
-    def domain_dim(self) -> int:
-        return self.cols.shape[1] - 1
+        x, r = np.asarray(self.x, dtype=float), np.asarray(self.r, dtype=float)
+        if x.ndim != 2 or r.shape != x.shape[:1]:
+            raise ValueError("x must be a matrix and r hold one residual per row of x")
+        if not (1 <= self.k <= x.shape[1]):
+            raise ValueError(f"k={self.k} outside [1, {x.shape[1]}]")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "w", as_weights(self.w, x.shape[0]))
 
     def max_side(self) -> int:
-        return max(self.cols.shape)
+        """The longer side of the kept rows' n x (m + 1) exact columns."""
+        return max(self.x.shape[0], self.x.shape[1] + 1)
 
     def residual_norms(self, w_factor: np.ndarray) -> np.ndarray:
         """The rows' residual norms sqrt(||X_i W W^T - X_i||^2 + r_i^2); the
         residual is formed in the product X W W^T."""
         resid = (self.x @ w_factor) @ w_factor.T
         resid -= self.x
-        r = self.cols[:, -1]
-        return np.sqrt(np.einsum("ij,ij->i", resid, resid) + r * r)
+        return np.sqrt(np.einsum("ij,ij->i", resid, resid) + self.r * self.r)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def small_approx(prob: SmallProblem, loss: LossSpec, seed: int = 0,
     """
     tally = {} if trace is None else trace
     tally.update(small_mm_steps=0, small_eigen_fallbacks=0)
-    k, m = prob.k, prob.domain_dim
+    k, m = prob.k, prob.x.shape[1]
     if k == m:
         return np.eye(m)
     rng = spawn_rng(seed, 73)
@@ -238,32 +233,6 @@ def _stage_subspace(a, k, eps, loss, seed, trace):
                      seed=int(spawn_rng(seed, 83).integers(2**31)), trace=trace)
     trace["reduced_dim"] = sub.dim
     return sub
-
-
-def _exact_columns(rows, u: np.ndarray) -> np.ndarray:
-    """[A U, r] of some rows A of the input, with r_i = ||A_i (I - U U^T)||."""
-    au, r = project_rows(rows, u)
-    return np.column_stack((au, r))
-
-
-def _final_factor(u: np.ndarray, w_factor: np.ndarray) -> Subspace:
-    v = u @ w_factor
-    # re-orthonormalize defensively; the product is orthonormal up to fp noise
-    return Subspace(_orthonormal(v))
-
-
-def _pad_to_k(u: np.ndarray, k: int, seed: int) -> Subspace:
-    """Grow a too-small subspace to exactly k orthonormal columns, drawn from the fit seed."""
-    d = u.shape[0]
-    rng = spawn_rng(seed, 109)
-    v = u
-    while v.shape[1] < k:
-        cand = rng.standard_normal((d, 1))
-        cand -= v @ (v.T @ cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-12:
-            v = np.hstack([v, cand / norm])
-    return Subspace(v)
 
 
 def _final_sample(a, sub: Subspace, k: int, loss: LossSpec, seed: int, tr: dict):
@@ -334,9 +303,9 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
     basis, from an R factor that alone reads the A U part; when U carries
     A's singular values (``Subspace.sv``: the bicriteria stage's row space
     of A, whenever min(n, d) <= P_M) the fit factors A once and reads no
-    sketch.  The kept rows of A are gathered
-    once, and their exact columns [A U, r] formed, for the weighted small
-    problem.  Salts seed the draw and the small solve.
+    sketch.  The kept rows of A are gathered once, and their X = T A U
+    and r (``core.project_rows``) are the weighted small problem.  Salts
+    seed the draw and the small solve.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -350,8 +319,9 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
 
     sub = _stage_subspace(a, min(k, n), eps, loss, seed, tr)
     u, m = sub.u, sub.dim
-    if m <= min(k, n):
-        return _pad_to_k(u, k, seed)
+    if m <= min(k, n):  # pad U with k - m Gaussian directions drawn from the fit seed
+        g = spawn_rng(seed, 109).standard_normal((u.shape[0], k - m))
+        return Subspace(_orthonormal(np.hstack([u, g])))
     # m <= n, as U lies in the row space of A: from here on k < n
     if m + 1 > small_cap:
         raise CapExceededError(
@@ -362,10 +332,11 @@ def _sample_and_solve(a, k: int, eps: float, loss: LossSpec, small_cap: int,
                            tr)
 
     kept, = row_view(a).block(idx)
-    prob = SmallProblem(_exact_columns(kept, u), w, k)
+    prob = SmallProblem(*project_rows(kept, u), w, k)
     w_factor = small_approx(prob, loss, seed=int(spawn_rng(seed, salts[1]).integers(2**31)),
                             trace=tr)
-    return _final_factor(u, w_factor)
+    # re-orthonormalized defensively: U W is orthonormal up to rounding
+    return Subspace(_orthonormal(u @ w_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +350,9 @@ def approx_lp(a, k: int, eps: float, loss: LossSpec,
 
     Stages: bicriteria subspace, residual sampling into U, one
     sensitivity sample of the rows of A (``_final_sample``), and the small
-    solve inside U on the sampled rows' exact columns T [A U, r], weighted
-    by 1/q.  ``small_cap``
-    (at least 1) is the most columns [X r] of the small problem.
+    solve inside U on the sampled rows' X = T A U and residuals r, weighted
+    by 1/q.  ``small_cap`` (at least 1) is the most columns of the small
+    problem, m + 1: X's m and r.
     """
     if not loss.is_lp or not (1.0 <= loss.p < 2.0):
         raise ValueError("this pipeline requires an |x|^p loss with p in [1, 2)")

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from oracles import small_problem_cost
-from robsub import LossSpec, residual_cost
+from robsub import LossSpec, Subspace, residual_cost
 from robsub import bicriteria, conditioning, core, dimreduce, pipeline
 
 
@@ -97,14 +97,14 @@ def sample_size_subspace(z, eps, delta, gamma_total, c=8.0):
 def best_rank_k_in_subspace(a, sub, k, loss, w=None, seed=0, warm_starts=()):
     """Best rank-k subspace inside span(U) and its residual cost, solved as a small problem.
 
-    On the exact columns [A U, r] of the pipelines the small objective
-    equals the residual cost of the projector (U W)(U W)^T.  Each factor
-    in ``warm_starts`` is scored too, and the cheapest factor is returned.
+    On the pipelines' exact columns (A U, r) the small objective equals
+    the residual cost of the projector (U W)(U W)^T.  Each factor in
+    ``warm_starts`` is scored too, and the cheapest factor is returned.
     """
-    prob = pipeline.SmallProblem(pipeline._exact_columns(a, sub.u), w, min(k, sub.dim))
+    prob = pipeline.SmallProblem(*core.project_rows(a, sub.u), w, min(k, sub.dim))
     w_factor = pipeline.small_approx(prob, loss, seed=seed)
     w_factor = min([w_factor, *warm_starts], key=lambda f: small_problem_cost(prob, f, loss))
-    out = pipeline._final_factor(sub.u, w_factor)
+    out = Subspace(pipeline._orthonormal(sub.u @ w_factor))
     return out, residual_cost(a, out, w, loss)
 
 

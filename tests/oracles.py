@@ -128,10 +128,10 @@ def small_problem_grid(prob, loss: LossSpec, seed: int = 0, budget: int = 4000) 
     """Best factor W of a small problem over a dense candidate grid (domain <= 12, k <= 3).
 
     ``prob`` is a ``pipeline.SmallProblem``, read only through its ``k``,
-    ``domain_dim`` and ``residual``.  Candidates: every coordinate k-factor,
-    then ``budget`` random orthonormal factors.
+    the width of its ``x`` and ``residual_norms``.  Candidates: every
+    coordinate k-factor, then ``budget`` random orthonormal factors.
     """
-    k, m = prob.k, prob.domain_dim
+    k, m = prob.k, prob.x.shape[1]
     if m > 12 or k > 3:
         raise ValueError("exhaustive grid is limited to domain <= 12, k <= 3")
     rng = spawn_rng(seed, 73)

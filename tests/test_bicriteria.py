@@ -241,3 +241,26 @@ class TestComputedRightSketch:
         assert len(draws) == 1 and np.array_equal(draws[0].indices, want)
         assert sketched == ([(n, 360)] if n > 8192 else [])
         assert peak < n * 360 * 8 / 2
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize("loss", [LossSpec.lp(1.0), LossSpec.huber(1.0)], ids=["l1", "huber"])
+def test_sampled_stage_reads_a_twice_and_the_sample(sparse, loss, set_p_m, rows_read,
+                                                    monkeypatch):
+    # n = 5000 and d = 60 both exceed P_M = 20: at k = 1 A S^T is 40 columns
+    # wide, a computed part read 65536 // 40 = 1638 rows of A a block.  Its R
+    # factor and its scores read one pass each (5000 rows lie below the
+    # p-stable row cap, so no Pi is applied); the one other read of A gathers
+    # the sample's rows, whose span is the subspace
+    a, _ = planted_lowrank(5000, 60, 1, seed=43, noise=0.1)
+    a = sp.csr_matrix(a) if sparse else a
+    set_p_m(20)
+    spanned, union = [], bicriteria.orthonormal_union
+    monkeypatch.setattr(bicriteria, "orthonormal_union",
+                        lambda blocks, d: spanned.append([b.shape[0] for b in blocks])
+                        or union(blocks, d))
+    reads, tr = rows_read(a), {}
+    const_approx(a, 1, loss, seed=1, trace=tr)
+    one_pass = [1638, 1638, 1638, 86]
+    assert reads == one_pass + one_pass
+    assert tr["bicriteria_rows"] > 0 and spanned == [[tr["bicriteria_rows"]]]

@@ -10,7 +10,7 @@ from robsub import (
     weighted_leverage_scores,
     well_conditioned_basis,
 )
-from robsub import conditioning, sampling
+from robsub import conditioning, sampling, sketch
 from robsub.core import _FACTOR_BLOCK, RowView, m_value
 
 
@@ -310,6 +310,21 @@ class TestWeightedLeverageScores:
             ws = weighted_leverage_scores(a, loss, seed=6)
             assert ws.bucket_count == 0
             assert np.array_equal(ws.gamma, np.zeros(30))
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_rank_zero_through_the_pstable_sketch(self, sparse, monkeypatch):
+        # 9000 rows at p = 1 exceed s = 20 * 4^2 = 320 buckets, so the basis
+        # factors Pi A: its rank zero gives width m = 0, no block and no bucket
+        a = sp.csr_matrix((9000, 4)) if sparse else np.zeros((9000, 4))
+        loss = LossSpec.lp(1.0)
+        sketched, apply = [], sketch.PStableSketch.apply
+        monkeypatch.setattr(sketch.PStableSketch, "apply",
+                            lambda pi, b: sketched.append(pi.s) or apply(pi, b))
+        assert well_conditioned_basis(a, p=1.0, seed=6).m == 0
+        assert list(conditioning.leverage_score_blocks(a, loss, seed=6)) == []
+        ws = weighted_leverage_scores(a, loss, seed=6)
+        assert ws.bucket_count == 0 and np.array_equal(ws.gamma, np.zeros(9000))
+        assert sketched == [320, 320, 320]
 
     def test_weighted_sensitivity(self):
         rng = np.random.default_rng(16)

@@ -17,7 +17,7 @@ from robsub import (
     weighted_leverage_scores,
 )
 from robsub import bicriteria, conditioning, pipeline, sampling, sketch
-from robsub.core import _FACTOR_BLOCK, ComputedPart, RowView, matmul_dense
+from robsub.core import _FACTOR_BLOCK, ComputedPart, RowView, matmul_dense, project_rows
 from robsub.oracle import svd_truncation_cost
 from robsub.pipeline import (
     CapExceededError,
@@ -39,9 +39,9 @@ def _workloads(monkeypatch):
 
 
 def _random_problem(seed, m_prime=12, m=8, k=2):
-    # the exact columns [X r] of m_prime kept rows, r != 0
-    rng = np.random.default_rng(seed)
-    return SmallProblem(rng.standard_normal((m_prime, m + 1)), None, k)
+    # X and r of m_prime kept rows, r != 0, drawn as one m_prime x (m + 1) array
+    cols = np.random.default_rng(seed).standard_normal((m_prime, m + 1))
+    return SmallProblem(cols[:, :-1], cols[:, -1], None, k)
 
 
 def _outliers_recipe():
@@ -55,24 +55,30 @@ def _outliers_recipe():
 class TestSmallProblem:
     def test_shape_validation(self):
         rng = np.random.default_rng(0)
+        # X not a matrix; X with no column (no domain direction); k above X's
+        # 4 columns; 3 weights for 4 rows; 3 residuals for 4 rows
+        with pytest.raises(ValueError, match="x must be a matrix"):
+            SmallProblem(rng.standard_normal(5), rng.standard_normal(5), None, 1)
+        with pytest.raises(ValueError, match="k=1 outside"):
+            SmallProblem(np.zeros((4, 0)), rng.standard_normal(4), None, 1)
+        with pytest.raises(ValueError, match="k=5 outside"):
+            SmallProblem(rng.standard_normal((4, 4)), rng.standard_normal(4), None, 5)
         with pytest.raises(ValueError):
-            SmallProblem(rng.standard_normal(5), None, 1)
-        with pytest.raises(ValueError):
-            SmallProblem(rng.standard_normal((4, 1)), None, 1)
-        with pytest.raises(ValueError):
-            SmallProblem(rng.standard_normal((4, 5)), None, 5)
-        with pytest.raises(ValueError):
-            SmallProblem(rng.standard_normal((4, 5)), np.ones(3), 1)
+            SmallProblem(rng.standard_normal((4, 4)), rng.standard_normal(4), np.ones(3), 1)
+        with pytest.raises(ValueError, match="one residual per row"):
+            SmallProblem(rng.standard_normal((4, 4)), rng.standard_normal(3), None, 1)
 
     def test_cost_matches_direct(self):
         prob = _random_problem(1)
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((8, 2)))
         loss = LossSpec.lp(1.0)
-        x, r = prob.cols[:, :-1], prob.cols[:, -1]
+        x, r = prob.x, prob.r
         direct = np.linalg.norm(np.hstack([x @ q @ q.T - x, r[:, None]]), axis=1).sum()
         assert small_problem_cost(prob, q, loss) == pytest.approx(direct)
-        assert prob.domain_dim == 8 and prob.max_side() == 12
+        assert prob.x.shape[1] == 8 and prob.max_side() == 12
+        # a wide problem's side is its width m + 1, of X's m and r
+        assert _random_problem(1, m_prime=5).max_side() == 9
 
 
 class TestSmallApprox:
@@ -81,7 +87,7 @@ class TestSmallApprox:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((20, 8))
         w0, _ = np.linalg.qr(rng.standard_normal((8, 2)))
-        prob = SmallProblem(np.hstack([x @ w0 @ w0.T, np.zeros((20, 1))]), None, 2)
+        prob = SmallProblem(x @ w0 @ w0.T, np.zeros(20), None, 2)
         w = small_approx(prob, LossSpec.lp(1.0), seed=0)
         assert small_problem_cost(prob, w, LossSpec.lp(1.0)) <= 1e-8
 
@@ -91,7 +97,7 @@ class TestSmallApprox:
         assert np.allclose(w @ w.T, np.eye(8))
         # only the residual column is left: the cost is sum M(|r_i|)
         assert (small_problem_cost(prob, w, LossSpec.lp(1.0))
-                == pytest.approx(np.abs(prob.cols[:, -1]).sum()))
+                == pytest.approx(np.abs(prob.r).sum()))
 
     def test_local_search_vs_exhaustive(self):
         loss = LossSpec.lp(1.0)
@@ -117,10 +123,10 @@ class TestSmallApprox:
         assert np.array_equal(w1, w2)
 
     def test_cap_enforced(self, monkeypatch):
-        # the cap bounds the width [X r] = m + 1, known once the residual-
+        # the cap bounds the width m + 1 of X and r, known once the residual-
         # sampled subspace is: at d = 30 that subspace is all of R^30, so
-        # [X r] is 31 wide, and the fit raises before it forms [A U, r],
-        # factors it or draws the final sample; a final sample of more
+        # the small problem is 31 wide, and the fit raises before it forms
+        # A U, factors it or draws the final sample; a final sample of more
         # than 40 rows under a cap of 40 does not raise
         a, _ = planted_lowrank(310, 30, 2, seed=8, noise=0.1)
         calls, real = [], pipeline._final_sample
@@ -244,7 +250,7 @@ class TestSmallApprox:
         rng = np.random.default_rng(6)
         basis = np.linalg.qr(rng.standard_normal((m, k)))[0]
         x = 10.0 * rng.standard_normal((300, k)) @ basis.T + 0.1 * rng.standard_normal((300, m))
-        prob = SmallProblem(np.hstack([x, 0.1 * rng.random((300, 1))]), None, k)
+        prob = SmallProblem(x, 0.1 * rng.random(300), None, k)
         calls = self._spy_direct(monkeypatch)
         trace = {}
         w = small_approx(prob, LossSpec.huber(1.0), seed=0, trace=trace)
@@ -763,6 +769,25 @@ class TestShortInput:
         assert np.abs(sub.u.T @ sub.u - np.eye(3)).max() <= 1e-12
         assert residual_cost(a, sub, None, loss) <= 1e-12 * v_norm_p(a, None, loss)
 
+    @pytest.mark.parametrize("rank", [1, 0])
+    def test_padded_factor_contains_the_kept_subspace(self, fit, loss, sparse, rank,
+                                                      monkeypatch):
+        # a rank-1 input at k = 3 keeps U of width 1, the all-zero input U of
+        # width 0: either is padded to an orthonormal d x 3 factor V that
+        # contains U, the same for the same seed
+        rng = np.random.default_rng(42)
+        dense = rank * np.outer(rng.standard_normal(300), rng.standard_normal(8))
+        a = sp.csr_matrix(dense) if sparse else dense
+        kept, stage = [], pipeline._stage_subspace
+        monkeypatch.setattr(pipeline, "_stage_subspace",
+                            lambda *args: kept.append(stage(*args)) or kept[-1])
+        v = fit(a, 3, 0.25, loss, seed=1).u
+        u = kept[0].u
+        assert u.shape == (8, rank) and v.shape == (8, 3)
+        assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-12
+        assert np.linalg.norm(u - v @ (v.T @ u)) <= 1e-12
+        assert np.array_equal(v, fit(a, 3, 0.25, loss, seed=1).u)
+
     def test_no_rows_rejected(self, fit, loss, sparse):
         a = sp.csr_matrix((0, 6)) if sparse else np.zeros((0, 6))
         with pytest.raises(ValueError, match="no rows"):
@@ -825,15 +850,14 @@ class TestExactColumns:
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
     def test_small_problem_costs_are_exact(self, sparse):
-        # for every W the small problem on [A U, r] (three row blocks here)
+        # for every W the small problem on (A U, r) (three row blocks here)
         # costs what the projector (U W)(U W)^T costs on A
         rng = np.random.default_rng(21)
         a = sp.random(4500, 40, density=0.2, random_state=21, format="csr")
         u = np.linalg.qr(rng.standard_normal((40, 6)))[0]
         w = rng.uniform(1.0, 4.0, 4500)
         loss = LossSpec.huber(1.0)
-        cols = pipeline._exact_columns(a if sparse else a.toarray(), u)
-        prob = SmallProblem(cols, w, 2)
+        prob = SmallProblem(*project_rows(a if sparse else a.toarray(), u), w, 2)
         for _ in range(3):
             w_factor = np.linalg.qr(rng.standard_normal((6, 2)))[0]
             assert small_problem_cost(prob, w_factor, loss) == pytest.approx(
@@ -842,13 +866,13 @@ class TestExactColumns:
     @_BOTH_PIPELINES
     def test_exact_columns_beat_svd(self, monkeypatch, fit, loss):
         # the input is kept whole, so the final sample scores A itself, and
-        # the small problem's C is [A U, r]
+        # the small problem is (A U, r), 4 + 1 wide
         scored, solved = [], []
         sample, solve = pipeline._final_sample, pipeline.small_approx
         monkeypatch.setattr(pipeline, "_final_sample",
                             lambda a, *args: scored.append(a.shape[1]) or sample(a, *args))
         monkeypatch.setattr(pipeline, "small_approx",
-                            lambda prob, *args, **kw: solved.append(prob.cols.shape[1])
+                            lambda prob, *args, **kw: solved.append(prob.x.shape[1] + 1)
                             or solve(prob, *args, **kw))
         for seed in range(3):
             a = self._planted(seed)

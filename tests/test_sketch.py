@@ -417,12 +417,14 @@ class TestOrthonormalizer:
             assert np.abs(np.linalg.norm(u, axis=1) - ref).max() <= 1e-10, name
 
     def test_rank_zero_and_empty(self):
-        # no column survives the rank rule, and no basis is built
+        # no column survives the rank rule, and the basis has width 0
         for t in (np.zeros((40, 5)), np.zeros((0, 5))):
             sv, v = rank_revealing_factor(t)
             assert sv.shape == (0,) and v.shape == (5, 0)
-            with pytest.raises(ValueError):
-                well_conditioned_basis(t)
+            basis = well_conditioned_basis(t)
+            assert basis.m == 0 and basis.change_of_basis.shape == (5, 0)
+        # an operand with no column takes no p-stable sketch, which would have 0 rows
+        assert well_conditioned_basis(np.zeros((40, 0)), p=1.0).m == 0
 
 
 class TestOrthonormalUnion:
