@@ -179,7 +179,7 @@ def cmd_regress(args) -> int:
         "sampled_cost": cost_sampled,
         "full_irls_cost": cost_full,
         "cost_ratio": cost_sampled / cost_full if cost_full > 0 else 1.0,
-        **trace,  # levels, base_rows and base_rows_expected
+        **trace,  # levels, base_rows, base_rows_expected and irls_steps
     }
     report["timings"] = timings
     if args.solution_out:

@@ -262,6 +262,11 @@ def matmul_dense(a, b) -> np.ndarray:
     return np.asarray(out)
 
 
+def _stored(a):
+    """A stored part as a view reads it: CSR for any sparse format, else a float array."""
+    return a.tocsr() if is_sparse(a) else np.asarray(a, dtype=float)
+
+
 def _take(part, rows):
     """Rows ``rows`` (a slice or index array) of a dense, CSR or computed part."""
     if isinstance(part, np.ndarray) and not isinstance(rows, slice):
@@ -286,7 +291,7 @@ class ComputedPart:
     def __init__(self, a, right):
         if a.shape[1] != right.shape[0]:
             raise ValueError(f"matrix has {a.shape[1]} columns, factor expects {right.shape[0]}")
-        self.a = a.tocsr() if is_sparse(a) else np.asarray(a, dtype=float)
+        self.a = _stored(a)
         # scipy multiplies a CSR block by a C-ordered dense factor as it is, and copies any other
         self.right = (np.ascontiguousarray(right) if is_sparse(self.a) and not is_sparse(right)
                       else right)
@@ -306,20 +311,37 @@ class ComputedPart:
                             self.right)
 
 
+class RowSelection:
+    """A ``RowView`` part whose rows are rows ``idx`` of a stored dense or CSR
+    matrix ``a``, gathered on read and never stored: a sample's kept rows.
+
+    Indexing with a slice or an index array r gathers rows ``idx[r]`` of
+    ``a``, a fresh block.
+    """
+
+    def __init__(self, a, idx):
+        self.a = _stored(a)
+        self.idx = np.asarray(idx)
+        self.shape = (self.idx.size, self.a.shape[1])
+
+    def __getitem__(self, rows):
+        return _take(self.a, self.idx[rows])
+
+
 class RowView:
     """The column stack of ``parts``, each row times ``scale`` (one factor
     per row, or None for none).
 
-    The parts are dense arrays, CSR matrices or ``ComputedPart``s with one
-    row count, and the stack is never formed, nor any block of it:
-    ``block`` gathers some rows of each part (a computed part computes
-    just those), and ``left_product`` sketches an unscaled view without
-    gathering a row.  Gathered rows are multiplied by their scale.
+    The parts are dense arrays, CSR matrices, ``ComputedPart``s or
+    ``RowSelection``s with one row count, and the stack is never formed,
+    nor any block of it: ``block`` gathers some rows of each part (a
+    computed part computes just those, a selection gathers just those), and
+    ``left_product`` sketches an unscaled view of stored and computed parts
+    without gathering a row.  Gathered rows are multiplied by their scale.
     """
 
     def __init__(self, parts, scale=None):
-        self.parts = tuple(p if isinstance(p, ComputedPart)
-                           else p.tocsr() if is_sparse(p) else np.asarray(p, dtype=float)
+        self.parts = tuple(p if isinstance(p, (ComputedPart, RowSelection)) else _stored(p)
                            for p in parts)
         self.scale = scale
         self.shape = (self.parts[0].shape[0], sum(p.shape[1] for p in self.parts))
@@ -330,14 +352,26 @@ class RowView:
         return [slice(e - p.shape[1], e) for e, p in zip(ends, self.parts)]
 
     def block(self, rows):
-        """Rows ``rows`` (a slice or index array) of each part, times their scale."""
+        """Rows ``rows`` (a slice or index array) of each part, times their scale.
+
+        A block that ``_take`` gathered as a fresh copy (an index gather, any
+        CSR block, a computed or selected part's) is scaled in place; a slice
+        of a dense part is a view of the caller's array, so it is scaled into
+        a copy and no part is ever written.
+        """
         blocks = [_take(p, rows) for p in self.parts]
         if self.scale is None:
             return blocks
         s = self.scale[rows]
-        return [sp.csr_matrix((b.data * np.repeat(s, np.diff(b.indptr)), b.indices, b.indptr),
-                              shape=b.shape)
-                if is_sparse(b) else b * s[:, None] for b in blocks]
+        for i, (p, b) in enumerate(zip(self.parts, blocks)):
+            if is_sparse(b):
+                b.data = b.data.astype(float, copy=False)  # an integer CSR part's block too
+                b.data *= np.repeat(s, np.diff(b.indptr))
+            elif isinstance(p, np.ndarray) and isinstance(rows, slice):
+                blocks[i] = b * s[:, None]
+            else:
+                b *= s[:, None]
+        return blocks
 
     def rows_per_block(self, size: int) -> int:
         """The rows of each block of ``blocks(size)``: ``size``, or for a view that

@@ -4,7 +4,9 @@
 by d and eps alone, and solves the sampled problem, each kept row weighted
 1/q, with iteratively reweighted least squares (``irls_solve``, also the
 full-data baseline the sampled solve is measured against).  A may be dense or CSR; neither
-densifies A, and no block of [A b] is ever stacked.
+densifies A, and no block of [A b] is ever stacked.  The sample is never
+copied out of A: IRLS reads its kept rows through a ``core.RowSelection``,
+one block at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .conditioning import leverage_score_blocks
-from .core import (LossSpec, RowView, as_weights, chunks, m_derivative, m_value, row_view,
-                   spawn_rng)
+from .core import (_FACTOR_BLOCK, LossSpec, RowSelection, RowView, as_weights, chunks,
+                   m_derivative, m_value, row_view, spawn_rng)
 from . import sampling
 from .sketch import r_factor
 
@@ -57,23 +59,27 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, return_history: bool = False
     fit stops where it would for b scaled by any c > 0.  Returns the best
     iterate (and the per-iteration objective history on request).
 
-    A may be dense or CSR, and is never densified or copied whole.  Each
-    step with row weights v solves min ||diag(sqrt v) (A x - b)|| from the
-    R = [[R11, z], [0, rho]] of diag(sqrt v) [A b] = Q R, read one block
-    of rows of A and of b at a time, never stacked (``sketch.r_factor``):
+    A may be dense, CSR or a ``core.RowSelection`` (some rows of either,
+    as ``m_regress`` passes its sample), and is never densified or copied
+    whole: every read of A takes one block of at most ``core._FACTOR_BLOCK``
+    rows at a time.  Each step with row weights v solves
+    min ||diag(sqrt v) (A x - b)|| from the R = [[R11, z], [0, rho]] of
+    diag(sqrt v) [A b] = Q R, read one block of rows of A and of b at a
+    time, never stacked (``sketch.r_factor``):
     x is the least-norm solution of R11 x = z, with the singular-value
     cutoff of an n x d least-squares solve.  The residual A x - b is formed
-    once per iterate and serves both the objective and the next weights,
-    which are formed in its place; losses and weights are evaluated one
-    chunk of ``core._CHUNK`` rows at a time, so a step holds at most three
-    n-vectors: the weights w, the residual and its losses.
+    a block of rows at a time, once per iterate, and serves both the
+    objective and the next weights, which are formed in its place; losses
+    and weights are evaluated one chunk of ``core._CHUNK`` rows at a time,
+    so a step holds at most three n-vectors: the weights w, the residual
+    and its losses.
     """
     if loss is None:
         raise TypeError("loss is required")
     rhs = np.asarray(b, dtype=float).ravel()
     stack = RowView((a, rhs[:, None]))
-    a = stack.parts[0]  # float, or CSR for any sparse format
-    n, d = a.shape
+    rows = RowView(stack.parts[:1])  # A as a float, CSR or selected part
+    n, d = rows.shape
     if rhs.size != n:
         raise ValueError("right-hand side length mismatch")
     wv = as_weights(w, n)
@@ -85,7 +91,9 @@ def irls_solve(a, b, w=None, loss: LossSpec = None, return_history: bool = False
         return np.linalg.lstsq(r[:d, :d], r[:d, d], rcond=rcond)[0]
 
     def evaluate(x):
-        resid = np.asarray(a @ x).ravel()  # a fresh product: b comes off in place
+        resid = np.empty(n)
+        for lo, hi, resid[lo:hi] in rows.blocks(_FACTOR_BLOCK, lambda parts: parts[0] @ x):
+            pass
         resid -= rhs
         cost = np.empty(n)
         for c in chunks(n):
@@ -144,12 +152,15 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
     the leverage scores of [A b], read a block of rows at a time (Gaussian
     row-norm estimates for p=2 losses), and each kept row weighs 1/q for
     every loss; a draw of at most d+1 rows is dropped for all the rows.
-    The kept rows of A (CSR for a CSR A) and entries of b are gathered
-    once for IRLS.  The sample holds no n-vector: it is drawn as the scores
-    stream (``sampling.sample_stream``), in O(chunk + base_cap) memory
-    besides A and a block of the scoring basis.  A NaN or infinity in A or
-    b raises ValueError from the R factor of the scoring basis or of IRLS's
-    first step.
+    IRLS reads the kept rows of A through a ``core.RowSelection`` of A, one
+    block of at most ``core._FACTOR_BLOCK`` rows at a time, twice a step
+    (its R factor and its residual), and the kept entries of b are gathered
+    once: no copy of the sample's rows of A is held.  The sample holds no
+    n-vector: it is drawn as the scores stream (``sampling.sample_stream``),
+    in O(chunk + base_cap) memory besides A and a block of the scoring
+    basis.  ``trace["irls_steps"]`` is the number of reweighted steps IRLS
+    took.  A NaN or infinity in A or b raises ValueError from the R factor
+    of the scoring basis or of IRLS's first step.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0, 1)")
@@ -174,8 +185,10 @@ def m_regress(a, b, loss: LossSpec, eps: float = 0.5,
                                         int(spawn_rng(seed, 139, 0, 0).integers(2**31)), trace)
         if len(sample) > d + 1:
             w = sample.reweights
-            a, rhs = stack.block(sample.indices)
+            a, rhs = RowSelection(stack.parts[0], sample.indices), rhs[sample.indices]
     if w is None:
         sampling.record("base", n, n, trace)
     trace["levels"] = int(w is not None)
-    return irls_solve(a, rhs.ravel(), w, loss)
+    x, history = irls_solve(a, rhs, w, loss, return_history=True)
+    trace["irls_steps"] = len(history) - 1
+    return x

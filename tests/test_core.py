@@ -16,9 +16,9 @@ from robsub import (
     v_norm_p,
 )
 from robsub.conditioning import well_conditioned_basis
-from robsub.core import (_CHUNK, _COMPUTED_ENTRIES, _FACTOR_BLOCK, ComputedPart, RowView,
-                         as_weights, entry_spans, matmul_dense, residual_row_norms, row_norms,
-                         row_view)
+from robsub.core import (_CHUNK, _COMPUTED_ENTRIES, _FACTOR_BLOCK, ComputedPart, RowSelection,
+                         RowView, as_weights, entry_spans, matmul_dense, residual_row_norms,
+                         row_norms, row_view)
 from robsub.sketch import apply_right, make_sparse_sketch
 
 
@@ -548,6 +548,58 @@ class TestComputedParts:
             got, = RowView((sketched,)).block(slice(None))
             want = op @ full
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class TestRowSelection:
+    """A sample's kept rows of a stored A, gathered on read: ``RowSelection``."""
+
+    def _parts(self):
+        """(a, idx) for a dense, a CSR and an integer CSR A."""
+        rng = np.random.default_rng(29)
+        idx = np.sort(rng.choice(400, 150, replace=False))
+        csr = sp.random(400, 6, density=0.4, format="csr", random_state=11)
+        yield rng.standard_normal((400, 6)), idx
+        yield csr, idx
+        yield sp.csr_matrix((np.ceil(10 * csr.data).astype(np.int64), csr.indices, csr.indptr),
+                            shape=csr.shape), idx
+
+    @staticmethod
+    def _dense(block):
+        return block.toarray() if sp.issparse(block) else block
+
+    def test_block_is_the_gathered_rows(self):
+        scale = np.exp(np.random.default_rng(30).standard_normal(150))
+        for a, idx in self._parts():
+            kept = self._dense(a[idx]).astype(float)
+            part = RowSelection(a, idx)
+            assert part.shape == (150, 6) and RowView((part,)).shape == (150, 6)
+            for rows in (slice(10, 90), slice(3, None, 7), np.array([149, 0, 5, 5])):
+                got, = RowView((part,)).block(rows)
+                assert np.array_equal(self._dense(got), kept[rows])
+                got, = RowView((part,), scale).block(rows)
+                assert np.array_equal(self._dense(got), kept[rows] * scale[rows, None])
+            blocks = [hi - lo for lo, hi, _ in RowView((part,)).blocks(64, len)]
+            assert blocks == [64, 64, 22]
+
+    def test_scaling_writes_no_part(self):
+        # a gathered block is scaled in place; a slice of a dense part is a
+        # view of the caller's array, and is scaled into a copy
+        rng = np.random.default_rng(31)
+        dense = rng.standard_normal((300, 5))
+        csr = sp.random(300, 5, density=0.4, format="csr", random_state=12)
+        scale = np.full(300, 3.0)
+        before = dense.copy(), csr.copy()
+        view = RowView((dense, csr, RowSelection(dense, np.arange(300)),
+                        RowSelection(csr, np.arange(300))), scale)
+        for rows in (slice(0, 300), slice(20, 40), np.arange(0, 300, 4)):
+            blocks = view.block(rows)
+            assert not np.shares_memory(blocks[0], dense)
+            assert np.array_equal(blocks[0], 3.0 * dense[rows])
+            assert np.array_equal(blocks[1].toarray(), 3.0 * csr[rows].toarray())
+            assert np.array_equal(blocks[2], blocks[0])
+            assert np.array_equal(blocks[3].toarray(), blocks[1].toarray())
+        assert np.array_equal(dense, before[0])
+        assert np.array_equal(csr.toarray(), before[1].toarray())
 
 
 class TestBlocksFreeEachBlock:

@@ -27,10 +27,11 @@ def _outlier_problem(n, d, seed, frac=0.05, scale=30.0, noise=0.1):
     return a, b, x_true
 
 
-def _sparse_problem(n, d, seed, noise=0.0):
-    """CSR design with about four nonzeros per row; 1% of responses off by 50."""
+def _sparse_problem(n, d, seed, noise=0.0, density=None):
+    """CSR design with about four nonzeros per row, or ``density`` d; 1% of
+    responses off by 50."""
     rng = np.random.default_rng(seed)
-    a = sp.random(n, d, density=4.0 / d, format="csr", random_state=seed)
+    a = sp.random(n, d, density=density or 4.0 / d, format="csr", random_state=seed)
     x_true = rng.standard_normal(d)
     b = a @ x_true + noise * rng.standard_normal(n)
     b[rng.choice(n, n // 100, replace=False)] += 50.0
@@ -429,18 +430,77 @@ class TestMRegress:
         assert tr["levels"] == 1 and not calls
 
 
+def _sample_blocks(rows):
+    """The row counts of one read of ``rows`` rows in blocks of at most 2048."""
+    return [2048] * (rows // 2048) + ([rows % 2048] if rows % 2048 else [])
+
+
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
 def test_sampled_fit_reads_a_twice_and_the_sample(sparse, rows_read, monkeypatch):
     # the R factor of [A b] (the Gram route) and its scores read one pass
-    # each; IRLS solves the gathered sample and reads no other row of A
+    # each; then IRLS reads only the sample's rows of A, through the view,
+    # once per R factor and once per residual, and gathers no copy of them
     a, b, _ = _outlier_problem(5000, 8, 39)
     a = sp.csr_matrix(a) if sparse else a
     monkeypatch.setattr(sketch, "_streamed_r", lambda view: pytest.fail("streamed QR"))
+    factors, losses = [], []
+    real_factor, real_value = regression.r_factor, regression.m_value
+    monkeypatch.setattr(regression, "r_factor",
+                        lambda t: factors.append(1) or real_factor(t))
+    # each residual evaluation takes the losses of its rows in one chunk
+    monkeypatch.setattr(regression, "m_value",
+                        lambda loss, r: losses.append(r.size) or real_value(loss, r))
     reads, tr = rows_read(a), {}
     m_regress(a, b, LossSpec.huber(1.0), base_cap=400, seed=1, trace=tr)
     one_pass = [2048, 2048, 904]
-    assert tr["levels"] == 1
-    assert reads == one_pass + one_pass + [tr["base_rows"]]
+    assert tr["levels"] == 1 and set(losses) == {tr["base_rows"]}
+    assert len(factors) >= tr["irls_steps"] + 1
+    assert reads == one_pass + one_pass + (len(factors) + len(losses)) * _sample_blocks(
+        tr["base_rows"])
+
+
+def _gathered_sample(monkeypatch):
+    """The list to which each ``sampling.sample_stream`` call appends its sample."""
+    samples, real = [], sampling.sample_stream
+    monkeypatch.setattr(sampling, "sample_stream",
+                        lambda *args, **kwargs: samples.append(real(*args, **kwargs))
+                        or samples[-1])
+    return samples
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+class TestSampleReadThroughView:
+    """A sample spanning at least four 2048-row blocks is read from A
+    through the view: it is never gathered whole, and IRLS on it is IRLS on
+    the gathered rows, weighted 1/q, to the bit."""
+
+    def test_peak_below_gathered_sample(self, sparse, monkeypatch):
+        # 30 entries a CSR row, so its kept rows outweigh IRLS's vectors
+        if sparse:
+            a, b, _ = _sparse_problem(30000, 100, 52, noise=0.1, density=0.3)
+        else:
+            a, b, _ = _outlier_problem(30000, 40, 51)
+        loss = LossSpec.huber(1.0)
+        m_regress(a, b, loss, base_cap=400, seed=1)  # imports what a fit imports on first use
+        samples, tr = _gathered_sample(monkeypatch), {}
+        _, peak = traced_peak(m_regress, a, b, loss, base_cap=10000, seed=1, trace=tr)
+        idx = samples[0].indices
+        assert tr["levels"] == 1 and idx.size == tr["base_rows"] > 3 * 2048
+        kept = a[idx]
+        kept_bytes = (kept.data.nbytes + kept.indices.nbytes + kept.indptr.nbytes if sparse
+                      else kept.nbytes)
+        assert peak < kept_bytes + 8 * idx.size  # the kept rows of A and entries of b
+
+    @pytest.mark.parametrize("loss", [LossSpec.lp(1.0), LossSpec.huber(1.0)], ids=["l1", "huber"])
+    def test_fit_is_irls_on_gathered_sample(self, sparse, loss, monkeypatch):
+        a, b, _ = (_sparse_problem(8000, 40, 53, noise=0.1) if sparse
+                   else _outlier_problem(8000, 40, 53))
+        samples, tr = _gathered_sample(monkeypatch), {}
+        x = m_regress(a, b, loss, base_cap=7000, seed=2, trace=tr)
+        sample = samples[0]
+        assert tr["levels"] == 1 and len(sample) == tr["base_rows"] > 3 * 2048
+        assert np.array_equal(x, irls_solve(a[sample.indices], b[sample.indices],
+                                            sample.reweights, loss))
 
 
 class TestSparseInput:

@@ -316,7 +316,8 @@ class TestAllZeroInput:
         trace = {}
         x = m_regress(a, b, loss, base_cap=50, seed=1, trace=trace)
         assert np.array_equal(x, irls_solve(a, b, None, loss)) and not x.any()
-        assert trace == {"levels": 0, "base_rows": 5000, "base_rows_expected": 5000.0}
+        assert trace == {"levels": 0, "base_rows": 5000, "base_rows_expected": 5000.0,
+                         "irls_steps": 0}
 
 
 class TestSampleSize:
