@@ -26,7 +26,7 @@ import warnings
 from typing import Optional
 
 from .conditioning import leverage_score_blocks
-from .core import ComputedPart, LossSpec, Subspace, spawn_rng
+from .core import ComputedPart, LossSpec, RowSelection, Subspace, spawn_rng
 from . import sampling
 from .sketch import make_sparse_sketch, orthonormal_union, rank_revealing_factor
 
@@ -62,6 +62,10 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     for the sketch and basis, and, past the p-stable row cap, the sketch
     Pi A of at most nnz(A) entries, and the sample's O(chunk + P_M),
     drawn as the scores stream; never the n x m product, nor n scores.
+    The span of the kept rows is read through a ``core.RowSelection`` of
+    A, one block at a time, by the R factor that
+    ``sketch.orthonormal_union`` factors, so no copy of the sample is
+    made.
     ``trace`` receives the realized and expected rows of the sample
     (``bicriteria_rows``, ``bicriteria_rows_expected``; n and n when every
     row is kept).  No pass checks A on its own: a NaN or infinity raises
@@ -93,4 +97,4 @@ def const_approx(a, k: int, loss: LossSpec, seed: int = 0,
     sample = sampling.sample_stream("bicriteria", scores, p_m,
                                     int(spawn_rng(seed, 59, 0, 0).integers(2**31)), trace)
     # the kept rows' weights 1/q leave their span unchanged
-    return orthonormal_union([a[sample.indices]], d=d)
+    return orthonormal_union([RowSelection(a, sample.indices)], d=d)

@@ -19,7 +19,7 @@ Huber, L1-L2, and Fair; the latter three all have growth exponent 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,8 +30,6 @@ L1L2 = "l1l2"
 FAIR = "fair"
 
 _LOSS_KINDS = (LP, HUBER, L1L2, FAIR)
-
-ArrayLike = Union[np.ndarray, "sp.spmatrix"]
 
 
 # ---------------------------------------------------------------------------
@@ -493,27 +491,38 @@ def project_rows(a, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(A U, r) with r_i = ||A_i (I - U U^T)||_2, for an orthonormal U.
 
     Dense inputs subtract the projection directly (accurate near zero
-    residual) in one temporary the size of A: the residual is written
-    into the product A U U^T and squared in place, and its rows summed as
-    ``np.linalg.norm`` sums them, to the bit.  Sparse inputs use the
-    projector identity ||A_i (I-P)||^2 = ||A_i||^2 - ||A_i U||^2 to avoid
-    densification.
+    residual), ``max(1, _CHUNK // d)`` rows at a time, so a call holds
+    A U, r and one temporary of at most ``_CHUNK`` entries (or one row)
+    whatever A's size: each chunk's residual is written into its product
+    A U U^T and squared in place, and its rows summed whole, as
+    ``np.linalg.norm`` sums them, to the bit (BLAS may round a chunk's
+    product in the last bit unlike a whole block's).  Sparse inputs use
+    the projector identity ||A_i (I-P)||^2 = ||A_i||^2 - ||A_i U||^2 to
+    avoid densification, and hold A U and O(n) more.
     """
     au = matmul_dense(a, u)
     if is_sparse(a):
         proj = np.linalg.norm(au, axis=1) ** 2
         return au, np.sqrt(np.clip(row_norms(a) ** 2 - proj, 0.0, None))
-    resid = au @ u.T
-    np.subtract(np.asarray(a, dtype=float), resid, out=resid)
-    np.square(resid, out=resid)
-    return au, np.sqrt(np.add.reduce(resid, axis=1))
+    a = np.asarray(a)
+    r, step = np.empty(a.shape[0]), max(1, _CHUNK // max(a.shape[1], 1))
+    for lo in range(0, a.shape[0], step):
+        rows = slice(lo, lo + step)
+        resid = au[rows] @ u.T
+        np.subtract(a[rows], resid, out=resid)
+        np.square(resid, out=resid)
+        r[rows] = np.sqrt(np.add.reduce(resid, axis=1))
+    return au, r
 
 
 def residual_row_norms(a, x: Subspace) -> np.ndarray:
     """Per-row Euclidean distances ||A_i (I - U U^T)||_2 (see ``project_rows``).
 
-    Taken one block of ``_FACTOR_BLOCK`` rows at a time, so a sparse A is
-    never copied whole and a dense one needs no n x d temporary.
+    Taken one block of ``_FACTOR_BLOCK`` rows at a time, so a call holds
+    the n distances and one block of rows (a gathered CSR block, or a view
+    of a dense A) with its product A U and, for a dense block, a residual
+    of at most ``_CHUNK`` entries: a sparse A is never copied whole, and a
+    dense one needs no temporary the size of a block.
     """
     if x.d != a.shape[1]:
         raise ValueError(f"subspace lives in R^{x.d}, matrix has {a.shape[1]} columns")

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .core import (_FACTOR_BLOCK, LossSpec, Subspace, check_finite, m_value, row_norms, row_view,
-                   spawn_rng)
+from .core import (_FACTOR_BLOCK, LossSpec, RowSelection, Subspace, check_finite, m_value,
+                   row_norms, row_view, spawn_rng)
 from . import sampling
 from .sketch import gaussian_row_norm_estimates, make_gaussian_sketch, orthonormal_union
 
@@ -39,7 +39,12 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     residual is zero the input subspace is returned unchanged; when xhat
     is the whole space or carries A's singular values (``Subspace.sv``:
     it is A's row space) that is known before any row is read, and else
-    after the one pass over A that scores and samples it.  ``trace``
+    after the one pass over A that scores and samples it.  The output is
+    the orthonormal union of the kept rows with W^T, read through a
+    ``core.RowSelection`` of A and reduced to their R factor, so no row of
+    A is copied beyond one block: a call holds A, one block of rows, the
+    sample's indices and O((d + 2048) d) for the factors, even when (as
+    at |x|^p on small inputs) the sample keeps every row.  ``trace``
     receives the Gaussian's width (``t_m``) and the realized and expected
     rows of the sample (``dimreduce_rows``, ``dimreduce_rows_expected``; 0
     and 0.0 when no sample is drawn).
@@ -84,4 +89,4 @@ def dim_reduce(a, k: int, eps: float, xhat: Subspace, loss: LossSpec,
     if sums[0] <= n * m_value(loss, 1e-12 * (sums[1] + 1e-300)):
         sampling.record("dimreduce", 0, 0, trace)
         return xhat
-    return orthonormal_union([a[sample.indices], xhat.u.T], d=d)
+    return orthonormal_union([RowSelection(a, sample.indices), xhat.u.T], d=d)

@@ -124,6 +124,22 @@ def _bottom_eigenvectors(h: np.ndarray, k: int) -> np.ndarray:
     return vecs
 
 
+def _next_eigenvalue_bound(q: np.ndarray, hq: np.ndarray, ritz: np.ndarray, k: int,
+                           trace_h: float) -> float:
+    """An upper bound on lambda_{k+1} of a positive semidefinite H from an
+    orthonormal Q, H Q, the Ritz values ``ritz`` of Q^T H Q (ascending) and
+    trace(H): max(theta_{k+1}, trace(H) - sum theta) + ||(I - Q Q^T) H Q||_F,
+    with theta_{k+1} = 0 while Q has k columns.
+
+    In the basis [Q, Q_perp], H is [[T, B^T], [B, C]] with ||B||_F the
+    last term; dropping B moves no eigenvalue by more than ||B||_2
+    (Weyl), and the (k+1)-th largest eigenvalue of diag(T, C) is at most
+    theta_{k+1} or lambda_max(C) <= trace(C) = trace(H) - sum theta.
+    """
+    rest = ritz[-k - 1] if ritz.size > k else 0.0
+    return max(rest, trace_h - ritz.sum()) + np.linalg.norm(hq - q @ (q.T @ hq))
+
+
 def _top_eigenvectors(x: np.ndarray, psi: np.ndarray, k: int, v0: np.ndarray):
     """The top k eigenvectors of H = X^T diag(psi) X, psi >= 0, and whether
     the Krylov certificate failed and the formed H was solved instead.
@@ -136,7 +152,12 @@ def _top_eigenvectors(x: np.ndarray, psi: np.ndarray, k: int, v0: np.ndarray):
     ``_KRYLOV_CERT`` * gap, gap = theta_k - (trace(H) - sum Theta): as H
     is positive semidefinite, trace(H) - sum Theta bounds the sum of its
     other eigenvalues, so lambda_{k+1} too, and by Davis-Kahan Y Y^T is
-    then within sqrt(2) ``_KRYLOV_CERT`` of H's top-k projector.  Narrower
+    then within sqrt(2) ``_KRYLOV_CERT`` of H's top-k projector.  A step
+    that fails this test is tried once more, before the space grows, with
+    the gap theta_k - ``_next_eigenvalue_bound``, which also bounds
+    lambda_{k+1} and is the tighter one when the space holds the next
+    eigenvalues; taken only then, it leaves every step that the first
+    test certifies as it was.  Narrower
     widths, and a space that meets no certificate within
     ``_KRYLOV_BLOCKS`` blocks, form H and solve it directly; Krylov
     (Musco & Musco 2015) saves the m x m product and the tridiagonalization.
@@ -148,11 +169,14 @@ def _top_eigenvectors(x: np.ndarray, psi: np.ndarray, k: int, v0: np.ndarray):
         q = v0
         hq = x.T @ (psi[:, None] * (x @ q))
         for _ in range(_KRYLOV_BLOCKS):
-            theta, s = np.linalg.eigh(q.T @ hq)
-            theta, s = theta[::-1][:k], s[:, ::-1][:, :k]
+            ritz, s = np.linalg.eigh(q.T @ hq)
+            theta, s = ritz[::-1][:k], s[:, ::-1][:, :k]
             y = q @ s
-            gap = theta[-1] - (trace_h - theta.sum())
-            if np.linalg.norm(hq @ s - y * theta) <= _KRYLOV_CERT * gap:
+            resid = np.linalg.norm(hq @ s - y * theta)
+            if resid <= _KRYLOV_CERT * (theta[-1] - (trace_h - theta.sum())):
+                return y, False
+            if resid <= _KRYLOV_CERT * (theta[-1] - _next_eigenvalue_bound(q, hq, ritz, k,
+                                                                           trace_h)):
                 return y, False
             if q.shape[1] + k > m:
                 break

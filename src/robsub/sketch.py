@@ -33,6 +33,7 @@ import scipy.sparse as sp
 
 from .core import (
     _FACTOR_BLOCK,
+    RowSelection,
     RowView,
     Subspace,
     check_finite,
@@ -281,24 +282,25 @@ def orthonormal_union(blocks, d: int) -> Subspace:
 
     Rank-revealing: the basis is the right singular vectors of the stacked
     rows (``rank_revealing_factor``) whose singular value exceeds RANK_TOL
-    times the largest.  Sparse blocks stay sparse: the stack is CSR when
-    any block is sparse, and a single block is factored as given.  An
+    times the largest.  A block is dense, CSR or a ``core.RowSelection``
+    (a sample's rows of A, gathered on read), and no block is copied or
+    stacked: a single block is factored as given, and several are each
+    reduced to their R factor (``r_factor``), which has the block's row
+    space in at most d rows, before the dense stack of R factors is
+    factored.  So a call holds one row block of an operand at a time and
+    O((d + 2048) d) for the factors, whatever the blocks' row counts.  An
     empty input yields the empty subspace of R^d.
     """
-    mats = [b if is_sparse(b) else np.atleast_2d(np.asarray(b, dtype=float))
+    mats = [b if is_sparse(b) or isinstance(b, RowSelection)
+            else np.atleast_2d(np.asarray(b, dtype=float))
             for b in blocks if b is not None and b.shape[0] > 0]
     if not mats:
         return Subspace.empty(d)
     width = mats[0].shape[1]
     if any(m.shape[1] != width for m in mats):
         raise ValueError("blocks disagree on column count")
-    if len(mats) == 1:
-        stack = mats[0]
-    elif any(is_sparse(m) for m in mats):
-        stack = sp.vstack(mats, format="csr")
-    else:
-        stack = np.vstack(mats)
-    _, v = rank_revealing_factor(stack)
+    _, v = rank_revealing_factor(mats[0] if len(mats) == 1
+                                 else np.vstack([r_factor(m) for m in mats]))
     return Subspace(v)
 
 

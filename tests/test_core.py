@@ -17,8 +17,8 @@ from robsub import (
 )
 from robsub.conditioning import well_conditioned_basis
 from robsub.core import (_CHUNK, _COMPUTED_ENTRIES, _FACTOR_BLOCK, ComputedPart, RowSelection,
-                         RowView, as_weights, entry_spans, matmul_dense, residual_row_norms,
-                         row_norms, row_view)
+                         RowView, as_weights, entry_spans, matmul_dense, project_rows,
+                         residual_row_norms, row_norms, row_view)
 from robsub.sketch import apply_right, make_sparse_sketch
 
 
@@ -206,7 +206,7 @@ class TestMeasures:
 class TestResidualPassResidency:
     """``residual_row_norms`` holds its n-vector and one block of rows: each block
     is dropped before the next is gathered, and a dense block is projected in
-    one temporary of its size."""
+    one temporary of at most ``_CHUNK`` entries (``project_rows``)."""
 
     @staticmethod
     def _subspace(d):
@@ -230,6 +230,23 @@ class TestResidualPassResidency:
         want = np.concatenate([np.linalg.norm(b - (b @ u) @ u.T, axis=1)
                                for b in np.split(a, range(_FACTOR_BLOCK, n, _FACTOR_BLOCK))])
         assert np.array_equal(residual_row_norms(a, Subspace(u)), want)
+
+    def test_wide_dense_block_projected_a_chunk_at_a_time(self):
+        # one 2048 x 2000 block: its whole residual A U U^T, 32.8 MB, was formed
+        # at once; 8 rows (_CHUNK entries) at a time, the rows are unchanged
+        d = 2000
+        a = np.random.default_rng(33).standard_normal((_FACTOR_BLOCK, d))
+        u = self._subspace(d).u
+        au = a @ u
+        resid = au @ u.T
+        np.subtract(a, resid, out=resid)
+        np.square(resid, out=resid)
+        want = np.sqrt(np.add.reduce(resid, axis=1))
+        del resid
+        project_rows(a[:8], u)
+        (got_au, got_r), peak = traced_peak(project_rows, a, u)
+        assert np.array_equal(got_au, au) and np.array_equal(got_r, want)
+        assert peak < 1e6
 
     def test_sparse_block_dropped_before_the_next(self):
         # five CSR blocks, each gathered as a copy: the pass held block j while it

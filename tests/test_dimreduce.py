@@ -14,8 +14,9 @@ from robsub import (
     dim_reduce,
     residual_cost,
 )
-from robsub import dimreduce
+from robsub import bicriteria, dimreduce
 from robsub.core import _FACTOR_BLOCK
+from robsub.sketch import rank_revealing_factor
 
 
 class TestDimReduceEdges:
@@ -226,6 +227,64 @@ class TestScorePassResidency:
         # the sample's three n-vectors: the held scores, their concatenation and
         # the uniforms; the sampled rows' union, some 40 x d, comes after the pass
         assert peak < 3 * n * 8 + 1.5 * csr_block_nbytes(a, _FACTOR_BLOCK)
+
+
+def test_union_of_a_sample_of_every_row_peaks_below_a():
+    # L1 at k = 1 and eps = 0.25 expects 4 r1^2, some 52 000 rows: every row
+    # is kept.  The union was built from the gathered rows a[idx], stacked
+    # with W^T into a CSR copy, and peaked at 26.9 MB here; it is built from
+    # the R factor of the rows read through a row selection
+    n, d = 20000, 300
+    a = sp.random(n, d, density=0.1, format="csr", random_state=44)
+    xhat = Subspace(np.linalg.qr(np.random.default_rng(44).standard_normal((d, 1)))[0])
+    args = (a, 1, 0.25, xhat, LossSpec.lp(1.0))
+    dim_reduce(*args, seed=1)
+    tr = {}
+    out, peak = traced_peak(dim_reduce, *args, seed=1, trace=tr)
+    assert tr["dimreduce_rows"] >= 0.9 * n and out.dim == d
+    assert peak < a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+def _max_sine(u, v):
+    """The sine of the largest principal angle between two orthonormal factors of
+    one width: the 2-norm of the difference of their projectors."""
+    assert u.shape == v.shape
+    return np.linalg.norm(u @ u.T - v @ v.T, 2)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+class TestUnionOfTheSample:
+    """The unions of both samples span what the union of the gathered rows spans."""
+
+    @staticmethod
+    def _spy(monkeypatch, module):
+        spanned, union = [], module.orthonormal_union
+        monkeypatch.setattr(module, "orthonormal_union",
+                            lambda blocks, d: spanned.append(blocks) or union(blocks, d))
+        return spanned
+
+    def test_residual_sample(self, monkeypatch, sparse):
+        a, _ = planted_lowrank(3000, 80, 2, seed=45, noise=0.05, outlier_frac=0.01)
+        a = sp.csr_matrix(a) if sparse else a
+        xhat = Subspace(np.linalg.qr(np.random.default_rng(45).standard_normal((80, 2)))[0])
+        monkeypatch.setattr(dimreduce, "_r1", lambda k, eps, p: 3.0)  # 36 rows expected
+        spanned = self._spy(monkeypatch, dimreduce)
+        out = dim_reduce(a, 2, 0.25, xhat, LossSpec.lp(1.0), seed=3)
+        (sel, wt), = spanned
+        rows = a[sel.idx]
+        stack = sp.vstack([rows, wt], format="csr") if sparse else np.vstack([rows, wt])
+        _, want = rank_revealing_factor(stack)
+        assert 2 < out.dim < 80 and _max_sine(out.u, want) <= 1e-10
+
+    def test_bicriteria_sample(self, monkeypatch, set_p_m, sparse):
+        a, _ = planted_lowrank(3000, 80, 2, seed=46, noise=0.05, outlier_frac=0.01)
+        a = sp.csr_matrix(a) if sparse else a
+        set_p_m(60)
+        spanned = self._spy(monkeypatch, bicriteria)
+        out = const_approx(a, 2, LossSpec.lp(1.0), seed=4)
+        (sel,), = spanned
+        _, want = rank_revealing_factor(a[sel.idx])
+        assert 2 < out.dim < 80 and _max_sine(out.u, want) <= 1e-10
 
 
 class TestDimReduceQuality:

@@ -245,6 +245,41 @@ class TestSmallApprox:
         assert np.abs(h @ y - y * np.diag(y.T @ h @ y)).max() <= 1e-12
         assert np.linalg.norm(y[:, :2] @ y[:, :2].T - rot[:2].T @ rot[:2]) <= 1e-10
 
+    @pytest.mark.parametrize("m, k", [(20, 1), (64, 3), (64, 8)])
+    def test_next_eigenvalue_bound_holds(self, m, k):
+        # random PSD H of spread spectra, and spaces Q of k to 4k columns, random
+        # or near H's top eigenvectors: the bound is never below lambda_{k+1}
+        rng = np.random.default_rng(m + k)
+        for trial in range(20):
+            rot = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            lam = np.sort(10.0 ** rng.uniform(-6, 2, m))[::-1]
+            h = (rot * lam) @ rot.T
+            width = k * rng.integers(1, 5)
+            start = rot[:, :width] if trial % 2 else np.zeros((m, width))
+            noise = 10.0 ** -rng.uniform(0, 8) * rng.standard_normal((m, width))
+            q = np.linalg.qr(start + noise)[0]
+            hq = h @ q
+            ritz = np.linalg.eigvalsh(q.T @ hq)
+            bound = pipeline._next_eigenvalue_bound(q, hq, ritz, k, float(np.trace(h)))
+            assert bound >= lam[k] * (1.0 - 1e-12)
+
+    def test_next_eigenvalue_bound_certifies_where_the_trace_gap_cannot(self, monkeypatch):
+        # lambda = 10, 10, 5, 5 and 60 of 1e-3 at k = 2: trace(H) - sum Theta
+        # >= 10.06 > theta_2, so the first test's gap is negative at every step.
+        # Three blocks span an invariant space holding 5 as theta_3, and the
+        # bound 5 + O(rounding) certifies its Ritz vectors with no formed H
+        m, k = 64, 2
+        rng = np.random.default_rng(7)
+        rot = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        lam = np.concatenate([[10.0, 10.0, 5.0, 5.0], np.full(m - 4, 1e-3)])
+        assert lam[1] - (lam.sum() - lam[:2].sum()) < 0.0
+        x = np.sqrt(lam)[:, None] * rot
+        calls = self._spy_direct(monkeypatch)
+        v0 = np.linalg.qr(rng.standard_normal((m, k)))[0]
+        y, fell_back = pipeline._top_eigenvectors(x, np.ones(m), k, v0)
+        assert not fell_back and calls == []
+        assert np.linalg.norm(y @ y.T - rot[:2].T @ rot[:2]) <= 1e-10
+
     def test_separated_planted_problem_never_falls_back(self, monkeypatch):
         m, k = 200, 3
         rng = np.random.default_rng(6)
